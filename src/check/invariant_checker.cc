@@ -423,7 +423,8 @@ void InvariantChecker::AuditStacks() {
     const UnithreadPool::AuditResult pool = deps_.pool->Audit();
     if (!pool.free_list_ok) {
       Violation("unithread pool free list corrupt",
-                "duplicate or out-of-range indices in the free list");
+                "duplicate or out-of-range indices in the free list, or a "
+                "never-acquired buffer missing from it");
     }
     if (pool.canary_violations != 0) {
       std::ostringstream os;

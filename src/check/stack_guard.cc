@@ -40,12 +40,10 @@ size_t StackHighWaterMark(const std::byte* low, size_t bytes) {
 GuardedStack::GuardedStack(size_t usable_bytes, bool paint) {
   ADIOS_CHECK_GT(usable_bytes, 0u);
   ADIOS_CHECK_EQ(usable_bytes % 16, 0u);
-  // Slack for realigning the base: make_unique only guarantees the default
-  // new alignment.
-  const size_t total = kStackCanaryBytes + usable_bytes + 15;
-  storage_ = std::make_unique<std::byte[]>(total);
-  const uintptr_t raw = reinterpret_cast<uintptr_t>(storage_.get());
-  std::byte* canary = reinterpret_cast<std::byte*>((raw + 15) & ~static_cast<uintptr_t>(15));
+  // The mapping is page-aligned, so the canary strip at its base — and the
+  // usable region kStackCanaryBytes above it — is 16-aligned as is.
+  storage_ = LazyMapping(kStackCanaryBytes + usable_bytes);
+  std::byte* canary = storage_.data();
   WriteStackCanary(canary, kStackCanaryBytes);
   usable_ = canary + kStackCanaryBytes;
   size_ = usable_bytes;

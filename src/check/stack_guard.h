@@ -16,8 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
+
+#include "src/base/lazy_mapping.h"
 
 namespace adios {
 
@@ -47,8 +48,10 @@ void PaintStack(std::byte* low, size_t bytes);
 // from `low`) to the top of the region.
 size_t StackHighWaterMark(const std::byte* low, size_t bytes);
 
-// An owning, 16-byte-aligned stack allocation with a canary strip below the
-// usable region and (optionally) paint for high-water-mark accounting.
+// An owning, page-aligned stack allocation with a canary strip below the
+// usable region and (optionally) paint for high-water-mark accounting. The
+// memory is a LazyMapping, so unpainted stack pages are committed only when
+// the stack first grows into them.
 class GuardedStack {
  public:
   GuardedStack() = default;
@@ -59,11 +62,9 @@ class GuardedStack {
   GuardedStack(GuardedStack&& other) noexcept { *this = std::move(other); }
   GuardedStack& operator=(GuardedStack&& other) noexcept {
     storage_ = std::move(other.storage_);
-    usable_ = other.usable_;
-    size_ = other.size_;
+    usable_ = std::exchange(other.usable_, nullptr);
+    size_ = std::exchange(other.size_, 0);
     painted_ = other.painted_;
-    other.usable_ = nullptr;
-    other.size_ = 0;
     return *this;
   }
 
@@ -77,7 +78,7 @@ class GuardedStack {
   size_t HighWaterMark() const;
 
  private:
-  std::unique_ptr<std::byte[]> storage_;
+  LazyMapping storage_;
   std::byte* usable_ = nullptr;
   size_t size_ = 0;
   bool painted_ = false;

@@ -109,8 +109,10 @@ struct SystemConfig {
     UnithreadPool::Options p;
     // The paper pre-allocates 131,072 unithreads; the simulation's in-flight
     // population is far smaller, so presets default to 8192 buffers (still
-    // >10x any observed peak) to keep host memory modest. Stacks are roomy
-    // because handlers execute real C++ on them.
+    // >10x any observed peak). The arena only reserves address space, so
+    // host memory scales with the buffers a run touches (its peak in-flight
+    // population), not with `count`. Stacks are roomy because handlers
+    // execute real C++ on them.
     p.count = 8192;
 #if defined(__SANITIZE_ADDRESS__)
     // ASan redzones inflate every frame; double the universal stacks so the

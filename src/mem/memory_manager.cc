@@ -159,7 +159,8 @@ uint64_t MemoryManager::SelectVictim() {
 }
 
 void MemoryManager::AddFetchWaiter(uint64_t vpage, FetchWaiter resume, bool early) {
-  ADIOS_DCHECK(StateOf(vpage) == PageState::kFetching);
+  // A waiter on a settled page would never be woken: its request is lost.
+  ADIOS_CHECK(StateOf(vpage) == PageState::kFetching);
   fetch_waiters_[vpage].push_back(FetchWaiterEntry{std::move(resume), early});
 }
 

@@ -5,6 +5,8 @@
 // genuinely read back during request handling, so access patterns are real.
 // Whether a page is cached in the compute node's local DRAM is tracked
 // separately by the PageTable — residency affects *timing*, never data.
+// The array is a LazyMapping: it starts as kernel zero pages, and host
+// memory is committed only for the pages the application actually writes.
 //
 // RemoteHeap is a bump allocator handing out RemoteAddr offsets; apps build
 // their tables/indexes in it during setup (setup writes bypass fault timing).
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/base/lazy_mapping.h"
 
 namespace adios {
 
@@ -35,6 +38,10 @@ class RemoteRegion {
   explicit RemoteRegion(size_t bytes) : data_(bytes) {
     ADIOS_CHECK(bytes % kPageSize == 0);
   }
+
+  // Non-copyable: the region is the single ground-truth array.
+  RemoteRegion(const RemoteRegion&) = delete;
+  RemoteRegion& operator=(const RemoteRegion&) = delete;
 
   std::byte* data() { return data_.data(); }
   const std::byte* data() const { return data_.data(); }
@@ -69,7 +76,7 @@ class RemoteRegion {
   }
 
  private:
-  std::vector<std::byte> data_;
+  LazyMapping data_;
 };
 
 class RemoteHeap {

@@ -533,14 +533,20 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
         // No suspension between the checks and here. The worker index tags
         // the fetch as the owner key for the free-frame credit cache.
         mm_->BeginFetch(vpage, /*prefetch=*/false, static_cast<uint16_t>(index_));
-        ++running_->req->faults;
         if (tracer_ != nullptr) {
           tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFault,
                           static_cast<uint32_t>(vpage));
         }
         mm_->Pin(vpage);
         PostFaultReads(vpage);
-        BlockOnFetch(vpage, write);
+        // Posting can suspend: a full QP drains the CQ, and the READ may
+        // land (or be abandoned) during that drain. A waiter registered on a
+        // settled page is never woken, so block only while still in flight.
+        // The request's fault count tracks its stalls (span reconciliation).
+        if (mm_->StateOf(vpage) == PageState::kFetching) {
+          ++running_->req->faults;
+          BlockOnFetch(vpage, write);
+        }
         mm_->Unpin(vpage);
         continue;  // Re-check: maps on completion, so this hits kPresent
                    // (or, after an early chunk resume, the partial branch).

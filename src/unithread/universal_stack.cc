@@ -11,19 +11,15 @@ UnithreadPool::UnithreadPool(const Options& options) : options_(options) {
   ADIOS_CHECK_GT(options_.buffer_size,
                  options_.mtu + sizeof(UnithreadContext) + kStackCanaryBytes + 512);
 
-  arena_.resize(options_.count * options_.buffer_size);
+  // Reserved, not committed: a buffer's pages are zero-filled by the kernel
+  // when Acquire first writes its canary.
+  arena_ = LazyMapping(options_.count * options_.buffer_size);
   free_.reserve(options_.count);
   // LIFO free list: most-recently-released buffer is reused first, which
-  // keeps the hot set of stacks small and cache-friendly.
+  // keeps the hot set of stacks small and cache-friendly — and, starting
+  // from index 0, keeps every buffer ever handed out below the watermark.
   for (size_t i = options_.count; i > 0; --i) {
     free_.push_back(static_cast<uint32_t>(i - 1));
-  }
-  for (size_t i = 0; i < options_.count; ++i) {
-    UnithreadBuffer buf = FromIndex(static_cast<uint32_t>(i));
-    WriteStackCanary(buf.canary(), kStackCanaryBytes);
-    if (options_.paint_stacks) {
-      PaintStack(buf.stack_low(), buf.stack_size());
-    }
   }
 }
 
@@ -33,8 +29,16 @@ UnithreadBuffer UnithreadPool::Acquire() {
   }
   const uint32_t idx = free_.back();
   free_.pop_back();
-  std::byte* base = arena_.data() + static_cast<size_t>(idx) * options_.buffer_size;
-  UnithreadBuffer buf(base, options_.buffer_size, options_.mtu);
+  UnithreadBuffer buf = FromIndex(idx);
+  if (idx >= prepared_) {
+    // First hand-out: only the next never-used index can surface here.
+    ADIOS_CHECK_EQ(idx, prepared_);
+    WriteStackCanary(buf.canary(), kStackCanaryBytes);
+    if (options_.paint_stacks) {
+      PaintStack(buf.stack_low(), buf.stack_size());
+    }
+    ++prepared_;
+  }
   buf.context()->id = idx;
   return buf;
 }
@@ -46,7 +50,7 @@ void UnithreadPool::Release(UnithreadBuffer buffer) {
   ADIOS_CHECK(offset >= 0);
   ADIOS_CHECK_EQ(static_cast<size_t>(offset) % options_.buffer_size, 0u);
   const uint32_t idx = static_cast<uint32_t>(static_cast<size_t>(offset) / options_.buffer_size);
-  ADIOS_CHECK_LT(idx, options_.count);
+  ADIOS_CHECK_LT(idx, prepared_);  // Never handed out: not ours to release.
   ADIOS_DCHECK(free_.size() < options_.count);
   // A trampled canary means this unithread overflowed its universal stack at
   // some point during its life; catch it at retirement, with the buffer
@@ -57,17 +61,25 @@ void UnithreadPool::Release(UnithreadBuffer buffer) {
 
 UnithreadPool::AuditResult UnithreadPool::Audit() const {
   AuditResult result;
-  // Free-list integrity: every index in range, no duplicates.
+  // Free-list integrity: every index in range, no duplicates, and every
+  // buffer at or above the watermark (never handed out) still free.
   std::vector<bool> seen(options_.count, false);
+  size_t unprepared_free = 0;
   for (uint32_t idx : free_) {
     if (idx >= options_.count || seen[idx]) {
       result.free_list_ok = false;
       break;
     }
     seen[idx] = true;
+    if (idx >= prepared_) {
+      ++unprepared_free;
+    }
+  }
+  if (unprepared_free != options_.count - prepared_) {
+    result.free_list_ok = false;
   }
   auto* self = const_cast<UnithreadPool*>(this);
-  for (size_t i = 0; i < options_.count; ++i) {
+  for (size_t i = 0; i < prepared_; ++i) {
     UnithreadBuffer buf = self->FromIndex(static_cast<uint32_t>(i));
     ++result.buffers_checked;
     if (!StackCanaryIntact(buf.canary(), kStackCanaryBytes)) {

@@ -1,4 +1,4 @@
-// Universal stack buffers and the pre-allocated unithread pool (paper §3.2).
+// Universal stack buffers and the unithread pool (paper §3.2).
 //
 // Each unithread occupies exactly one contiguous buffer laid out per Fig. 4,
 // with a canary strip (src/check/stack_guard.h) carved out between the
@@ -12,9 +12,12 @@
 // The networking stack writes the request payload at the head of the buffer;
 // the context struct follows at the MTU boundary; the remaining space is the
 // unithread's *universal stack*, shared by application and kernel code (no
-// separate exception stack). The pool pre-allocates a fixed number of
-// buffers so request handling never allocates. Release() verifies the
-// canary; Audit() sweeps every buffer (invariant checker).
+// separate exception stack). The pool reserves address space for a fixed
+// number of buffers, so request handling never allocates; it commits and
+// canaries a buffer on its first Acquire(), so host memory scales with the
+// buffers a run touches, not with the pool's capacity. Release() verifies
+// the canary; Audit() sweeps every buffer handed out so far (invariant
+// checker).
 
 #ifndef ADIOS_SRC_UNITHREAD_UNIVERSAL_STACK_H_
 #define ADIOS_SRC_UNITHREAD_UNIVERSAL_STACK_H_
@@ -25,13 +28,13 @@
 
 #include "src/base/annotations.h"
 #include "src/base/check.h"
+#include "src/base/lazy_mapping.h"
 #include "src/check/stack_guard.h"
 #include "src/unithread/context.h"
 
 namespace adios {
 
-// A view over one pre-allocated unithread buffer. Non-owning; the pool owns
-// the memory.
+// A view over one unithread buffer. Non-owning; the pool owns the memory.
 class UnithreadBuffer {
  public:
   UnithreadBuffer() = default;
@@ -76,18 +79,24 @@ class UnithreadBuffer {
   size_t mtu_ = 0;
 };
 
-// Pre-allocated pool of unithread buffers (the paper configures 131,072).
+// Fixed-capacity pool of unithread buffers (the paper configures 131,072).
 // Acquire/Release are O(1); Acquire fails (returns invalid buffer) when the
 // pool is exhausted, which the scheduler treats as back-pressure.
+//
+// The arena is a LazyMapping: untouched buffers cost address space only.
+// The LIFO free list starts at index 0 and reuses the most recently
+// released buffer first, so the buffers handed out so far always form the
+// prefix [0, prepared). A buffer's canary (and paint) is written when the
+// watermark first passes it.
 class UnithreadPool {
  public:
   struct Options {
-    size_t count = 1024;         // Number of pre-allocated unithreads.
+    size_t count = 1024;         // Pool capacity in unithreads.
     size_t buffer_size = 16384;  // Total buffer bytes per unithread, 16-aligned.
     size_t mtu = 1536;           // Payload area (network MTU), 16-aligned.
-    // Paint stacks at construction for high-water-mark recovery in Audit().
-    // Off by default: painting is cheap, but the HWM scan touches every
-    // stack byte on each audit.
+    // Paint each stack on its first Acquire for high-water-mark recovery in
+    // Audit(). Off by default: painting commits the whole stack, and the HWM
+    // scan touches every stack byte of each prepared buffer on each audit.
     bool paint_stacks = false;
   };
 
@@ -113,13 +122,15 @@ class UnithreadPool {
   size_t available() const { return free_.size(); }
   size_t in_use() const { return options_.count - free_.size(); }
 
-  // Total memory footprint of the pool in bytes.
+  // Address space reserved for the pool in bytes (an upper bound on the
+  // host memory it can commit).
   size_t MemoryFootprint() const { return options_.count * options_.buffer_size; }
 
-  // Sweeps every buffer's canary and (when painted) high-water mark, and
-  // cross-checks the free list for duplicates/out-of-range indices.
+  // Sweeps every prepared buffer's canary and (when painted) high-water
+  // mark, and cross-checks the free list: no duplicates or out-of-range
+  // indices, and every index at or above the watermark still free.
   struct AuditResult {
-    size_t buffers_checked = 0;
+    size_t buffers_checked = 0;  // Prepared buffers whose canary was verified.
     size_t canary_violations = 0;
     bool free_list_ok = true;
     size_t max_high_water = 0;  // 0 unless Options::paint_stacks.
@@ -128,8 +139,9 @@ class UnithreadPool {
 
  private:
   Options options_;
-  std::vector<std::byte> arena_;
+  LazyMapping arena_;
   std::vector<uint32_t> free_;  // Stack of free buffer indices.
+  size_t prepared_ = 0;         // Watermark: buffers [0, prepared_) are canaried.
 };
 
 }  // namespace adios

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
+#include "src/base/lazy_mapping.h"
 #include "src/base/ring_buffer.h"
 #include "src/base/stats.h"
 #include "src/base/time.h"
@@ -44,6 +48,30 @@ TEST(RingBuffer, ClearEmpties) {
   EXPECT_TRUE(rb.empty());
   EXPECT_TRUE(rb.PushBack(9));
   EXPECT_EQ(rb.Front(), 9);
+}
+
+TEST(LazyMapping, PageAlignedZeroFilledAndMoveOnly) {
+  LazyMapping a(3 * 4096 + 100);
+  ASSERT_NE(a.data(), nullptr);
+  EXPECT_EQ(a.size(), 3u * 4096 + 100);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(a.data()) % 4096, 0u);
+  EXPECT_EQ(a.data()[0], std::byte{0});
+  EXPECT_EQ(a.data()[a.size() - 1], std::byte{0});
+  a.data()[5] = std::byte{7};
+
+  LazyMapping b(std::move(a));
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.data()[5], std::byte{7});
+
+  LazyMapping c(64);
+  c = std::move(b);  // Unmaps c's old mapping, takes b's.
+  EXPECT_EQ(b.data(), nullptr);
+  EXPECT_EQ(c.data()[5], std::byte{7});
+
+  LazyMapping empty(0);
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 TEST(RunningStats, MeanAndVariance) {

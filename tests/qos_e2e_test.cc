@@ -1,16 +1,19 @@
 // End-to-end QoS behavior on the full system (docs/QOS.md): chunk-resume
 // trace grammar, waiter coalescing onto partially-landed pages, mid-partial
 // aborts audited leak-free, the background retry sub-budget under a
-// blackout, and the off-is-off contract for every QoS knob spelling.
+// blackout, no request stranded by a fetch that lands while it is being
+// posted, and the off-is-off contract for every QoS knob spelling.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/apps/array_app.h"
 #include "src/apps/pattern_app.h"
 #include "src/core/md_system.h"
+#include "src/obs/span_builder.h"
 #include "src/sim/trace.h"
 
 namespace adios {
@@ -166,6 +169,42 @@ TEST(QosE2e, BackgroundRetrySubBudgetCapsBackgroundReposts) {
   // retried through the blackout.
   EXPECT_GT(capped.mem.fetch_aborts, shared.mem.fetch_aborts);
   EXPECT_LT(capped.fetch_retries, shared.fetch_retries);
+}
+
+TEST(QosE2e, FetchLandingDuringItsOwnPostStrandsNoRequest) {
+  // Regression for a lost wakeup. A demand fault marks its page kFetching
+  // and posts the READ (plus prefetches); a full send queue makes the post
+  // drain the CQ. With chunked delivery the READ's critical chunk and tail
+  // can both land during that drain, so the page is already mapped when the
+  // handler comes to wait on it — and a waiter registered on a settled page
+  // is never woken. A four-deep QP forces the drain on most faults.
+  SystemConfig cfg = QosConfig();
+  cfg.fabric.qp_depth = 4;
+  cfg.sched.prefetch_window = 8;
+  cfg.sched.prefetch_policy = PrefetchPolicy::kAdaptive;
+  PatternApp::Options po;
+  po.pages = 1 << 13;
+  po.pages_per_op = 8;
+  po.stride = 4;
+  po.pattern = PatternApp::Pattern::kStride;
+  PatternApp app(po);
+  MdSystem sys(cfg, &app);
+  sys.tracer().Enable(1 << 20);
+  RunResult r = sys.Run(200000, Milliseconds(1), Milliseconds(2));
+  ASSERT_GT(r.qp_full_stalls, 0u);
+  ASSERT_GT(r.mem.chunk_partials, 0u);
+  ASSERT_EQ(sys.tracer().dropped(), 0u);
+  // The drop ledger closes after the drain: every request was answered.
+  EXPECT_EQ(r.sent, r.completed + r.dropped);
+  // A fault that never stalled is not counted as one: spans still
+  // reconcile with the samples (stalls == faults per request).
+  SpanTimeline tl = BuildSpans(sys.tracer());
+  for (const std::string& p : tl.problems) {
+    ADD_FAILURE() << "span grammar: " << p;
+  }
+  for (const std::string& m : ReconcileSpans(tl, r.samples)) {
+    ADD_FAILURE() << "reconcile: " << m;
+  }
 }
 
 TEST(QosE2e, EveryOffSpellingIsBitIdenticalToTheDefault) {

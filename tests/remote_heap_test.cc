@@ -19,6 +19,15 @@ TEST(RemoteRegion, ReadWriteRoundTrip) {
   EXPECT_EQ(p.b, 9u);
 }
 
+TEST(RemoteRegion, FreshRegionReadsAsZero) {
+  // Apps rely on untouched remote memory reading as zero (the backing
+  // mapping starts as kernel zero pages).
+  RemoteRegion region(64 * kPageSize);
+  for (uint64_t page = 0; page < region.num_pages(); page += 7) {
+    EXPECT_EQ(region.ReadObject<uint64_t>(PageStart(page) + 8), 0u);
+  }
+}
+
 TEST(RemoteRegion, BytesInterface) {
   RemoteRegion region(4 * kPageSize);
   const char src[] = "adios to busy-waiting";

@@ -1,10 +1,13 @@
 // Universal-stack edge cases: minimum-size stacks, canary/overflow
-// detection, double-finish detection, pool audits, and the GuardedStack
-// primitive (src/check/stack_guard.h).
+// detection, double-finish detection, pool audits, the lazily committed
+// arena, and the GuardedStack primitive (src/check/stack_guard.h).
 
 #include "src/unithread/universal_stack.h"
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -131,7 +134,7 @@ TEST(UniversalStack, OverflowFromRunningCodeTripsCanary) {
 
   EXPECT_FALSE(StackCanaryIntact(buf.canary()));
   UnithreadPool::AuditResult audit = pool.Audit();
-  EXPECT_EQ(audit.buffers_checked, opts.count);
+  EXPECT_EQ(audit.buffers_checked, 1u);  // Only the one buffer handed out.
   EXPECT_EQ(audit.canary_violations, 1u);
   EXPECT_TRUE(audit.free_list_ok);
 
@@ -212,6 +215,126 @@ TEST(UniversalStack, AuditRecoversHighWaterMarkFromPaintedStacks) {
   EXPECT_EQ(audit.canary_violations, 0u);
   pool.Release(buf);
 }
+
+// --- Lazily committed arena ---
+
+UnithreadPool::Options SmallPool(size_t count) {
+  UnithreadPool::Options opts;
+  opts.count = count;
+  opts.buffer_size = 16384;
+  opts.mtu = 1536;
+  return opts;
+}
+
+TEST(LazyArena, BuffersArePreparedInIndexOrderAsAPrefix) {
+  UnithreadPool pool(SmallPool(8));
+  EXPECT_EQ(pool.Audit().buffers_checked, 0u);
+  UnithreadBuffer a = pool.Acquire();
+  UnithreadBuffer b = pool.Acquire();
+  EXPECT_EQ(a.context()->id, 0u);
+  EXPECT_EQ(b.context()->id, 1u);
+  // LIFO reuse hands back the released buffer, not a fresh one.
+  pool.Release(a);
+  UnithreadBuffer c = pool.Acquire();
+  EXPECT_EQ(c.context()->id, 0u);
+  EXPECT_TRUE(StackCanaryIntact(c.canary()));
+  UnithreadPool::AuditResult audit = pool.Audit();
+  EXPECT_EQ(audit.buffers_checked, 2u);
+  EXPECT_TRUE(audit.free_list_ok);
+  pool.Release(b);
+  pool.Release(c);
+}
+
+TEST(LazyArena, OverflowOfTheNthAcquiredBufferTripsItsCanary) {
+  UnithreadPool pool(SmallPool(16));
+  std::vector<UnithreadBuffer> held;
+  for (int i = 0; i < 5; ++i) {
+    held.push_back(pool.Acquire());
+  }
+  UnithreadBuffer& last = held.back();
+  OverflowRig rig{&last, {}};
+  last.ResetContext(&EntryOverflowsIntoCanary, &rig, &rig.parent);
+  AdiosContextSwitch(&rig.parent, last.context());
+
+  UnithreadPool::AuditResult audit = pool.Audit();
+  EXPECT_EQ(audit.buffers_checked, 5u);
+  EXPECT_EQ(audit.canary_violations, 1u);
+  EXPECT_TRUE(audit.free_list_ok);
+  EXPECT_FALSE(StackCanaryIntact(last.canary()));
+
+  WriteStackCanary(last.canary());
+  for (UnithreadBuffer& buf : held) {
+    pool.Release(buf);
+  }
+  EXPECT_EQ(pool.Audit().canary_violations, 0u);
+}
+
+TEST(LazyArena, PaintedBufferAcquiredButNotRunHasZeroHighWater) {
+  UnithreadPool::Options opts = SmallPool(8);
+  opts.paint_stacks = true;
+  UnithreadPool pool(opts);
+  UnithreadBuffer buf = pool.Acquire();
+  EXPECT_EQ(StackHighWaterMark(buf.stack_low(), buf.stack_size()), 0u);
+  UnithreadPool::AuditResult audit = pool.Audit();
+  EXPECT_EQ(audit.buffers_checked, 1u);
+  EXPECT_EQ(audit.max_high_water, 0u);
+  pool.Release(buf);
+}
+
+TEST(LazyArena, AuditFlagsADoubleRelease) {
+  UnithreadPool pool(SmallPool(4));
+  UnithreadBuffer a = pool.Acquire();
+  UnithreadBuffer held = pool.Acquire();  // Keeps the free list below capacity.
+  pool.Release(a);
+  EXPECT_TRUE(pool.Audit().free_list_ok);
+  // The second release puts index 0 on the free list twice: two future
+  // Acquires would share one universal stack.
+  pool.Release(a);
+  EXPECT_FALSE(pool.Audit().free_list_ok);
+  EXPECT_TRUE(held.valid());
+}
+
+TEST(LazyArenaDeathTest, ReleasingANeverAcquiredBufferAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        UnithreadPool pool(SmallPool(4));
+        UnithreadBuffer a = pool.Acquire();
+        (void)a;
+        pool.Release(pool.FromIndex(2));  // Above the watermark.
+      },
+      "ADIOS_CHECK failed");
+}
+
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+// Resident set size of this process, from /proc/self/statm.
+size_t ResidentBytes() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+// Sanitizer runtimes keep their own shadow memory and allocator caches, so
+// resident-set deltas are only meaningful in the plain build.
+TEST(LazyArena, FreshFullSizePoolCommitsAlmostNothing) {
+  UnithreadPool::Options opts;
+  opts.count = 8192;
+  opts.buffer_size = 32 * 1024;
+  opts.mtu = 1536;
+  const size_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  UnithreadPool pool(opts);
+  const size_t after = ResidentBytes();
+  EXPECT_EQ(pool.MemoryFootprint(), size_t{256} << 20);
+  EXPECT_LT(after - before, size_t{8} << 20) << "a 256 MiB pool committed its arena";
+}
+#endif
 
 }  // namespace
 }  // namespace adios
