@@ -218,14 +218,12 @@ bool Run() {
     jrow.extra.emplace_back("chunk_partials", static_cast<double>(r.mem.chunk_partials));
     jrow.extra.emplace_back("chunk_early_wakes",
                             static_cast<double>(r.mem.chunk_early_wakes));
-    // Per-class link bytes ride along when the classes were on (the probes
-    // only exist with link_classes > 1).
+    // Per-class link bytes ride along (every link counts them, classes on
+    // or off).
     for (const char* cls : {"demand", "prefetch", "background"}) {
-      const std::string labels = StrFormat("class=%s", cls);
-      const MetricSample* s = r.metrics.Find("link.class_delivered_bytes", labels);
-      if (s != nullptr) {
-        jrow.extra.emplace_back(StrFormat("link_bytes_%s", cls), s->value);
-      }
+      jrow.extra.emplace_back(
+          StrFormat("link_bytes_%s", cls),
+          r.metrics.Value("link.class_delivered_bytes", StrFormat("class=%s", cls)));
     }
     json.push_back(std::move(jrow));
     WarnTraceDrops(r);

@@ -14,10 +14,15 @@
 //     lock-free datapath fails to deliver >= 1.6x goodput at 8 workers over
 //     1 worker, or when the serialized baseline out-scales it.
 //
+// Every run must also close its drop ledger: once the run drains, each
+// request the load generator sent was either completed or dropped. A
+// stranded request fails the bench too.
+//
 // `--smoke` (or ADIOS_BENCH_QUICK=1) shrinks run times for CI.
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/apps/array_app.h"
@@ -25,7 +30,19 @@
 namespace adios {
 namespace {
 
-void RunLegacySweep() {
+// The drop ledger of one run: sent == completed + dropped.
+bool LedgerClosed(const std::string& cell, const RunResult& r) {
+  if (r.sent == r.completed + r.dropped) {
+    return true;
+  }
+  std::printf("FAIL: %s strands requests: sent %llu != completed %llu + dropped %llu\n",
+              cell.c_str(), static_cast<unsigned long long>(r.sent),
+              static_cast<unsigned long long>(r.completed),
+              static_cast<unsigned long long>(r.dropped));
+  return false;
+}
+
+bool RunLegacySweep() {
   const BenchTiming timing = DefaultTiming();
   ArrayApp::Options wl;
   wl.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
@@ -41,6 +58,7 @@ void RunLegacySweep() {
               " §5.2 points to 200/400 Gbps RNICs, which expose §6's dispatcher limit)\n");
   TablePrinter table({"workers", "tput(K)", "tput/worker(K)", "disp-util", "rdma-util",
                       "P99.9(us)@80%"});
+  bool ok = true;
   for (uint32_t n : worker_counts) {
     SystemConfig cfg = SystemConfig::Adios();
     cfg.num_workers = n;
@@ -56,6 +74,8 @@ void RunLegacySweep() {
     ArrayApp app2(wl);
     MdSystem probe_sys(cfg, &app2);
     RunResult probe = probe_sys.Run(0.8 * peak.throughput_rps, timing.warmup, timing.measure);
+    ok &= LedgerClosed(StrFormat("sweep/%uw peak", n), peak);
+    ok &= LedgerClosed(StrFormat("sweep/%uw probe", n), probe);
 
     table.AddRow({StrFormat("%u", n), Krps(peak.throughput_rps),
                   Krps(peak.throughput_rps / n), Pct(peak.dispatcher_utilization),
@@ -63,6 +83,7 @@ void RunLegacySweep() {
   }
   table.Print();
   std::printf("(throughput per worker collapses once the shared dispatcher or NIC binds)\n");
+  return ok;
 }
 
 // One datapath mode of the serialized-vs-lockfree comparison.
@@ -101,6 +122,7 @@ bool RunDatapathComparison() {
   TablePrinter table({"datapath", "workers", "goodput(K)", "speedup-vs-1w", "P99(us)"});
   std::vector<BenchJsonRow> json;
   double ratio[2] = {0.0, 0.0};  // 8-worker goodput over 1-worker, per mode.
+  bool ledgers_ok = true;
   for (int mode = 0; mode < 2; ++mode) {
     const bool lockfree = mode == 1;
     const char* name = lockfree ? "lockfree" : "serialized";
@@ -109,6 +131,7 @@ bool RunDatapathComparison() {
       ArrayApp app(wl);
       MdSystem sys(DatapathConfig(lockfree, n), &app);
       const RunResult r = sys.Run(4.2e6 + 0.6e6 * n, timing.warmup, timing.measure);
+      ledgers_ok &= LedgerClosed(StrFormat("%s/%uw", name, n), r);
       if (n == 1) {
         base_goodput = r.goodput_rps;
       }
@@ -130,7 +153,7 @@ bool RunDatapathComparison() {
 
   // The acceptance gates: the lock-free datapath must actually scale, and
   // must out-scale the serialized baseline.
-  bool ok = true;
+  bool ok = ledgers_ok;
   if (ratio[1] < 1.6) {
     std::printf("FAIL: lockfree 8-worker speedup %.2fx < 1.6x\n", ratio[1]);
     ok = false;
@@ -156,6 +179,7 @@ int main(int argc, char** argv) {
       setenv("ADIOS_BENCH_QUICK", "1", /*overwrite=*/1);
     }
   }
-  adios::RunLegacySweep();
-  return adios::RunDatapathComparison() ? 0 : 1;
+  const bool sweep_ok = adios::RunLegacySweep();
+  const bool datapath_ok = adios::RunDatapathComparison();
+  return sweep_ok && datapath_ok ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "src/base/stats.h"
 
@@ -60,21 +61,19 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   ADIOS_CHECK(config_.replication.replicas >= 1);
   ADIOS_CHECK(config_.replication.replicas <= num_nodes);
   fabric_ = std::make_unique<RdmaFabric>(&engine_, fabric_params, num_nodes);
-  // No-op unless link_classes > 1 (the hook install itself is gated), so the
-  // trace stream stays bit-identical with QoS off.
+  // Class grants are traced only on multi-class links (link_classes > 1).
   fabric_->set_tracer(&tracer_);
-  if (fabric_params.link_classes > 1) {
-    for (uint32_t c = 0; c < kNumTrafficClasses; ++c) {
-      const auto cls = static_cast<TrafficClass>(c);
-      const MetricLabels labels{{"class", TrafficClassName(cls)}};
-      metrics_.RegisterProbe("link.class_enqueued_bytes", labels, [this, cls] {
-        return static_cast<double>(fabric_->ClassEnqueuedBytes(cls));
-      });
-      metrics_.RegisterProbe("link.class_delivered_bytes", labels, [this, cls] {
-        return static_cast<double>(fabric_->ClassDeliveredBytes(cls));
-      });
-      metrics_.RegisterProbe("link.class_delivered_items", labels, [this, cls] {
-        return static_cast<double>(fabric_->ClassDeliveredItems(cls));
+  const std::pair<const char*, RdmaFabric::LinkClassCounter> link_probes[] = {
+      {"link.class_enqueued_bytes", &FairLink::class_enqueued_bytes},
+      {"link.class_delivered_bytes", &FairLink::class_delivered_bytes},
+      {"link.class_delivered_items", &FairLink::class_delivered_items},
+  };
+  for (uint32_t c = 0; c < kNumTrafficClasses; ++c) {
+    const auto cls = static_cast<TrafficClass>(c);
+    const MetricLabels labels{{"class", TrafficClassName(cls)}};
+    for (const auto& [name, counter] : link_probes) {
+      metrics_.RegisterProbe(name, labels, [this, cls, counter = counter] {
+        return static_cast<double>(fabric_->SumClassCounter(counter, cls));
       });
     }
   }

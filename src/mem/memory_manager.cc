@@ -80,12 +80,17 @@ void MemoryManager::SpillFrameCaches() {
 void MemoryManager::ReleaseFrame() {
   ADIOS_CHECK(used_frames_ > 0);
   --used_frames_;
-  if (!frame_callbacks_.empty()) {
-    auto resume = std::move(frame_callbacks_.front());
-    frame_callbacks_.pop_front();
-    resume();
-  }
+  WakeFrameWaiter();
   frame_waiters_.NotifyOne();
+}
+
+void MemoryManager::WakeFrameWaiter() {
+  if (!HasFreeFrame() || frame_callbacks_.empty()) {
+    return;
+  }
+  auto resume = std::move(frame_callbacks_.front());
+  frame_callbacks_.pop_front();
+  resume();
 }
 
 void MemoryManager::BeginFetch(uint64_t vpage, bool prefetch, uint16_t owner) {

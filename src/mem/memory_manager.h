@@ -206,6 +206,10 @@ class MemoryManager {
 
   // Releases one frame (eviction finished) and wakes one frame waiter.
   void ReleaseFrame();
+  // Runs the oldest yield-policy frame waiter if a frame is free. A woken
+  // waiter that leaves without taking the frame calls this to pass its
+  // wakeup on: each release wakes exactly one waiter.
+  void WakeFrameWaiter();
 
   // --- Re-silver bounce frames ---
 

@@ -211,6 +211,9 @@ class Folder {
       case TraceEvent::kCorrupt:
         ++span.corruptions;
         break;
+      case TraceEvent::kChunkReady:
+        ++span.chunks_ready;
+        break;
 
       case TraceEvent::kNodeSuspect:
       case TraceEvent::kNodeDead:
@@ -219,6 +222,7 @@ class Folder {
       case TraceEvent::kScrubStart:
       case TraceEvent::kScrubDone:
       case TraceEvent::kFrameRefill:
+      case TraceEvent::kClassDequeue:
         Problem(rec, "system event with nonzero request id");
         break;
 

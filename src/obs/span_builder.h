@@ -89,6 +89,7 @@ struct RequestSpan {
   uint32_t timeouts = 0;
   uint32_t failovers = 0;
   uint32_t corruptions = 0;   // Verify-on-fetch detections on this request's fetches.
+  uint32_t chunks_ready = 0;  // Critical chunks that landed early (kChunkReady).
   uint32_t prefetches = 0;    // Prefetch READs this request's faults triggered.
   uint32_t prefetch_hits = 0;
 

@@ -36,22 +36,20 @@ RdmaFabric::RdmaFabric(Engine* engine, const FabricParams& params, uint32_t num_
     nodes_.push_back(std::make_unique<MemNode>(engine, params, i));
   }
   client_rx_flow_ = client_rx_link_.AddFlow();
-  if (params_.link_classes > 1) {
-    // QoS scheduler (docs/QOS.md): the compute NIC's WQE engine and every
-    // node link pair split into prioritized WDRR queues. The client-facing
-    // links carry exactly one kind of traffic each and stay classless.
-    wqe_engine_.EnableClasses(params_.link_classes, params_.class_weights);
-    for (auto& node : nodes_) {
-      node->c2m.EnableClasses(params_.link_classes, params_.class_weights);
-      node->m2c.EnableClasses(params_.link_classes, params_.class_weights);
-    }
+  // QoS scheduler (docs/QOS.md): the compute NIC's WQE engine and every node
+  // link pair get `link_classes` prioritized WDRR queues (one when off). The
+  // client-facing links carry exactly one kind of traffic each and keep one.
+  wqe_engine_.EnableClasses(params_.link_classes, params_.class_weights);
+  for (auto& node : nodes_) {
+    node->c2m.EnableClasses(params_.link_classes, params_.class_weights);
+    node->m2c.EnableClasses(params_.link_classes, params_.class_weights);
   }
 }
 
 void RdmaFabric::set_tracer(Tracer* tracer) {
   tracer_ = tracer;
   if (params_.link_classes <= 1) {
-    return;  // No class grants to trace; the event stream stays seed-identical.
+    return;  // A one-queue link makes no class decision to trace.
   }
   auto hook = [this](uint32_t cls, uint64_t /*bytes*/) {
     if (tracer_ != nullptr) {
@@ -64,38 +62,11 @@ void RdmaFabric::set_tracer(Tracer* tracer) {
   }
 }
 
-uint64_t RdmaFabric::ClassEnqueuedBytes(TrafficClass cls) const {
+uint64_t RdmaFabric::SumClassCounter(LinkClassCounter counter, TrafficClass cls) const {
   const auto c = static_cast<uint32_t>(cls);
-  uint64_t n = wqe_engine_.class_enqueued_bytes(c);
+  uint64_t n = (wqe_engine_.*counter)(c);
   for (const auto& node : nodes_) {
-    n += node->c2m.class_enqueued_bytes(c) + node->m2c.class_enqueued_bytes(c);
-  }
-  return n;
-}
-
-uint64_t RdmaFabric::ClassDeliveredBytes(TrafficClass cls) const {
-  const auto c = static_cast<uint32_t>(cls);
-  uint64_t n = wqe_engine_.class_delivered_bytes(c);
-  for (const auto& node : nodes_) {
-    n += node->c2m.class_delivered_bytes(c) + node->m2c.class_delivered_bytes(c);
-  }
-  return n;
-}
-
-uint64_t RdmaFabric::ClassEnqueuedItems(TrafficClass cls) const {
-  const auto c = static_cast<uint32_t>(cls);
-  uint64_t n = wqe_engine_.class_enqueued_items(c);
-  for (const auto& node : nodes_) {
-    n += node->c2m.class_enqueued_items(c) + node->m2c.class_enqueued_items(c);
-  }
-  return n;
-}
-
-uint64_t RdmaFabric::ClassDeliveredItems(TrafficClass cls) const {
-  const auto c = static_cast<uint32_t>(cls);
-  uint64_t n = wqe_engine_.class_delivered_items(c);
-  for (const auto& node : nodes_) {
-    n += node->c2m.class_delivered_items(c) + node->m2c.class_delivered_items(c);
+    n += (node->c2m.*counter)(c) + (node->m2c.*counter)(c);
   }
   return n;
 }
@@ -123,33 +94,25 @@ QueuePair* RdmaFabric::CreateQp(CompletionQueue* cq) {
 }
 
 bool QueuePair::PostRead(uint64_t bytes, uint64_t wr_id, uint32_t node, TrafficClass cls) {
-  if (full()) {
-    return false;
-  }
-  ADIOS_DCHECK(node < fabric_->num_nodes());
-  ++outstanding_;
-  ++posted_reads_;
-  fabric_->IssueRead(this, bytes, wr_id, node, cls);
-  return true;
+  const ReadOp op{wr_id, node, cls};
+  return PostReadBatch(bytes, &op, 1) == 1;
 }
 
 size_t QueuePair::PostReadBatch(uint64_t bytes, const ReadOp* ops, size_t n) {
-  std::vector<ReadOp> batch;
-  batch.reserve(n);
-  while (batch.size() < n && !full()) {
-    const ReadOp& op = ops[batch.size()];
+  RdmaFabric::ReadBatch batch;
+  while (batch.size < n && batch.size < kMaxReadBatch && !full()) {
+    const ReadOp& op = ops[batch.size];
     ADIOS_DCHECK(op.node < fabric_->num_nodes());
     ++outstanding_;
     ++posted_reads_;
-    batch.push_back(op);
+    batch.ops[batch.size++] = op;
   }
-  if (batch.empty()) {
+  if (batch.size == 0) {
     return 0;
   }
-  const size_t accepted = batch.size();
-  doorbells_saved_ += accepted - 1;
-  fabric_->IssueReadBatch(this, bytes, std::move(batch));
-  return accepted;
+  doorbells_saved_ += batch.size - 1;
+  fabric_->IssueReadBatch(this, bytes, batch);
+  return batch.size;
 }
 
 bool QueuePair::PostWrite(uint64_t bytes, uint64_t wr_id, uint32_t node, TrafficClass cls) {
@@ -181,31 +144,80 @@ void QueuePair::Complete(uint64_t wr_id, WorkType type, CompletionStatus status,
   cq_->Push(Completion{wr_id, id_, type, fabric_->engine()->now(), status, node});
 }
 
-void RdmaFabric::IssueRead(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
-                           TrafficClass cls) {
-  MemNode& mn = *nodes_[node];
-  if (mn.injector != nullptr) {  // The only injection cost on the ideal path.
-    IssueReadFaulty(qp, bytes, wr_id, node, cls);
-    return;
+FaultInjector::Verdict RdmaFabric::DrawVerdict(WorkType type, uint64_t wr_id,
+                                               uint32_t node) {
+  FaultInjector* injector = nodes_[node]->injector;
+  if (injector == nullptr) {
+    return {};  // Ideal node: deliver, with no RNG draw.
   }
-  const uint32_t flow = qp->flow_id();
-  wqe_engine_.Enqueue(flow, 0, [this, qp, bytes, wr_id, node, cls] {
-    IssueReadWire(qp, bytes, wr_id, node, cls);
-  }, cls);
+  const FaultInjector::Verdict v = injector->Classify(type, engine_->now());
+  if (v.action == FaultInjector::Action::kCorrupt && corrupt_hook_) {
+    // Silent corruption: timing-wise a perfect delivery (a READ's payload or
+    // a WRITE's stored page is wrong). Only the ledger, and an end-to-end
+    // checksum, knows.
+    corrupt_hook_(wr_id, node, type);
+  }
+  return v;
 }
 
-void RdmaFabric::IssueReadWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
-                               TrafficClass cls) {
-  const uint32_t flow = qp->flow_id();
+bool RdmaFabric::FailOnWire(QueuePair* qp, const FaultInjector::Verdict& v, WorkType type,
+                            uint64_t wire_bytes, uint64_t wr_id, uint32_t node,
+                            TrafficClass cls) {
+  if (v.action != FaultInjector::Action::kDrop && v.action != FaultInjector::Action::kNack) {
+    return false;
+  }
+  // Either way the request serializes on c2m.
+  const FaultInjector::Options& opts = nodes_[node]->injector->options();
+  FairLink& c2m = nodes_[node]->c2m;
+  if (v.action == FaultInjector::Action::kDrop) {
+    // Lost on the wire or at a dead memory node: no response ever comes. The
+    // transport layer gives up drop_detect_ns after wire entry and flushes
+    // the WQE as a completion-with-error.
+    c2m.Enqueue(qp->flow_id(), wire_bytes, [] {}, cls);
+    engine_->Schedule(opts.drop_detect_ns, [qp, wr_id, type, node] {
+      qp->Complete(wr_id, type, CompletionStatus::kRetryExceeded, node);
+    });
+    return true;
+  }
+  // The memory node answers receiver-not-ready: no DMA, no payload, just a
+  // NAK surfacing one short RTT after the request serialized.
+  c2m.Enqueue(qp->flow_id(), wire_bytes,
+              [this, qp, wr_id, type, node, rtt = opts.nack_rtt_ns] {
+                engine_->Schedule(rtt, [qp, wr_id, type, node] {
+                  qp->Complete(wr_id, type, CompletionStatus::kRnrNak, node);
+                });
+              },
+              cls);
+  return true;
+}
+
+SimDuration RdmaFabric::DmaNs(uint32_t node) const {
+  // Brownout: the DMA engine is rate-limited while the window is open.
+  const FaultInjector* injector = nodes_[node]->injector;
+  const SimDuration base = params_.remote_dma_ns;
+  return injector == nullptr ? base : base + injector->DmaPenaltyNs(engine_->now(), base);
+}
+
+void RdmaFabric::IssueReadWire(QueuePair* qp, uint64_t bytes, const ReadOp& op) {
+  // Fault classification precedes chunking: a dropped or NAKed READ fails as
+  // one unit regardless of chunk_bytes (the request header never produced a
+  // response), so retry semantics are unchanged by QoS delivery.
+  const FaultInjector::Verdict v = DrawVerdict(WorkType::kRead, op.wr_id, op.node);
   const uint64_t hdr = params_.header_bytes;
-  nodes_[node]->c2m.Enqueue(flow, hdr, [this, qp, bytes, wr_id, node, cls] {
+  if (FailOnWire(qp, v, WorkType::kRead, hdr, op.wr_id, op.node, op.cls)) {
+    return;
+  }
+  const SimDuration spike = v.action == FaultInjector::Action::kDelay ? v.extra_ns : 0;
+  const SimDuration dup_lag =
+      v.action == FaultInjector::Action::kDuplicate ? v.extra_ns : 0;
+  nodes_[op.node]->c2m.Enqueue(qp->flow_id(), hdr, [this, qp, bytes, op, spike, dup_lag] {
     // Compression (docs/QOS.md): the memory node compresses the payload
     // before it enters the wire, charged on the remote DMA timeline.
-    engine_->Schedule(params_.wire_latency_ns + params_.remote_dma_ns + CompressNs(bytes),
-                      [this, qp, bytes, wr_id, node, cls] {
-                        DeliverReadPayload(qp, bytes, wr_id, node, cls, /*dup_lag=*/0);
+    engine_->Schedule(params_.wire_latency_ns + DmaNs(op.node) + spike + CompressNs(bytes),
+                      [this, qp, bytes, op, dup_lag] {
+                        DeliverReadPayload(qp, bytes, op.wr_id, op.node, op.cls, dup_lag);
                       });
-  }, cls);
+  }, op.cls);
 }
 
 void RdmaFabric::DeliverReadPayload(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
@@ -254,232 +266,55 @@ void RdmaFabric::DeliverReadPayload(QueuePair* qp, uint64_t bytes, uint64_t wr_i
                             TrafficClass::kPrefetch);
 }
 
-void RdmaFabric::IssueReadBatch(QueuePair* qp, uint64_t bytes, std::vector<ReadOp> ops) {
-  ADIOS_DCHECK(!ops.empty());
-  const uint32_t flow = qp->flow_id();
+void RdmaFabric::IssueReadBatch(QueuePair* qp, uint64_t bytes, const ReadBatch& batch) {
+  ADIOS_DCHECK(batch.size > 0);
   // One WQE-engine pass covers the whole batch (the doorbell amortization —
   // the doorbell itself is class-agnostic, so a mixed-class batch shares it);
   // the ops then enter the wire in posting order, demand READ first, each
   // paying its own link serialization, DMA, and CQE delivery on its own
   // traffic class.
-  const TrafficClass doorbell_cls = ops.front().cls;
-  wqe_engine_.Enqueue(flow, 0, [this, qp, bytes, ops = std::move(ops)] {
-    for (const ReadOp& op : ops) {
-      if (nodes_[op.node]->injector != nullptr) {
-        IssueReadFaultyWire(qp, bytes, op.wr_id, op.node, op.cls);
-      } else {
-        IssueReadWire(qp, bytes, op.wr_id, op.node, op.cls);
-      }
+  wqe_engine_.Enqueue(qp->flow_id(), 0, [this, qp, bytes, batch] {
+    for (uint32_t i = 0; i < batch.size; ++i) {
+      IssueReadWire(qp, bytes, batch.ops[i]);
     }
-  }, doorbell_cls);
+  }, batch.ops[0].cls);
 }
 
 void RdmaFabric::IssueWrite(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
                             TrafficClass cls) {
-  MemNode& mn = *nodes_[node];
-  if (mn.injector != nullptr) {
-    IssueWriteFaulty(qp, bytes, wr_id, node, cls);
+  wqe_engine_.Enqueue(qp->flow_id(), 0, [this, qp, bytes, wr_id, node, cls] {
+    IssueWriteWire(qp, bytes, wr_id, node, cls);
+  }, cls);
+}
+
+void RdmaFabric::IssueWriteWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
+                                uint32_t node, TrafficClass cls) {
+  const FaultInjector::Verdict v = DrawVerdict(WorkType::kWrite, wr_id, node);
+  // WRITE payload travels compute -> memory node (compressed on the wire
+  // when link compression is on; the compute NIC compresses before the link,
+  // the memory node decompresses on its DMA timeline). A lost WRITE still
+  // burns its c2m bandwidth.
+  const uint64_t wire_bytes = WireBytes(bytes) + params_.header_bytes;
+  if (FailOnWire(qp, v, WorkType::kWrite, wire_bytes, wr_id, node, cls)) {
     return;
   }
-  const uint32_t flow = qp->flow_id();
-  const uint64_t hdr = params_.header_bytes;
-  wqe_engine_.Enqueue(flow, 0, [this, qp, flow, bytes, hdr, wr_id, node, cls] {
-    // WRITE payload travels compute -> memory node (compressed on the wire
-    // when link compression is on; the compute NIC compresses before the
-    // link, the memory node decompresses on its DMA timeline).
-    nodes_[node]->c2m.Enqueue(flow, WireBytes(bytes) + hdr,
-                              [this, qp, flow, bytes, hdr, wr_id, node, cls] {
-      engine_->Schedule(params_.wire_latency_ns + params_.remote_dma_ns + CompressNs(bytes),
-                        [this, qp, flow, hdr, wr_id, node, cls] {
-                          // Small ack back to the requester.
-                          nodes_[node]->m2c.Enqueue(flow, hdr, [this, qp, wr_id, node] {
-                            engine_->Schedule(
-                                params_.wire_latency_ns + params_.cqe_deliver_ns,
-                                [qp, wr_id, node] {
-                                  qp->Complete(wr_id, WorkType::kWrite,
-                                               CompletionStatus::kSuccess, node);
-                                });
-                          }, cls);
-                        });
-    }, cls);
-  }, cls);
-}
-
-void RdmaFabric::IssueReadFaulty(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
-                                 uint32_t node, TrafficClass cls) {
-  // Fault classification precedes chunking: a dropped or NAKed READ fails as
-  // one unit regardless of chunk_bytes (the request header never produced a
-  // response), so retry semantics are unchanged by QoS delivery.
-  FaultInjector* injector = nodes_[node]->injector;
-  const FaultInjector::Verdict v = injector->Classify(WorkType::kRead, engine_->now());
-  const uint32_t flow = qp->flow_id();
-  const uint64_t hdr = params_.header_bytes;
-  switch (v.action) {
-    case FaultInjector::Action::kDrop: {
-      // The request still occupies the WQE engine and the c2m link (the loss
-      // happens on the wire or at a dead memory node); no response ever
-      // comes. The transport layer gives up drop_detect_ns after the post
-      // and flushes the WQE as a completion-with-error.
-      wqe_engine_.Enqueue(flow, 0, [this, flow, hdr, node, cls] {
-        nodes_[node]->c2m.Enqueue(flow, hdr, [] {}, cls);
-      }, cls);
-      engine_->Schedule(injector->options().drop_detect_ns, [qp, wr_id, node] {
-        qp->Complete(wr_id, WorkType::kRead, CompletionStatus::kRetryExceeded, node);
-      });
-      return;
-    }
-    case FaultInjector::Action::kNack: {
-      // The memory node answers receiver-not-ready: no DMA, no payload, just
-      // a NAK surfacing one short RTT after the request serialized.
-      wqe_engine_.Enqueue(flow, 0, [this, qp, flow, hdr, wr_id, node, injector, cls] {
-        nodes_[node]->c2m.Enqueue(flow, hdr, [this, qp, wr_id, node, injector] {
-          engine_->Schedule(injector->options().nack_rtt_ns, [qp, wr_id, node] {
-            qp->Complete(wr_id, WorkType::kRead, CompletionStatus::kRnrNak, node);
-          });
-        }, cls);
-      }, cls);
-      return;
-    }
-    case FaultInjector::Action::kCorrupt:
-      // Silent corruption: timing-wise a perfect delivery. Only the ledger
-      // (and an end-to-end checksum) knows.
-      if (corrupt_hook_) {
-        corrupt_hook_(wr_id, node, WorkType::kRead);
-      }
-      break;
-    case FaultInjector::Action::kDeliver:
-    case FaultInjector::Action::kDelay:
-    case FaultInjector::Action::kDuplicate:
-      break;
-  }
   const SimDuration spike = v.action == FaultInjector::Action::kDelay ? v.extra_ns : 0;
-  const SimDuration dup_lag =
-      v.action == FaultInjector::Action::kDuplicate ? v.extra_ns : 0;
-  wqe_engine_.Enqueue(flow, 0, [this, qp, flow, bytes, hdr, wr_id, spike, dup_lag, node,
-                                injector, cls] {
-    nodes_[node]->c2m.Enqueue(flow, hdr, [this, qp, bytes, wr_id, spike, dup_lag, node,
-                                          injector, cls] {
-      // Brownout: the DMA engine is rate-limited while the window is open.
-      // Compression runs on the same (penalized-rate-free) engine timeline.
-      const SimDuration dma =
-          params_.remote_dma_ns + injector->DmaPenaltyNs(engine_->now(), params_.remote_dma_ns);
-      engine_->Schedule(params_.wire_latency_ns + dma + spike + CompressNs(bytes),
-                        [this, qp, bytes, wr_id, dup_lag, node, cls] {
-                          DeliverReadPayload(qp, bytes, wr_id, node, cls, dup_lag);
-                        });
-    }, cls);
-  }, cls);
-}
-
-void RdmaFabric::IssueReadFaultyWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
-                                     uint32_t node, TrafficClass cls) {
-  // Mirror of IssueReadFaulty for ops that already cleared the shared WQE-
-  // engine pass of a batch: classification and the drop-detect clock start
-  // here (wire entry) instead of at post time.
-  FaultInjector* injector = nodes_[node]->injector;
-  const FaultInjector::Verdict v = injector->Classify(WorkType::kRead, engine_->now());
   const uint32_t flow = qp->flow_id();
-  const uint64_t hdr = params_.header_bytes;
-  switch (v.action) {
-    case FaultInjector::Action::kDrop: {
-      nodes_[node]->c2m.Enqueue(flow, hdr, [] {}, cls);
-      engine_->Schedule(injector->options().drop_detect_ns, [qp, wr_id, node] {
-        qp->Complete(wr_id, WorkType::kRead, CompletionStatus::kRetryExceeded, node);
-      });
-      return;
-    }
-    case FaultInjector::Action::kNack: {
-      nodes_[node]->c2m.Enqueue(flow, hdr, [this, qp, wr_id, node, injector] {
-        engine_->Schedule(injector->options().nack_rtt_ns, [qp, wr_id, node] {
-          qp->Complete(wr_id, WorkType::kRead, CompletionStatus::kRnrNak, node);
-        });
-      }, cls);
-      return;
-    }
-    case FaultInjector::Action::kCorrupt:
-      if (corrupt_hook_) {
-        corrupt_hook_(wr_id, node, WorkType::kRead);
-      }
-      break;
-    case FaultInjector::Action::kDeliver:
-    case FaultInjector::Action::kDelay:
-    case FaultInjector::Action::kDuplicate:
-      break;
-  }
-  const SimDuration spike = v.action == FaultInjector::Action::kDelay ? v.extra_ns : 0;
-  const SimDuration dup_lag =
-      v.action == FaultInjector::Action::kDuplicate ? v.extra_ns : 0;
-  nodes_[node]->c2m.Enqueue(flow, hdr, [this, qp, bytes, wr_id, spike, dup_lag, node,
-                                        injector, cls] {
-    const SimDuration dma =
-        params_.remote_dma_ns + injector->DmaPenaltyNs(engine_->now(), params_.remote_dma_ns);
-    engine_->Schedule(params_.wire_latency_ns + dma + spike + CompressNs(bytes),
-                      [this, qp, bytes, wr_id, dup_lag, node, cls] {
-                        DeliverReadPayload(qp, bytes, wr_id, node, cls, dup_lag);
+  nodes_[node]->c2m.Enqueue(flow, wire_bytes, [this, qp, flow, bytes, wr_id, node, cls,
+                                               spike] {
+    engine_->Schedule(params_.wire_latency_ns + DmaNs(node) + spike + CompressNs(bytes),
+                      [this, qp, flow, wr_id, node, cls] {
+                        // Small ack back to the requester.
+                        nodes_[node]->m2c.Enqueue(flow, params_.header_bytes,
+                                                  [this, qp, wr_id, node] {
+                          engine_->Schedule(
+                              params_.wire_latency_ns + params_.cqe_deliver_ns,
+                              [qp, wr_id, node] {
+                                qp->Complete(wr_id, WorkType::kWrite,
+                                             CompletionStatus::kSuccess, node);
+                              });
+                        }, cls);
                       });
-  }, cls);
-}
-
-void RdmaFabric::IssueWriteFaulty(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
-                                  uint32_t node, TrafficClass cls) {
-  FaultInjector* injector = nodes_[node]->injector;
-  const FaultInjector::Verdict v = injector->Classify(WorkType::kWrite, engine_->now());
-  const uint32_t flow = qp->flow_id();
-  const uint64_t hdr = params_.header_bytes;
-  switch (v.action) {
-    case FaultInjector::Action::kDrop: {
-      // Payload burned c2m bandwidth, then was lost (or the ack was).
-      wqe_engine_.Enqueue(flow, 0, [this, flow, bytes, hdr, node, cls] {
-        nodes_[node]->c2m.Enqueue(flow, WireBytes(bytes) + hdr, [] {}, cls);
-      }, cls);
-      engine_->Schedule(injector->options().drop_detect_ns, [qp, wr_id, node] {
-        qp->Complete(wr_id, WorkType::kWrite, CompletionStatus::kRetryExceeded, node);
-      });
-      return;
-    }
-    case FaultInjector::Action::kNack: {
-      wqe_engine_.Enqueue(flow, 0, [this, qp, flow, bytes, hdr, wr_id, node, injector, cls] {
-        nodes_[node]->c2m.Enqueue(flow, WireBytes(bytes) + hdr,
-                                  [this, qp, wr_id, node, injector] {
-          engine_->Schedule(injector->options().nack_rtt_ns, [qp, wr_id, node] {
-            qp->Complete(wr_id, WorkType::kWrite, CompletionStatus::kRnrNak, node);
-          });
-        }, cls);
-      }, cls);
-      return;
-    }
-    case FaultInjector::Action::kCorrupt:
-      // The WRITE lands and acks normally, but what it stored is wrong
-      // (torn landing / poisoned buffer).
-      if (corrupt_hook_) {
-        corrupt_hook_(wr_id, node, WorkType::kWrite);
-      }
-      break;
-    case FaultInjector::Action::kDeliver:
-    case FaultInjector::Action::kDelay:
-    case FaultInjector::Action::kDuplicate:
-      break;
-  }
-  const SimDuration spike = v.action == FaultInjector::Action::kDelay ? v.extra_ns : 0;
-  wqe_engine_.Enqueue(flow, 0, [this, qp, flow, bytes, hdr, wr_id, spike, node, injector,
-                                cls] {
-    nodes_[node]->c2m.Enqueue(flow, WireBytes(bytes) + hdr,
-                              [this, qp, flow, bytes, hdr, wr_id, spike, node, injector,
-                               cls] {
-      const SimDuration dma =
-          params_.remote_dma_ns + injector->DmaPenaltyNs(engine_->now(), params_.remote_dma_ns);
-      engine_->Schedule(params_.wire_latency_ns + dma + spike + CompressNs(bytes),
-                        [this, qp, flow, hdr, wr_id, node, cls] {
-                          nodes_[node]->m2c.Enqueue(flow, hdr, [this, qp, wr_id, node] {
-                            engine_->Schedule(
-                                params_.wire_latency_ns + params_.cqe_deliver_ns,
-                                [qp, wr_id, node] {
-                                  qp->Complete(wr_id, WorkType::kWrite,
-                                               CompletionStatus::kSuccess, node);
-                                });
-                          }, cls);
-                        });
-    }, cls);
   }, cls);
 }
 

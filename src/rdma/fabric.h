@@ -4,23 +4,28 @@
 // Pipeline for a one-sided READ (page fetch) posted on QP q toward node n:
 //
 //   post -> [WQE engine: RR over QPs, fixed cost]       (compute NIC)
+//        -> wire entry: node n's fault verdict is drawn (kDeliver when ideal)
 //        -> [node n c2m link: request header serialization]
 //        -> wire latency + memory-node DMA read
 //        -> [node n m2c link: RR over QPs, payload serialization]   <- the contended hop
 //        -> wire latency + CQE delivery
 //        -> completion appended to q's CQ
 //
-// Every memory node owns its own link pair, DMA engine timing, and (optional)
-// fault injector, so a blackout or brownout on one node leaves the others
-// ideal. The WQE engine and the client-facing links model the *compute* NIC
-// and stay shared. WRITEs (page write-back) carry their payload on the c2m
-// link and get a small ack back. Raw-Ethernet sends to the load generator use
-// the client link; their transmit completions are steered to a selectable CQ,
+// Every op takes this one path; a doorbell batch shares the WQE-engine pass
+// and a drop/NAK verdict ends the path after the c2m stage. Every memory node
+// owns its own link pair, DMA engine timing, and (optional) fault injector,
+// so a blackout or brownout on one node leaves the others ideal. The WQE
+// engine and the client-facing links model the *compute* NIC and stay
+// shared. WRITEs (page write-back) carry their payload on the c2m link and
+// get a small ack back. Raw-Ethernet sends to the load generator use the
+// client link; their transmit completions are steered to a selectable CQ,
 // which is the mechanism behind polling delegation.
 
 #ifndef ADIOS_SRC_RDMA_FABRIC_H_
 #define ADIOS_SRC_RDMA_FABRIC_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -63,20 +68,22 @@ class QueuePair {
   uint32_t id() const { return id_; }
   uint32_t flow_id() const { return flow_id_; }
 
-  // One-sided READ of `bytes` from memory node `node`. Returns false when
-  // the send queue is full (depth_ WQEs already outstanding). `cls` tags the
-  // WQE's traffic class for the QoS link scheduler (docs/QOS.md); ignored by
-  // a link without classes.
+  // The most READs one doorbell rings.
+  static constexpr size_t kMaxReadBatch = 8;
+
+  // One-sided READ of `bytes` from memory node `node`: a doorbell batch of
+  // one. Returns false when the send queue is full (depth_ WQEs already
+  // outstanding). `cls` tags the WQE's traffic class for the link scheduler
+  // (docs/QOS.md).
   bool PostRead(uint64_t bytes, uint64_t wr_id, uint32_t node = 0,
                 TrafficClass cls = TrafficClass::kDemand);
 
-  // Doorbell-batched READs (DaeMon-style, docs/PREFETCH.md): up to `n` WQEs
-  // posted with ONE doorbell ring — the batch pays a single pass through the
-  // compute NIC's WQE engine, then each op runs the normal per-op wire
-  // pipeline in order and retires its own CQE. Accepts the longest prefix
-  // that fits in the send queue and returns its length (0 when full; the
-  // caller posts the rest individually under backpressure). A batch of one
-  // behaves exactly like PostRead on the ideal fabric.
+  // Doorbell-batched READs (DaeMon-style, docs/PREFETCH.md): up to
+  // kMaxReadBatch WQEs posted with ONE doorbell ring — the batch pays a
+  // single pass through the compute NIC's WQE engine, then each op runs the
+  // READ wire stage in order and retires its own CQE. Accepts the longest
+  // prefix of `ops[0, n)` that fits in the send queue and in one doorbell,
+  // and returns its length (0 when full).
   size_t PostReadBatch(uint64_t bytes, const ReadOp* ops, size_t n);
 
   // One-sided WRITE of `bytes` to memory node `node` (page write-back).
@@ -169,11 +176,11 @@ class RdmaFabric {
   uint64_t TotalCompletions() const;
 
   // Installs (or clears) a fault injector on memory node `node`. Null = the
-  // ideal fabric; the datapath then pays exactly one branch per WQE and is
-  // bit-identical to a build without the injection layer. One-sided
-  // READs/WRITEs consult the target node's injector; the client-facing
-  // Raw-Ethernet links stay ideal (the paper's fault surface is the
-  // memory-node fabric).
+  // ideal fabric: every op on the node draws the default kDeliver verdict
+  // (no RNG draw, no spike, no DMA penalty). One-sided READs/WRITEs consult
+  // the target node's injector as they leave the WQE engine; the
+  // client-facing Raw-Ethernet links stay ideal (the paper's fault surface
+  // is the memory-node fabric).
   void set_node_fault_injector(uint32_t node, FaultInjector* injector) {
     nodes_[node]->injector = injector;
   }
@@ -191,18 +198,15 @@ class RdmaFabric {
   }
 
   // Records kClassDequeue events (request id 0, arg = class) for every
-  // class-scheduler grant on the shared RDMA links. No-op while the QoS
-  // scheduler is off (`link_classes` <= 1), so the traced event stream stays
-  // bit-identical to the seed.
+  // class-scheduler grant on the shared RDMA links. Installed only when
+  // `link_classes` > 1: a one-queue link makes no class decision.
   void set_tracer(Tracer* tracer);
 
-  // Per-class link accounting summed over the WQE engine and every node's
-  // link pair (all zero while classes are off). Backing data for the
-  // `link.class_*` metrics and the QoS property tests.
-  uint64_t ClassEnqueuedBytes(TrafficClass cls) const;
-  uint64_t ClassDeliveredBytes(TrafficClass cls) const;
-  uint64_t ClassEnqueuedItems(TrafficClass cls) const;
-  uint64_t ClassDeliveredItems(TrafficClass cls) const;
+  // Per-class link accounting: one of FairLink's class_* counters summed
+  // over the WQE engine and every node's link pair, keyed by each op's own
+  // class (so exact with classes off). Backs the `link.class_*` metrics.
+  using LinkClassCounter = uint64_t (FairLink::*)(uint32_t) const;
+  uint64_t SumClassCounter(LinkClassCounter counter, TrafficClass cls) const;
 
  private:
   friend class QueuePair;
@@ -217,31 +221,39 @@ class RdmaFabric {
     FaultInjector* injector = nullptr;
   };
 
-  void IssueRead(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
-                 TrafficClass cls);
-  void IssueWrite(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
-                  TrafficClass cls);
+  // A doorbell batch carried through the WQE engine by value: inline
+  // storage, so posting a single READ allocates nothing beyond its event.
+  struct ReadBatch {
+    std::array<ReadOp, QueuePair::kMaxReadBatch> ops;
+    uint32_t size = 0;
+  };
+
   void IssueSend(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
                  std::function<void()> on_delivered);
-  // Injection-aware variants of the one-sided pipelines.
-  void IssueReadFaulty(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
-                       TrafficClass cls);
-  void IssueWriteFaulty(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
-                        TrafficClass cls);
-  // Doorbell-batched READs: one WQE-engine pass for the whole batch, then
-  // the per-op wire pipelines start in posting order.
-  void IssueReadBatch(QueuePair* qp, uint64_t bytes, std::vector<ReadOp> ops);
-  // The READ pipeline downstream of the WQE engine (c2m onward). IssueRead
-  // runs exactly this from its WQE-engine callback; batched ops enter here
-  // directly, sharing one engine pass.
-  void IssueReadWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
-                     TrafficClass cls);
-  // Injection-aware wire stage for batched ops. Unlike IssueReadFaulty
-  // (which classifies at post time to stay bit-identical with the
-  // pre-batching fabric), this classifies when the shared WQE-engine pass
-  // completes — the moment the op actually enters the wire.
-  void IssueReadFaultyWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
-                           TrafficClass cls);
+  // READs: one WQE-engine pass for the whole batch, then the wire stage of
+  // each op in posting order.
+  void IssueReadBatch(QueuePair* qp, uint64_t bytes, const ReadBatch& batch);
+  // The READ wire stage (c2m onward), entered as the op leaves the WQE
+  // engine: draws the node's verdict, then request header -> remote DMA ->
+  // payload delivery, or the verdict's drop/NAK.
+  void IssueReadWire(QueuePair* qp, uint64_t bytes, const ReadOp& op);
+  // WRITEs: one WQE-engine pass, then the WRITE wire stage (verdict, payload
+  // on c2m, remote DMA, ack on m2c).
+  void IssueWrite(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
+                  TrafficClass cls);
+  void IssueWriteWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
+                      TrafficClass cls);
+
+  // The verdict for one op entering `node`'s wire: kDeliver on an ideal node,
+  // else one injector draw (a kCorrupt verdict fires the corrupt hook).
+  FaultInjector::Verdict DrawVerdict(WorkType type, uint64_t wr_id, uint32_t node);
+  // Applies a kDrop or kNack verdict — the request's `wire_bytes` still
+  // serialize on c2m, then an error completion — and returns true; returns
+  // false for every verdict that delivers.
+  bool FailOnWire(QueuePair* qp, const FaultInjector::Verdict& v, WorkType type,
+                  uint64_t wire_bytes, uint64_t wr_id, uint32_t node, TrafficClass cls);
+  // Remote DMA time for an op starting now on `node` (brownout-penalized).
+  SimDuration DmaNs(uint32_t node) const;
 
   // READ payload delivery tail (m2c serialization -> wire -> CQE). When
   // critical-chunk-first applies, the payload splits into a demand-priority

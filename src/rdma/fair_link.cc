@@ -7,23 +7,15 @@ namespace adios {
 void FairLink::EnableClasses(uint32_t num_classes,
                              const std::array<uint32_t, kNumTrafficClasses>& weights) {
   ADIOS_CHECK(total_queued_ == 0 && !busy_);
-  if (num_classes <= 1) {
-    num_classes_ = 0;
-    class_flows_.clear();
-    class_active_.clear();
-    deficit_.clear();
-    class_queued_.clear();
-    return;
-  }
   ADIOS_CHECK(num_classes <= kNumTrafficClasses);
-  num_classes_ = num_classes;
+  num_classes_ = std::max<uint32_t>(1, num_classes);
   weights_ = weights;
   for (uint32_t c = 0; c < kNumTrafficClasses; ++c) {
     // Starvation floor: a zero weight would let the scan skip the class
     // forever; every class must accrue credit each round.
     weights_[c] = std::max<uint32_t>(1, weights_[c]);
   }
-  class_flows_.assign(num_classes_, std::vector<std::deque<Item>>(flows_.size()));
+  class_flows_.assign(num_classes_, std::vector<std::deque<Item>>(num_flows_));
   class_active_.assign(num_classes_, {});
   deficit_.assign(num_classes_, 0);
   class_queued_.assign(num_classes_, 0);
@@ -31,43 +23,28 @@ void FairLink::EnableClasses(uint32_t num_classes,
 }
 
 void FairLink::Enqueue(uint32_t flow, uint64_t bytes, DoneFn done, TrafficClass cls) {
-  ADIOS_CHECK(flow < flows_.size());
-  if (num_classes_ == 0) {
-    // Classic single-queue path (bit-identical to the pre-QoS link).
-    const bool was_empty = flows_[flow].empty();
-    flows_[flow].push_back(Item{bytes, std::move(done)});
-    ++total_queued_;
-    if (discipline_ == Discipline::kFifo) {
-      // Global arrival order: every item gets its own service-order slot.
-      active_flows_.push_back(flow);
-    } else if (was_empty) {
-      active_flows_.push_back(flow);
-    }
-    if (!busy_) {
-      StartNext();
-    }
-    return;
-  }
-  uint32_t c = static_cast<uint32_t>(cls);
-  if (c >= num_classes_) {
-    c = num_classes_ - 1;  // Fold overflow classes onto the lowest priority.
-  }
-  auto& q = class_flows_[c][flow];
-  const bool was_empty = q.empty();
-  q.push_back(Item{bytes, std::move(done)});
+  ADIOS_CHECK(flow < num_flows_);
+  const auto own = static_cast<uint32_t>(cls);
+  // Fold overflow classes onto the lowest-priority queue.
+  const uint32_t q = std::min(own, num_classes_ - 1);
+  auto& fq = class_flows_[q][flow];
+  const bool was_empty = fq.empty();
+  fq.push_back(Item{bytes, std::move(done), cls});
   ++total_queued_;
-  ++class_queued_[c];
-  class_enq_bytes_[c] += bytes;
-  ++class_enq_items_[c];
+  ++class_queued_[q];
+  class_enq_bytes_[own] += bytes;
+  ++class_enq_items_[own];
   if (discipline_ == Discipline::kFifo || was_empty) {
-    class_active_[c].push_back(flow);
+    // FIFO gives every item its own service-order slot (global arrival
+    // order); round-robin lists each backlogged flow once.
+    class_active_[q].push_back(flow);
   }
   if (!busy_) {
     StartNext();
   }
 }
 
-FairLink::Item FairLink::PopClassed(uint32_t* cls_out) {
+FairLink::Item FairLink::PopNext(uint32_t* queue_out) {
   // Weighted deficit round-robin over the class queues. The scan pointer and
   // deficits persist across grants while the link stays backlogged; an empty
   // class forfeits its deficit. StartNext resets the scan to class 0 when
@@ -93,11 +70,12 @@ FairLink::Item FairLink::PopClassed(uint32_t* cls_out) {
     class_flows_[c][flow].pop_front();
     --class_queued_[c];
     if (discipline_ == Discipline::kRoundRobin && !class_flows_[c][flow].empty()) {
-      class_active_[c].push_back(flow);
+      class_active_[c].push_back(flow);  // Round-robin: back of the service order.
     }
-    class_del_bytes_[c] += item.bytes;
-    ++class_del_items_[c];
-    *cls_out = c;
+    const auto own = static_cast<uint32_t>(item.cls);
+    class_del_bytes_[own] += item.bytes;
+    ++class_del_items_[own];
+    *queue_out = c;
     return item;
   }
 }
@@ -105,30 +83,16 @@ FairLink::Item FairLink::PopClassed(uint32_t* cls_out) {
 void FairLink::StartNext() {
   ADIOS_DCHECK(!busy_);
   if (total_queued_ == 0) {
-    if (num_classes_ > 0) {
-      // Idle link: restart the priority scan at demand and drop stale
-      // credit, so the next burst's first grant is deterministic.
-      scan_class_ = 0;
-      std::fill(deficit_.begin(), deficit_.end(), 0);
-    }
+    // Idle link: restart the priority scan at demand and drop stale credit,
+    // so the next burst's first grant is deterministic.
+    scan_class_ = 0;
+    std::fill(deficit_.begin(), deficit_.end(), 0);
     return;
   }
-  Item item;
-  if (num_classes_ == 0) {
-    const uint32_t flow = active_flows_.front();
-    active_flows_.pop_front();
-    ADIOS_DCHECK(!flows_[flow].empty());
-    item = std::move(flows_[flow].front());
-    flows_[flow].pop_front();
-    if (discipline_ == Discipline::kRoundRobin && !flows_[flow].empty()) {
-      active_flows_.push_back(flow);  // Round-robin: back of the service order.
-    }
-  } else {
-    uint32_t cls = 0;
-    item = PopClassed(&cls);
-    if (dequeue_hook_) {
-      dequeue_hook_(cls, item.bytes);
-    }
+  uint32_t queue = 0;
+  Item item = PopNext(&queue);
+  if (dequeue_hook_) {
+    dequeue_hook_(queue, item.bytes);
   }
   --total_queued_;
   ServeItem(std::move(item));

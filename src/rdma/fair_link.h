@@ -1,5 +1,5 @@
-// FairLink: a serializing resource with per-flow round-robin service and
-// optional prioritized traffic classes (docs/QOS.md).
+// FairLink: a serializing resource with per-flow round-robin service inside
+// prioritized traffic classes (docs/QOS.md).
 //
 // Models both wire serialization and NIC engine stages. Each enqueued item
 // occupies the resource for `fixed_ns + bytes * 8 / gbps` of simulated time;
@@ -7,14 +7,14 @@
 // order, which is how RNICs arbitrate across QPs. Per-flow queue lengths are
 // observable — they are the congestion signal PF-aware dispatching uses.
 //
-// With EnableClasses(), the link splits into prioritized virtual queues
-// (demand > prefetch > background) served by weighted deficit round-robin:
+// The flows sit inside class queues served by weighted deficit round-robin:
 // each class accumulates `quantum * weight` bytes of credit per scan round
 // and serves queued items while its deficit covers them. Weights are clamped
 // to >= 1 — the starvation floor that guarantees background classes always
 // drain. When the link goes idle the scan resets to class 0, so at equal
-// arrival on an idle link demand is always served first. Classes disabled
-// (the default) is bit-identical to the single-queue seed behavior.
+// arrival on an idle link demand is always served first. A link starts with
+// one class, where WDRR reduces to plain per-flow round-robin;
+// EnableClasses() splits it into demand > prefetch > background queues.
 
 #ifndef ADIOS_SRC_RDMA_FAIR_LINK_H_
 #define ADIOS_SRC_RDMA_FAIR_LINK_H_
@@ -36,7 +36,7 @@ class FairLink {
  public:
   using DoneFn = std::function<void()>;
   // Observes every class-scheduler grant: (class, bytes). Installed by the
-  // fabric to emit kClassDequeue trace events; never fires with classes off.
+  // fabric on multi-class links to emit kClassDequeue trace events.
   using DequeueHook = std::function<void(uint32_t cls, uint64_t bytes)>;
 
   // Service disciplines: per-flow round-robin (how RNICs arbitrate QPs) or a
@@ -50,34 +50,36 @@ class FairLink {
         name_(std::move(name)),
         gbps_(gbps),
         fixed_ns_(fixed_ns),
-        discipline_(discipline) {}
+        discipline_(discipline) {
+    EnableClasses(1, weights_);
+  }
 
   FairLink(const FairLink&) = delete;
   FairLink& operator=(const FairLink&) = delete;
 
-  // Splits the link into `num_classes` prioritized WDRR queues. Must be
-  // called before any Enqueue. num_classes <= 1 keeps the classic single
-  // queue. Weights are clamped to >= 1 (starvation floor).
+  // Splits the link into `num_classes` prioritized WDRR queues (0 counts as
+  // 1). Must be called while the link is idle. Weights are clamped to >= 1
+  // (starvation floor).
   void EnableClasses(uint32_t num_classes,
                      const std::array<uint32_t, kNumTrafficClasses>& weights);
 
   // Registers a flow (QP); returns its id.
   uint32_t AddFlow() {
-    flows_.emplace_back();
     for (auto& cq : class_flows_) {
       cq.emplace_back();
     }
-    return static_cast<uint32_t>(flows_.size() - 1);
+    return num_flows_++;
   }
 
   // Queues an item for `flow`. `done` runs when the item finishes service.
-  // `cls` selects the virtual queue; ignored while classes are disabled.
+  // `cls` selects the class queue; classes beyond num_classes() fold onto
+  // the lowest-priority queue.
   void Enqueue(uint32_t flow, uint64_t bytes, DoneFn done,
                TrafficClass cls = TrafficClass::kDemand);
 
   size_t QueuedFor(uint32_t flow) const {
-    ADIOS_DCHECK(flow < flows_.size());
-    size_t queued = flows_[flow].size();
+    ADIOS_DCHECK(flow < num_flows_);
+    size_t queued = 0;
     for (const auto& cq : class_flows_) {
       queued += cq[flow].size();
     }
@@ -90,9 +92,10 @@ class FairLink {
   uint64_t total_bytes() const { return total_bytes_; }
   uint64_t total_items() const { return total_items_; }
 
-  // Per-class accounting (zero while classes are disabled). "Delivered"
-  // counts service grants; enqueued - delivered = still queued. The link
-  // never drops, so posted == delivered + queued holds at all times.
+  // Per-class accounting, keyed by each item's own TrafficClass (so it is
+  // exact on a link with fewer queues than classes). "Delivered" counts
+  // service grants; enqueued - delivered = still queued. The link never
+  // drops, so posted == delivered + queued holds at all times.
   uint64_t class_enqueued_bytes(uint32_t cls) const { return class_enq_bytes_[cls]; }
   uint64_t class_delivered_bytes(uint32_t cls) const { return class_del_bytes_[cls]; }
   uint64_t class_enqueued_items(uint32_t cls) const { return class_enq_items_[cls]; }
@@ -112,12 +115,13 @@ class FairLink {
   struct Item {
     uint64_t bytes = 0;
     DoneFn done;
+    TrafficClass cls = TrafficClass::kDemand;
   };
 
   void StartNext();
-  // WDRR scan: picks the next (class, flow) to serve and pops its head item.
-  // Returns the serving class via `cls_out`.
-  Item PopClassed(uint32_t* cls_out);
+  // WDRR scan: picks the next (class queue, flow) to serve and pops its head
+  // item. Returns the serving queue via `queue_out`.
+  Item PopNext(uint32_t* queue_out);
   void ServeItem(Item item);
 
   Engine* engine_;
@@ -125,8 +129,7 @@ class FairLink {
   double gbps_;
   SimDuration fixed_ns_;
   Discipline discipline_;
-  std::vector<std::deque<Item>> flows_;
-  std::deque<uint32_t> active_flows_;  // Flows with queued items, RR order.
+  uint32_t num_flows_ = 0;
   size_t total_queued_ = 0;
   bool busy_ = false;
   uint64_t total_bytes_ = 0;
@@ -134,15 +137,15 @@ class FairLink {
   uint64_t window_bytes_mark_ = 0;
   SimTime window_start_ = 0;
 
-  // --- Class scheduler state (docs/QOS.md), empty while disabled ---
+  // --- Class scheduler state (docs/QOS.md) ---
   // One WDRR quantum: a full page per weight unit, so a weight-1 class earns
   // enough credit each round to move one maximum-size item and can never
   // stall permanently on an oversized head-of-line item.
   static constexpr uint64_t kQuantumBytes = 4096;
   uint32_t num_classes_ = 0;
   std::array<uint32_t, kNumTrafficClasses> weights_ = {1, 1, 1};
-  // class_flows_[cls][flow] mirrors flows_, one deque per (class, flow);
-  // class_active_[cls] is the per-class round-robin flow order.
+  // class_flows_[q][flow] holds one deque per (class queue, flow);
+  // class_active_[q] is the queue's round-robin (or FIFO) flow order.
   std::vector<std::vector<std::deque<Item>>> class_flows_;
   std::vector<std::deque<uint32_t>> class_active_;
   std::vector<uint64_t> deficit_;

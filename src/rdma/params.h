@@ -81,8 +81,8 @@ struct FabricParams {
 
   // --- QoS link scheduling (docs/QOS.md) ---
   //
-  // `link_classes` <= 1 keeps the seed's single service queue, bit-identical
-  // to the pre-QoS fabric. Set to kNumTrafficClasses (3) to split every
+  // `link_classes` <= 1 gives every link one WDRR class: plain per-flow
+  // round-robin, as in the seed. Set to kNumTrafficClasses (3) to split every
   // shared link into prioritized virtual queues (demand > prefetch >
   // background) served by weighted deficit round-robin. Weights are in
   // quantum units per round; every weight is clamped to >= 1, which is the

@@ -51,10 +51,6 @@ struct SchedConfig {
   uint32_t prefetch_window = 0;
   PrefetchPolicy prefetch_policy = PrefetchPolicy::kAdaptive;
   uint32_t prefetch_history = 8;   // Fault deltas kept for stride voting.
-  // Doorbell batching: a demand fault and its prefetch candidates post as
-  // one batch of up to this many WQEs with a single doorbell ring. 1 = one
-  // doorbell per READ (the legacy path, also used when prefetching is off).
-  uint32_t post_read_batch = 8;
   // Page-fetch deadline/retry/backoff pipeline (docs/FAULT_MODEL.md).
   // Disabled by default: the ideal fabric completes every fetch, and the
   // seed datapath must stay bit-identical. MdSystem enables it whenever a
@@ -75,8 +71,9 @@ struct SchedConfig {
   uint32_t fault_entry_cycles = 250;
   uint32_t frame_alloc_cycles = 60;
   uint32_t post_read_cycles = 90;    // Build WQE + doorbell MMIO.
-  // Each WQE after the first in a doorbell-batched post: WQE build without
-  // another doorbell MMIO (the saving batching exists to capture).
+  // Each WQE after the first in a doorbell-batched post (at most
+  // QueuePair::kMaxReadBatch per doorbell): WQE build without another
+  // doorbell MMIO (the saving batching exists to capture).
   uint32_t post_read_wqe_cycles = 30;
   uint32_t map_page_cycles = 150;    // Map fetched page, update page table.
   uint32_t poll_cqe_cycles = 60;     // Per completion processed.

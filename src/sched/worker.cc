@@ -1,5 +1,7 @@
 #include "src/sched/worker.h"
 
+#include <algorithm>
+
 #include "src/sched/dispatcher.h"
 
 namespace adios {
@@ -519,12 +521,17 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
             continue;
           }
         }
-        WaitForFreeFrame(vpage);
-        if (mm_->StateOf(vpage) != PageState::kRemote) {
-          continue;
+        const bool woken = WaitForFreeFrame(vpage);
+        if (mm_->StateOf(vpage) == PageState::kRemote) {
+          core_->Consume(cfg_.frame_alloc_cycles);
         }
-        core_->Consume(cfg_.frame_alloc_cycles);
         if (mm_->StateOf(vpage) != PageState::kRemote) {
+          // Another handler fetched the page meanwhile. A frame release
+          // wakes exactly one waiter, so if that was this handler, it hands
+          // the wakeup on rather than strand the free frame.
+          if (woken) {
+            mm_->WakeFrameWaiter();
+          }
           continue;
         }
         if (!mm_->HasFreeFrame()) {
@@ -555,9 +562,9 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
   }
 }
 
-void Worker::WaitForFreeFrame(uint64_t vpage) {
+bool Worker::WaitForFreeFrame(uint64_t vpage) {
   if (mm_->HasFreeFrame()) {
-    return;
+    return false;
   }
   ++mm_->stats().frame_stalls;
   // The frame wait is its own span segment: it is memory pressure, not fetch
@@ -574,6 +581,7 @@ void Worker::WaitForFreeFrame(uint64_t vpage) {
     // frames may all be pinned by *ready* unithreads that only this worker
     // can resume (and whose touches make their pages evictable again).
     RunItem* item = running_;
+    bool woken = false;
     while (!mm_->HasFreeFrame()) {
       DrainMemCq();
       if (mm_->HasFreeFrame()) {
@@ -585,11 +593,12 @@ void Worker::WaitForFreeFrame(uint64_t vpage) {
       ctx->state = ContextState::kBlocked;
       engine_->RawSwitch(ctx, item->home->fiber_ctx_);
       // Resumed on a frame release; re-check (it may be gone again).
+      woken = true;
     }
     if (tracer_ != nullptr) {
       tracer_->Record(engine_->now(), item->req->id, TraceEvent::kFrameStallDone);
     }
-    return;
+    return woken;
   }
   // Busy-waiting policies run one request per worker to completion, so the
   // handler legitimately spins; draining the CQ keeps fetched pages mapping
@@ -610,12 +619,12 @@ void Worker::WaitForFreeFrame(uint64_t vpage) {
   if (tracer_ != nullptr) {
     tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFrameStallDone);
   }
+  return false;
 }
 
-void Worker::PostReadWithBackpressure(uint64_t vpage, TrafficClass cls) {
-  core_->Consume(cfg_.post_read_cycles);
-  const uint32_t node = ChooseReadNode(vpage);
-  while (!mem_qp_->PostRead(mm_->page_bytes(), vpage, node, cls)) {
+size_t Worker::PostDoorbell(const ReadOp* ops, size_t n) {
+  size_t accepted = 0;
+  while ((accepted = mem_qp_->PostReadBatch(mm_->page_bytes(), ops, n)) == 0) {
     // QP send queue is full (§5.2: "page fault handlers must pause, waiting
     // for available slots in the QPs").
     ++qp_full_stalls_;
@@ -624,8 +633,17 @@ void Worker::PostReadWithBackpressure(uint64_t vpage, TrafficClass cls) {
     }
   }
   if (cfg_.retry.enabled) {
-    TrackFetch(vpage, node, cls);
+    for (size_t i = 0; i < accepted; ++i) {
+      TrackFetch(ops[i].wr_id, ops[i].node, ops[i].cls);
+    }
   }
+  return accepted;
+}
+
+void Worker::PostReadWithBackpressure(uint64_t vpage, TrafficClass cls) {
+  core_->Consume(cfg_.post_read_cycles);
+  const ReadOp op{vpage, ChooseReadNode(vpage), cls};
+  PostDoorbell(&op, 1);
 }
 
 void Worker::PostFaultReads(uint64_t vpage) {
@@ -642,21 +660,12 @@ void Worker::PostFaultReads(uint64_t vpage) {
       }
     }
   }
-  if (prefetch_scratch_.empty() || cfg_.post_read_batch <= 1) {
-    // Legacy path: one doorbell per READ. With prefetching off this is
-    // bit-identical to the pre-batching worker.
-    PostReadWithBackpressure(vpage);
-    for (const uint64_t q : prefetch_scratch_) {
-      PostReadWithBackpressure(q, TrafficClass::kPrefetch);
-    }
-    return;
-  }
-  // Doorbell-batched post: the demand READ plus up to post_read_batch - 1
-  // prefetch candidates ring one doorbell. Each page still picks its own
-  // replica (placement / node health from the failover layer).
-  const size_t cap = cfg_.post_read_batch - 1 < prefetch_scratch_.size()
-                         ? cfg_.post_read_batch - 1
-                         : prefetch_scratch_.size();
+  // One doorbell: the demand READ plus up to kMaxReadBatch - 1 prefetch
+  // candidates (a batch of one when there are none). Each page still picks
+  // its own replica (placement / node health from the failover layer).
+  const size_t cap = std::min(QueuePair::kMaxReadBatch - 1, prefetch_scratch_.size());
+  core_->Consume(cfg_.post_read_cycles +
+                 cfg_.post_read_wqe_cycles * static_cast<uint32_t>(cap));
   batch_ops_.clear();
   batch_ops_.push_back(ReadOp{vpage, ChooseReadNode(vpage), TrafficClass::kDemand});
   for (size_t i = 0; i < cap; ++i) {
@@ -665,20 +674,10 @@ void Worker::PostFaultReads(uint64_t vpage) {
     batch_ops_.push_back(ReadOp{prefetch_scratch_[i], ChooseReadNode(prefetch_scratch_[i]),
                                 TrafficClass::kPrefetch});
   }
-  core_->Consume(cfg_.post_read_cycles +
-                 cfg_.post_read_wqe_cycles * static_cast<uint32_t>(batch_ops_.size() - 1));
-  const size_t accepted =
-      mem_qp_->PostReadBatch(mm_->page_bytes(), batch_ops_.data(), batch_ops_.size());
-  if (cfg_.retry.enabled) {
-    for (size_t i = 0; i < accepted; ++i) {
-      TrackFetch(batch_ops_[i].wr_id, batch_ops_[i].node, batch_ops_[i].cls);
-    }
-  }
+  const size_t accepted = PostDoorbell(batch_ops_.data(), batch_ops_.size());
   // Everything the send queue rejected — and candidates beyond the batch
   // cap — is already kFetching (possibly with coalesced waiters), so it must
-  // still be posted: one doorbell each, waiting out backpressure. Note the
-  // batch accepts a prefix, so a rejected demand READ (accepted == 0) is
-  // reposted first here.
+  // still be posted: one doorbell each, waiting out backpressure.
   for (size_t i = accepted; i < batch_ops_.size(); ++i) {
     PostReadWithBackpressure(batch_ops_[i].wr_id, batch_ops_[i].cls);
   }

@@ -150,12 +150,16 @@ class Worker final : public WorkerApi {
   // `write` decides early-resume eligibility: a read may resume off the
   // critical chunk (docs/QOS.md); a write must wait for the whole page.
   ADIOS_MAY_SUSPEND void BlockOnFetch(uint64_t vpage, bool write);
-  ADIOS_MAY_SUSPEND void WaitForFreeFrame(uint64_t vpage);
-  void PostReadWithBackpressure(uint64_t vpage,
-                                TrafficClass cls = TrafficClass::kDemand);
-  // Posts the demand READ for `vpage` plus the prefetcher's candidates —
-  // doorbell-batched when enabled, one doorbell each otherwise (the
-  // bit-identical legacy path when prefetching or batching is off).
+  // Returns true when the handler slept on a frame wakeup (yield policies).
+  ADIOS_MAY_SUSPEND bool WaitForFreeFrame(uint64_t vpage);
+  // Rings one doorbell for the longest prefix of `ops[0, n)` the send queue
+  // takes, first waiting out a full queue; tracks what it posted. Returns
+  // the prefix length (>= 1).
+  size_t PostDoorbell(const ReadOp* ops, size_t n);
+  // Charges one post and rings a doorbell for a single READ of `vpage`.
+  void PostReadWithBackpressure(uint64_t vpage, TrafficClass cls);
+  // Posts the demand READ for `vpage` plus the prefetcher's candidates as
+  // one doorbell batch (a batch of one without candidates).
   void PostFaultReads(uint64_t vpage);
   // Polls the memory CQ, maps fetched pages, runs waiters. Returns #polled.
   size_t DrainMemCq();

@@ -203,34 +203,20 @@ TEST(Fabric, PostReadBatchRetiresOneCqePerWqe) {
   EXPECT_EQ(qp->posted_reads(), 4u);
 }
 
-TEST(Fabric, PostReadBatchOfOneMatchesPostReadTiming) {
-  // A batch of one must be indistinguishable from PostRead on the ideal
-  // fabric: same single WQE-engine pass, same wire pipeline.
-  SimTime single_t = 0;
-  {
-    Engine e;
-    RdmaFabric fabric(&e, TestParams());
-    CompletionQueue* cq = fabric.CreateCq();
-    QueuePair* qp = fabric.CreateQp(cq);
-    ASSERT_TRUE(qp->PostRead(4096, 1));
-    e.Run();
-    Completion c;
-    ASSERT_EQ(cq->Poll(1, &c), 1u);
-    single_t = c.completed_at;
+TEST(Fabric, PostReadBatchRingsAtMostMaxBatchWqes) {
+  // One doorbell takes at most kMaxReadBatch WQEs; the caller posts the rest.
+  Engine e;
+  RdmaFabric fabric(&e, TestParams());
+  CompletionQueue* cq = fabric.CreateCq();
+  QueuePair* qp = fabric.CreateQp(cq);
+  std::vector<ReadOp> ops;
+  for (uint64_t i = 0; i < QueuePair::kMaxReadBatch + 2; ++i) {
+    ops.push_back(ReadOp{i, 0});
   }
-  {
-    Engine e;
-    RdmaFabric fabric(&e, TestParams());
-    CompletionQueue* cq = fabric.CreateCq();
-    QueuePair* qp = fabric.CreateQp(cq);
-    const ReadOp op{1, 0};
-    ASSERT_EQ(qp->PostReadBatch(4096, &op, 1), 1u);
-    EXPECT_EQ(qp->doorbells_saved(), 0u);
-    e.Run();
-    Completion c;
-    ASSERT_EQ(cq->Poll(1, &c), 1u);
-    EXPECT_EQ(c.completed_at, single_t);
-  }
+  EXPECT_EQ(qp->PostReadBatch(4096, ops.data(), ops.size()), QueuePair::kMaxReadBatch);
+  EXPECT_EQ(qp->doorbells_saved(), QueuePair::kMaxReadBatch - 1);
+  e.Run();
+  EXPECT_EQ(cq->size(), QueuePair::kMaxReadBatch);
 }
 
 TEST(Fabric, PostReadBatchAcceptsLongestPrefixAtDepth) {

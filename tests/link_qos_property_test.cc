@@ -9,6 +9,7 @@
 
 #include <array>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -252,27 +253,73 @@ TEST(LinkQosProperty, ZeroWeightsClampToStarvationFloor) {
   EXPECT_LT(bg_at, 40u);
 }
 
-TEST(LinkQosProperty, SingleClassModeMatchesClassicLink) {
-  // EnableClasses(1, ...) must behave exactly like the classic single-queue
-  // link: same per-flow round-robin delivery order, no class accounting.
-  auto run = [](bool enable_single_class) {
-    Engine e;
-    FairLink link(&e, "l", 100.0);
-    if (enable_single_class) {
-      link.EnableClasses(1, kDefaultWeights);
-    }
-    const uint32_t f0 = link.AddFlow();
-    const uint32_t f1 = link.AddFlow();
-    std::vector<std::pair<int, SimTime>> order;
-    for (int i = 0; i < 6; ++i) {
-      link.Enqueue(i % 2 == 0 ? f0 : f1, 1000 + 100 * i,
-                   [&order, i, &e] { order.emplace_back(i, e.now()); },
-                   TrafficClass::kBackground);
-    }
-    e.Run();
-    return order;
-  };
-  EXPECT_EQ(run(false), run(true));
+// A classless link is one WDRR class: class tags neither reorder service nor
+// change timing. Flow f0 queues three items (background, background,
+// prefetch) and flow f1 two demand items, all at t = 0; item i is
+// 1000 + 100 i bytes, so at 100 Gb/s it takes 80 + 8 i ns. Returns the
+// (item, completion time) grant order.
+std::vector<std::pair<int, SimTime>> RunClasslessLink(FairLink::Discipline discipline) {
+  Engine e;
+  FairLink link(&e, "l", 100.0, 0, discipline);
+  const uint32_t f0 = link.AddFlow();
+  const uint32_t f1 = link.AddFlow();
+  const std::array<std::pair<uint32_t, TrafficClass>, 5> items = {{
+      {f0, TrafficClass::kBackground},
+      {f0, TrafficClass::kBackground},
+      {f0, TrafficClass::kPrefetch},
+      {f1, TrafficClass::kDemand},
+      {f1, TrafficClass::kDemand},
+  }};
+  std::vector<std::pair<int, SimTime>> order;
+  for (int i = 0; i < 5; ++i) {
+    link.Enqueue(items[i].first, 1000 + 100 * i,
+                 [&order, i, &e] { order.emplace_back(i, e.now()); }, items[i].second);
+  }
+  e.Run();
+  EXPECT_EQ(link.num_classes(), 1u);
+  return order;
+}
+
+TEST(LinkQosProperty, ClasslessLinkServesFlowsRoundRobinIgnoringClasses) {
+  // Item 0 enters service on arrival; then f0 and f1 alternate: demand item
+  // 3 waits behind background item 1, and prefetch item 2 behind it.
+  const std::vector<std::pair<int, SimTime>> want = {
+      {0, 80}, {1, 168}, {3, 272}, {2, 368}, {4, 480}};
+  EXPECT_EQ(RunClasslessLink(FairLink::Discipline::kRoundRobin), want);
+}
+
+TEST(LinkQosProperty, ClasslessFifoLinkServesArrivalOrderIgnoringClasses) {
+  const std::vector<std::pair<int, SimTime>> want = {
+      {0, 80}, {1, 168}, {2, 264}, {3, 368}, {4, 480}};
+  EXPECT_EQ(RunClasslessLink(FairLink::Discipline::kFifo), want);
+}
+
+TEST(LinkQosProperty, ClasslessLinkCountsEachItemsOwnClass) {
+  // One queue, three classes of traffic: the per-class counters still split
+  // by each item's tag, enqueued at post and delivered at grant.
+  Engine e;
+  FairLink link(&e, "l", 100.0);
+  const uint32_t f = link.AddFlow();
+  link.Enqueue(f, 1000, [] {}, TrafficClass::kDemand);  // In service at once.
+  link.Enqueue(f, 2000, [] {}, TrafficClass::kBackground);
+  link.Enqueue(f, 3000, [] {}, TrafficClass::kDemand);
+  link.Enqueue(f, 4000, [] {}, TrafficClass::kPrefetch);
+  EXPECT_EQ(link.class_enqueued_bytes(0), 4000u);
+  EXPECT_EQ(link.class_enqueued_bytes(1), 4000u);
+  EXPECT_EQ(link.class_enqueued_bytes(2), 2000u);
+  EXPECT_EQ(link.class_enqueued_items(0), 2u);
+  EXPECT_EQ(link.class_delivered_items(0), 1u);
+  EXPECT_EQ(link.class_delivered_bytes(0), 1000u);
+  EXPECT_EQ(link.class_delivered_items(1), 0u);
+  EXPECT_EQ(link.class_delivered_items(2), 0u);
+  e.Run();
+  const std::array<uint64_t, kNumTrafficClasses> bytes = {4000, 4000, 2000};
+  const std::array<uint64_t, kNumTrafficClasses> items = {2, 1, 1};
+  for (uint32_t c = 0; c < kNumTrafficClasses; ++c) {
+    EXPECT_EQ(link.class_delivered_bytes(c), bytes[c]) << "class " << c;
+    EXPECT_EQ(link.class_delivered_items(c), items[c]) << "class " << c;
+    EXPECT_EQ(link.class_enqueued_items(c), items[c]) << "class " << c;
+  }
 }
 
 TEST(LinkQosProperty, PerFlowFairnessHoldsWithinAClass) {
