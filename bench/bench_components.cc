@@ -99,19 +99,61 @@ void BM_UnithreadPoolAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_UnithreadPoolAcquireRelease);
 
-void BM_EngineScheduleDispatch(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    Engine e;
-    for (int i = 0; i < 1000; ++i) {
-      e.Schedule(static_cast<SimDuration>(i), [] {});
-    }
-    state.ResumeTiming();
-    e.Run();
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
+// The engine benches hold the queue at a steady ~16 pending events with
+// random delays, the shape it has inside a run (a heap pre-filled in time
+// order is a pattern a run never produces). Each iteration advances the
+// clock by one window; `per_event` is wall time over events dispatched.
+constexpr int kEnginePending = 16;
+constexpr SimDuration kEngineWindow = 4096;
+
+void ReportEngineEvents(benchmark::State& state, uint64_t events) {
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_EngineScheduleDispatch);
+
+// Plain callbacks: each event reschedules itself 1-64 ns ahead.
+void BM_EngineCallbackChain(benchmark::State& state) {
+  Engine e;
+  Rng rng(1);
+  struct Chain {
+    Engine* e;
+    Rng* rng;
+    void operator()() const { e->Schedule(1 + rng->NextBelow(64), *this); }
+  };
+  for (int i = 0; i < kEnginePending; ++i) {
+    e.Schedule(1 + rng.NextBelow(64), Chain{&e, &rng});
+  }
+  const uint64_t start = e.events_processed();
+  for (auto _ : state) {
+    e.RunUntil(e.now() + kEngineWindow);
+  }
+  ReportEngineEvents(state, e.events_processed() - start);
+}
+BENCHMARK(BM_EngineCallbackChain);
+
+// Fibers: each loops on Wait(1-64 ns), the CpuCore::Consume pattern. Some
+// Waits are next in line and skip the switch, as they do in a run.
+void BM_EngineFiberWait(benchmark::State& state) {
+  Engine e;
+  Rng rng(1);
+  bool stop = false;
+  for (int i = 0; i < kEnginePending; ++i) {
+    e.SpawnFiber("f", [&] {
+      while (!stop) {
+        e.Wait(1 + rng.NextBelow(64));
+      }
+    });
+  }
+  const uint64_t start = e.events_processed();
+  for (auto _ : state) {
+    e.RunUntil(e.now() + kEngineWindow);
+  }
+  ReportEngineEvents(state, e.events_processed() - start);
+  stop = true;
+  e.Run();  // Let every fiber finish.
+}
+BENCHMARK(BM_EngineFiberWait);
 
 void BM_PageTableFaultCycle(benchmark::State& state) {
   Engine e;

@@ -18,29 +18,53 @@ void Fiber::Entry(void* arg) {
 
 Engine::Engine() = default;
 
-Engine::~Engine() = default;
-
-void Engine::ScheduleAt(SimTime when, std::function<void()> fn) {
-  ADIOS_DCHECK(when >= now_);
-  queue_.push(Event{when, next_seq_++, std::move(fn), nullptr});
+// Pending callables own their captures (a heap-fallback capture owns heap
+// memory), so every queued slot is dropped here, cancelled ones included.
+Engine::~Engine() {
+  for (const HeapKey& key : heap_) {
+    Slot& s = SlotAt(key.slot);
+    if (s.drop != nullptr) {
+      s.drop(s);
+    }
+  }
 }
 
-Engine::EventHandle Engine::ScheduleCancellable(SimDuration delay, std::function<void()> fn) {
-  EventHandle handle;
-  handle.alive_ = std::make_shared<bool>(true);
-  queue_.push(Event{now_ + delay, next_seq_++, std::move(fn), handle.alive_});
-  return handle;
+void Engine::GrowSlab() {
+  const auto base = static_cast<uint32_t>(slab_slots());
+  const uint32_t n = kChunkMask + 1;
+  chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(n));
+  Slot* chunk = chunks_.back().get();
+  for (uint32_t i = 0; i < n; ++i) {
+    chunk[i].generation = 0;
+    chunk[i].next_free = i + 1 < n ? base + i + 1 : kNoSlot;
+  }
+  free_head_ = base;
 }
 
-void Engine::Dispatch(Event& ev) {
-  if (ev.alive != nullptr && !*ev.alive) {
+// Sift-down from the root with the last key as the filler.
+void Engine::PopKey() {
+  const HeapKey last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
     return;
   }
-  if (ev.alive != nullptr) {
-    *ev.alive = false;  // Fired events are no longer pending.
+  size_t hole = 0;
+  for (;;) {
+    size_t child = 2 * hole + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Earlier(heap_[child], last)) {
+      break;
+    }
+    heap_[hole] = heap_[child];
+    hole = child;
   }
-  ++events_processed_;
-  ev.fn();
+  heap_[hole] = last;
 }
 
 void Engine::Run() { RunUntil(~0ull); }
@@ -50,19 +74,37 @@ void Engine::RunUntil(SimTime until) {
   ADIOS_CHECK(!running_);
   running_ = true;
   stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
-    if (queue_.top().when > until) {
+  until_ = until;
+  while (!heap_.empty() && !stopped_) {
+    const HeapKey top = heap_.front();
+    if (top.when > until) {
       now_ = until;
       running_ = false;
       return;
     }
-    // priority_queue::top() is const; the event is moved out via const_cast,
-    // which is safe because pop() follows immediately.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    ADIOS_DCHECK(ev.when >= now_);
-    now_ = ev.when;
-    Dispatch(ev);
+    PopKey();
+    ADIOS_DCHECK(top.when >= now_);
+    now_ = top.when;
+    Slot& s = SlotAt(top.slot);
+    if (s.cancelled) {
+      if (s.drop != nullptr) {
+        s.drop(s);
+      }
+      ReleaseSlot(top.slot);
+      continue;
+    }
+    ++s.generation;  // Fired events are no longer pending.
+    ++events_processed_;
+    if (UnithreadContext* ctx = s.resume) {
+      ReleaseSlot(top.slot);
+      ctx->state = ContextState::kRunning;
+      RawSwitch(current_, ctx);
+    } else {
+      // The slot stays taken while the callable runs in place; it may
+      // schedule more events, which only ever take other slots.
+      s.call(s);
+      ReleaseSlot(top.slot);
+    }
   }
   if (until != ~0ull && now_ < until) {
     now_ = until;
@@ -73,18 +115,25 @@ void Engine::RunUntil(SimTime until) {
 Fiber* Engine::SpawnFiber(std::string name, std::function<void()> fn, size_t stack_bytes) {
   fibers_.push_back(std::make_unique<Fiber>(this, std::move(name), std::move(fn), stack_bytes));
   Fiber* fiber = fibers_.back().get();
-  Schedule(0, [this, fiber] { RawSwitch(current_, fiber->ctx()); });
+  PushResume(now_, fiber->ctx());
   return fiber;
 }
 
 void Engine::Wait(SimDuration d) {
   ADIOS_CHECK(!on_main());
+  const SimTime when = now_ + d;
+  if (running_ && !stopped_ && when <= until_ &&
+      (heap_.empty() || when < heap_.front().when)) {
+    // Next in line: the resume event would be popped right away, so account
+    // for it (sequence number, event count) and skip the round trip.
+    now_ = when;
+    ++next_seq_;
+    ++events_processed_;
+    return;
+  }
   UnithreadContext* self = current_;
   self->state = ContextState::kBlocked;
-  Schedule(d, [this, self] {
-    self->state = ContextState::kRunning;
-    RawSwitch(current_, self);
-  });
+  PushResume(when, self);
   SwitchToMain();
 }
 
@@ -120,17 +169,6 @@ Engine::StackAuditResult Engine::AuditStacks() const {
     }
   }
   return result;
-}
-
-// adios-lint: ignore(suspend-safety) -- the RawSwitch below is inside the
-// scheduled lambda and runs on the main context later; the caller of
-// ResumeLater itself never suspends.
-void Engine::ResumeLater(UnithreadContext* ctx, SimDuration delay) {
-  ADIOS_DCHECK(ctx != nullptr);
-  Schedule(delay, [this, ctx] {
-    ctx->state = ContextState::kRunning;
-    RawSwitch(current_, ctx);
-  });
 }
 
 }  // namespace adios

@@ -6,6 +6,28 @@
 // callbacks or as *fibers*: real unithread contexts that can suspend at a
 // simulated time (`Wait`) or until another actor resumes them.
 //
+// Event storage: the queue is a binary heap of 24-byte keys {when, seq,
+// slot}; `seq` is the insertion counter that breaks time ties. Each key names
+// a slot in a chunked slab whose addresses never move, so a callback runs in
+// place even when it schedules more events. A slot holds the callable in 48
+// bytes of inline storage (a larger capture falls back to the heap), or, for
+// a *resume event*, just the UnithreadContext to switch to. Fired and
+// cancelled slots return to a free list, so the slab stays as deep as the
+// queue. An EventHandle names {slot, generation}; the generation moves on
+// when the event fires or is cancelled, so a stale handle cannot touch a
+// reused slot.
+//
+// Typed resumes: Wait(), ResumeLater() and a fiber's first run push a resume
+// event, dispatched as `state = kRunning; RawSwitch(current, ctx)` with no
+// callable at all.
+//
+// Next-in-line fast path: a Wait(d) whose wake-up time is strictly earlier
+// than every queued event, with no Stop() pending and inside the running
+// RunUntil horizon, would be the very next event the loop pops. It returns
+// without leaving the fiber: the clock advances, and the wake-up still takes
+// a sequence number and counts in events_processed(), so event order and
+// counts are exactly those of the suspended path.
+//
 // Context discipline: the engine tracks the currently executing context.
 // Every switch site must go through RawSwitch()/SwitchToMain() so the
 // tracking stays correct; after any AdiosContextSwitch(from, to) returns,
@@ -17,11 +39,14 @@
 #ifndef ADIOS_SRC_SIM_ENGINE_H_
 #define ADIOS_SRC_SIM_ENGINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/base/annotations.h"
@@ -68,28 +93,50 @@ class Engine {
   SimTime now() const { return now_; }
 
   // --- Event API (usable from anywhere) ---
+  //
+  // `fn` is any callable invocable as fn(); it is moved (or copied) into the
+  // event's slot and destroyed right after it runs.
 
-  void Schedule(SimDuration delay, std::function<void()> fn) {
-    ScheduleAt(now_ + delay, std::move(fn));
+  template <typename F>
+  void Schedule(SimDuration delay, F&& fn) {
+    ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
-  void ScheduleAt(SimTime when, std::function<void()> fn);
+  template <typename F>
+  void ScheduleAt(SimTime when, F&& fn) {
+    PushCallable(when, std::forward<F>(fn));
+  }
 
-  // Cancellable variant; destroying or Cancel()ing the handle skips the event.
+  // Cancellable variant. Cancel() skips the event; once it fires or is
+  // cancelled, pending() is false. Destroying (or overwriting) the handle
+  // does not cancel anything: the event still fires. Cancel() and pending()
+  // must not be called once the engine is destroyed.
   class EventHandle {
    public:
     EventHandle() = default;
     void Cancel() {
-      if (alive_) {
-        *alive_ = false;
+      if (pending()) {
+        Slot& slot = engine_->SlotAt(slot_);
+        slot.cancelled = true;
+        ++slot.generation;
       }
     }
-    bool pending() const { return alive_ && *alive_; }
+    bool pending() const {
+      return engine_ != nullptr && engine_->SlotAt(slot_).generation == generation_;
+    }
 
    private:
     friend class Engine;
-    std::shared_ptr<bool> alive_;
+    EventHandle(Engine* engine, uint32_t slot)
+        : engine_(engine), slot_(slot), generation_(engine->SlotAt(slot).generation) {}
+
+    Engine* engine_ = nullptr;
+    uint32_t slot_ = 0;
+    uint32_t generation_ = 0;
   };
-  EventHandle ScheduleCancellable(SimDuration delay, std::function<void()> fn);
+  template <typename F>
+  EventHandle ScheduleCancellable(SimDuration delay, F&& fn) {
+    return EventHandle(this, PushCallable(now_ + delay, std::forward<F>(fn)));
+  }
 
   // Runs events until the queue empties or Stop() is called.
   ADIOS_MAY_SUSPEND void Run();
@@ -105,15 +152,19 @@ class Engine {
                     size_t stack_bytes = kDefaultFiberStack);
 
   // From inside any engine-managed context: suspend for `d` simulated time.
+  // Returns without switching when the wake-up is next in line (see above).
   ADIOS_MAY_SUSPEND void Wait(SimDuration d);
 
   // From inside any engine-managed context: suspend until resumed.
   ADIOS_MAY_SUSPEND void SuspendCurrent();
 
   // Schedules `ctx` to resume after `delay`. Must not double-resume. Never
-  // suspends the *caller*: the switch happens inside the scheduled event,
-  // on the main context.
-  ADIOS_NO_SUSPEND void ResumeLater(UnithreadContext* ctx, SimDuration delay = 0);
+  // suspends the *caller*: the switch happens inside the resume event, on
+  // the main context.
+  ADIOS_NO_SUSPEND void ResumeLater(UnithreadContext* ctx, SimDuration delay = 0) {
+    ADIOS_DCHECK(ctx != nullptr);
+    PushResume(now_ + delay, ctx);
+  }
 
   // Low-level switch that keeps current-context tracking coherent. `from`
   // must be the currently executing context.
@@ -150,33 +201,148 @@ class Engine {
   StackAuditResult AuditStacks() const;
 
   uint64_t events_processed() const { return events_processed_; }
+  // Slots the event slab has ever allocated: a bound on the queue's
+  // high-water depth, cancelled-but-unpopped events included.
+  size_t slab_slots() const { return chunks_.size() << kChunkShift; }
 
   static constexpr size_t kDefaultFiberStack = 256 * 1024;
 
  private:
-  struct Event {
-    SimTime when;
-    uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> alive;  // Null for non-cancellable events.
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
+  static constexpr size_t kInlineBytes = 48;
+  static constexpr size_t kInlineAlign = alignof(std::max_align_t);
+  static constexpr uint32_t kNoSlot = ~0u;
+  static constexpr uint32_t kChunkShift = 8;  // 256 slots per slab chunk.
+  static constexpr uint32_t kChunkMask = (1u << kChunkShift) - 1;
+
+  // One queued event. Exactly one of `call` (a callback) and `resume` (a
+  // typed resume) is set while the slot is queued.
+  struct Slot {
+    alignas(kInlineAlign) std::byte storage[kInlineBytes];
+    void (*call)(Slot&);  // Runs the callable, then destroys it.
+    void (*drop)(Slot&);  // Destroys it unrun; null when that is a no-op.
+    UnithreadContext* resume;
+    uint32_t generation;
+    uint32_t next_free;  // Free-list link while the slot is unused.
+    bool cancelled;
   };
 
-  void Dispatch(Event& ev);
+  struct HeapKey {
+    SimTime when;
+    uint64_t seq;
+    uint32_t slot;
+  };
+  static_assert(sizeof(HeapKey) == 24, "heap keys stay 24-byte PODs");
+
+  static bool Earlier(const HeapKey& a, const HeapKey& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+
+  template <typename Fn>
+  static constexpr bool kFitsInline = sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign;
+
+  template <typename Fn>
+  static Fn& Inline(Slot& s) {
+    return *std::launder(reinterpret_cast<Fn*>(s.storage));
+  }
+  template <typename Fn>
+  static Fn*& Boxed(Slot& s) {
+    return *std::launder(reinterpret_cast<Fn**>(s.storage));
+  }
+
+  template <typename F>
+  static void EmplaceCallable(Slot& s, F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>, "events are invocable as fn()");
+    if constexpr (kFitsInline<Fn>) {
+      ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(fn));
+      s.call = [](Slot& slot) {
+        Fn& f = Inline<Fn>(slot);
+        f();
+        f.~Fn();
+      };
+      if constexpr (std::is_trivially_destructible_v<Fn>) {
+        s.drop = nullptr;
+      } else {
+        s.drop = [](Slot& slot) { Inline<Fn>(slot).~Fn(); };
+      }
+    } else {
+      ::new (static_cast<void*>(s.storage)) Fn*(new Fn(std::forward<F>(fn)));
+      s.call = [](Slot& slot) {
+        Fn* f = Boxed<Fn>(slot);
+        (*f)();
+        delete f;
+      };
+      s.drop = [](Slot& slot) { delete Boxed<Fn>(slot); };
+    }
+  }
+
+  template <typename F>
+  uint32_t PushCallable(SimTime when, F&& fn) {
+    ADIOS_DCHECK(when >= now_);
+    const uint32_t slot = AllocSlot();
+    EmplaceCallable(SlotAt(slot), std::forward<F>(fn));
+    PushKey(when, slot);
+    return slot;
+  }
+
+  Slot& SlotAt(uint32_t slot) { return chunks_[slot >> kChunkShift][slot & kChunkMask]; }
+  const Slot& SlotAt(uint32_t slot) const {
+    return chunks_[slot >> kChunkShift][slot & kChunkMask];
+  }
+
+  // Takes a slot off the free list, growing the slab by a chunk when it is
+  // empty.
+  uint32_t AllocSlot() {
+    if (free_head_ == kNoSlot) {
+      GrowSlab();
+    }
+    const uint32_t slot = free_head_;
+    Slot& s = SlotAt(slot);
+    free_head_ = s.next_free;
+    s.resume = nullptr;
+    s.cancelled = false;
+    return slot;
+  }
+  void ReleaseSlot(uint32_t slot) {
+    SlotAt(slot).next_free = free_head_;
+    free_head_ = slot;
+  }
+  void GrowSlab();
+
+  // Sift-up insert; the key takes the next sequence number.
+  void PushKey(SimTime when, uint32_t slot) {
+    const HeapKey key{when, next_seq_++, slot};
+    size_t hole = heap_.size();
+    heap_.push_back(key);
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!Earlier(key, heap_[parent])) {
+        break;
+      }
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = key;
+  }
+  void PopKey();
+  void PushResume(SimTime when, UnithreadContext* ctx) {
+    const uint32_t slot = AllocSlot();
+    Slot& s = SlotAt(slot);
+    s.call = nullptr;
+    s.drop = nullptr;
+    s.resume = ctx;
+    PushKey(when, slot);
+  }
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   bool stopped_ = false;
   bool running_ = false;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  SimTime until_ = 0;  // Horizon of the running RunUntil.
+  std::vector<HeapKey> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  uint32_t free_head_ = kNoSlot;
   UnithreadContext main_ctx_;
   UnithreadContext* current_ = &main_ctx_;
   std::vector<std::unique_ptr<Fiber>> fibers_;

@@ -2,6 +2,8 @@
 
 #include "src/sim/engine.h"
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,6 +84,107 @@ TEST(Engine, CancellableEventFiresWhenNotCancelled) {
   EXPECT_FALSE(h.pending());
 }
 
+// A handle is a name for the event, not an owner of it: dropping the last
+// handle leaves the event queued, and it fires.
+TEST(Engine, DroppedHandleStillFires) {
+  Engine e;
+  int fired = 0;
+  {
+    Engine::EventHandle h = e.ScheduleCancellable(10, [&] { ++fired; });
+    EXPECT_TRUE(h.pending());
+  }
+  Engine::EventHandle overwritten = e.ScheduleCancellable(20, [&] { ++fired; });
+  overwritten = Engine::EventHandle();
+  e.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(overwritten.pending());
+}
+
+TEST(Engine, PendingIsFalseInsideTheFiringCallback) {
+  Engine e;
+  Engine::EventHandle h;
+  bool pending_inside = true;
+  h = e.ScheduleCancellable(10, [&] { pending_inside = h.pending(); });
+  e.Run();
+  EXPECT_FALSE(pending_inside);
+}
+
+// After an event fires its slot is recycled for the next one; the old
+// handle must neither see the new event as its own nor cancel it.
+TEST(Engine, StaleHandleCannotCancelAReusedSlot) {
+  Engine e;
+  int first = 0;
+  int second = 0;
+  Engine::EventHandle stale = e.ScheduleCancellable(10, [&] { ++first; });
+  e.Run();
+  ASSERT_EQ(first, 1);
+  Engine::EventHandle fresh = e.ScheduleCancellable(10, [&] { ++second; });
+  stale.Cancel();
+  EXPECT_FALSE(stale.pending());
+  EXPECT_TRUE(fresh.pending());
+  e.Run();
+  EXPECT_EQ(second, 1);
+  // Likewise after a cancel: the cancelled slot's next tenant is unaffected.
+  Engine::EventHandle cancelled = e.ScheduleCancellable(10, [&] { ++first; });
+  cancelled.Cancel();
+  e.Run();
+  Engine::EventHandle third = e.ScheduleCancellable(10, [&] { ++second; });
+  cancelled.Cancel();
+  EXPECT_TRUE(third.pending());
+  e.Run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 2);
+}
+
+// Cancelled events leave the queue when their time comes, and their slots
+// go back on the free list, so a long run of deadline arm/cancel cycles
+// keeps the slab as deep as the queue.
+TEST(Engine, CancelledSlotsAreRecycled) {
+  Engine e;
+  constexpr int kCycles = 1'000'000;
+  int cycles = 0;
+  int fired = 0;
+  std::function<void()> step = [&] {
+    Engine::EventHandle deadline = e.ScheduleCancellable(100, [&] { ++fired; });
+    deadline.Cancel();
+    if (++cycles < kCycles) {
+      e.Schedule(10, step);
+    }
+  };
+  e.Schedule(0, step);
+  e.Run();
+  EXPECT_EQ(cycles, kCycles);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(e.events_processed(), static_cast<uint64_t>(kCycles));
+  // About 11 events are queued at any time (10 cancelled deadlines plus the
+  // next step); the slab never grows past one 256-slot chunk.
+  EXPECT_LE(e.slab_slots(), 256u);
+}
+
+// Captures too large for a slot's inline storage take the heap fallback;
+// pending ones must be freed when the engine is destroyed (LeakSanitizer
+// checks this in the sanitizer build), fired or cancelled ones earlier.
+TEST(Engine, LargeCapturesRunAndAreFreed) {
+  auto big = std::make_shared<std::vector<int>>(64, 1);
+  int sum = 0;
+  {
+    Engine e;
+    struct Payload {
+      std::shared_ptr<std::vector<int>> data;
+      char pad[96];
+    } payload{big, {}};
+    e.Schedule(10, [&sum, payload] { sum += payload.data->at(0); });
+    auto h = e.ScheduleCancellable(20, [&sum, payload] { sum += 100; });
+    h.Cancel();
+    e.Schedule(30, [&sum, payload] { sum += 1000; });
+    e.RunUntil(25);
+    EXPECT_EQ(sum, 1);
+    EXPECT_EQ(big.use_count(), 3);  // `big`, `payload` and the 30 ns event.
+  }
+  EXPECT_EQ(sum, 1);
+  EXPECT_EQ(big.use_count(), 1);
+}
+
 TEST(Engine, StopHaltsProcessing) {
   Engine e;
   int fired = 0;
@@ -148,6 +251,110 @@ TEST(Fiber, SuspendAndResumeLater) {
   e.Run();
   EXPECT_EQ(trace, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(e.now(), 105u);
+}
+
+// --- Next-in-line fast path: a Wait that returns without switching must be
+// indistinguishable from one that suspends. ---
+
+// A Wait that ties an already-queued event still yields: the older event
+// has the lower sequence number and runs first.
+TEST(Fiber, WaitTyingAQueuedEventYieldsToIt) {
+  Engine e;
+  std::vector<std::pair<char, SimTime>> trace;
+  e.SpawnFiber("f", [&] {
+    e.Schedule(10, [&] { trace.push_back({'e', e.now()}); });
+    e.Wait(10);
+    trace.push_back({'f', e.now()});
+  });
+  e.Run();
+  std::vector<std::pair<char, SimTime>> expected = {{'e', 10}, {'f', 10}};
+  EXPECT_EQ(trace, expected);
+}
+
+// A Wait strictly earlier than the queue's head is next in line.
+TEST(Fiber, WaitAheadOfTheQueueResumesFirst) {
+  Engine e;
+  std::vector<std::pair<char, SimTime>> trace;
+  e.SpawnFiber("f", [&] {
+    e.Schedule(10, [&] { trace.push_back({'e', e.now()}); });
+    e.Wait(9);
+    trace.push_back({'f', e.now()});
+    e.Wait(2);
+    trace.push_back({'f', e.now()});
+  });
+  e.Run();
+  std::vector<std::pair<char, SimTime>> expected = {{'f', 9}, {'e', 10}, {'f', 11}};
+  EXPECT_EQ(trace, expected);
+}
+
+// A Wait that would cross the RunUntil horizon stays queued: the loop stops
+// at the horizon and the fiber resumes in the next run.
+TEST(Fiber, WaitAcrossTheHorizonStaysQueued) {
+  Engine e;
+  std::vector<SimTime> stamps;
+  e.SpawnFiber("f", [&] {
+    e.Wait(40);
+    stamps.push_back(e.now());
+    e.Wait(20);
+    stamps.push_back(e.now());
+  });
+  e.RunUntil(50);
+  EXPECT_EQ(stamps, (std::vector<SimTime>{40}));
+  EXPECT_EQ(e.now(), 50u);
+  e.Run();
+  EXPECT_EQ(stamps, (std::vector<SimTime>{40, 60}));
+}
+
+// A Wait ending exactly at the horizon still runs within it.
+TEST(Fiber, WaitEndingAtTheHorizonRuns) {
+  Engine e;
+  std::vector<SimTime> stamps;
+  e.SpawnFiber("f", [&] {
+    e.Wait(50);
+    stamps.push_back(e.now());
+  });
+  e.RunUntil(50);
+  EXPECT_EQ(stamps, (std::vector<SimTime>{50}));
+}
+
+// Stop() from inside a fiber halts the loop at the fiber's next Wait, even
+// when that Wait is next in line.
+TEST(Fiber, StopThenWaitHaltsTheLoop) {
+  Engine e;
+  std::vector<SimTime> stamps;
+  e.SpawnFiber("f", [&] {
+    e.Wait(5);
+    stamps.push_back(e.now());
+    e.Stop();
+    e.Wait(5);
+    stamps.push_back(e.now());
+  });
+  e.Run();
+  EXPECT_EQ(stamps, (std::vector<SimTime>{5}));
+  EXPECT_EQ(e.now(), 5u);
+  e.Run();
+  EXPECT_EQ(stamps, (std::vector<SimTime>{5, 10}));
+}
+
+// Every Wait counts as one event whether or not it switched: a lone fiber's
+// Waits are all next in line, so it switches only to start and to finish,
+// yet each Wait still counts.
+TEST(Fiber, FastPathWaitCountsAsAnEvent) {
+  Engine e;
+  e.SpawnFiber("f", [&] {
+    for (int i = 0; i < 10; ++i) {
+      e.Wait(3);
+    }
+  });
+  int switches = 0;
+  SetContextSwitchObserver(
+      [](void* user, UnithreadContext*, UnithreadContext*, bool) { ++*static_cast<int*>(user); },
+      &switches);
+  e.Run();
+  SetContextSwitchObserver(nullptr, nullptr);
+  EXPECT_EQ(switches, 2);
+  EXPECT_EQ(e.now(), 30u);
+  EXPECT_EQ(e.events_processed(), 11u);  // First run + 10 Waits.
 }
 
 TEST(WaitQueueTest, FifoWakeOrder) {
