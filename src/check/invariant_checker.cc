@@ -282,15 +282,13 @@ void InvariantChecker::AuditFrameConservation() {
   const uint64_t fetching = deps_.mm->page_table().fetching_pages();
   const uint64_t writebacks =
       deps_.reclaimer != nullptr ? deps_.reclaimer->writebacks_inflight() : 0;
-  const uint64_t resilver =
-      deps_.reclaimer != nullptr ? deps_.reclaimer->resilver_frames_held() : 0;
-  const uint64_t scrub =
-      deps_.reclaimer != nullptr ? deps_.reclaimer->scrub_frames_held() : 0;
+  const uint64_t bounce =
+      deps_.reclaimer != nullptr ? deps_.reclaimer->bounce_frames_held() : 0;
   const uint64_t used = deps_.mm->used_frames();
-  if (resident + fetching + writebacks + resilver + scrub != used) {
+  if (resident + fetching + writebacks + bounce != used) {
     std::ostringstream os;
     os << "resident " << resident << " + fetching " << fetching << " + writebacks " << writebacks
-       << " + resilver " << resilver << " + scrub " << scrub << " != used frames " << used
+       << " + bounce " << bounce << " != used frames " << used
        << " (leak or double-release)";
     Violation("frame conservation violated", os.str());
   }

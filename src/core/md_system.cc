@@ -60,6 +60,14 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   ADIOS_CHECK(num_nodes >= 1);
   ADIOS_CHECK(config_.replication.replicas >= 1);
   ADIOS_CHECK(config_.replication.replicas <= num_nodes);
+  // Op-lifecycle values that would fail late otherwise: a pacing bandwidth
+  // <= 0 or NaN divides by zero in SerializationNs, and a zero deadline fires
+  // before any completion can land, so every op burns its budget and fails.
+  ADIOS_CHECK(config_.replication.resilver_bw_gbps > 0.0);
+  ADIOS_CHECK(config_.integrity.scrub_bw_gbps > 0.0);
+  const bool retry_on =
+      config_.retry.enabled || config_.fault.enabled() || config_.integrity.verify;
+  ADIOS_CHECK(!retry_on || config_.retry.timeout_ns > 0);
   fabric_ = std::make_unique<RdmaFabric>(&engine_, fabric_params, num_nodes);
   // Class grants are traced only on multi-class links (link_classes > 1).
   fabric_->set_tracer(&tracer_);
@@ -162,11 +170,11 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
     QueuePair* client_qp = fabric_->CreateQp(client_cq);
     SchedConfig wcfg = config_.sched;
     wcfg.seed = config_.seed;
-    wcfg.retry = config_.retry;
     auto worker = std::make_unique<Worker>(i, &engine_, worker_cores_[i].get(), mm_.get(),
                                            pool_.get(), mem_qp, client_qp, wcfg, handler,
                                            on_reply);
     worker->set_region(region_.get());
+    worker->set_retry(config_.retry);
     worker_ptrs.push_back(worker.get());
     workers_.push_back(std::move(worker));
   }
@@ -182,8 +190,7 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
     w->set_tracer(&tracer_);
     w->RegisterMetrics(&metrics_);
     if (config_.replication.enabled()) {
-      w->set_placement(placement_.get());
-      w->set_node_health(health_.get());
+      w->set_replication(placement_.get(), health_.get());
     }
     if (integrity_ != nullptr) {
       w->set_integrity(integrity_.get());
@@ -249,30 +256,20 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   // --- Reclaimer ---
   CompletionQueue* reclaim_cq = fabric_->CreateCq();
   QueuePair* reclaim_qp = fabric_->CreateQp(reclaim_cq);
-  Reclaimer::Options reclaim_opts = config_.reclaim;
-  reclaim_opts.retry = config_.retry;
-  reclaim_opts.resilver_bw_gbps = config_.replication.resilver_bw_gbps;
-  reclaim_opts.resilver_max_attempts = config_.replication.resilver_max_attempts;
-  reclaim_opts.scrub_enabled = config_.integrity.scrub;
-  reclaim_opts.scrub_bw_gbps = config_.integrity.scrub_bw_gbps;
-  reclaim_opts.scrub_batch_pages = config_.integrity.scrub_batch_pages;
-  reclaim_opts.scrub_pass_gap_ns = config_.integrity.scrub_pass_gap_ns;
   reclaimer_ = std::make_unique<Reclaimer>(&engine_, reclaimer_core_.get(), mm_.get(),
-                                           reclaim_qp, reclaim_opts);
+                                           reclaim_qp, config_.reclaim, config_.retry);
   if (integrity_ != nullptr) {
-    reclaimer_->set_integrity(integrity_.get());
-    reclaimer_->set_tracer(&tracer_);
+    reclaimer_->set_integrity(integrity_.get(), &tracer_);
     if (config_.replication.enabled()) {
       // With a second copy available, detections queue a repair through the
       // re-silver machinery; without one they count as unrepairable.
       integrity_->set_repair_fn([this](uint64_t vpage, uint32_t node) {
-        reclaimer_->RequestRepair(vpage, node);
+        reclaimer_->copier().RequestRepair(vpage, node);
       });
     }
   }
   if (config_.replication.enabled()) {
-    reclaimer_->set_placement(placement_.get());
-    reclaimer_->set_node_health(health_.get());
+    reclaimer_->set_replication(placement_.get(), health_.get(), config_.replication);
     // Installed after the reclaimer exists: health transitions are traced,
     // and a node probed back from kDead triggers the re-silver pass.
     health_->set_on_state_change([this](uint32_t node, NodeHealth from, NodeHealth to) {
@@ -281,7 +278,7 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
       } else if (to == NodeHealth::kDead) {
         tracer_.Record(engine_.now(), 0, TraceEvent::kNodeDead, node);
       } else if (to == NodeHealth::kResilvering) {
-        reclaimer_->BeginResilver(node);
+        reclaimer_->copier().BeginResilver(node);
       } else if (from == NodeHealth::kResilvering && to == NodeHealth::kHealthy) {
         tracer_.Record(engine_.now(), 0, TraceEvent::kResilverDone, node);
       }
@@ -359,7 +356,7 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   if (integrity_ != nullptr && config_.integrity.scrub) {
     // Scrub ticks stop at the planned window end like the controller's, so
     // the drain phase terminates.
-    reclaimer_->StartScrub(warmup_ns + measure_ns);
+    reclaimer_->copier().StartScrub(warmup_ns + measure_ns);
   }
 
   // Warmup: fill the local cache, then open the measurement window.
@@ -465,8 +462,8 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
     r.node_dead_events = health_->dead_events();
     r.node_recoveries = health_->recoveries();
   }
-  r.pages_resilvered = reclaimer_->pages_resilvered();
-  r.resilver_failures = reclaimer_->resilver_failures();
+  r.pages_resilvered = reclaimer_->copier().pages_resilvered();
+  r.resilver_failures = reclaimer_->copier().resilver_failures();
   if (placement_ != nullptr) {
     r.replica_divergence = placement_->divergent_slots();
     r.divergence_events = placement_->divergence_events();

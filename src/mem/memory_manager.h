@@ -217,7 +217,7 @@ class MemoryManager {
   // stages a node-to-node page copy through compute-node DRAM (READ from a
   // surviving replica, WRITE to the recovering node) while the page itself
   // stays kRemote. The frame counts toward used_frames(); the frame-ownership
-  // auditor balances it against Reclaimer::resilver_frames_held(). Returns
+  // auditor balances it against Reclaimer::bounce_frames_held(). Returns
   // false when no frame is free (the caller backs off; re-silvering must
   // never beat demand fetches to the last frame).
   bool TryReserveBounceFrame() {

@@ -51,11 +51,6 @@ struct SchedConfig {
   uint32_t prefetch_window = 0;
   PrefetchPolicy prefetch_policy = PrefetchPolicy::kAdaptive;
   uint32_t prefetch_history = 8;   // Fault deltas kept for stride voting.
-  // Page-fetch deadline/retry/backoff pipeline (docs/FAULT_MODEL.md).
-  // Disabled by default: the ideal fabric completes every fetch, and the
-  // seed datapath must stay bit-identical. MdSystem enables it whenever a
-  // fault injector is configured.
-  RetryPolicy retry;
   uint32_t rx_ring_size = 1024;
   // The dispatcher stops pulling from the RX ring when the central queue
   // holds this many entries; further arrivals overflow the ring and drop

@@ -24,7 +24,8 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
       client_cq_wait_(engine),
       prefetcher_(MakePrefetcher(config.prefetch_policy, config.prefetch_window,
                                  config.prefetch_history, static_cast<uint16_t>(index))),
-      rng_(config.seed * 7919 + index) {
+      rng_(config.seed * 7919 + index),
+      tracker_(engine) {
   mem_qp_->cq()->set_on_push([this] {
     mem_cq_wait_.NotifyAll();
     events_.NotifyAll();
@@ -32,6 +33,18 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
   if (!cfg_.polling_delegation) {
     client_qp_->cq()->set_on_push([this] { client_cq_wait_.NotifyAll(); });
   }
+  tracker_.set_hooks(
+      OpKind::kFetch,
+      [this](const OpId& id, const TrackedOp& op) {
+        ADIOS_DCHECK(mm_->StateOf(id.vpage) == PageState::kFetching);
+        if (mem_qp_->PostRead(mm_->page_bytes(), id.wr_id(), op.node, op.cls)) {
+          return true;
+        }
+        ++qp_full_stalls_;
+        return false;
+      },
+      // Budget and replicas exhausted: waiters fail their requests.
+      [this](const OpId& id, TrackedOp&) { mm_->AbortFetch(id.vpage); });
   // Prefetch-cache outcomes for fetches this worker issued route back to its
   // detector's window adaptation — even when another worker (or the
   // reclaimer) resolves the page.
@@ -248,11 +261,11 @@ void Worker::RegisterMetrics(MetricRegistry* registry) {
   registry->RegisterProbe("worker.qp_full_stalls", labels,
                           [this] { return static_cast<double>(qp_full_stalls_); });
   registry->RegisterProbe("worker.fetch_timeouts", labels,
-                          [this] { return static_cast<double>(fetch_timeouts_); });
+                          [this] { return static_cast<double>(fetch_timeouts()); });
   registry->RegisterProbe("worker.fetch_retries", labels,
-                          [this] { return static_cast<double>(fetch_retries_); });
+                          [this] { return static_cast<double>(fetch_retries()); });
   registry->RegisterProbe("worker.failovers", labels,
-                          [this] { return static_cast<double>(failovers_); });
+                          [this] { return static_cast<double>(failovers()); });
   registry->RegisterProbe("worker.corruptions", labels,
                           [this] { return static_cast<double>(corruptions_detected_); });
   registry->RegisterProbe("worker.outstanding_faults", labels,
@@ -270,167 +283,6 @@ void Worker::Access(RemoteAddr addr, uint64_t len, bool write) {
     }
     AccessPage(p, write);
   }
-}
-
-void Worker::TrackFetch(uint64_t vpage, uint32_t node, TrafficClass cls) {
-  PendingFetch& pf = pending_fetch_[vpage];
-  pf.attempts = 1;
-  pf.req_id = running_ != nullptr ? running_->req->id : 0;
-  pf.backoff_ns = cfg_.retry.backoff_base_ns;
-  pf.node = node;
-  pf.failovers = 0;
-  pf.cls = cls;
-  pf.deadline = engine_->ScheduleCancellable(cfg_.retry.timeout_ns,
-                                             [this, vpage] { OnFetchDeadline(vpage); });
-}
-
-void Worker::OnFetchDeadline(uint64_t vpage) {
-  auto it = pending_fetch_.find(vpage);
-  if (it == pending_fetch_.end()) {
-    return;  // Settled just before the deadline event ran.
-  }
-  ++fetch_timeouts_;
-  if (health_ != nullptr) {
-    health_->ReportTimeout(it->second.node);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), it->second.req_id, TraceEvent::kFetchTimeout,
-                    static_cast<uint32_t>(vpage));
-  }
-  ScheduleRetryOrFail(vpage);
-}
-
-void Worker::ScheduleRetryOrFail(uint64_t vpage) {
-  auto it = pending_fetch_.find(vpage);
-  if (it == pending_fetch_.end()) {
-    return;
-  }
-  PendingFetch& pf = it->second;
-  if (pf.repost_pending) {
-    return;  // An error completion raced with the deadline; one repost suffices.
-  }
-  // Failover beats both giving up and pointless persistence: once the retry
-  // budget is spent — or the node serving this fetch is suspected/dead — the
-  // fetch moves to another in-sync replica with a fresh budget instead of
-  // burning backoff rounds against a black hole.
-  const bool exhausted = pf.attempts > cfg_.retry.MaxRetriesFor(pf.cls);
-  const bool node_bad = health_ != nullptr && health_->SuspectOrWorse(pf.node);
-  if ((exhausted || node_bad) && TryFailover(vpage, pf)) {
-    return;
-  }
-  if (exhausted) {
-    FailFetch(vpage);
-    return;
-  }
-  ++pf.attempts;
-  ++fetch_retries_;
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), pf.req_id, TraceEvent::kRetry, pf.attempts);
-  }
-  const SimDuration backoff = pf.backoff_ns;
-  pf.backoff_ns = cfg_.retry.NextBackoff(backoff);
-  pf.repost_pending = true;
-  // Retries run off the engine clock, not the worker fiber: the repost is
-  // doorbell-cheap and a real implementation would issue it from whichever
-  // context notices the timeout, so no worker CPU is charged.
-  engine_->Schedule(backoff, [this, vpage] { RepostFetch(vpage); });
-}
-
-void Worker::RepostFetch(uint64_t vpage) {
-  auto it = pending_fetch_.find(vpage);
-  if (it == pending_fetch_.end()) {
-    return;  // A delayed completion landed during the backoff.
-  }
-  ADIOS_DCHECK(mm_->StateOf(vpage) == PageState::kFetching);
-  if (!mem_qp_->PostRead(mm_->page_bytes(), vpage, it->second.node, it->second.cls)) {
-    ++qp_full_stalls_;
-    engine_->Schedule(1000, [this, vpage] { RepostFetch(vpage); });
-    return;
-  }
-  it->second.repost_pending = false;
-  it->second.deadline = engine_->ScheduleCancellable(
-      cfg_.retry.timeout_ns, [this, vpage] { OnFetchDeadline(vpage); });
-}
-
-void Worker::FailFetch(uint64_t vpage) {
-  auto it = pending_fetch_.find(vpage);
-  ADIOS_DCHECK(it != pending_fetch_.end());
-  it->second.deadline.Cancel();
-  pending_fetch_.erase(it);
-  mm_->AbortFetch(vpage);
-}
-
-uint32_t Worker::ChooseReadNode(uint64_t vpage) const {
-  if (placement_ == nullptr) {
-    return 0;
-  }
-  // Replica-order scan: first in-sync copy on a healthy (or resilvering —
-  // its in-sync pages are current) node wins, so unfailed systems always
-  // read the primary. An in-sync copy on a merely-suspect node is kept as
-  // fallback; with every replica dead we still aim at the primary and let
-  // the retry pipeline surface the failure.
-  uint32_t fallback = placement_->Primary(vpage);
-  bool fallback_in_sync = false;
-  for (uint32_t slot = 0; slot < placement_->replicas(); ++slot) {
-    const uint32_t node = placement_->ReplicaNode(vpage, slot);
-    if (!placement_->InSync(vpage, node)) {
-      continue;
-    }
-    if (health_ == nullptr) {
-      return node;
-    }
-    const NodeHealth h = health_->StateOf(node);
-    if (h == NodeHealth::kHealthy || h == NodeHealth::kResilvering) {
-      return node;
-    }
-    if (h == NodeHealth::kSuspect && !fallback_in_sync) {
-      fallback = node;
-      fallback_in_sync = true;
-    }
-  }
-  return fallback;
-}
-
-bool Worker::TryFailover(uint64_t vpage, PendingFetch& pf) {
-  if (placement_ == nullptr || health_ == nullptr) {
-    return false;
-  }
-  if (pf.failovers >= placement_->replicas()) {
-    return false;  // Every replica had its chance; give up for real.
-  }
-  constexpr uint32_t kNone = ~0u;
-  uint32_t best = kNone;
-  for (uint32_t slot = 0; slot < placement_->replicas(); ++slot) {
-    const uint32_t node = placement_->ReplicaNode(vpage, slot);
-    if (node == pf.node || !placement_->InSync(vpage, node)) {
-      continue;
-    }
-    const NodeHealth h = health_->StateOf(node);
-    if (h == NodeHealth::kDead) {
-      continue;
-    }
-    if (h == NodeHealth::kHealthy || h == NodeHealth::kResilvering) {
-      best = node;
-      break;
-    }
-    if (best == kNone) {
-      best = node;  // Suspect replica: better than the one that just failed.
-    }
-  }
-  if (best == kNone) {
-    return false;
-  }
-  ++pf.failovers;
-  ++failovers_;
-  pf.node = best;
-  pf.attempts = 1;  // The new replica gets the full retry budget.
-  pf.backoff_ns = cfg_.retry.backoff_base_ns;
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), pf.req_id, TraceEvent::kFailover, best);
-  }
-  pf.repost_pending = true;
-  engine_->Schedule(0, [this, vpage] { RepostFetch(vpage); });
-  return true;
 }
 
 void Worker::AccessPage(uint64_t vpage, bool write) {
@@ -632,9 +484,11 @@ size_t Worker::PostDoorbell(const ReadOp* ops, size_t n) {
       mem_cq_wait_.Wait();
     }
   }
-  if (cfg_.retry.enabled) {
+  if (tracker_.tracks(OpKind::kFetch)) {
+    const uint64_t req_id = running_ != nullptr ? running_->req->id : 0;
     for (size_t i = 0; i < accepted; ++i) {
-      TrackFetch(ops[i].wr_id, ops[i].node, ops[i].cls);
+      tracker_.Track(OpId::FromWrId(ops[i].wr_id, OpKind::kFetch),
+                     {.node = ops[i].node, .cls = ops[i].cls, .req_id = req_id});
     }
   }
   return accepted;
@@ -642,7 +496,7 @@ size_t Worker::PostDoorbell(const ReadOp* ops, size_t n) {
 
 void Worker::PostReadWithBackpressure(uint64_t vpage, TrafficClass cls) {
   core_->Consume(cfg_.post_read_cycles);
-  const ReadOp op{vpage, ChooseReadNode(vpage), cls};
+  const ReadOp op{OpId::Fetch(vpage).wr_id(), tracker_.ReadNode(vpage), cls};
   PostDoorbell(&op, 1);
 }
 
@@ -667,19 +521,22 @@ void Worker::PostFaultReads(uint64_t vpage) {
   core_->Consume(cfg_.post_read_cycles +
                  cfg_.post_read_wqe_cycles * static_cast<uint32_t>(cap));
   batch_ops_.clear();
-  batch_ops_.push_back(ReadOp{vpage, ChooseReadNode(vpage), TrafficClass::kDemand});
+  batch_ops_.push_back(
+      ReadOp{OpId::Fetch(vpage).wr_id(), tracker_.ReadNode(vpage), TrafficClass::kDemand});
   for (size_t i = 0; i < cap; ++i) {
     // A mixed-class batch: the doorbell is shared, but each prefetch op
     // serves the prefetch class on every wire stage (docs/QOS.md).
-    batch_ops_.push_back(ReadOp{prefetch_scratch_[i], ChooseReadNode(prefetch_scratch_[i]),
-                                TrafficClass::kPrefetch});
+    const uint64_t page = prefetch_scratch_[i];
+    batch_ops_.push_back(
+        ReadOp{OpId::Fetch(page).wr_id(), tracker_.ReadNode(page), TrafficClass::kPrefetch});
   }
   const size_t accepted = PostDoorbell(batch_ops_.data(), batch_ops_.size());
   // Everything the send queue rejected — and candidates beyond the batch
   // cap — is already kFetching (possibly with coalesced waiters), so it must
   // still be posted: one doorbell each, waiting out backpressure.
   for (size_t i = accepted; i < batch_ops_.size(); ++i) {
-    PostReadWithBackpressure(batch_ops_[i].wr_id, batch_ops_[i].cls);
+    PostReadWithBackpressure(OpId::FromWrId(batch_ops_[i].wr_id, OpKind::kFetch).vpage,
+                             batch_ops_[i].cls);
   }
   for (size_t i = cap; i < prefetch_scratch_.size(); ++i) {
     PostReadWithBackpressure(prefetch_scratch_[i], TrafficClass::kPrefetch);
@@ -697,85 +554,51 @@ size_t Worker::DrainMemCq() {
     }
     core_->Consume((cfg_.poll_cqe_cycles + cfg_.map_page_cycles) * n);
     for (size_t i = 0; i < n; ++i) {
-      ADIOS_DCHECK(batch[i].type == WorkType::kRead);
-      if (batch[i].partial) {
+      const Completion& c = batch[i];
+      ADIOS_DCHECK(c.type == WorkType::kRead);
+      const OpId id = OpId::FromWrId(c.wr_id, OpKind::kFetch);
+      if (c.partial) {
         // Critical chunk landed (docs/QOS.md); the WQE is still outstanding
-        // — the tail's final completion settles it. Early-resume readers now.
-        // Handled before the retry dedupe: the pending entry must survive.
-        if (tracer_ != nullptr && cfg_.retry.enabled) {
-          auto it = pending_fetch_.find(batch[i].wr_id);
-          if (it != pending_fetch_.end()) {
-            tracer_->Record(engine_->now(), it->second.req_id, TraceEvent::kChunkReady,
-                            static_cast<uint32_t>(batch[i].wr_id));
-          }
+        // and the tail's final completion settles it. Early-resume readers.
+        if (const TrackedOp* op = tracer_ != nullptr ? tracker_.Find(id) : nullptr) {
+          tracer_->Record(engine_->now(), op->req_id, TraceEvent::kChunkReady,
+                          static_cast<uint32_t>(id.vpage));
         }
-        mm_->ChunkReady(batch[i].wr_id);
+        mm_->ChunkReady(id.vpage);
         continue;
       }
-      if (cfg_.retry.enabled) {
-        auto it = pending_fetch_.find(batch[i].wr_id);
-        if (it == pending_fetch_.end()) {
-          // Duplicate or late completion for a fetch that already settled
-          // (a retry won the race, or the fetch was aborted). Drop it.
-          continue;
-        }
-        if (!batch[i].ok()) {
-          // Transport-level failure (retry-exceeded or RNR NAK): the WQE is
-          // dead; decide software retry vs. giving up.
-          if (health_ != nullptr) {
-            health_->ReportError(batch[i].node);
-          }
-          it->second.deadline.Cancel();
-          ScheduleRetryOrFail(batch[i].wr_id);
-          continue;
-        }
-        if (integrity_ != nullptr) {
-          // Verify before mapping: recompute the page checksum against the
-          // slot's recorded digest (docs/INTEGRITY.md). The hash cost is
-          // charged to this core whether the page is clean or not.
-          core_->Consume(integrity_->VerifyCost());
-          if (!integrity_->VerifyFetch(batch[i].wr_id, batch[i].wr_id, batch[i].node)) {
-            // Silent corruption — the completion said success, the payload
-            // lies. Treat it exactly like a dead READ: divergence + health
-            // evidence + failover to another in-sync replica, or abandon the
-            // fetch when no copy remains (R1).
-            ++corruptions_detected_;
-            PendingFetch& pf = it->second;
-            if (tracer_ != nullptr) {
-              tracer_->Record(engine_->now(), pf.req_id, TraceEvent::kCorrupt,
-                              batch[i].node);
-            }
-            if (placement_ != nullptr) {
-              placement_->MarkOutOfSync(batch[i].wr_id, batch[i].node);
-            }
-            if (health_ != nullptr) {
-              health_->ReportCorruption(batch[i].node);
-            }
-            integrity_->OnCorruptionDetected(batch[i].wr_id, batch[i].node,
-                                             /*from_scrub=*/false);
-            pf.deadline.Cancel();
-            if (!TryFailover(batch[i].wr_id, pf)) {
-              FailFetch(batch[i].wr_id);
-            }
-            continue;  // Never mapped, never reported healthy.
-          }
-        }
-        it->second.deadline.Cancel();
-        pending_fetch_.erase(it);
-      } else if (integrity_ != nullptr && batch[i].ok()) {
-        // Retry pipeline off (oracle-only runs): nothing to fail over to,
-        // but the ledger still records silently-served corruption.
-        integrity_->VerifyFetch(batch[i].wr_id, batch[i].wr_id, batch[i].node);
+      if (!tracker_.Admit(id, c)) {
+        continue;  // Late, duplicate, or an error the tracker retries.
       }
-      if (health_ != nullptr) {
-        health_->ReportSuccess(batch[i].node);
+      if (integrity_ != nullptr && tracker_.tracks(OpKind::kFetch)) {
+        // Verify before mapping (docs/INTEGRITY.md); the hash cost is charged
+        // to this core whether the page is clean or not.
+        core_->Consume(integrity_->VerifyCost());
+        const bool clean = integrity_->VerifyFetch(c.wr_id, id.vpage, c.node);
+        const TrackedOp* op = tracker_.Find(id);
+        if (op == nullptr) {
+          continue;  // Given up while the verify was charged.
+        }
+        if (!clean) {
+          // Silent corruption: the CQE said success, the payload lies.
+          // Quarantine the replica, then fail over or abandon the fetch.
+          ++corruptions_detected_;
+          tracker_.Quarantine(id.vpage, c.node, op->req_id);
+          integrity_->OnCorruptionDetected(id.vpage, c.node, /*from_scrub=*/false);
+          tracker_.FailOver(id);
+          continue;  // Never mapped, never reported healthy.
+        }
+      } else if (integrity_ != nullptr && c.ok()) {
+        // Untracked (oracle-only runs): nothing to fail over to, but the
+        // ledger still records silently-served corruption.
+        integrity_->VerifyFetch(c.wr_id, id.vpage, c.node);
       }
+      tracker_.Settle(id, c.node);
       if (decompress_ns_ > 0) {
-        // Link compression (docs/QOS.md): the page arrives compressed; this
-        // core decompresses it before mapping.
+        // Link compression (docs/QOS.md): this core decompresses the page.
         core_->ConsumeNs(decompress_ns_);
       }
-      mm_->CompleteFetch(batch[i].wr_id);
+      mm_->CompleteFetch(id.vpage);
     }
     total += n;
   }

@@ -21,7 +21,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -31,7 +30,7 @@
 #include "src/mem/remote_heap.h"
 #include "src/obs/metric_registry.h"
 #include "src/rdma/fabric.h"
-#include "src/rdma/node_health.h"
+#include "src/rdma/op_tracker.h"
 #include "src/sched/config.h"
 #include "src/sched/request.h"
 #include "src/sched/worker_api.h"
@@ -107,9 +106,9 @@ class Worker final : public WorkerApi {
   uint64_t qp_full_stalls() const { return qp_full_stalls_; }
   uint64_t preempt_fires() const { return preempt_fires_; }
   uint64_t steals() const { return steals_; }
-  uint64_t fetch_timeouts() const { return fetch_timeouts_; }
-  uint64_t fetch_retries() const { return fetch_retries_; }
-  uint64_t failovers() const { return failovers_; }
+  uint64_t fetch_timeouts() const { return tracker_.stats(OpKind::kFetch).timeouts; }
+  uint64_t fetch_retries() const { return tracker_.stats(OpKind::kFetch).retries; }
+  uint64_t failovers() const { return tracker_.stats(OpKind::kFetch).failovers; }
   uint64_t corruptions_detected() const { return corruptions_detected_; }
   // Reads that proceeded off a partially-landed page (docs/QOS.md).
   uint64_t chunk_resumes() const { return chunk_resumes_; }
@@ -123,13 +122,19 @@ class Worker final : public WorkerApi {
   Rng& rng() override { return rng_; }
 
   void set_region(RemoteRegion* region) { region_ = region; }
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  void set_tracer(Tracer* tracer) {
+    tracer_ = tracer;
+    tracker_.set_tracer(tracer);
+  }
+  // Fetch deadline/retry/failover (docs/FAULT_MODEL.md §4); off by default.
+  void set_retry(const RetryPolicy& retry) {
+    tracker_.set_rules(OpKind::kFetch, OpRules{retry, /*failover=*/true, /*traced=*/true});
+  }
   // Publishes the worker's counters as probes labeled {worker=index}.
   void RegisterMetrics(MetricRegistry* registry);
-  // Replication wiring (both null on a single-node system: the fetch path
+  // Replication wiring (never set on a single-node system: the fetch path
   // then always targets node 0 and never consults health state).
-  void set_placement(PlacementMap* placement) { placement_ = placement; }
-  void set_node_health(NodeHealthMonitor* health) { health_ = health; }
+  void set_replication(PlacementMap* p, NodeHealthMonitor* h) { tracker_.set_replication(p, h); }
   // Verify-on-fetch (docs/INTEGRITY.md): consulted once per successful READ
   // completion in DrainMemCq. Null = no integrity layer (the default), zero
   // cost on the fetch path.
@@ -164,45 +169,6 @@ class Worker final : public WorkerApi {
   // Polls the memory CQ, maps fetched pages, runs waiters. Returns #polled.
   size_t DrainMemCq();
 
-  // --- Fetch deadline/retry pipeline (active only when cfg_.retry.enabled;
-  // state machine documented in docs/FAULT_MODEL.md) ---
-
-  // Per in-flight fetch: attempt count, backoff, and the armed deadline.
-  // Keyed by vpage (== the fetch's wr_id); also deduplicates stale/duplicate
-  // completions, which are ignored unless an entry exists.
-  struct PendingFetch {
-    uint32_t attempts = 1;      // Posts so far (1 = the original).
-    uint64_t req_id = 0;        // Initiating request, for tracing.
-    SimDuration backoff_ns = 0; // Wait before the next repost.
-    bool repost_pending = false;  // A repost is scheduled; don't schedule twice.
-    uint32_t node = 0;          // Replica currently serving this fetch.
-    uint32_t failovers = 0;     // Replica switches so far (capped at replicas).
-    // Traffic class the fetch was posted on. Reposts keep it, and the retry
-    // budget is MaxRetriesFor(cls): background classes get their own
-    // sub-budget so a brownout can't burn demand retries (docs/QOS.md).
-    TrafficClass cls = TrafficClass::kDemand;
-    Engine::EventHandle deadline;
-  };
-
-  // Creates the pending entry and arms the first deadline (post time).
-  void TrackFetch(uint64_t vpage, uint32_t node,
-                  TrafficClass cls = TrafficClass::kDemand);
-  // Deadline expiry: count the timeout, then retry or fail.
-  void OnFetchDeadline(uint64_t vpage);
-  // Retries after backoff while budget remains; otherwise fails the fetch.
-  void ScheduleRetryOrFail(uint64_t vpage);
-  // Reposts the READ (re-queuing itself briefly when the QP is full) and
-  // re-arms the deadline.
-  void RepostFetch(uint64_t vpage);
-  // Budget exhausted: abandon the fetch; waiters fail their requests.
-  void FailFetch(uint64_t vpage);
-  // Best in-sync replica to fetch `vpage` from (node 0 without placement).
-  uint32_t ChooseReadNode(uint64_t vpage) const;
-  // Redirects the in-flight fetch to another in-sync replica (fresh retry
-  // budget, immediate repost). False when no eligible replica remains or the
-  // per-fetch failover cap is spent — the caller falls back to FailFetch.
-  bool TryFailover(uint64_t vpage, PendingFetch& pf);
-
   uint32_t index_;
   Engine* engine_;
   CpuCore* core_;
@@ -216,8 +182,6 @@ class Worker final : public WorkerApi {
   Dispatcher* dispatcher_ = nullptr;
   RemoteRegion* region_ = nullptr;
   Tracer* tracer_ = nullptr;
-  PlacementMap* placement_ = nullptr;
-  NodeHealthMonitor* health_ = nullptr;
   IntegrityLayer* integrity_ = nullptr;
 
   // Pops a not-yet-started request from the busiest peer's queue (work
@@ -238,17 +202,13 @@ class Worker final : public WorkerApi {
   std::vector<uint64_t> prefetch_scratch_;
   std::vector<ReadOp> batch_ops_;  // Scratch for doorbell-batched posts.
   Rng rng_;
-
-  std::unordered_map<uint64_t, PendingFetch> pending_fetch_;
+  OpTracker tracker_;  // This QP's fetches.
 
   uint64_t completed_ = 0;
   uint64_t yields_ = 0;
   uint64_t qp_full_stalls_ = 0;
   uint64_t preempt_fires_ = 0;
   uint64_t steals_ = 0;
-  uint64_t fetch_timeouts_ = 0;
-  uint64_t fetch_retries_ = 0;
-  uint64_t failovers_ = 0;
   uint64_t corruptions_detected_ = 0;
   uint64_t decompress_ns_ = 0;  // Per-page decompression charge (0 = off).
   uint64_t chunk_resumes_ = 0;  // Reads satisfied by a partial page.

@@ -493,5 +493,49 @@ TEST(FaultE2e, WriteLossExercisesWritebackRetries) {
                       sys.reclaimer().writebacks_inflight());
 }
 
+TEST(FaultE2e, TotalWriteLossAbortsWritebacksWithoutLeakingFrames) {
+  // Every WRITE is lost: each write-back burns its whole retry budget and is
+  // then dropped (the single-node writeback abort). The dropped replica's
+  // frame must still come back, and every request must still drain.
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.fault.write_loss_rate = 1.0;
+  MemcachedApp::Options mo;
+  mo.num_keys = 1 << 13;
+  mo.set_fraction = 0.5;
+  MemcachedApp app(mo);
+  MdSystem sys(cfg, &app);
+  RunResult r = sys.Run(150000, Milliseconds(4), Milliseconds(8));
+  EXPECT_GT(r.mem.evictions_dirty, 0u);
+  EXPECT_GT(r.writeback_retries, 0u);
+  EXPECT_GT(r.writeback_aborts, 0u);
+  EXPECT_EQ(r.sent, r.completed + r.dropped);
+  MemoryManager& mm = sys.memory_manager();
+  const uint64_t used = mm.options().local_pages - mm.free_frames();
+  EXPECT_EQ(sys.reclaimer().writebacks_inflight(), 0u);
+  EXPECT_EQ(used, mm.page_table().resident_pages() + mm.page_table().fetching_pages() +
+                      sys.reclaimer().writebacks_inflight());
+}
+
+TEST(FaultE2e, TotalWriteLossKeepsWritebackAccountingAudited) {
+  // Dropped write-backs linger a whole retry budget, so the reclaimer often
+  // re-evicts a page whose previous fan-out is still settling and waits for
+  // it. That counted-but-unposted write-back must stay visible to the
+  // fan-out audit (pages tracked == write-backs in flight) while it waits.
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.fault.write_loss_rate = 1.0;
+  cfg.check.enabled = true;
+  cfg.check.fatal = false;
+  MemcachedApp::Options mo;
+  mo.num_keys = 1 << 13;
+  mo.set_fraction = 0.5;
+  MemcachedApp app(mo);
+  MdSystem sys(cfg, &app);
+  RunResult r = sys.Run(150000, Milliseconds(4), Milliseconds(8));
+  EXPECT_GT(r.writeback_aborts, 0u);
+  ASSERT_NE(sys.invariant_checker(), nullptr);
+  EXPECT_GT(sys.invariant_checker()->report().audits, 10u);
+  EXPECT_EQ(sys.invariant_checker()->report().violations, 0u);
+}
+
 }  // namespace
 }  // namespace adios

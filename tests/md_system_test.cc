@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "src/apps/array_app.h"
@@ -259,6 +260,61 @@ TEST(MdSystem, BlackoutDivergenceIsResilvered) {
   EXPECT_EQ(r.replica_divergence, 0u);  // ...and were all repaired by run end.
   EXPECT_GT(r.pages_resilvered, 0u);
   EXPECT_GE(r.node_recoveries, 1u);
+}
+
+TEST(MdSystem, ResilverAttemptCapCountsFailuresAndStaysConsistent) {
+  // One attempt per page and a lossy fabric: a re-silver copy whose READ or
+  // WRITE is lost is not requeued but counted as a failure, and its pin or
+  // bounce frame must still be released (the checker audits both).
+  SystemConfig cfg = ReplicatedBlackoutConfig();
+  cfg.replication.resilver_max_attempts = 1;
+  cfg.fault.read_loss_rate = 0.05;
+  cfg.fault.write_loss_rate = 0.05;
+  cfg.check.enabled = true;
+  cfg.check.fatal = false;
+  MemcachedApp::Options mo;
+  mo.num_keys = 1 << 14;
+  mo.set_fraction = 0.4;
+  MemcachedApp app(mo);
+  MdSystem sys(cfg, &app);
+  RunResult r = sys.Run(150000, Milliseconds(4), Milliseconds(10));
+  EXPECT_EQ(r.sent, r.completed + r.dropped);
+  EXPECT_GE(r.node_recoveries, 1u);
+  EXPECT_GT(r.pages_resilvered, 0u);
+  EXPECT_GT(r.resilver_failures, 0u);
+  ASSERT_NE(sys.invariant_checker(), nullptr);
+  EXPECT_EQ(sys.invariant_checker()->report().violations, 0u);
+}
+
+// --- Up-front rejection of op-lifecycle values ---
+
+void Construct(const SystemConfig& cfg) {
+  ArrayApp app(SmallArray());
+  MdSystem sys(cfg, &app);
+}
+
+TEST(MdSystemDeathTest, RejectsNonPositiveResilverBandwidth) {
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.replication.resilver_bw_gbps = 0.0;
+  EXPECT_DEATH(Construct(cfg), "replication\\.resilver_bw_gbps > 0");
+  cfg.replication.resilver_bw_gbps = std::nan("");
+  EXPECT_DEATH(Construct(cfg), "replication\\.resilver_bw_gbps > 0");
+}
+
+TEST(MdSystemDeathTest, RejectsNonPositiveScrubBandwidth) {
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.integrity.scrub_bw_gbps = -1.0;
+  EXPECT_DEATH(Construct(cfg), "integrity\\.scrub_bw_gbps > 0");
+  cfg.integrity.scrub_bw_gbps = std::nan("");
+  EXPECT_DEATH(Construct(cfg), "integrity\\.scrub_bw_gbps > 0");
+}
+
+TEST(MdSystemDeathTest, RejectsZeroRetryDeadline) {
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.retry.timeout_ns = 0;
+  Construct(cfg);  // Retry off: the deadline is never armed.
+  cfg.fault.read_loss_rate = 0.01;  // Fault injection turns retry on.
+  EXPECT_DEATH(Construct(cfg), "retry\\.timeout_ns > 0");
 }
 
 TEST(MdSystem, SingleNodeResultsUnchangedByReplicationCode) {
