@@ -4,9 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/base/histogram.h"
 #include "src/base/rng.h"
+#include "src/integrity/page_checksum.h"
 #include "src/mem/memory_manager.h"
+#include "src/mem/remote_heap.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/engine.h"
 #include "src/unithread/context.h"
@@ -187,6 +192,21 @@ void BM_FabricReadPipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_FabricReadPipeline);
+
+// Host cost of the page digest every verified fetch recomputes, on one hot
+// 4 KiB page (the simulated cost is the fixed `verify_cycles`).
+void BM_PageChecksum(benchmark::State& state) {
+  std::vector<uint8_t> page(kPageSize);
+  Rng rng(1);
+  for (auto& b : page) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PageChecksum(page.data(), page.size(), 41));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_PageChecksum);
 
 }  // namespace
 }  // namespace adios

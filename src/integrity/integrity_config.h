@@ -20,8 +20,9 @@ struct IntegrityConfig {
   bool verify = false;
 
   // Background scrubber: paced bounce-frame reads of cold remote pages that
-  // find latent corruption before a demand fault does. Rides the re-silver
-  // machinery in the reclaimer; see the scrub_* knobs below.
+  // find latent corruption before a demand fault does. Runs on the
+  // BackgroundCopier's paced lane beside re-silver; see the scrub_* knobs
+  // below.
   bool scrub = false;
 
   // Poison oracle: construct the integrity ledger (so the invariant checker
@@ -30,8 +31,9 @@ struct IntegrityConfig {
   // demonstrably serves corrupted bytes in bench_integrity.
   bool oracle = false;
 
-  // CPU cycles one verify-on-fetch costs the worker core (one 64-bit mix per
-  // 8-byte word of a 4 KB page, ~512 multiply-xor rounds).
+  // Simulated CPU cycles one verify-on-fetch costs the worker core (hashing
+  // a 4 KB page at ~8 bytes/cycle). A model constant: it does not depend on
+  // the host codec (PageChecksum), whose speed only moves host run time.
   uint32_t verify_cycles = 550;
 
   // Scrub pacing: per-page interval is SerializationNs(page, scrub_bw_gbps),

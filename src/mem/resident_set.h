@@ -46,6 +46,10 @@ class ResidentPageSet {
     }
     shard_count_ = static_cast<uint32_t>(s);
     shard_slots_ = capacity_ / shard_count_;
+    // Both powers of two, so shard_slots_ is too: ScanShard wraps each hand
+    // with a mask, not a modulo.
+    ADIOS_CHECK((capacity_ & mask_) == 0);
+    ADIOS_CHECK((shard_count_ & (shard_count_ - 1)) == 0);
     slots_ = std::make_unique<std::atomic<uint64_t>[]>(capacity_);
     for (uint64_t i = 0; i < capacity_; ++i) {
       slots_[i].store(kEmpty, std::memory_order_relaxed);
@@ -118,9 +122,11 @@ class ResidentPageSet {
     ADIOS_DCHECK(shard < shard_count_);
     const uint64_t base = static_cast<uint64_t>(shard) * shard_slots_;
     Hand& hand = hands_[shard];
+    const uint64_t shard_mask = shard_slots_ - 1;
     for (uint64_t i = 0; i < budget; ++i) {
-      const uint64_t off = hand.pos.fetch_add(1, std::memory_order_acq_rel) %
-                           shard_slots_;
+      // The hand is a position counter and publishes no data: relaxed.
+      const uint64_t off =
+          hand.pos.fetch_add(1, std::memory_order_relaxed) & shard_mask;
       const uint64_t cur = slots_[base + off].load(std::memory_order_acquire);
       if (cur == kEmpty || cur == kTombstone) {
         continue;

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/integrity/page_checksum.h"
 #include "src/mem/remote_heap.h"
 
@@ -88,6 +90,161 @@ TEST(PageChecksum, ShortTailIsZeroPaddedNotIgnored) {
   EXPECT_NE(PageChecksum(buf.data(), buf.size(), 41), clean);
   // And length itself is part of the digest domain.
   EXPECT_NE(PageChecksum(buf.data(), 12, 41), clean);
+}
+
+// Pins the codec's output so "deterministic across platforms" is checked
+// and any later codec change is deliberate: it must update these values.
+TEST(PageChecksum, KnownAnswers) {
+  std::vector<uint8_t> zero(kPageSize, 0);
+  std::vector<uint8_t> pattern(kPageSize, 0);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  EXPECT_EQ(PageChecksum(nullptr, 0, 41), 0xf1f3936aa57d3624ull);
+  EXPECT_EQ(PageChecksum(zero.data(), zero.size(), 41), 0x7cba51cf26467beaull);
+  EXPECT_EQ(PageChecksum(pattern.data(), pattern.size(), 41), 0xb98e57f1265c088eull);
+  EXPECT_EQ(PageChecksum(pattern.data(), 12, 41), 0x9157274812c6f015ull);
+}
+
+uint64_t WordAt(const std::vector<uint8_t>& page, size_t word) {
+  uint64_t w;
+  std::memcpy(&w, page.data() + word * 8, 8);
+  return w;
+}
+
+void SetWord(std::vector<uint8_t>& page, size_t word, uint64_t w) {
+  std::memcpy(page.data() + word * 8, &w, 8);
+}
+
+void FlipBit(uint8_t* data, uint64_t bit) {
+  data[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+}
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t len) {
+  std::vector<uint8_t> bytes(len);
+  for (auto& b : bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return bytes;
+}
+
+TEST(PageChecksum, RandomFlipsTornWordsAndSwapsAreDetected) {
+  Rng rng(20251017);
+  constexpr size_t kWords = kPageSize / 8;
+  constexpr int kTrials = 10'000;
+  std::vector<uint8_t> page;
+  uint64_t clean = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    // A fresh random page every 64 trials keeps the run cheap.
+    if (trial % 64 == 0) {
+      page = RandomBytes(rng, kPageSize);
+      clean = PageChecksum(page.data(), page.size(), 41);
+    }
+    std::vector<uint8_t> bad = page;
+    const int kind = trial % 4;
+    if (kind == 0) {
+      // 1-3 distinct random bits.
+      const uint64_t nbits = rng.NextInRange(1, 3);
+      std::vector<uint64_t> bits;
+      while (bits.size() < nbits) {
+        const uint64_t bit = rng.NextBelow(kPageSize * 8);
+        if (std::find(bits.begin(), bits.end(), bit) == bits.end()) {
+          bits.push_back(bit);
+        }
+      }
+      for (const uint64_t bit : bits) {
+        FlipBit(bad.data(), bit);
+      }
+    } else if (kind == 1) {
+      // Torn word: one word overwritten with a different value.
+      const size_t word = rng.NextBelow(kWords);
+      uint64_t stale = rng.Next();
+      if (stale == WordAt(page, word)) {
+        stale = ~stale;
+      }
+      SetWord(bad, word, stale);
+    } else {
+      // Two unequal words swapped, in the same lane (i, i+4) or across
+      // lanes (i, i+1).
+      const size_t gap = kind == 2 ? 4 : 1;
+      const size_t i = rng.NextBelow(kWords - gap);
+      const uint64_t a = WordAt(page, i);
+      const uint64_t b = WordAt(page, i + gap);
+      if (a == b) {
+        continue;  // Not a mutation.
+      }
+      SetWord(bad, i, b);
+      SetWord(bad, i + gap, a);
+    }
+    ASSERT_NE(PageChecksum(bad.data(), bad.size(), 41), clean)
+        << "trial " << trial << " kind " << kind;
+  }
+}
+
+TEST(PageChecksum, SwapsWithinOneStripeAreDetected) {
+  // On a one-stripe input each lane absorbs exactly one word, so a
+  // lane-symmetric codec (identical lane seeds, XOR or add fold) would
+  // collide on every one of these swaps.
+  Rng rng(3);
+  for (int trial = 0; trial < 1'000; ++trial) {
+    const std::vector<uint8_t> stripe = RandomBytes(rng, 32);
+    const uint64_t clean = PageChecksum(stripe.data(), stripe.size(), 41);
+    for (size_t a = 0; a < 4; ++a) {
+      for (size_t b = a + 1; b < 4; ++b) {
+        std::vector<uint8_t> swapped = stripe;
+        SetWord(swapped, a, WordAt(stripe, b));
+        SetWord(swapped, b, WordAt(stripe, a));
+        ASSERT_NE(PageChecksum(swapped.data(), swapped.size(), 41), clean)
+            << "trial " << trial << " words " << a << "," << b;
+      }
+    }
+  }
+}
+
+TEST(PageChecksum, DigestIgnoresAlignmentAndDetectsAtEveryOffset) {
+  Rng rng(7);
+  const std::vector<uint8_t> page = RandomBytes(rng, kPageSize);
+  const uint64_t clean = PageChecksum(page.data(), page.size(), 41);
+  std::vector<uint8_t> buf(kPageSize + 8);
+  for (size_t off = 0; off < 8; ++off) {
+    uint8_t* data = buf.data() + off;
+    std::memcpy(data, page.data(), kPageSize);
+    EXPECT_EQ(PageChecksum(data, kPageSize, 41), clean) << "offset " << off;
+    for (int flip = 0; flip < 64; ++flip) {
+      const uint64_t bit = rng.NextBelow(kPageSize * 8);
+      FlipBit(data, bit);
+      EXPECT_NE(PageChecksum(data, kPageSize, 41), clean)
+          << "offset " << off << " bit " << bit;
+      FlipBit(data, bit);
+    }
+  }
+}
+
+TEST(PageChecksum, EveryLengthAcrossStripesAndTailIsCovered) {
+  // 0..96 bytes crosses the 32-byte stripe boundary, the leftover words and
+  // the partial tail word.
+  constexpr size_t kMaxLen = 96;
+  Rng rng(11);
+  std::vector<uint8_t> buf = RandomBytes(rng, kMaxLen + 1);
+  std::vector<uint64_t> prefixes;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    const uint64_t clean = PageChecksum(buf.data(), len, 41);
+    // Prefixes of different lengths never collide.
+    EXPECT_EQ(std::find(prefixes.begin(), prefixes.end(), clean), prefixes.end())
+        << "len " << len;
+    prefixes.push_back(clean);
+    // Bytes past `len` are not read.
+    buf[len] ^= 0xff;
+    EXPECT_EQ(PageChecksum(buf.data(), len, 41), clean) << "len " << len;
+    buf[len] ^= 0xff;
+    // Every bit inside `len` is covered.
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      FlipBit(buf.data(), bit);
+      EXPECT_NE(PageChecksum(buf.data(), len, 41), clean)
+          << "len " << len << " bit " << bit;
+      FlipBit(buf.data(), bit);
+    }
+  }
 }
 
 // --- Corruption ledger ---
