@@ -160,6 +160,38 @@ void BM_EngineFiberWait(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineFiberWait);
 
+// The delay mix a full run produces: about 11% of events at zero delay,
+// most within the wheel's 4096 ns window, and about 5% arming a far
+// deadline (10-100 us out, like a fetch retry timer), half of which are
+// cancelled before they fire.
+void BM_EngineMixedDelays(benchmark::State& state) {
+  Engine e;
+  Rng rng(1);
+  struct Chain {
+    Engine* e;
+    Rng* rng;
+    void operator()() const {
+      if (rng->NextBelow(100) < 5) {
+        Engine::EventHandle deadline =
+            e->ScheduleCancellable(rng->NextInRange(10'000, 100'000), [] {});
+        if (rng->NextBelow(2) == 0) {
+          deadline.Cancel();
+        }
+      }
+      e->Schedule(rng->NextBelow(100) < 11 ? 0 : 1 + rng->NextBelow(1024), *this);
+    }
+  };
+  for (int i = 0; i < kEnginePending; ++i) {
+    e.Schedule(1 + rng.NextBelow(64), Chain{&e, &rng});
+  }
+  const uint64_t start = e.events_processed();
+  for (auto _ : state) {
+    e.RunUntil(e.now() + kEngineWindow);
+  }
+  ReportEngineEvents(state, e.events_processed() - start);
+}
+BENCHMARK(BM_EngineMixedDelays);
+
 void BM_PageTableFaultCycle(benchmark::State& state) {
   Engine e;
   MemoryManager::Options o;

@@ -503,7 +503,7 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
     r.ctrl.scale_downs = ctrl_->scale_downs();
     r.ctrl.mean_active_workers = active_worker_stats.mean();
   }
-  r.samples = loadgen_->samples();
+  r.samples = loadgen_->TakeSamples();
   r.metrics = metrics_.Snapshot();
   r.timeline = BuildTimeSeries(r.samples, pf_points, warmup_ns, measure_ns, Microseconds(100));
   AttachActiveWorkers(r.timeline, active_points);

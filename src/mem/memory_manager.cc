@@ -1,12 +1,15 @@
 #include "src/mem/memory_manager.h"
 
+#include <utility>
+
 namespace adios {
 
 MemoryManager::MemoryManager(Engine* engine, const Options& options)
     : engine_(engine),
       options_(options),
       page_table_(options.total_pages, options.clock_shards),
-      frame_waiters_(engine) {
+      frame_waiters_(engine),
+      fetch_waiters_(options.total_pages) {
   ADIOS_CHECK(options.total_pages > 0);
   ADIOS_CHECK(options.local_pages > 0);
   ADIOS_CHECK(options.reclaim_low_watermark >= 0.0);
@@ -163,10 +166,52 @@ uint64_t MemoryManager::SelectVictim() {
   return page_table_.SelectVictim(options_.evict_scan_budget);
 }
 
+uint32_t MemoryManager::AllocWaiter(FetchWaiter fn, bool early) {
+  uint32_t n = free_waiter_;
+  if (n == kNoWaiter) {
+    n = static_cast<uint32_t>(waiter_nodes_.size());
+    waiter_nodes_.emplace_back();
+  } else {
+    free_waiter_ = waiter_nodes_[n].next;
+  }
+  waiter_nodes_[n].fn = std::move(fn);
+  waiter_nodes_[n].early = early;
+  return n;
+}
+
+void MemoryManager::AppendWaiter(WaiterChain& chain, uint32_t n) {
+  waiter_nodes_[n].next = kNoWaiter;
+  if (chain.head == kNoWaiter) {
+    chain.head = n;
+  } else {
+    waiter_nodes_[chain.tail].next = n;
+  }
+  chain.tail = n;
+}
+
+uint32_t MemoryManager::DetachWaiters(uint64_t vpage) {
+  return std::exchange(fetch_waiters_[vpage], WaiterChain{}).head;
+}
+
+void MemoryManager::RunChain(uint32_t head, bool ok) {
+  // Each node is freed before its callback runs, so a callback may register
+  // new waiters (and grow the pool) safely; the rest of the chain is
+  // detached, so no registration can reach it.
+  for (uint32_t n = head; n != kNoWaiter;) {
+    WaiterNode& node = waiter_nodes_[n];
+    FetchWaiter fn = std::move(node.fn);
+    const uint32_t next = node.next;
+    node.next = free_waiter_;
+    free_waiter_ = n;
+    fn(ok);
+    n = next;
+  }
+}
+
 void MemoryManager::AddFetchWaiter(uint64_t vpage, FetchWaiter resume, bool early) {
   // A waiter on a settled page would never be woken: its request is lost.
   ADIOS_CHECK(StateOf(vpage) == PageState::kFetching);
-  fetch_waiters_[vpage].push_back(FetchWaiterEntry{std::move(resume), early});
+  AppendWaiter(fetch_waiters_[vpage], AllocWaiter(std::move(resume), early));
 }
 
 void MemoryManager::ChunkReady(uint64_t vpage) {
@@ -180,31 +225,23 @@ void MemoryManager::ChunkReady(uint64_t vpage) {
   // paths must see the page as in-use.
   page_table_.Pin(vpage);
   ++stats_.chunk_partials;
-  auto it = fetch_waiters_.find(vpage);
-  if (it == fetch_waiters_.end()) {
-    return;
+  // Split the chain in place, keeping order on both sides: early-flagged
+  // waiters move to a wake chain and resume now; the rest (writers, policy-
+  // blocked handlers) stay registered for CompleteFetch/AbortFetch.
+  WaiterChain& chain = fetch_waiters_[vpage];
+  WaiterChain keep;
+  WaiterChain wake;
+  uint64_t woken = 0;
+  for (uint32_t n = chain.head; n != kNoWaiter;) {
+    const uint32_t next = waiter_nodes_[n].next;
+    const bool early = waiter_nodes_[n].early;
+    AppendWaiter(early ? wake : keep, n);
+    woken += early ? 1 : 0;
+    n = next;
   }
-  // Resume early-flagged waiters now; the rest (writers, policy-blocked
-  // handlers) stay registered for CompleteFetch/AbortFetch.
-  std::vector<FetchWaiterEntry> pending;
-  std::vector<FetchWaiter> wake;
-  pending.reserve(it->second.size());
-  for (auto& entry : it->second) {
-    if (entry.early) {
-      wake.push_back(std::move(entry.fn));
-    } else {
-      pending.push_back(std::move(entry));
-    }
-  }
-  if (pending.empty()) {
-    fetch_waiters_.erase(it);
-  } else {
-    it->second = std::move(pending);
-  }
-  stats_.chunk_early_wakes += wake.size();
-  for (auto& fn : wake) {
-    fn(/*ok=*/true);
-  }
+  chain = keep;
+  stats_.chunk_early_wakes += woken;
+  RunChain(wake.head, /*ok=*/true);
 }
 
 void MemoryManager::CompleteFetch(uint64_t vpage) {
@@ -220,15 +257,7 @@ void MemoryManager::CompleteFetch(uint64_t vpage) {
   if (map_hook_) {
     map_hook_(vpage);  // Unpoison before any waiter can read the page.
   }
-  auto it = fetch_waiters_.find(vpage);
-  if (it == fetch_waiters_.end()) {
-    return;
-  }
-  std::vector<FetchWaiterEntry> waiters = std::move(it->second);
-  fetch_waiters_.erase(it);
-  for (auto& entry : waiters) {
-    entry.fn(/*ok=*/true);
-  }
+  RunChain(DetachWaiters(vpage), /*ok=*/true);
 }
 
 void MemoryManager::AbortFetch(uint64_t vpage) {
@@ -246,17 +275,10 @@ void MemoryManager::AbortFetch(uint64_t vpage) {
   }
   page_table_.MarkFetchAborted(vpage);  // Also clears the partial bit.
   ++stats_.fetch_aborts;
-  std::vector<FetchWaiterEntry> waiters;
-  auto it = fetch_waiters_.find(vpage);
-  if (it != fetch_waiters_.end()) {
-    waiters = std::move(it->second);
-    fetch_waiters_.erase(it);
-  }
+  const uint32_t waiters = DetachWaiters(vpage);
   // The reserved frame returns to the pool (this also wakes frame waiters).
   ReleaseFrame();
-  for (auto& entry : waiters) {
-    entry.fn(/*ok=*/false);
-  }
+  RunChain(waiters, /*ok=*/false);
 }
 
 bool MemoryManager::EvictPage(uint64_t vpage) {

@@ -246,7 +246,9 @@ class MemoryManager {
   // chunk-first resume: ChunkReady runs it (ok = true) as soon as the
   // faulting chunk lands, without waiting for the tail. Writers must not
   // pass `early` — a write to a partially-landed page could race the
-  // streaming tail.
+  // streaming tail. A page's waiters run in registration order; they queue
+  // on a per-page chain of pooled nodes, so registering allocates nothing
+  // once the pool is warm.
   using FetchWaiter = std::function<void(bool ok)>;
   void AddFetchWaiter(uint64_t vpage, FetchWaiter resume, bool early = false);
 
@@ -328,6 +330,15 @@ class MemoryManager {
   // other caches.
   void SpillFrameCaches();
   void NotifyPrefetchOutcome(uint16_t owner, bool hit);
+  // Fetch-waiter chains (see fetch_waiters_): AllocWaiter takes a node off
+  // the free list or grows the pool, AppendWaiter links a node at a chain's
+  // tail, DetachWaiters unlinks a page's whole chain, and RunChain runs a
+  // detached chain in registration order.
+  struct WaiterChain;
+  uint32_t AllocWaiter(FetchWaiter fn, bool early);
+  void AppendWaiter(WaiterChain& chain, uint32_t n);
+  uint32_t DetachWaiters(uint64_t vpage);
+  void RunChain(uint32_t head, bool ok);
   void EnqueuePrefetchPool(uint64_t vpage);
   void PurgePrefetchPool(uint64_t vpage);
 
@@ -337,11 +348,24 @@ class MemoryManager {
   uint64_t used_frames_ = 0;
   WaitQueue frame_waiters_;
   std::deque<std::function<void()>> frame_callbacks_;
-  struct FetchWaiterEntry {
+  // Fetch waiters, without a map: each page with waiters owns a FIFO chain
+  // of nodes in one pool, found through per-page head/tail indices (8 bytes
+  // per page, beside the page table's 8-byte word). Freed nodes go on a free
+  // list, so a warm run registers waiters without allocating; a callable
+  // that fits std::function's local storage allocates nothing either.
+  static constexpr uint32_t kNoWaiter = ~0u;
+  struct WaiterNode {
     FetchWaiter fn;
-    bool early = false;  // Eligible for chunk-level early resume.
+    uint32_t next = kNoWaiter;  // Next in the page's chain or the free list.
+    bool early = false;         // Eligible for chunk-level early resume.
   };
-  std::unordered_map<uint64_t, std::vector<FetchWaiterEntry>> fetch_waiters_;
+  struct WaiterChain {
+    uint32_t head = kNoWaiter;
+    uint32_t tail = kNoWaiter;
+  };
+  std::vector<WaiterChain> fetch_waiters_;  // Indexed by vpage.
+  std::vector<WaiterNode> waiter_nodes_;
+  uint32_t free_waiter_ = kNoWaiter;
   std::function<void()> reclaim_kick_;
   PageHook evict_hook_;
   PageHook map_hook_;

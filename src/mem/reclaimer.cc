@@ -119,7 +119,7 @@ void Reclaimer::FinishWbReplica(uint64_t vpage, bool success) {
 }
 
 void Reclaimer::DrainCompletions() {
-  std::vector<Completion> batch(16);
+  std::vector<Completion>& batch = cq_batch_;
   for (;;) {
     const size_t n = qp_->cq()->Poll(batch.size(), batch.begin());
     if (n == 0) {

@@ -108,6 +108,10 @@ class Reclaimer {
   uint64_t writeback_aborts_ = 0;
   bool wb_waiting_ = false;
   std::vector<uint32_t> wb_targets_scratch_;
+  // DrainCompletions' poll buffer, reused by every poll: the reclaimer fiber
+  // is qp_'s CQ's only poller (the copier's completions reach it through
+  // DrainCompletions too), and no completion handler polls again.
+  std::vector<Completion> cq_batch_ = std::vector<Completion>(16);
   OpTracker tracker_;  // Every WQE on qp_.
   BackgroundCopier copier_;
 };

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/apps/application.h"
@@ -89,7 +90,8 @@ class LoadGenerator {
   const Histogram& e2e_of(uint32_t op) const { return e2e_per_op_[op]; }
   const Histogram& server() const { return server_; }
   const Histogram& queue() const { return queue_; }
-  const std::vector<RequestSample>& samples() const { return samples_; }
+  // Moves the per-request samples out (the generator keeps none after).
+  std::vector<RequestSample> TakeSamples() { return std::move(samples_); }
 
  private:
   void ScheduleNextArrival();

@@ -8,9 +8,9 @@
 #define ADIOS_SRC_RDMA_COMPLETION_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
+#include "src/base/fifo.h"
 #include "src/base/time.h"
 
 namespace adios {
@@ -88,7 +88,7 @@ class CompletionQueue {
 
  private:
   uint32_t id_;
-  std::deque<Completion> entries_;
+  Fifo<Completion> entries_;
   std::function<void()> on_push_;
 };
 

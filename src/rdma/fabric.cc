@@ -1,5 +1,6 @@
 #include "src/rdma/fabric.h"
 
+#include <algorithm>
 #include <string>
 
 namespace adios {
@@ -99,20 +100,19 @@ bool QueuePair::PostRead(uint64_t bytes, uint64_t wr_id, uint32_t node, TrafficC
 }
 
 size_t QueuePair::PostReadBatch(uint64_t bytes, const ReadOp* ops, size_t n) {
-  RdmaFabric::ReadBatch batch;
-  while (batch.size < n && batch.size < kMaxReadBatch && !full()) {
-    const ReadOp& op = ops[batch.size];
-    ADIOS_DCHECK(op.node < fabric_->num_nodes());
+  size_t size = 0;
+  while (size < n && size < kMaxReadBatch && !full()) {
+    ADIOS_DCHECK(ops[size].node < fabric_->num_nodes());
     ++outstanding_;
     ++posted_reads_;
-    batch.ops[batch.size++] = op;
+    ++size;
   }
-  if (batch.size == 0) {
+  if (size == 0) {
     return 0;
   }
-  doorbells_saved_ += batch.size - 1;
-  fabric_->IssueReadBatch(this, bytes, batch);
-  return batch.size;
+  doorbells_saved_ += size - 1;
+  fabric_->IssueReadBatch(this, bytes, ops, size);
+  return size;
 }
 
 bool QueuePair::PostWrite(uint64_t bytes, uint64_t wr_id, uint32_t node, TrafficClass cls) {
@@ -123,16 +123,6 @@ bool QueuePair::PostWrite(uint64_t bytes, uint64_t wr_id, uint32_t node, Traffic
   ++outstanding_;
   ++posted_writes_;
   fabric_->IssueWrite(this, bytes, wr_id, node, cls);
-  return true;
-}
-
-bool QueuePair::PostSend(uint64_t bytes, uint64_t wr_id, std::function<void()> on_delivered) {
-  if (full()) {
-    return false;
-  }
-  ++outstanding_;
-  ++posted_sends_;
-  fabric_->IssueSend(this, bytes, wr_id, std::move(on_delivered));
   return true;
 }
 
@@ -203,30 +193,33 @@ void RdmaFabric::IssueReadWire(QueuePair* qp, uint64_t bytes, const ReadOp& op) 
   // one unit regardless of chunk_bytes (the request header never produced a
   // response), so retry semantics are unchanged by QoS delivery.
   const FaultInjector::Verdict v = DrawVerdict(WorkType::kRead, op.wr_id, op.node);
-  const uint64_t hdr = params_.header_bytes;
-  if (FailOnWire(qp, v, WorkType::kRead, hdr, op.wr_id, op.node, op.cls)) {
+  if (FailOnWire(qp, v, WorkType::kRead, params_.header_bytes, op.wr_id, op.node, op.cls)) {
     return;
   }
-  const SimDuration spike = v.action == FaultInjector::Action::kDelay ? v.extra_ns : 0;
-  const SimDuration dup_lag =
-      v.action == FaultInjector::Action::kDuplicate ? v.extra_ns : 0;
-  nodes_[op.node]->c2m.Enqueue(qp->flow_id(), hdr, [this, qp, bytes, op, spike, dup_lag] {
+  ReadLag lag;
+  if (v.action == FaultInjector::Action::kDelay ||
+      v.action == FaultInjector::Action::kDuplicate) {
+    lag.ns = v.extra_ns;
+    lag.duplicate = v.action == FaultInjector::Action::kDuplicate;
+  }
+  nodes_[op.node]->c2m.Enqueue(qp->flow_id(), params_.header_bytes,
+                               Stage([this, qp, bytes, op, lag] {
     // Compression (docs/QOS.md): the memory node compresses the payload
     // before it enters the wire, charged on the remote DMA timeline.
-    engine_->Schedule(params_.wire_latency_ns + DmaNs(op.node) + spike + CompressNs(bytes),
-                      [this, qp, bytes, op, dup_lag] {
+    engine_->Schedule(params_.wire_latency_ns + DmaNs(op.node) + lag.spike() + CompressNs(bytes),
+                      Stage([this, qp, bytes, op, dup_lag = lag.dup_lag()] {
                         DeliverReadPayload(qp, bytes, op.wr_id, op.node, op.cls, dup_lag);
-                      });
-  }, op.cls);
+                      }));
+  }), op.cls);
 }
 
 void RdmaFabric::DeliverReadPayload(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
                                     uint32_t node, TrafficClass cls, SimDuration dup_lag) {
   const uint32_t flow = qp->flow_id();
   const uint64_t hdr = params_.header_bytes;
-  auto final_done = [this, qp, wr_id, dup_lag, node] {
+  auto final_done = Stage([this, qp, wr_id, dup_lag, node] {
     engine_->Schedule(params_.wire_latency_ns + params_.cqe_deliver_ns,
-                      [this, qp, wr_id, dup_lag, node] {
+                      Stage([this, qp, wr_id, dup_lag, node] {
                         qp->Complete(wr_id, WorkType::kRead, CompletionStatus::kSuccess,
                                      node);
                         if (dup_lag > 0) {
@@ -240,10 +233,10 @@ void RdmaFabric::DeliverReadPayload(QueuePair* qp, uint64_t bytes, uint64_t wr_i
                                                       CompletionStatus::kSuccess, node});
                           });
                         }
-                      });
-  };
+                      }));
+  });
   if (!ChunkingApplies(bytes, cls)) {
-    nodes_[node]->m2c.Enqueue(flow, WireBytes(bytes) + hdr, std::move(final_done), cls);
+    nodes_[node]->m2c.Enqueue(flow, WireBytes(bytes) + hdr, final_done, cls);
     return;
   }
   // Critical-chunk-first (docs/QOS.md): the chunk holding the faulting
@@ -262,29 +255,42 @@ void RdmaFabric::DeliverReadPayload(QueuePair* qp, uint64_t bytes, uint64_t wr_i
                                                   node, /*partial=*/true});
                       });
   }, cls);
-  nodes_[node]->m2c.Enqueue(flow, WireBytes(bytes - chunk) + hdr, std::move(final_done),
+  nodes_[node]->m2c.Enqueue(flow, WireBytes(bytes - chunk) + hdr, final_done,
                             TrafficClass::kPrefetch);
 }
 
-void RdmaFabric::IssueReadBatch(QueuePair* qp, uint64_t bytes, const ReadBatch& batch) {
-  ADIOS_DCHECK(batch.size > 0);
+void RdmaFabric::IssueReadBatch(QueuePair* qp, uint64_t bytes, const ReadOp* ops,
+                                size_t size) {
+  uint32_t batch = 0;
+  if (free_batches_.empty()) {
+    batch = static_cast<uint32_t>(batch_pool_.size());
+    batch_pool_.emplace_back();
+  } else {
+    batch = free_batches_.back();
+    free_batches_.pop_back();
+  }
+  std::copy(ops, ops + size, batch_pool_[batch].ops.begin());
+  batch_pool_[batch].size = static_cast<uint32_t>(size);
   // One WQE-engine pass covers the whole batch (the doorbell amortization —
   // the doorbell itself is class-agnostic, so a mixed-class batch shares it);
   // the ops then enter the wire in posting order, demand READ first, each
   // paying its own link serialization, DMA, and CQE delivery on its own
   // traffic class.
-  wqe_engine_.Enqueue(qp->flow_id(), 0, [this, qp, bytes, batch] {
-    for (uint32_t i = 0; i < batch.size; ++i) {
-      IssueReadWire(qp, bytes, batch.ops[i]);
+  wqe_engine_.Enqueue(qp->flow_id(), 0, Stage([this, qp, bytes, batch] {
+    // Copy the batch out and free its pool entry before the wire stages run.
+    const ReadBatch b = batch_pool_[batch];
+    free_batches_.push_back(batch);
+    for (uint32_t i = 0; i < b.size; ++i) {
+      IssueReadWire(qp, bytes, b.ops[i]);
     }
-  }, batch.ops[0].cls);
+  }), ops[0].cls);
 }
 
 void RdmaFabric::IssueWrite(QueuePair* qp, uint64_t bytes, uint64_t wr_id, uint32_t node,
                             TrafficClass cls) {
-  wqe_engine_.Enqueue(qp->flow_id(), 0, [this, qp, bytes, wr_id, node, cls] {
+  wqe_engine_.Enqueue(qp->flow_id(), 0, Stage([this, qp, bytes, wr_id, node, cls] {
     IssueWriteWire(qp, bytes, wr_id, node, cls);
-  }, cls);
+  }), cls);
 }
 
 void RdmaFabric::IssueWriteWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
@@ -299,55 +305,30 @@ void RdmaFabric::IssueWriteWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
     return;
   }
   const SimDuration spike = v.action == FaultInjector::Action::kDelay ? v.extra_ns : 0;
-  const uint32_t flow = qp->flow_id();
-  nodes_[node]->c2m.Enqueue(flow, wire_bytes, [this, qp, flow, bytes, wr_id, node, cls,
-                                               spike] {
+  nodes_[node]->c2m.Enqueue(qp->flow_id(), wire_bytes,
+                            Stage([this, qp, bytes, wr_id, node, cls, spike] {
     engine_->Schedule(params_.wire_latency_ns + DmaNs(node) + spike + CompressNs(bytes),
-                      [this, qp, flow, wr_id, node, cls] {
+                      Stage([this, qp, wr_id, node, cls] {
                         // Small ack back to the requester.
-                        nodes_[node]->m2c.Enqueue(flow, params_.header_bytes,
-                                                  [this, qp, wr_id, node] {
+                        nodes_[node]->m2c.Enqueue(qp->flow_id(), params_.header_bytes,
+                                                  Stage([this, qp, wr_id, node] {
                           engine_->Schedule(
                               params_.wire_latency_ns + params_.cqe_deliver_ns,
                               [qp, wr_id, node] {
                                 qp->Complete(wr_id, WorkType::kWrite,
                                              CompletionStatus::kSuccess, node);
                               });
-                        }, cls);
-                      });
-  }, cls);
-}
-
-void RdmaFabric::IssueSend(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
-                           std::function<void()> on_delivered) {
-  const uint32_t flow = qp->flow_id();
-  const uint64_t hdr = params_.header_bytes;
-  wqe_engine_.Enqueue(flow, 0, [this, qp, flow, bytes, hdr, wr_id,
-                                on_delivered = std::move(on_delivered)]() mutable {
-    engine_->Schedule(params_.tx_dma_ns, [this, qp, flow, bytes, hdr, wr_id,
-                                          on_delivered = std::move(on_delivered)]() mutable {
-      client_tx_link_.Enqueue(flow, bytes + hdr,
-                            [this, qp, wr_id, on_delivered = std::move(on_delivered)]() mutable {
-                              // TX completion: last bit left the NIC.
-                              engine_->Schedule(params_.cqe_deliver_ns, [qp, wr_id] {
-                                qp->Complete(wr_id, WorkType::kSend);
-                              });
-                              // Receiver sees the packet one wire latency later.
-                              if (on_delivered) {
-                                engine_->Schedule(params_.client_wire_latency_ns,
-                                                  std::move(on_delivered));
-                              }
-                            });
-    });
-  });
+                        }), cls);
+                      }));
+  }), cls);
 }
 
 void RdmaFabric::ClientInject(uint64_t bytes, std::function<void()> deliver) {
   client_rx_link_.Enqueue(client_rx_flow_, bytes + params_.header_bytes,
-                          [this, deliver = std::move(deliver)]() mutable {
+                          Stage([this, deliver = std::move(deliver)]() mutable {
                             engine_->Schedule(params_.client_wire_latency_ns,
                                               std::move(deliver));
-                          });
+                          }));
 }
 
 void RdmaFabric::MarkUtilizationWindow() {

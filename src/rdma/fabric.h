@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/rdma/completion.h"
@@ -90,10 +92,18 @@ class QueuePair {
   bool PostWrite(uint64_t bytes, uint64_t wr_id, uint32_t node = 0,
                  TrafficClass cls = TrafficClass::kDemand);
 
-  // Raw-Ethernet transmit of `bytes` to the load generator. `on_wire_done`
-  // (optional) fires when the last bit leaves the NIC — the load-generator
-  // side then sees the packet one wire latency later.
-  bool PostSend(uint64_t bytes, uint64_t wr_id, std::function<void()> on_delivered = nullptr);
+  // The absent `on_delivered` of PostSend: no delivery event is scheduled.
+  struct NoDelivery {
+    void operator()() const {}
+  };
+
+  // Raw-Ethernet transmit of `bytes` to the load generator. `on_delivered`
+  // (optional; any callable invocable as on_delivered()) runs when the
+  // load-generator side sees the packet, one wire latency after its last
+  // bit leaves the NIC. A capture of up to 16 bytes keeps the whole send
+  // allocation-free.
+  template <typename F = NoDelivery>
+  bool PostSend(uint64_t bytes, uint64_t wr_id, F&& on_delivered = {});
 
   uint32_t outstanding() const { return outstanding_; }
   uint32_t depth() const { return depth_; }
@@ -221,18 +231,38 @@ class RdmaFabric {
     FaultInjector* injector = nullptr;
   };
 
-  // A doorbell batch carried through the WQE engine by value: inline
-  // storage, so posting a single READ allocates nothing beyond its event.
+  // A doorbell batch waiting for its WQE-engine pass. It lives in the
+  // fabric's batch pool and the engine stage captures only its index, so
+  // posting a batch allocates nothing once the pool is warm.
   struct ReadBatch {
     std::array<ReadOp, QueuePair::kMaxReadBatch> ops;
     uint32_t size = 0;
   };
 
-  void IssueSend(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
-                 std::function<void()> on_delivered);
-  // READs: one WQE-engine pass for the whole batch, then the wire stage of
-  // each op in posting order.
-  void IssueReadBatch(QueuePair* qp, uint64_t bytes, const ReadBatch& batch);
+  // A delivered READ's extra latency from its fault verdict, in one word: a
+  // delay spike before the remote DMA, or the lag of a duplicated final
+  // completion (the two verdicts are exclusive).
+  struct ReadLag {
+    uint64_t ns : 63 = 0;
+    uint64_t duplicate : 1 = 0;
+    SimDuration spike() const { return duplicate ? 0 : ns; }
+    SimDuration dup_lag() const { return duplicate ? ns : 0; }
+  };
+  static_assert(sizeof(ReadLag) == 8, "a READ's verdict lag is one word");
+
+  // Every stage of an op's pipeline keeps its capture within an engine
+  // slot's inline storage, so an op allocates nothing.
+  template <typename F>
+  static F&& Stage(F&& fn) {
+    static_assert(Engine::kFitsInline<std::decay_t<F>>, "fabric stage captures stay inline");
+    return std::forward<F>(fn);
+  }
+
+  template <typename F>
+  void IssueSend(QueuePair* qp, uint64_t bytes, uint64_t wr_id, F&& on_delivered);
+  // READs: one WQE-engine pass for the whole batch `ops[0, size)`, then the
+  // wire stage of each op in posting order.
+  void IssueReadBatch(QueuePair* qp, uint64_t bytes, const ReadOp* ops, size_t size);
   // The READ wire stage (c2m onward), entered as the op leaves the WQE
   // engine: draws the node's verdict, then request header -> remote DMA ->
   // payload delivery, or the verdict's drop/NAK.
@@ -295,9 +325,45 @@ class RdmaFabric {
   uint32_t client_rx_flow_;
   std::vector<std::unique_ptr<CompletionQueue>> cqs_;
   std::vector<std::unique_ptr<QueuePair>> qps_;
+  std::vector<ReadBatch> batch_pool_;    // Batches in their WQE-engine pass.
+  std::vector<uint32_t> free_batches_;  // Free batch_pool_ indices.
   std::function<void(uint64_t, uint32_t, WorkType)> corrupt_hook_;
   Tracer* tracer_ = nullptr;
 };
+
+template <typename F>
+bool QueuePair::PostSend(uint64_t bytes, uint64_t wr_id, F&& on_delivered) {
+  if (full()) {
+    return false;
+  }
+  ++outstanding_;
+  ++posted_sends_;
+  fabric_->IssueSend(this, bytes, wr_id, std::forward<F>(on_delivered));
+  return true;
+}
+
+template <typename F>
+void RdmaFabric::IssueSend(QueuePair* qp, uint64_t bytes, uint64_t wr_id, F&& on_delivered) {
+  using Fn = std::decay_t<F>;
+  wqe_engine_.Enqueue(
+      qp->flow_id(), 0,
+      Stage([this, qp, bytes, wr_id, on_delivered = Fn(std::forward<F>(on_delivered))]() mutable {
+        engine_->Schedule(params_.tx_dma_ns, Stage([this, qp, bytes, wr_id,
+                                                    on_delivered = std::move(on_delivered)]() mutable {
+          client_tx_link_.Enqueue(
+              qp->flow_id(), bytes + params_.header_bytes,
+              Stage([this, qp, wr_id, on_delivered = std::move(on_delivered)]() mutable {
+                // TX completion: last bit left the NIC.
+                engine_->Schedule(params_.cqe_deliver_ns,
+                                  [qp, wr_id] { qp->Complete(wr_id, WorkType::kSend); });
+                // Receiver sees the packet one wire latency later.
+                if constexpr (!std::is_same_v<Fn, QueuePair::NoDelivery>) {
+                  engine_->Schedule(params_.client_wire_latency_ns, std::move(on_delivered));
+                }
+              }));
+        }));
+      }));
+}
 
 }  // namespace adios
 

@@ -15,21 +15,21 @@ void FairLink::EnableClasses(uint32_t num_classes,
     // forever; every class must accrue credit each round.
     weights_[c] = std::max<uint32_t>(1, weights_[c]);
   }
-  class_flows_.assign(num_classes_, std::vector<std::deque<Item>>(num_flows_));
+  class_flows_.assign(num_classes_, std::vector<Fifo<Item>>(num_flows_));
   class_active_.assign(num_classes_, {});
   deficit_.assign(num_classes_, 0);
   class_queued_.assign(num_classes_, 0);
   scan_class_ = 0;
 }
 
-void FairLink::Enqueue(uint32_t flow, uint64_t bytes, DoneFn done, TrafficClass cls) {
+void FairLink::EnqueueParked(uint32_t flow, uint64_t bytes, uint32_t done, TrafficClass cls) {
   ADIOS_CHECK(flow < num_flows_);
   const auto own = static_cast<uint32_t>(cls);
   // Fold overflow classes onto the lowest-priority queue.
   const uint32_t q = std::min(own, num_classes_ - 1);
   auto& fq = class_flows_[q][flow];
   const bool was_empty = fq.empty();
-  fq.push_back(Item{bytes, std::move(done), cls});
+  fq.push_back(Item{bytes, done, cls});
   ++total_queued_;
   ++class_queued_[q];
   class_enq_bytes_[own] += bytes;
@@ -66,7 +66,7 @@ FairLink::Item FairLink::PopNext(uint32_t* queue_out) {
     }
     deficit_[c] -= head_bytes;
     class_active_[c].pop_front();
-    Item item = std::move(class_flows_[c][flow].front());
+    const Item item = class_flows_[c][flow].front();
     class_flows_[c][flow].pop_front();
     --class_queued_[c];
     if (discipline_ == Discipline::kRoundRobin && !class_flows_[c][flow].empty()) {
@@ -90,15 +90,15 @@ void FairLink::StartNext() {
     return;
   }
   uint32_t queue = 0;
-  Item item = PopNext(&queue);
+  const Item item = PopNext(&queue);
   if (dequeue_hook_) {
     dequeue_hook_(queue, item.bytes);
   }
   --total_queued_;
-  ServeItem(std::move(item));
+  ServeItem(item);
 }
 
-void FairLink::ServeItem(Item item) {
+void FairLink::ServeItem(const Item& item) {
   busy_ = true;
   SimDuration service = fixed_ns_;
   if (gbps_ > 0.0) {
@@ -106,10 +106,10 @@ void FairLink::ServeItem(Item item) {
   }
   total_bytes_ += item.bytes;
   ++total_items_;
-  engine_->Schedule(service, [this, done = std::move(item.done)]() mutable {
+  engine_->Schedule(service, [this, done = item.done] {
     busy_ = false;
     // Deliver before starting the next item so completion order is stable.
-    done();
+    engine_->RunParked(done);
     if (!busy_) {
       StartNext();
     }

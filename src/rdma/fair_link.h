@@ -21,12 +21,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/base/fifo.h"
 #include "src/rdma/params.h"
 #include "src/sim/engine.h"
 
@@ -34,7 +35,6 @@ namespace adios {
 
 class FairLink {
  public:
-  using DoneFn = std::function<void()>;
   // Observes every class-scheduler grant: (class, bytes). Installed by the
   // fabric on multi-class links to emit kClassDequeue trace events.
   using DequeueHook = std::function<void(uint32_t cls, uint64_t bytes)>;
@@ -71,11 +71,16 @@ class FairLink {
     return num_flows_++;
   }
 
-  // Queues an item for `flow`. `done` runs when the item finishes service.
-  // `cls` selects the class queue; classes beyond num_classes() fold onto
-  // the lowest-priority queue.
-  void Enqueue(uint32_t flow, uint64_t bytes, DoneFn done,
-               TrafficClass cls = TrafficClass::kDemand);
+  // Queues an item for `flow`. `done`, any callable invocable as done(),
+  // runs when the item finishes service; it waits parked in an engine slot
+  // (Engine::Park), so a capture that fits the slot's inline storage costs
+  // no allocation. `cls` selects the class queue; classes beyond
+  // num_classes() fold onto the lowest-priority queue.
+  template <typename F>
+  void Enqueue(uint32_t flow, uint64_t bytes, F&& done,
+               TrafficClass cls = TrafficClass::kDemand) {
+    EnqueueParked(flow, bytes, engine_->Park(std::forward<F>(done)), cls);
+  }
 
   size_t QueuedFor(uint32_t flow) const {
     ADIOS_DCHECK(flow < num_flows_);
@@ -112,17 +117,20 @@ class FairLink {
   double WindowUtilization() const;
 
  private:
+  // A queued item; its completion waits in engine slot `done`.
   struct Item {
-    uint64_t bytes = 0;
-    DoneFn done;
-    TrafficClass cls = TrafficClass::kDemand;
+    uint64_t bytes;
+    uint32_t done;
+    TrafficClass cls;
   };
+  static_assert(sizeof(Item) == 16, "link items stay 16-byte PODs");
 
+  void EnqueueParked(uint32_t flow, uint64_t bytes, uint32_t done, TrafficClass cls);
   void StartNext();
   // WDRR scan: picks the next (class queue, flow) to serve and pops its head
   // item. Returns the serving queue via `queue_out`.
   Item PopNext(uint32_t* queue_out);
-  void ServeItem(Item item);
+  void ServeItem(const Item& item);
 
   Engine* engine_;
   std::string name_;
@@ -144,10 +152,10 @@ class FairLink {
   static constexpr uint64_t kQuantumBytes = 4096;
   uint32_t num_classes_ = 0;
   std::array<uint32_t, kNumTrafficClasses> weights_ = {1, 1, 1};
-  // class_flows_[q][flow] holds one deque per (class queue, flow);
+  // class_flows_[q][flow] holds one FIFO per (class queue, flow);
   // class_active_[q] is the queue's round-robin (or FIFO) flow order.
-  std::vector<std::vector<std::deque<Item>>> class_flows_;
-  std::vector<std::deque<uint32_t>> class_active_;
+  std::vector<std::vector<Fifo<Item>>> class_flows_;
+  std::vector<Fifo<uint32_t>> class_active_;
   std::vector<uint64_t> deficit_;
   std::vector<size_t> class_queued_;
   uint32_t scan_class_ = 0;

@@ -16,7 +16,8 @@ Dispatcher::Dispatcher(Engine* engine, CpuCore* core, UnithreadPool* pool, Compl
       cfg_(config),
       on_drop_(std::move(on_drop)),
       rx_ring_(config.rx_ring_size),
-      events_(engine) {
+      events_(engine),
+      cq_batch_(config.cq_poll_batch) {
   ADIOS_CHECK(!workers_.empty());
   cq_->set_on_push([this] { events_.NotifyAll(); });
 }
@@ -78,7 +79,7 @@ void Dispatcher::Loop() {
 
 size_t Dispatcher::RecycleTxCompletions() {
   size_t total = 0;
-  std::vector<Completion> batch(cfg_.cq_poll_batch);
+  std::vector<Completion>& batch = cq_batch_;
   for (;;) {
     const size_t n = cq_->Poll(batch.size(), batch.begin());
     if (n == 0) {

@@ -87,6 +87,9 @@ class Dispatcher {
   WaitQueue events_;
   uint32_t rr_cursor_ = 0;
   std::vector<Worker*> idle_scratch_;
+  // RecycleTxCompletions' poll buffer, reused by every poll: the dispatcher
+  // fiber is this CQ's only poller, and it never polls re-entrantly.
+  std::vector<Completion> cq_batch_;
   Stats stats_;
 };
 

@@ -24,6 +24,7 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
       client_cq_wait_(engine),
       prefetcher_(MakePrefetcher(config.prefetch_policy, config.prefetch_window,
                                  config.prefetch_history, static_cast<uint16_t>(index))),
+      cq_batch_(config.cq_poll_batch),
       rng_(config.seed * 7919 + index),
       tracker_(engine) {
   mem_qp_->cq()->set_on_push([this] {
@@ -195,9 +196,8 @@ void Worker::FinishRequest(RunItem* item) {
   core_->Consume(cfg_.tx_post_cycles);
 
   const uint32_t buffer_index = item->ctx()->id;
-  Request* reqp = req;
-  auto on_delivered = [cb = on_reply_, reqp] { cb(reqp); };
-  while (!client_qp_->PostSend(req->reply_bytes, buffer_index, on_delivered)) {
+  while (!client_qp_->PostSend(req->reply_bytes, buffer_index,
+                               [this, req] { on_reply_(req); })) {
     // Client QP saturated; retry shortly (outstanding drains by itself).
     engine_->Wait(200);
   }
@@ -215,7 +215,7 @@ void Worker::FinishRequest(RunItem* item) {
     const uint64_t busy0 = core_->busy_ns();
     CompletionQueue* cq = client_qp_->cq();
     bool seen = false;
-    std::vector<Completion> batch(cfg_.cq_poll_batch);
+    std::vector<Completion>& batch = cq_batch_;
     while (!seen) {
       const size_t n = cq->Poll(batch.size(), batch.begin());
       if (n == 0) {
@@ -546,7 +546,7 @@ void Worker::PostFaultReads(uint64_t vpage) {
 size_t Worker::DrainMemCq() {
   CompletionQueue* cq = mem_qp_->cq();
   size_t total = 0;
-  std::vector<Completion> batch(cfg_.cq_poll_batch);
+  std::vector<Completion>& batch = cq_batch_;
   for (;;) {
     const size_t n = cq->Poll(batch.size(), batch.begin());
     if (n == 0) {

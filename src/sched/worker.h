@@ -201,6 +201,14 @@ class Worker final : public WorkerApi {
   std::unique_ptr<Prefetcher> prefetcher_;
   std::vector<uint64_t> prefetch_scratch_;
   std::vector<ReadOp> batch_ops_;  // Scratch for doorbell-batched posts.
+  // The poll buffer of DrainMemCq and of FinishRequest's synchronous-TX
+  // wait. Each of this worker's CQs has exactly one poller, this worker, and
+  // its polls never nest: they run on the worker fiber or on one of its
+  // unithreads, and while one of them is suspended inside a poll (a cycle
+  // charge or a CQ wait) the core runs nothing else of this worker, since
+  // only the worker fiber starts or resumes its unithreads, and no waiter
+  // callback polls.
+  std::vector<Completion> cq_batch_;
   Rng rng_;
   OpTracker tracker_;  // This QP's fetches.
 

@@ -18,13 +18,16 @@ void Fiber::Entry(void* arg) {
 
 Engine::Engine() = default;
 
-// Pending callables own their captures (a heap-fallback capture owns heap
-// memory), so every queued slot is dropped here, cancelled ones included.
+// Queued and parked callables own their captures (a heap-fallback capture
+// owns heap memory), so every live slot is dropped here, cancelled ones
+// included; a free slot's `drop` is null.
 Engine::~Engine() {
-  for (const HeapKey& key : heap_) {
-    Slot& s = SlotAt(key.slot);
-    if (s.drop != nullptr) {
-      s.drop(s);
+  for (const auto& chunk : chunks_) {
+    for (uint32_t i = 0; i <= kChunkMask; ++i) {
+      Slot& s = chunk[i];
+      if (s.drop != nullptr) {
+        s.drop(s);
+      }
     }
   }
 }
@@ -35,36 +38,11 @@ void Engine::GrowSlab() {
   chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(n));
   Slot* chunk = chunks_.back().get();
   for (uint32_t i = 0; i < n; ++i) {
+    chunk[i].drop = nullptr;
     chunk[i].generation = 0;
     chunk[i].next_free = i + 1 < n ? base + i + 1 : kNoSlot;
   }
   free_head_ = base;
-}
-
-// Sift-down from the root with the last key as the filler.
-void Engine::PopKey() {
-  const HeapKey last = heap_.back();
-  heap_.pop_back();
-  const size_t n = heap_.size();
-  if (n == 0) {
-    return;
-  }
-  size_t hole = 0;
-  for (;;) {
-    size_t child = 2 * hole + 1;
-    if (child >= n) {
-      break;
-    }
-    if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) {
-      ++child;
-    }
-    if (!Earlier(heap_[child], last)) {
-      break;
-    }
-    heap_[hole] = heap_[child];
-    hole = child;
-  }
-  heap_[hole] = last;
 }
 
 void Engine::Run() { RunUntil(~0ull); }
@@ -75,39 +53,49 @@ void Engine::RunUntil(SimTime until) {
   running_ = true;
   stopped_ = false;
   until_ = until;
-  while (!heap_.empty() && !stopped_) {
-    const HeapKey top = heap_.front();
-    if (top.when > until) {
-      now_ = until;
-      running_ = false;
-      return;
+  while (!stopped_) {
+    SimTime when = 0;
+    if (summary_ != 0) {
+      when = BucketTime(NextBucket());
+    } else if (!far_.empty()) {
+      when = far_.front().when;  // AdvanceTo below moves it into its bucket.
+    } else {
+      break;
     }
-    PopKey();
-    ADIOS_DCHECK(top.when >= now_);
-    now_ = top.when;
-    Slot& s = SlotAt(top.slot);
+    if (when > until) {
+      break;
+    }
+    AdvanceTo(when);
+    const uint32_t slot = WheelPop(static_cast<uint32_t>(when) & kWheelMask);
+    Slot& s = SlotAt(slot);
     if (s.cancelled) {
       if (s.drop != nullptr) {
         s.drop(s);
       }
-      ReleaseSlot(top.slot);
+      ReleaseSlot(slot);
       continue;
     }
     ++s.generation;  // Fired events are no longer pending.
     ++events_processed_;
     if (UnithreadContext* ctx = s.resume) {
-      ReleaseSlot(top.slot);
+      ReleaseSlot(slot);
       ctx->state = ContextState::kRunning;
       RawSwitch(current_, ctx);
     } else {
       // The slot stays taken while the callable runs in place; it may
       // schedule more events, which only ever take other slots.
       s.call(s);
-      ReleaseSlot(top.slot);
+      ReleaseSlot(slot);
     }
   }
-  if (until != ~0ull && now_ < until) {
-    now_ = until;
+  // A bounded run ends with the clock at the horizon, but never past a
+  // queued event (a Stop() can leave some before the horizon).
+  if (until != ~0ull) {
+    const SimTime next = NextWhen();
+    const SimTime end = next < until ? next : until;
+    if (end > now_) {
+      AdvanceTo(end);
+    }
   }
   running_ = false;
 }
@@ -122,12 +110,11 @@ Fiber* Engine::SpawnFiber(std::string name, std::function<void()> fn, size_t sta
 void Engine::Wait(SimDuration d) {
   ADIOS_CHECK(!on_main());
   const SimTime when = now_ + d;
-  if (running_ && !stopped_ && when <= until_ &&
-      (heap_.empty() || when < heap_.front().when)) {
+  if (running_ && !stopped_ && when <= until_ && when < NextWhen()) {
     // Next in line: the resume event would be popped right away, so account
     // for it (sequence number, event count) and skip the round trip.
-    now_ = when;
     ++next_seq_;
+    AdvanceTo(when);
     ++events_processed_;
     return;
   }

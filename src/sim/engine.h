@@ -6,16 +6,33 @@
 // callbacks or as *fibers*: real unithread contexts that can suspend at a
 // simulated time (`Wait`) or until another actor resumes them.
 //
-// Event storage: the queue is a binary heap of 24-byte keys {when, seq,
-// slot}; `seq` is the insertion counter that breaks time ties. Each key names
-// a slot in a chunked slab whose addresses never move, so a callback runs in
-// place even when it schedules more events. A slot holds the callable in 48
-// bytes of inline storage (a larger capture falls back to the heap), or, for
-// a *resume event*, just the UnithreadContext to switch to. Fired and
-// cancelled slots return to a free list, so the slab stays as deep as the
-// queue. An EventHandle names {slot, generation}; the generation moves on
-// when the event fires or is cancelled, so a stale handle cannot touch a
-// reused slot.
+// Event storage: every event lives in a slot of a chunked slab whose
+// addresses never move, so a callback runs in place even when it schedules
+// more events. A slot holds the callable in 48 bytes of inline storage (a
+// larger capture falls back to the heap), or, for a *resume event*, just the
+// UnithreadContext to switch to. Fired and cancelled slots return to a free
+// list, so the slab stays as deep as the queue. An EventHandle names {slot,
+// generation}; the generation moves on when the event fires or is
+// cancelled, so a stale handle cannot touch a reused slot.
+//
+// The queue is a time wheel of 4096 one-nanosecond buckets covering
+// [now, now + 4096). All events in a bucket share one instant, and each
+// bucket is a FIFO chain threaded through the slots' `next_free` links, so
+// push order is firing order within an instant. A 64-word occupancy bitmap
+// plus one summary word finds the next non-empty bucket in O(1). Events 4096
+// ns or more out wait in a small binary heap of 24-byte keys {when, seq,
+// slot}, where `seq` is the insertion counter. The invariant that keeps the
+// order exact: whenever the clock advances (an event pop, the RunUntil
+// horizon exit, a next-in-line Wait), far events that entered the window
+// move into their buckets in (when, seq) order *before* anything can push
+// to those buckets directly. A far event is always older than any direct
+// push to its instant, so each bucket stays in sequence order.
+//
+// Parked callables: Park() moves a callable into a slot without queueing
+// it, and RunParked()/DropParked() later run or destroy it. FairLink parks
+// each item's completion there, so its queues hold 16-byte PODs. The engine
+// owns every parked callable: its destructor drops those still parked, with
+// the queued ones.
 //
 // Typed resumes: Wait(), ResumeLater() and a fiber's first run push a resume
 // event, dispatched as `state = kRunning; RawSwitch(current, ctx)` with no
@@ -39,6 +56,8 @@
 #ifndef ADIOS_SRC_SIM_ENGINE_H_
 #define ADIOS_SRC_SIM_ENGINE_H_
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -138,6 +157,38 @@ class Engine {
     return EventHandle(this, PushCallable(now_ + delay, std::forward<F>(fn)));
   }
 
+  // --- Parked callables ---
+  //
+  // Park() moves `fn` into an event slot without queueing it and returns the
+  // slot. Exactly one RunParked() (runs it in place, then frees the slot) or
+  // DropParked() (destroys it unrun) must follow, unless the engine is
+  // destroyed first, which drops it. Parking takes no sequence number.
+  template <typename F>
+  uint32_t Park(F&& fn) {
+    const uint32_t slot = AllocSlot();
+    EmplaceCallable(SlotAt(slot), std::forward<F>(fn));
+    return slot;
+  }
+  void RunParked(uint32_t slot) {
+    Slot& s = SlotAt(slot);
+    s.call(s);
+    ReleaseSlot(slot);
+  }
+  void DropParked(uint32_t slot) {
+    Slot& s = SlotAt(slot);
+    if (s.drop != nullptr) {
+      s.drop(s);
+    }
+    ReleaseSlot(slot);
+  }
+
+  // True when a callable of type Fn fits a slot's inline storage, so
+  // scheduling or parking it allocates nothing.
+  static constexpr size_t kInlineBytes = 48;
+  static constexpr size_t kInlineAlign = alignof(std::max_align_t);
+  template <typename Fn>
+  static constexpr bool kFitsInline = sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign;
+
   // Runs events until the queue empties or Stop() is called.
   ADIOS_MAY_SUSPEND void Run();
   // Runs events with time <= until; leaves later events queued and sets
@@ -208,37 +259,46 @@ class Engine {
   static constexpr size_t kDefaultFiberStack = 256 * 1024;
 
  private:
-  static constexpr size_t kInlineBytes = 48;
-  static constexpr size_t kInlineAlign = alignof(std::max_align_t);
   static constexpr uint32_t kNoSlot = ~0u;
   static constexpr uint32_t kChunkShift = 8;  // 256 slots per slab chunk.
   static constexpr uint32_t kChunkMask = (1u << kChunkShift) - 1;
+  static constexpr uint32_t kWheelSlots = 4096;  // One-nanosecond buckets.
+  static constexpr uint32_t kWheelMask = kWheelSlots - 1;
+  static constexpr uint32_t kWheelWords = kWheelSlots / 64;
+  static_assert(kWheelWords == 64, "one summary word covers the occupancy bitmap");
 
-  // One queued event. Exactly one of `call` (a callback) and `resume` (a
-  // typed resume) is set while the slot is queued.
+  // One event slot. A queued slot holds exactly one of `call` (a callback)
+  // and `resume` (a typed resume); a parked slot holds a callback.
   struct Slot {
     alignas(kInlineAlign) std::byte storage[kInlineBytes];
     void (*call)(Slot&);  // Runs the callable, then destroys it.
-    void (*drop)(Slot&);  // Destroys it unrun; null when that is a no-op.
+    void (*drop)(Slot&);  // Destroys it unrun; null for a no-op or a free slot.
     UnithreadContext* resume;
     uint32_t generation;
-    uint32_t next_free;  // Free-list link while the slot is unused.
+    uint32_t next_free;  // Free-list link, or the next slot in a wheel bucket.
     bool cancelled;
   };
 
-  struct HeapKey {
+  // A far-heap key; `seq` is the insertion counter that breaks time ties.
+  struct FarKey {
     SimTime when;
     uint64_t seq;
     uint32_t slot;
   };
-  static_assert(sizeof(HeapKey) == 24, "heap keys stay 24-byte PODs");
+  static_assert(sizeof(FarKey) == 24, "far-heap keys stay 24-byte PODs");
 
-  static bool Earlier(const HeapKey& a, const HeapKey& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  // The far heap is a std max-heap under this order, so its front is the
+  // earliest key; keys are unique, so the pop order is fully determined.
+  static bool Later(const FarKey& a, const FarKey& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
   }
 
-  template <typename Fn>
-  static constexpr bool kFitsInline = sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign;
+  // A wheel bucket's FIFO chain; meaningful only while its occupancy bit is
+  // set.
+  struct Bucket {
+    uint32_t head;
+    uint32_t tail;
+  };
 
   template <typename Fn>
   static Fn& Inline(Slot& s) {
@@ -303,28 +363,25 @@ class Engine {
     s.cancelled = false;
     return slot;
   }
+  // A free slot's `drop` is null, so the destructor can sweep the slab.
   void ReleaseSlot(uint32_t slot) {
-    SlotAt(slot).next_free = free_head_;
+    Slot& s = SlotAt(slot);
+    s.drop = nullptr;
+    s.next_free = free_head_;
     free_head_ = slot;
   }
   void GrowSlab();
 
-  // Sift-up insert; the key takes the next sequence number.
+  // Queues `slot` at `when`; it takes the next sequence number.
   void PushKey(SimTime when, uint32_t slot) {
-    const HeapKey key{when, next_seq_++, slot};
-    size_t hole = heap_.size();
-    heap_.push_back(key);
-    while (hole > 0) {
-      const size_t parent = (hole - 1) / 2;
-      if (!Earlier(key, heap_[parent])) {
-        break;
-      }
-      heap_[hole] = heap_[parent];
-      hole = parent;
+    const uint64_t seq = next_seq_++;
+    if (when - now_ < kWheelSlots) {
+      WheelAppend(static_cast<uint32_t>(when) & kWheelMask, slot);
+    } else {
+      far_.push_back(FarKey{when, seq, slot});
+      std::push_heap(far_.begin(), far_.end(), Later);
     }
-    heap_[hole] = key;
   }
-  void PopKey();
   void PushResume(SimTime when, UnithreadContext* ctx) {
     const uint32_t slot = AllocSlot();
     Slot& s = SlotAt(slot);
@@ -334,14 +391,84 @@ class Engine {
     PushKey(when, slot);
   }
 
+  void WheelAppend(uint32_t bucket, uint32_t slot) {
+    uint64_t& word = occupied_[bucket >> 6];
+    const uint64_t bit = uint64_t{1} << (bucket & 63);
+    Bucket& b = buckets_[bucket];
+    if ((word & bit) != 0) {
+      SlotAt(b.tail).next_free = slot;
+      b.tail = slot;
+    } else {
+      b.head = slot;
+      b.tail = slot;
+      word |= bit;
+      summary_ |= uint64_t{1} << (bucket >> 6);
+    }
+  }
+  uint32_t WheelPop(uint32_t bucket) {
+    Bucket& b = buckets_[bucket];
+    const uint32_t slot = b.head;
+    if (slot != b.tail) {
+      b.head = SlotAt(slot).next_free;
+      return slot;
+    }
+    uint64_t& word = occupied_[bucket >> 6];
+    word &= ~(uint64_t{1} << (bucket & 63));
+    if (word == 0) {
+      summary_ &= ~(uint64_t{1} << (bucket >> 6));
+    }
+    return slot;
+  }
+  // The bucket of the earliest wheel event: the first occupied one at or
+  // after now()'s, wrapping around. Requires a non-empty wheel.
+  uint32_t NextBucket() const {
+    const uint32_t start = static_cast<uint32_t>(now_) & kWheelMask;
+    const uint32_t w = start >> 6;
+    const uint64_t here = occupied_[w] & (~uint64_t{0} << (start & 63));
+    if (here != 0) {
+      return (w << 6) | static_cast<uint32_t>(__builtin_ctzll(here));
+    }
+    const uint64_t later = summary_ & (~uint64_t{1} << w);
+    const auto nw = static_cast<uint32_t>(__builtin_ctzll(later != 0 ? later : summary_));
+    return (nw << 6) | static_cast<uint32_t>(__builtin_ctzll(occupied_[nw]));
+  }
+  // Every wheel event lies in [now, now + kWheelSlots).
+  SimTime BucketTime(uint32_t bucket) const {
+    return now_ + ((bucket - static_cast<uint32_t>(now_)) & kWheelMask);
+  }
+  // Time of the earliest queued event, cancelled ones included; ~0 when the
+  // queue is empty. Wheel events all precede far ones.
+  SimTime NextWhen() const {
+    if (summary_ != 0) {
+      return BucketTime(NextBucket());
+    }
+    return far_.empty() ? ~SimTime{0} : far_.front().when;
+  }
+  // Moves the clock to `t`, then moves far events that entered the window
+  // into their buckets in (when, seq) order: before anything else can push
+  // to those buckets, so each bucket stays in sequence order.
+  void AdvanceTo(SimTime t) {
+    ADIOS_DCHECK(t >= now_);
+    now_ = t;
+    while (!far_.empty() && far_.front().when - t < kWheelSlots) {
+      const FarKey key = far_.front();
+      std::pop_heap(far_.begin(), far_.end(), Later);
+      far_.pop_back();
+      WheelAppend(static_cast<uint32_t>(key.when) & kWheelMask, key.slot);
+    }
+  }
+
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   bool stopped_ = false;
   bool running_ = false;
   SimTime until_ = 0;  // Horizon of the running RunUntil.
-  std::vector<HeapKey> heap_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
+  uint64_t summary_ = 0;                          // Bit w: occupied_[w] != 0.
+  std::array<uint64_t, kWheelWords> occupied_{};  // Bit b: bucket b is non-empty.
+  std::array<Bucket, kWheelSlots> buckets_;
+  std::vector<FarKey> far_;  // Heap on (when, seq), earliest first.
   uint32_t free_head_ = kNoSlot;
   UnithreadContext main_ctx_;
   UnithreadContext* current_ = &main_ctx_;

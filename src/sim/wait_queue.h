@@ -7,9 +7,8 @@
 #ifndef ADIOS_SRC_SIM_WAIT_QUEUE_H_
 #define ADIOS_SRC_SIM_WAIT_QUEUE_H_
 
-#include <deque>
-
 #include "src/base/annotations.h"
+#include "src/base/fifo.h"
 #include "src/sim/engine.h"
 
 namespace adios {
@@ -48,7 +47,7 @@ class WaitQueue {
 
  private:
   Engine* engine_;
-  std::deque<UnithreadContext*> waiters_;
+  Fifo<UnithreadContext*> waiters_;
 };
 
 }  // namespace adios

@@ -179,9 +179,11 @@ void TsanStartSwitch(const void* from_key, bool from_dying, const void* to_key) 
   }
   if (from_dying) {
     // Only Reset() contexts die, so the handle is always ours to destroy.
+    // The entry stays, holding no handle: pooled contexts are Reset() again
+    // under the same key, so a warm run adds no map node per unithread.
     ADIOS_CHECK(from->second.created);
     g_tsan_pending_destroy = from->second.handle;
-    fibers.erase(from);
+    from->second = TsanFiber{nullptr, false};
   }
   auto to = fibers.find(to_key);
   // Every switch target was either Reset() (fresh fiber) or previously

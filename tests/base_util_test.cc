@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "src/base/fifo.h"
 #include "src/base/lazy_mapping.h"
 #include "src/base/ring_buffer.h"
 #include "src/base/stats.h"
@@ -48,6 +49,29 @@ TEST(RingBuffer, ClearEmpties) {
   EXPECT_TRUE(rb.empty());
   EXPECT_TRUE(rb.PushBack(9));
   EXPECT_EQ(rb.Front(), 9);
+}
+
+// Growth happens with the ring wrapped (head mid-buffer), so the copy must
+// unwrap it; order survives every doubling.
+TEST(Fifo, KeepsOrderAcrossWrapsAndGrowth) {
+  Fifo<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 3 + 5 * round; ++i) {
+      q.push_back(next_in++);
+    }
+    for (int i = 0; i < 2 + 4 * round; ++i) {
+      ASSERT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+  }
+  EXPECT_EQ(q.size(), static_cast<size_t>(next_in - next_out));
+  while (!q.empty()) {
+    ASSERT_EQ(q.front(), next_out++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
 }
 
 TEST(LazyMapping, PageAlignedZeroFilledAndMoveOnly) {

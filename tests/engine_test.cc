@@ -4,10 +4,12 @@
 
 #include <functional>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/rng.h"
 #include "src/sim/cpu_core.h"
 #include "src/sim/wait_queue.h"
 
@@ -479,6 +481,269 @@ TEST(Engine, DeterministicAcrossRuns) {
     return hash;
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Time-wheel queue: near events in 1-ns buckets, far events (4096 ns or
+// more out) in a heap until the clock brings them into the window. ---
+
+// A reference queue for differential tests: every engine push (Schedule,
+// Wait, SpawnFiber) is mirrored here in the same order, so its insertion
+// counter is the engine's sequence number, and every firing must be the
+// reference's earliest live (when, seq) entry.
+class OrderOracle {
+ public:
+  explicit OrderOracle(Engine* e) : e_(e) {}
+
+  // Mirrors one engine push at `when`; returns the entry's id.
+  int Expect(SimTime when) {
+    const int id = static_cast<int>(cancelled_.size());
+    queue_.push(Entry{when, seq_++, id});
+    cancelled_.push_back(false);
+    return id;
+  }
+  void Cancel(int id) { cancelled_[id] = true; }
+
+  // Checks that `id` is the reference's next live entry, due now.
+  void Fired(int id) {
+    SkipCancelled();
+    ASSERT_FALSE(queue_.empty());
+    EXPECT_EQ(queue_.top().id, id);
+    EXPECT_EQ(queue_.top().when, e_->now());
+    queue_.pop();
+    ++fired_;
+  }
+  // Earliest live entry's time; ~0 when none is left.
+  SimTime NextLive() {
+    SkipCancelled();
+    return queue_.empty() ? ~SimTime{0} : queue_.top().when;
+  }
+  uint64_t fired() const { return fired_; }
+
+ private:
+  struct Entry {
+    SimTime when;
+    uint64_t seq;
+    int id;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+  void SkipCancelled() {
+    while (!queue_.empty() && cancelled_[queue_.top().id]) {
+      queue_.pop();
+    }
+  }
+
+  Engine* e_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<bool> cancelled_;
+  uint64_t seq_ = 0;
+  uint64_t fired_ = 0;
+};
+
+// The delay mix the wheel must order exactly: zero, near, the window edge
+// (4095 / 4096 / 4097), and far (10-100 us).
+SimDuration DrawDelay(Rng& rng) {
+  switch (rng.NextBelow(8)) {
+    case 0:
+      return 0;
+    case 1:
+      return 4095 + rng.NextBelow(3);
+    case 2:
+      return rng.NextInRange(10'000, 100'000);
+    default:
+      return rng.NextInRange(1, 4095);
+  }
+}
+
+// About 100k seeded operations (pushes, near and far cancels, RunUntil
+// horizons, fiber Waits) fire in exactly the reference queue's order.
+TEST(EngineWheel, MatchesAReferenceQueueOnRandomOperations) {
+  constexpr uint64_t kOps = 100'000;
+  Engine e;
+  OrderOracle oracle(&e);
+  Rng rng(20'250'417);
+  uint64_t ops = 0;
+  std::vector<std::pair<int, Engine::EventHandle>> handles;
+
+  std::function<void()> schedule_one;
+  auto on_fire = [&](int id) {
+    oracle.Fired(id);
+    // Keep about 64 events queued while the budget lasts.
+    const uint64_t pushes = rng.NextBelow(3);
+    for (uint64_t i = 0; i < pushes && ops < kOps; ++i) {
+      schedule_one();
+    }
+    if (!handles.empty() && rng.NextBelow(4) == 0) {
+      auto& [hid, h] = handles[rng.NextBelow(handles.size())];
+      if (h.pending()) {
+        h.Cancel();
+        oracle.Cancel(hid);
+        ++ops;
+      }
+    }
+  };
+  schedule_one = [&] {
+    ++ops;
+    const SimDuration d = DrawDelay(rng);
+    const int id = oracle.Expect(e.now() + d);
+    if (rng.NextBelow(3) == 0) {
+      handles.emplace_back(id, e.ScheduleCancellable(d, [&on_fire, id] { on_fire(id); }));
+      if (handles.size() > 256) {
+        handles.erase(handles.begin(), handles.begin() + 128);
+      }
+    } else {
+      e.Schedule(d, [&on_fire, id] { on_fire(id); });
+    }
+  };
+
+  bool done = false;
+  for (int f = 0; f < 3; ++f) {
+    const int spawn_id = oracle.Expect(e.now());
+    e.SpawnFiber("waiter", [&, spawn_id] {
+      oracle.Fired(spawn_id);
+      while (!done) {
+        ++ops;
+        const SimDuration d = DrawDelay(rng);
+        const int id = oracle.Expect(e.now() + d);
+        e.Wait(d);
+        oracle.Fired(id);
+      }
+    });
+  }
+  for (int i = 0; i < 64; ++i) {
+    schedule_one();
+  }
+  while (ops < kOps) {
+    const SimTime horizon = e.now() + rng.NextInRange(1, 20'000);
+    e.RunUntil(horizon);
+    EXPECT_EQ(e.now(), horizon);
+    EXPECT_GT(oracle.NextLive(), horizon) << "an event due by the horizon did not fire";
+    // Pushes from outside the loop land right at the horizon's clock.
+    const uint64_t pushes = 1 + rng.NextBelow(4);
+    for (uint64_t i = 0; i < pushes; ++i) {
+      schedule_one();
+    }
+  }
+  done = true;
+  e.Run();
+  EXPECT_EQ(oracle.NextLive(), ~SimTime{0});
+  EXPECT_GE(oracle.fired(), kOps / 2);
+}
+
+// A far event and a later push for the same instant from inside the window:
+// the far one is older, so it fires first, whichever clock advance brought
+// its instant into the window.
+TEST(EngineWheel, FarEventFiresBeforeALaterSameInstantNearPush) {
+  // Advance by an event pop.
+  {
+    Engine e;
+    std::vector<char> order;
+    e.Schedule(5000, [&] { order.push_back('F'); });
+    e.Schedule(1000, [&] { e.Schedule(4000, [&] { order.push_back('N'); }); });
+    e.Run();
+    EXPECT_EQ(order, (std::vector<char>{'F', 'N'}));
+    EXPECT_EQ(e.now(), 5000u);
+  }
+  // Advance by the RunUntil horizon exit, then push from outside the loop.
+  {
+    Engine e;
+    std::vector<char> order;
+    e.Schedule(5000, [&] { order.push_back('F'); });
+    e.RunUntil(1000);
+    e.Schedule(4000, [&] { order.push_back('N'); });
+    e.Run();
+    EXPECT_EQ(order, (std::vector<char>{'F', 'N'}));
+  }
+  // Advance by a next-in-line Wait, then push from the fiber.
+  {
+    Engine e;
+    std::vector<char> order;
+    e.Schedule(5000, [&] { order.push_back('F'); });
+    e.SpawnFiber("f", [&] {
+      e.Wait(1000);
+      e.Schedule(4000, [&] { order.push_back('N'); });
+    });
+    e.Run();
+    EXPECT_EQ(order, (std::vector<char>{'F', 'N'}));
+  }
+}
+
+// Bucket indices wrap modulo 4096: events on both sides of the wrap, and
+// one a full window out, still fire in time order.
+TEST(EngineWheel, BucketIndexWraps) {
+  Engine e;
+  e.RunUntil(4000);
+  std::vector<SimTime> fired;
+  for (const SimDuration d : {4095u, 96u, 95u, 97u, 0u, 4096u, 4094u}) {
+    e.Schedule(d, [&] { fired.push_back(e.now()); });
+  }
+  e.Run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{4000, 4095, 4096, 4097, 8094, 8095, 8096}));
+}
+
+// With only far events queued, a short Wait is next in line: it returns
+// without switching, and its advance still migrates far events, so a push
+// for a far event's instant lands behind it.
+TEST(EngineWheel, FastPathWaitWithOnlyFarEventsQueued) {
+  Engine e;
+  std::vector<std::pair<char, SimTime>> trace;
+  e.Schedule(10'000, [&] { trace.push_back({'F', e.now()}); });
+  e.Schedule(50'000, [&] { trace.push_back({'G', e.now()}); });
+  e.SpawnFiber("f", [&] {
+    e.Wait(7'000);  // Next in line: far events only.
+    trace.push_back({'f', e.now()});
+    e.Schedule(3'000, [&] { trace.push_back({'N', e.now()}); });
+  });
+  int switches = 0;
+  SetContextSwitchObserver(
+      [](void* user, UnithreadContext*, UnithreadContext*, bool) { ++*static_cast<int*>(user); },
+      &switches);
+  e.Run();
+  SetContextSwitchObserver(nullptr, nullptr);
+  EXPECT_EQ(switches, 2);  // Start and finish only: the Wait did not switch.
+  const std::vector<std::pair<char, SimTime>> expected = {
+      {'f', 7'000}, {'F', 10'000}, {'N', 10'000}, {'G', 50'000}};
+  EXPECT_EQ(trace, expected);
+  EXPECT_EQ(e.events_processed(), 5u);  // First run, the Wait, F, N, G.
+}
+
+// Extends LargeCapturesRunAndAreFreed to every place a callable can wait:
+// parked, in a wheel bucket, and in the far heap, with inline and boxed
+// captures. Destroying the engine drops every one (LeakSanitizer checks the
+// boxed ones in the sanitizer build); run and dropped parked callables are
+// destroyed at once.
+TEST(EngineWheel, DestructorDropsParkedWheelAndFarCallables) {
+  auto big = std::make_shared<std::vector<int>>(64, 1);
+  int sum = 0;
+  {
+    Engine e;
+    struct Payload {
+      std::shared_ptr<std::vector<int>> data;
+      char pad[96];
+    } boxed{big, {}};
+    std::shared_ptr<std::vector<int>> inline_ref = big;
+    const uint32_t ran = e.Park([&sum, boxed] { sum += boxed.data->at(0); });
+    const uint32_t dropped = e.Park([&sum, inline_ref] { sum += 100; });
+    e.Park([&sum, boxed] { sum += 1000; });        // Parked at destruction.
+    e.Park([&sum, inline_ref] { sum += 1000; });   // Parked at destruction.
+    e.Schedule(10, [&sum, boxed] { sum += 1000; });       // Wheel.
+    e.Schedule(20, [&sum, inline_ref] { sum += 1000; });  // Wheel.
+    e.Schedule(8'000, [&sum, boxed] { sum += 1000; });       // Far heap.
+    e.Schedule(9'000, [&sum, inline_ref] { sum += 1000; });  // Far heap.
+    auto h = e.ScheduleCancellable(12'000, [&sum, boxed] { sum += 1000; });
+    h.Cancel();  // Cancelled but still queued in the far heap.
+    EXPECT_EQ(big.use_count(), 12);
+    e.RunParked(ran);
+    e.DropParked(dropped);
+    EXPECT_EQ(sum, 1);
+    EXPECT_EQ(big.use_count(), 10);
+    EXPECT_EQ(e.events_processed(), 0u);  // Parking queues nothing.
+  }
+  EXPECT_EQ(sum, 1);
+  EXPECT_EQ(big.use_count(), 1);
 }
 
 }  // namespace

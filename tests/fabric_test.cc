@@ -113,7 +113,7 @@ TEST(Fabric, CqSteeringRedirectsCompletions) {
   CompletionQueue* delegated = fabric.CreateCq();
   QueuePair* qp = fabric.CreateQp(own);
   qp->set_cq(delegated);
-  qp->PostSend(512, 1, nullptr);
+  qp->PostSend(512, 1);
   e.Run();
   EXPECT_TRUE(own->empty());
   EXPECT_EQ(delegated->size(), 1u);
