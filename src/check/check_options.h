@@ -28,29 +28,12 @@ struct CheckOptions {
   // without going through Engine::RawSwitch / SwitchToMain.
   bool check_switch_discipline = true;
 
-  // Audit fiber + universal-stack canaries (and report high-water marks).
-  bool audit_stacks = true;
-
-  // Audit frame conservation: resident + fetching + writebacks-in-flight
-  // must equal the memory manager's used frames, and the page-table walk
-  // must agree with its own counters.
-  bool audit_frames = true;
-
-  // Audit the tracer's event stream (when a tracer is wired and enabled):
-  // per-request event grammar (arrive before dispatch before start, stalls
-  // close, nothing but fetch-pipeline events after done) incrementally at
-  // each audit, plus a termination check at the final audit — every kArrive
-  // reaches exactly one kDone, up to requests dropped at the RX ring.
-  bool audit_trace = true;
-
-  // Audit the integrity layer's checksum ledger (when one is wired along
-  // with a placement map): every detected-but-unrepaired slot must be marked
-  // divergent in the placement map, and — incrementally, a window of pages
-  // per audit — the recorded digest of every in-sync replica of a cold
-  // remote page must match a fresh recompute of the region.
-  bool audit_integrity = true;
-
   // Simulated nanoseconds between periodic audits; 0 = only the final audit.
+  // Each audit runs every check: fiber and universal-stack canaries; frame
+  // conservation (resident + fetching + write-backs in flight == used
+  // frames) and the page table's own counters; the tracer's per-request
+  // event grammar, plus a termination check at the final audit; and the
+  // integrity layer's checksum ledger on replicated runs.
   uint64_t audit_interval_ns = 100'000;
 
   // Abort on violation (production checking). False = count violations and

@@ -45,24 +45,20 @@ void InvariantChecker::Install() {
 
 void InvariantChecker::AuditNow() {
   ++report_.audits;
-  if (options_.audit_frames) {
-    AuditFrameConservation();
-    AuditPageTableCounters();
-    AuditQpConservation();
-  }
-  if (options_.audit_stacks) {
-    AuditStacks();
-  }
-  if (options_.audit_trace) {
-    AuditTraceOrdering();
-  }
-  if (options_.audit_integrity) {
-    AuditChecksumCoverage();
-  }
+  AuditFrameConservation();
+  AuditPageTableCounters();
+  AuditQpConservation();
+  AuditStacks();
+  AuditTraceOrdering();
+  AuditChecksumCoverage();
 }
 
 void InvariantChecker::AuditChecksumCoverage() {
-  if (deps_.integrity == nullptr || deps_.placement == nullptr || deps_.mm == nullptr) {
+  // Both halves check detections and digests against divergence state. One
+  // copy per page has none (PlacementMap's one-copy rule): its corrupt or
+  // stale copy stays in sync and counts as unrepairable or as a write-back
+  // abort instead.
+  if (deps_.integrity == nullptr || deps_.mm == nullptr || deps_.placement->replicas() == 1) {
     return;
   }
   const IntegrityLayer& in = *deps_.integrity;
@@ -232,7 +228,7 @@ void InvariantChecker::AuditTraceOrdering() {
 }
 
 void InvariantChecker::AuditTraceTermination() {
-  if (deps_.tracer == nullptr || !deps_.tracer->enabled() || !options_.audit_trace) {
+  if (deps_.tracer == nullptr || !deps_.tracer->enabled()) {
     return;
   }
   if (deps_.tracer->dropped() > 0) {

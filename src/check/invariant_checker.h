@@ -6,7 +6,7 @@
 // except the engine is optional, so unit tests can audit a bare memory
 // manager without standing up the whole system.
 //
-// Audited invariants (CheckOptions selects which):
+// Audited invariants (every audit runs; each skips what its deps leave out):
 //   * Frame conservation: resident + fetching + writebacks-in-flight +
 //     resilver and scrub bounce frames equals the memory manager's used
 //     frames — a
@@ -60,9 +60,8 @@ class InvariantChecker {
     RdmaFabric* fabric = nullptr;   // QP work-conservation audit.
     UnithreadPool* pool = nullptr;  // Universal-stack canary audit.
     Tracer* tracer = nullptr;       // Trace-stream grammar/termination audit.
-    // Checksum-ledger audit (audit_integrity); both must be set for it to
-    // run — without a placement map there is no divergence state to check
-    // detections against.
+    // Checksum-ledger audit; `placement` is required whenever `integrity`
+    // is set, and is what detections are checked against.
     const IntegrityLayer* integrity = nullptr;
     const PlacementMap* placement = nullptr;
     // Requests dropped at the RX ring (they get kArrive but never kDone);

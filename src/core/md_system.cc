@@ -9,6 +9,13 @@
 namespace adios {
 
 MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(config), app_(app) {
+  if (const std::vector<std::string> errors = config_.Validate(); !errors.empty()) {
+    std::string details = "invalid SystemConfig:";
+    for (const std::string& e : errors) {
+      details += "\n    " + e;
+    }
+    CheckFailed("config.Validate().empty()", __FILE__, __LINE__, details.c_str());
+  }
   // --- Memory node + remote working set ---
   uint64_t ws_bytes = app->WorkingSetBytes();
   ws_bytes = (ws_bytes + kPageSize - 1) / kPageSize * kPageSize;
@@ -21,9 +28,7 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   mm_opts.page_shift = config_.page_shift;
   const uint64_t page_bytes = 1ull << config_.page_shift;
   mm_opts.total_pages = (region_->size() + page_bytes - 1) / page_bytes;
-  if (config_.local_pages_override != 0) {
-    mm_opts.local_pages = config_.local_pages_override;
-  } else if (config_.local_memory_ratio >= 1.0) {
+  if (config_.local_memory_ratio >= 1.0) {
     // "Unlimited" local memory (Fig. 8's 100% point): the testbed machines
     // have far more DRAM than the working set, so the reclaim watermark
     // never binds. Give the cache enough headroom to make that true here.
@@ -57,17 +62,6 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
     fabric_params.qp_depth = static_cast<uint32_t>(safe_depth);
   }
   const uint32_t num_nodes = config_.replication.num_nodes;
-  ADIOS_CHECK(num_nodes >= 1);
-  ADIOS_CHECK(config_.replication.replicas >= 1);
-  ADIOS_CHECK(config_.replication.replicas <= num_nodes);
-  // Op-lifecycle values that would fail late otherwise: a pacing bandwidth
-  // <= 0 or NaN divides by zero in SerializationNs, and a zero deadline fires
-  // before any completion can land, so every op burns its budget and fails.
-  ADIOS_CHECK(config_.replication.resilver_bw_gbps > 0.0);
-  ADIOS_CHECK(config_.integrity.scrub_bw_gbps > 0.0);
-  const bool retry_on =
-      config_.retry.enabled || config_.fault.enabled() || config_.integrity.verify;
-  ADIOS_CHECK(!retry_on || config_.retry.timeout_ns > 0);
   fabric_ = std::make_unique<RdmaFabric>(&engine_, fabric_params, num_nodes);
   // Class grants are traced only on multi-class links (link_classes > 1).
   fabric_->set_tracer(&tracer_);
@@ -85,15 +79,15 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
       });
     }
   }
+  // The injector stays gated: an ideal node then draws no random number per
+  // WQE.
   if (config_.fault.enabled()) {
-    ADIOS_CHECK(config_.fault.blackout_node < num_nodes);
     for (uint32_t node = 0; node < num_nodes; ++node) {
       FaultInjector::Options fopts = config_.fault;
       if (node > 0) {
         // Independent loss draws per node, deterministically derived from
-        // the run seed. Node 0 keeps the exact configured options so a
-        // single-node faulted run is bit-identical to the pre-replication
-        // system.
+        // the run seed. Node 0 keeps the exact configured options, so a
+        // single-node run draws the configured seed's stream.
         fopts.seed = config_.fault.seed + 0x9e3779b9ull * node;
       }
       if (node != config_.fault.blackout_node) {
@@ -112,6 +106,7 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   }
 
   // --- Data integrity (docs/INTEGRITY.md) ---
+  // Gated: building the layer hashes every page of the region.
   if (config_.integrity.enabled()) {
     if (config_.integrity.verify) {
       // A verify failure is handled by the same pipeline as a failed fetch
@@ -128,16 +123,25 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   }
 
   // --- Replication (docs/FAILOVER.md) ---
-  if (config_.replication.enabled()) {
-    placement_ = std::make_unique<PlacementMap>(mm_opts.total_pages, num_nodes,
-                                                config_.replication.replicas);
-    health_ = std::make_unique<NodeHealthMonitor>(&engine_, config_.replication);
-    // Probe outcome: a node answers its keepalive unless it is inside its
-    // injector's blackout window.
-    health_->set_probe_fn([this](uint32_t node, SimTime now) {
-      const FaultInjector* inj =
-          node < injectors_.size() ? injectors_[node].get() : nullptr;
-      return inj == nullptr || !inj->InBlackout(now);
+  // Always built: a single memory node is the one-replica placement, whose
+  // rules (PlacementMap, NodeHealthMonitor) keep it from ever diverging or
+  // turning suspect.
+  placement_ = std::make_unique<PlacementMap>(mm_opts.total_pages, num_nodes,
+                                              config_.replication.replicas);
+  health_ = std::make_unique<NodeHealthMonitor>(&engine_, config_.replication);
+  // Probe outcome: a node answers its keepalive unless it is inside its
+  // injector's blackout window.
+  health_->set_probe_fn([this](uint32_t node, SimTime now) {
+    const FaultInjector* inj = node < injectors_.size() ? injectors_[node].get() : nullptr;
+    return inj == nullptr || !inj->InBlackout(now);
+  });
+  health_->RegisterMetrics(&metrics_);
+  // Per-node divergence counters: a node that keeps diverging (dropped
+  // write-backs, corrupt payloads) stands out where the global total would
+  // hide it.
+  for (uint32_t node = 0; node < num_nodes; ++node) {
+    metrics_.RegisterProbe("placement.divergence_events", MetricLabels::Node(node), [this, node] {
+      return static_cast<double>(placement_->divergence_events_for(node));
     });
   }
 
@@ -171,16 +175,26 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
     SchedConfig wcfg = config_.sched;
     wcfg.seed = config_.seed;
     auto worker = std::make_unique<Worker>(i, &engine_, worker_cores_[i].get(), mm_.get(),
-                                           pool_.get(), mem_qp, client_qp, wcfg, handler,
-                                           on_reply);
+                                           pool_.get(), mem_qp, client_qp, placement_.get(),
+                                           health_.get(), wcfg, handler, on_reply);
     worker->set_region(region_.get());
     worker->set_retry(config_.retry);
     worker_ptrs.push_back(worker.get());
     workers_.push_back(std::move(worker));
   }
 
+  // --- Overload control (docs/OVERLOAD.md) ---
+  // Always built; with its loops off it admits everything and schedules no
+  // tick. Its shed/scale ticks read dispatcher.queue_depth and
+  // worker.outstanding_faults through the registry, which the dispatcher and
+  // workers register below, before Run() starts the first tick.
+  ctrl_ = std::make_unique<OverloadController>(&engine_, config_.ctrl, config_.num_workers,
+                                               &metrics_);
+  ctrl_->set_tracer(&tracer_);
+  ctrl_->RegisterMetrics(&metrics_);
+
   dispatcher_ = std::make_unique<Dispatcher>(&engine_, dispatcher_core_.get(), pool_.get(),
-                                             dispatcher_cq, worker_ptrs, config_.sched,
+                                             dispatcher_cq, worker_ptrs, ctrl_.get(), config_.sched,
                                              [this](Request* req) { drop_sink_(req); });
   dispatcher_->set_tracer(&tracer_);
   dispatcher_->RegisterMetrics(&metrics_);
@@ -189,9 +203,6 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
     w->set_peers(worker_ptrs);
     w->set_tracer(&tracer_);
     w->RegisterMetrics(&metrics_);
-    if (config_.replication.enabled()) {
-      w->set_replication(placement_.get(), health_.get());
-    }
     if (integrity_ != nullptr) {
       w->set_integrity(integrity_.get());
     }
@@ -201,32 +212,6 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
       w->set_decompress_ns(
           FabricParams::SerializationNs(page_bytes, fabric_params.compress_gbps));
     }
-  }
-  if (health_ != nullptr) {
-    health_->RegisterMetrics(&metrics_);
-  }
-  if (placement_ != nullptr) {
-    // Per-node divergence counters: a node that keeps diverging (dropped
-    // write-backs, corrupt payloads) stands out where the global total
-    // would hide it.
-    for (uint32_t node = 0; node < num_nodes; ++node) {
-      metrics_.RegisterProbe(
-          "placement.divergence_events", MetricLabels::Node(node), [this, node] {
-            return static_cast<double>(placement_->divergence_events_for(node));
-          });
-    }
-  }
-
-  // --- Overload control (docs/OVERLOAD.md) ---
-  // Built after the dispatcher and workers registered their probes: the
-  // controller reads dispatcher.queue_depth and worker.outstanding_faults
-  // through the registry on each tick.
-  if (config_.ctrl.enabled()) {
-    ctrl_ = std::make_unique<OverloadController>(&engine_, config_.ctrl, config_.num_workers,
-                                                 &metrics_);
-    ctrl_->set_tracer(&tracer_);
-    ctrl_->RegisterMetrics(&metrics_);
-    dispatcher_->set_ctrl(ctrl_.get());
   }
   // Paging counters the memory manager already keeps, published by probe so
   // the hot paths stay untouched.
@@ -257,35 +242,34 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   CompletionQueue* reclaim_cq = fabric_->CreateCq();
   QueuePair* reclaim_qp = fabric_->CreateQp(reclaim_cq);
   reclaimer_ = std::make_unique<Reclaimer>(&engine_, reclaimer_core_.get(), mm_.get(),
-                                           reclaim_qp, config_.reclaim, config_.retry);
+                                           reclaim_qp, placement_.get(), health_.get(),
+                                           config_.reclaim, config_.retry);
   if (integrity_ != nullptr) {
     reclaimer_->set_integrity(integrity_.get(), &tracer_);
-    if (config_.replication.enabled()) {
-      // With a second copy available, detections queue a repair through the
-      // re-silver machinery; without one they count as unrepairable.
+    if (placement_->replicas() > 1) {
+      // With a second copy, detections queue a repair through the re-silver
+      // machinery; a single copy has none, so they count as unrepairable.
       integrity_->set_repair_fn([this](uint64_t vpage, uint32_t node) {
         reclaimer_->copier().RequestRepair(vpage, node);
       });
     }
   }
-  if (config_.replication.enabled()) {
-    reclaimer_->set_replication(placement_.get(), health_.get(), config_.replication);
-    // Installed after the reclaimer exists: health transitions are traced,
-    // and a node probed back from kDead triggers the re-silver pass.
-    health_->set_on_state_change([this](uint32_t node, NodeHealth from, NodeHealth to) {
-      if (to == NodeHealth::kSuspect) {
-        tracer_.Record(engine_.now(), 0, TraceEvent::kNodeSuspect, node);
-      } else if (to == NodeHealth::kDead) {
-        tracer_.Record(engine_.now(), 0, TraceEvent::kNodeDead, node);
-      } else if (to == NodeHealth::kResilvering) {
-        reclaimer_->copier().BeginResilver(node);
-      } else if (from == NodeHealth::kResilvering && to == NodeHealth::kHealthy) {
-        tracer_.Record(engine_.now(), 0, TraceEvent::kResilverDone, node);
-      }
-    });
-  }
+  // Installed after the reclaimer exists: health transitions are traced, and
+  // a node probed back from kDead triggers the re-silver pass.
+  health_->set_on_state_change([this](uint32_t node, NodeHealth from, NodeHealth to) {
+    if (to == NodeHealth::kSuspect) {
+      tracer_.Record(engine_.now(), 0, TraceEvent::kNodeSuspect, node);
+    } else if (to == NodeHealth::kDead) {
+      tracer_.Record(engine_.now(), 0, TraceEvent::kNodeDead, node);
+    } else if (to == NodeHealth::kResilvering) {
+      reclaimer_->copier().BeginResilver(node);
+    } else if (from == NodeHealth::kResilvering && to == NodeHealth::kHealthy) {
+      tracer_.Record(engine_.now(), 0, TraceEvent::kResilverDone, node);
+    }
+  });
 
   // --- Invariant checker (src/check/) ---
+  // Gated: its periodic audits cost host time.
   CheckOptions check_opts = config_.check;
   if (const char* env = std::getenv("ADIOS_CHECKS"); env != nullptr && env[0] == '1') {
     check_opts.enabled = true;
@@ -342,11 +326,9 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   }
   reclaimer_->Start();
   loadgen_->Start();
-  if (ctrl_ != nullptr) {
-    // Shed/scale ticks stop rescheduling at the window end, like the
-    // checker's audits, so the drain phase terminates.
-    ctrl_->Start(warmup_ns + measure_ns);
-  }
+  // Shed/scale ticks stop rescheduling at the window end, like the checker's
+  // audits, so the drain phase terminates.
+  ctrl_->Start(warmup_ns + measure_ns);
   if (checker_ != nullptr) {
     // Audits stop rescheduling at the planned window end so the drain phase
     // (Engine::Run runs until the queue empties) can terminate; a final
@@ -374,7 +356,7 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   RunningStats pf_stddev_stats;
   RunningStats queue_depth_stats;
   std::vector<PfPoint> pf_points;  // Same cadence, kept for the timeline.
-  RunningStats active_worker_stats;       // Ctrl runs only (docs/OVERLOAD.md).
+  RunningStats active_worker_stats;       // Scaling controller (docs/OVERLOAD.md).
   std::vector<PfPoint> active_points;     // Active-worker level, same cadence.
   const SimTime window_end_plan = warmup_ns + measure_ns;
   std::function<void()> sample = [&]() {
@@ -389,11 +371,9 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
     pf_stddev_stats.Add(per_worker.StdDev());
     queue_depth_stats.Add(static_cast<double>(dispatcher_->queue_depth()));
     pf_points.push_back(PfPoint{engine_.now(), per_worker.mean()});
-    if (ctrl_ != nullptr) {
-      const double active = static_cast<double>(ctrl_->active_workers());
-      active_worker_stats.Add(active);
-      active_points.push_back(PfPoint{engine_.now(), active});
-    }
+    const double active = static_cast<double>(ctrl_->active_workers());
+    active_worker_stats.Add(active);
+    active_points.push_back(PfPoint{engine_.now(), active});
     engine_.Schedule(Microseconds(50), sample);
   };
   engine_.Schedule(Microseconds(50), sample);
@@ -457,17 +437,13 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
     // Degraded time of the worst node (single-node: the one injector).
     r.brownout_ns = std::max(r.brownout_ns, inj->DegradedNs(engine_.now()));
   }
-  if (health_ != nullptr) {
-    r.node_suspect_events = health_->suspect_events();
-    r.node_dead_events = health_->dead_events();
-    r.node_recoveries = health_->recoveries();
-  }
+  r.node_suspect_events = health_->suspect_events();
+  r.node_dead_events = health_->dead_events();
+  r.node_recoveries = health_->recoveries();
   r.pages_resilvered = reclaimer_->copier().pages_resilvered();
   r.resilver_failures = reclaimer_->copier().resilver_failures();
-  if (placement_ != nullptr) {
-    r.replica_divergence = placement_->divergent_slots();
-    r.divergence_events = placement_->divergence_events();
-  }
+  r.replica_divergence = placement_->divergent_slots();
+  r.divergence_events = placement_->divergence_events();
   r.trace_drops = tracer_.dropped();
   r.mean_outstanding_pf = pf_mean_stats.mean();
   r.pf_imbalance_stddev = pf_stddev_stats.mean();
@@ -494,15 +470,13 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
     r.integrity.scrub_finds = integrity_->scrub_finds();
     r.integrity.served_corrupt = integrity_->served_corrupt();
   }
-  if (ctrl_ != nullptr) {
-    r.ctrl.enabled = true;
-    r.ctrl.admit_drops = ctrl_->admit_drops();
-    r.ctrl.shed_drops = ctrl_->shed_drops();
-    r.ctrl.shed_engagements = ctrl_->shed_engagements();
-    r.ctrl.scale_ups = ctrl_->scale_ups();
-    r.ctrl.scale_downs = ctrl_->scale_downs();
-    r.ctrl.mean_active_workers = active_worker_stats.mean();
-  }
+  r.ctrl.enabled = config_.ctrl.enabled();
+  r.ctrl.admit_drops = ctrl_->admit_drops();
+  r.ctrl.shed_drops = ctrl_->shed_drops();
+  r.ctrl.shed_engagements = ctrl_->shed_engagements();
+  r.ctrl.scale_ups = ctrl_->scale_ups();
+  r.ctrl.scale_downs = ctrl_->scale_downs();
+  r.ctrl.mean_active_workers = active_worker_stats.mean();
   r.samples = loadgen_->TakeSamples();
   r.metrics = metrics_.Snapshot();
   r.timeline = BuildTimeSeries(r.samples, pf_points, warmup_ns, measure_ns, Microseconds(100));

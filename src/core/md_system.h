@@ -59,12 +59,12 @@ class MdSystem {
   FaultInjector* node_fault_injector(uint32_t node) {
     return node < injectors_.size() ? injectors_[node].get() : nullptr;
   }
-  // Null unless config.replication.enabled().
+  // Always built; a single memory node is the one-replica placement.
   PlacementMap* placement() { return placement_.get(); }
   NodeHealthMonitor* node_health() { return health_.get(); }
   // Null unless config.check.enabled or the ADIOS_CHECKS=1 env var is set.
   InvariantChecker* invariant_checker() { return checker_.get(); }
-  // Null unless config.ctrl.enabled() (docs/OVERLOAD.md).
+  // Always built; with its loops off it is a pass-through (docs/OVERLOAD.md).
   OverloadController* overload_controller() { return ctrl_.get(); }
   // Null unless config.integrity.enabled() (docs/INTEGRITY.md).
   IntegrityLayer* integrity() { return integrity_.get(); }
@@ -91,8 +91,8 @@ class MdSystem {
   std::unique_ptr<CpuCore> reclaimer_core_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<UnithreadPool> pool_;
-  std::unique_ptr<Dispatcher> dispatcher_;
   std::unique_ptr<OverloadController> ctrl_;
+  std::unique_ptr<Dispatcher> dispatcher_;
   std::unique_ptr<Reclaimer> reclaimer_;
   std::unique_ptr<LoadGenerator> loadgen_;
   std::unique_ptr<InvariantChecker> checker_;

@@ -93,8 +93,9 @@ struct RunResult {
   uint64_t replica_divergence = 0;   // Replica slots still out of sync at run end.
   uint64_t divergence_events = 0;    // Cumulative slots that ever went out of sync.
 
-  // --- Overload control (docs/OVERLOAD.md; enabled=false and all zero when
-  // SystemConfig.ctrl is off) ---
+  // --- Overload control (docs/OVERLOAD.md). `enabled` mirrors
+  // SystemConfig.ctrl.enabled(); with it off the counters are zero and
+  // mean_active_workers is the full worker count ---
   struct CtrlStats {
     bool enabled = false;
     uint64_t admit_drops = 0;       // Token-bucket rejections at arrival.

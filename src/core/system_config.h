@@ -14,6 +14,7 @@
 #define ADIOS_SRC_CORE_SYSTEM_CONFIG_H_
 
 #include <string>
+#include <vector>
 
 #include "src/base/time.h"
 #include "src/check/check_options.h"
@@ -38,9 +39,9 @@ struct SystemConfig {
   Reclaimer::Options reclaim;
 
   // Fault injection (docs/FAULT_MODEL.md). All-zero by default: the fabric
-  // stays ideal and the datapath is bit-identical to a build without the
-  // injector. When any knob is set (fault.enabled()), MdSystem installs the
-  // injector and switches on the deadline/retry pipeline below.
+  // stays ideal, and no injector is installed, so an ideal fabric draws no
+  // random number per WQE. When any knob is set (fault.enabled()), MdSystem
+  // installs the injector and switches on the deadline/retry pipeline below.
   FaultInjector::Options fault;
   // Timeout/retry/backoff policy shared by the workers' fetch path and the
   // reclaimer's write-back path. `retry.enabled` is forced on whenever
@@ -48,18 +49,17 @@ struct SystemConfig {
   // fabric (e.g. in tests).
   RetryPolicy retry;
 
-  // Memory-node replication (docs/FAILOVER.md). Defaults to a single node,
-  // which is bit-identical to the pre-replication system: no placement map,
-  // no health monitor, no extra engine events. With num_nodes > 1, pages are
-  // placed primary+secondary across nodes, reads fail over on retry
-  // exhaustion or node suspicion, and recovered nodes are re-silvered in the
-  // background.
+  // Memory-node replication (docs/FAILOVER.md). Defaults to the paper's
+  // single memory node, the one-replica case of the same placement map and
+  // health monitor. With replicas > 1, pages are placed primary+secondary
+  // across nodes, reads fail over on retry exhaustion or node suspicion, and
+  // recovered nodes are re-silvered in the background.
   ReplicationConfig replication;
 
-  // SLO-aware overload control (docs/OVERLOAD.md). Default-off and
-  // bit-identical to the pre-controller system: no controller is built, no
-  // tick events enter the engine, and the dispatcher's ctrl hooks stay null.
-  // Enable any of admission/shedding/scaling via its flag in CtrlConfig.
+  // SLO-aware overload control (docs/OVERLOAD.md). The controller is always
+  // built; with its three loops off (the default) it admits every arrival,
+  // keeps every worker active and schedules no tick. Enable any of
+  // admission/shedding/scaling via its flag in CtrlConfig.
   CtrlConfig ctrl;
 
   // End-to-end data integrity (docs/INTEGRITY.md). Default-off and
@@ -76,9 +76,8 @@ struct SystemConfig {
   uint32_t page_shift = 12;
 
   // Local DRAM cache size as a fraction of the working set (paper default
-  // 20%); local_pages_override wins when nonzero.
+  // 20%).
   double local_memory_ratio = 0.2;
-  uint64_t local_pages_override = 0;
   double reclaim_low_watermark = 0.15;
   double reclaim_high_watermark = 0.20;
 
@@ -104,6 +103,11 @@ struct SystemConfig {
   CheckOptions check;
 
   uint64_t seed = 1;
+
+  // Every violated constraint, one message each (empty when the config is
+  // valid). Each message starts with the rule it breaks, e.g.
+  // "retry.timeout_ns > 0". MdSystem aborts on a non-empty result.
+  std::vector<std::string> Validate() const;
 
   static UnithreadPool::Options DefaultPool() {
     UnithreadPool::Options p;

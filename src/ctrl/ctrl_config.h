@@ -1,10 +1,9 @@
 // SLO-aware overload-control knobs (docs/OVERLOAD.md).
 //
 // Three independent controllers, each behind its own enable flag so any
-// subset can run. All default-off: a SystemConfig with an untouched
-// CtrlConfig is bit-identical to the pre-controller system (no controller
-// object is constructed, no tick events enter the engine, and the
-// dispatcher's hooks are single null-pointer branches).
+// subset can run. All default-off: MdSystem always builds the controller,
+// and with every loop off it admits every arrival, keeps every worker
+// active and schedules no tick event.
 //
 //   * Admission — per-tenant token buckets at the dispatcher front door.
 //     Arrivals beyond the sustained rate (plus a burst allowance) are
@@ -46,9 +45,7 @@ struct CtrlConfig {
 
   // --- Elastic worker scaling ---
   bool scale_enabled = false;
-  uint32_t min_workers = 1;
-  // 0 = the system's full worker count.
-  uint32_t max_workers = 0;
+  uint32_t min_workers = 1;  // The active set grows back to every worker.
   // Grow the active set when the central queue depth crosses this...
   double scale_up_queue = 32.0;
   // ...and shrink it when the depth falls to or below this.

@@ -20,15 +20,12 @@ OverloadController::OverloadController(Engine* engine, const CtrlConfig& config,
     ADIOS_CHECK(config_.shed_pf_knee > 0.0);
     ADIOS_CHECK(config_.ShedClearLevel() < config_.shed_pf_knee);
   }
-  uint32_t max_active = config_.max_workers == 0
-                            ? num_workers_
-                            : std::min(config_.max_workers, num_workers_);
   if (config_.scale_enabled) {
     ADIOS_CHECK(config_.min_workers >= 1);
-    ADIOS_CHECK(config_.min_workers <= max_active);
+    ADIOS_CHECK(config_.min_workers <= num_workers_);
     ADIOS_CHECK(config_.scale_down_queue < config_.scale_up_queue);
   }
-  active_workers_ = max_active;
+  active_workers_ = num_workers_;
   worker_labels_.reserve(num_workers_);
   for (uint32_t i = 0; i < num_workers_; ++i) {
     worker_labels_.push_back(MetricLabels::Worker(i).str());
@@ -116,10 +113,7 @@ void OverloadController::TickNow(SimTime now) {
   }
   if (config_.scale_enabled && now - last_scale_time_ >= config_.scale_dwell_ns) {
     const double depth = registry_->ReadProbe("dispatcher.queue_depth", "");
-    const uint32_t max_active = config_.max_workers == 0
-                                    ? num_workers_
-                                    : std::min(config_.max_workers, num_workers_);
-    if (depth >= config_.scale_up_queue && active_workers_ < max_active) {
+    if (depth >= config_.scale_up_queue && active_workers_ < num_workers_) {
       ++active_workers_;
       ++scale_ups_;
       last_scale_time_ = now;

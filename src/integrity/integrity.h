@@ -42,8 +42,8 @@ class MetricRegistry;
 class IntegrityLayer {
  public:
   // `region` must outlive the layer. `replicas` >= 1; slot k of vpage lives
-  // on node (vpage + k) % num_nodes (same placement formula as PlacementMap,
-  // so the layer works unreplicated where no PlacementMap exists).
+  // on node (vpage + k) % num_nodes, PlacementMap's formula, so the layer
+  // stands alone in unit tests.
   IntegrityLayer(const IntegrityConfig& config, const RemoteRegion* region,
                  uint64_t num_pages, uint64_t page_bytes, uint32_t num_nodes,
                  uint32_t replicas);
@@ -93,8 +93,8 @@ class IntegrityLayer {
   // One scrub READ consumed (accounting only).
   void OnScrubPage() { ++scrub_pages_; }
 
-  // Repair hook: (vpage, node) -> queue a repair copy. Set only when a
-  // second in-sync copy exists (replication on).
+  // Repair hook: (vpage, node) -> queue a repair copy. Set only when pages
+  // have a second copy to repair from (replicas > 1).
   void set_repair_fn(std::function<void(uint64_t, uint32_t)> fn) {
     repair_fn_ = std::move(fn);
   }

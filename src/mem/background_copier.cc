@@ -5,8 +5,17 @@
 namespace adios {
 
 BackgroundCopier::BackgroundCopier(Engine* engine, MemoryManager* mm, QueuePair* qp,
-                                   OpTracker* tracker, const RetryPolicy& retry)
-    : engine_(engine), mm_(mm), qp_(qp), tracker_(tracker) {
+                                   OpTracker* tracker, PlacementMap* placement,
+                                   NodeHealthMonitor* health, const RetryPolicy& retry)
+    : engine_(engine),
+      mm_(mm),
+      qp_(qp),
+      tracker_(tracker),
+      placement_(placement),
+      health_(health),
+      max_attempts_(health->config().resilver_max_attempts) {
+  resilver_pace_.interval =
+      FabricParams::SerializationNs(mm_->page_bytes(), health->config().resilver_bw_gbps);
   // Neither kind reposts: a failed copy goes back to the queue, a failed
   // scrub read waits for the next sweep. No scrub deadline: the fabric
   // delivers exactly one CQE per post, errors included.
@@ -19,15 +28,6 @@ BackgroundCopier::BackgroundCopier(Engine* engine, MemoryManager* mm, QueuePair*
   tracker_->set_hooks(OpKind::kResilver, nullptr,
                       [this](const OpId& id, TrackedOp& op) { GiveUpCopy(id, op); });
   tracker_->set_hooks(OpKind::kScrub, nullptr, [this](const OpId&, TrackedOp&) { PutFrame(); });
-}
-
-void BackgroundCopier::set_replication(PlacementMap* placement, NodeHealthMonitor* health,
-                                       const ReplicationConfig& config) {
-  placement_ = placement;
-  health_ = health;
-  max_attempts_ = config.resilver_max_attempts;
-  resilver_pace_.interval =
-      FabricParams::SerializationNs(mm_->page_bytes(), config.resilver_bw_gbps);
 }
 
 void BackgroundCopier::OnCompletion(const OpId& id, const Completion& c) {
@@ -89,16 +89,13 @@ void BackgroundCopier::PutFrame() {
 // --- Re-silver and repair ---
 
 void BackgroundCopier::BeginResilver(uint32_t node) {
-  ADIOS_CHECK(placement_ != nullptr);
   std::vector<uint64_t> pages;
   placement_->CollectOutOfSync(node, &pages);
   if (pages.empty() && resilver_pending_[node] == 0) {
     // Nothing diverged (later demand write-backs healed every missed
     // update): the node is current the moment it is back.
     resilver_pending_.erase(node);
-    if (health_ != nullptr) {
-      health_->NotifyResilverDone(node);
-    }
+    health_->NotifyResilverDone(node);
     return;
   }
   resilver_pending_[node] += pages.size();
@@ -109,9 +106,6 @@ void BackgroundCopier::BeginResilver(uint32_t node) {
 }
 
 void BackgroundCopier::RequestRepair(uint64_t vpage, uint32_t node) {
-  if (placement_ == nullptr) {
-    return;  // R1: no second copy exists; the slot stays unrepairable.
-  }
   resilver_pending_[node] += 1;
   resilver_q_.push_back(Job{vpage, node, 0});
   Arm(resilver_pace_, resilver_pace_.interval);
@@ -134,8 +128,7 @@ void BackgroundCopier::StartJob(const Job& job) {
     resilver_q_.push_back(job);
     Arm(resilver_pace_, resilver_pace_.interval);
   };
-  if (placement_->InSync(job.vpage, job.target) ||
-      (health_ != nullptr && health_->IsDead(job.target))) {
+  if (placement_->InSync(job.vpage, job.target) || health_->IsDead(job.target)) {
     // Healed meanwhile by a demand write-back, or the node relapsed mid-pass
     // (a later recovery starts a fresh pass that re-collects this page).
     FinishResilverPage(job.target);
@@ -159,7 +152,7 @@ void BackgroundCopier::StartJob(const Job& job) {
       for (uint32_t slot = 0; slot < placement_->replicas() && src == kNone; ++slot) {
         const uint32_t node = placement_->ReplicaNode(job.vpage, slot);
         if (node != job.target && placement_->InSync(job.vpage, node) &&
-            (health_ == nullptr || !health_->IsDead(node))) {
+            !health_->IsDead(node)) {
           src = node;
         }
       }
@@ -258,11 +251,9 @@ void BackgroundCopier::FinishResilverPage(uint32_t target) {
     return;
   }
   resilver_pending_.erase(it);
-  if (health_ != nullptr) {
-    // Ignored unless the node is still kResilvering (it may have relapsed to
-    // kDead mid-pass; the next recovery re-collects).
-    health_->NotifyResilverDone(target);
-  }
+  // Ignored unless the node is still kResilvering (it may have relapsed to
+  // kDead mid-pass; the next recovery re-collects).
+  health_->NotifyResilverDone(target);
 }
 
 // --- Scrubber ---
@@ -297,7 +288,7 @@ void BackgroundCopier::ScrubTick() {
   // Advance the (vpage, slot) cursor to the next scrubbable stored copy:
   // remote (no resident version supersedes it), in sync (divergent slots are
   // the re-silver queue's job), on a live node, and not already mid-scrub.
-  const uint32_t slots_per_page = placement_ != nullptr ? placement_->replicas() : 1;
+  const uint32_t slots_per_page = placement_->replicas();
   const uint64_t num_pages = mm_->page_table().num_pages();
   const uint64_t total_slots = num_pages * slots_per_page;
   OpId id;
@@ -314,10 +305,10 @@ void BackgroundCopier::ScrubTick() {
     if (mm_->StateOf(vpage) != PageState::kRemote) {
       continue;
     }
-    const uint32_t node = placement_ != nullptr ? placement_->ReplicaNode(vpage, slot) : 0;
+    const uint32_t node = placement_->ReplicaNode(vpage, slot);
     id = OpId::Scrub(vpage, node);
-    found = (placement_ == nullptr || placement_->InSync(vpage, node)) &&
-            (health_ == nullptr || !health_->IsDead(node)) && tracker_->Find(id) == nullptr;
+    found = placement_->InSync(vpage, node) && !health_->IsDead(node) &&
+            tracker_->Find(id) == nullptr;
   }
   const IntegrityConfig& cfg = integrity_->config();
   SimDuration next = scrub_pace_.interval;

@@ -32,25 +32,25 @@ namespace adios {
 
 class BackgroundCopier {
  public:
-  // `qp` is the reclaimer's QP and `tracker` tracks its ops. A copy's
+  // `qp` is the reclaimer's QP and `tracker` tracks its ops. Re-silver
+  // pacing and attempts come from `health`'s ReplicationConfig. A copy's
   // deadline is the retry timeout when `retry` is on, else 50 us.
   BackgroundCopier(Engine* engine, MemoryManager* mm, QueuePair* qp, OpTracker* tracker,
-                   const RetryPolicy& retry);
+                   PlacementMap* placement, NodeHealthMonitor* health, const RetryPolicy& retry);
 
   BackgroundCopier(const BackgroundCopier&) = delete;
   BackgroundCopier& operator=(const BackgroundCopier&) = delete;
 
-  void set_replication(PlacementMap* placement, NodeHealthMonitor* health,
-                       const ReplicationConfig& config);
   void set_integrity(IntegrityLayer* integrity, Tracer* tracer) {
     integrity_ = integrity;
     tracer_ = tracer;
   }
 
   // Queues the out-of-sync pages of a node that just left kDead; calls
-  // NotifyResilverDone once they all settled. Requires set_replication.
+  // NotifyResilverDone once they all settled.
   void BeginResilver(uint32_t node);
-  // Queues one divergent replica slot; no-op at R1 (no copy to repair from).
+  // Queues one divergent replica slot. MdSystem routes integrity detections
+  // here only when a page has a second copy to repair from.
   void RequestRepair(uint64_t vpage, uint32_t node);
   // Scrubs until `until`, so the engine can drain. Requires set_integrity.
   void StartScrub(SimTime until);
@@ -95,14 +95,14 @@ class BackgroundCopier {
   MemoryManager* mm_;
   QueuePair* qp_;
   OpTracker* tracker_;
-  PlacementMap* placement_ = nullptr;
-  NodeHealthMonitor* health_ = nullptr;
+  PlacementMap* placement_;
+  NodeHealthMonitor* health_;
   IntegrityLayer* integrity_ = nullptr;
   Tracer* tracer_ = nullptr;
   uint64_t frames_held_ = 0;
 
   Pace resilver_pace_{&BackgroundCopier::ResilverTick};
-  uint32_t max_attempts_ = 0;
+  uint32_t max_attempts_;
   std::deque<Job> resilver_q_;
   std::unordered_map<uint32_t, uint64_t> resilver_pending_;  // Node -> pages left.
   uint64_t pages_resilvered_ = 0;

@@ -37,10 +37,8 @@ void SequentialPrefetcher::OnFault(uint64_t vpage, MemoryManager* mm,
   }
 }
 
-AdaptivePrefetcher::AdaptivePrefetcher(uint32_t max_window, uint32_t history, uint16_t owner)
-    : max_window_(max_window),
-      owner_(owner),
-      deltas_(history < 2 ? 2 : history, 0) {}
+AdaptivePrefetcher::AdaptivePrefetcher(uint32_t max_window, uint16_t owner)
+    : max_window_(max_window), owner_(owner) {}
 
 int64_t AdaptivePrefetcher::DetectStride() const {
   // Smallest sub-window first: after a pattern change the most recent deltas
@@ -139,11 +137,11 @@ void AdaptivePrefetcher::OnPrefetchWaste() {
 }
 
 std::unique_ptr<Prefetcher> MakePrefetcher(PrefetchPolicy policy, uint32_t max_window,
-                                           uint32_t history, uint16_t owner) {
+                                           uint16_t owner) {
   if (policy == PrefetchPolicy::kSequential) {
     return std::make_unique<SequentialPrefetcher>(max_window, owner);
   }
-  return std::make_unique<AdaptivePrefetcher>(max_window, history, owner);
+  return std::make_unique<AdaptivePrefetcher>(max_window, owner);
 }
 
 }  // namespace adios

@@ -21,6 +21,7 @@
 #ifndef ADIOS_SRC_MEM_PREFETCHER_H_
 #define ADIOS_SRC_MEM_PREFETCHER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -81,7 +82,7 @@ class SequentialPrefetcher final : public Prefetcher {
   uint32_t streak_ = 0;
 };
 
-// Leap-style majority-vote stride detector. Keeps the last `history` access
+// Leap-style majority-vote stride detector. Keeps the last kHistory access
 // deltas (demand faults + prefetched-page touches) in a ring; on each fault
 // it looks for a strict-majority delta in the most recent w deltas, for
 // w = 2, 4, ... up to the full history (Boyer-Moore vote + verification pass
@@ -91,7 +92,9 @@ class SequentialPrefetcher final : public Prefetcher {
 // wasted prefetch.
 class AdaptivePrefetcher final : public Prefetcher {
  public:
-  AdaptivePrefetcher(uint32_t max_window, uint32_t history, uint16_t owner = 0);
+  static constexpr uint32_t kHistory = 8;  // Access deltas kept for stride voting.
+
+  explicit AdaptivePrefetcher(uint32_t max_window, uint16_t owner = 0);
 
   void OnFault(uint64_t vpage, MemoryManager* mm, std::vector<uint64_t>* out) override;
   void OnTouch(uint64_t vpage) override;
@@ -110,7 +113,7 @@ class AdaptivePrefetcher final : public Prefetcher {
 
   uint32_t max_window_;
   uint16_t owner_;
-  std::vector<int64_t> deltas_;  // Ring buffer of access-to-access strides.
+  std::array<int64_t, kHistory> deltas_{};  // Ring buffer of access-to-access strides.
   size_t head_ = 0;              // Next slot to overwrite.
   size_t count_ = 0;             // Valid entries (saturates at capacity).
   uint64_t last_fault_ = ~0ull;
@@ -121,7 +124,7 @@ class AdaptivePrefetcher final : public Prefetcher {
 // max_window = 0 still returns a (never-consulted) prefetcher so callers
 // need no null checks; the worker gates on prefetch_window > 0.
 std::unique_ptr<Prefetcher> MakePrefetcher(PrefetchPolicy policy, uint32_t max_window,
-                                           uint32_t history, uint16_t owner);
+                                           uint16_t owner);
 
 }  // namespace adios
 

@@ -1,29 +1,36 @@
 #include "src/mem/reclaimer.h"
 
 namespace adios {
+namespace {
+
+// Backoff when nothing is evictable and no write-back is in flight to wait on.
+constexpr SimDuration kScanFailRetryNs = 2000;
+
+}  // namespace
 
 Reclaimer::Reclaimer(Engine* engine, CpuCore* core, MemoryManager* mm, QueuePair* qp,
-                     Options options, const RetryPolicy& retry)
+                     PlacementMap* placement, NodeHealthMonitor* health, Options options,
+                     const RetryPolicy& retry)
     : engine_(engine),
       core_(core),
       mm_(mm),
       qp_(qp),
+      placement_(placement),
+      health_(health),
       options_(options),
       sleep_queue_(engine),
       cq_wait_(engine),
-      tracker_(engine),
-      copier_(engine, mm, qp, &tracker_, retry) {
+      tracker_(engine, placement, health),
+      copier_(engine, mm, qp, &tracker_, placement, health, retry) {
   tracker_.set_rules(OpKind::kWriteback, OpRules{retry});
   tracker_.set_hooks(
       OpKind::kWriteback, [this](const OpId& id, const TrackedOp&) { return PostWriteback(id); },
       [this](const OpId& id, TrackedOp&) {
         // Budget spent: drop this replica's WRITE. The replica diverges (the
         // re-silver pass repairs it later); the page's frame is released once
-        // the other replicas settle. A single node has one replica, so the
-        // drop is the write-back abort.
-        if (placement_ != nullptr) {
-          placement_->MarkOutOfSync(id.vpage, id.node);
-        }
+        // the other replicas settle. A single copy cannot diverge
+        // (PlacementMap), so there the drop is the write-back abort.
+        placement_->MarkOutOfSync(id.vpage, id.node);
         FinishWbReplica(id.vpage, /*success=*/false);
         // The drop happens off a timer, not a CQ push, so wake the loop: it
         // may be parked in cq_wait_ waiting for this write-back.
@@ -50,14 +57,6 @@ void Reclaimer::set_integrity(IntegrityLayer* integrity, Tracer* tracer) {
   copier_.set_integrity(integrity, tracer);
 }
 
-void Reclaimer::set_replication(PlacementMap* placement, NodeHealthMonitor* health,
-                                const ReplicationConfig& config) {
-  placement_ = placement;
-  health_ = health;
-  tracker_.set_replication(placement, health);
-  copier_.set_replication(placement, health, config);
-}
-
 void Reclaimer::Start() {
   mm_->set_reclaim_kick([this] {
     if (!kicked_) {
@@ -77,13 +76,9 @@ void Reclaimer::Start() {
 }
 
 void Reclaimer::WritebackTargets(uint64_t vpage, std::vector<uint32_t>* out) {
-  if (placement_ == nullptr) {
-    out->push_back(0);
-    return;
-  }
   for (uint32_t slot = 0; slot < placement_->replicas(); ++slot) {
     const uint32_t node = placement_->ReplicaNode(vpage, slot);
-    if (health_ != nullptr && health_->IsDead(node)) {
+    if (health_->IsDead(node)) {
       // The dead replica misses this update; it must not serve reads until
       // the re-silver pass (or a later write-back) repairs it.
       placement_->MarkOutOfSync(vpage, node);
@@ -137,10 +132,8 @@ void Reclaimer::DrainCompletions() {
         continue;  // Late, duplicate, or an error the tracker retries.
       }
       tracker_.Settle(id, c.node);
-      if (placement_ != nullptr) {
-        // A successful write-back re-syncs a replica that had diverged.
-        placement_->MarkInSync(id.vpage, id.node);
-      }
+      // A successful write-back re-syncs a replica that had diverged.
+      placement_->MarkInSync(id.vpage, id.node);
       if (integrity_ != nullptr) {
         // Refresh the slot's digest (and settle wire-poison state: a
         // corrupted WRITE leaves the stored copy poisoned).
@@ -170,7 +163,7 @@ void Reclaimer::Loop() {
         if (writebacks_inflight_ > 0) {
           cq_wait_.Wait();
         } else {
-          engine_->Wait(options_.scan_fail_retry_ns);
+          engine_->Wait(kScanFailRetryNs);
         }
         continue;
       }

@@ -34,11 +34,13 @@ class Reclaimer {
     bool proactive = true;          // Pinned thread, immediate response.
     SimDuration wakeup_delay_ns = 0;  // Scheduling delay for wake-up-based mode.
     uint32_t evict_cycles = 250;    // CPU cost per evicted page.
-    uint32_t scan_fail_retry_ns = 2000;  // Backoff when nothing is evictable.
   };
 
-  // `retry` steers write-backs (untracked while not enabled) and copies.
-  Reclaimer(Engine* engine, CpuCore* core, MemoryManager* mm, QueuePair* qp, Options options,
+  // Write-backs fan out to `placement`'s replicas of a page, skipping nodes
+  // `health` reports dead; a single node is the one-replica case. `retry`
+  // steers write-backs (untracked while not enabled) and copies.
+  Reclaimer(Engine* engine, CpuCore* core, MemoryManager* mm, QueuePair* qp,
+            PlacementMap* placement, NodeHealthMonitor* health, Options options,
             const RetryPolicy& retry = {});
 
   Reclaimer(const Reclaimer&) = delete;
@@ -47,9 +49,6 @@ class Reclaimer {
   // Spawns the reclaimer fiber and installs the memory manager's kick hook.
   void Start();
 
-  // Without it (single node) write-backs target node 0 only.
-  void set_replication(PlacementMap* placement, NodeHealthMonitor* health,
-                       const ReplicationConfig& config);
   // Integrity wiring (docs/INTEGRITY.md): write-backs refresh the checksum
   // map, and the copier verifies what it reads; `tracer` records detections.
   void set_integrity(IntegrityLayer* integrity, Tracer* tracer);
@@ -77,9 +76,9 @@ class Reclaimer {
   ADIOS_MAY_SUSPEND void Loop();
   void DrainCompletions();
 
-  // Live replica targets for a dirty write-back of `vpage` (just {0} without
-  // a placement map). Dead nodes are skipped and their replicas marked
-  // out of sync — the missed update is what re-silvering repairs.
+  // Live replica targets for a dirty write-back of `vpage`. Dead nodes are
+  // skipped and their replicas marked out of sync — the missed update is
+  // what re-silvering repairs.
   void WritebackTargets(uint64_t vpage, std::vector<uint32_t>* out);
   // One replica WQE settled (success or final drop); at zero remaining the
   // page's frame is released.
@@ -91,9 +90,9 @@ class Reclaimer {
   CpuCore* core_;
   MemoryManager* mm_;
   QueuePair* qp_;
+  PlacementMap* placement_;
+  NodeHealthMonitor* health_;
   Options options_;
-  PlacementMap* placement_ = nullptr;
-  NodeHealthMonitor* health_ = nullptr;
   IntegrityLayer* integrity_ = nullptr;
   WaitQueue sleep_queue_;
   WaitQueue cq_wait_;

@@ -110,6 +110,8 @@ class RemoteHeap {
 // (vpage + k) % num_nodes — slot 0 is the primary — so placement needs no
 // stored table, survives restarts identically, and spreads primaries evenly.
 //
+// A single memory node is the one-replica case, PlacementMap(pages, 1, 1).
+//
 // Sync tracking: each placed replica is in-sync or out-of-sync (a bit per
 // slot). A replica diverges when a dirty write-back to it is skipped (node
 // dead) or exhausts its retries; it re-syncs when a later write-back or a
@@ -117,6 +119,11 @@ class RemoteHeap {
 // Data is never forked: RemoteRegion stays the single ground-truth byte
 // array (replication affects timing and availability, not contents), so
 // "divergence" is purely the accounting the re-silver pass works off.
+//
+// One-copy rule: with one replica per page, nothing ever goes out of sync.
+// No second copy exists to re-silver from, so divergence would be a state
+// nothing can leave; the loss is counted where it happens instead, as a
+// write-back abort or an unrepairable integrity detection.
 class PlacementMap {
  public:
   PlacementMap(uint64_t num_pages, uint32_t num_nodes, uint32_t replicas)
@@ -133,25 +140,33 @@ class PlacementMap {
   uint32_t replicas() const { return replicas_; }
   uint64_t num_pages() const { return in_sync_.size(); }
 
+  // Every fetch asks where to read, so each lookup costs at most one
+  // division: slot k sits k nodes past the primary, wrapping once at most.
+  uint32_t Primary(uint64_t vpage) const { return static_cast<uint32_t>(vpage % num_nodes_); }
   uint32_t ReplicaNode(uint64_t vpage, uint32_t slot) const {
     ADIOS_DCHECK(slot < replicas_);
-    return static_cast<uint32_t>((vpage + slot) % num_nodes_);
+    const uint32_t node = Primary(vpage) + slot;
+    return node < num_nodes_ ? node : node - num_nodes_;
   }
-  uint32_t Primary(uint64_t vpage) const { return ReplicaNode(vpage, 0); }
 
   // Slot index of `node` in vpage's replica set, or -1 if it hosts no copy.
   int SlotOf(uint64_t vpage, uint32_t node) const {
-    const uint32_t slot =
-        static_cast<uint32_t>((node + num_nodes_ - (vpage % num_nodes_)) % num_nodes_);
+    const uint32_t primary = Primary(vpage);
+    const uint32_t slot = node >= primary ? node - primary : node + num_nodes_ - primary;
     return slot < replicas_ ? static_cast<int>(slot) : -1;
   }
 
+  bool SlotInSync(uint64_t vpage, uint32_t slot) const { return (in_sync_[vpage] >> slot) & 1u; }
   bool InSync(uint64_t vpage, uint32_t node) const {
     const int slot = SlotOf(vpage, node);
-    return slot >= 0 && (in_sync_[vpage] & (1u << slot)) != 0;
+    return slot >= 0 && SlotInSync(vpage, static_cast<uint32_t>(slot));
   }
 
+  // No-op with one replica per page (the one-copy rule above).
   void MarkOutOfSync(uint64_t vpage, uint32_t node) {
+    if (replicas_ == 1) {
+      return;
+    }
     const int slot = SlotOf(vpage, node);
     if (slot < 0 || (in_sync_[vpage] & (1u << slot)) == 0) {
       return;

@@ -61,7 +61,7 @@ double NodeHealthMonitor::EvidenceScore(uint32_t node, SimTime now) const {
   return ns.score;
 }
 
-void NodeHealthMonitor::ReportSuccess(uint32_t node) {
+void NodeHealthMonitor::CreditSuccess(uint32_t node) {
   NodeState& ns = nodes_[node];
   Decay(ns, engine_->now());
   ns.score -= config_.success_credit;
@@ -91,7 +91,8 @@ void NodeHealthMonitor::Reassess(uint32_t node) {
   const SimTime now = engine_->now();
   switch (ns.health) {
     case NodeHealth::kHealthy:
-      if (ns.score >= config_.suspect_threshold) {
+      // The one-copy rule (header): no replica to fail over to, no suspicion.
+      if (config_.replicas > 1 && ns.score >= config_.suspect_threshold) {
         EnterState(node, NodeHealth::kSuspect);
       }
       break;

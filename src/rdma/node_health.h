@@ -17,8 +17,13 @@
 // (simulation stand-in for the keepalive ping a real fabric manager sends);
 // the probe outcome comes from an injected ProbeFn, so the monitor itself
 // stays fabric-agnostic and unit-testable. Nothing is scheduled for healthy
-// nodes: a single-node system without replication never constructs a monitor
-// and is bit-identical to a build without this file.
+// nodes.
+//
+// One-copy rule: with one replica per page (a single memory node included)
+// no node is ever declared suspect. Suspicion exists to steer reads and
+// write-backs to another replica, and there is none; evidence is still
+// scored, but the node stays kHealthy, schedules no probes and keeps being
+// retried until the retry budget gives up.
 
 #ifndef ADIOS_SRC_RDMA_NODE_HEALTH_H_
 #define ADIOS_SRC_RDMA_NODE_HEALTH_H_
@@ -34,9 +39,8 @@
 
 namespace adios {
 
-// Replication knobs, carried by SystemConfig. Defaults keep the system
-// single-node (replication fully disabled, bit-identical to the legacy
-// fabric).
+// Replication knobs, carried by SystemConfig. The default is the paper's
+// single memory node: one node, one replica per page.
 struct ReplicationConfig {
   uint32_t num_nodes = 1;  // Memory nodes in the fabric.
   uint32_t replicas = 1;   // Copies per page (<= num_nodes, <= 8).
@@ -70,8 +74,6 @@ struct ReplicationConfig {
   // attempt budget, consumed by the reclaimer's re-silver pass.
   double resilver_bw_gbps = 10.0;
   uint32_t resilver_max_attempts = 3;
-
-  bool enabled() const { return num_nodes > 1; }
 };
 
 enum class NodeHealth : uint8_t {
@@ -105,8 +107,14 @@ class NodeHealthMonitor {
   }
   bool IsDead(uint32_t node) const { return nodes_[node].health == NodeHealth::kDead; }
 
-  // Completion evidence from requesters.
-  void ReportSuccess(uint32_t node);
+  // Completion evidence from requesters. A success on a healthy node with
+  // no evidence changes nothing, and every settled op of a fault-free run is
+  // one, so that case returns before any work.
+  void ReportSuccess(uint32_t node) {
+    if (nodes_[node].health != NodeHealth::kHealthy || nodes_[node].score > 0.0) {
+      CreditSuccess(node);
+    }
+  }
   void ReportError(uint32_t node);
   void ReportTimeout(uint32_t node);
   // A checksum-verified fetch from `node` came back corrupt.
@@ -119,6 +127,7 @@ class NodeHealthMonitor {
   // Decayed suspicion score as of `now` (exposed for tests).
   double EvidenceScore(uint32_t node, SimTime now) const;
 
+  const ReplicationConfig& config() const { return config_; }
   uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
   uint64_t suspect_events() const { return suspect_events_; }
   uint64_t dead_events() const { return dead_events_; }
@@ -140,6 +149,7 @@ class NodeHealthMonitor {
     uint64_t generation = 0;
   };
 
+  void CreditSuccess(uint32_t node);
   void Decay(NodeState& ns, SimTime now) const;
   void AddEvidence(uint32_t node, double weight);
   void Reassess(uint32_t node);

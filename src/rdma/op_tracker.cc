@@ -26,9 +26,7 @@ bool OpTracker::Admit(const OpId& id, const Completion& c) {
   if (op == nullptr || c.ok()) {
     return op != nullptr;  // Late or duplicate CQEs are dropped.
   }
-  if (health_ != nullptr) {
-    health_->ReportError(c.node);
-  }
+  health_->ReportError(c.node);
   op->deadline.Cancel();
   RetryOrGiveUp(id, *op);
   return false;
@@ -36,9 +34,7 @@ bool OpTracker::Admit(const OpId& id, const Completion& c) {
 
 TrackedOp OpTracker::Settle(const OpId& id, uint32_t node) {
   TrackedOp op = tracks(id.kind) ? Untrack(id) : TrackedOp{};
-  if (health_ != nullptr) {
-    health_->ReportSuccess(node);
-  }
+  health_->ReportSuccess(node);
   return op;
 }
 
@@ -54,12 +50,8 @@ void OpTracker::Quarantine(uint64_t vpage, uint32_t node, uint64_t req_id) {
   if (tracer_ != nullptr) {
     tracer_->Record(engine_->now(), req_id, TraceEvent::kCorrupt, node);
   }
-  if (placement_ != nullptr) {
-    placement_->MarkOutOfSync(vpage, node);
-  }
-  if (health_ != nullptr) {
-    health_->ReportCorruption(node);
-  }
+  placement_->MarkOutOfSync(vpage, node);
+  health_->ReportCorruption(node);
 }
 
 void OpTracker::FailOver(const OpId& id) {
@@ -84,9 +76,7 @@ void OpTracker::Expire(const OpId& id) {
   }
   Kind& k = kinds_[Index(id.kind)];
   ++k.stats.timeouts;
-  if (health_ != nullptr) {
-    health_->ReportTimeout(op->node);
-  }
+  health_->ReportTimeout(op->node);
   Trace(k, TraceEvent::kFetchTimeout, op->req_id, static_cast<uint32_t>(id.vpage));
   RetryOrGiveUp(id, *op);
 }
@@ -100,8 +90,8 @@ void OpTracker::RetryOrGiveUp(const OpId& id, TrackedOp& op) {
   // to another in-sync replica beats both giving up and backing off against
   // a black hole.
   const bool exhausted = op.attempts > k.rules.retry.MaxRetriesFor(op.cls);
-  const bool node_bad = health_ != nullptr && health_->SuspectOrWorse(op.node);
-  if (k.rules.failover && (exhausted || node_bad) && TryFailover(id, op)) {
+  if (k.rules.failover && (exhausted || health_->SuspectOrWorse(op.node)) &&
+      TryFailover(id, op)) {
     return;
   }
   if (exhausted) {
@@ -133,8 +123,8 @@ void OpTracker::Repost(const OpId& id) {
 }
 
 bool OpTracker::TryFailover(const OpId& id, TrackedOp& op) {
-  if (placement_ == nullptr || health_ == nullptr || op.failovers >= placement_->replicas()) {
-    return false;  // No replicas, or every replica had its chance.
+  if (op.failovers >= placement_->replicas()) {
+    return false;  // Every replica had its chance.
   }
   const uint32_t best = PickReplica(id.vpage, op.node);
   if (best == kNoNode) {
@@ -160,9 +150,6 @@ void OpTracker::GiveUp(const OpId& id) {
 }
 
 uint32_t OpTracker::ReadNode(uint64_t vpage) const {
-  if (placement_ == nullptr) {
-    return 0;
-  }
   // With every replica dead this still aims at the primary and lets the
   // retry path surface the failure.
   const uint32_t node = PickReplica(vpage, kNoNode);
@@ -174,10 +161,10 @@ uint32_t OpTracker::PickReplica(uint64_t vpage, uint32_t skip) const {
   uint32_t suspect = kNoNode;
   for (uint32_t slot = 0; slot < placement_->replicas(); ++slot) {
     const uint32_t node = placement_->ReplicaNode(vpage, slot);
-    if (node == skip || !placement_->InSync(vpage, node)) {
+    if (node == skip || !placement_->SlotInSync(vpage, slot)) {
       continue;
     }
-    const NodeHealth h = health_ != nullptr ? health_->StateOf(node) : NodeHealth::kHealthy;
+    const NodeHealth h = health_->StateOf(node);
     if (h == NodeHealth::kHealthy || h == NodeHealth::kResilvering) {
       return node;
     }

@@ -111,7 +111,7 @@ struct TrackedOp {
 // reposts back off before the op gives up.
 struct OpRules {
   RetryPolicy retry;
-  bool failover = false;  // Move to another in-sync replica (needs placement).
+  bool failover = false;  // Move to another in-sync replica.
   bool traced = false;    // Record kFetchTimeout/kRetry/kFailover for req_id.
 };
 
@@ -121,7 +121,10 @@ class OpTracker {
   using RepostFn = std::function<bool(const OpId&, const TrackedOp&)>;
   using GiveUpFn = std::function<void(const OpId&, TrackedOp&)>;  // Op already untracked.
 
-  explicit OpTracker(Engine* engine) : engine_(engine) {}
+  // `placement` and `health` decide where reads go and where a failover
+  // lands; a single node is their one-replica case.
+  OpTracker(Engine* engine, PlacementMap* placement, NodeHealthMonitor* health)
+      : engine_(engine), health_(health), placement_(placement) {}
   OpTracker(const OpTracker&) = delete;
   OpTracker& operator=(const OpTracker&) = delete;
 
@@ -129,10 +132,6 @@ class OpTracker {
   void set_hooks(OpKind kind, RepostFn repost, GiveUpFn give_up) {
     kinds_[Index(kind)].repost = std::move(repost);
     kinds_[Index(kind)].give_up = std::move(give_up);
-  }
-  void set_replication(PlacementMap* placement, NodeHealthMonitor* health) {
-    placement_ = placement;
-    health_ = health;
   }
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
@@ -152,8 +151,7 @@ class OpTracker {
   ADIOS_NO_SUSPEND void Quarantine(uint64_t vpage, uint32_t node, uint64_t req_id);
   // After a corrupt payload: fail over at once, else give up.
   ADIOS_NO_SUSPEND void FailOver(const OpId& id);
-  // Replica to read `vpage` from: PickReplica, else the primary (node 0
-  // without placement).
+  // Replica to read `vpage` from: PickReplica, else the primary.
   uint32_t ReadNode(uint64_t vpage) const;
 
   struct Stats {
@@ -188,8 +186,8 @@ class OpTracker {
   void Trace(const Kind& k, TraceEvent event, uint64_t req_id, uint32_t arg) const;
 
   Engine* engine_;
-  NodeHealthMonitor* health_ = nullptr;
-  PlacementMap* placement_ = nullptr;
+  NodeHealthMonitor* health_;
+  PlacementMap* placement_;
   Tracer* tracer_ = nullptr;
   std::array<Kind, kNumOpKinds> kinds_;
   std::unordered_map<uint64_t, TrackedOp> ops_;  // By wr_id.

@@ -50,7 +50,6 @@ struct SchedConfig {
   // the fault history and adapts depth to prefetch-cache hit/waste feedback.
   uint32_t prefetch_window = 0;
   PrefetchPolicy prefetch_policy = PrefetchPolicy::kAdaptive;
-  uint32_t prefetch_history = 8;   // Fault deltas kept for stride voting.
   uint32_t rx_ring_size = 1024;
   // The dispatcher stops pulling from the RX ring when the central queue
   // holds this many entries; further arrivals overflow the ring and drop
@@ -83,7 +82,6 @@ struct SchedConfig {
   uint32_t preempt_check_cycles = 6;     // Concord-style instrumentation probe.
   uint32_t preempt_switch_cycles = 150;  // Requeue + switch on a fired preemption.
   uint32_t steal_cycles = 200;           // Peer-queue scan + dequeue (work stealing).
-  uint32_t steal_queue_cap = 64;         // Per-worker queue bound (work stealing).
 
   // --- Kernel-based system extras (Hermit, Infiniswap) ---
   uint32_t kernel_fault_extra_cycles = 0;    // Trap into kernel + return.

@@ -7,12 +7,14 @@
 namespace adios {
 
 Dispatcher::Dispatcher(Engine* engine, CpuCore* core, UnithreadPool* pool, CompletionQueue* cq,
-                       std::vector<Worker*> workers, const SchedConfig& config, DropFn on_drop)
+                       std::vector<Worker*> workers, OverloadController* ctrl,
+                       const SchedConfig& config, DropFn on_drop)
     : engine_(engine),
       core_(core),
       pool_(pool),
       cq_(cq),
       workers_(std::move(workers)),
+      ctrl_(ctrl),
       cfg_(config),
       on_drop_(std::move(on_drop)),
       rx_ring_(config.rx_ring_size),
@@ -51,8 +53,7 @@ void Dispatcher::OnRx(Request* req) {
   // door, before the request can occupy ring or queue space. Drops count in
   // stats_.dropped like RX-ring overflow, so the trace termination audit
   // (arrived == done + dropped) keeps balancing.
-  if (ctrl_ != nullptr &&
-      ctrl_->Admit(*req, engine_->now()) != OverloadController::Verdict::kAdmit) {
+  if (ctrl_->Admit(*req, engine_->now()) != OverloadController::Verdict::kAdmit) {
     ++stats_.dropped;
     on_drop_(req);
     return;
@@ -122,7 +123,7 @@ bool Dispatcher::DispatchSome() {
   for (Worker* w : workers_) {
     // Elastic scaling: workers outside the active set finish what they have
     // but receive no new assignments until the controller grows the set.
-    if (ctrl_ != nullptr && !ctrl_->WorkerActive(w->index())) {
+    if (!ctrl_->WorkerActive(w->index())) {
       continue;
     }
     if (w->CanAccept()) {

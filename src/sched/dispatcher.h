@@ -42,8 +42,13 @@ class Dispatcher {
     uint64_t max_queue_depth = 0;
   };
 
+  // Overload control (docs/OVERLOAD.md): OnRx consults `ctrl`'s admission
+  // and shed verdict before the RX ring, and DispatchSome assigns only to
+  // workers its scaling loop marks active. A controller with every loop off
+  // admits everything and keeps every worker active.
   Dispatcher(Engine* engine, CpuCore* core, UnithreadPool* pool, CompletionQueue* cq,
-             std::vector<Worker*> workers, const SchedConfig& config, DropFn on_drop);
+             std::vector<Worker*> workers, OverloadController* ctrl, const SchedConfig& config,
+             DropFn on_drop);
 
   // Spawns the dispatcher fiber.
   void Start();
@@ -58,11 +63,6 @@ class Dispatcher {
   const Stats& stats() const { return stats_; }
   size_t queue_depth() const { return queue_.size() + rx_ring_.size(); }
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-  // Overload control (docs/OVERLOAD.md): when set, OnRx consults the
-  // controller's admission/shed verdict before the RX ring, and DispatchSome
-  // assigns only to workers the scaling controller marks active. Null (the
-  // default) keeps the arrival path bit-identical to the pre-ctrl system.
-  void set_ctrl(OverloadController* ctrl) { ctrl_ = ctrl; }
   // Publishes the dispatcher's counters and queue depth as probes.
   void RegisterMetrics(MetricRegistry* registry);
 
@@ -77,11 +77,11 @@ class Dispatcher {
   UnithreadPool* pool_;
   CompletionQueue* cq_;
   std::vector<Worker*> workers_;
+  OverloadController* ctrl_;
   SchedConfig cfg_;
   DropFn on_drop_;
 
   Tracer* tracer_ = nullptr;
-  OverloadController* ctrl_ = nullptr;
   RingBuffer<Request*> rx_ring_;
   std::deque<Request*> queue_;  // The single centralized FCFS queue.
   WaitQueue events_;

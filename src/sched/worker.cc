@@ -8,7 +8,8 @@ namespace adios {
 
 Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
                UnithreadPool* pool, QueuePair* mem_qp, QueuePair* client_qp,
-               const SchedConfig& config, HandlerFn handler, ReplyFn on_reply)
+               PlacementMap* placement, NodeHealthMonitor* health, const SchedConfig& config,
+               HandlerFn handler, ReplyFn on_reply)
     : index_(index),
       engine_(engine),
       core_(core),
@@ -23,10 +24,10 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
       mem_cq_wait_(engine),
       client_cq_wait_(engine),
       prefetcher_(MakePrefetcher(config.prefetch_policy, config.prefetch_window,
-                                 config.prefetch_history, static_cast<uint16_t>(index))),
+                                 static_cast<uint16_t>(index))),
       cq_batch_(config.cq_poll_batch),
       rng_(config.seed * 7919 + index),
-      tracker_(engine) {
+      tracker_(engine, placement, health) {
   mem_qp_->cq()->set_on_push([this] {
     mem_cq_wait_.NotifyAll();
     events_.NotifyAll();

@@ -61,8 +61,11 @@ class Worker final : public WorkerApi {
   using ReplyFn = std::function<void(Request*)>;
   using HandlerFn = std::function<void(Request*, WorkerApi&)>;
 
+  // Fetches read from `placement`'s replicas and fail over between them as
+  // `health` allows; a single node is their one-replica case.
   Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm, UnithreadPool* pool,
-         QueuePair* mem_qp, QueuePair* client_qp, const SchedConfig& config, HandlerFn handler,
+         QueuePair* mem_qp, QueuePair* client_qp, PlacementMap* placement,
+         NodeHealthMonitor* health, const SchedConfig& config, HandlerFn handler,
          ReplyFn on_reply);
 
   void set_dispatcher(Dispatcher* d) { dispatcher_ = d; }
@@ -81,7 +84,7 @@ class Worker final : public WorkerApi {
   // (mailbox of one). Work stealing: a bounded per-worker queue.
   bool CanAccept() const {
     if (cfg_.dispatch_policy == DispatchPolicy::kWorkStealing) {
-      return assigned_q_.size() < cfg_.steal_queue_cap;
+      return assigned_q_.size() < kStealQueueCap;
     }
     return assigned_q_.empty();
   }
@@ -132,9 +135,6 @@ class Worker final : public WorkerApi {
   }
   // Publishes the worker's counters as probes labeled {worker=index}.
   void RegisterMetrics(MetricRegistry* registry);
-  // Replication wiring (never set on a single-node system: the fetch path
-  // then always targets node 0 and never consults health state).
-  void set_replication(PlacementMap* p, NodeHealthMonitor* h) { tracker_.set_replication(p, h); }
   // Verify-on-fetch (docs/INTEGRITY.md): consulted once per successful READ
   // completion in DrainMemCq. Null = no integrity layer (the default), zero
   // cost on the fetch path.
@@ -148,6 +148,8 @@ class Worker final : public WorkerApi {
   static void UnithreadMain(void* arg);
 
  private:
+  static constexpr uint32_t kStealQueueCap = 64;  // Per-worker queue bound (work stealing).
+
   void Loop();
   void RunItemNow(RunItem* item);
   void FinishRequest(RunItem* item);

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end test for tools/adios_lint against the fixture corpus.
 
-Every fixture line carrying a ``// expect: <rule>`` marker must produce
+Every fixture line carrying a ``// expect: <rule>`` marker (in a source)
+or a ``<!-- expect: <rule> -->`` marker (in a docs table) must produce
 exactly one finding of that rule on that line, and the analyzer must
 produce nothing else. Also checks the exit-code contract:
 
@@ -23,24 +24,27 @@ FIXTURES = os.path.join(REPO_ROOT, "tests", "adios_lint_fixtures")
 LINT = os.path.join(REPO_ROOT, "tools", "adios_lint")
 
 EXPECT_RE = re.compile(r"//\s*expect:\s*([a-z-]+)")
+MD_EXPECT_RE = re.compile(r"<!--\s*expect:\s*([a-z-]+)\s*-->")
 FINDING_RE = re.compile(r"^(.*?):(\d+): \[([a-z-]+)\] (.*)$")
 
 
 def collect_expected():
-    """Scan fixture sources for `// expect: rule` markers."""
+    """Scan fixture sources and docs for expect markers."""
     expected = set()
-    src = os.path.join(FIXTURES, "src")
-    for dirpath, _, names in os.walk(src):
-        for name in sorted(names):
-            if not name.endswith((".h", ".hpp", ".cc", ".cpp")):
-                continue
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, FIXTURES)
-            with open(path, encoding="utf-8") as f:
-                for lineno, line in enumerate(f, start=1):
-                    m = EXPECT_RE.search(line)
-                    if m:
-                        expected.add((rel, lineno, m.group(1)))
+    markers = (("src", (".h", ".hpp", ".cc", ".cpp"), EXPECT_RE),
+               ("docs", (".md",), MD_EXPECT_RE))
+    for subdir, exts, pattern in markers:
+        for dirpath, _, names in os.walk(os.path.join(FIXTURES, subdir)):
+            for name in sorted(names):
+                if not name.endswith(exts):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, FIXTURES)
+                with open(path, encoding="utf-8") as f:
+                    for lineno, line in enumerate(f, start=1):
+                        m = pattern.search(line)
+                        if m:
+                            expected.add((rel, lineno, m.group(1)))
     return expected
 
 

@@ -334,6 +334,61 @@ TEST(MdSystem, SingleNodeResultsUnchangedByReplicationCode) {
   EXPECT_EQ(r.divergence_events, 0u);
 }
 
+// --- The single node is the one-replica case ---
+
+TEST(MdSystem, DefaultConfigBuildsOneReplicaPlacementHealthAndController) {
+  ArrayApp app(SmallArray());
+  MdSystem sys(SystemConfig::Adios(), &app);
+  ASSERT_NE(sys.placement(), nullptr);
+  ASSERT_NE(sys.node_health(), nullptr);
+  ASSERT_NE(sys.overload_controller(), nullptr);
+  EXPECT_EQ(sys.placement()->replicas(), 1u);
+  EXPECT_EQ(sys.placement()->num_nodes(), 1u);
+  EXPECT_EQ(sys.node_health()->num_nodes(), 1u);
+}
+
+TEST(MdSystem, SingleNodeBlackoutAbortsWriteBacksWithoutDiverging) {
+  // A write-heavy blackout on the only node: write-backs spend their budget
+  // and abort, readers fail, yet the single copy never goes out of sync and
+  // the node never turns suspect (there is nothing to fail over to).
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.fault.blackout_start_ns = Milliseconds(7);
+  cfg.fault.blackout_duration_ns = Milliseconds(1);
+  MemcachedApp::Options mo;
+  mo.num_keys = 1 << 14;
+  mo.set_fraction = 0.3;
+  MemcachedApp app(mo);
+  MdSystem sys(cfg, &app);
+  RunResult r = sys.Run(200000, Milliseconds(4), Milliseconds(10));
+  EXPECT_EQ(r.sent, r.completed + r.dropped);
+  EXPECT_GT(r.writeback_aborts, 0u);
+  EXPECT_GT(r.requests_failed, 0u);
+  EXPECT_EQ(r.node_suspect_events, 0u);
+  EXPECT_EQ(r.divergence_events, 0u);
+  EXPECT_EQ(r.failovers, 0u);
+}
+
+TEST(MdSystem, SingleNodeCorruptionIsUnrepairableAndCheckerClean) {
+  // Wire-corrupted READs on the only copy: verify catches them, nothing can
+  // repair them, and the slot stays in sync. A fatal checker must find the
+  // one-copy accounting consistent.
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.integrity.verify = true;
+  cfg.fault.corrupt_rate = 2e-3;
+  cfg.check.enabled = true;
+  cfg.check.fatal = true;
+  ArrayApp app(SmallArray());
+  MdSystem sys(cfg, &app);
+  RunResult r = sys.Run(200000, Milliseconds(4), Milliseconds(10));
+  EXPECT_EQ(r.sent, r.completed + r.dropped);
+  EXPECT_GT(r.integrity.unrepairable, 0u);
+  EXPECT_EQ(r.integrity.repaired, 0u);
+  EXPECT_EQ(r.divergence_events, 0u);
+  ASSERT_NE(sys.invariant_checker(), nullptr);
+  EXPECT_GT(sys.invariant_checker()->report().audits, 0u);
+  EXPECT_EQ(sys.invariant_checker()->report().violations, 0u);
+}
+
 // --- Data integrity (docs/INTEGRITY.md) ---
 
 TEST(MdSystem, DemandDetectedCorruptionIsRepairedFromReplica) {

@@ -39,6 +39,21 @@ TEST(NodeHealth, EvidenceEscalatesToSuspectThenDead) {
   EXPECT_EQ(mon.StateOf(1), NodeHealth::kHealthy);  // Evidence is per node.
 }
 
+TEST(NodeHealth, NodeWithNoReplicaToFailOverToIsNeverSuspect) {
+  Engine engine;
+  NodeHealthMonitor mon(&engine, ReplicationConfig{});  // One node, one replica.
+  mon.set_probe_fn([](uint32_t, SimTime) { return false; });
+  for (int i = 0; i < 20; ++i) {
+    mon.ReportError(0);
+    mon.ReportCorruption(0);
+  }
+  EXPECT_GT(mon.EvidenceScore(0, engine.now()), ReplicationConfig{}.dead_threshold);
+  EXPECT_EQ(mon.StateOf(0), NodeHealth::kHealthy);
+  EXPECT_EQ(mon.suspect_events(), 0u);
+  engine.Run();
+  EXPECT_EQ(engine.now(), 0u);  // No probe was ever scheduled.
+}
+
 TEST(NodeHealth, EvidenceDecaysExponentially) {
   Engine engine;
   NodeHealthMonitor mon(&engine, TwoNodes());

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "src/mem/remote_heap.h"
 
@@ -59,15 +60,22 @@ const char* KindName(OpKind kind) {
 
 OpId IdFor(OpKind kind) { return {kind, 7, kind == OpKind::kFetch ? 0u : 1u}; }
 
+// By default one replica per page, so nothing fails over and no node turns
+// suspect. The health monitor covers node 1 too, which the write-back,
+// re-silver and scrub ids name.
 struct Rig {
   Engine engine;
-  OpTracker tracker{&engine};
+  PlacementMap placement;
+  NodeHealthMonitor health;
+  OpTracker tracker{&engine, &placement, &health};
   bool qp_full = false;
   int reposts = 0;
   int refusals = 0;
   int give_up_calls = 0;
 
-  Rig() {
+  explicit Rig(PlacementMap p = PlacementMap(16, 1, 1),
+               const ReplicationConfig& h = ReplicationConfig{.num_nodes = 2})
+      : placement(std::move(p)), health(&engine, h) {
     for (OpKind kind : {OpKind::kFetch, OpKind::kWriteback, OpKind::kResilver, OpKind::kScrub}) {
       tracker.set_rules(kind, RulesFor(kind));
       tracker.set_hooks(
@@ -296,15 +304,7 @@ TEST(OpTracker, BudgetExhaustionGivesUpWithExponentialBackoff) {
 
 // Failover: two nodes, two replicas, fetch of page 0 (primary node 0).
 struct FailoverRig : Rig {
-  PlacementMap placement{16, 2, 2};
-  NodeHealthMonitor health{&engine, [] {
-                             ReplicationConfig c;
-                             c.num_nodes = 2;
-                             c.replicas = 2;
-                             return c;
-                           }()};
-  FailoverRig() {
-    tracker.set_replication(&placement, &health);
+  FailoverRig() : Rig(PlacementMap(16, 2, 2), ReplicationConfig{.num_nodes = 2, .replicas = 2}) {
     health.set_probe_fn([](uint32_t, SimTime) { return false; });
   }
 };

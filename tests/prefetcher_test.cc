@@ -131,7 +131,7 @@ std::vector<uint64_t> DriveFaults(AdaptivePrefetcher& pf, MemoryManager& mm,
 TEST(AdaptivePrefetcher, DisabledWindowDoesNothing) {
   Engine e;
   MemoryManager mm(&e, Opts());
-  AdaptivePrefetcher pf(0, 8);
+  AdaptivePrefetcher pf(0);
   auto out = DriveFaults(pf, mm, {10, 11, 12, 13});
   EXPECT_TRUE(out.empty());
 }
@@ -139,7 +139,7 @@ TEST(AdaptivePrefetcher, DisabledWindowDoesNothing) {
 TEST(AdaptivePrefetcher, ConvergesOnUnitStride) {
   Engine e;
   MemoryManager mm(&e, Opts(4096, 4096));
-  AdaptivePrefetcher pf(8, 8);
+  AdaptivePrefetcher pf(8);
   auto out = DriveFaults(pf, mm, {10, 11, 12});
   // Two deltas of +1: majority over the smallest sub-window -> stride +1.
   // Initial window is 1, so exactly one candidate.
@@ -151,7 +151,7 @@ TEST(AdaptivePrefetcher, ConvergesOnUnitStride) {
 TEST(AdaptivePrefetcher, DetectsNonUnitStride) {
   Engine e;
   MemoryManager mm(&e, Opts(4096, 4096));
-  AdaptivePrefetcher pf(8, 8);
+  AdaptivePrefetcher pf(8);
   auto out = DriveFaults(pf, mm, {100, 104, 108});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 112u);
@@ -160,7 +160,7 @@ TEST(AdaptivePrefetcher, DetectsNonUnitStride) {
 TEST(AdaptivePrefetcher, DetectsNegativeStride) {
   Engine e;
   MemoryManager mm(&e, Opts(4096, 4096));
-  AdaptivePrefetcher pf(8, 8);
+  AdaptivePrefetcher pf(8);
   auto out = DriveFaults(pf, mm, {200, 199, 198});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 197u);
@@ -169,7 +169,7 @@ TEST(AdaptivePrefetcher, DetectsNegativeStride) {
 TEST(AdaptivePrefetcher, MajorityVoteTolersatesOutliers) {
   Engine e;
   MemoryManager mm(&e, Opts(65536, 65536));
-  AdaptivePrefetcher pf(8, 8);
+  AdaptivePrefetcher pf(8);
   // A mostly-unit-stride stream with one wild jump: deltas over the full
   // history are {1,1,1, big, 1,1,1} — the majority is still +1.
   auto out = DriveFaults(pf, mm, {10, 11, 12, 13, 5000, 5001, 5002, 5003});
@@ -180,7 +180,7 @@ TEST(AdaptivePrefetcher, MajorityVoteTolersatesOutliers) {
 TEST(AdaptivePrefetcher, RandomFaultsFindNoMajority) {
   Engine e;
   MemoryManager mm(&e, Opts(65536, 65536));
-  AdaptivePrefetcher pf(8, 8);
+  AdaptivePrefetcher pf(8);
   auto out = DriveFaults(pf, mm, {17, 920, 3, 4411, 209, 8191, 55, 1040});
   EXPECT_TRUE(out.empty());
 }
@@ -188,7 +188,7 @@ TEST(AdaptivePrefetcher, RandomFaultsFindNoMajority) {
 TEST(AdaptivePrefetcher, WindowGrowsOnHitsAndShrinksOnWaste) {
   Engine e;
   MemoryManager mm(&e, Opts(65536, 65536));
-  AdaptivePrefetcher pf(8, 8);
+  AdaptivePrefetcher pf(8);
   EXPECT_EQ(pf.window(), 1u);
   pf.OnPrefetchHit();
   pf.OnPrefetchHit();
@@ -214,7 +214,7 @@ TEST(AdaptivePrefetcher, WindowGrowsOnHitsAndShrinksOnWaste) {
 TEST(AdaptivePrefetcher, DepthFollowsWindow) {
   Engine e;
   MemoryManager mm(&e, Opts(65536, 65536));
-  AdaptivePrefetcher pf(8, 8);
+  AdaptivePrefetcher pf(8);
   pf.OnPrefetchHit();
   pf.OnPrefetchHit();
   pf.OnPrefetchHit();  // window = 4.
@@ -229,7 +229,7 @@ TEST(AdaptivePrefetcher, DepthFollowsWindow) {
 TEST(AdaptivePrefetcher, StopsAtAddressSpaceEdges) {
   Engine e;
   MemoryManager mm(&e, Opts(64, 64));
-  AdaptivePrefetcher pf(8, 8);
+  AdaptivePrefetcher pf(8);
   // Negative stride marching toward page 0: candidates below 0 are dropped.
   auto out = DriveFaults(pf, mm, {2, 1, 0});
   EXPECT_TRUE(out.empty());
@@ -241,7 +241,7 @@ TEST(AdaptivePrefetcher, DeterministicAcrossIdenticalRuns) {
   for (int run = 0; run < 2; ++run) {
     Engine e;
     MemoryManager mm(&e, Opts(4096, 4096));
-    AdaptivePrefetcher pf(8, 8);
+    AdaptivePrefetcher pf(8);
     std::vector<uint64_t> all;
     std::vector<uint64_t> out;
     for (uint64_t f : faults) {
@@ -257,8 +257,8 @@ TEST(AdaptivePrefetcher, DeterministicAcrossIdenticalRuns) {
 TEST(MakePrefetcher, FactorySelectsPolicy) {
   Engine e;
   MemoryManager mm(&e, Opts(4096, 4096));
-  auto seq = MakePrefetcher(PrefetchPolicy::kSequential, 8, 8, 0);
-  auto ada = MakePrefetcher(PrefetchPolicy::kAdaptive, 8, 8, 0);
+  auto seq = MakePrefetcher(PrefetchPolicy::kSequential, 8, 0);
+  auto ada = MakePrefetcher(PrefetchPolicy::kAdaptive, 8, 0);
   ASSERT_NE(seq, nullptr);
   ASSERT_NE(ada, nullptr);
   // Sequential ignores non-unit strides where adaptive locks on.

@@ -11,6 +11,8 @@ struct Rig {
   MemoryManager mm;
   CpuCore core;
   QueuePair* qp;
+  PlacementMap placement;
+  NodeHealthMonitor health;
   Reclaimer reclaimer;
 
   Rig(MemoryManager::Options mo, Reclaimer::Options ro)
@@ -18,7 +20,9 @@ struct Rig {
         mm(&engine, mo),
         core(&engine, CycleClock(2000), "reclaim"),
         qp(fabric.CreateQp(fabric.CreateCq())),
-        reclaimer(&engine, &core, &mm, qp, ro) {}
+        placement(mo.total_pages, 1, 1),
+        health(&engine, ReplicationConfig{}),
+        reclaimer(&engine, &core, &mm, qp, &placement, &health, ro) {}
 };
 
 MemoryManager::Options Opts() {

@@ -80,5 +80,18 @@ TEST(RemoteHeap, DistinctAllocationsDoNotOverlap) {
   }
 }
 
+TEST(PlacementMap, SingleCopyNeverGoesOutOfSync) {
+  PlacementMap one(8, 1, 1);
+  one.MarkOutOfSync(3, 0);
+  EXPECT_TRUE(one.InSync(3, 0));
+  EXPECT_EQ(one.divergent_slots(), 0u);
+  EXPECT_EQ(one.divergence_events(), 0u);
+
+  PlacementMap two(8, 2, 2);  // A second copy: the same loss diverges.
+  two.MarkOutOfSync(3, 0);
+  EXPECT_FALSE(two.InSync(3, 0));
+  EXPECT_EQ(two.divergence_events(), 1u);
+}
+
 }  // namespace
 }  // namespace adios

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 namespace adios {
 namespace {
 
@@ -48,6 +53,64 @@ TEST(SystemConfig, DefaultPoolUsesUniversalStackBuffers) {
   const UnithreadPool::Options p = SystemConfig::DefaultPool();
   EXPECT_GT(p.count, 1000u);  // Pre-allocated for bursts (paper: 131072).
   EXPECT_GT(p.buffer_size, p.mtu + sizeof(UnithreadContext) + 4096);
+}
+
+TEST(SystemConfigValidate, PresetsAreValid) {
+  for (const SystemConfig& c : {SystemConfig{}, SystemConfig::Adios(), SystemConfig::DiLOS(),
+                                SystemConfig::DiLOSP(), SystemConfig::Infiniswap(),
+                                SystemConfig::Hermit()}) {
+    EXPECT_TRUE(c.Validate().empty()) << c.name;
+  }
+}
+
+TEST(SystemConfigValidate, EachRuleReportsItself) {
+  struct Case {
+    const char* rule;
+    void (*spoil)(SystemConfig&);
+  };
+  const Case cases[] = {
+      {"replication.num_nodes >= 1", [](SystemConfig& c) { c.replication.num_nodes = 0; }},
+      {"replication.replicas >= 1", [](SystemConfig& c) { c.replication.replicas = 0; }},
+      {"replication.replicas <= replication.num_nodes",
+       [](SystemConfig& c) { c.replication.replicas = 2; }},
+      {"replication.resilver_bw_gbps > 0",
+       [](SystemConfig& c) { c.replication.resilver_bw_gbps = 0.0; }},
+      {"integrity.scrub_bw_gbps > 0", [](SystemConfig& c) { c.integrity.scrub_bw_gbps = -1.0; }},
+      {"retry.timeout_ns > 0",
+       [](SystemConfig& c) {
+         c.retry.enabled = true;
+         c.retry.timeout_ns = 0;
+       }},
+      {"fault.blackout_node < replication.num_nodes",
+       [](SystemConfig& c) {
+         c.fault.blackout_duration_ns = 1000;
+         c.fault.blackout_node = 1;
+       }},
+  };
+  for (const Case& k : cases) {
+    SystemConfig c = SystemConfig::Adios();
+    k.spoil(c);
+    const std::vector<std::string> errors = c.Validate();
+    const bool found = std::any_of(errors.begin(), errors.end(), [&](const std::string& e) {
+      return e.rfind(k.rule, 0) == 0;
+    });
+    EXPECT_TRUE(found) << k.rule;
+  }
+}
+
+TEST(SystemConfigValidate, ReportsEveryViolationAtOnce) {
+  SystemConfig c = SystemConfig::Adios();
+  c.replication.replicas = 0;
+  c.replication.resilver_bw_gbps = std::nan("");
+  c.integrity.scrub_bw_gbps = 0.0;
+  c.integrity.verify = true;  // Turns retry on.
+  c.retry.timeout_ns = 0;
+  const std::vector<std::string> errors = c.Validate();
+  ASSERT_EQ(errors.size(), 4u);
+  EXPECT_EQ(errors[0].rfind("replication.replicas >= 1", 0), 0u);
+  EXPECT_EQ(errors[1].rfind("replication.resilver_bw_gbps > 0", 0), 0u);
+  EXPECT_EQ(errors[2].rfind("integrity.scrub_bw_gbps > 0", 0), 0u);
+  EXPECT_EQ(errors[3].rfind("retry.timeout_ns > 0", 0), 0u);
 }
 
 TEST(FabricDefaults, UnloadedFetchWithinPaperRange) {

@@ -150,11 +150,13 @@ def lex(path, text=None):
             tokens.append(Token(KIND_ID, text[i:j], line))
             i = j
             continue
-        # Number (good enough: digits, hex, suffixes, dots, exponent signs).
+        # Number (good enough: digits, hex, suffixes, dots, exponent signs,
+        # and digit separators, which must not open a char literal).
         if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
             while j < n and (text[j] in _ID_CONT or text[j] == "." or
-                             (text[j] in "+-" and text[j - 1] in "eEpP")):
+                             (text[j] in "+-" and text[j - 1] in "eEpP") or
+                             (text[j] == "'" and j + 1 < n and text[j + 1] in _ID_CONT)):
                 j += 1
             tokens.append(Token(KIND_NUM, text[i:j], line))
             i = j

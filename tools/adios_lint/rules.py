@@ -11,7 +11,8 @@ Each rule is a static complement to one of the runtime invariant checks:
                        in src/base/; SimTime arithmetic never mixes them in.
   default-off-knob  <- SystemConfig presets: every config knob carries an
                        explicit default initializer and appears in a docs
-                       knob table.
+                       knob table, and every row of a docs/KNOBS.md table
+                       headed by a config struct names a field of it.
 
 Suppression: `// adios-lint: ignore(rule[,rule]) -- reason` on the finding
 line or the line above; `ignore(all)` silences every rule for that line.
@@ -438,6 +439,41 @@ def _check_knobs(indexes, docs_text, findings):
                             f"table (docs/KNOBS.md)"))
 
 
+_MD_HEADER_RE = re.compile(r"^#+\s")
+_MD_CODE_RE = re.compile(r"`([A-Za-z_][\w:]*)`")
+_MD_ROW_RE = re.compile(r"^\|\s*`([A-Za-z_]\w*)`\s*\|")
+
+
+def _check_knob_rows(indexes, root, findings):
+    """The reverse of _check_knobs: a deleted knob must take its row along.
+
+    A docs/KNOBS.md section whose header names an indexed config struct
+    (`SystemConfig`, `Reclaimer::Options`, ...) lists that struct's fields;
+    each backticked first-column name must still be one. Sections naming no
+    indexed struct (a subset run, prose sections) are skipped.
+    """
+    path = os.path.join(root, "docs", "KNOBS.md")
+    if not os.path.isfile(path):
+        return
+    structs = {sd.qualname: sd for idx in indexes for sd in idx.structs
+               if is_config_struct(sd)}
+    section = None
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        for lineno, line in enumerate(f, start=1):
+            if _MD_HEADER_RE.match(line):
+                names = [n for n in _MD_CODE_RE.findall(line) if n in structs]
+                section = structs[names[0]] if names else None
+                continue
+            m = _MD_ROW_RE.match(line)
+            if section is None or m is None:
+                continue
+            if m.group(1) not in {fd.name for fd in section.fields}:
+                findings.append(Finding(
+                    path, lineno, RULE_KNOB,
+                    f"knob row '{m.group(1)}' names no field of "
+                    f"'{section.qualname}': delete the stale row"))
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -461,5 +497,6 @@ def run_rules(indexes, graph, root, docs_text, enabled=None):
         _check_no_suspend_annotations(graph, findings)
     if RULE_KNOB in enabled:
         _check_knobs(indexes, docs_text, findings)
+        _check_knob_rows(indexes, root, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
