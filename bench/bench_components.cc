@@ -9,6 +9,7 @@
 
 #include "src/base/histogram.h"
 #include "src/base/rng.h"
+#include "src/integrity/integrity.h"
 #include "src/integrity/page_checksum.h"
 #include "src/mem/memory_manager.h"
 #include "src/mem/remote_heap.h"
@@ -225,8 +226,9 @@ void BM_FabricReadPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricReadPipeline);
 
-// Host cost of the page digest every verified fetch recomputes, on one hot
-// 4 KiB page (the simulated cost is the fixed `verify_cycles`).
+// Host cost of the page digest a verified fetch computes when the page
+// changed, on one hot 4 KiB page (the simulated cost is the fixed
+// `verify_cycles`).
 void BM_PageChecksum(benchmark::State& state) {
   std::vector<uint8_t> page(kPageSize);
   Rng rng(1);
@@ -239,6 +241,55 @@ void BM_PageChecksum(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(page.size()));
 }
 BENCHMARK(BM_PageChecksum);
+
+// One verify-on-fetch over a 64-page region, cycling through its pages.
+constexpr uint64_t kVerifyPages = 64;
+
+IntegrityConfig VerifyConfig() {
+  IntegrityConfig cfg;
+  cfg.verify = true;
+  return cfg;
+}
+
+void FillRegion(RemoteRegion* region) {
+  Rng rng(1);
+  for (uint64_t page = 0; page < region->num_pages(); ++page) {
+    std::byte* bytes = region->MutablePage(page);
+    for (uint64_t i = 0; i < kPageSize; ++i) {
+      bytes[i] = static_cast<std::byte>(rng.Next());
+    }
+  }
+}
+
+// No write since the page was last hashed: the digest memo answers and the
+// codec does not run.
+void BM_VerifyFetchUnchangedPage(benchmark::State& state) {
+  RemoteRegion region(kVerifyPages * kPageSize);
+  FillRegion(&region);
+  IntegrityLayer layer(VerifyConfig(), &region, kVerifyPages, kPageSize, 1, 1);
+  uint64_t vpage = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.VerifyFetch(vpage, vpage, 0));
+    vpage = (vpage + 1) % kVerifyPages;
+  }
+}
+BENCHMARK(BM_VerifyFetchUnchangedPage);
+
+// A one-byte write before every verify: the memo misses and the codec
+// re-hashes the 4 KiB page.
+void BM_VerifyFetchDirtiedPage(benchmark::State& state) {
+  RemoteRegion region(kVerifyPages * kPageSize);
+  FillRegion(&region);
+  IntegrityLayer layer(VerifyConfig(), &region, kVerifyPages, kPageSize, 1, 1);
+  uint64_t vpage = 0;
+  uint8_t value = 0;
+  for (auto _ : state) {
+    region.WriteObject<uint8_t>(PageStart(vpage) + 64, ++value);
+    benchmark::DoNotOptimize(layer.VerifyFetch(vpage, vpage, 0));
+    vpage = (vpage + 1) % kVerifyPages;
+  }
+}
+BENCHMARK(BM_VerifyFetchDirtiedPage);
 
 }  // namespace
 }  // namespace adios

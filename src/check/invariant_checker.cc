@@ -54,31 +54,37 @@ void InvariantChecker::AuditNow() {
 }
 
 void InvariantChecker::AuditChecksumCoverage() {
-  // Both halves check detections and digests against divergence state. One
-  // copy per page has none (PlacementMap's one-copy rule): its corrupt or
-  // stale copy stays in sync and counts as unrepairable or as a write-back
-  // abort instead.
-  if (deps_.integrity == nullptr || deps_.mm == nullptr || deps_.placement->replicas() == 1) {
+  if (deps_.integrity == nullptr || deps_.mm == nullptr) {
     return;
   }
   const IntegrityLayer& in = *deps_.integrity;
+  // The quarantine and ledger halves check detections and digests against
+  // divergence state. One copy per page has none (PlacementMap's one-copy
+  // rule): its corrupt or stale copy stays in sync and counts as
+  // unrepairable or as a write-back abort instead.
+  const bool replicated = deps_.placement->replicas() > 1;
   // (a) Quarantine coverage: a slot the layer has detected as corrupt and not
   // yet repaired must be marked divergent in the placement map, or the read
   // path could still route a fetch to the known-bad copy.
-  in.ForEachOutstanding([&](uint64_t vpage, uint32_t slot) {
-    const uint32_t node = in.NodeOfSlot(vpage, slot);
-    if (deps_.placement->InSync(vpage, node)) {
-      std::ostringstream os;
-      os << "page " << vpage << " slot " << slot << " (node " << node
-         << ") has an outstanding corruption but is still in sync";
-      Violation("corrupt replica not quarantined", os.str());
-    }
-  });
+  if (replicated) {
+    in.ForEachOutstanding([&](uint64_t vpage, uint32_t slot) {
+      const uint32_t node = in.NodeOfSlot(vpage, slot);
+      if (deps_.placement->InSync(vpage, node)) {
+        std::ostringstream os;
+        os << "page " << vpage << " slot " << slot << " (node " << node
+           << ") has an outstanding corruption but is still in sync";
+        Violation("corrupt replica not quarantined", os.str());
+      }
+    });
+  }
   // (b) Ledger freshness, a window of pages per audit so periodic audits stay
-  // cheap: for a cold remote page with no write-back in flight, every in-sync
-  // replica's recorded digest must match a fresh recompute of the region.
-  // Checker-poisoned pages are skipped — their region bytes are deliberately
-  // scrambled (poison_evicted_pages), which is not modeled corruption.
+  // cheap. Both checks compare against a fresh hash of the region, never the
+  // layer's digest memo, so the audit does not trust what it checks:
+  //   - any page whose memo claims validity must hold the fresh digest;
+  //   - for a cold remote page with no write-back in flight, every in-sync
+  //     replica's recorded digest must match it. Checker-poisoned pages are
+  //     skipped here — their region bytes are deliberately scrambled
+  //     (poison_evicted_pages), which is not modeled corruption.
   constexpr uint64_t kIntegrityAuditWindow = 1024;
   const uint64_t pages =
       std::min<uint64_t>(in.num_pages(), deps_.mm->page_table().num_pages());
@@ -88,22 +94,25 @@ void InvariantChecker::AuditChecksumCoverage() {
   const uint64_t window = std::min<uint64_t>(pages, kIntegrityAuditWindow);
   for (uint64_t i = 0; i < window; ++i) {
     const uint64_t vpage = integrity_cursor_++ % pages;
-    if (deps_.mm->StateOf(vpage) != PageState::kRemote) {
+    const uint64_t fresh = in.FreshChecksum(vpage);
+    uint64_t memo = 0;
+    if (in.MemoValid(vpage, &memo) && memo != fresh) {
+      std::ostringstream os;
+      os << "page " << vpage << " memoizes digest " << memo
+         << " but its region bytes hash to " << fresh << " with no write stamped since";
+      Violation("digest memo stale", os.str());
+    }
+    if (!replicated || deps_.mm->StateOf(vpage) != PageState::kRemote ||
+        PageIsPoisoned(vpage) ||
+        (deps_.reclaimer != nullptr && deps_.reclaimer->WritebackInFlight(vpage))) {
       continue;
     }
-    if (PageIsPoisoned(vpage)) {
-      continue;
-    }
-    if (deps_.reclaimer != nullptr && deps_.reclaimer->WritebackInFlight(vpage)) {
-      continue;
-    }
-    const uint64_t expect = in.ComputeChecksum(vpage);
     for (uint32_t slot = 0; slot < in.replicas(); ++slot) {
       const uint32_t node = in.NodeOfSlot(vpage, slot);
       if (!deps_.placement->InSync(vpage, node)) {
         continue;  // Divergent copies lag the region by definition.
       }
-      if (in.ChecksumOf(vpage, slot) != expect) {
+      if (in.ChecksumOf(vpage, slot) != fresh) {
         std::ostringstream os;
         os << "page " << vpage << " slot " << slot << " (node " << node
            << ") is in sync but its recorded digest does not match the region";
@@ -453,7 +462,7 @@ void InvariantChecker::OnMap(uint64_t vpage) {
 }
 
 void InvariantChecker::XorPage(uint64_t vpage) {
-  std::byte* bytes = deps_.region->data() + PageStart(vpage);
+  std::byte* bytes = deps_.region->MutablePage(vpage);
   for (uint64_t i = 0; i < kPageSize; ++i) {
     bytes[i] ^= kPoisonMask;
   }

@@ -120,8 +120,9 @@ class InvariantChecker {
   void AuditQpConservation();
   void AuditStacks();
   // Checksum-ledger audit: detections must be quarantined in the placement
-  // map, and (incrementally, kIntegrityAuditWindow pages per call) recorded
-  // digests of clean in-sync slots must match the region.
+  // map, and (incrementally, kIntegrityAuditWindow pages per call) valid
+  // digest memos and the recorded digests of clean in-sync slots must match
+  // a fresh hash of the region.
   void AuditChecksumCoverage();
   // Incremental: validates records()[trace_cursor_..] and advances the
   // cursor, so periodic audits stay O(total records) across a whole run.

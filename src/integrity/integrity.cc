@@ -6,7 +6,7 @@
 
 namespace adios {
 
-IntegrityLayer::IntegrityLayer(const IntegrityConfig& config, const RemoteRegion* region,
+IntegrityLayer::IntegrityLayer(const IntegrityConfig& config, RemoteRegion* region,
                                uint64_t num_pages, uint64_t page_bytes,
                                uint32_t num_nodes, uint32_t replicas)
     : config_(config),
@@ -17,6 +17,10 @@ IntegrityLayer::IntegrityLayer(const IntegrityConfig& config, const RemoteRegion
       replicas_(replicas) {
   ADIOS_CHECK(region != nullptr);
   ADIOS_CHECK(replicas >= 1 && replicas <= num_nodes);
+  // Stamping starts here, so every later write invalidates the memo; the
+  // priming below hashes whatever was written before.
+  region->StartWriteStamps();
+  memo_.resize(num_pages);
   // Prime the map from the post-setup region: every replica of a page starts
   // in sync with ground truth, so the digest is the same for every slot.
   sums_.resize(num_pages * replicas);
@@ -28,14 +32,40 @@ IntegrityLayer::IntegrityLayer(const IntegrityConfig& config, const RemoteRegion
   }
 }
 
-uint64_t IntegrityLayer::ComputeChecksum(uint64_t vpage) const {
+uint64_t IntegrityLayer::BytesOf(uint64_t vpage) const {
   const uint64_t begin = vpage * page_bytes_;
-  if (begin >= region_->size()) {
-    // Pages past the region (page table larger than the heap) digest empty.
-    return PageChecksum(nullptr, 0, config_.checksum_seed);
+  return begin >= region_->size() ? 0 : std::min<uint64_t>(page_bytes_, region_->size() - begin);
+}
+
+uint64_t IntegrityLayer::StampOf(uint64_t vpage) const {
+  return region_->WriteStampSum(vpage * page_bytes_, BytesOf(vpage));
+}
+
+uint64_t IntegrityLayer::ComputeChecksum(uint64_t vpage) const {
+  ADIOS_DCHECK(vpage < num_pages_);
+  DigestMemo& memo = memo_[vpage];
+  const uint64_t stamp = StampOf(vpage);
+  if (memo.stamp != stamp) {
+    memo.digest = FreshChecksum(vpage);
+    memo.stamp = stamp;
+    ++digests_computed_;
   }
-  const uint64_t len = std::min<uint64_t>(page_bytes_, region_->size() - begin);
-  return PageChecksum(region_->data() + begin, len, config_.checksum_seed);
+  return memo.digest;
+}
+
+bool IntegrityLayer::MemoValid(uint64_t vpage, uint64_t* digest) const {
+  const DigestMemo& memo = memo_[vpage];
+  if (memo.stamp != StampOf(vpage)) {
+    return false;
+  }
+  *digest = memo.digest;
+  return true;
+}
+
+uint64_t IntegrityLayer::FreshChecksum(uint64_t vpage) const {
+  const uint64_t len = BytesOf(vpage);
+  return PageChecksum(len == 0 ? nullptr : region_->data() + vpage * page_bytes_, len,
+                      config_.checksum_seed);
 }
 
 void IntegrityLayer::OnWireCorrupt(uint64_t wr_id, bool is_write) {
@@ -59,9 +89,9 @@ bool IntegrityLayer::PayloadCorrupt(uint64_t wr_id, uint64_t vpage, uint32_t nod
   if (stored_poison_.count(key) != 0) {
     return true;
   }
-  // Real recompute on the clean path: catches a slot whose recorded digest
-  // went stale against the region (a lost write-back), and makes the verify
-  // cycles charged to the worker an honest model of hashing 4 KB.
+  // Digest-vs-region comparison on the clean path: catches a slot whose
+  // recorded digest went stale against the region (a lost write-back). The
+  // memo re-hashes the page only if a write moved its stamps.
   if (recompute_skip_ && recompute_skip_(vpage)) {
     return false;
   }
@@ -166,6 +196,8 @@ void IntegrityLayer::RegisterMetrics(MetricRegistry* registry) {
                           [this] { return static_cast<double>(scrub_finds_); });
   registry->RegisterProbe("integrity.served_corrupt", {},
                           [this] { return static_cast<double>(served_corrupt_); });
+  registry->RegisterProbe("integrity.digests_computed", {},
+                          [this] { return static_cast<double>(digests_computed_); });
 }
 
 }  // namespace adios

@@ -14,8 +14,13 @@
 //
 // A fetched payload is corrupt iff its READ was wire-corrupted, or its source
 // slot is store-poisoned, or the slot's recorded digest no longer matches the
-// region (a lost update). Verification recomputes the page digest for real on
-// the clean path, so the verify cost charged to the worker core is honest.
+// region (a lost update). The digest-vs-region comparison runs on every
+// clean-path verify. Its simulated cost is the fixed `verify_cycles` charged
+// to the worker core; the host hashes only bytes that changed. A per-vpage
+// digest memo is keyed by the region's write stamps (RemoteRegion), so a page
+// is re-hashed only after a write moved a stamp covering it, and a lost
+// write-back is still caught: the app's write moves the stamp, and the next
+// fetch re-hashes.
 //
 // Detection bookkeeping keeps the conservation law the invariant checker
 // audits:  detected == repaired + outstanding  (unrepairable entries stay
@@ -41,10 +46,11 @@ class MetricRegistry;
 
 class IntegrityLayer {
  public:
-  // `region` must outlive the layer. `replicas` >= 1; slot k of vpage lives
-  // on node (vpage + k) % num_nodes, PlacementMap's formula, so the layer
-  // stands alone in unit tests.
-  IntegrityLayer(const IntegrityConfig& config, const RemoteRegion* region,
+  // `region` must outlive the layer; the constructor starts its write stamps
+  // and primes the ledger and the digest memo from its bytes. `replicas` >= 1;
+  // slot k of vpage lives on node (vpage + k) % num_nodes, PlacementMap's
+  // formula, so the layer stands alone in unit tests.
+  IntegrityLayer(const IntegrityConfig& config, RemoteRegion* region,
                  uint64_t num_pages, uint64_t page_bytes, uint32_t num_nodes,
                  uint32_t replicas);
 
@@ -132,8 +138,17 @@ class IntegrityLayer {
   uint64_t ChecksumOf(uint64_t vpage, uint32_t slot) const {
     return sums_[SlotKey(vpage, slot)];
   }
-  // Recomputes the digest of vpage's current region contents.
+  // Digest of vpage's current region contents, from the memo unless a write
+  // stamp covering the vpage moved since the memo was filled.
   uint64_t ComputeChecksum(uint64_t vpage) const;
+  // The same digest hashed afresh, bypassing (and leaving alone) the memo.
+  uint64_t FreshChecksum(uint64_t vpage) const;
+  // True with the memoized digest in `*digest` when vpage's memo is filled
+  // and no covering stamp has moved since, i.e. when ComputeChecksum would
+  // return it without hashing.
+  bool MemoValid(uint64_t vpage, uint64_t* digest) const;
+  // Pages hashed to fill the memo (priming included).
+  uint64_t digests_computed() const { return digests_computed_; }
   bool StoredPoisoned(uint64_t vpage, uint32_t slot) const {
     return stored_poison_.count(SlotKey(vpage, slot)) != 0;
   }
@@ -156,6 +171,11 @@ class IntegrityLayer {
   // True when the payload of this completed READ is corrupt. Consumes the
   // read-wire flag for wr_id.
   bool PayloadCorrupt(uint64_t wr_id, uint64_t vpage, uint32_t node, bool recompute);
+  // Region bytes vpage covers: 0 for pages past the region (page table
+  // larger than the heap), which digest empty and are never written.
+  uint64_t BytesOf(uint64_t vpage) const;
+  // Sum of the region write stamps covering vpage (RemoteRegion).
+  uint64_t StampOf(uint64_t vpage) const;
 
   IntegrityConfig config_;
   const RemoteRegion* region_;
@@ -166,6 +186,15 @@ class IntegrityLayer {
 
   // Digest each (vpage, slot) should verify against, vpage * replicas + slot.
   std::vector<uint64_t> sums_;
+  // Region digest of each vpage and the stamp sum it was hashed at. kNoStamp
+  // marks an unfilled entry (stamp sums start at 0 and never reach it).
+  static constexpr uint64_t kNoStamp = ~0ull;
+  struct DigestMemo {
+    uint64_t digest = 0;
+    uint64_t stamp = kNoStamp;
+  };
+  mutable std::vector<DigestMemo> memo_;
+  mutable uint64_t digests_computed_ = 0;
   // In-flight corrupted WQEs, keyed by wr_id. READ and WRITE live in
   // separate sets because a worker fetch wr_id (== vpage) can collide with a
   // write-back wr_id for the same page.

@@ -130,17 +130,32 @@ void MemoryManager::NotifyPrefetchOutcome(uint16_t owner, bool hit) {
 }
 
 void MemoryManager::EnqueuePrefetchPool(uint64_t vpage) {
-  prefetch_pool_.push_back(vpage);
-  prefetch_pool_index_[vpage] = std::prev(prefetch_pool_.end());
+  if (pool_links_.empty()) {
+    ADIOS_CHECK_LT(options_.total_pages, uint64_t{kNotPooled});
+    pool_links_.resize(options_.total_pages);
+  }
+  const auto page = static_cast<uint32_t>(vpage);
+  PoolLink& link = pool_links_[page];
+  ADIOS_DCHECK(link.prev == kNotPooled);
+  link.prev = pool_tail_;
+  link.next = kPoolEnd;
+  if (pool_tail_ == kPoolEnd) {
+    pool_head_ = page;
+  } else {
+    pool_links_[pool_tail_].next = page;
+  }
+  pool_tail_ = page;
+  ++pool_size_;
 }
 
 void MemoryManager::PurgePrefetchPool(uint64_t vpage) {
-  auto it = prefetch_pool_index_.find(vpage);
-  if (it == prefetch_pool_index_.end()) {
+  if (pool_links_.empty() || pool_links_[vpage].prev == kNotPooled) {
     return;
   }
-  prefetch_pool_.erase(it->second);
-  prefetch_pool_index_.erase(it);
+  const PoolLink link = std::exchange(pool_links_[vpage], PoolLink{});
+  (link.prev == kPoolEnd ? pool_head_ : pool_links_[link.prev].next) = link.next;
+  (link.next == kPoolEnd ? pool_tail_ : pool_links_[link.next].prev) = link.prev;
+  --pool_size_;
 }
 
 uint64_t MemoryManager::SelectVictim() {
@@ -149,16 +164,16 @@ uint64_t MemoryManager::SelectVictim() {
   // certain refault. Drain the prefetch pool (oldest first) before touching
   // the clock. The pool is purged eagerly on promotion/late/evict, so every
   // entry is a live prefetched-resident page; only pins defer one.
-  size_t scan = prefetch_pool_.size();
-  while (scan-- > 0 && !prefetch_pool_.empty()) {
-    const uint64_t vpage = prefetch_pool_.front();
+  size_t scan = pool_size_;
+  while (scan-- > 0 && pool_head_ != kPoolEnd) {
+    const uint64_t vpage = pool_head_;
     const PageInfo info = page_table_.Info(vpage);
     ADIOS_DCHECK(info.prefetched && info.resident());
     if (info.pins > 0) {
       // A waiter is about to touch it (mapped but not yet resumed); it will
       // promote shortly. Rotate it to the back in case it never does.
-      prefetch_pool_.splice(prefetch_pool_.end(), prefetch_pool_,
-                            prefetch_pool_.begin());
+      PurgePrefetchPool(vpage);
+      EnqueuePrefetchPool(vpage);
       continue;
     }
     return vpage;

@@ -27,8 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/annotations.h"
@@ -293,7 +291,7 @@ class MemoryManager {
   // Current first-choice victim-pool population (test/diagnostic view; the
   // pool is purged eagerly, so every entry is a live prefetched-resident
   // page).
-  size_t prefetch_pool_size() const { return prefetch_pool_.size(); }
+  size_t prefetch_pool_size() const { return pool_size_; }
 
   // --- Eviction (driven by the reclaimer) ---
 
@@ -370,11 +368,21 @@ class MemoryManager {
   PageHook evict_hook_;
   PageHook map_hook_;
   // First-choice victim pool: prefetched pages in map order. Purged eagerly
-  // on promotion/late/evict (list + index give O(1) FIFO pops, O(1) random
-  // erase, and iterator stability), so the pool cannot accumulate stale
-  // entries under a prefetch-heavy workload.
-  std::list<uint64_t> prefetch_pool_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> prefetch_pool_index_;
+  // on promotion/late/evict, so the pool cannot accumulate stale entries
+  // under a prefetch-heavy workload. It is an intrusive doubly linked FIFO
+  // threaded through per-vpage links (O(1) push, pop, rotate and random
+  // erase, no allocation); the links are sized on the first enqueue, so runs
+  // that never prefetch pay nothing for them.
+  static constexpr uint32_t kPoolEnd = ~0u;      // No neighbour on that side.
+  static constexpr uint32_t kNotPooled = ~0u - 1;  // `prev` of a page outside the pool.
+  struct PoolLink {
+    uint32_t prev = kNotPooled;
+    uint32_t next = kPoolEnd;
+  };
+  std::vector<PoolLink> pool_links_;  // Indexed by vpage.
+  uint32_t pool_head_ = kPoolEnd;
+  uint32_t pool_tail_ = kPoolEnd;
+  size_t pool_size_ = 0;
   std::vector<PrefetchFeedback> prefetch_feedback_;  // Indexed by owner.
   // Per-worker free-frame credit caches (indexed by owner) and the number of
   // credits currently parked across all of them. Invariant: used_frames_ +

@@ -10,6 +10,17 @@
 //
 // RemoteHeap is a bump allocator handing out RemoteAddr offsets; apps build
 // their tables/indexes in it during setup (setup writes bypass fault timing).
+//
+// Write stamps: a watched region keeps one counter per 4 KiB page, and every
+// mutating path — WriteObject, WriteBytes and MutablePage — bumps the
+// counters of the pages it touches. There is no other way to write the
+// bytes, so a page whose stamps have not moved holds the bytes it held when
+// they were last read. The integrity layer's digest memo relies on this: it
+// re-hashes a page only when a stamp covering it moved (docs/INTEGRITY.md).
+// Stamping starts when a watcher calls StartWriteStamps (the integrity layer,
+// in its constructor) and never stops; until then, and on regions nobody
+// watches, a write costs one predictable branch and no store. Writes made
+// before the start are covered by the watcher priming its memo.
 
 #ifndef ADIOS_SRC_MEM_REMOTE_HEAP_H_
 #define ADIOS_SRC_MEM_REMOTE_HEAP_H_
@@ -17,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/base/check.h"
@@ -43,10 +55,42 @@ class RemoteRegion {
   RemoteRegion(const RemoteRegion&) = delete;
   RemoteRegion& operator=(const RemoteRegion&) = delete;
 
-  std::byte* data() { return data_.data(); }
+  // Read-only view of the bytes. Writes go through WriteObject, WriteBytes
+  // or MutablePage, so none can skip the write stamps.
   const std::byte* data() const { return data_.data(); }
   size_t size() const { return data_.size(); }
   uint64_t num_pages() const { return data_.size() >> kPageShift; }
+
+  // Writable view of 4 KiB page `page`, stamped as written. Write through
+  // the pointer before the page's digest is next read: a later write would
+  // reach the bytes unstamped.
+  std::byte* MutablePage(uint64_t page) {
+    ADIOS_CHECK_LT(page, num_pages());
+    Stamp(PageStart(page), kPageSize);
+    return data_.data() + PageStart(page);
+  }
+
+  // Starts the write stamps (all zero). Idempotent: a second watcher shares
+  // the running counters.
+  void StartWriteStamps() {
+    if (stamps_ == nullptr) {
+      stamps_ = std::make_unique<uint64_t[]>(num_pages());
+    }
+  }
+
+  // Sum of the write stamps of the 4 KiB pages overlapping [addr, addr +
+  // len). Stamps only grow, so the sum moves iff one of those pages was
+  // written. 0 before StartWriteStamps.
+  uint64_t WriteStampSum(RemoteAddr addr, size_t len) const {
+    if (stamps_ == nullptr || len == 0) {
+      return 0;
+    }
+    uint64_t sum = 0;
+    for (uint64_t p = PageOf(addr); p <= PageOf(addr + len - 1); ++p) {
+      sum += stamps_[p];
+    }
+    return sum;
+  }
 
   // Bounds are hard CHECKs (with operand printing), not DCHECKs: a bad
   // RemoteAddr in a release build must abort, not silently overrun the
@@ -54,6 +98,7 @@ class RemoteRegion {
   template <typename T>
   void WriteObject(RemoteAddr addr, const T& value) {
     ADIOS_CHECK_LE(addr + sizeof(T), size());
+    Stamp(addr, sizeof(T));
     std::memcpy(data_.data() + addr, &value, sizeof(T));
   }
 
@@ -67,6 +112,7 @@ class RemoteRegion {
 
   void WriteBytes(RemoteAddr addr, const void* src, size_t len) {
     ADIOS_CHECK_LE(addr + len, size());
+    Stamp(addr, len);
     std::memcpy(data_.data() + addr, src, len);
   }
 
@@ -76,7 +122,18 @@ class RemoteRegion {
   }
 
  private:
+  void Stamp(RemoteAddr addr, size_t len) {
+    if (stamps_ == nullptr || len == 0) {
+      return;
+    }
+    for (uint64_t p = PageOf(addr); p <= PageOf(addr + len - 1); ++p) {
+      ++stamps_[p];
+    }
+  }
+
   LazyMapping data_;
+  // Per-4-KiB-page write counters; null until StartWriteStamps.
+  std::unique_ptr<uint64_t[]> stamps_;
 };
 
 class RemoteHeap {

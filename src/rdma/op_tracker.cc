@@ -6,16 +6,81 @@
 
 namespace adios {
 
+size_t OpTracker::Probe(uint64_t wr_id) const {
+  const size_t mask = index_.size() - 1;
+  size_t pos = Home(wr_id);
+  while (index_[pos] != kNoEntry && entries_[index_[pos]].wr_id != wr_id) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
+OpTracker::Entry& OpTracker::FindOrAdd(uint64_t wr_id) {
+  if ((size_ + 1) * 2 > index_.size()) {
+    GrowIndex();
+  }
+  const size_t pos = Probe(wr_id);
+  if (index_[pos] != kNoEntry) {
+    return entries_[index_[pos]];
+  }
+  uint32_t e = free_entry_;
+  if (e != kNoEntry) {
+    free_entry_ = entries_[e].next_free;
+  } else {
+    e = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  }
+  Entry& entry = entries_[e];
+  entry.wr_id = wr_id;
+  entry.op = TrackedOp{};
+  index_[pos] = e;
+  ++size_;
+  return entry;
+}
+
+void OpTracker::EraseAt(size_t pos) {
+  const uint32_t e = index_[pos];
+  entries_[e].next_free = free_entry_;
+  free_entry_ = e;
+  --size_;
+  // Backward-shift deletion: pull each later member of the probe run into
+  // the hole unless its home lies cyclically in (hole, its position].
+  const size_t mask = index_.size() - 1;
+  size_t hole = pos;
+  for (size_t next = (hole + 1) & mask; index_[next] != kNoEntry; next = (next + 1) & mask) {
+    const size_t home = Home(entries_[index_[next]].wr_id);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = kNoEntry;
+}
+
+void OpTracker::GrowIndex() {
+  std::vector<uint32_t> old = std::move(index_);
+  index_.assign(old.empty() ? 64 : old.size() * 2, kNoEntry);
+  index_shift_ = static_cast<uint32_t>(64 - __builtin_ctzll(index_.size()));
+  for (const uint32_t e : old) {
+    if (e != kNoEntry) {
+      index_[Probe(entries_[e].wr_id)] = e;
+    }
+  }
+}
+
 void OpTracker::Track(const OpId& id, TrackedOp op) {
   op.backoff_ns = kinds_[Index(id.kind)].rules.retry.backoff_base_ns;
-  TrackedOp& slot = ops_[id.wr_id()];
+  TrackedOp& slot = FindOrAdd(id.wr_id()).op;
   slot = std::move(op);
   ArmDeadline(id, slot);
 }
 
 TrackedOp* OpTracker::Find(const OpId& id) {
-  auto it = ops_.find(id.wr_id());
-  return it == ops_.end() ? nullptr : &it->second;
+  if (size_ == 0) {
+    return nullptr;
+  }
+  const size_t pos = Probe(id.wr_id());
+  return index_[pos] == kNoEntry ? nullptr : &entries_[index_[pos]].op;
 }
 
 bool OpTracker::Admit(const OpId& id, const Completion& c) {
@@ -39,10 +104,12 @@ TrackedOp OpTracker::Settle(const OpId& id, uint32_t node) {
 }
 
 TrackedOp OpTracker::Untrack(const OpId& id) {
-  auto it = ops_.find(id.wr_id());
-  TrackedOp op = std::move(it->second);
+  ADIOS_DCHECK(size_ > 0);
+  const size_t pos = Probe(id.wr_id());
+  ADIOS_DCHECK(index_[pos] != kNoEntry);
+  TrackedOp op = entries_[index_[pos]].op;
   op.deadline.Cancel();
-  ops_.erase(it);
+  EraseAt(pos);
   return op;
 }
 

@@ -22,9 +22,10 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/base/annotations.h"
 #include "src/base/check.h"
@@ -115,7 +116,10 @@ struct OpRules {
   bool traced = false;    // Record kFetchTimeout/kRetry/kFailover for req_id.
 };
 
-// Tracks the ops of one QP, keyed by wr_id as its completions are.
+// Tracks the ops of one QP, keyed by wr_id as its completions are. A warm
+// tracker allocates nothing: ops live in pooled entries whose addresses never
+// move, so a TrackedOp* from Find stays valid while other ops are tracked and
+// settled, and an open-addressed table maps wr_id to its entry.
 class OpTracker {
  public:
   using RepostFn = std::function<bool(const OpId&, const TrackedOp&)>;
@@ -161,7 +165,7 @@ class OpTracker {
     uint64_t give_ups = 0;
   };
   const Stats& stats(OpKind kind) const { return kinds_[Index(kind)].stats; }
-  size_t size() const { return ops_.size(); }
+  size_t size() const { return size_; }
 
  private:
   struct Kind {
@@ -185,12 +189,40 @@ class OpTracker {
   uint32_t PickReplica(uint64_t vpage, uint32_t skip) const;
   void Trace(const Kind& k, TraceEvent event, uint64_t req_id, uint32_t arg) const;
 
+  // --- Op table ---
+  // Entries only ever grow at the back of a deque, which never moves them;
+  // settled entries go on a free list threaded through `next_free`. The
+  // index is a power-of-two array of entry numbers (kNoEntry: empty), probed
+  // linearly from the wr_id's Fibonacci hash and kept at most half full.
+  // Removal shifts the rest of the probe run back, so there are no
+  // tombstones.
+  static constexpr uint32_t kNoEntry = ~0u;
+  struct Entry {
+    uint64_t wr_id = 0;
+    TrackedOp op;
+    uint32_t next_free = kNoEntry;
+  };
+  size_t Home(uint64_t wr_id) const {
+    return static_cast<size_t>((wr_id * 0x9E3779B97F4A7C15ull) >> index_shift_);
+  }
+  // Index position holding wr_id's entry, or the empty position where it
+  // would go.
+  size_t Probe(uint64_t wr_id) const;
+  // Entry for wr_id, added (with a default op) if absent.
+  Entry& FindOrAdd(uint64_t wr_id);
+  void EraseAt(size_t pos);
+  void GrowIndex();
+
   Engine* engine_;
   NodeHealthMonitor* health_;
   PlacementMap* placement_;
   Tracer* tracer_ = nullptr;
   std::array<Kind, kNumOpKinds> kinds_;
-  std::unordered_map<uint64_t, TrackedOp> ops_;  // By wr_id.
+  std::deque<Entry> entries_;
+  uint32_t free_entry_ = kNoEntry;
+  std::vector<uint32_t> index_;  // By Home(wr_id); empty until the first Track.
+  uint32_t index_shift_ = 64;
+  size_t size_ = 0;  // Ops tracked.
 };
 
 }  // namespace adios

@@ -1,9 +1,12 @@
 // Heap-allocation budget of the request path. This executable replaces the
-// global operator new with a counting one, runs an Adios ArrayApp system over
-// a measured window of T and of 2T, and bounds the *marginal* allocations per
+// global operator new with a counting one, runs an Adios system over a
+// measured window of T and of 2T, and bounds the *marginal* allocations per
 // extra completed request: set-up, warm-up, pool growth and result assembly
 // cancel out, leaving what each request costs in steady state. The one
-// allocation a request is expected to make is its `new Request`.
+// allocation a request is expected to make is its `new Request`. Two shapes
+// run: the ArrayApp demand-fault path, and the stride-4 prefetch path over
+// two replicas on a lossy fabric with verify-on-fetch, where tracked ops,
+// the prefetch pool and retries join in.
 
 #include <atomic>
 #include <cstdio>
@@ -13,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/array_app.h"
+#include "src/apps/pattern_app.h"
 #include "src/core/md_system.h"
 
 namespace {
@@ -48,23 +52,19 @@ struct WindowRun {
   uint64_t completed = 0;
 };
 
-WindowRun RunWindow(SimDuration measure_ns) {
-  ArrayApp::Options ao;
-  ao.entries = 1 << 15;  // 2 MiB working set at 20% local: most requests fault.
-  ArrayApp app(ao);
-  MdSystem sys(SystemConfig::Adios(), &app);
+WindowRun RunWindow(Application* app, const SystemConfig& config, double offered_rps,
+                    SimDuration measure_ns) {
+  MdSystem sys(config, app);
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  const RunResult r = sys.Run(1.0e6, Milliseconds(4), measure_ns);
+  const RunResult r = sys.Run(offered_rps, Milliseconds(4), measure_ns);
   WindowRun w;
   w.allocations = g_allocations.load(std::memory_order_relaxed) - before;
   w.completed = r.completed;
   return w;
 }
 
-TEST(AllocBudget, MarginalAllocationsPerRequestStaySmall) {
-  const WindowRun one = RunWindow(Milliseconds(10));
-  const WindowRun two = RunWindow(Milliseconds(20));
-  ASSERT_GT(two.completed, one.completed + 5000);
+// Allocations per extra request between a T and a 2T window.
+double Marginal(const WindowRun& one, const WindowRun& two) {
   const double marginal = static_cast<double>(two.allocations - one.allocations) /
                           static_cast<double>(two.completed - one.completed);
   std::printf("allocations: %llu over %llu requests (T), %llu over %llu (2T); "
@@ -73,7 +73,49 @@ TEST(AllocBudget, MarginalAllocationsPerRequestStaySmall) {
               static_cast<unsigned long long>(one.completed),
               static_cast<unsigned long long>(two.allocations),
               static_cast<unsigned long long>(two.completed), marginal);
-  EXPECT_LE(marginal, 1.5);
+  return marginal;
+}
+
+WindowRun ArrayWindow(SimDuration measure_ns) {
+  ArrayApp::Options ao;
+  ao.entries = 1 << 15;  // 2 MiB working set at 20% local: most requests fault.
+  ArrayApp app(ao);
+  return RunWindow(&app, SystemConfig::Adios(), 1.0e6, measure_ns);
+}
+
+TEST(AllocBudget, MarginalAllocationsPerRequestStaySmall) {
+  const WindowRun one = ArrayWindow(Milliseconds(10));
+  const WindowRun two = ArrayWindow(Milliseconds(20));
+  ASSERT_GT(two.completed, one.completed + 5000);
+  EXPECT_LE(Marginal(one, two), 1.5);
+}
+
+// The perfbench stride-r2-lossy configuration over a smaller working set.
+WindowRun StrideWindow(SimDuration measure_ns) {
+  PatternApp::Options po;
+  po.pages = 1 << 12;  // 16 MiB at 20% local.
+  po.pages_per_op = 8;
+  po.stride = 4;
+  po.pattern = PatternApp::Pattern::kStride;
+  PatternApp app(po);
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.sched.prefetch_window = 8;
+  cfg.sched.prefetch_policy = PrefetchPolicy::kAdaptive;
+  cfg.fabric.link_classes = kNumTrafficClasses;
+  cfg.fabric.chunk_bytes = 1024;
+  cfg.replication.num_nodes = 2;
+  cfg.replication.replicas = 2;
+  cfg.fault.read_loss_rate = 1e-3;
+  cfg.integrity.verify = true;
+  cfg.integrity.scrub = true;
+  return RunWindow(&app, cfg, 0.35e6, measure_ns);
+}
+
+TEST(AllocBudget, StridePrefetchPathMarginalAllocationsStaySmall) {
+  const WindowRun one = StrideWindow(Milliseconds(20));
+  const WindowRun two = StrideWindow(Milliseconds(40));
+  ASSERT_GT(two.completed, one.completed + 5000);
+  EXPECT_LE(Marginal(one, two), 1.6);
 }
 
 }  // namespace

@@ -109,6 +109,36 @@ TEST(InvariantChecker, UnpoisonAllRestoresEveryEvictedPage) {
   }
 }
 
+// --- Digest memo ---
+
+TEST(InvariantChecker, StaleDigestMemoIsCaught) {
+  Engine engine;
+  MemoryManager mm(&engine, SmallMmOptions());
+  RemoteRegion region(16 * kPageSize);
+  IntegrityLayer integrity(IntegrityConfig{}, &region, /*num_pages=*/16, kPageSize,
+                           /*num_nodes=*/1, /*replicas=*/1);
+  PlacementMap placement(/*num_pages=*/16, /*num_nodes=*/1, /*replicas=*/1);
+  InvariantChecker::Deps deps;
+  deps.engine = &engine;
+  deps.mm = &mm;
+  deps.integrity = &integrity;
+  deps.placement = &placement;
+  InvariantChecker checker(NonFatalOptions(), deps);
+  checker.Install();
+
+  // Stamped writes invalidate the memo, so the audit stays silent.
+  region.WriteObject<uint64_t>(PageStart(5), 42);
+  integrity.ComputeChecksum(5);
+  checker.AuditNow();
+  EXPECT_EQ(checker.report().violations, 0u);
+
+  // A write that slips past the stamps leaves the memo claiming validity
+  // for bytes that no longer hash to it.
+  const_cast<std::byte*>(region.data())[PageStart(5) + 1] ^= std::byte{0x10};
+  checker.AuditNow();
+  EXPECT_EQ(checker.report().violations, 1u);
+}
+
 // --- Frame-accounting leak ---
 
 TEST(InvariantChecker, FrameAccountingLeakIsCounted) {

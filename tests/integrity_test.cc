@@ -12,6 +12,7 @@
 #include "src/base/rng.h"
 #include "src/integrity/page_checksum.h"
 #include "src/mem/remote_heap.h"
+#include "src/obs/metric_registry.h"
 
 namespace adios {
 namespace {
@@ -256,8 +257,11 @@ class IntegrityLayerTest : public ::testing::Test {
   static constexpr uint32_t kReplicas = 2;
 
   IntegrityLayerTest() : region_(kPages * kPageSize) {
-    for (uint64_t i = 0; i < region_.size(); ++i) {
-      region_.data()[i] = static_cast<std::byte>(i * 17 + 3);
+    for (uint64_t page = 0; page < kPages; ++page) {
+      std::byte* bytes = region_.MutablePage(page);
+      for (uint64_t i = 0; i < kPageSize; ++i) {
+        bytes[i] = static_cast<std::byte>((PageStart(page) + i) * 17 + 3);
+      }
     }
     IntegrityConfig cfg;
     cfg.verify = true;
@@ -318,7 +322,7 @@ TEST_F(IntegrityLayerTest, LostUpdateDetectedByRecompute) {
   // The app dirties page 5 but the write-back never lands: the recorded
   // digests go stale against the region, and the next verified fetch of
   // either slot catches it.
-  region_.data()[5 * kPageSize + 9] ^= std::byte{0x40};
+  region_.MutablePage(5)[9] ^= std::byte{0x40};
   EXPECT_FALSE(layer_->VerifyFetch(/*wr_id=*/5, 5, /*node=*/1));
   // A write-back fan-out refreshes both slots and the fetch is clean again.
   layer_->OnWritePosted(/*wr_id=*/200, /*vpage=*/5);
@@ -335,7 +339,7 @@ TEST_F(IntegrityLayerTest, PostTimeSnapshotWinsOverCompletionTimeRegion) {
   // wire carried), so the slot correctly reads as stale afterwards.
   const uint64_t sum_a = layer_->ComputeChecksum(6);
   layer_->OnWritePosted(/*wr_id=*/300, /*vpage=*/6);
-  region_.data()[6 * kPageSize] ^= std::byte{0xff};  // Re-dirty in flight.
+  region_.MutablePage(6)[0] ^= std::byte{0xff};  // Re-dirty in flight.
   layer_->OnReplicaWritten(/*wr_id=*/300, /*vpage=*/6, /*node=*/0);
   EXPECT_EQ(layer_->ChecksumOf(6, 0), sum_a);
   EXPECT_NE(layer_->ChecksumOf(6, 0), layer_->ComputeChecksum(6));
@@ -392,14 +396,109 @@ TEST_F(IntegrityLayerTest, RecomputeFilterSkipsDigestButNotWireEvidence) {
   layer_->set_recompute_filter([&skip](uint64_t) { return skip; });
   // Region scrambled (as the checker's poison-on-evict does): the filter
   // suppresses the digest comparison...
-  region_.data()[0] ^= std::byte{0xa5};
+  region_.MutablePage(0)[0] ^= std::byte{0xa5};
   EXPECT_TRUE(layer_->VerifyFetch(/*wr_id=*/0, /*vpage=*/0, /*node=*/0));
   // ...but hard evidence still convicts.
   layer_->OnWireCorrupt(/*wr_id=*/0, /*is_write=*/false);
   EXPECT_FALSE(layer_->VerifyFetch(/*wr_id=*/0, /*vpage=*/0, /*node=*/0));
   skip = false;
-  region_.data()[0] ^= std::byte{0xa5};  // Restore: digest matches again.
+  region_.MutablePage(0)[0] ^= std::byte{0xa5};  // Restore: digest matches again.
   EXPECT_TRUE(layer_->VerifyFetch(/*wr_id=*/0, /*vpage=*/0, /*node=*/0));
+}
+
+// --- Digest memo ---
+
+TEST_F(IntegrityLayerTest, MemoInvalidatedByWriteObject) {
+  const uint64_t before = layer_->ComputeChecksum(3);
+  region_.WriteObject<uint32_t>(PageStart(3) + 100, 0xfeedf00du);
+  uint64_t memo = 0;
+  EXPECT_FALSE(layer_->MemoValid(3, &memo));
+  EXPECT_NE(layer_->ComputeChecksum(3), before);
+  EXPECT_EQ(layer_->ComputeChecksum(3), layer_->FreshChecksum(3));
+  EXPECT_TRUE(layer_->MemoValid(3, &memo));
+  // The lost update is caught: no write-back refreshed the ledger.
+  EXPECT_FALSE(layer_->VerifyFetch(/*wr_id=*/3, 3, /*node=*/1));
+}
+
+TEST_F(IntegrityLayerTest, MemoInvalidatedOnBothPagesByStraddlingWriteBytes) {
+  const uint64_t sum3 = layer_->ComputeChecksum(3);
+  const uint64_t sum4 = layer_->ComputeChecksum(4);
+  const uint64_t untouched = layer_->ComputeChecksum(5);
+  const std::vector<uint8_t> bytes(64, 0x5a);
+  region_.WriteBytes(PageStart(4) - 32, bytes.data(), bytes.size());
+  uint64_t memo = 0;
+  EXPECT_FALSE(layer_->MemoValid(3, &memo));
+  EXPECT_FALSE(layer_->MemoValid(4, &memo));
+  EXPECT_TRUE(layer_->MemoValid(5, &memo));
+  EXPECT_NE(layer_->ComputeChecksum(3), sum3);
+  EXPECT_NE(layer_->ComputeChecksum(4), sum4);
+  EXPECT_EQ(layer_->ComputeChecksum(3), layer_->FreshChecksum(3));
+  EXPECT_EQ(layer_->ComputeChecksum(4), layer_->FreshChecksum(4));
+  EXPECT_EQ(layer_->ComputeChecksum(5), untouched);
+}
+
+TEST_F(IntegrityLayerTest, MemoInvalidatedByMutablePage) {
+  const uint64_t before = layer_->ComputeChecksum(2);
+  region_.MutablePage(2)[4095] ^= std::byte{0x01};
+  EXPECT_NE(layer_->ComputeChecksum(2), before);
+  region_.MutablePage(2)[4095] ^= std::byte{0x01};
+  EXPECT_EQ(layer_->ComputeChecksum(2), before);
+}
+
+TEST_F(IntegrityLayerTest, UnchangedPageHashesOnceAcrossThousandVerifies) {
+  // Priming hashed every page once.
+  EXPECT_EQ(layer_->digests_computed(), kPages);
+  region_.WriteObject<uint8_t>(PageStart(1), 0x77);
+  const uint64_t before = layer_->digests_computed();
+  for (int i = 0; i < 1000; ++i) {
+    // Both slots are stale against the written region, so every verify fails
+    // the same way; the codec still runs only for the first.
+    EXPECT_FALSE(layer_->VerifyFetch(/*wr_id=*/1, 1, layer_->NodeOfSlot(1, i % 2)));
+  }
+  EXPECT_EQ(layer_->digests_computed() - before, 1u);
+}
+
+TEST_F(IntegrityLayerTest, DigestsComputedProbeReadsTheCounter) {
+  MetricRegistry registry;
+  layer_->RegisterMetrics(&registry);
+  region_.WriteObject<uint8_t>(PageStart(6), 1);
+  layer_->ComputeChecksum(6);
+  EXPECT_EQ(registry.ReadProbe("integrity.digests_computed"),
+            static_cast<double>(kPages + 1));
+}
+
+TEST(IntegrityMemo, LargePageRehashesAfterWriteToFifthSubPage) {
+  // 64 KiB vpages over 4 KiB write stamps: one vpage spans 16 stamps, and a
+  // write to any of them must invalidate its memo.
+  constexpr uint64_t kBigPage = uint64_t{1} << 16;
+  RemoteRegion region(2 * kBigPage);
+  IntegrityLayer layer(IntegrityConfig{}, &region, /*num_pages=*/2, kBigPage, /*num_nodes=*/1,
+                       /*replicas=*/1);
+  const uint64_t sum0 = layer.ComputeChecksum(0);
+  const uint64_t sum1 = layer.ComputeChecksum(1);
+  const uint64_t before = layer.digests_computed();
+  region.WriteObject<uint16_t>(4 * kPageSize + 10, 0xbeef);  // 5th sub-page of vpage 0.
+  EXPECT_NE(layer.ComputeChecksum(0), sum0);
+  EXPECT_EQ(layer.ComputeChecksum(0), layer.FreshChecksum(0));
+  EXPECT_EQ(layer.ComputeChecksum(1), sum1);
+  EXPECT_EQ(layer.digests_computed() - before, 1u);
+}
+
+TEST(IntegrityMemo, WritesBeforeAttachAreCoveredByPriming) {
+  RemoteRegion region(4 * kPageSize);
+  region.WriteObject<uint64_t>(PageStart(2) + 8, 0x0123456789abcdefull);
+  region.MutablePage(3)[0] = std::byte{0x11};
+  EXPECT_EQ(region.WriteStampSum(0, region.size()), 0u);  // Not stamped yet.
+  IntegrityLayer layer(IntegrityConfig{}, &region, /*num_pages=*/4, kPageSize, /*num_nodes=*/1,
+                       /*replicas=*/1);
+  for (uint64_t vpage = 0; vpage < 4; ++vpage) {
+    uint64_t memo = 0;
+    ASSERT_TRUE(layer.MemoValid(vpage, &memo));
+    EXPECT_EQ(memo, layer.FreshChecksum(vpage));
+    EXPECT_EQ(layer.ChecksumOf(vpage, 0), layer.FreshChecksum(vpage));
+    EXPECT_TRUE(layer.VerifyFetch(/*wr_id=*/vpage, vpage, /*node=*/0));
+  }
+  EXPECT_EQ(layer.digests_computed(), 4u);
 }
 
 TEST_F(IntegrityLayerTest, SlotPlacementMatchesPlacementFormula) {

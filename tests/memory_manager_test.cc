@@ -352,6 +352,34 @@ TEST(MemoryManager, EagerPurgeKeepsPoolInSyncWithPromotions) {
   EXPECT_EQ(mm.SelectVictim(), 2u);
 }
 
+TEST(MemoryManager, PrefetchPoolKeepsFifoOrderAcrossPinRotationAndPurge) {
+  Engine e;
+  MemoryManager mm(&e, SmallOptions());
+  for (uint64_t p = 1; p <= 5; ++p) {
+    mm.BeginFetch(p, /*prefetch=*/true);
+    mm.CompleteFetch(p);
+  }
+  mm.Pin(1);
+  mm.Pin(2);
+  mm.Touch(3, /*write=*/false);  // Promoted out of the middle: 1 2 4 5.
+  EXPECT_EQ(mm.prefetch_pool_size(), 4u);
+  // Pinned pages rotate to the back in order: 4 5 1 2.
+  EXPECT_EQ(mm.SelectVictim(), 4u);
+  mm.EvictPage(4);
+  mm.Unpin(1);
+  EXPECT_EQ(mm.SelectVictim(), 5u);
+  mm.EvictPage(5);
+  EXPECT_EQ(mm.SelectVictim(), 1u);
+  mm.EvictPage(1);
+  EXPECT_EQ(mm.prefetch_pool_size(), 1u);
+  // Only pinned page 2 is left: the pool yields to the clock, which skips
+  // it too, and the order survives the full rotation.
+  EXPECT_NE(mm.SelectVictim(), 2u);
+  EXPECT_EQ(mm.prefetch_pool_size(), 1u);
+  mm.Unpin(2);
+  EXPECT_EQ(mm.SelectVictim(), 2u);
+}
+
 TEST(MemoryManager, PrefetchFeedbackRoutesToOwner) {
   Engine e;
   MemoryManager mm(&e, SmallOptions());

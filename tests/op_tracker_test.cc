@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
 #include <string>
 #include <utility>
 
@@ -397,6 +399,35 @@ TEST(OpTracker, WritebacksNeverFailOver) {
   EXPECT_EQ(rig.tracker.Find(id), nullptr);
   EXPECT_EQ(rig.tracker.stats(OpKind::kWriteback).failovers, 0u);
   EXPECT_EQ(rig.give_up_calls, 1);
+}
+
+TEST(OpTracker, TableMatchesAReferenceMapAndKeepsOpsInPlace) {
+  // Scrub reads carry no deadline, so tracking and settling run no events.
+  // Ids over a narrow vpage range collide in the open-addressed index, and
+  // enough of them are live at once to grow it several times.
+  Rig rig;
+  std::map<uint64_t, std::pair<TrackedOp*, uint64_t>> live;  // wr_id -> (op, req_id).
+  std::mt19937_64 rng(12345);
+  for (uint64_t step = 1; step <= 20000; ++step) {
+    const OpId id = OpId::Scrub(rng() % 600, static_cast<uint32_t>(rng() % 2));
+    const auto it = live.find(id.wr_id());
+    if (it != live.end() && rng() % 3 != 0) {
+      EXPECT_EQ(rig.tracker.Settle(id, id.node).req_id, it->second.second);
+      live.erase(it);
+      EXPECT_EQ(rig.tracker.Find(id), nullptr);
+    } else if (it == live.end()) {
+      rig.tracker.Track(id, {.node = id.node, .req_id = step});
+      live[id.wr_id()] = {rig.tracker.Find(id), step};
+    }
+    ASSERT_EQ(rig.tracker.size(), live.size());
+    if (step % 500 == 0) {
+      for (const auto& [wr_id, op] : live) {
+        TrackedOp* found = rig.tracker.Find(OpId::FromWrId(wr_id, OpKind::kScrub));
+        ASSERT_EQ(found, op.first) << "step " << step;
+        EXPECT_EQ(found->req_id, op.second);
+      }
+    }
+  }
 }
 
 TEST(OpId, RoundTripsAtTheLimitsForEveryKind) {

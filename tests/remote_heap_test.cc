@@ -46,6 +46,31 @@ TEST(RemoteRegion, PageArithmetic) {
   EXPECT_EQ(region.num_pages(), 8u);
 }
 
+TEST(RemoteRegion, WriteStampsStartOnAttachAndCoverEveryWritePath) {
+  RemoteRegion region(4 * kPageSize);
+  region.WriteObject<uint32_t>(PageStart(1), 7);  // Unwatched: no stamp.
+  EXPECT_EQ(region.WriteStampSum(0, region.size()), 0u);
+
+  region.StartWriteStamps();
+  region.WriteObject<uint32_t>(PageStart(1) + 8, 9);
+  EXPECT_EQ(region.WriteStampSum(PageStart(1), kPageSize), 1u);
+  EXPECT_EQ(region.WriteStampSum(PageStart(0), kPageSize), 0u);
+
+  // A write straddling pages 2 and 3 stamps both.
+  const char bytes[16] = "straddles pages";
+  region.WriteBytes(PageStart(3) - 8, bytes, sizeof(bytes));
+  EXPECT_EQ(region.WriteStampSum(PageStart(2), kPageSize), 1u);
+  EXPECT_EQ(region.WriteStampSum(PageStart(3), kPageSize), 1u);
+
+  region.MutablePage(0)[5] = std::byte{1};
+  EXPECT_EQ(region.WriteStampSum(PageStart(0), kPageSize), 1u);
+  EXPECT_EQ(region.WriteStampSum(0, region.size()), 4u);
+
+  // A second watcher shares the running counters.
+  region.StartWriteStamps();
+  EXPECT_EQ(region.WriteStampSum(0, region.size()), 4u);
+}
+
 TEST(RemoteHeap, BumpAllocationAligned) {
   RemoteRegion region(16 * kPageSize);
   RemoteHeap heap(&region);
