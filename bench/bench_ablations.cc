@@ -27,7 +27,6 @@ void ReclaimerAblation(const BenchTiming& timing) {
   TablePrinter table({"reclaimer", "wake-delay(us)", "tput(K)", "P99.9(us)", "frame-stalls"});
   for (int mode = 0; mode < 3; ++mode) {
     SystemConfig cfg = SystemConfig::Adios();
-    cfg.reclaim.proactive = mode == 0;
     cfg.reclaim.wakeup_delay_ns = mode == 0 ? 0 : (mode == 1 ? 50000 : 500000);
     cfg.reclaim_low_watermark = 0.02;
     cfg.reclaim_high_watermark = 0.05;

@@ -123,132 +123,47 @@ void InvariantChecker::AuditChecksumCoverage() {
 }
 
 void InvariantChecker::AuditTraceOrdering() {
-  if (deps_.tracer == nullptr || !deps_.tracer->enabled()) {
+  if (!deps_.tracer->enabled()) {
     return;
   }
   const std::vector<TraceRecord>& records = deps_.tracer->records();
   if (records.size() < trace_cursor_) {
     // The tracer was re-Enabled since the last audit; start over.
-    trace_state_.clear();
+    trace_spans_ = SpanTimeline{};
+    trace_folder_ = SpanFolder(&trace_spans_);
     trace_cursor_ = 0;
-    trace_last_time_ = 0;
-    trace_arrived_ = 0;
-    trace_done_ = 0;
+    trace_problems_reported_ = 0;
   }
-  auto violation = [this](const TraceRecord& rec, const char* what) {
-    std::ostringstream os;
-    os << "request " << rec.request_id << " event " << TraceEventName(rec.event) << " at "
-       << rec.time << ": " << what;
-    Violation("trace event grammar violated", os.str());
-  };
   for (; trace_cursor_ < records.size(); ++trace_cursor_) {
-    const TraceRecord& rec = records[trace_cursor_];
-    if (rec.time < trace_last_time_) {
-      violation(rec, "stream time went backwards");
-    }
-    trace_last_time_ = rec.time;
-    if (rec.request_id == 0) {
-      continue;  // Node-level health transitions; no per-request lifecycle.
-    }
-    uint8_t& st = trace_state_[rec.request_id];
-    switch (rec.event) {
-      case TraceEvent::kArrive:
-        if ((st & kTraceArrived) != 0) {
-          violation(rec, "duplicate arrive");
-        }
-        st |= kTraceArrived;
-        ++trace_arrived_;
-        break;
-      case TraceEvent::kDispatch:
-        if ((st & kTraceArrived) == 0 || (st & kTraceStarted) != 0) {
-          violation(rec, "dispatch outside [arrive, start]");
-        }
-        st |= kTraceDispatched;
-        break;
-      case TraceEvent::kStart:
-        if ((st & kTraceDispatched) == 0 || (st & kTraceDone) != 0) {
-          violation(rec, "start without dispatch (or after done)");
-        }
-        if ((st & kTraceStarted) != 0) {
-          violation(rec, "duplicate start");
-        }
-        st |= kTraceStarted;
-        break;
-      case TraceEvent::kDone:
-        if ((st & kTraceStarted) == 0) {
-          violation(rec, "done before start");
-        }
-        if ((st & kTraceDone) != 0) {
-          violation(rec, "duplicate done");
-        }
-        st |= kTraceDone;
-        ++trace_done_;
-        break;
-      // Fetch-pipeline events carry the id of the *initiating* request; a
-      // prefetch posted on its behalf can time out, retry, or fail over
-      // after that request completed, so only arrival is required.
-      // kCorrupt rides the same rule: a scrub or re-silver detection records
-      // request id 0 (skipped above); a demand-path detection carries the
-      // faulting request, which may have completed if the detection came
-      // from a prefetch posted on its behalf.
-      // kChunkReady joins the group too: the critical chunk of a fetch can
-      // land after the initiating request completed (the page was also
-      // touched by a later request, or the fetch was a retry tail).
-      case TraceEvent::kFetchTimeout:
-      case TraceEvent::kRetry:
-      case TraceEvent::kFailover:
-      case TraceEvent::kCorrupt:
-      case TraceEvent::kChunkReady:
-        if ((st & kTraceArrived) == 0) {
-          violation(rec, "fetch-pipeline event for an unknown request");
-        }
-        break;
-      case TraceEvent::kNodeSuspect:
-      case TraceEvent::kNodeDead:
-      case TraceEvent::kResilverDone:
-      case TraceEvent::kScale:
-      case TraceEvent::kScrubStart:
-      case TraceEvent::kScrubDone:
-      case TraceEvent::kFrameRefill:
-      case TraceEvent::kClassDequeue:
-        violation(rec, "system-level event with a nonzero request id");
-        break;
-      // Overload-control drops (docs/OVERLOAD.md) are terminal at arrival:
-      // the request was traced in (kArrive), then rejected before entering
-      // the RX ring, so it must never dispatch, start, or complete. The
-      // dispatcher counts these drops in rx_dropped, which is how the
-      // termination audit below still balances.
-      case TraceEvent::kAdmit:
-      case TraceEvent::kShed:
-        if ((st & kTraceArrived) == 0 || (st & kTraceDispatched) != 0 ||
-            (st & kTraceDone) != 0) {
-          violation(rec, "overload drop outside [arrive, dispatch)");
-        }
-        break;
-      default:
-        // Every in-handler event (faults, stalls, resumes, preemptions,
-        // prefetches, tx wait) requires a started, unfinished request.
-        if ((st & kTraceStarted) == 0 || (st & kTraceDone) != 0) {
-          violation(rec, "handler event outside [start, done]");
-        }
-        break;
-    }
+    trace_folder_.Feed(records[trace_cursor_]);
+  }
+  for (; trace_problems_reported_ < trace_folder_.problem_count(); ++trace_problems_reported_) {
+    Violation("trace event grammar violated",
+              trace_problems_reported_ < trace_spans_.problems.size()
+                  ? trace_spans_.problems[trace_problems_reported_]
+                  : "(past the span builder's problem cap)");
   }
 }
 
 void InvariantChecker::AuditTraceTermination() {
-  if (deps_.tracer == nullptr || !deps_.tracer->enabled()) {
+  if (!deps_.tracer->enabled()) {
     return;
   }
   if (deps_.tracer->dropped() > 0) {
     return;  // Truncated stream: missing terminations are expected.
   }
   AuditTraceOrdering();  // Catch up on any tail appended since the last audit.
+  // Every span began at a traced arrival; overload drops count in rx_dropped.
+  uint64_t completed = 0;
+  for (const RequestSpan& span : trace_spans_.spans) {
+    completed += span.completed ? 1 : 0;
+  }
+  const uint64_t arrived = trace_spans_.spans.size();
   const uint64_t dropped = deps_.rx_dropped ? deps_.rx_dropped() : 0;
-  if (trace_arrived_ != trace_done_ + dropped) {
+  if (arrived != completed + dropped) {
     std::ostringstream os;
-    os << "arrived " << trace_arrived_ << " != done " << trace_done_ << " + rx-dropped "
-       << dropped << " (a request neither completed nor was dropped)";
+    os << "arrived " << arrived << " != done " << completed << " + rx-dropped " << dropped
+       << " (a request neither completed nor was dropped)";
     Violation("trace termination violated", os.str());
   }
 }

@@ -22,6 +22,9 @@
 //   * Stack canaries + high-water marks for engine fibers and universal
 //     stacks (delegated to Engine::AuditStacks / UnithreadPool::Audit).
 //   * Context-switch discipline (src/check/switch_discipline.h).
+//   * Trace grammar: the tracer's stream, fed incrementally through the span
+//     builder's SpanFolder (the one grammar, docs/OBSERVABILITY.md §1), and
+//     at the end every traced arrival completed or was dropped.
 //
 // Poison-on-evict XOR-scrambles the remote-region bytes of evicted pages so
 // a true use-after-evict reads deterministic garbage; see CheckOptions for
@@ -34,7 +37,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/check/check_options.h"
@@ -43,6 +45,7 @@
 #include "src/mem/memory_manager.h"
 #include "src/mem/reclaimer.h"
 #include "src/mem/remote_heap.h"
+#include "src/obs/span_builder.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
@@ -59,7 +62,7 @@ class InvariantChecker {
     Reclaimer* reclaimer = nullptr; // Write-back half of frame conservation.
     RdmaFabric* fabric = nullptr;   // QP work-conservation audit.
     UnithreadPool* pool = nullptr;  // Universal-stack canary audit.
-    Tracer* tracer = nullptr;       // Trace-stream grammar/termination audit.
+    Tracer* tracer = Tracer::Off(); // Trace-stream grammar/termination audit.
     // Checksum-ledger audit; `placement` is required whenever `integrity`
     // is set, and is what detections are checked against.
     const IntegrityLayer* integrity = nullptr;
@@ -124,8 +127,9 @@ class InvariantChecker {
   // digest memos and the recorded digests of clean in-sync slots must match
   // a fresh hash of the region.
   void AuditChecksumCoverage();
-  // Incremental: validates records()[trace_cursor_..] and advances the
-  // cursor, so periodic audits stay O(total records) across a whole run.
+  // Incremental: feeds records()[trace_cursor_..] to the trace folder and
+  // advances the cursor, so periodic audits stay O(total records) across a
+  // whole run.
   void AuditTraceOrdering();
   void ScheduleNextAudit();
 
@@ -139,20 +143,12 @@ class InvariantChecker {
   SimTime audit_horizon_ = 0;
   std::unordered_set<uint64_t> poisoned_;
 
-  // --- Trace-audit state (persists across incremental audits) ---
-  // Per-request lifecycle bits, keyed by request id.
-  enum TraceFlag : uint8_t {
-    kTraceArrived = 1,
-    kTraceDispatched = 2,
-    kTraceStarted = 4,
-    kTraceDone = 8,
-  };
-  std::unordered_map<uint64_t, uint8_t> trace_state_;
   uint64_t integrity_cursor_ = 0;  // Next page the checksum audit inspects.
+  // Trace-audit state (persists across incremental audits).
+  SpanTimeline trace_spans_;
+  SpanFolder trace_folder_{&trace_spans_};
   size_t trace_cursor_ = 0;
-  SimTime trace_last_time_ = 0;
-  uint64_t trace_arrived_ = 0;
-  uint64_t trace_done_ = 0;
+  uint64_t trace_problems_reported_ = 0;
   std::unique_ptr<SwitchDisciplineChecker> switch_checker_;
   bool installed_ = false;
 };

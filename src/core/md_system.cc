@@ -243,9 +243,9 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   QueuePair* reclaim_qp = fabric_->CreateQp(reclaim_cq);
   reclaimer_ = std::make_unique<Reclaimer>(&engine_, reclaimer_core_.get(), mm_.get(),
                                            reclaim_qp, placement_.get(), health_.get(),
-                                           config_.reclaim, config_.retry);
+                                           config_.reclaim, config_.retry, &tracer_);
   if (integrity_ != nullptr) {
-    reclaimer_->set_integrity(integrity_.get(), &tracer_);
+    reclaimer_->set_integrity(integrity_.get());
     if (placement_->replicas() > 1) {
       // With a second copy, detections queue a repair through the re-silver
       // machinery; a single copy has none, so they count as unrepairable.

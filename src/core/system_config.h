@@ -92,7 +92,7 @@ struct SystemConfig {
   uint32_t evict_scan_budget = 0;
   // Synchronization-cost model for paging ops and its parameters
   // (nanoseconds, decoupled from the CPU clock).
-  MmSyncModel sync_model = MmSyncModel::kNone;
+  MmSyncModel sync_model = MmSyncModel::kShardedCas;
   uint64_t sync_hold_ns = 0;
   uint64_t sync_cas_ns = 0;
 
@@ -135,7 +135,6 @@ struct SystemConfig {
     c.sched.fault_policy = FaultPolicy::kYield;
     c.sched.dispatch_policy = DispatchPolicy::kPfAware;
     c.sched.polling_delegation = true;
-    c.reclaim.proactive = true;
     return c;
   }
 
@@ -146,7 +145,6 @@ struct SystemConfig {
     c.sched.dispatch_policy = DispatchPolicy::kRoundRobin;
     c.sched.polling_delegation = false;
     c.sched.yield_bookkeeping_cycles = 0;  // No yield path: simpler code.
-    c.reclaim.proactive = true;  // DiLOS also runs a unikernel reclaimer.
     return c;
   }
 
@@ -196,7 +194,6 @@ struct SystemConfig {
     c.sched.kernel_jitter_max_cycles = 500000;   // 250 us
     // Kernel thread switching is too slow to make yielding pay off — Hermit
     // busy-waits, so context-switch costs barely matter; keep the default.
-    c.reclaim.proactive = true;
     return c;
   }
 };

@@ -71,9 +71,7 @@ void OverloadController::ScheduleNextTick() {
 OverloadController::Verdict OverloadController::Admit(const Request& req, SimTime now) {
   if (config_.shed_enabled && shedding_) {
     ++shed_drops_;
-    if (tracer_ != nullptr) {
-      tracer_->Record(now, req.id, TraceEvent::kShed, req.tenant);
-    }
+    tracer_->Record(now, req.id, TraceEvent::kShed, req.tenant);
     return Verdict::kShedDrop;
   }
   if (config_.admission_enabled) {
@@ -83,9 +81,7 @@ OverloadController::Verdict OverloadController::Admit(const Request& req, SimTim
     }
     if (!buckets_[req.tenant].TryTake(now)) {
       ++admit_drops_;
-      if (tracer_ != nullptr) {
-        tracer_->Record(now, req.id, TraceEvent::kAdmit, req.tenant);
-      }
+      tracer_->Record(now, req.id, TraceEvent::kAdmit, req.tenant);
       return Verdict::kAdmitDrop;
     }
   }
@@ -117,16 +113,12 @@ void OverloadController::TickNow(SimTime now) {
       ++active_workers_;
       ++scale_ups_;
       last_scale_time_ = now;
-      if (tracer_ != nullptr) {
-        tracer_->Record(now, 0, TraceEvent::kScale, active_workers_);
-      }
+      tracer_->Record(now, 0, TraceEvent::kScale, active_workers_);
     } else if (depth <= config_.scale_down_queue && active_workers_ > config_.min_workers) {
       --active_workers_;
       ++scale_downs_;
       last_scale_time_ = now;
-      if (tracer_ != nullptr) {
-        tracer_->Record(now, 0, TraceEvent::kScale, active_workers_);
-      }
+      tracer_->Record(now, 0, TraceEvent::kScale, active_workers_);
     }
   }
 }

@@ -122,7 +122,7 @@ class OverloadController {
   CtrlConfig config_;
   uint32_t num_workers_;
   MetricRegistry* registry_;
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = Tracer::Off();
 
   std::vector<TokenBucket> buckets_;  // Grown on demand, one per tenant.
   // Cached probe label strings ("worker=i"), built once.

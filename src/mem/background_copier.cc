@@ -6,13 +6,15 @@ namespace adios {
 
 BackgroundCopier::BackgroundCopier(Engine* engine, MemoryManager* mm, QueuePair* qp,
                                    OpTracker* tracker, PlacementMap* placement,
-                                   NodeHealthMonitor* health, const RetryPolicy& retry)
+                                   NodeHealthMonitor* health, const RetryPolicy& retry,
+                                   Tracer* tracer)
     : engine_(engine),
       mm_(mm),
       qp_(qp),
       tracker_(tracker),
       placement_(placement),
       health_(health),
+      tracer_(tracer),
       max_attempts_(health->config().resilver_max_attempts) {
   resilver_pace_.interval =
       FabricParams::SerializationNs(mm_->page_bytes(), health->config().resilver_bw_gbps);
@@ -268,9 +270,7 @@ void BackgroundCopier::StartScrub(SimTime until) {
 
 void BackgroundCopier::CloseScrubPass() {
   scrub_pass_open_ = false;
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), 0, TraceEvent::kScrubDone, scrub_finds_in_pass_);
-  }
+  tracer_->Record(engine_->now(), 0, TraceEvent::kScrubDone, scrub_finds_in_pass_);
 }
 
 void BackgroundCopier::ScrubTick() {
@@ -324,10 +324,8 @@ void BackgroundCopier::ScrubTick() {
       scrub_issued_in_pass_ = 0;
       scrub_finds_in_pass_ = 0;
       ++scrub_pass_;
-      if (tracer_ != nullptr) {
-        tracer_->Record(engine_->now(), 0, TraceEvent::kScrubStart,
-                        static_cast<uint32_t>(scrub_pass_));
-      }
+      tracer_->Record(engine_->now(), 0, TraceEvent::kScrubStart,
+                      static_cast<uint32_t>(scrub_pass_));
     }
     tracker_->Track(id, {.node = id.node, .cls = TrafficClass::kBackground});
     if (++scrub_issued_in_pass_ >= cfg.scrub_batch_pages) {

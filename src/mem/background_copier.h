@@ -34,17 +34,16 @@ class BackgroundCopier {
  public:
   // `qp` is the reclaimer's QP and `tracker` tracks its ops. Re-silver
   // pacing and attempts come from `health`'s ReplicationConfig. A copy's
-  // deadline is the retry timeout when `retry` is on, else 50 us.
+  // deadline is the retry timeout when `retry` is on, else 50 us. `tracer`
+  // records scrub passes.
   BackgroundCopier(Engine* engine, MemoryManager* mm, QueuePair* qp, OpTracker* tracker,
-                   PlacementMap* placement, NodeHealthMonitor* health, const RetryPolicy& retry);
+                   PlacementMap* placement, NodeHealthMonitor* health, const RetryPolicy& retry,
+                   Tracer* tracer);
 
   BackgroundCopier(const BackgroundCopier&) = delete;
   BackgroundCopier& operator=(const BackgroundCopier&) = delete;
 
-  void set_integrity(IntegrityLayer* integrity, Tracer* tracer) {
-    integrity_ = integrity;
-    tracer_ = tracer;
-  }
+  void set_integrity(IntegrityLayer* integrity) { integrity_ = integrity; }
 
   // Queues the out-of-sync pages of a node that just left kDead; calls
   // NotifyResilverDone once they all settled.
@@ -98,7 +97,7 @@ class BackgroundCopier {
   PlacementMap* placement_;
   NodeHealthMonitor* health_;
   IntegrityLayer* integrity_ = nullptr;
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_;
   uint64_t frames_held_ = 0;
 
   Pace resilver_pace_{&BackgroundCopier::ResilverTick};

@@ -59,11 +59,8 @@ void MemoryManager::RefillFrameCache(uint16_t owner) {
   frame_cache_[owner] += static_cast<uint32_t>(take);
   cached_credits_ += take;
   ++stats_.frame_refills;
-  if (tracer_ != nullptr) {
-    // System-level event: request id 0 by the trace grammar.
-    tracer_->Record(engine_->now(), 0, TraceEvent::kFrameRefill,
-                    static_cast<uint32_t>(take));
-  }
+  // System-level event: request id 0 by the trace grammar.
+  tracer_->Record(engine_->now(), 0, TraceEvent::kFrameRefill, static_cast<uint32_t>(take));
 }
 
 void MemoryManager::SpillFrameCaches() {

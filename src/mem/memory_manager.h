@@ -42,9 +42,8 @@ namespace adios {
 // modeled explicitly; bench_scalability uses kGlobalLock as the serialized
 // baseline the lock-free design is measured against.
 enum class MmSyncModel : uint8_t {
-  kNone = 0,        // No modeled synchronization cost (seed-identical).
+  kShardedCas = 0,  // Mutating operations pay sync_cas_ns (0 = free); lookups stay free.
   kGlobalLock = 1,  // Every paging operation serializes through one lock.
-  kShardedCas = 2,  // Mutating operations pay one CAS; lookups stay free.
 };
 
 class MemoryManager {
@@ -77,7 +76,7 @@ class MemoryManager {
     uint32_t evict_scan_budget = 0;
     // Synchronization-cost model and its parameters (both in nanoseconds so
     // they stay decoupled from the CPU clock).
-    MmSyncModel sync_model = MmSyncModel::kNone;
+    MmSyncModel sync_model = MmSyncModel::kShardedCas;
     uint64_t sync_hold_ns = 0;  // kGlobalLock: lock hold per paging op.
     uint64_t sync_cas_ns = 0;   // kShardedCas: cost per mutating op.
   };
@@ -152,8 +151,6 @@ class MemoryManager {
   // though the fiber suspends only in the caller's Consume. Non-suspending.
   ADIOS_NO_SUSPEND uint64_t SyncGateNs(bool mutating) {
     switch (options_.sync_model) {
-      case MmSyncModel::kNone:
-        return 0;
       case MmSyncModel::kGlobalLock: {
         const uint64_t now = engine_->now();
         const uint64_t start = lock_free_at_ > now ? lock_free_at_ : now;
@@ -391,7 +388,7 @@ class MemoryManager {
   uint64_t cached_credits_ = 0;
   // kGlobalLock sync model: simulated time at which the one lock frees.
   uint64_t lock_free_at_ = 0;
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = Tracer::Off();
   Stats stats_;
 };
 

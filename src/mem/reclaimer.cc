@@ -10,7 +10,7 @@ constexpr SimDuration kScanFailRetryNs = 2000;
 
 Reclaimer::Reclaimer(Engine* engine, CpuCore* core, MemoryManager* mm, QueuePair* qp,
                      PlacementMap* placement, NodeHealthMonitor* health, Options options,
-                     const RetryPolicy& retry)
+                     const RetryPolicy& retry, Tracer* tracer)
     : engine_(engine),
       core_(core),
       mm_(mm),
@@ -21,7 +21,8 @@ Reclaimer::Reclaimer(Engine* engine, CpuCore* core, MemoryManager* mm, QueuePair
       sleep_queue_(engine),
       cq_wait_(engine),
       tracker_(engine, placement, health),
-      copier_(engine, mm, qp, &tracker_, placement, health, retry) {
+      copier_(engine, mm, qp, &tracker_, placement, health, retry, tracer) {
+  tracker_.set_tracer(tracer);
   tracker_.set_rules(OpKind::kWriteback, OpRules{retry});
   tracker_.set_hooks(
       OpKind::kWriteback, [this](const OpId& id, const TrackedOp&) { return PostWriteback(id); },
@@ -51,19 +52,18 @@ bool Reclaimer::PostWriteback(const OpId& id) {
   return true;
 }
 
-void Reclaimer::set_integrity(IntegrityLayer* integrity, Tracer* tracer) {
+void Reclaimer::set_integrity(IntegrityLayer* integrity) {
   integrity_ = integrity;
-  tracker_.set_tracer(tracer);
-  copier_.set_integrity(integrity, tracer);
+  copier_.set_integrity(integrity);
 }
 
 void Reclaimer::Start() {
   mm_->set_reclaim_kick([this] {
     if (!kicked_) {
       kicked_ = true;
-      // Proactive mode: the pinned thread notices immediately. Wake-up mode:
-      // the notification goes through the scheduler, paying a delay.
-      sleep_queue_.NotifyOne(options_.proactive ? 0 : options_.wakeup_delay_ns);
+      // The pinned thread (delay 0) notices immediately; a wake-up-based
+      // one is notified through the scheduler, paying its delay.
+      sleep_queue_.NotifyOne(options_.wakeup_delay_ns);
     }
   });
   qp_->cq()->set_on_push([this] {

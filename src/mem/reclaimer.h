@@ -4,8 +4,7 @@
 // when free frames fall below a watermark, so fault handlers (almost) never
 // stall on allocation. The conventional alternative — a reclaimer that is
 // woken up on memory pressure and pays a scheduling delay — is also
-// implemented (`proactive = false`, `wakeup_delay_ns > 0`) for the
-// reclaimer ablation benchmark.
+// implemented (`wakeup_delay_ns > 0`) for the reclaimer ablation benchmark.
 //
 // Dirty pages are written back with one-sided WRITEs on the reclaimer's own
 // QP, one OpId::Writeback(vpage, node) per live replica; the frame is
@@ -31,17 +30,19 @@ namespace adios {
 class Reclaimer {
  public:
   struct Options {
-    bool proactive = true;          // Pinned thread, immediate response.
-    SimDuration wakeup_delay_ns = 0;  // Scheduling delay for wake-up-based mode.
-    uint32_t evict_cycles = 250;    // CPU cost per evicted page.
+    // Scheduling delay of a wake-up-based reclaimer; 0 is the pinned,
+    // proactive thread, which responds immediately.
+    SimDuration wakeup_delay_ns = 0;
+    uint32_t evict_cycles = 250;  // CPU cost per evicted page.
   };
 
   // Write-backs fan out to `placement`'s replicas of a page, skipping nodes
   // `health` reports dead; a single node is the one-replica case. `retry`
-  // steers write-backs (untracked while not enabled) and copies.
+  // steers write-backs (untracked while not enabled) and copies; `tracer`
+  // records integrity detections and scrub passes.
   Reclaimer(Engine* engine, CpuCore* core, MemoryManager* mm, QueuePair* qp,
             PlacementMap* placement, NodeHealthMonitor* health, Options options,
-            const RetryPolicy& retry = {});
+            const RetryPolicy& retry = {}, Tracer* tracer = Tracer::Off());
 
   Reclaimer(const Reclaimer&) = delete;
   Reclaimer& operator=(const Reclaimer&) = delete;
@@ -50,8 +51,8 @@ class Reclaimer {
   void Start();
 
   // Integrity wiring (docs/INTEGRITY.md): write-backs refresh the checksum
-  // map, and the copier verifies what it reads; `tracer` records detections.
-  void set_integrity(IntegrityLayer* integrity, Tracer* tracer);
+  // map, and the copier verifies what it reads.
+  void set_integrity(IntegrityLayer* integrity);
 
   // Re-silver, repair and scrub (docs/FAILOVER.md, docs/INTEGRITY.md).
   BackgroundCopier& copier() { return copier_; }

@@ -14,10 +14,13 @@
 //
 // Segments tile the lifetime: queue + exec + fetch-stall + frame-stall +
 // preempted + tx == kDone.time - kArrive.time == RequestSample::server_ns.
-// BuildSpans validates the event grammar while folding (spans nest, no
-// events after kDone, stalls close before the request finishes) and reports
-// violations in SpanTimeline::problems instead of crashing, so property
-// tests can assert the list is empty.
+//
+// SpanFolder is the one trace grammar (docs/OBSERVABILITY.md §1): each
+// event's scope row in kTraceEvents (src/sim/trace.h), plus the lifecycle
+// order and the segment nesting it folds. It reports violations in
+// SpanTimeline::problems instead of crashing, so property tests can assert
+// the list is empty. BuildSpans feeds it a whole stream; the invariant
+// checker feeds it incrementally during a run.
 
 #ifndef ADIOS_SRC_OBS_SPAN_BUILDER_H_
 #define ADIOS_SRC_OBS_SPAN_BUILDER_H_
@@ -115,8 +118,49 @@ struct SpanTimeline {
   const RequestSpan* Find(uint64_t request_id) const;
 };
 
-// Folds the tracer's record stream (already in global time order) into
-// per-request spans. Node-level records (request_id == 0) are skipped.
+// Folds records, one at a time and in global time order, into `out`'s spans
+// and grammar problems. Records with request id 0 belong to no span.
+class SpanFolder {
+ public:
+  explicit SpanFolder(SpanTimeline* out) : out_(out) {}
+
+  void Feed(const TraceRecord& rec);
+
+  // Every problem found so far; out->problems keeps the first kMaxProblems.
+  uint64_t problem_count() const { return problem_count_; }
+
+ private:
+  static constexpr size_t kMaxProblems = 64;
+
+  // Folding state for one request: its span's index plus the open segment.
+  struct FoldState {
+    size_t span_index = 0;
+    bool open = false;  // A segment is open (always true between arrive and done).
+    SegmentKind open_kind = SegmentKind::kQueue;
+    SimTime open_begin = 0;
+    SimTime last_time = 0;
+    // Worker currently running the unithread (updated at kStart/kResume); a
+    // worker change always crosses a segment boundary, so this labels whole
+    // exec segments.
+    uint32_t current_worker = RequestSpan::kNoWorker;
+  };
+
+  // The event's own effect on its span: lifecycle order, segments, counters.
+  void Fold(const TraceRecord& rec, FoldState& st, RequestSpan& span, bool first);
+  void OpenSegment(FoldState& st, SegmentKind kind, SimTime at);
+  void CloseSegment(FoldState& st, RequestSpan& span, const TraceRecord& rec,
+                    SegmentKind expect);
+  void SwitchSegment(FoldState& st, RequestSpan& span, const TraceRecord& rec,
+                     SegmentKind from, SegmentKind to);
+  void Problem(const TraceRecord& rec, const char* what);
+
+  SpanTimeline* out_;
+  uint64_t problem_count_ = 0;
+  SimTime last_global_time_ = 0;
+  std::unordered_map<uint64_t, FoldState> state_;
+};
+
+// Folds the tracer's whole record stream (already in global time order).
 SpanTimeline BuildSpans(const Tracer& tracer);
 
 // Cross-checks completed spans against the load generator's samples, joined

@@ -130,89 +130,20 @@ bool ExportChromeTrace(const Tracer& tracer, const SpanTimeline& timeline,
     e.Meta(kNodeTidBase + n, "thread_name", "node-" + std::to_string(n));
   }
 
-  // Raw-record events: dispatcher arrivals/dispatches, node-track health
-  // transitions, request-lane async instants for the fetch pipeline.
+  // Raw-record events go where their row's track says (kTraceEvents); span
+  // boundaries are exported from the folded segments below.
   for (const TraceRecord& rec : tracer.records()) {
-    switch (rec.event) {
-      case TraceEvent::kArrive:
-        e.Instant(kDispatcherTid, rec.time, "arrive", rec.request_id, rec.arg, "arg");
-        break;
-      case TraceEvent::kDispatch:
-        e.Instant(kDispatcherTid, rec.time, "dispatch", rec.request_id, rec.arg, "worker");
-        break;
-      case TraceEvent::kNodeSuspect:
-        e.Instant(kNodeTidBase + rec.arg, rec.time, "node-suspect", rec.request_id, rec.arg,
-                  "node");
-        break;
-      case TraceEvent::kNodeDead:
-        e.Instant(kNodeTidBase + rec.arg, rec.time, "node-dead", rec.request_id, rec.arg,
-                  "node");
-        break;
-      case TraceEvent::kResilverDone:
-        e.Instant(kNodeTidBase + rec.arg, rec.time, "resilver-done", rec.request_id,
-                  rec.arg, "node");
-        break;
-      case TraceEvent::kFailover:
-        e.Instant(kNodeTidBase + rec.arg, rec.time, "failover", rec.request_id, rec.arg,
-                  "node");
-        if (rec.request_id != 0) {
-          e.Async('n', rec.request_id, rec.time, "failover");
-        }
-        break;
-      case TraceEvent::kFetchTimeout:
-        e.Async('n', rec.request_id, rec.time, "fetch-timeout");
-        break;
-      case TraceEvent::kRetry:
-        e.Async('n', rec.request_id, rec.time, "retry");
-        break;
-      case TraceEvent::kPrefetch:
-        e.Async('n', rec.request_id, rec.time, "prefetch");
-        break;
-      case TraceEvent::kPrefetchHit:
-        e.Async('n', rec.request_id, rec.time, "prefetch-hit");
-        break;
-      // Overload control (docs/OVERLOAD.md): drops and scale steps land on
-      // the dispatcher track, where they interleave with arrivals.
-      case TraceEvent::kAdmit:
-        e.Instant(kDispatcherTid, rec.time, "admit-drop", rec.request_id, rec.arg, "tenant");
-        break;
-      case TraceEvent::kShed:
-        e.Instant(kDispatcherTid, rec.time, "shed-drop", rec.request_id, rec.arg, "tenant");
-        break;
-      case TraceEvent::kScale:
-        e.Instant(kDispatcherTid, rec.time, "scale", rec.request_id, rec.arg, "workers");
-        break;
-      // Integrity (docs/INTEGRITY.md): detections land on the offending
-      // node's track (and the victim's request lane when demand-detected);
-      // scrub passes bracket on the dispatcher track.
-      case TraceEvent::kCorrupt:
-        e.Instant(kNodeTidBase + rec.arg, rec.time, "corrupt", rec.request_id, rec.arg,
-                  "node");
-        if (rec.request_id != 0) {
-          e.Async('n', rec.request_id, rec.time, "corrupt");
-        }
-        break;
-      case TraceEvent::kScrubStart:
-        e.Instant(kDispatcherTid, rec.time, "scrub-start", rec.request_id, rec.arg, "pass");
-        break;
-      case TraceEvent::kScrubDone:
-        e.Instant(kDispatcherTid, rec.time, "scrub-done", rec.request_id, rec.arg, "finds");
-        break;
-      case TraceEvent::kFrameRefill:
-        e.Instant(kDispatcherTid, rec.time, "frame-refill", rec.request_id, rec.arg,
-                  "credits");
-        break;
-      // QoS link scheduling (docs/QOS.md): chunk arrivals land on the
-      // faulting request's lane; WDRR grants land on the dispatcher track.
-      case TraceEvent::kChunkReady:
-        e.Async('n', rec.request_id, rec.time, "chunk-ready");
-        break;
-      case TraceEvent::kClassDequeue:
-        e.Instant(kDispatcherTid, rec.time, "class-dequeue", rec.request_id, rec.arg,
-                  "class");
-        break;
-      default:
-        break;  // Span boundaries are exported from the folded segments.
+    const TraceEventInfo& info = TraceEventInfoOf(rec.event);
+    const char* arg = info.arg != nullptr ? info.arg : "arg";
+    if (info.track == TraceTrack::kDispatcher) {
+      e.Instant(kDispatcherTid, rec.time, info.name, rec.request_id, rec.arg, arg);
+    }
+    if (info.track == TraceTrack::kNode || info.track == TraceTrack::kNodeAndLane) {
+      e.Instant(kNodeTidBase + rec.arg, rec.time, info.name, rec.request_id, rec.arg, arg);
+    }
+    if ((info.track == TraceTrack::kLane || info.track == TraceTrack::kNodeAndLane) &&
+        rec.request_id != 0) {
+      e.Async('n', rec.request_id, rec.time, info.name);
     }
   }
 

@@ -2,18 +2,20 @@
 //
 // Track layout (one process, pid 1, named after the system under test):
 //
-//   tid 0            dispatcher — instant events per arrival and dispatch
+//   tid 0            dispatcher — instant events per arrival and dispatch,
+//                                 overload decision and background pass
 //   tid 1..W         worker i   — complete (X) events for exec segments; at
 //                                 most one unithread runs per worker at a
 //                                 time, so they never overlap
-//   tid 1000+n       node n     — instant events for health transitions
-//                                 (kNodeSuspect/kNodeDead/kResilverDone) and
-//                                 failovers landing on the node
+//   tid 1000+n       node n     — instant events for health transitions and
+//                                 for failovers and detections on the node
 //
 // Every request additionally gets an async lane (cat "request", id = request
 // id) carrying its segment tiling (queue/exec/fetch-stall/...) as nestable
-// b/e pairs plus async instants for fetch timeouts, retries, failovers, and
-// prefetch events. Timestamps are microseconds (simulated time).
+// b/e pairs plus async instants for its fetch pipeline (timeouts, retries,
+// failovers, prefetches, ...). Each event's track is its row's `track` in
+// kTraceEvents (src/sim/trace.h). Timestamps are microseconds (simulated
+// time).
 
 #ifndef ADIOS_SRC_OBS_TRACE_EXPORT_H_
 #define ADIOS_SRC_OBS_TRACE_EXPORT_H_

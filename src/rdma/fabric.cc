@@ -53,9 +53,7 @@ void RdmaFabric::set_tracer(Tracer* tracer) {
     return;  // A one-queue link makes no class decision to trace.
   }
   auto hook = [this](uint32_t cls, uint64_t /*bytes*/) {
-    if (tracer_ != nullptr) {
-      tracer_->Record(engine_->now(), 0, TraceEvent::kClassDequeue, cls);
-    }
+    tracer_->Record(engine_->now(), 0, TraceEvent::kClassDequeue, cls);
   };
   for (auto& node : nodes_) {
     node->c2m.set_dequeue_hook(hook);

@@ -328,7 +328,7 @@ class RdmaFabric {
   std::vector<ReadBatch> batch_pool_;    // Batches in their WQE-engine pass.
   std::vector<uint32_t> free_batches_;  // Free batch_pool_ indices.
   std::function<void(uint64_t, uint32_t, WorkType)> corrupt_hook_;
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = Tracer::Off();
 };
 
 template <typename F>

@@ -114,9 +114,7 @@ TrackedOp OpTracker::Untrack(const OpId& id) {
 }
 
 void OpTracker::Quarantine(uint64_t vpage, uint32_t node, uint64_t req_id) {
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), req_id, TraceEvent::kCorrupt, node);
-  }
+  tracer_->Record(engine_->now(), req_id, TraceEvent::kCorrupt, node);
   placement_->MarkOutOfSync(vpage, node);
   health_->ReportCorruption(node);
 }
@@ -243,7 +241,7 @@ uint32_t OpTracker::PickReplica(uint64_t vpage, uint32_t skip) const {
 }
 
 void OpTracker::Trace(const Kind& k, TraceEvent event, uint64_t req_id, uint32_t arg) const {
-  if (k.rules.traced && tracer_ != nullptr) {
+  if (k.rules.traced) {
     tracer_->Record(engine_->now(), req_id, event, arg);
   }
 }

@@ -216,7 +216,7 @@ class OpTracker {
   Engine* engine_;
   NodeHealthMonitor* health_;
   PlacementMap* placement_;
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = Tracer::Off();
   std::array<Kind, kNumOpKinds> kinds_;
   std::deque<Entry> entries_;
   uint32_t free_entry_ = kNoEntry;

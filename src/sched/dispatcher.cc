@@ -46,9 +46,7 @@ void Dispatcher::RegisterMetrics(MetricRegistry* registry) {
 void Dispatcher::OnRx(Request* req) {
   req->arrive_time = engine_->now();
   ++stats_.received;
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), req->id, TraceEvent::kArrive);
-  }
+  tracer_->Record(engine_->now(), req->id, TraceEvent::kArrive);
   // Overload control (docs/OVERLOAD.md): admission/shed verdict at the front
   // door, before the request can occupy ring or queue space. Drops count in
   // stats_.dropped like RX-ring overflow, so the trace termination audit
@@ -169,9 +167,7 @@ bool Dispatcher::DispatchSome() {
     queue_.pop_front();
     ++stats_.dispatched;
     core_->Consume(cfg_.dispatch_cycles);
-    if (tracer_ != nullptr) {
-      tracer_->Record(engine_->now(), item->req->id, TraceEvent::kDispatch, w->index());
-    }
+    tracer_->Record(engine_->now(), item->req->id, TraceEvent::kDispatch, w->index());
     w->Assign(item);
     rr_cursor_ = (w->index() + 1) % n;
     any = true;

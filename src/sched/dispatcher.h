@@ -13,10 +13,10 @@
 #define ADIOS_SRC_SCHED_DISPATCHER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "src/base/fifo.h"
 #include "src/base/ring_buffer.h"
 #include "src/rdma/completion.h"
 #include "src/sched/config.h"
@@ -81,9 +81,9 @@ class Dispatcher {
   SchedConfig cfg_;
   DropFn on_drop_;
 
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = Tracer::Off();
   RingBuffer<Request*> rx_ring_;
-  std::deque<Request*> queue_;  // The single centralized FCFS queue.
+  Fifo<Request*> queue_;  // The single centralized FCFS queue.
   WaitQueue events_;
   uint32_t rr_cursor_ = 0;
   std::vector<Worker*> idle_scratch_;

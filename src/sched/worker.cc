@@ -161,14 +161,12 @@ void Worker::RunItemNow(RunItem* item) {
     // kStart carries the same timestamp as req->start_time (the span
     // builder's queue segment must equal RequestSample::queue_ns), so it is
     // recorded before the kernel RX-path charge below.
-    if (tracer_ != nullptr) {
-      tracer_->Record(engine_->now(), item->req->id, TraceEvent::kStart, index_);
-    }
+    tracer_->Record(engine_->now(), item->req->id, TraceEvent::kStart, index_);
     if (cfg_.kernel_request_extra_cycles > 0) {
       // Kernel-based system: socket/syscall RX path before the handler runs.
       core_->Consume(cfg_.kernel_request_extra_cycles);
     }
-  } else if (tracer_ != nullptr) {
+  } else {
     tracer_->Record(engine_->now(), item->req->id, TraceEvent::kResume, index_);
   }
   item->quantum_start = engine_->now();
@@ -210,9 +208,7 @@ void Worker::FinishRequest(RunItem* item) {
     const SimTime t0 = engine_->now();
     // [kTxWait, kDone] brackets exactly the interval accumulated into
     // req->tx_wait_ns, so the span's tx segment equals RequestSample::tx_ns.
-    if (tracer_ != nullptr) {
-      tracer_->Record(t0, req->id, TraceEvent::kTxWait);
-    }
+    tracer_->Record(t0, req->id, TraceEvent::kTxWait);
     const uint64_t busy0 = core_->busy_ns();
     CompletionQueue* cq = client_qp_->cq();
     bool seen = false;
@@ -242,9 +238,7 @@ void Worker::FinishRequest(RunItem* item) {
   // polls the delegated send completion.
   // The request occupies the worker until here (synchronous TX included).
   req->finish_time = engine_->now();
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), req->id, TraceEvent::kDone, index_);
-  }
+  tracer_->Record(engine_->now(), req->id, TraceEvent::kDone, index_);
 }
 
 void Worker::RegisterMetrics(MetricRegistry* registry) {
@@ -303,8 +297,8 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
     }
     switch (mm_->StateOf(vpage)) {
       case PageState::kPresent: {
-        // Synchronization-cost gate (docs/DATAPATH.md): free under kNone and
-        // for lock-free lookups under kShardedCas; under kGlobalLock even a
+        // Synchronization-cost gate (docs/DATAPATH.md): free for lock-free
+        // lookups under kShardedCas; under kGlobalLock even a
         // hit serializes through the one lock. The charge is a suspension
         // point, so the state is revalidated before acting on it.
         const uint64_t sync_ns = mm_->SyncGateNs(/*mutating=*/false);
@@ -320,10 +314,8 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
         // coverage would starve the detector of its own signal.
         if (mm_->IsPrefetchedResident(vpage)) {
           prefetcher_->OnTouch(vpage);
-          if (tracer_ != nullptr) {
-            tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kPrefetchHit,
-                            static_cast<uint32_t>(vpage));
-          }
+          tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kPrefetchHit,
+                          static_cast<uint32_t>(vpage));
         }
         mm_->Touch(vpage, write);
         return;
@@ -393,10 +385,8 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
         // No suspension between the checks and here. The worker index tags
         // the fetch as the owner key for the free-frame credit cache.
         mm_->BeginFetch(vpage, /*prefetch=*/false, static_cast<uint16_t>(index_));
-        if (tracer_ != nullptr) {
-          tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFault,
-                          static_cast<uint32_t>(vpage));
-        }
+        tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFault,
+                        static_cast<uint32_t>(vpage));
         mm_->Pin(vpage);
         PostFaultReads(vpage);
         // Posting can suspend: a full QP drains the CQ, and the READ may
@@ -422,10 +412,8 @@ bool Worker::WaitForFreeFrame(uint64_t vpage) {
   ++mm_->stats().frame_stalls;
   // The frame wait is its own span segment: it is memory pressure, not fetch
   // latency, so it must not blend into the exec or fetch-stall time.
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFrameStall,
-                    static_cast<uint32_t>(vpage));
-  }
+  tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFrameStall,
+                  static_cast<uint32_t>(vpage));
   const bool busy_policy = cfg_.fault_policy == FaultPolicy::kBusyWait ||
                            cfg_.fault_policy == FaultPolicy::kKernelBusyWait;
   if (!busy_policy) {
@@ -448,9 +436,7 @@ bool Worker::WaitForFreeFrame(uint64_t vpage) {
       // Resumed on a frame release; re-check (it may be gone again).
       woken = true;
     }
-    if (tracer_ != nullptr) {
-      tracer_->Record(engine_->now(), item->req->id, TraceEvent::kFrameStallDone);
-    }
+    tracer_->Record(engine_->now(), item->req->id, TraceEvent::kFrameStallDone);
     return woken;
   }
   // Busy-waiting policies run one request per worker to completion, so the
@@ -469,9 +455,7 @@ bool Worker::WaitForFreeFrame(uint64_t vpage) {
   const uint64_t consumed = core_->busy_ns() - busy0;
   core_->AccountBusyWait(waited > consumed ? waited - consumed : 0);
   running_->req->busy_wait_ns += waited;
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFrameStallDone);
-  }
+  tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFrameStallDone);
   return false;
 }
 
@@ -508,11 +492,9 @@ void Worker::PostFaultReads(uint64_t vpage) {
   prefetch_scratch_.clear();
   if (cfg_.prefetch_window > 0) {
     prefetcher_->OnFault(vpage, mm_, &prefetch_scratch_);
-    if (tracer_ != nullptr) {
-      for (const uint64_t q : prefetch_scratch_) {
-        tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kPrefetch,
-                        static_cast<uint32_t>(q));
-      }
+    for (const uint64_t q : prefetch_scratch_) {
+      tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kPrefetch,
+                      static_cast<uint32_t>(q));
     }
   }
   // One doorbell: the demand READ plus up to kMaxReadBatch - 1 prefetch
@@ -561,7 +543,7 @@ size_t Worker::DrainMemCq() {
       if (c.partial) {
         // Critical chunk landed (docs/QOS.md); the WQE is still outstanding
         // and the tail's final completion settles it. Early-resume readers.
-        if (const TrackedOp* op = tracer_ != nullptr ? tracker_.Find(id) : nullptr) {
+        if (const TrackedOp* op = tracer_->enabled() ? tracker_.Find(id) : nullptr) {
           tracer_->Record(engine_->now(), op->req_id, TraceEvent::kChunkReady,
                           static_cast<uint32_t>(id.vpage));
         }
@@ -618,9 +600,7 @@ void Worker::BlockOnFetch(uint64_t vpage, bool write) {
   // kStall/kStallDone bracket exactly the interval accumulated into
   // req->rdma_wait_ns below, so the span builder's fetch-stall segment
   // reconciles with RequestSample::rdma_ns to the nanosecond.
-  if (tracer_ != nullptr) {
-    tracer_->Record(t0, req->id, TraceEvent::kStall, static_cast<uint32_t>(vpage));
-  }
+  tracer_->Record(t0, req->id, TraceEvent::kStall, static_cast<uint32_t>(vpage));
 
   if (cfg_.fault_policy == FaultPolicy::kYield ||
       cfg_.fault_policy == FaultPolicy::kKernelYield) {
@@ -647,7 +627,7 @@ void Worker::BlockOnFetch(uint64_t vpage, bool write) {
       mm_->AddFetchWaiter(vpage, [this, item](bool ok) {
         if (!ok) {
           item->req->failed = true;
-        } else if (tracer_ != nullptr) {
+        } else {
           tracer_->Record(engine_->now(), item->req->id, TraceEvent::kFetchDone);
         }
         item->home->EnqueueReady(item);
@@ -681,9 +661,7 @@ void Worker::BlockOnFetch(uint64_t vpage, bool write) {
     core_->AccountBusyWait(waited > consumed ? waited - consumed : 0);
     req->busy_wait_ns += waited;
   }
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), req->id, TraceEvent::kStallDone);
-  }
+  tracer_->Record(engine_->now(), req->id, TraceEvent::kStallDone);
   req->rdma_wait_ns += engine_->now() - t0;
 }
 
@@ -702,9 +680,7 @@ void Worker::MaybePreempt() {
   // reference to this worker's API, and its faults post on this worker's QP.
   ++item->req->preemptions;
   ++preempt_fires_;
-  if (tracer_ != nullptr) {
-    tracer_->Record(engine_->now(), item->req->id, TraceEvent::kPreempt, index_);
-  }
+  tracer_->Record(engine_->now(), item->req->id, TraceEvent::kPreempt, index_);
   core_->Consume(cfg_.preempt_switch_cycles);
   UnithreadContext* ctx = item->ctx();
   ctx->state = ContextState::kRunnable;

@@ -23,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/fifo.h"
 #include "src/base/rng.h"
 #include "src/integrity/integrity.h"
 #include "src/mem/memory_manager.h"
@@ -183,7 +184,7 @@ class Worker final : public WorkerApi {
   ReplyFn on_reply_;
   Dispatcher* dispatcher_ = nullptr;
   RemoteRegion* region_ = nullptr;
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = Tracer::Off();
   IntegrityLayer* integrity_ = nullptr;
 
   // Pops a not-yet-started request from the busiest peer's queue (work
@@ -193,8 +194,8 @@ class Worker final : public WorkerApi {
   UnithreadContext* fiber_ctx_ = nullptr;
   RunItem* running_ = nullptr;
   std::deque<RunItem*> assigned_q_;  // Dispatcher mailbox (1 deep unless stealing).
-  std::deque<RunItem*> ready_;      // Fault-resumed unithreads (highest priority).
-  std::deque<RunItem*> preempted_;  // Quantum-expired unithreads.
+  Fifo<RunItem*> ready_;             // Fault-resumed unithreads (highest priority).
+  Fifo<RunItem*> preempted_;         // Quantum-expired unithreads.
   bool prefer_preempted_ = false;   // Alternation flag: fresh vs preempted.
   std::vector<Worker*> peers_;
   WaitQueue events_;        // Worker-loop sleep: assigns, ready items, CQ pushes.

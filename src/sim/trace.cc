@@ -3,69 +3,12 @@
 namespace adios {
 
 const char* TraceEventName(TraceEvent ev) {
-  switch (ev) {
-    case TraceEvent::kArrive:
-      return "arrive";
-    case TraceEvent::kDispatch:
-      return "dispatch";
-    case TraceEvent::kStart:
-      return "start";
-    case TraceEvent::kFault:
-      return "fault";
-    case TraceEvent::kFetchDone:
-      return "fetch-done";
-    case TraceEvent::kResume:
-      return "resume";
-    case TraceEvent::kPreempt:
-      return "preempt";
-    case TraceEvent::kDone:
-      return "done";
-    case TraceEvent::kFetchTimeout:
-      return "fetch-timeout";
-    case TraceEvent::kRetry:
-      return "retry";
-    case TraceEvent::kNodeSuspect:
-      return "node-suspect";
-    case TraceEvent::kNodeDead:
-      return "node-dead";
-    case TraceEvent::kFailover:
-      return "failover";
-    case TraceEvent::kResilverDone:
-      return "resilver-done";
-    case TraceEvent::kPrefetch:
-      return "prefetch";
-    case TraceEvent::kPrefetchHit:
-      return "prefetch-hit";
-    case TraceEvent::kStall:
-      return "stall";
-    case TraceEvent::kStallDone:
-      return "stall-done";
-    case TraceEvent::kFrameStall:
-      return "frame-stall";
-    case TraceEvent::kFrameStallDone:
-      return "frame-stall-done";
-    case TraceEvent::kTxWait:
-      return "tx-wait";
-    case TraceEvent::kAdmit:
-      return "admit-drop";
-    case TraceEvent::kShed:
-      return "shed-drop";
-    case TraceEvent::kScale:
-      return "scale";
-    case TraceEvent::kCorrupt:
-      return "corrupt";
-    case TraceEvent::kScrubStart:
-      return "scrub-start";
-    case TraceEvent::kScrubDone:
-      return "scrub-done";
-    case TraceEvent::kFrameRefill:
-      return "frame-refill";
-    case TraceEvent::kChunkReady:
-      return "chunk-ready";
-    case TraceEvent::kClassDequeue:
-      return "class-dequeue";
-  }
-  return "?";
+  return static_cast<uint8_t>(ev) < kNumTraceEvents ? TraceEventInfoOf(ev).name : "?";
+}
+
+Tracer* Tracer::Off() {
+  static Tracer off;
+  return &off;
 }
 
 std::vector<TraceRecord> Tracer::ForRequest(uint64_t request_id) const {
@@ -95,32 +38,8 @@ void Tracer::PrintTimeline(uint64_t request_id, std::FILE* out) const {
   for (const auto& e : events) {
     std::fprintf(out, "  +%8.2f us (%+7.2f)  %-13s", static_cast<double>(e.time - t0) / 1000.0,
                  static_cast<double>(e.time - prev) / 1000.0, TraceEventName(e.event));
-    if (e.event == TraceEvent::kDispatch || e.event == TraceEvent::kStart ||
-        e.event == TraceEvent::kResume) {
-      std::fprintf(out, " worker=%u", e.arg);
-    } else if (e.event == TraceEvent::kFault || e.event == TraceEvent::kFetchTimeout ||
-               e.event == TraceEvent::kPrefetch || e.event == TraceEvent::kPrefetchHit ||
-               e.event == TraceEvent::kStall || e.event == TraceEvent::kFrameStall ||
-               e.event == TraceEvent::kChunkReady) {
-      std::fprintf(out, " page=%u", e.arg);
-    } else if (e.event == TraceEvent::kRetry) {
-      std::fprintf(out, " attempt=%u", e.arg);
-    } else if (e.event == TraceEvent::kNodeSuspect || e.event == TraceEvent::kNodeDead ||
-               e.event == TraceEvent::kFailover || e.event == TraceEvent::kResilverDone ||
-               e.event == TraceEvent::kCorrupt) {
-      std::fprintf(out, " node=%u", e.arg);
-    } else if (e.event == TraceEvent::kAdmit || e.event == TraceEvent::kShed) {
-      std::fprintf(out, " tenant=%u", e.arg);
-    } else if (e.event == TraceEvent::kScale) {
-      std::fprintf(out, " workers=%u", e.arg);
-    } else if (e.event == TraceEvent::kScrubStart) {
-      std::fprintf(out, " pass=%u", e.arg);
-    } else if (e.event == TraceEvent::kScrubDone) {
-      std::fprintf(out, " finds=%u", e.arg);
-    } else if (e.event == TraceEvent::kFrameRefill) {
-      std::fprintf(out, " credits=%u", e.arg);
-    } else if (e.event == TraceEvent::kClassDequeue) {
-      std::fprintf(out, " class=%u", e.arg);
+    if (const char* label = TraceEventInfoOf(e.event).arg) {
+      std::fprintf(out, " %s=%u", label, e.arg);
     }
     std::fprintf(out, "\n");
     prev = e.time;

@@ -5,15 +5,25 @@
 // resumes, preemptions, completion). Traces make scheduling behavior
 // visible — e.g., a yield-based handler interleaving five requests during
 // one fetch — and back the request_timeline example. Disabled tracers cost
-// one branch per hook.
+// one branch per hook; a component built without a tracer records into
+// Tracer::Off(), which is never enabled.
+//
+// kTraceEvents holds the whole vocabulary, one row per event: its name, the
+// label of its arg, where in a request's stream it may appear (the grammar
+// the span builder enforces; docs/OBSERVABILITY.md §1), and the track the
+// Chrome trace exporter puts it on. Adding an event means adding one
+// enumerator and one row (and bumping kNumTraceEvents; the static_asserts
+// below catch a missed or misplaced row).
 
 #ifndef ADIOS_SRC_SIM_TRACE_H_
 #define ADIOS_SRC_SIM_TRACE_H_
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/time.h"
 
 namespace adios {
@@ -71,11 +81,102 @@ enum class TraceEvent : uint8_t {
   kClassDequeue = 29,
 };
 
-const char* TraceEventName(TraceEvent ev);
-
-// One past the highest TraceEvent value (for exhaustive-name tests and
-// per-event tables).
+// One past the highest TraceEvent value.
 inline constexpr uint8_t kNumTraceEvents = 30;
+
+// Where an event may appear in its request's stream.
+enum class TraceScope : uint8_t {
+  kLifecycle,      // kArrive/kDispatch/kStart/kDone: the request's own order.
+  kHandler,        // Inside [kStart, kDone]: only a running handler records it.
+  kFetchPipeline,  // Any time after kArrive: a fetch can outlive its request.
+  kSystem,         // Request id 0 only: not tied to one request.
+  kOverloadDrop,   // Terminal, and legal only in [kArrive, kDispatch).
+};
+
+// Where the Chrome trace exporter puts a raw record (src/obs/trace_export.h).
+// A lane instant is emitted only when the record names a request.
+enum class TraceTrack : uint8_t {
+  kSpans,        // Not exported raw: the folded span segments carry it.
+  kDispatcher,   // Instant on the dispatcher track.
+  kNode,         // Instant on the track of node `arg`.
+  kLane,         // Async instant on the request's lane.
+  kNodeAndLane,  // Both of the above.
+};
+
+struct TraceEventInfo {
+  TraceEvent event;
+  const char* name;
+  const char* arg;  // Label of TraceRecord::arg, or nullptr when it is not shown.
+  TraceScope scope;
+  TraceTrack track;
+};
+
+inline constexpr TraceEventInfo kTraceEvents[] = {
+    {TraceEvent::kArrive, "arrive", nullptr, TraceScope::kLifecycle, TraceTrack::kDispatcher},
+    {TraceEvent::kDispatch, "dispatch", "worker", TraceScope::kLifecycle,
+     TraceTrack::kDispatcher},
+    {TraceEvent::kStart, "start", "worker", TraceScope::kLifecycle, TraceTrack::kSpans},
+    {TraceEvent::kFault, "fault", "page", TraceScope::kHandler, TraceTrack::kSpans},
+    {TraceEvent::kFetchDone, "fetch-done", nullptr, TraceScope::kHandler, TraceTrack::kSpans},
+    {TraceEvent::kResume, "resume", "worker", TraceScope::kHandler, TraceTrack::kSpans},
+    {TraceEvent::kPreempt, "preempt", nullptr, TraceScope::kHandler, TraceTrack::kSpans},
+    {TraceEvent::kDone, "done", nullptr, TraceScope::kLifecycle, TraceTrack::kSpans},
+    {TraceEvent::kFetchTimeout, "fetch-timeout", "page", TraceScope::kFetchPipeline,
+     TraceTrack::kLane},
+    {TraceEvent::kRetry, "retry", "attempt", TraceScope::kFetchPipeline, TraceTrack::kLane},
+    {TraceEvent::kNodeSuspect, "node-suspect", "node", TraceScope::kSystem, TraceTrack::kNode},
+    {TraceEvent::kNodeDead, "node-dead", "node", TraceScope::kSystem, TraceTrack::kNode},
+    {TraceEvent::kFailover, "failover", "node", TraceScope::kFetchPipeline,
+     TraceTrack::kNodeAndLane},
+    {TraceEvent::kResilverDone, "resilver-done", "node", TraceScope::kSystem,
+     TraceTrack::kNode},
+    {TraceEvent::kPrefetch, "prefetch", "page", TraceScope::kHandler, TraceTrack::kLane},
+    {TraceEvent::kPrefetchHit, "prefetch-hit", "page", TraceScope::kHandler, TraceTrack::kLane},
+    {TraceEvent::kStall, "stall", "page", TraceScope::kHandler, TraceTrack::kSpans},
+    {TraceEvent::kStallDone, "stall-done", nullptr, TraceScope::kHandler, TraceTrack::kSpans},
+    {TraceEvent::kFrameStall, "frame-stall", "page", TraceScope::kHandler, TraceTrack::kSpans},
+    {TraceEvent::kFrameStallDone, "frame-stall-done", nullptr, TraceScope::kHandler,
+     TraceTrack::kSpans},
+    {TraceEvent::kTxWait, "tx-wait", nullptr, TraceScope::kHandler, TraceTrack::kSpans},
+    {TraceEvent::kAdmit, "admit-drop", "tenant", TraceScope::kOverloadDrop,
+     TraceTrack::kDispatcher},
+    {TraceEvent::kShed, "shed-drop", "tenant", TraceScope::kOverloadDrop,
+     TraceTrack::kDispatcher},
+    {TraceEvent::kScale, "scale", "workers", TraceScope::kSystem, TraceTrack::kDispatcher},
+    // A demand-path detection carries its request; scrub and re-silver
+    // detections carry request id 0.
+    {TraceEvent::kCorrupt, "corrupt", "node", TraceScope::kFetchPipeline,
+     TraceTrack::kNodeAndLane},
+    {TraceEvent::kScrubStart, "scrub-start", "pass", TraceScope::kSystem,
+     TraceTrack::kDispatcher},
+    {TraceEvent::kScrubDone, "scrub-done", "finds", TraceScope::kSystem,
+     TraceTrack::kDispatcher},
+    {TraceEvent::kFrameRefill, "frame-refill", "credits", TraceScope::kSystem,
+     TraceTrack::kDispatcher},
+    {TraceEvent::kChunkReady, "chunk-ready", "page", TraceScope::kFetchPipeline,
+     TraceTrack::kLane},
+    {TraceEvent::kClassDequeue, "class-dequeue", "class", TraceScope::kSystem,
+     TraceTrack::kDispatcher},
+};
+
+constexpr bool TraceEventRowsInOrder() {
+  for (uint8_t e = 0; e < kNumTraceEvents; ++e) {
+    if (kTraceEvents[e].event != static_cast<TraceEvent>(e)) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(std::size(kTraceEvents) == kNumTraceEvents, "one row per TraceEvent");
+static_assert(TraceEventRowsInOrder(), "kTraceEvents rows are in enumerator order");
+
+inline const TraceEventInfo& TraceEventInfoOf(TraceEvent ev) {
+  ADIOS_DCHECK(static_cast<uint8_t>(ev) < kNumTraceEvents);
+  return kTraceEvents[static_cast<uint8_t>(ev)];
+}
+
+// The event's name, or "?" for a value outside the enumeration.
+const char* TraceEventName(TraceEvent ev);
 
 struct TraceRecord {
   SimTime time = 0;
@@ -95,6 +196,7 @@ class Tracer {
   // Starts recording up to `capacity` events (further events are dropped
   // and counted in dropped()).
   void Enable(size_t capacity) {
+    ADIOS_CHECK(this != Off());  // The shared tracer of untraced components stays off.
     enabled_ = true;
     records_.clear();
     records_.reserve(capacity);
@@ -103,6 +205,10 @@ class Tracer {
   }
 
   bool enabled() const { return enabled_; }
+
+  // A tracer that is never enabled: the default of every component built
+  // without one, so recording sites need no null test.
+  static Tracer* Off();
 
   void Record(SimTime time, uint64_t request_id, TraceEvent event, uint32_t arg = 0) {
     if (!enabled_) {

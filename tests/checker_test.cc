@@ -315,6 +315,27 @@ TEST(InvariantChecker, TrackedSwitchesPassDiscipline) {
             checker.switch_checker()->tracked_switches());
 }
 
+// --- Trace grammar ---
+
+TEST(InvariantChecker, SecondDispatchViolatesTraceGrammar) {
+  Engine engine;
+  Tracer tracer;
+  tracer.Enable(16);
+  InvariantChecker::Deps deps;
+  deps.engine = &engine;
+  deps.tracer = &tracer;
+  InvariantChecker checker(NonFatalOptions(), deps);
+  checker.Install();
+
+  tracer.Record(10, 1, TraceEvent::kArrive);
+  tracer.Record(20, 1, TraceEvent::kDispatch, 0);
+  checker.AuditNow();
+  EXPECT_EQ(checker.report().violations, 0u);
+  tracer.Record(30, 1, TraceEvent::kDispatch, 1);
+  checker.AuditNow();
+  EXPECT_EQ(checker.report().violations, 1u);
+}
+
 // --- Scheduling ---
 
 TEST(InvariantChecker, PeriodicAuditsStopAtHorizonSoRunTerminates) {

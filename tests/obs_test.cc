@@ -191,6 +191,32 @@ TEST(SpanBuilder, PostDoneFetchPipelineEventsAreLegal) {
   EXPECT_EQ(tl.spans[0].failovers, 1u);
 }
 
+TEST(SpanBuilder, ShedAfterDispatchIsAProblem) {
+  // Overload drops are legal only in [kArrive, kDispatch): once dispatched,
+  // the request is past admission.
+  Tracer t;
+  t.Enable(64);
+  t.Record(0, 1, TraceEvent::kArrive);
+  t.Record(1, 1, TraceEvent::kDispatch, 0);
+  t.Record(2, 1, TraceEvent::kShed, 0);
+  SpanTimeline tl = BuildSpans(t);
+  EXPECT_FALSE(tl.problems.empty());
+}
+
+TEST(SpanBuilder, PrefetchAfterDoneIsAProblem) {
+  // A prefetch is posted by the faulting handler, so it lies in
+  // [kStart, kDone]; only its fetch pipeline may outlive the request.
+  Tracer t;
+  t.Enable(64);
+  t.Record(0, 1, TraceEvent::kArrive);
+  t.Record(1, 1, TraceEvent::kDispatch, 0);
+  t.Record(2, 1, TraceEvent::kStart, 0);
+  t.Record(8, 1, TraceEvent::kDone);
+  t.Record(9, 1, TraceEvent::kPrefetch, 3);
+  SpanTimeline tl = BuildSpans(t);
+  EXPECT_FALSE(tl.problems.empty());
+}
+
 TEST(SpanBuilder, NodeEventsAreSkippedNotFolded) {
   Tracer t;
   t.Enable(64);
@@ -374,6 +400,76 @@ TEST(TraceExport, RefusesUnwritablePath) {
   t.Enable(4);
   TraceExportOptions opts;
   EXPECT_FALSE(ExportChromeTrace(t, opts, "/nonexistent-dir/trace.json"));
+}
+
+// Pins the raw-record half of the export: one record of every event, with
+// an empty span timeline so no segment events follow. System events carry
+// request id 0; kFailover and kCorrupt appear with and without a request.
+TEST(TraceExport, RawRecordEventsGolden) {
+  Tracer t;
+  t.Enable(64);
+  SimTime now = 1000;
+  for (uint8_t e = 0; e < kNumTraceEvents; ++e) {
+    const auto ev = static_cast<TraceEvent>(e);
+    const bool system = ev == TraceEvent::kNodeSuspect || ev == TraceEvent::kNodeDead ||
+                        ev == TraceEvent::kResilverDone || ev == TraceEvent::kScale ||
+                        ev == TraceEvent::kScrubStart || ev == TraceEvent::kScrubDone ||
+                        ev == TraceEvent::kFrameRefill || ev == TraceEvent::kClassDequeue;
+    t.Record(now, system ? 0 : 7, ev, e % 2);
+    now += 250;
+    if (ev == TraceEvent::kFailover || ev == TraceEvent::kCorrupt) {
+      t.Record(now, 0, ev, 1);
+      now += 250;
+    }
+  }
+  const std::string path = testing::TempDir() + "/obs_test_raw_records.json";
+  TraceExportOptions opts;
+  opts.system_name = "golden";
+  opts.num_workers = 1;
+  opts.num_nodes = 2;
+  ASSERT_TRUE(ExportChromeTrace(t, SpanTimeline{}, opts, path));
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  std::string actual;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    actual.append(buf, n);
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  const std::string expected = R"json({"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","pid":1,"name":"process_name","args":{"name":"golden"}},
+{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"dispatcher"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"worker-0"}},
+{"ph":"M","pid":1,"tid":1000,"name":"thread_name","args":{"name":"node-0"}},
+{"ph":"M","pid":1,"tid":1001,"name":"thread_name","args":{"name":"node-1"}},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":1.000,"name":"arrive","args":{"req":7,"arg":0}},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":1.250,"name":"dispatch","args":{"req":7,"worker":1}},
+{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":3.000,"name":"fetch-timeout"},
+{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":3.250,"name":"retry"},
+{"ph":"i","s":"t","pid":1,"tid":1000,"ts":3.500,"name":"node-suspect","args":{"req":0,"node":0}},
+{"ph":"i","s":"t","pid":1,"tid":1001,"ts":3.750,"name":"node-dead","args":{"req":0,"node":1}},
+{"ph":"i","s":"t","pid":1,"tid":1000,"ts":4.000,"name":"failover","args":{"req":7,"node":0}},
+{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":4.000,"name":"failover"},
+{"ph":"i","s":"t","pid":1,"tid":1001,"ts":4.250,"name":"failover","args":{"req":0,"node":1}},
+{"ph":"i","s":"t","pid":1,"tid":1001,"ts":4.500,"name":"resilver-done","args":{"req":0,"node":1}},
+{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":4.750,"name":"prefetch"},
+{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":5.000,"name":"prefetch-hit"},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":6.500,"name":"admit-drop","args":{"req":7,"tenant":1}},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":6.750,"name":"shed-drop","args":{"req":7,"tenant":0}},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":7.000,"name":"scale","args":{"req":0,"workers":1}},
+{"ph":"i","s":"t","pid":1,"tid":1000,"ts":7.250,"name":"corrupt","args":{"req":7,"node":0}},
+{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":7.250,"name":"corrupt"},
+{"ph":"i","s":"t","pid":1,"tid":1001,"ts":7.500,"name":"corrupt","args":{"req":0,"node":1}},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":7.750,"name":"scrub-start","args":{"req":0,"pass":1}},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":8.000,"name":"scrub-done","args":{"req":0,"finds":0}},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":8.250,"name":"frame-refill","args":{"req":0,"credits":1}},
+{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":8.500,"name":"chunk-ready"},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":8.750,"name":"class-dequeue","args":{"req":0,"class":1}}
+]}
+)json";
+  EXPECT_EQ(actual, expected) << actual;
 }
 
 // --- Golden span regression (fixed seed) ---

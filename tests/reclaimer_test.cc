@@ -82,9 +82,8 @@ TEST(Reclaimer, DirtyPagesAreWrittenBack) {
 }
 
 TEST(Reclaimer, WakeupDelayedModeRespondsSlower) {
-  auto run = [](bool proactive, SimDuration delay) {
+  auto run = [](SimDuration delay) {
     Reclaimer::Options ro;
-    ro.proactive = proactive;
     ro.wakeup_delay_ns = delay;
     Rig rig(Opts(), ro);
     rig.reclaimer.Start();
@@ -110,8 +109,8 @@ TEST(Reclaimer, WakeupDelayedModeRespondsSlower) {
     rig.engine.Run();
     return stalls;
   };
-  const uint64_t proactive_stalls = run(true, 0);
-  const uint64_t delayed_stalls = run(false, 20000);
+  const uint64_t proactive_stalls = run(0);
+  const uint64_t delayed_stalls = run(20000);
   EXPECT_LE(proactive_stalls, delayed_stalls);
 }
 

@@ -17,7 +17,7 @@ TEST(SystemConfig, AdiosPresetMatchesPaper) {
   EXPECT_EQ(c.sched.dispatch_policy, DispatchPolicy::kPfAware);
   EXPECT_TRUE(c.sched.polling_delegation);
   EXPECT_FALSE(c.sched.preemption);
-  EXPECT_TRUE(c.reclaim.proactive);
+  EXPECT_EQ(c.reclaim.wakeup_delay_ns, 0u);
   EXPECT_EQ(c.num_workers, 8u);                        // Paper setup (§5).
   EXPECT_EQ(c.sched.ctx_switch_cycles, 40u);           // Table 1.
   EXPECT_DOUBLE_EQ(c.local_memory_ratio, 0.2);         // 20% of working set.

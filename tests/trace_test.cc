@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
+#include <string>
+
 #include "src/apps/array_app.h"
 #include "src/apps/memcached_app.h"
 #include "src/core/md_system.h"
@@ -93,10 +97,113 @@ TEST(Tracer, ForRequestPreservesOrderUnderInterleavedIds) {
   EXPECT_TRUE(t.ForRequest(999).empty());
 }
 
-TEST(Tracer, EventNamesComplete) {
+TEST(Tracer, EventTableHasOneRowPerEvent) {
+  std::set<std::string> names;
   for (uint8_t e = 0; e < kNumTraceEvents; ++e) {
-    EXPECT_STRNE(TraceEventName(static_cast<TraceEvent>(e)), "?");
+    const auto ev = static_cast<TraceEvent>(e);
+    const TraceEventInfo& info = TraceEventInfoOf(ev);
+    EXPECT_EQ(info.event, ev);
+    ASSERT_NE(info.name, nullptr);
+    EXPECT_STRNE(info.name, "?");
+    EXPECT_STREQ(TraceEventName(ev), info.name);
+    EXPECT_TRUE(names.insert(info.name).second) << "duplicate name " << info.name;
+    EXPECT_LE(static_cast<uint8_t>(info.scope), static_cast<uint8_t>(TraceScope::kOverloadDrop))
+        << info.name;
+    // System events carry request id 0, so they have no request lane.
+    if (info.scope == TraceScope::kSystem) {
+      EXPECT_TRUE(info.track == TraceTrack::kDispatcher || info.track == TraceTrack::kNode)
+          << info.name;
+    }
   }
+  EXPECT_STREQ(TraceEventName(static_cast<TraceEvent>(kNumTraceEvents)), "?");
+}
+
+TEST(Tracer, OffRecordsNothing) {
+  Tracer* off = Tracer::Off();
+  EXPECT_FALSE(off->enabled());
+  off->Record(1, 1, TraceEvent::kArrive);
+  EXPECT_TRUE(off->records().empty());
+}
+
+TEST(TracerDeathTest, OffCannotBeEnabled) {
+  EXPECT_DEATH(Tracer::Off()->Enable(4), "");
+}
+
+// One record of every event, 250 ns apart: system events carry request id
+// 0, every other event request 7, and kFailover/kCorrupt appear both with and
+// without a request (demand detections vs scrub detections).
+Tracer EveryEventTracer() {
+  Tracer t;
+  t.Enable(64);
+  SimTime now = 1000;
+  for (uint8_t e = 0; e < kNumTraceEvents; ++e) {
+    const auto ev = static_cast<TraceEvent>(e);
+    const bool system = ev == TraceEvent::kNodeSuspect || ev == TraceEvent::kNodeDead ||
+                        ev == TraceEvent::kResilverDone || ev == TraceEvent::kScale ||
+                        ev == TraceEvent::kScrubStart || ev == TraceEvent::kScrubDone ||
+                        ev == TraceEvent::kFrameRefill || ev == TraceEvent::kClassDequeue;
+    t.Record(now, system ? 0 : 7, ev, 10u + e);
+    now += 250;
+    if (ev == TraceEvent::kFailover || ev == TraceEvent::kCorrupt) {
+      t.Record(now, 0, ev, 10u + e);
+      now += 250;
+    }
+  }
+  return t;
+}
+
+TEST(Tracer, PrintTimelineGolden) {
+  const Tracer t = EveryEventTracer();
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  t.PrintTimeline(7, f);
+  t.PrintTimeline(0, f);
+  t.PrintTimeline(99, f);
+  std::rewind(f);
+  std::string actual;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    actual.append(buf, n);
+  }
+  std::fclose(f);
+  const std::string expected =
+      "request 7 timeline:\n"
+      "  +    0.00 us (  +0.00)  arrive       \n"
+      "  +    0.25 us (  +0.25)  dispatch      worker=11\n"
+      "  +    0.50 us (  +0.25)  start         worker=12\n"
+      "  +    0.75 us (  +0.25)  fault         page=13\n"
+      "  +    1.00 us (  +0.25)  fetch-done   \n"
+      "  +    1.25 us (  +0.25)  resume        worker=15\n"
+      "  +    1.50 us (  +0.25)  preempt      \n"
+      "  +    1.75 us (  +0.25)  done         \n"
+      "  +    2.00 us (  +0.25)  fetch-timeout page=18\n"
+      "  +    2.25 us (  +0.25)  retry         attempt=19\n"
+      "  +    3.00 us (  +0.75)  failover      node=22\n"
+      "  +    3.75 us (  +0.75)  prefetch      page=24\n"
+      "  +    4.00 us (  +0.25)  prefetch-hit  page=25\n"
+      "  +    4.25 us (  +0.25)  stall         page=26\n"
+      "  +    4.50 us (  +0.25)  stall-done   \n"
+      "  +    4.75 us (  +0.25)  frame-stall   page=28\n"
+      "  +    5.00 us (  +0.25)  frame-stall-done\n"
+      "  +    5.25 us (  +0.25)  tx-wait      \n"
+      "  +    5.50 us (  +0.25)  admit-drop    tenant=31\n"
+      "  +    5.75 us (  +0.25)  shed-drop     tenant=32\n"
+      "  +    6.25 us (  +0.50)  corrupt       node=34\n"
+      "  +    7.50 us (  +1.25)  chunk-ready   page=38\n"
+      "request 0 timeline:\n"
+      "  +    0.00 us (  +0.00)  node-suspect  node=20\n"
+      "  +    0.25 us (  +0.25)  node-dead     node=21\n"
+      "  +    0.75 us (  +0.50)  failover      node=22\n"
+      "  +    1.00 us (  +0.25)  resilver-done node=23\n"
+      "  +    3.50 us (  +2.50)  scale         workers=33\n"
+      "  +    4.00 us (  +0.50)  corrupt       node=34\n"
+      "  +    4.25 us (  +0.25)  scrub-start   pass=35\n"
+      "  +    4.50 us (  +0.25)  scrub-done    finds=36\n"
+      "  +    4.75 us (  +0.25)  frame-refill  credits=37\n"
+      "  +    5.25 us (  +0.50)  class-dequeue class=39\n"
+      "request 99: no trace records\n";
+  EXPECT_EQ(actual, expected) << actual;
 }
 
 TEST(TraceIntegration, YieldingRequestTimelineIsWellFormed) {
