@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "src/base/histogram.h"
@@ -261,8 +263,8 @@ void FillRegion(RemoteRegion* region) {
   }
 }
 
-// No write since the page was last hashed: the digest memo answers and the
-// codec does not run.
+// No write since stamping started: the page's ledger is unprimed, its bytes
+// are the set-up bytes every slot intends, and the codec does not run.
 void BM_VerifyFetchUnchangedPage(benchmark::State& state) {
   RemoteRegion region(kVerifyPages * kPageSize);
   FillRegion(&region);
@@ -290,6 +292,59 @@ void BM_VerifyFetchDirtiedPage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerifyFetchDirtiedPage);
+
+// The perfbench stride-r2-lossy working set: 32,768 pages, 128 MiB.
+constexpr uint64_t kSetupPages = 32768;
+
+// Kernel-reported transparent-huge-page memory of this process, in KiB
+// (AnonHugePages in /proc/self/smaps_rollup); -1 where it cannot be read.
+double AnonHugePagesKib() {
+  std::ifstream in("/proc/self/smaps_rollup");
+  const std::string key = "AnonHugePages:";
+  for (std::string line; std::getline(in, line);) {
+    if (line.compare(0, key.size(), key) == 0) {
+      return std::stod(line.substr(key.size()));
+    }
+  }
+  return -1;
+}
+
+// Builds the remote region and touches every 4 KiB page, as an app's setup
+// does. On huge pages (where THP is enabled) that is 64 faults, not 32,768.
+// `anon_huge_mib` reports how much of the region the kernel backed with
+// huge pages.
+void BM_RemoteRegionSetup(benchmark::State& state) {
+  double huge_kib = 0;
+  for (auto _ : state) {
+    RemoteRegion region(kSetupPages * kPageSize);
+    for (uint64_t page = 0; page < kSetupPages; ++page) {
+      region.WriteObject<uint64_t>(PageStart(page), page);
+    }
+    huge_kib = AnonHugePagesKib();
+    benchmark::DoNotOptimize(region.data());
+  }
+  state.counters["anon_huge_mib"] = huge_kib / 1024;
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kSetupPages * kPageSize));
+}
+BENCHMARK(BM_RemoteRegionSetup)->Unit(benchmark::kMillisecond);
+
+// Builds an IntegrityLayer over a set-up 32,768-page region. Priming is
+// lazy, so construction hashes no page (`digests` per construction).
+void BM_IntegrityLayerConstruct(benchmark::State& state) {
+  RemoteRegion region(kSetupPages * kPageSize);
+  for (uint64_t page = 0; page < kSetupPages; ++page) {
+    region.WriteObject<uint64_t>(PageStart(page), page);
+  }
+  uint64_t digests = 0;
+  for (auto _ : state) {
+    IntegrityLayer layer(VerifyConfig(), &region, kSetupPages, kPageSize, 2, 2);
+    digests += layer.digests_computed();
+    benchmark::DoNotOptimize(&layer);
+  }
+  state.counters["digests"] =
+      static_cast<double>(digests) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_IntegrityLayerConstruct)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace adios

@@ -2,20 +2,52 @@
 
 #include <sys/mman.h>
 
+#include <cstdint>
 #include <utility>
 
 #include "src/base/check.h"
 
 namespace adios {
+namespace {
 
-LazyMapping::LazyMapping(size_t bytes) : size_(bytes) {
-  if (bytes == 0) {
-    return;
-  }
+std::byte* MapAnonymous(size_t bytes) {
   void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   ADIOS_CHECK(p != MAP_FAILED);
-  data_ = static_cast<std::byte*>(p);
+  return static_cast<std::byte*>(p);
+}
+
+}  // namespace
+
+LazyMapping::LazyMapping(size_t bytes, Pages pages) : size_(bytes) {
+  if (bytes == 0) {
+    return;
+  }
+  if (pages == Pages::kSmall) {
+    data_ = MapAnonymous(bytes);
+    return;
+  }
+  MapHugeAligned(bytes);
+  AdviseHugePages();
+}
+
+void LazyMapping::MapHugeAligned(size_t bytes) {
+  ADIOS_CHECK(bytes % 4096 == 0);  // The tail trim starts at base + bytes.
+  std::byte* raw = MapAnonymous(bytes + kHugePageBytes);
+  const uintptr_t addr = reinterpret_cast<uintptr_t>(raw);
+  const uintptr_t aligned = (addr + kHugePageBytes - 1) & ~(uintptr_t{kHugePageBytes} - 1);
+  const size_t head = aligned - addr;
+  if (head > 0) {
+    munmap(raw, head);
+  }
+  munmap(reinterpret_cast<std::byte*>(aligned) + bytes, kHugePageBytes - head);
+  data_ = reinterpret_cast<std::byte*>(aligned);
+}
+
+void LazyMapping::AdviseHugePages() {
+#ifdef MADV_HUGEPAGE
+  madvise(data_, size_, MADV_HUGEPAGE);
+#endif
 }
 
 LazyMapping::~LazyMapping() { Unmap(); }

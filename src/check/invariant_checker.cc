@@ -78,7 +78,10 @@ void InvariantChecker::AuditChecksumCoverage() {
     });
   }
   // (b) Ledger freshness, a window of pages per audit so periodic audits stay
-  // cheap. Both checks compare against a fresh hash of the region, never the
+  // cheap. The layer primes a vpage's ledger just before its first write, so
+  // a vpage with a moved write stamp must be primed: an unprimed one reads as
+  // clean without hashing, and a lost write-back to it would go unseen. The
+  // digest checks compare against a fresh hash of the region, never the
   // layer's digest memo, so the audit does not trust what it checks:
   //   - any page whose memo claims validity must hold the fresh digest;
   //   - for a cold remote page with no write-back in flight, every in-sync
@@ -94,6 +97,12 @@ void InvariantChecker::AuditChecksumCoverage() {
   const uint64_t window = std::min<uint64_t>(pages, kIntegrityAuditWindow);
   for (uint64_t i = 0; i < window; ++i) {
     const uint64_t vpage = integrity_cursor_++ % pages;
+    if (!in.Primed(vpage) && in.StampOf(vpage) != 0) {
+      std::ostringstream os;
+      os << "page " << vpage << " has write stamp sum " << in.StampOf(vpage)
+         << " but its ledger was never primed from its set-up bytes";
+      Violation("written page with an unprimed ledger", os.str());
+    }
     const uint64_t fresh = in.FreshChecksum(vpage);
     uint64_t memo = 0;
     if (in.MemoValid(vpage, &memo) && memo != fresh) {

@@ -16,6 +16,8 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
     }
     CheckFailed("config.Validate().empty()", __FILE__, __LINE__, details.c_str());
   }
+  // The one retry rule: every layer below reads the derived policy.
+  config_.retry.enabled = config_.RetryOn();
   // --- Memory node + remote working set ---
   uint64_t ws_bytes = app->WorkingSetBytes();
   ws_bytes = (ws_bytes + kPageSize - 1) / kPageSize * kPageSize;
@@ -100,19 +102,11 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
       fabric_->set_node_fault_injector(node, inj.get());
       injectors_.push_back(std::move(inj));
     }
-    // A lossy fabric without a retry layer wedges workers on fetches that
-    // never complete; the deadline/retry pipeline comes with the injector.
-    config_.retry.enabled = true;
   }
 
   // --- Data integrity (docs/INTEGRITY.md) ---
-  // Gated: building the layer hashes every page of the region.
+  // Gated: the layer stamps every region write and keeps per-page ledgers.
   if (config_.integrity.enabled()) {
-    if (config_.integrity.verify) {
-      // A verify failure is handled by the same pipeline as a failed fetch
-      // (corruption is the one fault class the fabric reports as success).
-      config_.retry.enabled = true;
-    }
     integrity_ = std::make_unique<IntegrityLayer>(config_.integrity, region_.get(),
                                                   mm_opts.total_pages, page_bytes, num_nodes,
                                                   config_.replication.replicas);

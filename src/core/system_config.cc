@@ -23,9 +23,7 @@ std::vector<std::string> SystemConfig::Validate() const {
   require(replication.resilver_bw_gbps > 0.0, "replication.resilver_bw_gbps > 0",
           replication.resilver_bw_gbps);
   require(integrity.scrub_bw_gbps > 0.0, "integrity.scrub_bw_gbps > 0", integrity.scrub_bw_gbps);
-  // Fault injection and verify-on-fetch switch the retry pipeline on.
-  const bool retry_on = retry.enabled || fault.enabled() || integrity.verify;
-  require(!retry_on || retry.timeout_ns > 0,
+  require(!RetryOn() || retry.timeout_ns > 0,
           "retry.timeout_ns > 0 while retry is on (retry.enabled, fault injection or "
           "integrity.verify)",
           static_cast<double>(retry.timeout_ns));

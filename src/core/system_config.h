@@ -44,9 +44,8 @@ struct SystemConfig {
   // installs the injector and switches on the deadline/retry pipeline below.
   FaultInjector::Options fault;
   // Timeout/retry/backoff policy shared by the workers' fetch path and the
-  // reclaimer's write-back path. `retry.enabled` is forced on whenever
-  // fault.enabled(); set it explicitly to run the pipeline on an ideal
-  // fabric (e.g. in tests).
+  // reclaimer's write-back path. The pipeline runs when RetryOn(): set
+  // `retry.enabled` to run it on an ideal fabric (e.g. in tests).
   RetryPolicy retry;
 
   // Memory-node replication (docs/FAILOVER.md). Defaults to the paper's
@@ -65,7 +64,7 @@ struct SystemConfig {
   // End-to-end data integrity (docs/INTEGRITY.md). Default-off and
   // bit-identical to the pre-integrity system: no checksum map is built, no
   // verify cycles are charged, and no scrub events enter the engine. Enable
-  // `verify` for checksum-verified fetches (forces retry.enabled so detected
+  // `verify` for checksum-verified fetches (turns RetryOn() on so detected
   // corruption can retry/fail over), `scrub` for the background scrubber,
   // or `oracle` to count silently-served corruption without changing the
   // datapath.
@@ -103,6 +102,13 @@ struct SystemConfig {
   CheckOptions check;
 
   uint64_t seed = 1;
+
+  // Whether the deadline/retry pipeline runs: when asked for, and always
+  // with fault injection (a lossy fabric without retries wedges workers on
+  // fetches that never complete) or verify-on-fetch (a detected corruption
+  // is handled like a failed fetch: retry, then fail over). MdSystem runs
+  // with retry.enabled = RetryOn().
+  bool RetryOn() const { return retry.enabled || fault.enabled() || integrity.verify; }
 
   // Every violated constraint, one message each (empty when the config is
   // valid). Each message starts with the rule it breaks, e.g.

@@ -17,19 +17,43 @@ IntegrityLayer::IntegrityLayer(const IntegrityConfig& config, RemoteRegion* regi
       replicas_(replicas) {
   ADIOS_CHECK(region != nullptr);
   ADIOS_CHECK(replicas >= 1 && replicas <= num_nodes);
-  // Stamping starts here, so every later write invalidates the memo; the
-  // priming below hashes whatever was written before.
-  region->StartWriteStamps();
+  // Stamping starts here, so every later write invalidates the memo, and
+  // the first write to each page primes its vpage from the set-up bytes.
+  region->StartWriteStamps(this);
   memo_.resize(num_pages);
-  // Prime the map from the post-setup region: every replica of a page starts
-  // in sync with ground truth, so the digest is the same for every slot.
   sums_.resize(num_pages * replicas);
-  for (uint64_t vpage = 0; vpage < num_pages; ++vpage) {
-    const uint64_t sum = ComputeChecksum(vpage);
-    for (uint32_t slot = 0; slot < replicas; ++slot) {
-      sums_[SlotKey(vpage, slot)] = sum;
-    }
+  primed_.resize(num_pages);
+}
+
+IntegrityLayer::~IntegrityLayer() { region_->StopWatching(this); }
+
+void IntegrityLayer::OnFirstWrite(uint64_t page) {
+  const uint64_t first = PageStart(page) / page_bytes_;
+  const uint64_t last = std::min(num_pages_, (PageStart(page + 1) - 1) / page_bytes_ + 1);
+  for (uint64_t vpage = first; vpage < last; ++vpage) {
+    Prime(vpage);
   }
+}
+
+void IntegrityLayer::Prime(uint64_t vpage) {
+  if (primed_[vpage]) {
+    return;
+  }
+  // Every replica of the vpage is in sync with the set-up bytes, so the
+  // digest is the same for every slot.
+  const uint64_t sum = ComputeChecksum(vpage);
+  for (uint32_t slot = 0; slot < replicas_; ++slot) {
+    sums_[SlotKey(vpage, slot)] = sum;
+  }
+  primed_[vpage] = true;
+}
+
+uint64_t IntegrityLayer::ChecksumOf(uint64_t vpage, uint32_t slot) const {
+  if (primed_[vpage]) {
+    return sums_[SlotKey(vpage, slot)];
+  }
+  uint64_t digest = 0;
+  return MemoValid(vpage, &digest) ? digest : FreshChecksum(vpage);
 }
 
 uint64_t IntegrityLayer::BytesOf(uint64_t vpage) const {
@@ -91,11 +115,13 @@ bool IntegrityLayer::PayloadCorrupt(uint64_t wr_id, uint64_t vpage, uint32_t nod
   }
   // Digest-vs-region comparison on the clean path: catches a slot whose
   // recorded digest went stale against the region (a lost write-back). The
-  // memo re-hashes the page only if a write moved its stamps.
+  // memo re-hashes the page only if a write moved its stamps. An unprimed
+  // vpage was never written, so the region equals every slot's intended
+  // copy and there is nothing to hash.
   if (recompute_skip_ && recompute_skip_(vpage)) {
     return false;
   }
-  return recompute && ComputeChecksum(vpage) != sums_[key];
+  return recompute && primed_[vpage] && ComputeChecksum(vpage) != sums_[key];
 }
 
 bool IntegrityLayer::VerifyFetch(uint64_t wr_id, uint64_t vpage, uint32_t node) {
@@ -146,6 +172,8 @@ bool IntegrityLayer::OnCorruptionDetected(uint64_t vpage, uint32_t node, bool fr
 }
 
 void IntegrityLayer::OnReplicaWritten(uint64_t wr_id, uint64_t vpage, uint32_t node) {
+  // The other slots keep the set-up digest; record it before this one moves.
+  Prime(vpage);
   uint64_t sum;
   const auto sit = posted_sums_.find(wr_id);
   if (sit != posted_sums_.end()) {

@@ -5,8 +5,9 @@
 // corruption is therefore modeled as a *ledger* over that array:
 //
 //   * ChecksumMap — the digest each replica slot of each vpage SHOULD carry,
-//     primed from the region at startup and refreshed whenever a write-back
-//     or re-silver/repair WRITE lands on that slot.
+//     primed from the region's set-up bytes just before the vpage is first
+//     written, and refreshed whenever a write-back or re-silver/repair WRITE
+//     lands on that slot.
 //   * wire flags  — READ/WRITE WQEs the fault injector corrupted in flight
 //     (keyed by wr_id, consumed by exactly one completion).
 //   * stored poison — replica slots whose *stored* copy is bad because a
@@ -21,6 +22,15 @@
 // is re-hashed only after a write moved a stamp covering it, and a lost
 // write-back is still caught: the app's write moves the stamp, and the next
 // fetch re-hashes.
+//
+// Priming is lazy. Building the layer hashes nothing: every slot of a vpage
+// starts out holding the region's set-up bytes, and while no write stamp
+// covering the vpage has moved the region still holds them, so a clean-path
+// verify of such an "unprimed" vpage passes without hashing. The region's
+// first-write hook (RemoteRegion) hands the layer each 4 KiB page just before
+// its first write; the layer then hashes the covering vpage — still the
+// set-up bytes — into every slot and the memo, and marks it primed. A WRITE
+// landing on an unprimed vpage primes it first.
 //
 // Detection bookkeeping keeps the conservation law the invariant checker
 // audits:  detected == repaired + outstanding  (unrepairable entries stay
@@ -44,15 +54,18 @@ namespace adios {
 
 class MetricRegistry;
 
-class IntegrityLayer {
+class IntegrityLayer : public FirstWriteWatcher {
  public:
   // `region` must outlive the layer; the constructor starts its write stamps
-  // and primes the ledger and the digest memo from its bytes. `replicas` >= 1;
+  // and becomes its first-write watcher, so the region's bytes at that
+  // point are the set-up bytes every replica slot starts from. `replicas` >= 1;
   // slot k of vpage lives on node (vpage + k) % num_nodes, PlacementMap's
   // formula, so the layer stands alone in unit tests.
   IntegrityLayer(const IntegrityConfig& config, RemoteRegion* region,
                  uint64_t num_pages, uint64_t page_bytes, uint32_t num_nodes,
                  uint32_t replicas);
+
+  ~IntegrityLayer();
 
   IntegrityLayer(const IntegrityLayer&) = delete;
   IntegrityLayer& operator=(const IntegrityLayer&) = delete;
@@ -135,9 +148,16 @@ class IntegrityLayer {
   uint32_t NodeOfSlot(uint64_t vpage, uint32_t slot) const {
     return static_cast<uint32_t>((vpage + slot) % num_nodes_);
   }
-  uint64_t ChecksumOf(uint64_t vpage, uint32_t slot) const {
-    return sums_[SlotKey(vpage, slot)];
-  }
+  // The digest (vpage, slot) should verify against. An unprimed vpage's
+  // slots all intend the set-up bytes, which the region still holds: the
+  // answer is the memoized region digest, or a fresh hash that leaves the
+  // memo alone.
+  uint64_t ChecksumOf(uint64_t vpage, uint32_t slot) const;
+  // True once vpage's slots hold recorded digests (first write or WRITE).
+  bool Primed(uint64_t vpage) const { return primed_[vpage]; }
+  // Sum of the region write stamps covering vpage (RemoteRegion); 0 until
+  // a write lands on one of its 4 KiB pages.
+  uint64_t StampOf(uint64_t vpage) const;
   // Digest of vpage's current region contents, from the memo unless a write
   // stamp covering the vpage moved since the memo was filled.
   uint64_t ComputeChecksum(uint64_t vpage) const;
@@ -147,7 +167,7 @@ class IntegrityLayer {
   // and no covering stamp has moved since, i.e. when ComputeChecksum would
   // return it without hashing.
   bool MemoValid(uint64_t vpage, uint64_t* digest) const;
-  // Pages hashed to fill the memo (priming included).
+  // Pages hashed to fill the memo (priming included; building hashes none).
   uint64_t digests_computed() const { return digests_computed_; }
   bool StoredPoisoned(uint64_t vpage, uint32_t slot) const {
     return stored_poison_.count(SlotKey(vpage, slot)) != 0;
@@ -158,6 +178,11 @@ class IntegrityLayer {
   void ForEachOutstanding(const std::function<void(uint64_t, uint32_t)>& fn) const;
 
  private:
+  // First-write hook: primes every vpage overlapping 4 KiB page `page`.
+  void OnFirstWrite(uint64_t page) override;
+  // Hashes vpage's current bytes into every slot and the memo and marks it
+  // primed. No-op once primed.
+  void Prime(uint64_t vpage);
   // Replica slot of `node` for vpage; -1 when the node hosts no copy.
   int SlotOf(uint64_t vpage, uint32_t node) const {
     const uint32_t slot =
@@ -174,18 +199,18 @@ class IntegrityLayer {
   // Region bytes vpage covers: 0 for pages past the region (page table
   // larger than the heap), which digest empty and are never written.
   uint64_t BytesOf(uint64_t vpage) const;
-  // Sum of the region write stamps covering vpage (RemoteRegion).
-  uint64_t StampOf(uint64_t vpage) const;
 
   IntegrityConfig config_;
-  const RemoteRegion* region_;
+  RemoteRegion* region_;
   uint64_t num_pages_;
   uint64_t page_bytes_;
   uint32_t num_nodes_;
   uint32_t replicas_;
 
   // Digest each (vpage, slot) should verify against, vpage * replicas + slot.
+  // Meaningful only for primed vpages.
   std::vector<uint64_t> sums_;
+  std::vector<bool> primed_;
   // Region digest of each vpage and the stamp sum it was hashed at. kNoStamp
   // marks an unfilled entry (stamp sums start at 0 and never reach it).
   static constexpr uint64_t kNoStamp = ~0ull;

@@ -1,9 +1,8 @@
 // End-to-end integrity knobs (docs/INTEGRITY.md).
 //
 // All features default off: with `verify`, `scrub` and `oracle` all false no
-// IntegrityLayer is constructed, because building one hashes every page of
-// the region, and no verify cycles are charged (the determinism matrix pins
-// this).
+// IntegrityLayer is constructed, so region writes are not stamped, and no
+// verify cycles are charged (the determinism matrix pins this).
 
 #ifndef ADIOS_SRC_INTEGRITY_INTEGRITY_CONFIG_H_
 #define ADIOS_SRC_INTEGRITY_INTEGRITY_CONFIG_H_

@@ -5,8 +5,12 @@
 // genuinely read back during request handling, so access patterns are real.
 // Whether a page is cached in the compute node's local DRAM is tracked
 // separately by the PageTable — residency affects *timing*, never data.
-// The array is a LazyMapping: it starts as kernel zero pages, and host
-// memory is committed only for the pages the application actually writes.
+// The array is a LazyMapping on huge pages (LazyMapping::Pages::kHuge): it
+// starts as kernel zero pages, and host memory is committed only for the
+// parts the application actually writes. Apps write their tables end to end
+// during setup, so where transparent huge pages are enabled each first touch
+// commits a 2 MiB block rather than 4 KiB, and setup takes 512x fewer page
+// faults; a partly used 2 MiB block costs host memory for all of it.
 //
 // RemoteHeap is a bump allocator handing out RemoteAddr offsets; apps build
 // their tables/indexes in it during setup (setup writes bypass fault timing).
@@ -19,8 +23,15 @@
 // re-hashes a page only when a stamp covering it moved (docs/INTEGRITY.md).
 // Stamping starts when a watcher calls StartWriteStamps (the integrity layer,
 // in its constructor) and never stops; until then, and on regions nobody
-// watches, a write costs one predictable branch and no store. Writes made
-// before the start are covered by the watcher priming its memo.
+// watches, a write costs one predictable branch and no store.
+//
+// First-write hook: the region tells its one FirstWriteWatcher when a 4 KiB
+// page's stamp is about to go 0 -> 1, once per page, before the write changes
+// any byte (WriteObject and WriteBytes stamp before their memcpy, MutablePage
+// before it returns the pointer). A page whose stamp is still 0 therefore
+// holds exactly the bytes it held when stamping started, i.e. what setup
+// wrote; the integrity layer hashes a page only at that moment, or on demand,
+// instead of hashing every page when it is built.
 
 #ifndef ADIOS_SRC_MEM_REMOTE_HEAP_H_
 #define ADIOS_SRC_MEM_REMOTE_HEAP_H_
@@ -45,9 +56,20 @@ inline constexpr uint64_t kPageShift = 12;
 inline uint64_t PageOf(RemoteAddr addr) { return addr >> kPageShift; }
 inline RemoteAddr PageStart(uint64_t vpage) { return vpage << kPageShift; }
 
+// Receives a RemoteRegion's first-write notices (see the header comment).
+class FirstWriteWatcher {
+ public:
+  // 4 KiB page `page` is about to be written for the first time since
+  // stamping started; its bytes are still unchanged.
+  virtual void OnFirstWrite(uint64_t page) = 0;
+
+ protected:
+  ~FirstWriteWatcher() = default;
+};
+
 class RemoteRegion {
  public:
-  explicit RemoteRegion(size_t bytes) : data_(bytes) {
+  explicit RemoteRegion(size_t bytes) : data_(bytes, LazyMapping::Pages::kHuge) {
     ADIOS_CHECK(bytes % kPageSize == 0);
   }
 
@@ -70,12 +92,23 @@ class RemoteRegion {
     return data_.data() + PageStart(page);
   }
 
-  // Starts the write stamps (all zero). Idempotent: a second watcher shares
-  // the running counters.
-  void StartWriteStamps() {
+  // Starts the write stamps (all zero). Idempotent: stamps an earlier call
+  // started keep counting. A non-null `watcher` becomes the region's one
+  // first-write watcher; it must call StopWatching before it goes away.
+  void StartWriteStamps(FirstWriteWatcher* watcher = nullptr) {
     if (stamps_ == nullptr) {
       stamps_ = std::make_unique<uint64_t[]>(num_pages());
     }
+    if (watcher != nullptr) {
+      ADIOS_CHECK(watcher_ == nullptr);  // One watcher per region.
+      watcher_ = watcher;
+    }
+  }
+
+  // Detaches `watcher`, the current watcher; the stamps keep counting.
+  void StopWatching(const FirstWriteWatcher* watcher) {
+    ADIOS_CHECK(watcher_ == watcher);
+    watcher_ = nullptr;
   }
 
   // Sum of the write stamps of the 4 KiB pages overlapping [addr, addr +
@@ -127,6 +160,9 @@ class RemoteRegion {
       return;
     }
     for (uint64_t p = PageOf(addr); p <= PageOf(addr + len - 1); ++p) {
+      if (stamps_[p] == 0 && watcher_ != nullptr) {
+        watcher_->OnFirstWrite(p);
+      }
       ++stamps_[p];
     }
   }
@@ -134,6 +170,7 @@ class RemoteRegion {
   LazyMapping data_;
   // Per-4-KiB-page write counters; null until StartWriteStamps.
   std::unique_ptr<uint64_t[]> stamps_;
+  FirstWriteWatcher* watcher_ = nullptr;
 };
 
 class RemoteHeap {

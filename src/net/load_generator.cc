@@ -1,5 +1,7 @@
 #include "src/net/load_generator.h"
 
+#include <sanitizer/asan_interface.h>
+
 namespace adios {
 
 LoadGenerator::LoadGenerator(Engine* engine, RdmaFabric* fabric, Dispatcher* dispatcher,
@@ -73,14 +75,26 @@ void LoadGenerator::ScheduleNextArrival() {
   });
 }
 
-void LoadGenerator::EmitRequest() {
-  auto* req = new Request();
-  req->id = next_id_++;
-  if (options_.num_tenants > 1) {
-    // Round-robin stamping only — no extra rng draw, so multi-tenant runs
-    // keep the exact single-tenant arrival and workload streams.
-    req->tenant = static_cast<uint32_t>(sent_ % options_.num_tenants);
+Request* LoadGenerator::AcquireRequest() {
+  if (free_requests_.empty()) {
+    return new Request();
   }
+  Request* req = free_requests_.back().release();
+  free_requests_.pop_back();
+  ASAN_UNPOISON_MEMORY_REGION(req, sizeof(Request));
+  *req = Request{};
+  return req;
+}
+
+void LoadGenerator::RecycleRequest(Request* req) {
+  // Poisoned while parked, so a use after reply or drop still trips ASan.
+  ASAN_POISON_MEMORY_REGION(req, sizeof(Request));
+  free_requests_.emplace_back(req);
+}
+
+void LoadGenerator::EmitRequest() {
+  Request* req = AcquireRequest();
+  req->id = next_id_++;
   req->request_bytes = options_.request_bytes;
   req->reply_bytes = 64;
   app_->FillRequest(workload_rng_, req);
@@ -105,7 +119,7 @@ void LoadGenerator::OnReply(Request* req) {
       // sample (it is dominated by the retry window), and its payload is
       // garbage — exclude it from the histograms and skip verification.
       ++measured_failed_;
-      delete req;
+      RecycleRequest(req);
       return;
     }
     e2e_all_.Add(req->E2eNs());
@@ -137,12 +151,12 @@ void LoadGenerator::OnReply(Request* req) {
       ADIOS_CHECK(app_->Verify(*req));
     }
   }
-  delete req;
+  RecycleRequest(req);
 }
 
 void LoadGenerator::OnDrop(Request* req) {
   ++dropped_;
-  delete req;
+  RecycleRequest(req);
 }
 
 double LoadGenerator::ThroughputRps() const {

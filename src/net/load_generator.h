@@ -46,10 +46,6 @@ class LoadGenerator {
     size_t max_samples = 1u << 20;
     // Spot-check every Nth completed request against Application::Verify.
     uint32_t verify_every = 64;
-    // Tenants for per-tenant admission control: requests are stamped
-    // round-robin with tenant = sent mod num_tenants. 1 = single-tenant
-    // (every request tenant 0, the bit-identical default).
-    uint32_t num_tenants = 1;
     // Empty = constant rate (the bit-identical default; the exponential-gap
     // code path is untouched).
     std::vector<RatePhase> rate_schedule;
@@ -65,9 +61,9 @@ class LoadGenerator {
   void RegisterMetrics(MetricRegistry* registry);
 
   // Reply delivered back at the generator (wired as the send's delivery
-  // callback). Records stats and frees the request.
+  // callback). Records stats and recycles the request.
   void OnReply(Request* req);
-  // Request dropped at the compute node's RX ring.
+  // Request dropped at the compute node's RX ring; recycles it.
   void OnDrop(Request* req);
 
   // --- Results (read after the engine drained) ---
@@ -96,6 +92,12 @@ class LoadGenerator {
  private:
   void ScheduleNextArrival();
   void EmitRequest();
+  // A blank Request, from the free list when it has one.
+  Request* AcquireRequest();
+  // Returns a request the system is done with (replied or dropped) to the
+  // free list. Requests still in flight are never recycled, nor freed: a
+  // request the system loses stays visible as in flight.
+  void RecycleRequest(Request* req);
   // Schedule multiplier in effect at `now` (1.0 with an empty schedule).
   double RateMultiplierAt(SimTime now) const;
 
@@ -122,6 +124,7 @@ class LoadGenerator {
   Histogram server_;
   Histogram queue_;
   std::vector<RequestSample> samples_;
+  std::vector<std::unique_ptr<Request>> free_requests_;
 
   // Owned metric handles (null until RegisterMetrics): per-op completion
   // counters and per-op e2e latency histograms, bumped on each good reply.

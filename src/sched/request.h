@@ -12,8 +12,8 @@ namespace adios {
 struct Request {
   uint64_t id = 0;
   // Originating tenant (client class), used by the admission controller's
-  // per-tenant token buckets (docs/OVERLOAD.md). The load generator assigns
-  // tenants round-robin; 0 when multi-tenancy is off.
+  // per-tenant token buckets (docs/OVERLOAD.md). The load generator sends
+  // every request as tenant 0.
   uint32_t tenant = 0;
 
   // Application payload (interpreted by the app's request handler).

@@ -98,6 +98,23 @@ TEST(LazyMapping, PageAlignedZeroFilledAndMoveOnly) {
   EXPECT_EQ(empty.size(), 0u);
 }
 
+TEST(LazyMapping, HugeMappingIsHugePageAlignedAndZeroFilled) {
+  // Not a multiple of 2 MiB: the tail past the last whole huge page stays
+  // usable.
+  const size_t bytes = 3 * LazyMapping::kHugePageBytes + 5 * 4096;
+  LazyMapping huge(bytes, LazyMapping::Pages::kHuge);
+  ASSERT_NE(huge.data(), nullptr);
+  EXPECT_EQ(huge.size(), bytes);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(huge.data()) % LazyMapping::kHugePageBytes, 0u);
+  EXPECT_EQ(huge.data()[0], std::byte{0});
+  EXPECT_EQ(huge.data()[bytes - 1], std::byte{0});
+  huge.data()[bytes - 1] = std::byte{9};
+
+  LazyMapping moved(std::move(huge));
+  EXPECT_EQ(huge.data(), nullptr);
+  EXPECT_EQ(moved.data()[bytes - 1], std::byte{9});
+}
+
 TEST(RunningStats, MeanAndVariance) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {

@@ -139,6 +139,58 @@ TEST(InvariantChecker, StaleDigestMemoIsCaught) {
   EXPECT_EQ(checker.report().violations, 1u);
 }
 
+TEST(InvariantCheckerDeathTest, WrittenPageWithUnprimedLedgerAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine engine;
+        MemoryManager mm(&engine, SmallMmOptions());
+        RemoteRegion region(16 * kPageSize);
+        // Stamping started with no watcher, so this write primes nothing: a
+        // layer attached afterwards sees a moved stamp on a vpage it never
+        // primed, and would read a lost update to it as clean.
+        region.StartWriteStamps();
+        region.WriteObject<uint64_t>(PageStart(7), 42);
+        IntegrityLayer integrity(IntegrityConfig{}, &region, /*num_pages=*/16, kPageSize,
+                                 /*num_nodes=*/1, /*replicas=*/1);
+        PlacementMap placement(/*num_pages=*/16, /*num_nodes=*/1, /*replicas=*/1);
+        InvariantChecker::Deps deps;
+        deps.engine = &engine;
+        deps.mm = &mm;
+        deps.integrity = &integrity;
+        deps.placement = &placement;
+        CheckOptions opts;
+        opts.enabled = true;
+        opts.check_switch_discipline = false;
+        InvariantChecker checker(opts, deps);
+        checker.Install();
+        checker.AuditNow();
+      },
+      "written page with an unprimed ledger");
+}
+
+TEST(InvariantChecker, FirstWritePrimesSoTheUnprimedLedgerAuditStaysSilent) {
+  Engine engine;
+  MemoryManager mm(&engine, SmallMmOptions());
+  RemoteRegion region(16 * kPageSize);
+  IntegrityLayer integrity(IntegrityConfig{}, &region, /*num_pages=*/16, kPageSize,
+                           /*num_nodes=*/1, /*replicas=*/1);
+  PlacementMap placement(/*num_pages=*/16, /*num_nodes=*/1, /*replicas=*/1);
+  InvariantChecker::Deps deps;
+  deps.engine = &engine;
+  deps.mm = &mm;
+  deps.integrity = &integrity;
+  deps.placement = &placement;
+  InvariantChecker checker(NonFatalOptions(), deps);
+  checker.Install();
+
+  for (uint64_t p = 0; p < 16; p += 3) {
+    region.WriteObject<uint64_t>(PageStart(p) + 8, p);
+  }
+  checker.AuditNow();
+  EXPECT_EQ(checker.report().violations, 0u);
+}
+
 // --- Frame-accounting leak ---
 
 TEST(InvariantChecker, FrameAccountingLeakIsCounted) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -382,6 +383,7 @@ TEST_F(IntegrityLayerTest, NoRepairHookMeansUnrepairableStaysOutstanding) {
 TEST_F(IntegrityLayerTest, VerifyOffOracleCountsServedCorruption) {
   IntegrityConfig cfg;
   cfg.oracle = true;  // verify stays false.
+  layer_.reset();     // A region has one watching layer.
   IntegrityLayer oracle(cfg, &region_, kPages, kPageSize, kNodes, kReplicas);
   oracle.OnWireCorrupt(/*wr_id=*/7, /*is_write=*/false);
   // The corrupted payload is still mapped (returns true)...
@@ -446,8 +448,8 @@ TEST_F(IntegrityLayerTest, MemoInvalidatedByMutablePage) {
 }
 
 TEST_F(IntegrityLayerTest, UnchangedPageHashesOnceAcrossThousandVerifies) {
-  // Priming hashed every page once.
-  EXPECT_EQ(layer_->digests_computed(), kPages);
+  // Building the layer hashed nothing; the write primes page 1 first.
+  EXPECT_EQ(layer_->digests_computed(), 0u);
   region_.WriteObject<uint8_t>(PageStart(1), 0x77);
   const uint64_t before = layer_->digests_computed();
   for (int i = 0; i < 1000; ++i) {
@@ -461,10 +463,9 @@ TEST_F(IntegrityLayerTest, UnchangedPageHashesOnceAcrossThousandVerifies) {
 TEST_F(IntegrityLayerTest, DigestsComputedProbeReadsTheCounter) {
   MetricRegistry registry;
   layer_->RegisterMetrics(&registry);
-  region_.WriteObject<uint8_t>(PageStart(6), 1);
-  layer_->ComputeChecksum(6);
-  EXPECT_EQ(registry.ReadProbe("integrity.digests_computed"),
-            static_cast<double>(kPages + 1));
+  region_.WriteObject<uint8_t>(PageStart(6), 1);  // Primes page 6: one hash.
+  layer_->ComputeChecksum(6);                     // Re-hashes the written page.
+  EXPECT_EQ(registry.ReadProbe("integrity.digests_computed"), 2.0);
 }
 
 TEST(IntegrityMemo, LargePageRehashesAfterWriteToFifthSubPage) {
@@ -491,14 +492,122 @@ TEST(IntegrityMemo, WritesBeforeAttachAreCoveredByPriming) {
   EXPECT_EQ(region.WriteStampSum(0, region.size()), 0u);  // Not stamped yet.
   IntegrityLayer layer(IntegrityConfig{}, &region, /*num_pages=*/4, kPageSize, /*num_nodes=*/1,
                        /*replicas=*/1);
+  // Writes before attach are the set-up bytes every slot starts from.
   for (uint64_t vpage = 0; vpage < 4; ++vpage) {
-    uint64_t memo = 0;
-    ASSERT_TRUE(layer.MemoValid(vpage, &memo));
-    EXPECT_EQ(memo, layer.FreshChecksum(vpage));
+    EXPECT_FALSE(layer.Primed(vpage));
     EXPECT_EQ(layer.ChecksumOf(vpage, 0), layer.FreshChecksum(vpage));
     EXPECT_TRUE(layer.VerifyFetch(/*wr_id=*/vpage, vpage, /*node=*/0));
   }
-  EXPECT_EQ(layer.digests_computed(), 4u);
+  EXPECT_EQ(layer.digests_computed(), 0u);
+  // The first write after attach primes page 2 from those bytes, so a lost
+  // write-back of the new bytes is caught.
+  const uint64_t setup_sum = layer.FreshChecksum(2);
+  region.WriteObject<uint8_t>(PageStart(2), 0x5a);
+  EXPECT_TRUE(layer.Primed(2));
+  EXPECT_EQ(layer.ChecksumOf(2, 0), setup_sum);
+  EXPECT_FALSE(layer.CheckPayload(/*wr_id=*/2, 2, /*node=*/0));
+}
+
+// --- Lazy priming ---
+
+TEST_F(IntegrityLayerTest, ConstructionHashesNoPage) {
+  EXPECT_EQ(layer_->digests_computed(), 0u);
+  for (uint64_t vpage = 0; vpage < kPages; ++vpage) {
+    EXPECT_FALSE(layer_->Primed(vpage));
+    uint64_t memo = 0;
+    EXPECT_FALSE(layer_->MemoValid(vpage, &memo));
+  }
+  // Clean-path verifies and scrub checks of unwritten pages hash nothing.
+  for (uint64_t vpage = 0; vpage < kPages; ++vpage) {
+    for (uint32_t slot = 0; slot < kReplicas; ++slot) {
+      const uint32_t node = layer_->NodeOfSlot(vpage, slot);
+      EXPECT_TRUE(layer_->VerifyFetch(/*wr_id=*/vpage, vpage, node));
+      EXPECT_TRUE(layer_->CheckPayload(/*wr_id=*/vpage, vpage, node));
+    }
+  }
+  EXPECT_EQ(layer_->digests_computed(), 0u);
+}
+
+TEST_F(IntegrityLayerTest, FirstWritePrimesExactlyItsPageOnce) {
+  const uint64_t setup1 = layer_->FreshChecksum(1);
+  const uint64_t setup4 = layer_->FreshChecksum(4);
+  const uint64_t setup6 = layer_->FreshChecksum(6);
+  const auto only_primed = [this](std::initializer_list<uint64_t> pages) {
+    for (uint64_t vpage = 0; vpage < kPages; ++vpage) {
+      const bool want = std::find(pages.begin(), pages.end(), vpage) != pages.end();
+      EXPECT_EQ(layer_->Primed(vpage), want) << "vpage " << vpage;
+    }
+  };
+
+  region_.WriteObject<uint32_t>(PageStart(1) + 40, 0xabcdu);
+  only_primed({1});
+  EXPECT_EQ(layer_->digests_computed(), 1u);
+  region_.WriteObject<uint32_t>(PageStart(1) + 80, 0x1234u);  // Already primed.
+  EXPECT_EQ(layer_->digests_computed(), 1u);
+
+  const std::vector<uint8_t> bytes(32, 0x3c);
+  region_.WriteBytes(PageStart(4) + 100, bytes.data(), bytes.size());
+  only_primed({1, 4});
+  EXPECT_EQ(layer_->digests_computed(), 2u);
+
+  region_.MutablePage(6)[7] ^= std::byte{0x80};
+  only_primed({1, 4, 6});
+  EXPECT_EQ(layer_->digests_computed(), 3u);
+
+  // Each slot recorded the set-up digest, not the written bytes'.
+  for (uint32_t slot = 0; slot < kReplicas; ++slot) {
+    EXPECT_EQ(layer_->ChecksumOf(1, slot), setup1);
+    EXPECT_EQ(layer_->ChecksumOf(4, slot), setup4);
+    EXPECT_EQ(layer_->ChecksumOf(6, slot), setup6);
+  }
+}
+
+TEST(IntegrityPriming, LargePageFirstWritePrimesItsCoveringVpageOnce) {
+  // 64 KiB vpages over 4 KiB write stamps: the first write to any of the 16
+  // sub-pages primes the covering vpage; later first writes to its other
+  // sub-pages find it primed.
+  constexpr uint64_t kBigPage = uint64_t{1} << 16;
+  RemoteRegion region(3 * kBigPage);
+  IntegrityLayer layer(IntegrityConfig{}, &region, /*num_pages=*/3, kBigPage, /*num_nodes=*/1,
+                       /*replicas=*/1);
+  const uint64_t setup1 = layer.FreshChecksum(1);
+  region.WriteObject<uint16_t>(kBigPage + 9 * kPageSize, 0xbeef);  // 10th sub-page of vpage 1.
+  EXPECT_FALSE(layer.Primed(0));
+  EXPECT_TRUE(layer.Primed(1));
+  EXPECT_FALSE(layer.Primed(2));
+  EXPECT_EQ(layer.digests_computed(), 1u);
+  EXPECT_EQ(layer.ChecksumOf(1, 0), setup1);
+  region.MutablePage(16 + 2)[0] = std::byte{1};  // 3rd sub-page of vpage 1.
+  EXPECT_EQ(layer.digests_computed(), 1u);
+  // The lost write-back of vpage 1 is caught on re-fetch.
+  EXPECT_FALSE(layer.CheckPayload(/*wr_id=*/1, 1, /*node=*/0));
+  EXPECT_TRUE(layer.CheckPayload(/*wr_id=*/0, 0, /*node=*/0));
+}
+
+TEST(IntegrityPriming, OneReplicaLostWritebackIsDetectedOnRefetch) {
+  RemoteRegion region(4 * kPageSize);
+  IntegrityConfig cfg;
+  cfg.verify = true;
+  IntegrityLayer layer(cfg, &region, /*num_pages=*/4, kPageSize, /*num_nodes=*/1,
+                       /*replicas=*/1);
+  EXPECT_TRUE(layer.VerifyFetch(/*wr_id=*/2, 2, /*node=*/0));  // First fetch: clean.
+  region.WriteObject<uint64_t>(PageStart(2) + 16, 77);         // The app dirties it...
+  EXPECT_FALSE(layer.VerifyFetch(/*wr_id=*/2, 2, /*node=*/0)); // ...write-back lost.
+  // A landed write-back settles it.
+  layer.OnWritePosted(/*wr_id=*/9, /*vpage=*/2);
+  layer.OnReplicaWritten(/*wr_id=*/9, /*vpage=*/2, /*node=*/0);
+  EXPECT_TRUE(layer.VerifyFetch(/*wr_id=*/2, 2, /*node=*/0));
+}
+
+TEST_F(IntegrityLayerTest, WriteLandingOnUnprimedPagePrimesTheOtherSlots) {
+  // A re-silver WRITE to slot 0 of a never-written page: the other slot
+  // keeps the set-up digest, which is also what the WRITE carried.
+  const uint64_t setup = layer_->FreshChecksum(3);
+  layer_->OnWritePosted(/*wr_id=*/500, /*vpage=*/3);
+  layer_->OnReplicaWritten(/*wr_id=*/500, /*vpage=*/3, layer_->NodeOfSlot(3, 0));
+  EXPECT_TRUE(layer_->Primed(3));
+  EXPECT_EQ(layer_->ChecksumOf(3, 0), setup);
+  EXPECT_EQ(layer_->ChecksumOf(3, 1), setup);
 }
 
 TEST_F(IntegrityLayerTest, SlotPlacementMatchesPlacementFormula) {

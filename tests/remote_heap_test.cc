@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace adios {
 namespace {
 
@@ -66,9 +70,54 @@ TEST(RemoteRegion, WriteStampsStartOnAttachAndCoverEveryWritePath) {
   EXPECT_EQ(region.WriteStampSum(PageStart(0), kPageSize), 1u);
   EXPECT_EQ(region.WriteStampSum(0, region.size()), 4u);
 
-  // A second watcher shares the running counters.
+  // A second start keeps the running counters.
   region.StartWriteStamps();
   EXPECT_EQ(region.WriteStampSum(0, region.size()), 4u);
+}
+
+// Records each first-write notice with the first byte of the page as it was
+// when the notice came.
+class RecordingWatcher : public FirstWriteWatcher {
+ public:
+  explicit RecordingWatcher(const RemoteRegion* region) : region_(region) {}
+  void OnFirstWrite(uint64_t page) override {
+    notices.emplace_back(page, region_->data()[PageStart(page)]);
+  }
+  std::vector<std::pair<uint64_t, std::byte>> notices;
+
+ private:
+  const RemoteRegion* region_;
+};
+
+TEST(RemoteRegion, FirstWriteHookFiresOncePerPageBeforeTheBytesChange) {
+  RemoteRegion region(4 * kPageSize);
+  for (uint64_t p = 0; p < 4; ++p) {
+    region.WriteObject<uint8_t>(PageStart(p), static_cast<uint8_t>(p + 1));  // Set-up bytes.
+  }
+  RecordingWatcher watcher(&region);
+  region.StartWriteStamps(&watcher);
+
+  region.WriteObject<uint8_t>(PageStart(1), 0xaa);
+  region.WriteObject<uint8_t>(PageStart(1), 0xbb);  // Second write: no notice.
+  const uint8_t two[2] = {0xcc, 0xdd};
+  region.WriteBytes(PageStart(3) - 1, two, sizeof(two));  // Straddles pages 2 and 3.
+  region.MutablePage(0)[0] = std::byte{0xee};
+  region.MutablePage(0)[0] = std::byte{0xef};
+
+  const std::vector<std::pair<uint64_t, std::byte>> want = {
+      {1, std::byte{2}}, {2, std::byte{3}}, {3, std::byte{4}}, {0, std::byte{1}}};
+  EXPECT_EQ(watcher.notices, want);
+
+  region.StopWatching(&watcher);
+  region.StartWriteStamps();  // Stamps keep counting without a watcher.
+  EXPECT_EQ(region.WriteStampSum(0, region.size()), 6u);
+}
+
+TEST(RemoteRegion, BackingIsHugePageAligned) {
+  RemoteRegion region(600 * kPageSize);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(region.data()) % LazyMapping::kHugePageBytes, 0u);
+  region.WriteObject<uint64_t>(region.size() - 8, 5);
+  EXPECT_EQ(region.ReadObject<uint64_t>(region.size() - 8), 5u);
 }
 
 TEST(RemoteHeap, BumpAllocationAligned) {

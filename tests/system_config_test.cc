@@ -113,6 +113,35 @@ TEST(SystemConfigValidate, ReportsEveryViolationAtOnce) {
   EXPECT_EQ(errors[3].rfind("retry.timeout_ns > 0", 0), 0u);
 }
 
+TEST(SystemConfigRetryOn, AskedForOrImpliedByFaultsOrVerify) {
+  SystemConfig c = SystemConfig::Adios();
+  EXPECT_FALSE(c.RetryOn());
+  c.retry.enabled = true;
+  EXPECT_TRUE(c.RetryOn());
+
+  c = SystemConfig::Adios();
+  c.fault.read_loss_rate = 1e-3;
+  EXPECT_TRUE(c.RetryOn());
+
+  c = SystemConfig::Adios();
+  c.integrity.verify = true;
+  EXPECT_TRUE(c.RetryOn());
+
+  // Scrub and the oracle do not retry: they read outside the fetch path.
+  c = SystemConfig::Adios();
+  c.integrity.scrub = true;
+  c.integrity.oracle = true;
+  EXPECT_FALSE(c.RetryOn());
+
+  // Validate applies the same rule: a zero deadline is only an error while
+  // retries run.
+  c.retry.timeout_ns = 0;
+  EXPECT_TRUE(c.Validate().empty());
+  c.fault.read_loss_rate = 1e-3;
+  ASSERT_EQ(c.Validate().size(), 1u);
+  EXPECT_EQ(c.Validate()[0].rfind("retry.timeout_ns > 0", 0), 0u);
+}
+
 TEST(FabricDefaults, UnloadedFetchWithinPaperRange) {
   const FabricParams p;
   // Sum the unloaded pipeline for a 4 KB READ; must land in 2-3 us (§3).
