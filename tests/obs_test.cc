@@ -1,16 +1,23 @@
 // Unit tests for the observability layer (src/obs/): metric registry, span
 // builder, windowed time series, and the Chrome trace exporter — plus the
-// golden-span regression: a fixed-seed run whose folded span summary must
-// match the committed expectation exactly (the simulator is deterministic,
-// so any drift means the event stream or the folding changed).
+// golden-span table: short fixed-seed runs whose folded span summaries and
+// run counters must match the committed expectations exactly (the simulator
+// is deterministic, so any drift means the event stream or the folding
+// changed).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/apps/array_app.h"
+#include "src/apps/faiss_app.h"
+#include "src/apps/memcached_app.h"
+#include "src/apps/pattern_app.h"
+#include "src/apps/rocksdb_app.h"
+#include "src/apps/silo_app.h"
 #include "src/base/table_printer.h"
 #include "src/core/md_system.h"
 #include "src/obs/metric_registry.h"
@@ -475,25 +482,116 @@ TEST(TraceExport, RawRecordEventsGolden) {
 // --- Golden span regression (fixed seed) ---
 //
 // The simulator is deterministic: same seed, same binary, same event stream.
-// This pins the folded span summary of one short fixed-seed run. If it
-// drifts, either the scheduler's event emission or the span folding changed —
-// both are worth a deliberate update of the constants below (the failure
-// message prints the new values).
+// Each cell pins the folded span summary and the run counters of one short
+// fixed-seed run: the five system presets on the array microbenchmark, the
+// other five applications on Adios (the pattern scans with prefetching and
+// link classes on), and a replicated run through a node blackout on a lossy
+// fabric. Between them they charge the calibrated costs: switches, the fault
+// path and its batched posts, every policy's kernel costs, preemption, the
+// fabric stages and class weights, each app's compute, the health detector,
+// retry backoff, the transport timeouts and eviction. (Work stealing and the
+// dispatcher's queue limits are charged only by the ablation and overload
+// benches.) If a cell drifts, either the event stream or the span folding
+// changed; both deserve a deliberate update of its line (the failure message
+// prints the replacement).
 
-TEST(GoldenSpan, FixedSeedRunMatchesCommittedSummary) {
-  ArrayApp::Options ao;
-  ao.entries = 1 << 14;
-  ArrayApp app(ao);
+struct GoldenCell {
+  const char* name;
+  SystemConfig (*config)();
+  std::unique_ptr<Application> (*app)();
+  const char* golden;
+  // The cell drives a node dead and back, or it pins none of the health,
+  // backoff and transport-timeout path.
+  bool expects_node_dead = false;
+};
+
+std::unique_ptr<Application> GoldenArray() {
+  ArrayApp::Options o;
+  o.entries = 1 << 14;
+  return std::make_unique<ArrayApp>(o);
+}
+
+std::unique_ptr<Application> GoldenMemcached() {
+  MemcachedApp::Options o;
+  o.num_keys = 4096;
+  o.set_fraction = 0.3;
+  return std::make_unique<MemcachedApp>(o);
+}
+
+std::unique_ptr<Application> GoldenRocksDb() {
+  RocksDbApp::Options o;
+  o.num_keys = 2048;
+  o.value_bytes = 256;
+  return std::make_unique<RocksDbApp>(o);
+}
+
+std::unique_ptr<Application> GoldenSilo() {
+  SiloApp::Options o;
+  o.warehouses = 1;
+  o.customers_per_district = 100;
+  o.items = 1000;
+  o.stock_per_warehouse = 1000;
+  o.max_orders_per_district = 256;
+  return std::make_unique<SiloApp>(o);
+}
+
+std::unique_ptr<Application> GoldenFaiss() {
+  FaissApp::Options o;
+  o.num_vectors = 2000;
+  o.nlist = 32;
+  o.nprobe = 4;
+  return std::make_unique<FaissApp>(o);
+}
+
+std::unique_ptr<Application> GoldenPattern() {
+  PatternApp::Options o;
+  o.pages = 1 << 10;
+  o.pattern = PatternApp::Pattern::kStride;
+  return std::make_unique<PatternApp>(o);
+}
+
+// Strided scans with the prefetcher batching READs behind each demand fault
+// and the links split into weighted demand/prefetch/background classes.
+SystemConfig GoldenPrefetchQos() {
   SystemConfig cfg = SystemConfig::Adios();
+  cfg.sched.prefetch_window = 8;
+  cfg.fabric.link_classes = kNumTrafficClasses;
+  return cfg;
+}
+
+// Two replicas on a lossy, corrupting fabric whose node 1 goes dark mid-run,
+// under a write mix: drops and NAKs flush after the transport timeouts,
+// fetch and write-back retries back off (write-backs to the dark node up to
+// the cap), verified corruption flaps the nodes suspect and back, the health
+// monitor walks node 1 to dead and probes it back, and failovers carry the
+// fetches meanwhile.
+SystemConfig GoldenBlackout() {
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.replication.num_nodes = 2;
+  cfg.replication.replicas = 2;
+  cfg.fault.read_loss_rate = 0.005;
+  cfg.fault.nack_rate = 0.005;
+  cfg.fault.corrupt_rate = 0.03;
+  cfg.integrity.verify = true;
+  cfg.fault.blackout_start_ns = Milliseconds(1) + Microseconds(500);
+  cfg.fault.blackout_duration_ns = Microseconds(500);
+  cfg.fault.blackout_node = 1;
+  return cfg;
+}
+
+std::string GoldenRun(const GoldenCell& cell, RunResult* result) {
+  std::unique_ptr<Application> app = cell.app();
+  SystemConfig cfg = cell.config();
   cfg.seed = 7;
-  MdSystem sys(cfg, &app);
+  MdSystem sys(cfg, app.get());
   sys.tracer().Enable(1 << 20);
-  RunResult r = sys.Run(200000, Milliseconds(1), Milliseconds(2));
-  ASSERT_EQ(sys.tracer().dropped(), 0u);
+  RunResult& r = *result;
+  r = sys.Run(200000, Milliseconds(1), Milliseconds(2));
+  EXPECT_EQ(sys.tracer().dropped(), 0u);
 
   SpanTimeline tl = BuildSpans(sys.tracer());
-  ASSERT_TRUE(tl.problems.empty()) << tl.problems[0];
-  ASSERT_TRUE(ReconcileSpans(tl, r.samples).empty());
+  EXPECT_TRUE(tl.problems.empty()) << tl.problems[0];
+  EXPECT_TRUE(ReconcileSpans(tl, r.samples).empty());
 
   uint64_t completed_spans = 0;
   uint64_t total_stalls = 0;
@@ -509,17 +607,82 @@ TEST(GoldenSpan, FixedSeedRunMatchesCommittedSummary) {
     fetch_ns += s.fetch_stall_ns;
     tx_ns += s.tx_ns;
   }
-  const std::string actual = StrFormat(
-      "spans=%llu stalls=%llu queue=%llu exec=%llu fetch=%llu tx=%llu",
-      static_cast<unsigned long long>(completed_spans),
-      static_cast<unsigned long long>(total_stalls),
-      static_cast<unsigned long long>(queue_ns), static_cast<unsigned long long>(exec_ns),
-      static_cast<unsigned long long>(fetch_ns), static_cast<unsigned long long>(tx_ns));
-  // Committed summary of this exact run (update deliberately when the event
-  // stream changes; the message below prints the replacement line).
-  const std::string kGolden =
-      "spans=568 stalls=493 queue=113833 exec=501880 fetch=1470265 tx=0";
-  EXPECT_EQ(actual, kGolden) << "golden span summary drifted; new summary:\n  " << actual;
+  const auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
+  return StrFormat(
+      "spans=%llu stalls=%llu queue=%llu exec=%llu fetch=%llu tx=%llu | done=%llu failed=%llu "
+      "retries=%llu wb_retries=%llu failovers=%llu suspect=%llu dead=%llu recovered=%llu "
+      "corrupt=%llu p999=%llu",
+      u(completed_spans), u(total_stalls), u(queue_ns), u(exec_ns), u(fetch_ns), u(tx_ns),
+      u(r.completed), u(r.requests_failed), u(r.fetch_retries), u(r.writeback_retries),
+      u(r.failovers), u(r.node_suspect_events), u(r.node_dead_events), u(r.node_recoveries),
+      u(r.integrity.detected), u(r.e2e.Percentile(99.9)));
+}
+
+// Committed summaries of these exact runs (update a line deliberately when
+// the event stream changes; the failure message prints its replacement).
+const GoldenCell kGoldenCells[] = {
+    {"adios-array", SystemConfig::Adios, GoldenArray,
+     "spans=568 stalls=493 queue=113833 exec=501880 fetch=1470265 tx=0"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=7020"},
+    {"dilos-array", SystemConfig::DiLOS, GoldenArray,
+     "spans=568 stalls=493 queue=113766 exec=501880 fetch=1454400 tx=987505"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=6987"},
+    {"dilosp-array", SystemConfig::DiLOSP, GoldenArray,
+     "spans=568 stalls=493 queue=113766 exec=505288 fetch=1454272 tx=987711"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=6993"},
+    {"hermit-array", SystemConfig::Hermit, GoldenArray,
+     "spans=568 stalls=493 queue=113766 exec=2505980 fetch=1454111 tx=987287"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=10687"},
+    {"infiniswap-array", SystemConfig::Infiniswap, GoldenArray,
+     "spans=568 stalls=485 queue=2802426 exec=5251455 fetch=20155980 tx=988671"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=73026"},
+    {"adios-memcached", SystemConfig::Adios, GoldenMemcached,
+     "spans=568 stalls=914 queue=113771 exec=502863 fetch=2722957 tx=0"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=19705"},
+    {"adios-rocksdb", SystemConfig::Adios, GoldenRocksDb,
+     "spans=568 stalls=719 queue=118598 exec=734830 fetch=2135015 tx=0"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=52905"},
+    {"adios-silo", SystemConfig::Adios, GoldenSilo,
+     "spans=568 stalls=1747 queue=116178 exec=1118270 fetch=5116693 tx=0"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=53540"},
+    {"adios-faiss", SystemConfig::Adios, GoldenFaiss,
+     "spans=568 stalls=5536 queue=216897 exec=5288981 fetch=16753199 tx=0"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=91114"},
+    {"adios-pattern-prefetch-qos", GoldenPrefetchQos, GoldenPattern,
+     "spans=568 stalls=3563 queue=113918 exec=1212900 fetch=4999480 tx=0"
+     " | done=568 failed=0 retries=0 wb_retries=0 failovers=0"
+     " suspect=0 dead=0 recovered=0 corrupt=0 p999=45194"},
+    {"adios-blackout-r2", GoldenBlackout, GoldenMemcached,
+     "spans=568 stalls=928 queue=113947 exec=505138 fetch=4009024 tx=0"
+     " | done=568 failed=4 retries=23 wb_retries=14 failovers=27"
+     " suspect=4 dead=1 recovered=4 corrupt=25 p999=54723", true},
+};
+
+TEST(GoldenSpan, FixedSeedRunMatchesCommittedSummary) {
+  for (const GoldenCell& cell : kGoldenCells) {
+    SCOPED_TRACE(cell.name);
+    RunResult r;
+    const std::string actual = GoldenRun(cell, &r);
+    EXPECT_EQ(actual, cell.golden) << "golden summary of " << cell.name
+                                   << " drifted; new line:\n  {\"" << cell.name << "\", ..., \""
+                                   << actual << "\"},";
+    if (cell.expects_node_dead) {
+      EXPECT_GT(r.node_dead_events, 0u);
+      EXPECT_GT(r.node_recoveries, 0u);
+      EXPECT_GT(r.failovers, 0u);
+      EXPECT_GT(r.writeback_retries, 0u);
+      EXPECT_GT(r.integrity.detected, 0u);
+    }
+  }
 }
 
 }  // namespace
