@@ -16,6 +16,11 @@ namespace adios {
 
 class ArrayApp final : public Application {
  public:
+  // Handler compute, calibrated so a local (cache-hit) request costs
+  // ~1.7 Kcycles end to end (Fig. 2(c), P10).
+  static constexpr uint32_t kParseCycles = 300;
+  static constexpr uint32_t kPostCycles = 1000;
+
   struct Options {
     // Paper: 40 GB working set. Scaled default: 64 Mi entries -> 256 MiB...
     // benches size this per-figure; tests use small values.
@@ -24,10 +29,6 @@ class ArrayApp final : public Application {
     // Key popularity skew: 0 = uniform (the paper's microbenchmark);
     // 0.99 = YCSB-style Zipf (raises the local hit rate).
     double key_skew = 0.0;
-    // Handler compute, calibrated so a local (cache-hit) request costs
-    // ~1.7 Kcycles end to end (Fig. 2(c), P10).
-    uint32_t parse_cycles = 300;
-    uint32_t post_cycles = 1000;
   };
 
   explicit ArrayApp(const Options& options) : options_(options) {
@@ -58,7 +59,7 @@ class ArrayApp final : public Application {
   }
 
   void Handle(Request* req, WorkerApi& api) override {
-    api.Compute(options_.parse_cycles);
+    api.Compute(kParseCycles);
     api.MaybePreempt();
     const RemoteAddr addr = base_ + req->key * options_.entry_bytes;
     req->result = api.Read<uint64_t>(addr);
@@ -67,7 +68,7 @@ class ArrayApp final : public Application {
     // has often already exhausted the 5 us quantum (§2.3's observation that
     // preemption is oblivious to busy-waiting and only adds overhead here).
     api.MaybePreempt();
-    api.Compute(options_.post_cycles);
+    api.Compute(kPostCycles);
   }
 
   bool Verify(const Request& req) const override {

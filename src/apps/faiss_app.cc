@@ -19,7 +19,7 @@ uint64_t L2Distance(const uint8_t* a, const uint8_t* b, uint32_t dim) {
 
 uint64_t FaissApp::WorkingSetBytes() const {
   // ids (8 B) + vector bytes per vector, plus per-list page alignment slack.
-  return static_cast<uint64_t>(options_.num_vectors) * (options_.dim + 8) +
+  return static_cast<uint64_t>(options_.num_vectors) * (kDim + 8) +
          static_cast<uint64_t>(options_.nlist + 4) * 2 * kPageSize;
 }
 
@@ -31,7 +31,7 @@ void FaissApp::Setup(RemoteHeap& heap) {
   region_ = region;
   Rng rng(0xfa155);
 
-  centroids_.resize(static_cast<size_t>(options_.nlist) * options_.dim);
+  centroids_.resize(static_cast<size_t>(options_.nlist) * kDim);
   for (auto& b : centroids_) {
     b = static_cast<uint8_t>(rng.Next());
   }
@@ -55,22 +55,21 @@ void FaissApp::Setup(RemoteHeap& heap) {
   for (uint32_t l = 0; l < options_.nlist; ++l) {
     list_ids_offset_[l] = heap.Alloc(static_cast<uint64_t>(list_size_[l]) * 8 + 8, 64);
     list_vecs_offset_[l] =
-        heap.Alloc(static_cast<uint64_t>(list_size_[l]) * options_.dim + 64, 64);
+        heap.Alloc(static_cast<uint64_t>(list_size_[l]) * kDim + 64, 64);
   }
 
   // Write vectors: centroid + bounded noise, so content clusters properly.
   std::vector<uint32_t> cursor(options_.nlist, 0);
-  std::vector<uint8_t> vec(options_.dim);
+  std::vector<uint8_t> vec(kDim);
   for (uint32_t v = 0; v < options_.num_vectors; ++v) {
     const uint32_t l = assignment[v];
-    const uint8_t* centroid = &centroids_[static_cast<size_t>(l) * options_.dim];
-    for (uint32_t i = 0; i < options_.dim; ++i) {
+    const uint8_t* centroid = &centroids_[static_cast<size_t>(l) * kDim];
+    for (uint32_t i = 0; i < kDim; ++i) {
       vec[i] = static_cast<uint8_t>(centroid[i] + static_cast<int>(rng.NextBelow(17)) - 8);
     }
     const uint32_t slot = cursor[l]++;
     region->WriteObject<uint64_t>(ListIdsAddr(l) + slot * 8ull, v);
-    region->WriteBytes(ListVecsAddr(l) + static_cast<uint64_t>(slot) * options_.dim, vec.data(),
-                       options_.dim);
+    region->WriteBytes(ListVecsAddr(l) + static_cast<uint64_t>(slot) * kDim, vec.data(), kDim);
   }
 }
 
@@ -78,8 +77,8 @@ void FaissApp::MakeQuery(uint64_t key, uint8_t* out) const {
   // Deterministic query near a (key-derived) centroid, replayable by Verify.
   Rng rng(key * 0x2545f4914f6cdd1dull + 3);
   const uint32_t home = static_cast<uint32_t>(key % options_.nlist);
-  const uint8_t* centroid = &centroids_[static_cast<size_t>(home) * options_.dim];
-  for (uint32_t i = 0; i < options_.dim; ++i) {
+  const uint8_t* centroid = &centroids_[static_cast<size_t>(home) * kDim];
+  for (uint32_t i = 0; i < kDim; ++i) {
     out[i] = static_cast<uint8_t>(centroid[i] + static_cast<int>(rng.NextBelow(33)) - 16);
   }
 }
@@ -87,9 +86,7 @@ void FaissApp::MakeQuery(uint64_t key, uint8_t* out) const {
 void FaissApp::SelectProbes(const uint8_t* query, uint32_t* out_lists) const {
   std::vector<std::pair<uint64_t, uint32_t>> scored(options_.nlist);
   for (uint32_t l = 0; l < options_.nlist; ++l) {
-    scored[l] = {L2Distance(query, &centroids_[static_cast<size_t>(l) * options_.dim],
-                            options_.dim),
-                 l};
+    scored[l] = {L2Distance(query, &centroids_[static_cast<size_t>(l) * kDim], kDim), l};
   }
   std::partial_sort(scored.begin(), scored.begin() + options_.nprobe, scored.end());
   for (uint32_t p = 0; p < options_.nprobe; ++p) {
@@ -103,9 +100,9 @@ void FaissApp::ScanList(const RemoteRegion& region, uint32_t list, const uint8_t
   const std::byte* vecs = region.data() + ListVecsAddr(list);
   const std::byte* ids = region.data() + ListIdsAddr(list);
   for (uint32_t s = 0; s < n; ++s) {
-    const uint64_t dist = L2Distance(
-        query, reinterpret_cast<const uint8_t*>(vecs) + static_cast<uint64_t>(s) * options_.dim,
-        options_.dim);
+    const uint64_t dist =
+        L2Distance(query, reinterpret_cast<const uint8_t*>(vecs) + static_cast<uint64_t>(s) * kDim,
+                   kDim);
     if (dist < best->best_dist) {
       best->best_dist = dist;
       uint64_t id;
@@ -122,13 +119,12 @@ void FaissApp::FillRequest(Rng& rng, Request* req) {
 }
 
 void FaissApp::Handle(Request* req, WorkerApi& api) {
-  uint8_t query[256];
-  ADIOS_CHECK(options_.dim <= sizeof(query));
+  uint8_t query[kDim];
   MakeQuery(req->key, query);
 
   // Coarse quantization over local centroids (compute only).
-  api.Compute(static_cast<uint64_t>(options_.nlist) * options_.coarse_cycles_per_centroid +
-              options_.select_cycles);
+  api.Compute(static_cast<uint64_t>(options_.nlist) * kCoarseCyclesPerCentroid +
+              kSelectCycles);
   uint32_t probes[64];
   ADIOS_CHECK(options_.nprobe <= 64);
   SelectProbes(query, probes);
@@ -143,8 +139,8 @@ void FaissApp::Handle(Request* req, WorkerApi& api) {
       continue;
     }
     api.Access(ListIdsAddr(l), n * 8ull, /*write=*/false);
-    api.Access(ListVecsAddr(l), static_cast<uint64_t>(n) * options_.dim, /*write=*/false);
-    api.Compute(static_cast<uint64_t>(n) * options_.scan_cycles_per_vector);
+    api.Access(ListVecsAddr(l), static_cast<uint64_t>(n) * kDim, /*write=*/false);
+    api.Compute(static_cast<uint64_t>(n) * kScanCyclesPerVector);
     ScanList(*api.region(), l, query, &best);
   }
   req->result = best.best_id;
@@ -152,7 +148,7 @@ void FaissApp::Handle(Request* req, WorkerApi& api) {
 
 bool FaissApp::Verify(const Request& req) const {
   // Host-side replay: same query, same probes, same scan.
-  uint8_t query[256];
+  uint8_t query[kDim];
   MakeQuery(req.key, query);
   std::vector<uint32_t> probes(options_.nprobe);
   SelectProbes(query, probes.data());

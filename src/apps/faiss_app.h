@@ -23,15 +23,17 @@ namespace adios {
 
 class FaissApp final : public Application {
  public:
+  static constexpr uint32_t kDim = 128;  // SIFT descriptors (BIGANN, §5.2).
+  // Compute costs (cycles): SIMD L2 over 128 dims per centroid and per
+  // scanned vector, and the heap/partial sort of the centroid scores.
+  static constexpr uint32_t kCoarseCyclesPerCentroid = 16;
+  static constexpr uint32_t kScanCyclesPerVector = 24;
+  static constexpr uint32_t kSelectCycles = 1200;
+
   struct Options {
     uint32_t num_vectors = 100000;
-    uint32_t dim = 128;    // SIFT descriptors (BIGANN).
     uint32_t nlist = 512;  // Inverted lists.
     uint32_t nprobe = 16;  // Lists scanned per query.
-    // Compute costs (cycles).
-    uint32_t coarse_cycles_per_centroid = 16;  // SIMD L2 over 128 dims.
-    uint32_t scan_cycles_per_vector = 24;
-    uint32_t select_cycles = 1200;  // Heap/partial-sort of centroid scores.
   };
 
   explicit FaissApp(const Options& options) : options_(options) {}

@@ -16,7 +16,7 @@ MemcachedApp::MemcachedApp(const Options& options) : options_(options) {
 
 uint64_t MemcachedApp::ItemBytes() const {
   // Header + key bytes + value, rounded for alignment.
-  const uint64_t raw = sizeof(ItemHeader) + options_.key_bytes + options_.value_bytes;
+  const uint64_t raw = sizeof(ItemHeader) + kKeyBytes + options_.value_bytes;
   return (raw + 15) & ~15ull;
 }
 
@@ -48,8 +48,7 @@ void MemcachedApp::Setup(RemoteHeap& heap) {
     region->WriteObject(item, hdr);
     // The 50-byte key body (content irrelevant; the token is compared).
     // Value: signature at the head, then a repeating pattern.
-    region->WriteObject<uint64_t>(item + sizeof(ItemHeader) + options_.key_bytes,
-                                  ValueSignature(key));
+    region->WriteObject<uint64_t>(item + sizeof(ItemHeader) + kKeyBytes, ValueSignature(key));
     region->WriteObject<RemoteAddr>(BucketAddr(bucket), item);
   }
 }
@@ -62,7 +61,7 @@ void MemcachedApp::FillRequest(Rng& rng, Request* req) {
 }
 
 void MemcachedApp::Handle(Request* req, WorkerApi& api) {
-  api.Compute(options_.parse_cycles + options_.hash_cycles);
+  api.Compute(kParseCycles + kHashCycles);
   const uint64_t h = HashKey(req->key);
   const uint64_t bucket = h & (num_buckets_ - 1);
 
@@ -70,9 +69,9 @@ void MemcachedApp::Handle(Request* req, WorkerApi& api) {
   while (item != 0) {
     api.MaybePreempt();
     const ItemHeader hdr = api.Read<ItemHeader>(item);
-    api.Compute(options_.compare_cycles);
+    api.Compute(kCompareCycles);
     if (hdr.key_hash == h && hdr.key_token == req->key) {
-      const RemoteAddr value = item + sizeof(ItemHeader) + options_.key_bytes;
+      const RemoteAddr value = item + sizeof(ItemHeader) + kKeyBytes;
       if (req->op == kOpSet) {
         // Overwrite the value in place (dirties the page for write-back);
         // the stored signature stays key-derived so GETs remain verifiable.
@@ -84,14 +83,14 @@ void MemcachedApp::Handle(Request* req, WorkerApi& api) {
         api.Access(value, options_.value_bytes, /*write=*/false);
         req->result = api.region()->ReadObject<uint64_t>(value);
       }
-      api.Compute(options_.copy_cycles_per_64b * (options_.value_bytes / 64 + 1));
-      api.Compute(options_.finalize_cycles);
+      api.Compute(kCopyCyclesPer64B * (options_.value_bytes / 64 + 1));
+      api.Compute(kFinalizeCycles);
       return;
     }
     item = hdr.next;
   }
   req->result = 0;  // Miss — must not happen (all keys loaded).
-  api.Compute(options_.finalize_cycles);
+  api.Compute(kFinalizeCycles);
 }
 
 bool MemcachedApp::Verify(const Request& req) const {

@@ -21,20 +21,23 @@ class MemcachedApp final : public Application {
   static constexpr uint32_t kOpGet = 0;
   static constexpr uint32_t kOpSet = 1;
 
+  static constexpr uint32_t kKeyBytes = 50;  // Paper: 50-byte keys (§5.2).
+  // Handler compute costs (cycles): request parse, key hash, one key compare
+  // per chain item, reply finalize, and the value memcpy into the reply per
+  // 64 B.
+  static constexpr uint32_t kParseCycles = 350;
+  static constexpr uint32_t kHashCycles = 120;
+  static constexpr uint32_t kCompareCycles = 80;
+  static constexpr uint32_t kFinalizeCycles = 400;
+  static constexpr uint32_t kCopyCyclesPer64B = 4;
+
   struct Options {
     uint64_t num_keys = 1 << 20;
     uint32_t value_bytes = 128;  // Paper evaluates 128 B and 1024 B.
-    uint32_t key_bytes = 50;     // Paper: 50-byte keys.
     double key_skew = 0.0;       // 0 = uniform keys; >0 = Zipf popularity.
     // Fraction of SETs (writes dirty remote pages). The paper's Memcached
     // experiments are pure GET; mixes exercise write-back.
     double set_fraction = 0.0;
-    // Handler compute costs (cycles).
-    uint32_t parse_cycles = 350;
-    uint32_t hash_cycles = 120;
-    uint32_t compare_cycles = 80;     // Per chain item.
-    uint32_t finalize_cycles = 400;
-    uint32_t copy_cycles_per_64b = 4;  // Value memcpy into the reply.
   };
 
   explicit MemcachedApp(const Options& options);

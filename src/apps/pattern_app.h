@@ -25,14 +25,17 @@ class PatternApp final : public Application {
  public:
   enum class Pattern : uint8_t { kScan = 0, kStride = 1, kReverse = 2, kRandom = 3 };
 
+  // Handler compute (cycles), on the scale of ArrayApp's: parse, compute
+  // between touches, and reply.
+  static constexpr uint32_t kParseCycles = 300;
+  static constexpr uint32_t kTouchCycles = 150;
+  static constexpr uint32_t kPostCycles = 600;
+
   struct Options {
     uint64_t pages = 1 << 15;    // Working set, in pages.
     uint32_t pages_per_op = 8;   // Page touches per request.
     uint32_t stride = 4;         // Step, in pages (kStride only).
     Pattern pattern = Pattern::kScan;
-    uint32_t parse_cycles = 300;
-    uint32_t touch_cycles = 150;  // Compute between touches.
-    uint32_t post_cycles = 600;
   };
 
   explicit PatternApp(const Options& options) : options_(options) {}
@@ -69,16 +72,16 @@ class PatternApp final : public Application {
   }
 
   void Handle(Request* req, WorkerApi& api) override {
-    api.Compute(options_.parse_cycles);
+    api.Compute(kParseCycles);
     uint64_t acc = 0;
     for (uint32_t i = 0; i < options_.pages_per_op; ++i) {
       const uint64_t page = TouchedPage(req->key, i);
       acc ^= api.Read<uint64_t>(base_ + page * kPageSize);
       api.MaybePreempt();
-      api.Compute(options_.touch_cycles);
+      api.Compute(kTouchCycles);
     }
     req->result = acc;
-    api.Compute(options_.post_cycles);
+    api.Compute(kPostCycles);
   }
 
   bool Verify(const Request& req) const override {

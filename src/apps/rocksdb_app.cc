@@ -40,17 +40,16 @@ void RocksDbApp::FillRequest(Rng& rng, Request* req) {
 }
 
 uint64_t RocksDbApp::ReadValue(uint64_t key, WorkerApi& api) {
-  api.Compute(options_.index_cycles);
+  api.Compute(kIndexCycles);
   const IndexEntry e = api.Read<IndexEntry>(IndexAddr(key));
   // Touch the whole record (iterator materializes the value).
   api.Access(e.offset, 16 + options_.value_bytes, /*write=*/false);
-  api.Compute(options_.per_key_cycles +
-              options_.copy_cycles_per_64b * (options_.value_bytes / 64 + 1));
+  api.Compute(kPerKeyCycles + kCopyCyclesPer64B * (options_.value_bytes / 64 + 1));
   return api.region()->ReadObject<uint64_t>(e.offset + 8);
 }
 
 void RocksDbApp::Handle(Request* req, WorkerApi& api) {
-  api.Compute(options_.parse_cycles);
+  api.Compute(kParseCycles);
   if (req->op == kOpGet) {
     req->result = ReadValue(req->key, api);
   } else {
@@ -64,7 +63,7 @@ void RocksDbApp::Handle(Request* req, WorkerApi& api) {
     }
     req->result = acc;
   }
-  api.Compute(options_.finalize_cycles);
+  api.Compute(kFinalizeCycles);
 }
 
 bool RocksDbApp::Verify(const Request& req) const {

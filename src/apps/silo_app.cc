@@ -55,8 +55,7 @@ RemoteAddr SiloApp::OrderLineAddr(uint32_t w, uint32_t d, uint64_t o_id, uint32_
   const uint64_t slot = o_id % options_.max_orders_per_district;
   const uint64_t district =
       static_cast<uint64_t>(w) * options_.districts_per_warehouse + d;
-  const uint64_t base =
-      (district * options_.max_orders_per_district + slot) * options_.max_lines_per_order;
+  const uint64_t base = (district * options_.max_orders_per_district + slot) * kMaxLinesPerOrder;
   return order_lines_ + (base + line) * sizeof(OrderLineRow);
 }
 
@@ -70,8 +69,7 @@ uint64_t SiloApp::WorkingSetBytes() const {
   total += options_.items * sizeof(ItemRow);
   total += w * options_.stock_per_warehouse * sizeof(StockRow);
   total += d * options_.max_orders_per_district * sizeof(OrderRow);
-  total += d * options_.max_orders_per_district * options_.max_lines_per_order *
-           sizeof(OrderLineRow);
+  total += d * options_.max_orders_per_district * kMaxLinesPerOrder * sizeof(OrderLineRow);
   return total + 8 * kPageSize;
 }
 
@@ -89,8 +87,8 @@ void SiloApp::Setup(RemoteHeap& heap) {
   items_ = alloc(options_.items * sizeof(ItemRow));
   stock_ = alloc(w * options_.stock_per_warehouse * sizeof(StockRow));
   orders_ = alloc(d * options_.max_orders_per_district * sizeof(OrderRow));
-  order_lines_ = alloc(d * options_.max_orders_per_district * options_.max_lines_per_order *
-                       sizeof(OrderLineRow));
+  order_lines_ =
+      alloc(d * options_.max_orders_per_district * kMaxLinesPerOrder * sizeof(OrderLineRow));
 
   for (uint32_t wi = 0; wi < w; ++wi) {
     region->WriteObject(WarehouseAddr(wi), WarehouseRow{0, 5 + wi % 10, {}});
@@ -159,7 +157,7 @@ SiloApp::TxnParams SiloApp::DeriveParams(const Request& req) const {
 
 void SiloApp::Handle(Request* req, WorkerApi& api) {
   const TxnParams p = DeriveParams(*req);
-  api.Compute(options_.txn_begin_cycles);
+  api.Compute(kTxnBeginCycles);
   switch (req->op) {
     case kNewOrder:
       DoNewOrder(req, api, p);
@@ -177,11 +175,11 @@ void SiloApp::Handle(Request* req, WorkerApi& api) {
       DoStockLevel(req, api, p);
       break;
   }
-  api.Compute(options_.txn_commit_cycles);
+  api.Compute(kTxnCommitCycles);
 }
 
 void SiloApp::DoNewOrder(Request* req, WorkerApi& api, const TxnParams& p) {
-  api.Compute(options_.op_cycles);
+  api.Compute(kOpCycles);
   (void)api.Read<WarehouseRow>(WarehouseAddr(p.w));
 
   DistrictRow district = api.Read<DistrictRow>(DistrictAddr(p.w, p.d));
@@ -194,7 +192,7 @@ void SiloApp::DoNewOrder(Request* req, WorkerApi& api, const TxnParams& p) {
   uint64_t total = 0;
   for (uint32_t l = 0; l < p.ol_cnt; ++l) {
     api.MaybePreempt();
-    api.Compute(options_.op_cycles);
+    api.Compute(kOpCycles);
     const ItemRow item = api.Read<ItemRow>(ItemAddr(p.item_ids[l]));
     StockRow stock = api.Read<StockRow>(StockAddr(p.w, p.item_ids[l]));
     stock.quantity = stock.quantity >= p.qtys[l] + 10 ? stock.quantity - p.qtys[l]
@@ -212,7 +210,7 @@ void SiloApp::DoNewOrder(Request* req, WorkerApi& api, const TxnParams& p) {
 
 void SiloApp::DoPayment(Request* req, WorkerApi& api, const TxnParams& p) {
   const uint64_t amount = 100 + (req->key % 4900);
-  api.Compute(options_.op_cycles);
+  api.Compute(kOpCycles);
   WarehouseRow w = api.Read<WarehouseRow>(WarehouseAddr(p.w));
   w.ytd += amount;
   api.Write(WarehouseAddr(p.w), w);
@@ -230,17 +228,16 @@ void SiloApp::DoPayment(Request* req, WorkerApi& api, const TxnParams& p) {
 }
 
 void SiloApp::DoOrderStatus(Request* req, WorkerApi& api, const TxnParams& p) {
-  api.Compute(options_.op_cycles);
+  api.Compute(kOpCycles);
   (void)api.Read<CustomerRow>(CustomerAddr(p.w, p.d, p.c));
   const DistrictRow d = api.Read<DistrictRow>(DistrictAddr(p.w, p.d));
   const uint64_t o_id = d.next_o_id == 0 ? 0 : d.next_o_id - 1;
   const OrderRow order = api.Read<OrderRow>(OrderAddr(p.w, p.d, o_id));
   uint64_t total = 0;
-  const uint64_t lines =
-      order.ol_cnt <= options_.max_lines_per_order ? order.ol_cnt : options_.max_lines_per_order;
+  const uint64_t lines = order.ol_cnt <= kMaxLinesPerOrder ? order.ol_cnt : kMaxLinesPerOrder;
   for (uint32_t l = 0; l < lines; ++l) {
     api.MaybePreempt();
-    api.Compute(options_.op_cycles);
+    api.Compute(kOpCycles);
     total += api.Read<OrderLineRow>(OrderLineAddr(p.w, p.d, o_id, l)).amount;
   }
   req->result = total;
@@ -250,7 +247,7 @@ void SiloApp::DoDelivery(Request* req, WorkerApi& api, const TxnParams& p) {
   uint64_t delivered = 0;
   for (uint32_t di = 0; di < options_.districts_per_warehouse; ++di) {
     api.MaybePreempt();
-    api.Compute(options_.op_cycles);
+    api.Compute(kOpCycles);
     DistrictRow d = api.Read<DistrictRow>(DistrictAddr(p.w, di));
     if (d.delivered_o_id >= d.next_o_id) {
       continue;  // Nothing undelivered in this district.
@@ -274,7 +271,7 @@ void SiloApp::DoDelivery(Request* req, WorkerApi& api, const TxnParams& p) {
 }
 
 void SiloApp::DoStockLevel(Request* req, WorkerApi& api, const TxnParams& p) {
-  api.Compute(options_.op_cycles);
+  api.Compute(kOpCycles);
   const DistrictRow d = api.Read<DistrictRow>(DistrictAddr(p.w, p.d));
   const uint64_t threshold = 10 + (req->key % 11);
   uint64_t low = 0;
@@ -283,10 +280,9 @@ void SiloApp::DoStockLevel(Request* req, WorkerApi& api, const TxnParams& p) {
   for (uint64_t o = newest - span; o < newest; ++o) {
     api.MaybePreempt();
     const OrderRow order = api.Read<OrderRow>(OrderAddr(p.w, p.d, o));
-    const uint64_t lines =
-        order.ol_cnt <= options_.max_lines_per_order ? order.ol_cnt : options_.max_lines_per_order;
+    const uint64_t lines = order.ol_cnt <= kMaxLinesPerOrder ? order.ol_cnt : kMaxLinesPerOrder;
     for (uint32_t l = 0; l < lines; ++l) {
-      api.Compute(options_.op_cycles / 2);
+      api.Compute(kOpCycles / 2);
       const OrderLineRow line = api.Read<OrderLineRow>(OrderLineAddr(p.w, p.d, o, l));
       const StockRow stock = api.Read<StockRow>(
           StockAddr(p.w, static_cast<uint32_t>(line.item_id % options_.stock_per_warehouse)));

@@ -27,6 +27,14 @@ class SiloApp final : public Application {
   static constexpr uint32_t kDelivery = 3;
   static constexpr uint32_t kStockLevel = 4;
 
+  // TPC-C New-Order carries 5..15 order lines, so 15 bounds the order-line
+  // slots per order.
+  static constexpr uint32_t kMaxLinesPerOrder = 15;
+  // Compute (cycles) per table op, per transaction begin and commit.
+  static constexpr uint32_t kOpCycles = 180;
+  static constexpr uint32_t kTxnBeginCycles = 400;
+  static constexpr uint32_t kTxnCommitCycles = 500;
+
   struct Options {
     uint32_t warehouses = 4;  // Paper: scale factor 200 (~20 GB); scaled down.
     uint32_t districts_per_warehouse = 10;
@@ -34,11 +42,6 @@ class SiloApp final : public Application {
     uint32_t items = 100000;
     uint32_t stock_per_warehouse = 100000;
     uint32_t max_orders_per_district = 4096;  // Order/order-line ring size.
-    uint32_t max_lines_per_order = 15;
-    // Per-table-op compute (cycles).
-    uint32_t op_cycles = 180;
-    uint32_t txn_begin_cycles = 400;
-    uint32_t txn_commit_cycles = 500;
   };
 
   explicit SiloApp(const Options& options) : options_(options) {}

@@ -47,8 +47,9 @@ class CycleClock {
   uint32_t mhz_;
 };
 
-// The paper's compute node: Intel Xeon Gold 6330 @ 2.00 GHz.
-inline constexpr CycleClock kDefaultCycleClock{2000};
+// The paper's compute node (§5): Intel Xeon Gold 6330 @ 2.00 GHz. Every
+// simulated core runs at this clock.
+inline constexpr CycleClock kCpuClock{2000};
 
 }  // namespace adios
 

@@ -140,11 +140,11 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   }
 
   // --- Cores ---
-  dispatcher_core_ = std::make_unique<CpuCore>(&engine_, config_.clock, "dispatcher");
-  reclaimer_core_ = std::make_unique<CpuCore>(&engine_, config_.clock, "reclaimer");
+  dispatcher_core_ = std::make_unique<CpuCore>(&engine_, kCpuClock, "dispatcher");
+  reclaimer_core_ = std::make_unique<CpuCore>(&engine_, kCpuClock, "reclaimer");
   for (uint32_t i = 0; i < config_.num_workers; ++i) {
     worker_cores_.push_back(
-        std::make_unique<CpuCore>(&engine_, config_.clock, "worker-" + std::to_string(i)));
+        std::make_unique<CpuCore>(&engine_, kCpuClock, "worker-" + std::to_string(i)));
   }
 
   // --- Buffers & CQs/QPs ---
@@ -449,7 +449,7 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
     busy_wait_ns += c->window_busy_wait_ns();
   }
   if (r.measured > 0) {
-    r.worker_cycles_per_request = static_cast<double>(config_.clock.ToCycles(busy_ns)) /
+    r.worker_cycles_per_request = static_cast<double>(kCpuClock.ToCycles(busy_ns)) /
                                   static_cast<double>(r.measured);
   }
   if (busy_ns > 0) {

@@ -13,6 +13,12 @@ std::vector<std::string> SystemConfig::Validate() const {
       errors.push_back(os.str());
     }
   };
+  require(num_workers >= 1, "num_workers >= 1", num_workers);
+  require(reclaim_low_watermark >= 0.0, "reclaim_low_watermark >= 0", reclaim_low_watermark);
+  require(reclaim_high_watermark >= reclaim_low_watermark,
+          "reclaim_high_watermark >= reclaim_low_watermark", reclaim_high_watermark);
+  require(fabric.link_classes <= kNumTrafficClasses, "fabric.link_classes <= kNumTrafficClasses",
+          fabric.link_classes);
   require(replication.num_nodes >= 1, "replication.num_nodes >= 1", replication.num_nodes);
   require(replication.replicas >= 1, "replication.replicas >= 1", replication.replicas);
   require(replication.replicas <= replication.num_nodes,
@@ -29,6 +35,20 @@ std::vector<std::string> SystemConfig::Validate() const {
           static_cast<double>(retry.timeout_ns));
   require(!fault.enabled() || fault.blackout_node < replication.num_nodes,
           "fault.blackout_node < replication.num_nodes", fault.blackout_node);
+  // Overload-control loops check their own parameters only while on.
+  require(!ctrl.admission_enabled || ctrl.admit_rate_rps > 0.0,
+          "ctrl.admit_rate_rps > 0 while admission is on", ctrl.admit_rate_rps);
+  require(!ctrl.admission_enabled || ctrl.admit_burst >= 1.0,
+          "ctrl.admit_burst >= 1 while admission is on", ctrl.admit_burst);
+  require(!ctrl.shed_enabled || ctrl.shed_pf_knee > 0.0,
+          "ctrl.shed_pf_knee > 0 while shedding is on", ctrl.shed_pf_knee);
+  require(!ctrl.scale_enabled || ctrl.min_workers >= 1,
+          "ctrl.min_workers >= 1 while scaling is on", ctrl.min_workers);
+  require(!ctrl.scale_enabled || ctrl.min_workers <= num_workers,
+          "ctrl.min_workers <= num_workers while scaling is on", ctrl.min_workers);
+  require(!ctrl.scale_enabled || ctrl.scale_down_queue < ctrl.scale_up_queue,
+          "ctrl.scale_down_queue < ctrl.scale_up_queue while scaling is on",
+          ctrl.scale_down_queue);
   return errors;
 }
 

@@ -31,8 +31,7 @@ namespace adios {
 
 struct SystemConfig {
   std::string name = "Adios";
-  uint32_t num_workers = 8;      // Paper setup: 8 workers + dispatcher + reclaimer.
-  CycleClock clock{2000};        // 2.0 GHz Xeon Gold 6330.
+  uint32_t num_workers = 8;  // Paper setup: 8 workers + dispatcher + reclaimer.
 
   SchedConfig sched;
   FabricParams fabric;
@@ -150,7 +149,6 @@ struct SystemConfig {
     c.sched.fault_policy = FaultPolicy::kBusyWait;
     c.sched.dispatch_policy = DispatchPolicy::kRoundRobin;
     c.sched.polling_delegation = false;
-    c.sched.yield_bookkeeping_cycles = 0;  // No yield path: simpler code.
     return c;
   }
 
@@ -165,41 +163,24 @@ struct SystemConfig {
   // Infiniswap-class baseline (§7, [21]): paging MD with yield-based fault
   // handling through the *kernel* scheduler — heavyweight thread switches
   // (~4 us, [40]) and scheduler wake-up delays swallow the fetch-overlap
-  // benefit; the paper measured 582 us - 73 ms P99.9 and 261 KRPS.
+  // benefit. The kernel costs come with the policy (kPolicyCosts).
   static SystemConfig Infiniswap() {
     SystemConfig c;
     c.name = "Infiniswap";
     c.sched.fault_policy = FaultPolicy::kKernelYield;
     c.sched.dispatch_policy = DispatchPolicy::kRoundRobin;
     c.sched.polling_delegation = false;
-    c.sched.yield_bookkeeping_cycles = 0;
-    c.sched.kernel_fault_extra_cycles = 14000;   // Kernel swap-in path (~7 us).
-    c.sched.kernel_request_extra_cycles = 2400;  // Kernel network stack.
-    c.sched.kernel_ctx_switch_cycles = 8000;     // ~4 us thread switch [40].
-    c.sched.kernel_sched_delay_ns = 30000;       // Scheduler wake-up latency.
-    c.sched.kernel_jitter_prob = 0.002;
-    c.sched.kernel_jitter_min_cycles = 60000;
-    c.sched.kernel_jitter_max_cycles = 500000;
     return c;
   }
 
+  // Kernel-based busy-waiting: the fault trap, the kernel network stack and
+  // background interference come with the policy (kPolicyCosts).
   static SystemConfig Hermit() {
     SystemConfig c;
     c.name = "Hermit";
     c.sched.fault_policy = FaultPolicy::kKernelBusyWait;
     c.sched.dispatch_policy = DispatchPolicy::kRoundRobin;
     c.sched.polling_delegation = false;
-    c.sched.yield_bookkeeping_cycles = 0;
-    // Kernel page-fault trap + return around the (async-optimized) handler.
-    c.sched.kernel_fault_extra_cycles = 2600;
-    // Kernel network stack (softirq + socket) per request, each direction.
-    c.sched.kernel_request_extra_cycles = 2400;
-    // Background kernel interference: rare long holds that dominate P99.9.
-    c.sched.kernel_jitter_prob = 0.002;
-    c.sched.kernel_jitter_min_cycles = 60000;    // 30 us
-    c.sched.kernel_jitter_max_cycles = 500000;   // 250 us
-    // Kernel thread switching is too slow to make yielding pay off — Hermit
-    // busy-waits, so context-switch costs barely matter; keep the default.
     return c;
   }
 };

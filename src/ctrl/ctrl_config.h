@@ -39,9 +39,6 @@ struct CtrlConfig {
   // Mean outstanding page fetches per active worker at which shedding
   // engages (the knee of the latency/load curve).
   double shed_pf_knee = 8.0;
-  // Level the signal must fall back to before shedding disengages; 0 picks
-  // knee/2. The gap is the hysteresis band that prevents flapping.
-  double shed_pf_clear = 0.0;
 
   // --- Elastic worker scaling ---
   bool scale_enabled = false;
@@ -59,9 +56,9 @@ struct CtrlConfig {
 
   bool enabled() const { return admission_enabled || shed_enabled || scale_enabled; }
 
-  double ShedClearLevel() const {
-    return shed_pf_clear > 0.0 ? shed_pf_clear : shed_pf_knee * 0.5;
-  }
+  // Level the signal must fall back to before shedding disengages: half the
+  // knee. The gap is the hysteresis band that prevents flapping.
+  double ShedClearLevel() const { return shed_pf_knee * 0.5; }
 };
 
 }  // namespace adios

@@ -167,7 +167,7 @@ void Reclaimer::Loop() {
         }
         continue;
       }
-      core_->Consume(options_.evict_cycles);
+      core_->Consume(kEvictCycles);
       // Synchronization-cost gate (docs/DATAPATH.md): the unmap is a
       // mutating paging op, so it pays the modeled lock/CAS cost.
       const uint64_t sync_ns = mm_->SyncGateNs(/*mutating=*/true);

@@ -33,8 +33,12 @@ class Reclaimer {
     // Scheduling delay of a wake-up-based reclaimer; 0 is the pinned,
     // proactive thread, which responds immediately.
     SimDuration wakeup_delay_ns = 0;
-    uint32_t evict_cycles = 250;  // CPU cost per evicted page.
   };
+
+  // CPU cost per evicted page on the reclaimer's pinned core (§3): unmap
+  // and page-table update, set equal to a worker's fault entry
+  // (kFaultEntryCycles), which walks the same table.
+  static constexpr uint32_t kEvictCycles = 250;
 
   // Write-backs fan out to `placement`'s replicas of a page, skipping nodes
   // `health` reports dead; a single node is the one-replica case. `retry`

@@ -29,8 +29,8 @@ RdmaFabric::RdmaFabric(Engine* engine, const FabricParams& params, uint32_t num_
       params_(params),
       wqe_engine_(engine, "wqe-engine", /*gbps=*/0.0, params.wqe_process_ns,
                   LinkDiscipline(params)),
-      client_tx_link_(engine, "client-tx", params.client_link_gbps),
-      client_rx_link_(engine, "client-rx", params.client_link_gbps) {
+      client_tx_link_(engine, "client-tx", kClientLinkGbps),
+      client_rx_link_(engine, "client-rx", kClientLinkGbps) {
   ADIOS_CHECK(num_nodes >= 1);
   nodes_.reserve(num_nodes);
   for (uint32_t i = 0; i < num_nodes; ++i) {
@@ -40,10 +40,10 @@ RdmaFabric::RdmaFabric(Engine* engine, const FabricParams& params, uint32_t num_
   // QoS scheduler (docs/QOS.md): the compute NIC's WQE engine and every node
   // link pair get `link_classes` prioritized WDRR queues (one when off). The
   // client-facing links carry exactly one kind of traffic each and keep one.
-  wqe_engine_.EnableClasses(params_.link_classes, params_.class_weights);
+  wqe_engine_.EnableClasses(params_.link_classes, kClassWeights);
   for (auto& node : nodes_) {
-    node->c2m.EnableClasses(params_.link_classes, params_.class_weights);
-    node->m2c.EnableClasses(params_.link_classes, params_.class_weights);
+    node->c2m.EnableClasses(params_.link_classes, kClassWeights);
+    node->m2c.EnableClasses(params_.link_classes, kClassWeights);
   }
 }
 
@@ -155,14 +155,13 @@ bool RdmaFabric::FailOnWire(QueuePair* qp, const FaultInjector::Verdict& v, Work
     return false;
   }
   // Either way the request serializes on c2m.
-  const FaultInjector::Options& opts = nodes_[node]->injector->options();
   FairLink& c2m = nodes_[node]->c2m;
   if (v.action == FaultInjector::Action::kDrop) {
     // Lost on the wire or at a dead memory node: no response ever comes. The
-    // transport layer gives up drop_detect_ns after wire entry and flushes
+    // transport layer gives up kDropDetectNs after wire entry and flushes
     // the WQE as a completion-with-error.
     c2m.Enqueue(qp->flow_id(), wire_bytes, [] {}, cls);
-    engine_->Schedule(opts.drop_detect_ns, [qp, wr_id, type, node] {
+    engine_->Schedule(FaultInjector::kDropDetectNs, [qp, wr_id, type, node] {
       qp->Complete(wr_id, type, CompletionStatus::kRetryExceeded, node);
     });
     return true;
@@ -170,8 +169,8 @@ bool RdmaFabric::FailOnWire(QueuePair* qp, const FaultInjector::Verdict& v, Work
   // The memory node answers receiver-not-ready: no DMA, no payload, just a
   // NAK surfacing one short RTT after the request serialized.
   c2m.Enqueue(qp->flow_id(), wire_bytes,
-              [this, qp, wr_id, type, node, rtt = opts.nack_rtt_ns] {
-                engine_->Schedule(rtt, [qp, wr_id, type, node] {
+              [this, qp, wr_id, type, node] {
+                engine_->Schedule(FaultInjector::kNackRttNs, [qp, wr_id, type, node] {
                   qp->Complete(wr_id, type, CompletionStatus::kRnrNak, node);
                 });
               },
@@ -182,7 +181,7 @@ bool RdmaFabric::FailOnWire(QueuePair* qp, const FaultInjector::Verdict& v, Work
 SimDuration RdmaFabric::DmaNs(uint32_t node) const {
   // Brownout: the DMA engine is rate-limited while the window is open.
   const FaultInjector* injector = nodes_[node]->injector;
-  const SimDuration base = params_.remote_dma_ns;
+  const SimDuration base = kRemoteDmaNs;
   return injector == nullptr ? base : base + injector->DmaPenaltyNs(engine_->now(), base);
 }
 
@@ -191,7 +190,7 @@ void RdmaFabric::IssueReadWire(QueuePair* qp, uint64_t bytes, const ReadOp& op) 
   // one unit regardless of chunk_bytes (the request header never produced a
   // response), so retry semantics are unchanged by QoS delivery.
   const FaultInjector::Verdict v = DrawVerdict(WorkType::kRead, op.wr_id, op.node);
-  if (FailOnWire(qp, v, WorkType::kRead, params_.header_bytes, op.wr_id, op.node, op.cls)) {
+  if (FailOnWire(qp, v, WorkType::kRead, kHeaderBytes, op.wr_id, op.node, op.cls)) {
     return;
   }
   ReadLag lag;
@@ -200,11 +199,11 @@ void RdmaFabric::IssueReadWire(QueuePair* qp, uint64_t bytes, const ReadOp& op) 
     lag.ns = v.extra_ns;
     lag.duplicate = v.action == FaultInjector::Action::kDuplicate;
   }
-  nodes_[op.node]->c2m.Enqueue(qp->flow_id(), params_.header_bytes,
+  nodes_[op.node]->c2m.Enqueue(qp->flow_id(), kHeaderBytes,
                                Stage([this, qp, bytes, op, lag] {
     // Compression (docs/QOS.md): the memory node compresses the payload
     // before it enters the wire, charged on the remote DMA timeline.
-    engine_->Schedule(params_.wire_latency_ns + DmaNs(op.node) + lag.spike() + CompressNs(bytes),
+    engine_->Schedule(kWireLatencyNs + DmaNs(op.node) + lag.spike() + CompressNs(bytes),
                       Stage([this, qp, bytes, op, dup_lag = lag.dup_lag()] {
                         DeliverReadPayload(qp, bytes, op.wr_id, op.node, op.cls, dup_lag);
                       }));
@@ -214,9 +213,9 @@ void RdmaFabric::IssueReadWire(QueuePair* qp, uint64_t bytes, const ReadOp& op) 
 void RdmaFabric::DeliverReadPayload(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
                                     uint32_t node, TrafficClass cls, SimDuration dup_lag) {
   const uint32_t flow = qp->flow_id();
-  const uint64_t hdr = params_.header_bytes;
+  const uint64_t hdr = kHeaderBytes;
   auto final_done = Stage([this, qp, wr_id, dup_lag, node] {
-    engine_->Schedule(params_.wire_latency_ns + params_.cqe_deliver_ns,
+    engine_->Schedule(kWireLatencyNs + kCqeDeliverNs,
                       Stage([this, qp, wr_id, dup_lag, node] {
                         qp->Complete(wr_id, WorkType::kRead, CompletionStatus::kSuccess,
                                      node);
@@ -246,7 +245,7 @@ void RdmaFabric::DeliverReadPayload(QueuePair* qp, uint64_t bytes, uint64_t wr_i
   // transaction).
   const uint64_t chunk = params_.chunk_bytes;
   nodes_[node]->m2c.Enqueue(flow, WireBytes(chunk) + hdr, [this, qp, wr_id, node] {
-    engine_->Schedule(params_.wire_latency_ns + params_.cqe_deliver_ns,
+    engine_->Schedule(kWireLatencyNs + kCqeDeliverNs,
                       [this, qp, wr_id, node] {
                         qp->cq()->Push(Completion{wr_id, qp->id(), WorkType::kRead,
                                                   engine_->now(), CompletionStatus::kSuccess,
@@ -298,34 +297,30 @@ void RdmaFabric::IssueWriteWire(QueuePair* qp, uint64_t bytes, uint64_t wr_id,
   // when link compression is on; the compute NIC compresses before the link,
   // the memory node decompresses on its DMA timeline). A lost WRITE still
   // burns its c2m bandwidth.
-  const uint64_t wire_bytes = WireBytes(bytes) + params_.header_bytes;
+  const uint64_t wire_bytes = WireBytes(bytes) + kHeaderBytes;
   if (FailOnWire(qp, v, WorkType::kWrite, wire_bytes, wr_id, node, cls)) {
     return;
   }
   const SimDuration spike = v.action == FaultInjector::Action::kDelay ? v.extra_ns : 0;
   nodes_[node]->c2m.Enqueue(qp->flow_id(), wire_bytes,
                             Stage([this, qp, bytes, wr_id, node, cls, spike] {
-    engine_->Schedule(params_.wire_latency_ns + DmaNs(node) + spike + CompressNs(bytes),
+    engine_->Schedule(kWireLatencyNs + DmaNs(node) + spike + CompressNs(bytes),
                       Stage([this, qp, wr_id, node, cls] {
                         // Small ack back to the requester.
-                        nodes_[node]->m2c.Enqueue(qp->flow_id(), params_.header_bytes,
+                        nodes_[node]->m2c.Enqueue(qp->flow_id(), kHeaderBytes,
                                                   Stage([this, qp, wr_id, node] {
-                          engine_->Schedule(
-                              params_.wire_latency_ns + params_.cqe_deliver_ns,
-                              [qp, wr_id, node] {
-                                qp->Complete(wr_id, WorkType::kWrite,
-                                             CompletionStatus::kSuccess, node);
-                              });
+                          engine_->Schedule(kWireLatencyNs + kCqeDeliverNs, [qp, wr_id, node] {
+                            qp->Complete(wr_id, WorkType::kWrite, CompletionStatus::kSuccess, node);
+                          });
                         }), cls);
                       }));
   }), cls);
 }
 
 void RdmaFabric::ClientInject(uint64_t bytes, std::function<void()> deliver) {
-  client_rx_link_.Enqueue(client_rx_flow_, bytes + params_.header_bytes,
+  client_rx_link_.Enqueue(client_rx_flow_, bytes + kHeaderBytes,
                           Stage([this, deliver = std::move(deliver)]() mutable {
-                            engine_->Schedule(params_.client_wire_latency_ns,
-                                              std::move(deliver));
+                            engine_->Schedule(kClientWireLatencyNs, std::move(deliver));
                           }));
 }
 

@@ -348,17 +348,17 @@ void RdmaFabric::IssueSend(QueuePair* qp, uint64_t bytes, uint64_t wr_id, F&& on
   wqe_engine_.Enqueue(
       qp->flow_id(), 0,
       Stage([this, qp, bytes, wr_id, on_delivered = Fn(std::forward<F>(on_delivered))]() mutable {
-        engine_->Schedule(params_.tx_dma_ns, Stage([this, qp, bytes, wr_id,
-                                                    on_delivered = std::move(on_delivered)]() mutable {
+        engine_->Schedule(kTxDmaNs, Stage([this, qp, bytes, wr_id,
+                                           on_delivered = std::move(on_delivered)]() mutable {
           client_tx_link_.Enqueue(
-              qp->flow_id(), bytes + params_.header_bytes,
+              qp->flow_id(), bytes + kHeaderBytes,
               Stage([this, qp, wr_id, on_delivered = std::move(on_delivered)]() mutable {
                 // TX completion: last bit left the NIC.
-                engine_->Schedule(params_.cqe_deliver_ns,
+                engine_->Schedule(kCqeDeliverNs,
                                   [qp, wr_id] { qp->Complete(wr_id, WorkType::kSend); });
                 // Receiver sees the packet one wire latency later.
                 if constexpr (!std::is_same_v<Fn, QueuePair::NoDelivery>) {
-                  engine_->Schedule(params_.client_wire_latency_ns, std::move(on_delivered));
+                  engine_->Schedule(kClientWireLatencyNs, std::move(on_delivered));
                 }
               }));
         }));

@@ -7,7 +7,7 @@
 //   drop      — the request or response packet is lost and the NIC's
 //               transport-level retransmissions also fail; the requester sees
 //               a completion-with-error (IBV_WC_RETRY_EXC_ERR analogue) after
-//               `drop_detect_ns` (the transport retry timeout).
+//               `kDropDetectNs` (the transport retry timeout).
 //   NAK       — the memory node answers RNR/again (receiver not ready); the
 //               requester sees a fast completion-with-error after one RTT.
 //   delay     — a congestion/PFC pause spike adds tens of microseconds to the
@@ -66,13 +66,6 @@ class FaultInjector {
     // burst, not one isolated word). 1 = independent corruption.
     uint32_t corrupt_burst = 1;
 
-    // Time for the NIC transport layer to exhaust its hardware retries and
-    // flush a lost WQE as a completion-with-error (transport retry counter x
-    // local ACK timeout, scaled to the simulation's microsecond world).
-    SimDuration drop_detect_ns = 20000;
-    // RTT until an RNR NAK surfaces as a fast completion-with-error.
-    SimDuration nack_rtt_ns = 2000;
-
     // Memory-node brownouts: every `brownout_period_ns` a window of
     // `brownout_duration_ns` opens during which remote DMA takes
     // `brownout_dma_multiplier` times its calibrated cost. 0 period = off.
@@ -100,10 +93,19 @@ class FaultInjector {
     }
   };
 
+  // Time for the NIC transport layer to exhaust its hardware retries and
+  // flush a lost WQE as a completion-with-error: the transport retry counter
+  // times the local ACK timeout, scaled to the simulation's microsecond
+  // world (20 us, below the 25 us software deadline of RetryPolicy).
+  static constexpr SimDuration kDropDetectNs = 20000;
+  // RTT until an RNR NAK surfaces as a fast completion-with-error: roughly
+  // one fabric round trip, with no memory-node DMA (§2.3).
+  static constexpr SimDuration kNackRttNs = 2000;
+
   enum class Action : uint8_t {
     kDeliver = 0,    // Normal completion.
-    kDrop = 1,       // Lost; error completion after drop_detect_ns.
-    kNack = 2,       // RNR NAK; error completion after nack_rtt_ns.
+    kDrop = 1,       // Lost; error completion after kDropDetectNs.
+    kNack = 2,       // RNR NAK; error completion after kNackRttNs.
     kDelay = 3,      // Success completion, extra_ns added at the memory node.
     kDuplicate = 4,  // Success completion, then a second one extra_ns later.
     kCorrupt = 5,    // Success completion, payload silently corrupted — the

@@ -22,9 +22,6 @@ NodeHealthMonitor::NodeHealthMonitor(Engine* engine, const ReplicationConfig& co
     : engine_(engine), config_(config), nodes_(config.num_nodes) {
   ADIOS_CHECK(engine != nullptr);
   ADIOS_CHECK(config.num_nodes >= 1);
-  ADIOS_CHECK(config.suspect_threshold > 0.0);
-  ADIOS_CHECK(config.dead_threshold >= config.suspect_threshold);
-  ADIOS_CHECK(config.probe_interval_ns > 0);
 }
 
 void NodeHealthMonitor::RegisterMetrics(MetricRegistry* registry) {
@@ -45,9 +42,9 @@ void NodeHealthMonitor::Decay(NodeState& ns, SimTime now) const {
   if (ns.score_time == now) {
     return;
   }
-  if (ns.score > 0.0 && config_.evidence_halflife_ns > 0) {
+  if (ns.score > 0.0) {
     const double dt = static_cast<double>(now - ns.score_time);
-    ns.score *= std::exp2(-dt / static_cast<double>(config_.evidence_halflife_ns));
+    ns.score *= std::exp2(-dt / static_cast<double>(kEvidenceHalflifeNs));
     if (ns.score < 1e-6) {
       ns.score = 0.0;
     }
@@ -64,7 +61,7 @@ double NodeHealthMonitor::EvidenceScore(uint32_t node, SimTime now) const {
 void NodeHealthMonitor::CreditSuccess(uint32_t node) {
   NodeState& ns = nodes_[node];
   Decay(ns, engine_->now());
-  ns.score -= config_.success_credit;
+  ns.score -= kSuccessCredit;
   if (ns.score < 0.0) {
     ns.score = 0.0;
   }
@@ -76,7 +73,7 @@ void NodeHealthMonitor::ReportError(uint32_t node) { AddEvidence(node, 1.0); }
 void NodeHealthMonitor::ReportTimeout(uint32_t node) { AddEvidence(node, 1.0); }
 
 void NodeHealthMonitor::ReportCorruption(uint32_t node) {
-  AddEvidence(node, config_.corruption_weight);
+  AddEvidence(node, kCorruptionWeight);
 }
 
 void NodeHealthMonitor::AddEvidence(uint32_t node, double weight) {
@@ -92,18 +89,18 @@ void NodeHealthMonitor::Reassess(uint32_t node) {
   switch (ns.health) {
     case NodeHealth::kHealthy:
       // The one-copy rule (header): no replica to fail over to, no suspicion.
-      if (config_.replicas > 1 && ns.score >= config_.suspect_threshold) {
+      if (config_.replicas > 1 && ns.score >= kSuspectThreshold) {
         EnterState(node, NodeHealth::kSuspect);
       }
       break;
     case NodeHealth::kSuspect:
       // Worsening is immediate (no dwell: losing time on a dying node costs
       // goodput); recovering requires both the hysteresis band and a dwell
-      // so a flapping node cannot oscillate faster than min_dwell_ns.
-      if (ns.score >= config_.dead_threshold) {
+      // so a flapping node cannot oscillate faster than kMinDwellNs.
+      if (ns.score >= kDeadThreshold) {
         EnterState(node, NodeHealth::kDead);
-      } else if (ns.score <= config_.suspect_threshold * config_.suspect_exit_fraction &&
-                 now - ns.entered_at >= config_.min_dwell_ns) {
+      } else if (ns.score <= kSuspectThreshold * kSuspectExitFraction &&
+                 now - ns.entered_at >= kMinDwellNs) {
         ++recoveries_;
         EnterState(node, NodeHealth::kHealthy);
       }
@@ -113,7 +110,7 @@ void NodeHealthMonitor::Reassess(uint32_t node) {
       // stopped talking to it, so completion evidence dries up by design.
       break;
     case NodeHealth::kResilvering:
-      if (ns.score >= config_.dead_threshold) {
+      if (ns.score >= kDeadThreshold) {
         EnterState(node, NodeHealth::kDead);
       }
       break;
@@ -153,7 +150,7 @@ void NodeHealthMonitor::EnterState(uint32_t node, NodeHealth to) {
 
 void NodeHealthMonitor::ArmProbe(uint32_t node) {
   const uint64_t generation = nodes_[node].generation;
-  engine_->Schedule(config_.probe_interval_ns,
+  engine_->Schedule(kProbeIntervalNs,
                     [this, node, generation] { OnProbe(node, generation); });
 }
 
@@ -173,13 +170,13 @@ void NodeHealthMonitor::OnProbe(uint32_t node, uint64_t generation) {
     if (ok) {
       ReportSuccess(node);
     } else {
-      AddEvidence(node, config_.probe_fail_weight);
+      AddEvidence(node, kProbeFailWeight);
     }
   } else {  // kDead
     if (ok) {
       ++ns.ok_probes;
-      if (ns.ok_probes >= config_.recovery_probes &&
-          now - ns.entered_at >= config_.min_dwell_ns) {
+      if (ns.ok_probes >= kRecoveryProbes &&
+          now - ns.entered_at >= kMinDwellNs) {
         ++recoveries_;
         EnterState(node, NodeHealth::kResilvering);
       }

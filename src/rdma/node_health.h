@@ -6,12 +6,12 @@
 // with simulated time so stale evidence cannot keep a node suspect forever.
 // The score drives a four-state machine with hysteresis:
 //
-//   kHealthy --score >= suspect_threshold--> kSuspect
-//   kSuspect --score >= dead_threshold-----> kDead
+//   kHealthy --score >= kSuspectThreshold--> kSuspect
+//   kSuspect --score >= kDeadThreshold-----> kDead
 //   kSuspect --score low + dwell-----------> kHealthy      (false alarm)
 //   kDead ----consecutive probe OKs + dwell-> kResilvering  (node came back)
 //   kResilvering --NotifyResilverDone-------> kHealthy
-//   kResilvering --score >= dead_threshold--> kDead         (relapse)
+//   kResilvering --score >= kDeadThreshold--> kDead         (relapse)
 //
 // While a node is kSuspect or kDead the monitor self-schedules probe events
 // (simulation stand-in for the keepalive ping a real fabric manager sends);
@@ -45,31 +45,6 @@ struct ReplicationConfig {
   uint32_t num_nodes = 1;  // Memory nodes in the fabric.
   uint32_t replicas = 1;   // Copies per page (<= num_nodes, <= 8).
 
-  // Evidence scoring. One error/timeout adds 1.0; one success subtracts
-  // success_credit; the score halves every evidence_halflife_ns.
-  double suspect_threshold = 3.0;  // kHealthy -> kSuspect.
-  double dead_threshold = 8.0;     // kSuspect -> kDead.
-  // kSuspect -> kHealthy requires score <= suspect_threshold * exit_fraction
-  // (hysteresis band) *and* min_dwell_ns in state.
-  double suspect_exit_fraction = 0.5;
-  double success_credit = 0.25;
-  SimDuration evidence_halflife_ns = 100'000;
-
-  // Probing of suspect/dead nodes.
-  SimDuration probe_interval_ns = 25'000;
-  uint32_t recovery_probes = 3;  // Consecutive OK probes to leave kDead.
-  SimDuration min_dwell_ns = 50'000;
-  // Evidence weight of a failed keepalive probe. Heavier than a WQE error:
-  // once requesters fail over away from a suspect node, probes are the only
-  // evidence stream left, and they must still be able to push a genuinely
-  // dark node past dead_threshold against the decay.
-  double probe_fail_weight = 2.0;
-  // Evidence weight of a verified-corrupt payload (docs/INTEGRITY.md).
-  // Heavier than a plain WQE error: silent corruption means the node is
-  // lying, not just slow, so a persistently-corrupting node must degrade to
-  // suspect/dead after a handful of detections.
-  double corruption_weight = 2.0;
-
   // Re-silver pacing: background copy bandwidth cap (Gbps) and per-page
   // attempt budget, consumed by the reclaimer's re-silver pass.
   double resilver_bw_gbps = 10.0;
@@ -87,6 +62,41 @@ const char* NodeHealthName(NodeHealth h);
 
 class NodeHealthMonitor {
  public:
+  // --- Detector calibration (docs/FAILOVER.md) ---
+  //
+  // Time constants are multiples of the 25 us fetch deadline
+  // (RetryPolicy::timeout_ns), so a node is judged on a few deadlines' worth
+  // of evidence: a dark node goes suspect after ~3 failed WQEs and dead
+  // after ~8, while a 1% loss rate (one error per ~100 successes, each
+  // crediting a quarter point) drains its evidence as fast as it comes.
+  //
+  // Evidence scoring: one error/timeout adds 1.0, one success subtracts
+  // kSuccessCredit, and the score halves every kEvidenceHalflifeNs.
+  static constexpr double kSuspectThreshold = 3.0;  // kHealthy -> kSuspect.
+  static constexpr double kDeadThreshold = 8.0;     // kSuspect -> kDead.
+  // kSuspect -> kHealthy requires score <= kSuspectThreshold *
+  // kSuspectExitFraction (the hysteresis band) *and* kMinDwellNs in state.
+  static constexpr double kSuspectExitFraction = 0.5;
+  static constexpr double kSuccessCredit = 0.25;
+  static constexpr SimDuration kEvidenceHalflifeNs = 100'000;
+  // Probing of suspect/dead nodes: one keepalive per deadline, and
+  // kRecoveryProbes consecutive OKs to leave kDead.
+  static constexpr SimDuration kProbeIntervalNs = 25'000;
+  static constexpr uint32_t kRecoveryProbes = 3;
+  static constexpr SimDuration kMinDwellNs = 50'000;
+  // Evidence weight of a failed keepalive probe. Heavier than a WQE error:
+  // once requesters fail over away from a suspect node, probes are the only
+  // evidence stream left, and they must still be able to push a genuinely
+  // dark node past kDeadThreshold against the decay.
+  static constexpr double kProbeFailWeight = 2.0;
+  // Evidence weight of a verified-corrupt payload (docs/INTEGRITY.md).
+  // Heavier than a plain WQE error: silent corruption means the node is
+  // lying, not just slow, so a persistently-corrupting node must degrade to
+  // suspect/dead after a handful of detections.
+  static constexpr double kCorruptionWeight = 2.0;
+  static_assert(kSuspectThreshold > 0.0 && kDeadThreshold >= kSuspectThreshold &&
+                kEvidenceHalflifeNs > 0 && kProbeIntervalNs > 0);
+
   // Returns true when the probe of `node` succeeded.
   using ProbeFn = std::function<bool(uint32_t node, SimTime now)>;
   using StateChangeFn =

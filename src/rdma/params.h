@@ -1,9 +1,11 @@
-// Calibration constants for the simulated RDMA fabric.
+// Calibration constants and knobs for the simulated RDMA fabric.
 //
-// Values are chosen so an unloaded 4 KB one-sided READ completes in ~2.5 us,
-// matching the 2-3 us the paper reports for 100 GbE ConnectX-class NICs
+// Values are chosen so an unloaded 4 KB one-sided READ completes in ~2.8 us,
+// within the 2-3 us the paper reports for 100 GbE ConnectX-class NICs
 // (§2.3, §3, [29, 64, 66]), and so WQE processing caps the NIC at a few
-// million ops/s (the NIC-bound regime discussed for Memcached in §5.2).
+// million ops/s (the NIC-bound regime discussed for Memcached in §5.2). The
+// stage costs nothing varies are constants; FabricParams keeps the axes
+// that benches and tests sweep.
 
 #ifndef ADIOS_SRC_RDMA_PARAMS_H_
 #define ADIOS_SRC_RDMA_PARAMS_H_
@@ -40,31 +42,43 @@ inline const char* TrafficClassName(TrafficClass cls) {
   return "?";
 }
 
+// --- Fixed stage costs of the unloaded 4 KB READ (§2.3) ---
+//
+// WQE processing (wqe_process_ns, 195) + request header on the wire (5) +
+// kWireLatencyNs + kRemoteDmaNs + 4 KB payload at 100 Gb/s (333) +
+// kWireLatencyNs + kCqeDeliverNs = 2833 ns
+// (FabricDefaults.UnloadedFetchWithinPaperRange).
+
+// Propagation + switching per direction.
+inline constexpr SimDuration kWireLatencyNs = 400;
+// Memory-node-side DMA read/write of a 4 KB page (PCIe round trip).
+inline constexpr SimDuration kRemoteDmaNs = 1200;
+// Compute-node-side DMA of a transmit payload from host memory (PCIe),
+// part of every Raw-Ethernet send before serialization. Determines how long
+// a synchronous sender busy-waits for its TX CQE (Fig. 9).
+inline constexpr SimDuration kTxDmaNs = 1200;
+// Completion write-back + detection by polling.
+inline constexpr SimDuration kCqeDeliverNs = 300;
+// Per-message wire overhead (Ethernet + RoCE headers).
+inline constexpr uint32_t kHeaderBytes = 66;
+// Client-facing link (load generator <-> compute node): the same class of
+// 100 GbE hardware in the testbed (§5).
+inline constexpr double kClientLinkGbps = 100.0;
+inline constexpr SimDuration kClientWireLatencyNs = 500;
+
+// WDRR weights of the QoS link classes (docs/QOS.md), in quantum units per
+// round: demand 8, prefetch 2, background 1, so demand gets 8/11 of a
+// saturated three-class link and background keeps a floor of 1/11.
+inline constexpr std::array<uint32_t, kNumTrafficClasses> kClassWeights = {8, 2, 1};
+
 struct FabricParams {
   // Link speed per direction (the testbed uses 100 GbE everywhere).
   double link_gbps = 100.0;
-
-  // Propagation + switching per direction.
-  SimDuration wire_latency_ns = 400;
 
   // NIC requester processing per WQE (doorbell, WQE fetch, address
   // translation). One engine, round-robin across QPs: caps the NIC at
   // 1e9/this ops per second (§5.2's "NIC could not match the host").
   SimDuration wqe_process_ns = 195;
-
-  // Memory-node-side DMA read/write of a 4 KB page (PCIe round trip).
-  SimDuration remote_dma_ns = 1200;
-
-  // Compute-node-side DMA of a transmit payload from host memory (PCIe),
-  // part of every Raw-Ethernet send before serialization. Determines how
-  // long a synchronous sender busy-waits for its TX CQE (Fig. 9).
-  SimDuration tx_dma_ns = 1200;
-
-  // Completion write-back + detection by polling.
-  SimDuration cqe_deliver_ns = 300;
-
-  // Per-message wire overhead (Ethernet + RoCE headers).
-  uint32_t header_bytes = 66;
 
   // Send-queue depth per QP; posting fails when this many WQEs are in flight.
   uint32_t qp_depth = 128;
@@ -74,21 +88,13 @@ struct FabricParams {
   // relies on).
   bool fifo_links = false;
 
-  // Client-facing link (load generator <-> compute node), same class of
-  // hardware in the testbed.
-  double client_link_gbps = 100.0;
-  SimDuration client_wire_latency_ns = 500;
-
   // --- QoS link scheduling (docs/QOS.md) ---
   //
   // `link_classes` <= 1 gives every link one WDRR class: plain per-flow
   // round-robin, as in the seed. Set to kNumTrafficClasses (3) to split every
   // shared link into prioritized virtual queues (demand > prefetch >
-  // background) served by weighted deficit round-robin. Weights are in
-  // quantum units per round; every weight is clamped to >= 1, which is the
-  // starvation floor — background classes always drain.
+  // background) served by weighted deficit round-robin with kClassWeights.
   uint32_t link_classes = 0;
-  std::array<uint32_t, kNumTrafficClasses> class_weights = {8, 2, 1};
 
   // Critical-chunk-first delivery (docs/QOS.md): when nonzero and smaller
   // than the transfer, a demand READ's first `chunk_bytes` are delivered as
@@ -131,8 +137,10 @@ struct RetryPolicy {
   uint32_t max_retries = 6;
   // Backoff before the k-th repost: min(base * multiplier^(k-1), cap).
   SimDuration backoff_base_ns = 4000;
-  double backoff_multiplier = 2.0;
-  SimDuration backoff_cap_ns = 100000;
+  // Binary exponential backoff, capped at 100 us (4x the deadline) so a long
+  // outage is re-probed rather than waited out.
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr SimDuration kBackoffCapNs = 100000;
 
   // Retry sub-budget for background traffic classes (prefetch fetches and
   // the reclaimer's write-backs): under a brownout, background reposts must
@@ -149,8 +157,8 @@ struct RetryPolicy {
 
   SimDuration NextBackoff(SimDuration current) const {
     const SimDuration next =
-        static_cast<SimDuration>(static_cast<double>(current) * backoff_multiplier);
-    return next > backoff_cap_ns ? backoff_cap_ns : next;
+        static_cast<SimDuration>(static_cast<double>(current) * kBackoffMultiplier);
+    return next > kBackoffCapNs ? kBackoffCapNs : next;
   }
 };
 

@@ -17,9 +17,9 @@ Dispatcher::Dispatcher(Engine* engine, CpuCore* core, UnithreadPool* pool, Compl
       ctrl_(ctrl),
       cfg_(config),
       on_drop_(std::move(on_drop)),
-      rx_ring_(config.rx_ring_size),
+      rx_ring_(kRxRingSize),
       events_(engine),
-      cq_batch_(config.cq_poll_batch) {
+      cq_batch_(kCqPollBatch) {
   ADIOS_CHECK(!workers_.empty());
   cq_->set_on_push([this] { events_.NotifyAll(); });
 }
@@ -84,7 +84,7 @@ size_t Dispatcher::RecycleTxCompletions() {
     if (n == 0) {
       break;
     }
-    core_->Consume(cfg_.tx_recycle_cycles * n);
+    core_->Consume(kTxRecycleCycles * n);
     for (size_t i = 0; i < n; ++i) {
       ADIOS_DCHECK(batch[i].type == WorkType::kSend);
       pool_->Release(pool_->FromIndex(static_cast<uint32_t>(batch[i].wr_id)));
@@ -99,13 +99,13 @@ size_t Dispatcher::DrainRxRing() {
   size_t moved = 0;
   // Bounded batch so dispatching interleaves with draining under load; the
   // central queue is bounded so overload backs up into the RX ring (drops).
-  while (!rx_ring_.empty() && moved < 2 * cfg_.cq_poll_batch &&
-         queue_.size() < cfg_.central_queue_limit) {
+  while (!rx_ring_.empty() && moved < 2 * kCqPollBatch &&
+         queue_.size() < kCentralQueueLimit) {
     queue_.push_back(rx_ring_.PopFront());
     ++moved;
   }
   if (moved > 0) {
-    core_->Consume(cfg_.rx_poll_cycles * moved);
+    core_->Consume(kRxPollCycles * moved);
   }
   if (queue_.size() > stats_.max_queue_depth) {
     stats_.max_queue_depth = queue_.size();
@@ -166,7 +166,7 @@ bool Dispatcher::DispatchSome() {
     buffer.ResetContext(&Worker::UnithreadMain, item, /*parent=*/nullptr);
     queue_.pop_front();
     ++stats_.dispatched;
-    core_->Consume(cfg_.dispatch_cycles);
+    core_->Consume(kDispatchCycles);
     tracer_->Record(engine_->now(), item->req->id, TraceEvent::kDispatch, w->index());
     w->Assign(item);
     rr_cursor_ = (w->index() + 1) % n;

@@ -18,6 +18,7 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
       mem_qp_(mem_qp),
       client_qp_(client_qp),
       cfg_(config),
+      costs_(CostsOf(config.fault_policy)),
       handler_(std::move(handler)),
       on_reply_(std::move(on_reply)),
       events_(engine),
@@ -25,7 +26,7 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
       client_cq_wait_(engine),
       prefetcher_(MakePrefetcher(config.prefetch_policy, config.prefetch_window,
                                  static_cast<uint16_t>(index))),
-      cq_batch_(config.cq_poll_batch),
+      cq_batch_(kCqPollBatch),
       rng_(config.seed * 7919 + index),
       tracker_(engine, placement, health) {
   mem_qp_->cq()->set_on_push([this] {
@@ -105,7 +106,7 @@ void Worker::UnithreadMain(void* arg) {
 
 void Worker::Loop() {
   for (;;) {
-    core_->Consume(cfg_.worker_loop_cycles);
+    core_->Consume(kWorkerLoopCycles);
     // Poll the NIC's queue once before starting new unithreads (Fig. 5,
     // step 7's precondition).
     DrainMemCq();
@@ -136,7 +137,7 @@ void Worker::Loop() {
       continue;
     }
     if (cfg_.dispatch_policy == DispatchPolicy::kWorkStealing) {
-      core_->Consume(cfg_.steal_cycles);  // Peer-queue scan (§3.4's objection).
+      core_->Consume(kStealCycles);  // Peer-queue scan (§3.4's objection).
       RunItem* stolen = TrySteal();
       if (stolen != nullptr) {
         RunItemNow(stolen);
@@ -153,8 +154,8 @@ void Worker::RunItemNow(RunItem* item) {
   item->home = this;
   UnithreadContext* ctx = item->ctx();
   ctx->parent = fiber_ctx_;
-  core_->Consume(cfg_.fault_policy == FaultPolicy::kKernelYield ? cfg_.kernel_ctx_switch_cycles
-                                                                : cfg_.ctx_switch_cycles);
+  core_->Consume(cfg_.fault_policy == FaultPolicy::kKernelYield ? costs_.kernel_ctx_switch_cycles
+                                                                : kCtxSwitchCycles);
   if (!item->started) {
     item->started = true;
     item->req->start_time = engine_->now();
@@ -162,9 +163,9 @@ void Worker::RunItemNow(RunItem* item) {
     // builder's queue segment must equal RequestSample::queue_ns), so it is
     // recorded before the kernel RX-path charge below.
     tracer_->Record(engine_->now(), item->req->id, TraceEvent::kStart, index_);
-    if (cfg_.kernel_request_extra_cycles > 0) {
+    if (costs_.kernel_request_extra_cycles > 0) {
       // Kernel-based system: socket/syscall RX path before the handler runs.
-      core_->Consume(cfg_.kernel_request_extra_cycles);
+      core_->Consume(costs_.kernel_request_extra_cycles);
     }
   } else {
     tracer_->Record(engine_->now(), item->req->id, TraceEvent::kResume, index_);
@@ -183,16 +184,16 @@ void Worker::RunItemNow(RunItem* item) {
 
 void Worker::FinishRequest(RunItem* item) {
   Request* req = item->req;
-  if (cfg_.kernel_jitter_prob > 0.0 && rng_.NextBool(cfg_.kernel_jitter_prob)) {
+  if (costs_.kernel_jitter_prob > 0.0 && rng_.NextBool(costs_.kernel_jitter_prob)) {
     // Background kernel interference (timer ticks, softirqs, kswapd):
     // occasionally a request is held up for tens of microseconds.
-    core_->Consume(rng_.NextInRange(cfg_.kernel_jitter_min_cycles,
-                                    cfg_.kernel_jitter_max_cycles));
+    core_->Consume(rng_.NextInRange(costs_.kernel_jitter_min_cycles,
+                                    costs_.kernel_jitter_max_cycles));
   }
-  if (cfg_.kernel_request_extra_cycles > 0) {
-    core_->Consume(cfg_.kernel_request_extra_cycles);  // Kernel TX path.
+  if (costs_.kernel_request_extra_cycles > 0) {
+    core_->Consume(costs_.kernel_request_extra_cycles);  // Kernel TX path.
   }
-  core_->Consume(cfg_.tx_post_cycles);
+  core_->Consume(kTxPostCycles);
 
   const uint32_t buffer_index = item->ctx()->id;
   while (!client_qp_->PostSend(req->reply_bytes, buffer_index,
@@ -219,7 +220,7 @@ void Worker::FinishRequest(RunItem* item) {
         client_cq_wait_.Wait();
         continue;
       }
-      core_->Consume(cfg_.poll_cqe_cycles * n);
+      core_->Consume(kPollCqeCycles * n);
       for (size_t i = 0; i < n; ++i) {
         ADIOS_DCHECK(batch[i].type == WorkType::kSend);
         if (batch[i].wr_id == buffer_index) {
@@ -333,7 +334,7 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
         }
         // Another handler's fetch is in flight; trap, then coalesce onto it
         // (unless it mapped while we were trapping).
-        core_->Consume(cfg_.fault_entry_cycles);
+        core_->Consume(kFaultEntryCycles);
         const uint64_t sync_ns = mm_->SyncGateNs(/*mutating=*/true);
         if (sync_ns > 0) {
           core_->ConsumeNs(sync_ns);  // Waiter registration pays the gate.
@@ -355,7 +356,7 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
         continue;
       }
       case PageState::kRemote: {
-        core_->Consume(cfg_.fault_entry_cycles + cfg_.kernel_fault_extra_cycles);
+        core_->Consume(kFaultEntryCycles + costs_.kernel_fault_extra_cycles);
         if (mm_->StateOf(vpage) != PageState::kRemote) {
           continue;  // Raced with another fault during the trap.
         }
@@ -368,7 +369,7 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
         }
         const bool woken = WaitForFreeFrame(vpage);
         if (mm_->StateOf(vpage) == PageState::kRemote) {
-          core_->Consume(cfg_.frame_alloc_cycles);
+          core_->Consume(kFrameAllocCycles);
         }
         if (mm_->StateOf(vpage) != PageState::kRemote) {
           // Another handler fetched the page meanwhile. A frame release
@@ -429,7 +430,7 @@ bool Worker::WaitForFreeFrame(uint64_t vpage) {
         break;
       }
       mm_->AddFrameWaiter([item] { item->home->EnqueueReady(item); });
-      core_->Consume(cfg_.ctx_switch_cycles);
+      core_->Consume(kCtxSwitchCycles);
       UnithreadContext* ctx = item->ctx();
       ctx->state = ContextState::kBlocked;
       engine_->RawSwitch(ctx, item->home->fiber_ctx_);
@@ -480,7 +481,7 @@ size_t Worker::PostDoorbell(const ReadOp* ops, size_t n) {
 }
 
 void Worker::PostReadWithBackpressure(uint64_t vpage, TrafficClass cls) {
-  core_->Consume(cfg_.post_read_cycles);
+  core_->Consume(kPostReadCycles);
   const ReadOp op{OpId::Fetch(vpage).wr_id(), tracker_.ReadNode(vpage), cls};
   PostDoorbell(&op, 1);
 }
@@ -501,8 +502,7 @@ void Worker::PostFaultReads(uint64_t vpage) {
   // candidates (a batch of one when there are none). Each page still picks
   // its own replica (placement / node health from the failover layer).
   const size_t cap = std::min(QueuePair::kMaxReadBatch - 1, prefetch_scratch_.size());
-  core_->Consume(cfg_.post_read_cycles +
-                 cfg_.post_read_wqe_cycles * static_cast<uint32_t>(cap));
+  core_->Consume(kPostReadCycles + kPostReadWqeCycles * static_cast<uint32_t>(cap));
   batch_ops_.clear();
   batch_ops_.push_back(
       ReadOp{OpId::Fetch(vpage).wr_id(), tracker_.ReadNode(vpage), TrafficClass::kDemand});
@@ -535,7 +535,7 @@ size_t Worker::DrainMemCq() {
     if (n == 0) {
       break;
     }
-    core_->Consume((cfg_.poll_cqe_cycles + cfg_.map_page_cycles) * n);
+    core_->Consume((kPollCqeCycles + kMapPageCycles) * n);
     for (size_t i = 0; i < n; ++i) {
       const Completion& c = batch[i];
       ADIOS_DCHECK(c.type == WorkType::kRead);
@@ -615,14 +615,14 @@ void Worker::BlockOnFetch(uint64_t vpage, bool write) {
     // scheduler, adding kernel_sched_delay before the resume.
     if (cfg_.fault_policy == FaultPolicy::kKernelYield) {
       Engine* engine = engine_;
-      const SimDuration delay = cfg_.kernel_sched_delay_ns;
+      const SimDuration delay = costs_.kernel_sched_delay_ns;
       mm_->AddFetchWaiter(vpage, [engine, delay, item](bool ok) {
         if (!ok) {
           item->req->failed = true;
         }
         engine->Schedule(delay, [item] { item->home->EnqueueReady(item); });
       }, early);
-      core_->Consume(cfg_.kernel_ctx_switch_cycles);
+      core_->Consume(costs_.kernel_ctx_switch_cycles);
     } else {
       mm_->AddFetchWaiter(vpage, [this, item](bool ok) {
         if (!ok) {
@@ -632,7 +632,7 @@ void Worker::BlockOnFetch(uint64_t vpage, bool write) {
         }
         item->home->EnqueueReady(item);
       }, early);
-      core_->Consume(cfg_.ctx_switch_cycles + cfg_.yield_bookkeeping_cycles);
+      core_->Consume(kCtxSwitchCycles + costs_.yield_bookkeeping_cycles);
     }
     UnithreadContext* ctx = item->ctx();
     ctx->state = ContextState::kBlocked;
@@ -669,7 +669,7 @@ void Worker::MaybePreempt() {
   if (!cfg_.preemption || running_ == nullptr) {
     return;
   }
-  core_->Consume(cfg_.preempt_check_cycles);
+  core_->Consume(kPreemptCheckCycles);
   RunItem* item = running_;
   if (engine_->now() - item->quantum_start < cfg_.preempt_interval_ns) {
     return;
@@ -681,7 +681,7 @@ void Worker::MaybePreempt() {
   ++item->req->preemptions;
   ++preempt_fires_;
   tracer_->Record(engine_->now(), item->req->id, TraceEvent::kPreempt, index_);
-  core_->Consume(cfg_.preempt_switch_cycles);
+  core_->Consume(kPreemptSwitchCycles);
   UnithreadContext* ctx = item->ctx();
   ctx->state = ContextState::kRunnable;
   preempted_.push_back(item);

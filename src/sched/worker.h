@@ -180,6 +180,7 @@ class Worker final : public WorkerApi {
   QueuePair* mem_qp_;
   QueuePair* client_qp_;
   SchedConfig cfg_;
+  PolicyCosts costs_;  // CostsOf(cfg_.fault_policy).
   HandlerFn handler_;
   ReplyFn on_reply_;
   Dispatcher* dispatcher_ = nullptr;

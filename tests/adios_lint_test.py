@@ -4,7 +4,10 @@
 Every fixture line carrying a ``// expect: <rule>`` marker (in a source)
 or a ``<!-- expect: <rule> -->`` marker (in a docs table) must produce
 exactly one finding of that rule on that line, and the analyzer must
-produce nothing else. Also checks the exit-code contract:
+produce nothing else. The fixture tree's ``tests/`` and ``examples/``
+hold no markers: they only assign knobs, which the default-off-knob rule
+reads. Also checks the ``--stats`` config-field count and the exit-code
+contract:
 
   0  no findings (clean subset run)
   1  findings printed
@@ -107,12 +110,17 @@ def main():
         for name in ("suspend_good.cc", "trace_good.cc", "knob_good.cc",
                      "suppressed_ok.cc")
     ]
-    proc = run_lint(["--root", FIXTURES] + good)
+    proc = run_lint(["--root", FIXTURES, "--stats"] + good)
     if proc.returncode != 0 or proc.stdout.strip():
         fail(
             f"expected clean run on good fixtures, got exit "
             f"{proc.returncode}\nstdout:\n{proc.stdout}"
         )
+    # --stats counts every config-struct field (GoodConfig's seven and
+    # SubOptions' one), so CI logs track the size of the knob surface.
+    if " 8 config fields," not in proc.stderr:
+        fail(f"expected '8 config fields' in --stats output, got:\n"
+             f"{proc.stderr}")
 
     # Usage error: unknown rule name exits 2.
     proc = run_lint(["--root", FIXTURES, "--rules", "no-such-rule",

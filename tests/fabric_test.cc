@@ -102,7 +102,7 @@ TEST(Fabric, SendDeliversAndCompletes) {
   EXPECT_EQ(c.type, WorkType::kSend);
   EXPECT_GT(delivered_at, 0u);
   // Delivery happens one client-wire latency after the TX completes serializing.
-  EXPECT_GE(delivered_at, TestParams().client_wire_latency_ns);
+  EXPECT_GE(delivered_at, kClientWireLatencyNs);
 }
 
 TEST(Fabric, CqSteeringRedirectsCompletions) {
@@ -125,7 +125,7 @@ TEST(Fabric, ClientInjectArrivesAfterLinkAndWire) {
   SimTime arrived = 0;
   fabric.ClientInject(64, [&] { arrived = e.now(); });
   e.Run();
-  EXPECT_GE(arrived, TestParams().client_wire_latency_ns);
+  EXPECT_GE(arrived, kClientWireLatencyNs);
   EXPECT_LT(arrived, 1000u);
 }
 

@@ -245,8 +245,8 @@ TEST(FabricFaults, DropSurfacesAsErrorCompletionAfterDetectTimeout) {
   EXPECT_FALSE(c.ok());
   EXPECT_EQ(c.status, CompletionStatus::kRetryExceeded);
   // The verdict is drawn as the WQE leaves the engine; the transport
-  // flushes it exactly drop_detect_ns after that wire entry.
-  EXPECT_EQ(c.completed_at, FabricParams{}.wqe_process_ns + o.drop_detect_ns);
+  // flushes it exactly kDropDetectNs after that wire entry.
+  EXPECT_EQ(c.completed_at, FabricParams{}.wqe_process_ns + FaultInjector::kDropDetectNs);
   EXPECT_EQ(qp->outstanding(), 0u);  // The slot is returned.
 }
 
@@ -263,13 +263,13 @@ TEST(FabricFaults, NackSurfacesFasterThanDropDetection) {
   Completion c;
   ASSERT_EQ(qp->cq()->Poll(1, &c), 1u);
   EXPECT_EQ(c.status, CompletionStatus::kRnrNak);
-  EXPECT_LT(c.completed_at, o.drop_detect_ns);
+  EXPECT_LT(c.completed_at, FaultInjector::kDropDetectNs);
   EXPECT_EQ(qp->outstanding(), 0u);
 }
 
 TEST(FabricFaults, DroppedBatchOpsAllFlushDetectTimeoutAfterTheSharedWireEntry) {
   // A doorbell batch shares one WQE-engine pass, so all its ops enter the
-  // wire together and every drop flushes at wire entry + drop_detect_ns.
+  // wire together and every drop flushes at wire entry + kDropDetectNs.
   Engine e;
   const FabricParams p;
   RdmaFabric fabric(&e, p);
@@ -286,7 +286,7 @@ TEST(FabricFaults, DroppedBatchOpsAllFlushDetectTimeoutAfterTheSharedWireEntry) 
   for (uint64_t i = 0; i < 3; ++i) {
     EXPECT_EQ(out[i].wr_id, i + 1);
     EXPECT_EQ(out[i].status, CompletionStatus::kRetryExceeded);
-    EXPECT_EQ(out[i].completed_at, p.wqe_process_ns + o.drop_detect_ns);
+    EXPECT_EQ(out[i].completed_at, p.wqe_process_ns + FaultInjector::kDropDetectNs);
   }
   EXPECT_EQ(inj.injected_drops(), 3u);
   EXPECT_EQ(qp->outstanding(), 0u);
@@ -294,7 +294,7 @@ TEST(FabricFaults, DroppedBatchOpsAllFlushDetectTimeoutAfterTheSharedWireEntry) 
 
 TEST(FabricFaults, NackedBatchOpsSurfaceOneRttAfterEachHeaderSerializes) {
   // After the shared engine pass, op k's request header is the (k+1)-th to
-  // serialize on c2m; its NAK surfaces nack_rtt_ns later.
+  // serialize on c2m; its NAK surfaces kNackRttNs later.
   Engine e;
   const FabricParams p;
   RdmaFabric fabric(&e, p);
@@ -308,11 +308,11 @@ TEST(FabricFaults, NackedBatchOpsSurfaceOneRttAfterEachHeaderSerializes) {
   e.Run();
   std::vector<Completion> out(3);
   ASSERT_EQ(qp->cq()->Poll(3, out.begin()), 3u);
-  const SimDuration hdr_ns = FabricParams::SerializationNs(p.header_bytes, p.link_gbps);
+  const SimDuration hdr_ns = FabricParams::SerializationNs(kHeaderBytes, p.link_gbps);
   for (uint64_t i = 0; i < 3; ++i) {
     EXPECT_EQ(out[i].wr_id, i + 1);
     EXPECT_EQ(out[i].status, CompletionStatus::kRnrNak);
-    EXPECT_EQ(out[i].completed_at, p.wqe_process_ns + (i + 1) * hdr_ns + o.nack_rtt_ns);
+    EXPECT_EQ(out[i].completed_at, p.wqe_process_ns + (i + 1) * hdr_ns + FaultInjector::kNackRttNs);
   }
   EXPECT_EQ(qp->outstanding(), 0u);
 }

@@ -32,7 +32,7 @@ TEST(NodeHealth, EvidenceEscalatesToSuspectThenDead) {
   EXPECT_EQ(mon.suspect_events(), 1u);
 
   for (int i = 0; i < 5; ++i) {
-    mon.ReportError(0);  // 8.0 >= dead_threshold; no dwell when worsening.
+    mon.ReportError(0);  // 8.0 >= kDeadThreshold; no dwell when worsening.
   }
   EXPECT_EQ(mon.StateOf(0), NodeHealth::kDead);
   EXPECT_EQ(mon.dead_events(), 1u);
@@ -47,7 +47,7 @@ TEST(NodeHealth, NodeWithNoReplicaToFailOverToIsNeverSuspect) {
     mon.ReportError(0);
     mon.ReportCorruption(0);
   }
-  EXPECT_GT(mon.EvidenceScore(0, engine.now()), ReplicationConfig{}.dead_threshold);
+  EXPECT_GT(mon.EvidenceScore(0, engine.now()), NodeHealthMonitor::kDeadThreshold);
   EXPECT_EQ(mon.StateOf(0), NodeHealth::kHealthy);
   EXPECT_EQ(mon.suspect_events(), 0u);
   engine.Run();
@@ -166,13 +166,13 @@ TEST(NodeHealth, FlappingNodeBoundedByMinDwell) {
   ASSERT_GE(mon.suspect_events(), 3u);
   EXPECT_EQ(mon.dead_events(), 0u);  // Bursts of 4 never reach 8.0.
   // Every recovery served the full dwell: the node can not oscillate
-  // healthy<->suspect faster than min_dwell_ns.
+  // healthy<->suspect faster than kMinDwellNs.
   SimTime entered_suspect = 0;
   for (const Transition& tr : log) {
     if (tr.to == NodeHealth::kSuspect) {
       entered_suspect = tr.time;
     } else if (tr.to == NodeHealth::kHealthy) {
-      EXPECT_GE(tr.time - entered_suspect, cfg.min_dwell_ns);
+      EXPECT_GE(tr.time - entered_suspect, NodeHealthMonitor::kMinDwellNs);
     }
   }
 }

@@ -19,10 +19,11 @@ TEST(SystemConfig, AdiosPresetMatchesPaper) {
   EXPECT_FALSE(c.sched.preemption);
   EXPECT_EQ(c.reclaim.wakeup_delay_ns, 0u);
   EXPECT_EQ(c.num_workers, 8u);                        // Paper setup (§5).
-  EXPECT_EQ(c.sched.ctx_switch_cycles, 40u);           // Table 1.
+  EXPECT_EQ(kCtxSwitchCycles, 40u);                    // Table 1.
+  EXPECT_EQ(CostsOf(c.sched.fault_policy).yield_bookkeeping_cycles, 50u);  // Fig. 8.
   EXPECT_DOUBLE_EQ(c.local_memory_ratio, 0.2);         // 20% of working set.
   EXPECT_DOUBLE_EQ(c.reclaim_low_watermark, 0.15);     // §3.3 threshold.
-  EXPECT_EQ(c.clock.mhz(), 2000u);                     // Xeon Gold 6330.
+  EXPECT_EQ(kCpuClock.mhz(), 2000u);                   // Xeon Gold 6330.
 }
 
 TEST(SystemConfig, DiLosPresetIsBusyWaitingRunToCompletion) {
@@ -31,7 +32,7 @@ TEST(SystemConfig, DiLosPresetIsBusyWaitingRunToCompletion) {
   EXPECT_EQ(c.sched.dispatch_policy, DispatchPolicy::kRoundRobin);
   EXPECT_FALSE(c.sched.polling_delegation);
   EXPECT_FALSE(c.sched.preemption);
-  EXPECT_EQ(c.sched.yield_bookkeeping_cycles, 0u);  // No yield path.
+  EXPECT_EQ(CostsOf(c.sched.fault_policy).yield_bookkeeping_cycles, 0u);  // No yield path.
 }
 
 TEST(SystemConfig, DiLosPPresetAddsFiveMicrosecondPreemption) {
@@ -44,9 +45,34 @@ TEST(SystemConfig, DiLosPPresetAddsFiveMicrosecondPreemption) {
 TEST(SystemConfig, HermitPresetPaysKernelCosts) {
   const SystemConfig c = SystemConfig::Hermit();
   EXPECT_EQ(c.sched.fault_policy, FaultPolicy::kKernelBusyWait);
-  EXPECT_GT(c.sched.kernel_fault_extra_cycles, 0u);
-  EXPECT_GT(c.sched.kernel_request_extra_cycles, 0u);
-  EXPECT_GT(c.sched.kernel_jitter_prob, 0.0);
+  const PolicyCosts& k = CostsOf(c.sched.fault_policy);
+  EXPECT_GT(k.kernel_fault_extra_cycles, 0u);
+  EXPECT_GT(k.kernel_request_extra_cycles, 0u);
+  EXPECT_GT(k.kernel_jitter_prob, 0.0);
+  EXPECT_EQ(k.yield_bookkeeping_cycles, 0u);  // Busy-waits: no yield path.
+}
+
+TEST(SystemConfig, InfiniswapPresetPaysKernelSwitchesAndWakeups) {
+  const SystemConfig c = SystemConfig::Infiniswap();
+  EXPECT_EQ(c.sched.fault_policy, FaultPolicy::kKernelYield);
+  const PolicyCosts& k = CostsOf(c.sched.fault_policy);
+  EXPECT_GT(k.kernel_fault_extra_cycles, 0u);
+  EXPECT_GT(k.kernel_request_extra_cycles, 0u);
+  EXPECT_GT(k.kernel_jitter_prob, 0.0);
+  EXPECT_EQ(k.kernel_ctx_switch_cycles, 8000u);  // ~4 us thread switch [40].
+  EXPECT_GT(k.kernel_sched_delay_ns, 0u);
+  EXPECT_EQ(k.yield_bookkeeping_cycles, 0u);  // The kernel scheduler's, not Adios'.
+}
+
+TEST(PolicyCosts, OnlyKernelPoliciesPayKernelCosts) {
+  for (const FaultPolicy p : {FaultPolicy::kYield, FaultPolicy::kBusyWait}) {
+    const PolicyCosts& k = CostsOf(p);
+    EXPECT_EQ(k.kernel_fault_extra_cycles, 0u);
+    EXPECT_EQ(k.kernel_request_extra_cycles, 0u);
+    EXPECT_EQ(k.kernel_jitter_prob, 0.0);  // No jitter draw: the RNG stream is untouched.
+    EXPECT_EQ(k.kernel_ctx_switch_cycles, 0u);
+    EXPECT_EQ(k.kernel_sched_delay_ns, 0u);
+  }
 }
 
 TEST(SystemConfig, DefaultPoolUsesUniversalStackBuffers) {
@@ -69,6 +95,12 @@ TEST(SystemConfigValidate, EachRuleReportsItself) {
     void (*spoil)(SystemConfig&);
   };
   const Case cases[] = {
+      {"num_workers >= 1", [](SystemConfig& c) { c.num_workers = 0; }},
+      {"reclaim_low_watermark >= 0", [](SystemConfig& c) { c.reclaim_low_watermark = -0.1; }},
+      {"reclaim_high_watermark >= reclaim_low_watermark",
+       [](SystemConfig& c) { c.reclaim_high_watermark = 0.1; }},
+      {"fabric.link_classes <= kNumTrafficClasses",
+       [](SystemConfig& c) { c.fabric.link_classes = kNumTrafficClasses + 1; }},
       {"replication.num_nodes >= 1", [](SystemConfig& c) { c.replication.num_nodes = 0; }},
       {"replication.replicas >= 1", [](SystemConfig& c) { c.replication.replicas = 0; }},
       {"replication.replicas <= replication.num_nodes",
@@ -85,6 +117,34 @@ TEST(SystemConfigValidate, EachRuleReportsItself) {
        [](SystemConfig& c) {
          c.fault.blackout_duration_ns = 1000;
          c.fault.blackout_node = 1;
+       }},
+      {"ctrl.admit_rate_rps > 0",
+       [](SystemConfig& c) { c.ctrl.admission_enabled = true; }},
+      {"ctrl.admit_burst >= 1",
+       [](SystemConfig& c) {
+         c.ctrl.admission_enabled = true;
+         c.ctrl.admit_rate_rps = 1e6;
+         c.ctrl.admit_burst = 0.5;
+       }},
+      {"ctrl.shed_pf_knee > 0",
+       [](SystemConfig& c) {
+         c.ctrl.shed_enabled = true;
+         c.ctrl.shed_pf_knee = 0.0;
+       }},
+      {"ctrl.min_workers >= 1",
+       [](SystemConfig& c) {
+         c.ctrl.scale_enabled = true;
+         c.ctrl.min_workers = 0;
+       }},
+      {"ctrl.min_workers <= num_workers",
+       [](SystemConfig& c) {
+         c.ctrl.scale_enabled = true;
+         c.ctrl.min_workers = c.num_workers + 1;
+       }},
+      {"ctrl.scale_down_queue < ctrl.scale_up_queue",
+       [](SystemConfig& c) {
+         c.ctrl.scale_enabled = true;
+         c.ctrl.scale_down_queue = c.ctrl.scale_up_queue;
        }},
   };
   for (const Case& k : cases) {
@@ -146,10 +206,10 @@ TEST(FabricDefaults, UnloadedFetchWithinPaperRange) {
   const FabricParams p;
   // Sum the unloaded pipeline for a 4 KB READ; must land in 2-3 us (§3).
   const SimDuration fetch = p.wqe_process_ns +
-                            FabricParams::SerializationNs(p.header_bytes, p.link_gbps) +
-                            p.wire_latency_ns + p.remote_dma_ns +
-                            FabricParams::SerializationNs(4096 + p.header_bytes, p.link_gbps) +
-                            p.wire_latency_ns + p.cqe_deliver_ns;
+                            FabricParams::SerializationNs(kHeaderBytes, p.link_gbps) +
+                            kWireLatencyNs + kRemoteDmaNs +
+                            FabricParams::SerializationNs(4096 + kHeaderBytes, p.link_gbps) +
+                            kWireLatencyNs + kCqeDeliverNs;
   EXPECT_GE(fetch, 2000u);
   EXPECT_LE(fetch, 3000u);
 }

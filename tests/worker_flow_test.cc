@@ -103,7 +103,7 @@ TEST(WorkerFlow, YieldCountTracksFaultCount) {
   EXPECT_LE(r.worker_yields, r.mem.faults + r.mem.shared_faults + 16);
 }
 
-TEST(WorkerFlow, DispatcherQueueBoundedByConfig) {
+TEST(WorkerFlow, DispatcherQueueBoundedByCentralQueueLimit) {
   SystemConfig cfg = SystemConfig::DiLOS();
   ArrayApp::Options ao;
   ao.entries = 1 << 17;
@@ -112,7 +112,7 @@ TEST(WorkerFlow, DispatcherQueueBoundedByConfig) {
   RunResult r = sys.Run(3.5e6, Milliseconds(5), Milliseconds(12));  // Overload.
   EXPECT_GT(r.dropped, 0u);
   EXPECT_LE(sys.dispatcher().stats().max_queue_depth,
-            static_cast<uint64_t>(cfg.sched.central_queue_limit) + 2 * cfg.sched.cq_poll_batch);
+            static_cast<uint64_t>(kCentralQueueLimit) + 2 * kCqPollBatch);
 }
 
 TEST(WorkerFlow, FrameWakeupPassesOnWhenTheWokenHandlerFindsItsPageFetched) {

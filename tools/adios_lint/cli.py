@@ -13,8 +13,6 @@ import sys
 
 from . import callgraph, cpp_index, lexer, rules
 
-_EXTS = (".h", ".hpp", ".cc", ".cpp")
-
 # The docs corpus the default-off-knob rule searches for backticked knob
 # names, relative to --root.
 _DOC_SOURCES = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -29,7 +27,7 @@ def _collect_files(paths):
         for dirpath, dirnames, filenames in os.walk(p):
             dirnames.sort()
             for fname in sorted(filenames):
-                if fname.endswith(_EXTS):
+                if fname.endswith(rules.CPP_EXTS):
                     out.append(os.path.join(dirpath, fname))
     return out
 
@@ -109,7 +107,10 @@ def main(argv):
         n_fns = sum(len(idx.functions) for idx in indexes)
         n_susp = sum(1 for idx in indexes for fn in idx.functions
                      if fn.may_suspend)
+        n_knobs = sum(len(sd.fields) for idx in indexes for sd in idx.structs
+                      if rules.is_config_struct(sd))
         print(f"-- {len(files)} files, {n_fns} functions indexed, "
-              f"{n_susp} may-suspend, {len(findings)} finding(s)",
+              f"{n_susp} may-suspend, {n_knobs} config fields, "
+              f"{len(findings)} finding(s)",
               file=sys.stderr)
     return 1 if findings else 0

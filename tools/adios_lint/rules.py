@@ -10,9 +10,12 @@ Each rule is a static complement to one of the runtime invariant checks:
   sim-time-hygiene  <- the SimTime discipline: wall-clock sources live only
                        in src/base/; SimTime arithmetic never mixes them in.
   default-off-knob  <- SystemConfig presets: every config knob carries an
-                       explicit default initializer and appears in a docs
-                       knob table, and every row of a docs/KNOBS.md table
-                       headed by a config struct names a field of it.
+                       explicit default initializer, appears in a docs
+                       knob table, and is assigned somewhere (a preset,
+                       src/, bench/, examples/, perfbench/ or tests/; a
+                       value nothing sets is a constant, not a knob), and
+                       every row of a docs/KNOBS.md table headed by a
+                       config struct names a field of it.
 
 Suppression: `// adios-lint: ignore(rule[,rule]) -- reason` on the finding
 line or the line above; `ignore(all)` silences every rule for that line.
@@ -21,7 +24,7 @@ line or the line above; `ignore(all)` silences every rule for that line.
 import os
 import re
 
-from . import cpp_index
+from . import cpp_index, lexer
 
 RULE_SUSPEND = "suspend-safety"
 RULE_TRACE = "trace-pairing"
@@ -409,7 +412,35 @@ def _is_scalar_field(field, enum_names):
     return any(x in _SCALAR_TYPES or x in enum_names for x in tt)
 
 
-def _check_knobs(indexes, docs_text, findings):
+# Where a knob may be set: a field that no file under these directories
+# assigns is a calibration constant wearing a config field's clothes.
+_ASSIGN_DIRS = ("src", "bench", "examples", "perfbench", "tests")
+CPP_EXTS = (".h", ".hpp", ".cc", ".cpp")
+_ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "++", "--"}
+
+
+def _assigned_member_names(root):
+    """Names written through a member access (`x.name = ...`, `p->name += ...`,
+    `{.name = ...}`) anywhere under the root's code directories. A field's
+    own default initializer (`T name = v;` in its struct) has no `.`/`->`
+    before it, so it never counts. Names, not qualified fields: two structs
+    sharing a field name share its assignments."""
+    names = set()
+    for sub in _ASSIGN_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, sub)):
+            for fname in filenames:
+                if not fname.endswith(CPP_EXTS):
+                    continue
+                toks = lexer.lex(os.path.join(dirpath, fname)).tokens
+                for k in range(1, len(toks) - 1):
+                    if (toks[k].kind == lexer.KIND_ID and
+                            toks[k - 1].text in (".", "->") and
+                            toks[k + 1].text in _ASSIGN_OPS):
+                        names.add(toks[k].text)
+    return names
+
+
+def _check_knobs(indexes, docs_text, assigned, findings):
     enum_names = set()
     for idx in indexes:
         enum_names.update(idx.enums.keys())
@@ -430,6 +461,14 @@ def _check_knobs(indexes, docs_text, findings):
                             f"config knob '{sd.qualname}::{f.name}' has no "
                             f"default initializer: every knob must be "
                             f"default-off / explicitly defaulted"))
+                if scalar and f.name not in assigned:
+                    if not is_suppressed(idx.lexed, f.line, RULE_KNOB):
+                        findings.append(Finding(
+                            idx.lexed.path, f.line, RULE_KNOB,
+                            f"config knob '{sd.qualname}::{f.name}' is never "
+                            f"assigned (no preset, src/, bench/, examples/, "
+                            f"perfbench/ or tests/ sets it): make it a "
+                            f"sourced constant beside the code that uses it"))
                 if docs_text is not None and f"`{f.name}`" not in docs_text:
                     if not is_suppressed(idx.lexed, f.line, RULE_KNOB):
                         findings.append(Finding(
@@ -496,7 +535,7 @@ def run_rules(indexes, graph, root, docs_text, enabled=None):
     if RULE_SUSPEND in enabled:
         _check_no_suspend_annotations(graph, findings)
     if RULE_KNOB in enabled:
-        _check_knobs(indexes, docs_text, findings)
+        _check_knobs(indexes, docs_text, _assigned_member_names(root), findings)
         _check_knob_rows(indexes, root, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
