@@ -25,7 +25,7 @@ struct CheckOptions {
   bool poison_evicted_pages = false;
 
   // Abort on any context switch that touches an engine-tracked context
-  // without going through Engine::RawSwitch / SwitchToMain.
+  // without going through Engine::RawSwitch.
   bool check_switch_discipline = true;
 
   // Simulated nanoseconds between periodic audits; 0 = only the final audit.

@@ -30,7 +30,7 @@ void SwitchDisciplineChecker::Observe(void* user, UnithreadContext* from, Unithr
     std::ostringstream os;
     os << "from = " << static_cast<const void*>(from) << " (id " << from->id
        << "), to = " << static_cast<const void*>(to) << " (id " << to->id
-       << "); engine-tracked contexts must switch via Engine::RawSwitch/SwitchToMain";
+       << "); engine-tracked contexts must switch via Engine::RawSwitch";
     CheckFailed("context switch bypassed the engine's tracked path", __FILE__, __LINE__,
                 os.str().c_str());
   }

@@ -3,11 +3,11 @@
 // The engine keeps a current-context pointer that every scheduling decision
 // reads (Engine::current_context, on_main). The pointer stays correct only
 // if every switch involving an engine-tracked context (the main context or
-// any fiber context) goes through the tracked path: Engine::RawSwitch,
-// Engine::SwitchToMain, or the unithread finish trampoline. A direct
-// AdiosContextSwitch call on a tracked context desynchronizes the engine —
-// a bug class that otherwise surfaces as impossible scheduling states far
-// from the offending call.
+// any fiber context) goes through the tracked path: Engine::RawSwitch (the
+// engine's own hand-offs and returns to main included) or the unithread
+// finish trampoline. A direct AdiosContextSwitch call on a tracked context
+// desynchronizes the engine — a bug class that otherwise surfaces as
+// impossible scheduling states far from the offending call.
 //
 // This checker installs the thread's context-switch observer
 // (SetContextSwitchObserver) and flags any untracked switch that touches a

@@ -166,11 +166,10 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
     CompletionQueue* client_cq =
         config_.sched.polling_delegation ? dispatcher_cq : fabric_->CreateCq();
     QueuePair* client_qp = fabric_->CreateQp(client_cq);
-    SchedConfig wcfg = config_.sched;
-    wcfg.seed = config_.seed;
     auto worker = std::make_unique<Worker>(i, &engine_, worker_cores_[i].get(), mm_.get(),
                                            pool_.get(), mem_qp, client_qp, placement_.get(),
-                                           health_.get(), wcfg, handler, on_reply);
+                                           health_.get(), config_.sched, config_.seed, handler,
+                                           on_reply);
     worker->set_region(region_.get());
     worker->set_retry(config_.retry);
     worker_ptrs.push_back(worker.get());

@@ -52,8 +52,6 @@ struct SchedConfig {
   // the fault history and adapts depth to prefetch-cache hit/waste feedback.
   uint32_t prefetch_window = 0;
   PrefetchPolicy prefetch_policy = PrefetchPolicy::kAdaptive;
-
-  uint64_t seed = 42;
 };
 
 // --- Queue sizing (constants, not knobs) ---

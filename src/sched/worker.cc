@@ -9,7 +9,7 @@ namespace adios {
 Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
                UnithreadPool* pool, QueuePair* mem_qp, QueuePair* client_qp,
                PlacementMap* placement, NodeHealthMonitor* health, const SchedConfig& config,
-               HandlerFn handler, ReplyFn on_reply)
+               uint64_t seed, HandlerFn handler, ReplyFn on_reply)
     : index_(index),
       engine_(engine),
       core_(core),
@@ -27,7 +27,7 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
       prefetcher_(MakePrefetcher(config.prefetch_policy, config.prefetch_window,
                                  static_cast<uint16_t>(index))),
       cq_batch_(kCqPollBatch),
-      rng_(config.seed * 7919 + index),
+      rng_(seed * 7919 + index),
       tracker_(engine, placement, health) {
   mem_qp_->cq()->set_on_push([this] {
     mem_cq_wait_.NotifyAll();

@@ -63,11 +63,12 @@ class Worker final : public WorkerApi {
   using HandlerFn = std::function<void(Request*, WorkerApi&)>;
 
   // Fetches read from `placement`'s replicas and fail over between them as
-  // `health` allows; a single node is their one-replica case.
+  // `health` allows; a single node is their one-replica case. `seed` (the
+  // system's) seeds the worker's kernel-jitter draws.
   Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm, UnithreadPool* pool,
          QueuePair* mem_qp, QueuePair* client_qp, PlacementMap* placement,
-         NodeHealthMonitor* health, const SchedConfig& config, HandlerFn handler,
-         ReplyFn on_reply);
+         NodeHealthMonitor* health, const SchedConfig& config, uint64_t seed,
+         HandlerFn handler, ReplyFn on_reply);
 
   void set_dispatcher(Dispatcher* d) { dispatcher_ = d; }
 

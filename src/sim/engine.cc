@@ -53,6 +53,22 @@ void Engine::RunUntil(SimTime until) {
   running_ = true;
   stopped_ = false;
   until_ = until;
+  while (UnithreadContext* ctx = RunToNextResume()) {
+    RawSwitch(&main_ctx_, ctx);
+  }
+  // A bounded run ends with the clock at the horizon, but never past a
+  // queued event (a Stop() can leave some before the horizon).
+  if (until != ~0ull) {
+    const SimTime next = NextWhen();
+    const SimTime end = next < until ? next : until;
+    if (end > now_) {
+      AdvanceTo(end);
+    }
+  }
+  running_ = false;
+}
+
+UnithreadContext* Engine::RunToNextResume() {
   while (!stopped_) {
     SimTime when = 0;
     if (summary_ != 0) {
@@ -60,10 +76,10 @@ void Engine::RunUntil(SimTime until) {
     } else if (!far_.empty()) {
       when = far_.front().when;  // AdvanceTo below moves it into its bucket.
     } else {
-      break;
+      return nullptr;
     }
-    if (when > until) {
-      break;
+    if (when > until_) {
+      return nullptr;
     }
     AdvanceTo(when);
     const uint32_t slot = WheelPop(static_cast<uint32_t>(when) & kWheelMask);
@@ -80,24 +96,28 @@ void Engine::RunUntil(SimTime until) {
     if (UnithreadContext* ctx = s.resume) {
       ReleaseSlot(slot);
       ctx->state = ContextState::kRunning;
-      RawSwitch(current_, ctx);
-    } else {
-      // The slot stays taken while the callable runs in place; it may
-      // schedule more events, which only ever take other slots.
-      s.call(s);
-      ReleaseSlot(slot);
+      return ctx;
     }
+    // The slot stays taken while the callable runs in place; it may
+    // schedule more events, which only ever take other slots.
+    in_callback_ = true;
+    s.call(s);
+    in_callback_ = false;
+    ReleaseSlot(slot);
   }
-  // A bounded run ends with the clock at the horizon, but never past a
-  // queued event (a Stop() can leave some before the horizon).
-  if (until != ~0ull) {
-    const SimTime next = NextWhen();
-    const SimTime end = next < until ? next : until;
-    if (end > now_) {
-      AdvanceTo(end);
-    }
+  return nullptr;
+}
+
+void Engine::HandOff(UnithreadContext* self) {
+  UnithreadContext* next = running_ ? RunToNextResume() : nullptr;
+  if (next == self) {
+    return;  // Our own resume came first: nothing to switch to.
   }
-  running_ = false;
+  if (next != nullptr) {
+    RawSwitch(self, next);
+  } else {
+    SwitchToMain();
+  }
 }
 
 Fiber* Engine::SpawnFiber(std::string name, std::function<void()> fn, size_t stack_bytes) {
@@ -108,6 +128,7 @@ Fiber* Engine::SpawnFiber(std::string name, std::function<void()> fn, size_t sta
 }
 
 void Engine::Wait(SimDuration d) {
+  ADIOS_CHECK(!in_callback_);
   ADIOS_CHECK(!on_main());
   const SimTime when = now_ + d;
   if (running_ && !stopped_ && when <= until_ && when < NextWhen()) {
@@ -121,14 +142,15 @@ void Engine::Wait(SimDuration d) {
   UnithreadContext* self = current_;
   self->state = ContextState::kBlocked;
   PushResume(when, self);
-  SwitchToMain();
+  HandOff(self);
 }
 
 void Engine::SuspendCurrent() {
+  ADIOS_CHECK(!in_callback_);
   ADIOS_CHECK(!on_main());
   UnithreadContext* self = current_;
   self->state = ContextState::kBlocked;
-  SwitchToMain();
+  HandOff(self);
 }
 
 bool Engine::IsTrackedContext(const UnithreadContext* ctx) const {

@@ -35,8 +35,9 @@
 // the queued ones.
 //
 // Typed resumes: Wait(), ResumeLater() and a fiber's first run push a resume
-// event, dispatched as `state = kRunning; RawSwitch(current, ctx)` with no
-// callable at all.
+// event that holds only the UnithreadContext to run, no callable. Popping it
+// sets the context running and ends the loop's turn: the context that ran
+// the loop switches to it (see Hand-off).
 //
 // Next-in-line fast path: a Wait(d) whose wake-up time is strictly earlier
 // than every queued event, with no Stop() pending and inside the running
@@ -45,13 +46,24 @@
 // a sequence number and counts in events_processed(), so event order and
 // counts are exactly those of the suspended path.
 //
+// Hand-off: the event loop runs on whichever context yields. A Wait() or
+// SuspendCurrent() that must block runs the loop itself, on its own stack:
+// callbacks run in place until a resume event pops, and the yielding
+// context switches straight to that resume's context, or just returns when
+// the resume is its own, so each simulated wake-up costs one host switch.
+// Main, where RunUntil() loops, is entered only when the loop ends (at the
+// horizon, after Stop(), or on an empty queue) or when a fiber finishes.
+// Because callbacks run on fiber and unithread stacks as well as main's,
+// they must never suspend: Wait(), SuspendCurrent() and the switch to main
+// abort inside one.
+//
 // Context discipline: the engine tracks the currently executing context.
-// Every switch site must go through RawSwitch()/SwitchToMain() so the
-// tracking stays correct; after any AdiosContextSwitch(from, to) returns,
-// the code is executing as `from` again and current is restored to it.
-// Application unithreads managed by the MD scheduler are entered from worker
-// fibers with RawSwitch, so a fault handler deep inside application code can
-// still Wait() on the engine and be resumed later.
+// Every switch site must go through RawSwitch() so the tracking stays
+// correct; after any AdiosContextSwitch(from, to) returns, the code is
+// executing as `from` again and current is restored to it. Application
+// unithreads managed by the MD scheduler are entered from worker fibers with
+// RawSwitch, so a fault handler deep inside application code can still
+// Wait() on the engine and be resumed later.
 
 #ifndef ADIOS_SRC_SIM_ENGINE_H_
 #define ADIOS_SRC_SIM_ENGINE_H_
@@ -210,8 +222,8 @@ class Engine {
   ADIOS_MAY_SUSPEND void SuspendCurrent();
 
   // Schedules `ctx` to resume after `delay`. Must not double-resume. Never
-  // suspends the *caller*: the switch happens inside the resume event, on
-  // the main context.
+  // suspends the *caller*: the switch happens when the resume event pops, on
+  // whichever context is running the loop.
   ADIOS_NO_SUSPEND void ResumeLater(UnithreadContext* ctx, SimDuration delay = 0) {
     ADIOS_DCHECK(ctx != nullptr);
     PushResume(now_ + delay, ctx);
@@ -221,16 +233,10 @@ class Engine {
   // must be the currently executing context.
   ADIOS_MAY_SUSPEND void RawSwitch(UnithreadContext* from, UnithreadContext* to) {
     ADIOS_DCHECK(from == current_);
+    ++context_switches_;
     current_ = to;
     AdiosTrackedContextSwitch(from, to);
     current_ = from;
-  }
-
-  // From inside any engine-managed context: tracked switch back to the
-  // engine's main (event-loop) context without changing blocked state.
-  ADIOS_MAY_SUSPEND void SwitchToMain() {
-    ADIOS_CHECK(!on_main());
-    RawSwitch(current_, &main_ctx_);
   }
 
   UnithreadContext* current_context() { return current_; }
@@ -252,6 +258,9 @@ class Engine {
   StackAuditResult AuditStacks() const;
 
   uint64_t events_processed() const { return events_processed_; }
+  // Host context switches made through RawSwitch(), the engine's own
+  // included; a fiber's finish returns to main outside this count.
+  uint64_t context_switches() const { return context_switches_; }
   // Slots the event slab has ever allocated: a bound on the queue's
   // high-water depth, cancelled-but-unpopped events included.
   size_t slab_slots() const { return chunks_.size() << kChunkShift; }
@@ -259,6 +268,22 @@ class Engine {
   static constexpr size_t kDefaultFiberStack = 256 * 1024;
 
  private:
+  // The loop body: pops events in order, running callbacks and dropping
+  // cancelled slots in place, up to the first resume event, whose context
+  // it returns set running. Null at the horizon, after Stop(), or on an
+  // empty queue.
+  UnithreadContext* RunToNextResume();
+  // Gives up the CPU from `self`, already blocked: runs the loop on this
+  // stack and switches to the next resume's context, to main when the loop
+  // ends, or nowhere when the next resume is `self`'s own.
+  ADIOS_MAY_SUSPEND void HandOff(UnithreadContext* self);
+  // Tracked switch back to main (the RunUntil caller's context).
+  ADIOS_MAY_SUSPEND void SwitchToMain() {
+    ADIOS_CHECK(!in_callback_);
+    ADIOS_CHECK(!on_main());
+    RawSwitch(current_, &main_ctx_);
+  }
+
   static constexpr uint32_t kNoSlot = ~0u;
   static constexpr uint32_t kChunkShift = 8;  // 256 slots per slab chunk.
   static constexpr uint32_t kChunkMask = (1u << kChunkShift) - 1;
@@ -461,8 +486,10 @@ class Engine {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
+  uint64_t context_switches_ = 0;
   bool stopped_ = false;
   bool running_ = false;
+  bool in_callback_ = false;  // A queued callback is running.
   SimTime until_ = 0;  // Horizon of the running RunUntil.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   uint64_t summary_ = 0;                          // Bit w: occupied_[w] != 0.

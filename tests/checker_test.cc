@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/array_app.h"
+#include "src/apps/memcached_app.h"
+#include "src/apps/pattern_app.h"
 #include "src/base/time.h"
 #include "src/core/md_system.h"
 #include "src/mem/memory_manager.h"
@@ -330,7 +332,7 @@ TEST(InvariantCheckerDeathTest, UntrackedSwitchOnEngineContextAborts) {
         InvariantChecker checker(opts, deps);
         checker.Install();
         engine.SpawnFiber("rogue", [&engine] {
-          // Bypasses RawSwitch/SwitchToMain: the engine's current-context
+          // Bypasses RawSwitch: the engine's current-context
           // tracking would desynchronize here.
           AdiosContextSwitch(engine.current_context(), engine.main_context());
         });
@@ -425,6 +427,62 @@ TEST(InvariantChecker, CleanAdiosRunHasNoViolations) {
   ASSERT_NE(checker->switch_checker(), nullptr);
   EXPECT_GT(checker->switch_checker()->tracked_switches(), 1000u);
   EXPECT_EQ(checker->switch_checker()->violations(), 0u);
+}
+
+// --- Stack headroom ---
+
+// Event callbacks run on whichever context yields to the engine, so the
+// periodic audits, fabric completions and tracer records all land on the
+// 31 KiB universal stacks as well as the fiber stacks. Painted stacks and
+// frequent audits measure the deepest use of both on a write-heavy
+// key-value run and on the replicated, lossy, verified, scrubbed stride run.
+void ExpectStackHeadroom(SystemConfig cfg, Application* app, double rate) {
+  cfg.seed = 7;
+  cfg.check.enabled = true;
+  cfg.check.audit_interval_ns = 20'000;
+  cfg.pool.paint_stacks = true;
+  MdSystem sys(cfg, app);
+  sys.tracer().Enable(1 << 20);
+  const RunResult r = sys.Run(rate, Milliseconds(1), Milliseconds(3));
+  EXPECT_GT(r.measured, 500u);
+
+  const InvariantChecker* checker = sys.invariant_checker();
+  ASSERT_NE(checker, nullptr);
+  EXPECT_GT(checker->report().audits, 100u);
+  EXPECT_EQ(checker->report().violations, 0u);
+  const size_t universal_stack = cfg.pool.buffer_size - cfg.pool.mtu;
+  EXPECT_GT(checker->report().pool_stack_high_water, 0u);
+  EXPECT_LT(checker->report().pool_stack_high_water, universal_stack / 4);
+  EXPECT_GT(checker->report().fiber_stack_high_water, 0u);
+  EXPECT_LT(checker->report().fiber_stack_high_water, Engine::kDefaultFiberStack / 4);
+}
+
+TEST(InvariantChecker, KvWritesLeaveStackHeadroom) {
+  MemcachedApp::Options o;
+  o.num_keys = 1 << 14;
+  o.key_skew = 0.99;
+  o.set_fraction = 0.3;
+  MemcachedApp app(o);
+  ExpectStackHeadroom(SystemConfig::Adios(), &app, 1.0e6);
+}
+
+TEST(InvariantChecker, ReplicatedLossyStrideLeavesStackHeadroom) {
+  PatternApp::Options o;
+  o.pages = 1 << 12;
+  o.pages_per_op = 8;
+  o.stride = 4;
+  o.pattern = PatternApp::Pattern::kStride;
+  PatternApp app(o);
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.sched.prefetch_window = 8;
+  cfg.fabric.link_classes = kNumTrafficClasses;
+  cfg.fabric.chunk_bytes = 1024;
+  cfg.replication.num_nodes = 2;
+  cfg.replication.replicas = 2;
+  cfg.fault.read_loss_rate = 1e-3;
+  cfg.integrity.verify = true;
+  cfg.integrity.scrub = true;
+  ExpectStackHeadroom(cfg, &app, 0.35e6);
 }
 
 }  // namespace

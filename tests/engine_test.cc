@@ -359,6 +359,144 @@ TEST(Fiber, FastPathWaitCountsAsAnEvent) {
   EXPECT_EQ(e.events_processed(), 11u);  // First run + 10 Waits.
 }
 
+// --- Hand-off: a blocking Wait runs the event loop on its own stack and
+// switches straight to the next resume's context. ---
+
+// Two fibers whose Waits interleave: every wake-up is a popped resume, and
+// each costs exactly one switch (fiber to fiber), not a bounce through main.
+TEST(Fiber, PingPongCostsOneSwitchPerResume) {
+  constexpr int kRounds = 100;
+  Engine e;
+  std::vector<std::pair<char, SimTime>> trace;
+  e.SpawnFiber("a", [&] {
+    for (int i = 0; i < kRounds; ++i) {
+      e.Wait(10);
+      trace.push_back({'a', e.now()});
+    }
+  });
+  e.SpawnFiber("b", [&] {
+    e.Wait(5);  // Next in line (a's resume is at 10): no switch.
+    for (int i = 0; i < kRounds; ++i) {
+      e.Wait(10);
+      trace.push_back({'b', e.now()});
+    }
+  });
+  e.Run();
+  ASSERT_EQ(trace.size(), 2u * kRounds);
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_EQ(trace[2 * i], std::make_pair('a', SimTime(10 * (i + 1))));
+    EXPECT_EQ(trace[2 * i + 1], std::make_pair('b', SimTime(10 * (i + 1) + 5)));
+  }
+  // Two first runs, b's fast-path Wait, and 2 * kRounds blocking Waits.
+  EXPECT_EQ(e.events_processed(), 2u * kRounds + 3);
+  // One switch per popped resume; the finishes return to main uncounted.
+  EXPECT_EQ(e.context_switches(), 2u * kRounds + 2);
+}
+
+// A Wait that must block behind queued callbacks, but whose own wake-up is
+// the next resume, runs those callbacks on its stack and returns without
+// switching at all.
+TEST(Fiber, WaitBehindOnlyCallbacksDoesNotSwitch) {
+  Engine e;
+  std::vector<std::pair<char, SimTime>> trace;
+  uint64_t switches_across_wait = ~0ull;
+  e.SpawnFiber("f", [&] {
+    UnithreadContext* self = e.current_context();
+    for (SimDuration d : {2, 4, 6}) {
+      e.Schedule(d, [&, self] {
+        EXPECT_EQ(e.current_context(), self);  // Ran on the waiting fiber's stack.
+        trace.push_back({'c', e.now()});
+      });
+    }
+    const uint64_t before = e.context_switches();
+    e.Wait(10);
+    switches_across_wait = e.context_switches() - before;
+    trace.push_back({'f', e.now()});
+  });
+  e.Run();
+  EXPECT_EQ(switches_across_wait, 0u);
+  const std::vector<std::pair<char, SimTime>> expected = {
+      {'c', 2}, {'c', 4}, {'c', 6}, {'f', 10}};
+  EXPECT_EQ(trace, expected);
+  EXPECT_EQ(e.context_switches(), 1u);  // Main into the fiber's first run.
+}
+
+// Stop() from a callback that runs on a fiber's stack ends the loop: control
+// returns to RunUntil's caller, and later events stay queued for the next
+// run.
+TEST(Fiber, StopFromACallbackOnAFiberStackReturnsToTheCaller) {
+  Engine e;
+  std::vector<std::pair<char, SimTime>> trace;
+  bool stopped_on_fiber = false;
+  e.SpawnFiber("f", [&] {
+    e.Schedule(5, [&] {
+      stopped_on_fiber = e.current_context() != e.main_context();
+      trace.push_back({'s', e.now()});
+      e.Stop();
+    });
+    e.Schedule(7, [&] { trace.push_back({'c', e.now()}); });
+    e.Wait(10);
+    trace.push_back({'f', e.now()});
+  });
+  e.Run();
+  EXPECT_TRUE(stopped_on_fiber);
+  EXPECT_TRUE(e.on_main());
+  EXPECT_EQ(e.now(), 5u);
+  EXPECT_EQ(trace, (std::vector<std::pair<char, SimTime>>{{'s', 5}}));
+  e.Run();
+  const std::vector<std::pair<char, SimTime>> expected = {{'s', 5}, {'c', 7}, {'f', 10}};
+  EXPECT_EQ(trace, expected);
+}
+
+// A hand-off that reaches the RunUntil horizon switches to main and leaves
+// the fiber's resume queued, with the clock at the horizon.
+TEST(Fiber, HorizonReachedDuringAHandOffLeavesTheResumeQueued) {
+  Engine e;
+  std::vector<std::pair<char, SimTime>> trace;
+  e.SpawnFiber("f", [&] {
+    e.Schedule(5, [&] { trace.push_back({'c', e.now()}); });
+    e.Wait(60);  // Blocks behind the callback; its wake-up is past the horizon.
+    trace.push_back({'f', e.now()});
+  });
+  e.RunUntil(50);
+  EXPECT_TRUE(e.on_main());
+  EXPECT_EQ(e.now(), 50u);
+  EXPECT_EQ(trace, (std::vector<std::pair<char, SimTime>>{{'c', 5}}));
+  EXPECT_EQ(e.events_processed(), 2u);  // First run and the callback.
+  e.RunUntil(100);
+  const std::vector<std::pair<char, SimTime>> expected = {{'c', 5}, {'f', 60}};
+  EXPECT_EQ(trace, expected);
+  EXPECT_EQ(e.now(), 100u);
+}
+
+// Callbacks run on whichever context yields, fiber stacks included, so a
+// callback that suspends must abort even there (where on_main() is false).
+TEST(EngineDeathTest, CallbackThatWaitsAborts) {
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.SpawnFiber("f", [&] {
+          e.Schedule(5, [&] { e.Wait(1); });
+          e.Wait(10);
+        });
+        e.Run();
+      },
+      "in_callback_");
+}
+
+TEST(EngineDeathTest, CallbackThatSuspendsAborts) {
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.SpawnFiber("f", [&] {
+          e.Schedule(5, [&] { e.SuspendCurrent(); });
+          e.Wait(10);
+        });
+        e.Run();
+      },
+      "in_callback_");
+}
+
 TEST(WaitQueueTest, FifoWakeOrder) {
   Engine e;
   WaitQueue wq(&e);
