@@ -83,7 +83,7 @@ void PreemptIntervalAblation(const BenchTiming& timing) {
     RunResult r = sys.Run(450e3, timing.warmup, timing.measure);
     table.AddRow({StrFormat("%.0f", interval / 1000.0), Us(r.ops[0].e2e.P50()),
                   Us(r.ops[0].e2e.P999()), Us(r.ops[1].e2e.P999()),
-                  StrFormat("%llu", static_cast<unsigned long long>(r.requeues))});
+                  StrFormat("%llu", Count(r, "worker.preempt_fires"))});
   }
   table.Print();
   std::printf("(paper uses 5 us — the Shinjuku/Concord default; 1000 us ~= no preemption)\n");

@@ -134,9 +134,9 @@ void Run() {
                     StrFormat("%llu", static_cast<unsigned long long>(r.requests_failed)),
                     StrFormat("%llu", static_cast<unsigned long long>(r.failovers)),
                     StrFormat("%llu", static_cast<unsigned long long>(r.node_suspect_events)),
-                    StrFormat("%llu", static_cast<unsigned long long>(r.node_dead_events)),
-                    StrFormat("%llu", static_cast<unsigned long long>(r.pages_resilvered)),
-                    StrFormat("%llu", static_cast<unsigned long long>(r.divergence_events)),
+                    StrFormat("%llu", Count(r, "node.dead_events")),
+                    StrFormat("%llu", Count(r, "copier.pages_resilvered")),
+                    StrFormat("%llu", Count(r, "placement.divergence_events")),
                     Pct(r.busy_wait_fraction)});
   }
   std::printf("\n");

@@ -20,19 +20,6 @@ MemcachedApp::Options Workload(uint32_t value_bytes) {
   return o;
 }
 
-SystemConfig ConfigFor(const std::string& name) {
-  if (name == "Hermit") {
-    return SystemConfig::Hermit();
-  }
-  if (name == "DiLOS") {
-    return SystemConfig::DiLOS();
-  }
-  if (name == "DiLOS-P") {
-    return SystemConfig::DiLOSP();
-  }
-  return SystemConfig::Adios();
-}
-
 void SweepValueSize(uint32_t value_bytes, const BenchTiming& timing) {
   const std::vector<double> loads =
       MaybeThin({0.2e6, 0.5e6, 0.75e6, 1.0e6, 1.25e6, 1.5e6, 1.8e6, 2.1e6});
@@ -43,7 +30,7 @@ void SweepValueSize(uint32_t value_bytes, const BenchTiming& timing) {
   for (double load : loads) {
     for (const char* name : {"Hermit", "DiLOS", "DiLOS-P", "Adios"}) {
       MemcachedApp app(Workload(value_bytes));
-      MdSystem sys(ConfigFor(name), &app);
+      MdSystem sys(PresetByName(name), &app);
       RunResult r = sys.Run(load, timing.warmup, timing.measure);
       table.AddRow({Krps(load), name, Krps(r.throughput_rps), Us(r.e2e.P50()),
                     Us(r.e2e.P999()),

@@ -24,19 +24,6 @@ RocksDbApp::Options Workload() {
   return o;
 }
 
-SystemConfig ConfigFor(const std::string& name) {
-  if (name == "Hermit") {
-    return SystemConfig::Hermit();
-  }
-  if (name == "DiLOS") {
-    return SystemConfig::DiLOS();
-  }
-  if (name == "DiLOS-P") {
-    return SystemConfig::DiLOSP();
-  }
-  return SystemConfig::Adios();
-}
-
 void Run() {
   const BenchTiming timing = DefaultTiming();
   const std::vector<double> loads =
@@ -48,14 +35,14 @@ void Run() {
   for (double load : loads) {
     for (const char* name : {"Hermit", "DiLOS", "DiLOS-P", "Adios"}) {
       RocksDbApp app(Workload());
-      MdSystem sys(ConfigFor(name), &app);
+      MdSystem sys(PresetByName(name), &app);
       RunResult r = sys.Run(load, timing.warmup, timing.measure);
       const Histogram& get = r.ops[RocksDbApp::kOpGet].e2e;
       const Histogram& scan = r.ops[RocksDbApp::kOpScan].e2e;
       table.AddRow({Krps(load), name, Krps(r.throughput_rps), Us(get.P50()), Us(get.P999()),
                     Us(scan.P50()), Us(scan.P999()),
                     StrFormat("%llu", static_cast<unsigned long long>(r.dropped)),
-                    StrFormat("%llu", static_cast<unsigned long long>(r.requeues))});
+                    StrFormat("%llu", Count(r, "worker.preempt_fires"))});
     }
   }
   table.Print();

@@ -18,19 +18,6 @@ SiloApp::Options Workload() {
   return o;
 }
 
-SystemConfig ConfigFor(const std::string& name) {
-  if (name == "Hermit") {
-    return SystemConfig::Hermit();
-  }
-  if (name == "DiLOS") {
-    return SystemConfig::DiLOS();
-  }
-  if (name == "DiLOS-P") {
-    return SystemConfig::DiLOSP();
-  }
-  return SystemConfig::Adios();
-}
-
 void Run() {
   const BenchTiming timing = DefaultTiming();
   const std::vector<double> loads =
@@ -42,7 +29,7 @@ void Run() {
   for (double load : loads) {
     for (const char* name : {"Hermit", "DiLOS", "DiLOS-P", "Adios"}) {
       SiloApp app(Workload());
-      MdSystem sys(ConfigFor(name), &app);
+      MdSystem sys(PresetByName(name), &app);
       RunResult r = sys.Run(load, timing.warmup, timing.measure);
       table.AddRow({Krps(load), name, Krps(r.throughput_rps), Us(r.e2e.P50()),
                     Us(r.e2e.P999()),

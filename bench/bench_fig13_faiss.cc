@@ -21,19 +21,6 @@ FaissApp::Options Workload() {
   return o;
 }
 
-SystemConfig ConfigFor(const std::string& name) {
-  if (name == "Hermit") {
-    return SystemConfig::Hermit();
-  }
-  if (name == "DiLOS") {
-    return SystemConfig::DiLOS();
-  }
-  if (name == "DiLOS-P") {
-    return SystemConfig::DiLOSP();
-  }
-  return SystemConfig::Adios();
-}
-
 void Run() {
   BenchTiming timing = DefaultTiming();
   // Long requests need a longer window for stable tails.
@@ -46,7 +33,7 @@ void Run() {
   for (double load : loads) {
     for (const char* name : {"Hermit", "DiLOS", "DiLOS-P", "Adios"}) {
       FaissApp app(Workload());
-      MdSystem sys(ConfigFor(name), &app);
+      MdSystem sys(PresetByName(name), &app);
       RunResult r = sys.Run(load, timing.warmup, timing.measure);
       table.AddRow({Krps(load), name, Krps(r.throughput_rps), Us(r.e2e.P50()),
                     Us(r.e2e.P999()),

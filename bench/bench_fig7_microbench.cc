@@ -22,26 +22,13 @@ ArrayApp::Options Workload() {
   return o;
 }
 
-SystemConfig ConfigFor(const std::string& name) {
-  if (name == "Hermit") {
-    return SystemConfig::Hermit();
-  }
-  if (name == "DiLOS") {
-    return SystemConfig::DiLOS();
-  }
-  if (name == "DiLOS-P") {
-    return SystemConfig::DiLOSP();
-  }
-  return SystemConfig::Adios();
-}
-
 // One dedicated traced run at a mid-sweep Adios load point, exported as
 // Chrome trace-event JSON. Separate from the sweep so tracing capacity and
 // export cost never perturb the headline numbers.
 void TracedRun(const BenchTraceArgs& args) {
   const BenchTiming timing = DefaultTiming();
   ArrayApp app(Workload());
-  MdSystem sys(ConfigFor("Adios"), &app);
+  MdSystem sys(PresetByName("Adios"), &app);
   sys.tracer().Enable(1u << 20);
   RunResult r = sys.Run(1.3e6, timing.warmup, timing.measure);
   WarnTraceDrops(r);
@@ -66,7 +53,7 @@ void Run() {
   for (double load : loads) {
     for (size_t s = 0; s < systems.size(); ++s) {
       ArrayApp app(Workload());
-      MdSystem sys(ConfigFor(systems[s]), &app);
+      MdSystem sys(PresetByName(systems[s]), &app);
       RunResult r = sys.Run(load, timing.warmup, timing.measure);
       peak[s] = std::max(peak[s], r.throughput_rps);
       table.AddRow({Krps(load), systems[s], Krps(r.throughput_rps), Us(r.e2e.P50()),

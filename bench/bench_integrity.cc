@@ -72,17 +72,25 @@ RunResult RunPoint(double corrupt_rate, const PointConfig& pc, double load,
   return sys.Run(load, timing.warmup, timing.measure);
 }
 
+// An integrity counter by its registry name; 0 on a run without the layer.
+unsigned long long Integrity(const RunResult& r, const char* counter) {
+  if (r.metrics.Find("integrity.detected") == nullptr) {
+    return 0;
+  }
+  return Count(r, std::string("integrity.") + counter);
+}
+
 std::vector<BenchJsonRow> g_json;  // Mirrors every row into BENCH_integrity.json.
 
 void AddRow(TablePrinter& table, const std::string& axis, const std::string& system,
             const RunResult& r) {
   table.AddRow({axis, system, Krps(r.goodput_rps), Us(r.e2e.P999()),
-                StrFormat("%llu", static_cast<unsigned long long>(r.integrity.detected)),
-                StrFormat("%llu", static_cast<unsigned long long>(r.integrity.repaired)),
-                StrFormat("%llu", static_cast<unsigned long long>(r.integrity.unrepairable)),
-                StrFormat("%llu", static_cast<unsigned long long>(r.integrity.scrub_pages)),
-                StrFormat("%llu", static_cast<unsigned long long>(r.integrity.scrub_finds)),
-                StrFormat("%llu", static_cast<unsigned long long>(r.integrity.served_corrupt)),
+                StrFormat("%llu", Integrity(r, "detected")),
+                StrFormat("%llu", Integrity(r, "repaired")),
+                StrFormat("%llu", Integrity(r, "unrepairable")),
+                StrFormat("%llu", Integrity(r, "scrub_pages")),
+                StrFormat("%llu", Integrity(r, "scrub_finds")),
+                StrFormat("%llu", Integrity(r, "served_corrupt")),
                 StrFormat("%llu", static_cast<unsigned long long>(r.requests_failed))});
   g_json.push_back(JsonRowOf(StrFormat("%s/%s", axis.c_str(), system.c_str()), r));
 }
@@ -132,21 +140,21 @@ void Run() {
   // --- Acceptance checks (the issue's headline numbers) ---
   const double ideal_goodput = ideal.goodput_rps > 0.0 ? ideal.goodput_rps : 1.0;
   const double hold = headline.goodput_rps / ideal_goodput;
-  const bool no_unrepairable = headline.integrity.unrepairable == 0;
+  const bool no_unrepairable = Integrity(headline, "unrepairable") == 0;
   const bool goodput_holds = hold >= 0.95;
-  const bool detection_works = headline.integrity.detected > 0;
-  const bool oracle_sees_corruption = oracle_at_1e4.integrity.served_corrupt > 0;
-  const bool r1_cannot_heal = r1_at_1e4.integrity.unrepairable > 0;
+  const bool detection_works = Integrity(headline, "detected") > 0;
+  const bool oracle_sees_corruption = Integrity(oracle_at_1e4, "served_corrupt") > 0;
+  const bool r1_cannot_heal = Integrity(r1_at_1e4, "unrepairable") > 0;
   std::printf("\nR2+verify+scrub @1e-4: unrepairable=%llu (must be 0), goodput %.0f K "
               "= %.1f%% of ideal (floor 95%%), detected=%llu\n",
-              static_cast<unsigned long long>(headline.integrity.unrepairable),
+              Integrity(headline, "unrepairable"),
               headline.goodput_rps / 1000.0, 100.0 * hold,
-              static_cast<unsigned long long>(headline.integrity.detected));
+              Integrity(headline, "detected"));
   std::printf("verify-off oracle @1e-4: served %llu corrupted payloads to the app "
               "(must be > 0 — that is what verification prevents)\n",
-              static_cast<unsigned long long>(oracle_at_1e4.integrity.served_corrupt));
+              Integrity(oracle_at_1e4, "served_corrupt"));
   std::printf("R1+verify @1e-4: unrepairable=%llu (must be > 0 — no copy to heal from)\n",
-              static_cast<unsigned long long>(r1_at_1e4.integrity.unrepairable));
+              Integrity(r1_at_1e4, "unrepairable"));
   const bool pass = no_unrepairable && goodput_holds && detection_works &&
                     oracle_sees_corruption && r1_cannot_heal;
   std::printf("integrity acceptance (zero unrepairable, >= 95%% ideal goodput, "

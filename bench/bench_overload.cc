@@ -86,6 +86,21 @@ double SloGoodputRps(const RunResult& r, uint64_t slo_ns, SimDuration measure_ns
   return static_cast<double>(within) / (static_cast<double>(measure_ns) * 1e-9);
 }
 
+// The common row, plus the controller's decisions when it was on, so plots
+// of an overload sweep can correlate goodput with the drops that protected
+// it.
+BenchJsonRow OverloadRow(const std::string& label, const RunResult& r, bool ctrl_on) {
+  BenchJsonRow row = JsonRowOf(label, r);
+  if (ctrl_on) {
+    for (const char* name : {"admit_drops", "shed_drops", "scale_ups", "scale_downs"}) {
+      const uint64_t count = r.metrics.Count(std::string("ctrl.") + name);
+      row.extra.emplace_back(name, static_cast<double>(count));
+    }
+    row.extra.emplace_back("mean_active_workers", r.mean_active_workers);
+  }
+  return row;
+}
+
 RunResult RunPoint(double offered_rps, bool ctrl_on, const BenchTiming& timing,
                    const LoadGenerator::Options* loadgen_opts = nullptr,
                    const BenchTraceArgs* trace = nullptr) {
@@ -119,11 +134,11 @@ void PrintSweep(const std::vector<Point>& points) {
     const RunResult& r = p.result;
     t.AddRow({p.label, Krps(r.offered_rps), Krps(r.throughput_rps), Krps(p.slo_goodput_rps),
               Us(r.e2e.P50()), Us(r.e2e.P99()),
-              StrFormat("%llu", static_cast<unsigned long long>(
-                                    r.dispatcher_drops - r.ctrl.admit_drops - r.ctrl.shed_drops)),
-              StrFormat("%llu", static_cast<unsigned long long>(r.ctrl.admit_drops)),
-              StrFormat("%llu", static_cast<unsigned long long>(r.ctrl.shed_drops)),
-              r.ctrl.enabled ? StrFormat("%.1f", r.ctrl.mean_active_workers) : "8.0"});
+              StrFormat("%llu", Count(r, "dispatcher.dropped") - Count(r, "ctrl.admit_drops") -
+                                    Count(r, "ctrl.shed_drops")),
+              StrFormat("%llu", Count(r, "ctrl.admit_drops")),
+              StrFormat("%llu", Count(r, "ctrl.shed_drops")),
+              p.ctrl_on ? StrFormat("%.1f", r.mean_active_workers) : "8.0"});
   }
   t.Print();
 }
@@ -189,12 +204,10 @@ void FlashCrowd(const BenchTiming& timing, std::vector<BenchJsonRow>* json) {
   t.Print();
   std::printf("flash-crowd run: %llu admit drops, %llu shed drops, %llu scale-ups, "
               "%llu scale-downs\n",
-              static_cast<unsigned long long>(r.ctrl.admit_drops),
-              static_cast<unsigned long long>(r.ctrl.shed_drops),
-              static_cast<unsigned long long>(r.ctrl.scale_ups),
-              static_cast<unsigned long long>(r.ctrl.scale_downs));
+              Count(r, "ctrl.admit_drops"), Count(r, "ctrl.shed_drops"), Count(r, "ctrl.scale_ups"),
+              Count(r, "ctrl.scale_downs"));
   WarnTraceDrops(r);
-  BenchJsonRow row = JsonRowOf("flash-crowd/ctrl-on", r);
+  BenchJsonRow row = OverloadRow("flash-crowd/ctrl-on", r, /*ctrl_on=*/true);
   row.extra.emplace_back("slo_goodput_rps", SloGoodputRps(r, slo_ns, timing.measure));
   json->push_back(std::move(row));
 }
@@ -226,7 +239,7 @@ void Run() {
 
   std::vector<BenchJsonRow> json;
   for (const Point& p : points) {
-    BenchJsonRow row = JsonRowOf(p.label, p.result);
+    BenchJsonRow row = OverloadRow(p.label, p.result, p.ctrl_on);
     row.extra.emplace_back("slo_goodput_rps", p.slo_goodput_rps);
     row.extra.emplace_back("offered_rps", p.result.offered_rps);
     json.push_back(std::move(row));

@@ -146,7 +146,6 @@ QosPoint RunPoint(const char* name, double load, const MixKnobs& knobs,
     cfg.retry.background_max_retries = 2;
   }
   if (knobs.compress) {
-    cfg.fabric.compress = true;
     cfg.fabric.compress_gbps = EnvDouble("ADIOS_BENCH_QOS_COMPRESS_GBPS", 200.0);
   }
 
@@ -166,7 +165,9 @@ QosPoint RunPoint(const char* name, double load, const MixKnobs& knobs,
   // compared pair use the same timing, so the rate is comparable.
   const double total_s = static_cast<double>(timing.warmup + timing.measure) / 1e9;
   p.bg_pages_per_s =
-      static_cast<double>(p.result.integrity.scrub_pages + p.result.pages_resilvered) / total_s;
+      static_cast<double>(p.result.integrity.scrub_pages +
+                          Count(p.result, "copier.pages_resilvered")) /
+      total_s;
   return p;
 }
 
@@ -209,7 +210,7 @@ bool Run() {
                   StrFormat("%llu", static_cast<unsigned long long>(r.mem.faults)),
                   StrFormat("%llu", static_cast<unsigned long long>(r.mem.prefetches)),
                   StrFormat("%llu", static_cast<unsigned long long>(r.integrity.scrub_pages)),
-                  StrFormat("%llu", static_cast<unsigned long long>(r.pages_resilvered)),
+                  StrFormat("%llu", Count(r, "copier.pages_resilvered")),
                   StrFormat("%.1f", p.bg_pages_per_s / 1000.0),
                   StrFormat("%llu", static_cast<unsigned long long>(p.chunk_resumes))});
     BenchJsonRow jrow = JsonRowOf(row.name, r);

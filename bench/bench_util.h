@@ -49,6 +49,26 @@ inline std::vector<double> MaybeThin(std::vector<double> loads) {
   return out;
 }
 
+// The preset a figure bench names in its tables; any other name is Adios.
+inline SystemConfig PresetByName(const std::string& name) {
+  if (name == "Hermit") {
+    return SystemConfig::Hermit();
+  }
+  if (name == "DiLOS") {
+    return SystemConfig::DiLOS();
+  }
+  if (name == "DiLOS-P") {
+    return SystemConfig::DiLOSP();
+  }
+  return SystemConfig::Adios();
+}
+
+// A run counter by its registry name, summed over label sets, as the type
+// "%llu" takes; aborts on a name nothing registered.
+inline unsigned long long Count(const RunResult& r, const std::string& name) {
+  return r.metrics.Count(name);
+}
+
 inline std::string Us(uint64_t ns) { return StrFormat("%.2f", static_cast<double>(ns) / 1000.0); }
 inline std::string Krps(double rps) { return StrFormat("%.0f", rps / 1000.0); }
 inline std::string Pct(double frac) { return StrFormat("%.1f%%", frac * 100.0); }
@@ -86,32 +106,28 @@ struct BenchJsonRow {
   std::vector<std::pair<std::string, double>> extra;
 };
 
+// Integrity outcomes ride along as extras (JSON key, registry name) so a
+// corruption sweep can correlate goodput with what was caught, healed, or
+// silently served. Present only when the integrity layer registered them.
+inline constexpr std::pair<const char*, const char*> kIntegrityJsonExtras[] = {
+    {"corrupt_detected", "integrity.detected"},
+    {"corrupt_repaired", "integrity.repaired"},
+    {"corrupt_unrepairable", "integrity.unrepairable"},
+    {"scrub_pages", "integrity.scrub_pages"},
+    {"scrub_finds", "integrity.scrub_finds"},
+    {"served_corrupt", "integrity.served_corrupt"},
+};
+
 inline BenchJsonRow JsonRowOf(const std::string& label, const RunResult& r) {
   BenchJsonRow row;
   row.label = label;
   row.goodput_rps = r.goodput_rps;
   row.p50_ns = r.e2e.P50();
   row.p99_ns = r.e2e.P99();
-  if (r.ctrl.enabled) {
-    // Controller decisions ride along as extras so plots of an overload
-    // sweep can correlate goodput with the drops that protected it.
-    row.extra.emplace_back("admit_drops", static_cast<double>(r.ctrl.admit_drops));
-    row.extra.emplace_back("shed_drops", static_cast<double>(r.ctrl.shed_drops));
-    row.extra.emplace_back("scale_ups", static_cast<double>(r.ctrl.scale_ups));
-    row.extra.emplace_back("scale_downs", static_cast<double>(r.ctrl.scale_downs));
-    row.extra.emplace_back("mean_active_workers", r.ctrl.mean_active_workers);
-  }
-  if (r.integrity.enabled) {
-    // Integrity outcomes ride along so a corruption sweep can correlate
-    // goodput with what was caught, healed, or silently served.
-    row.extra.emplace_back("corrupt_detected", static_cast<double>(r.integrity.detected));
-    row.extra.emplace_back("corrupt_repaired", static_cast<double>(r.integrity.repaired));
-    row.extra.emplace_back("corrupt_unrepairable",
-                           static_cast<double>(r.integrity.unrepairable));
-    row.extra.emplace_back("scrub_pages", static_cast<double>(r.integrity.scrub_pages));
-    row.extra.emplace_back("scrub_finds", static_cast<double>(r.integrity.scrub_finds));
-    row.extra.emplace_back("served_corrupt",
-                           static_cast<double>(r.integrity.served_corrupt));
+  for (const auto& [key, name] : kIntegrityJsonExtras) {
+    if (const MetricSample* m = r.metrics.Find(name)) {
+      row.extra.emplace_back(key, m->value);
+    }
   }
   return row;
 }
@@ -203,10 +219,10 @@ inline bool ExportBenchTrace(MdSystem& sys, const BenchTraceArgs& args) {
 // Call after printing a run's tables: a truncated trace must never read as a
 // quiet run, so dropped trace records are surfaced next to the results.
 inline void WarnTraceDrops(const RunResult& r) {
-  if (r.trace_drops > 0) {
+  if (const unsigned long long drops = Count(r, "trace.dropped"); drops > 0) {
     std::printf("  [%s] WARNING: tracer dropped %llu events at capacity; "
                 "timelines are incomplete\n",
-                r.system.c_str(), static_cast<unsigned long long>(r.trace_drops));
+                r.system.c_str(), drops);
   }
 }
 

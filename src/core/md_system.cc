@@ -100,6 +100,10 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
       }
       auto inj = std::make_unique<FaultInjector>(fopts);
       fabric_->set_node_fault_injector(node, inj.get());
+      metrics_.RegisterProbe("fault.degraded_ns", MetricLabels::Node(node),
+                             [this, inj = inj.get()] {
+                               return static_cast<double>(inj->DegradedNs(engine_.now()));
+                             });
       injectors_.push_back(std::move(inj));
     }
   }
@@ -199,7 +203,7 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
     if (integrity_ != nullptr) {
       w->set_integrity(integrity_.get());
     }
-    if (fabric_params.compress && fabric_params.compress_gbps > 0.0) {
+    if (fabric_params.compress_gbps > 0.0) {
       // Decompressing a fetched page costs the same engine time the memory
       // node paid to compress it, charged on the faulting worker's core.
       w->set_decompress_ns(
@@ -208,26 +212,11 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   }
   // Paging counters the memory manager already keeps, published by probe so
   // the hot paths stay untouched.
-  metrics_.RegisterProbe("mem.faults", {},
-                         [this] { return static_cast<double>(mm_->stats().faults); });
-  metrics_.RegisterProbe("mem.shared_faults", {}, [this] {
-    return static_cast<double>(mm_->stats().shared_faults);
-  });
-  metrics_.RegisterProbe("mem.prefetches", {}, [this] {
-    return static_cast<double>(mm_->stats().prefetches);
-  });
-  metrics_.RegisterProbe("mem.prefetch_hits", {}, [this] {
-    return static_cast<double>(mm_->stats().prefetch_hits);
-  });
-  metrics_.RegisterProbe("mem.evictions_clean", {}, [this] {
-    return static_cast<double>(mm_->stats().evictions_clean);
-  });
-  metrics_.RegisterProbe("mem.evictions_dirty", {}, [this] {
-    return static_cast<double>(mm_->stats().evictions_dirty);
-  });
-  metrics_.RegisterProbe("mem.frame_stalls", {}, [this] {
-    return static_cast<double>(mm_->stats().frame_stalls);
-  });
+  for (const auto& [name, stat] : kMemStatNames) {
+    metrics_.RegisterProbe(name, {}, [this, stat = stat] {
+      return static_cast<double>(mm_->stats().*stat);
+    });
+  }
   metrics_.RegisterProbe("mem.free_frames", {},
                          [this] { return static_cast<double>(mm_->free_frames()); });
 
@@ -246,6 +235,20 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
         reclaimer_->copier().RequestRepair(vpage, node);
       });
     }
+  }
+  // Counters the reclaimer, its copier, the placement map and the tracer
+  // keep, published once by probe.
+  const std::pair<const char*, std::function<uint64_t()>> counter_probes[] = {
+      {"reclaimer.writeback_retries", [this] { return reclaimer_->writeback_retries(); }},
+      {"reclaimer.writeback_timeouts", [this] { return reclaimer_->writeback_timeouts(); }},
+      {"reclaimer.writeback_aborts", [this] { return reclaimer_->writeback_aborts(); }},
+      {"copier.pages_resilvered", [this] { return reclaimer_->copier().pages_resilvered(); }},
+      {"copier.resilver_failures", [this] { return reclaimer_->copier().resilver_failures(); }},
+      {"placement.divergent_slots", [this] { return placement_->divergent_slots(); }},
+      {"trace.dropped", [this] { return tracer_.dropped(); }},
+  };
+  for (const auto& [name, read] : counter_probes) {
+    metrics_.RegisterProbe(name, {}, [read = read] { return static_cast<double>(read()); });
   }
   // Installed after the reclaimer exists: health transitions are traced, and
   // a node probed back from kDead triggers the re-silver pass.
@@ -389,6 +392,8 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   r.completed = loadgen_->completed();
   r.dropped = loadgen_->dropped();
   r.measured = loadgen_->measured_completed();
+  r.requests_failed = loadgen_->failed();
+  r.goodput_rps = loadgen_->GoodputRps();
   r.e2e = loadgen_->e2e_all();
   r.server = loadgen_->server();
   r.queue = loadgen_->queue();
@@ -410,34 +415,6 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   }
   r.worker_utilization = wu / static_cast<double>(worker_cores_.size());
   r.dispatcher_utilization = dispatcher_core_->Utilization(window_start);
-  r.mem = mm_->stats();
-  r.dispatcher_drops = dispatcher_->stats().dropped;
-  for (auto& w : workers_) {
-    r.worker_yields += w->yields();
-    r.qp_full_stalls += w->qp_full_stalls();
-    r.requeues += w->preempt_fires();
-    r.fetch_retries += w->fetch_retries();
-    r.fetch_timeouts += w->fetch_timeouts();
-    r.failovers += w->failovers();
-    r.doorbells_saved += w->mem_qp()->doorbells_saved();
-  }
-  r.goodput_rps = loadgen_->GoodputRps();
-  r.requests_failed = loadgen_->failed();
-  r.writeback_retries = reclaimer_->writeback_retries();
-  r.writeback_timeouts = reclaimer_->writeback_timeouts();
-  r.writeback_aborts = reclaimer_->writeback_aborts();
-  for (auto& inj : injectors_) {
-    // Degraded time of the worst node (single-node: the one injector).
-    r.brownout_ns = std::max(r.brownout_ns, inj->DegradedNs(engine_.now()));
-  }
-  r.node_suspect_events = health_->suspect_events();
-  r.node_dead_events = health_->dead_events();
-  r.node_recoveries = health_->recoveries();
-  r.pages_resilvered = reclaimer_->copier().pages_resilvered();
-  r.resilver_failures = reclaimer_->copier().resilver_failures();
-  r.replica_divergence = placement_->divergent_slots();
-  r.divergence_events = placement_->divergence_events();
-  r.trace_drops = tracer_.dropped();
   r.mean_outstanding_pf = pf_mean_stats.mean();
   r.pf_imbalance_stddev = pf_stddev_stats.mean();
   r.mean_central_queue_depth = queue_depth_stats.mean();
@@ -454,27 +431,41 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   if (busy_ns > 0) {
     r.busy_wait_fraction = static_cast<double>(busy_wait_ns) / static_cast<double>(busy_ns);
   }
-  if (integrity_ != nullptr) {
-    r.integrity.enabled = true;
-    r.integrity.detected = integrity_->detected();
-    r.integrity.repaired = integrity_->repaired();
-    r.integrity.unrepairable = integrity_->unrepairable();
-    r.integrity.scrub_pages = integrity_->scrub_pages();
-    r.integrity.scrub_finds = integrity_->scrub_finds();
-    r.integrity.served_corrupt = integrity_->served_corrupt();
-  }
-  r.ctrl.enabled = config_.ctrl.enabled();
-  r.ctrl.admit_drops = ctrl_->admit_drops();
-  r.ctrl.shed_drops = ctrl_->shed_drops();
-  r.ctrl.shed_engagements = ctrl_->shed_engagements();
-  r.ctrl.scale_ups = ctrl_->scale_ups();
-  r.ctrl.scale_downs = ctrl_->scale_downs();
-  r.ctrl.mean_active_workers = active_worker_stats.mean();
+  r.mean_active_workers = active_worker_stats.mean();
   r.samples = loadgen_->TakeSamples();
   r.metrics = metrics_.Snapshot();
+  r.FillCounters(integrity_ != nullptr);
   r.timeline = BuildTimeSeries(r.samples, pf_points, warmup_ns, measure_ns, Microseconds(100));
   AttachActiveWorkers(r.timeline, active_points);
   return r;
+}
+
+std::vector<RunCounterField> RunResult::CounterFields(bool integrity_on) {
+  std::vector<RunCounterField> fields = {
+      {"worker.yields", &worker_yields},
+      {"worker.qp_full_stalls", &qp_full_stalls},
+      {"worker.doorbells_saved", &doorbells_saved},
+      {"worker.fetch_retries", &fetch_retries},
+      {"worker.fetch_timeouts", &fetch_timeouts},
+      {"worker.failovers", &failovers},
+      {"reclaimer.writeback_retries", &writeback_retries},
+      {"node.suspect_events", &node_suspect_events},
+  };
+  for (const auto& [name, stat] : kMemStatNames) {
+    fields.push_back({name, &(mem.*stat)});
+  }
+  if (integrity_on) {
+    fields.insert(fields.end(), {{"integrity.detected", &integrity.detected},
+                                 {"integrity.repaired", &integrity.repaired},
+                                 {"integrity.scrub_pages", &integrity.scrub_pages}});
+  }
+  return fields;
+}
+
+void RunResult::FillCounters(bool integrity_on) {
+  for (const RunCounterField& f : CounterFields(integrity_on)) {
+    *f.field = metrics.Count(f.name);
+  }
 }
 
 std::vector<BreakdownRow> RunResult::Breakdown(const std::vector<double>& percentiles) const {

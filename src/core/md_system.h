@@ -46,8 +46,8 @@ class MdSystem {
   Engine& engine() { return engine_; }
   // Per-request event tracing (call tracer().Enable(cap) before Run()).
   Tracer& tracer() { return tracer_; }
-  // Metric registry: workers, dispatcher, memory manager, node health, and
-  // the load generator publish here; Run() snapshots it into RunResult.
+  // Metric registry: the one home of every run counter; Run() snapshots it
+  // into RunResult::metrics.
   MetricRegistry& metrics() { return metrics_; }
   MemoryManager& memory_manager() { return *mm_; }
   RdmaFabric& fabric() { return *fabric_; }

@@ -4,6 +4,7 @@
 #define ADIOS_SRC_CORE_RUN_RESULT_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/histogram.h"
@@ -31,15 +32,46 @@ struct OpResult {
   Histogram e2e;
 };
 
+// Registry name of each MemoryManager::Stats field: MdSystem publishes every
+// field under its name, and RunResult::mem is read back from them.
+inline constexpr std::pair<const char*, uint64_t MemoryManager::Stats::*> kMemStatNames[] = {
+    {"mem.faults", &MemoryManager::Stats::faults},
+    {"mem.prefetches", &MemoryManager::Stats::prefetches},
+    {"mem.shared_faults", &MemoryManager::Stats::shared_faults},
+    {"mem.evictions_clean", &MemoryManager::Stats::evictions_clean},
+    {"mem.evictions_dirty", &MemoryManager::Stats::evictions_dirty},
+    {"mem.frame_stalls", &MemoryManager::Stats::frame_stalls},
+    {"mem.fetch_aborts", &MemoryManager::Stats::fetch_aborts},
+    {"mem.prefetch_hits", &MemoryManager::Stats::prefetch_hits},
+    {"mem.prefetch_late", &MemoryManager::Stats::prefetch_late},
+    {"mem.prefetch_wasted", &MemoryManager::Stats::prefetch_wasted},
+    {"mem.frame_refills", &MemoryManager::Stats::frame_refills},
+    {"mem.frame_spills", &MemoryManager::Stats::frame_spills},
+    {"mem.chunk_partials", &MemoryManager::Stats::chunk_partials},
+    {"mem.chunk_early_wakes", &MemoryManager::Stats::chunk_early_wakes},
+};
+
+struct RunCounterField {
+  const char* name;
+  uint64_t* field;
+};
+
+// What RunResult holds (docs/OBSERVABILITY.md §2): the load generator's
+// outcome, the window statistics only MdSystem::Run can compute, and the
+// registry snapshot. Every other run counter is read from `metrics` by name;
+// the few counter fields below are filled from their names by FillCounters.
 struct RunResult {
   std::string system;
   double offered_rps = 0.0;
   double throughput_rps = 0.0;
+  double goodput_rps = 0.0;  // Successful completions/s (== throughput when
+                             // nothing fails).
 
   uint64_t sent = 0;
   uint64_t completed = 0;
   uint64_t dropped = 0;
   uint64_t measured = 0;
+  uint64_t requests_failed = 0;  // Error replies after fetch-retry exhaustion.
 
   Histogram e2e;     // End-to-end latency, all ops, measured window.
   Histogram server;  // Server-side latency (arrive -> reply posted).
@@ -50,80 +82,36 @@ struct RunResult {
   double worker_utilization = 0.0;  // Mean busy fraction across workers.
   double dispatcher_utilization = 0.0;
 
-  // Sampled per-QP outstanding-page-fetch statistics over the measurement
-  // window: the congestion signal PF-aware dispatching balances (§3.4).
+  // Sampled every 50 us of the measurement window: per-QP outstanding page
+  // fetches (the congestion signal PF-aware dispatching balances, §3.4),
+  // central-queue depth, and the scaling controller's active workers.
   double mean_outstanding_pf = 0.0;     // Mean per-worker outstanding fetches.
   double pf_imbalance_stddev = 0.0;     // Mean across-worker stddev per sample.
   double mean_central_queue_depth = 0.0;
+  double mean_active_workers = 0.0;     // docs/OVERLOAD.md.
 
   // CPU-efficiency accounting (the paper's §1 motivation: busy-waiting
   // wastes the cycles that could serve other requests).
   double worker_cycles_per_request = 0.0;  // Busy worker cycles / completed req.
   double busy_wait_fraction = 0.0;         // Wasted (spinning) share of busy time.
 
+  // --- Counter fields, each a copy of one registry name (CounterFields) ---
   MemoryManager::Stats mem;
-  // Doorbell rings avoided by batched fault+prefetch posts, summed over the
-  // workers' memory QPs (0 when prefetching or batching is off).
-  uint64_t doorbells_saved = 0;
-  uint64_t dispatcher_drops = 0;
-  uint64_t requeues = 0;
   uint64_t worker_yields = 0;
   uint64_t qp_full_stalls = 0;
-
-  // --- Fault tolerance (docs/FAULT_MODEL.md; all zero when injection is
-  // off) ---
-  double goodput_rps = 0.0;      // Successful completions/s (== throughput
-                                 // when nothing fails).
-  uint64_t requests_failed = 0;  // Error replies after fetch-retry exhaustion.
-  uint64_t fetch_retries = 0;    // Software fetch reposts across workers.
-  uint64_t fetch_timeouts = 0;   // Fetch deadlines that expired.
+  uint64_t doorbells_saved = 0;  // Doorbell rings avoided by batched posts.
+  uint64_t fetch_retries = 0;
+  uint64_t fetch_timeouts = 0;
+  uint64_t failovers = 0;  // In-flight fetches redirected to a replica.
   uint64_t writeback_retries = 0;
-  uint64_t writeback_timeouts = 0;
-  uint64_t writeback_aborts = 0;  // Write-backs dropped after retry exhaustion.
-  uint64_t brownout_ns = 0;       // Simulated time inside degraded windows.
-
-  // --- Replication / failover (docs/FAILOVER.md; all zero with a single
-  // memory node) ---
-  uint64_t failovers = 0;            // In-flight fetches redirected to a replica.
-  uint64_t node_suspect_events = 0;  // kHealthy -> kSuspect transitions.
-  uint64_t node_dead_events = 0;     // kSuspect -> kDead transitions.
-  uint64_t node_recoveries = 0;      // Suspect cleared or dead node probed back.
-  uint64_t pages_resilvered = 0;     // Replica copies restored by the re-silver pass.
-  uint64_t resilver_failures = 0;    // Pages left divergent after the attempt budget.
-  uint64_t replica_divergence = 0;   // Replica slots still out of sync at run end.
-  uint64_t divergence_events = 0;    // Cumulative slots that ever went out of sync.
-
-  // --- Overload control (docs/OVERLOAD.md). `enabled` mirrors
-  // SystemConfig.ctrl.enabled(); with it off the counters are zero and
-  // mean_active_workers is the full worker count ---
-  struct CtrlStats {
-    bool enabled = false;
-    uint64_t admit_drops = 0;       // Token-bucket rejections at arrival.
-    uint64_t shed_drops = 0;        // Rejections while shedding was engaged.
-    uint64_t shed_engagements = 0;  // Off->on transitions of the shedder.
-    uint64_t scale_ups = 0;         // Active-worker-set growth steps.
-    uint64_t scale_downs = 0;
-    double mean_active_workers = 0.0;  // Sampled at the 50 us telemetry cadence.
-  };
-  CtrlStats ctrl;
-
-  // --- Data integrity (docs/INTEGRITY.md; enabled=false and all zero when
-  // SystemConfig.integrity is off) ---
+  uint64_t node_suspect_events = 0;
+  // Zero unless SystemConfig.integrity is on (docs/INTEGRITY.md).
   struct IntegrityStats {
-    bool enabled = false;
-    uint64_t detected = 0;       // Corrupt payloads caught (verify or scrub).
-    uint64_t repaired = 0;       // Replica repair copies that landed.
-    uint64_t unrepairable = 0;   // Detections with no second copy to heal from.
-    uint64_t scrub_pages = 0;    // Pages the background scrubber read.
-    uint64_t scrub_finds = 0;    // Detections credited to the scrubber.
-    uint64_t served_corrupt = 0; // Corrupt payloads the app consumed (verify off).
+    uint64_t detected = 0;     // Corrupt payloads caught (verify or scrub).
+    uint64_t repaired = 0;     // Replica repair copies that landed.
+    uint64_t scrub_pages = 0;  // Pages the background scrubber read.
   };
   IntegrityStats integrity;
-
-  // Trace records dropped at the tracer's capacity (0 unless tracing was
-  // enabled with too small a cap); printed by the bench tables so a
-  // truncated timeline is never mistaken for a quiet run.
-  uint64_t trace_drops = 0;
 
   std::vector<RequestSample> samples;
 
@@ -134,6 +122,13 @@ struct RunResult {
   // Windowed telemetry across the measurement window (100 us windows):
   // per-window throughput, p50/p99 latency, and outstanding page faults.
   TimeSeries timeline;
+
+  // The counter fields above with the registry name each is read from. The
+  // integrity entries exist only when the integrity layer registered them.
+  std::vector<RunCounterField> CounterFields(bool integrity_on);
+  // Fills every CounterFields(integrity_on) entry from `metrics`, summed over
+  // label sets; aborts on a name nothing registered.
+  void FillCounters(bool integrity_on);
 
   // Computes component breakdowns at the given server-latency percentiles.
   std::vector<BreakdownRow> Breakdown(const std::vector<double>& percentiles) const;

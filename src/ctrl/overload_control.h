@@ -8,9 +8,8 @@
 // the same signals the observability timeline plots, so a knee seen in
 // BENCH output is literally the signal the controller acts on.
 //
-// Decisions are published three ways: ctrl.* registry probes, kAdmit/kShed/
-// kScale trace events, and the counters MdSystem copies into
-// RunResult::ctrl.
+// Decisions are published two ways: ctrl.* registry probes and
+// kAdmit/kShed/kScale trace events.
 
 #ifndef ADIOS_SRC_CTRL_OVERLOAD_CONTROL_H_
 #define ADIOS_SRC_CTRL_OVERLOAD_CONTROL_H_

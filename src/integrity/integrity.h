@@ -132,11 +132,10 @@ class IntegrityLayer : public FirstWriteWatcher {
 
   void RegisterMetrics(MetricRegistry* registry);
 
-  // --- Counters (RunResult::integrity, bench assertions) ---
+  // --- Counters (also published through RegisterMetrics) ---
   uint64_t detected() const { return detected_count_; }
   uint64_t repaired() const { return repaired_; }
   uint64_t unrepairable() const { return unrepairable_; }
-  uint64_t scrub_pages() const { return scrub_pages_; }
   uint64_t scrub_finds() const { return scrub_finds_; }
   // Corrupted payloads delivered to the app with verification off.
   uint64_t served_corrupt() const { return served_corrupt_; }

@@ -8,7 +8,6 @@ MemoryManager::MemoryManager(Engine* engine, const Options& options)
     : engine_(engine),
       options_(options),
       page_table_(options.total_pages, options.clock_shards),
-      frame_waiters_(engine),
       fetch_waiters_(options.total_pages) {
   ADIOS_CHECK(options.total_pages > 0);
   ADIOS_CHECK(options.local_pages > 0);
@@ -81,7 +80,6 @@ void MemoryManager::ReleaseFrame() {
   ADIOS_CHECK(used_frames_ > 0);
   --used_frames_;
   WakeFrameWaiter();
-  frame_waiters_.NotifyOne();
 }
 
 void MemoryManager::WakeFrameWaiter() {

@@ -33,7 +33,6 @@
 #include "src/mem/page_table.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
-#include "src/sim/wait_queue.h"
 
 namespace adios {
 
@@ -189,19 +188,16 @@ class MemoryManager {
            options_.reclaim_high_watermark * static_cast<double>(options_.local_pages);
   }
 
-  // Fault handlers blocked on frame exhaustion wait here; eviction notifies.
-  WaitQueue& frame_waiters() { return frame_waiters_; }
-
-  // Yield-policy frame waiters: a callback run (FIFO) when a frame frees —
-  // used by handlers that return control to their worker while waiting, so
-  // the worker can keep resuming ready unithreads (deadlock avoidance).
+  // Frame waiters: a callback run (FIFO) when a frame frees — used by
+  // handlers that return control to their worker while waiting, so the
+  // worker can keep resuming ready unithreads (deadlock avoidance).
   void AddFrameWaiter(std::function<void()> resume) {
     frame_callbacks_.push_back(std::move(resume));
   }
 
   // Releases one frame (eviction finished) and wakes one frame waiter.
   void ReleaseFrame();
-  // Runs the oldest yield-policy frame waiter if a frame is free. A woken
+  // Runs the oldest frame waiter if a frame is free. A woken
   // waiter that leaves without taking the frame calls this to pass its
   // wakeup on: each release wakes exactly one waiter.
   void WakeFrameWaiter();
@@ -341,7 +337,6 @@ class MemoryManager {
   Options options_;
   PageTable page_table_;
   uint64_t used_frames_ = 0;
-  WaitQueue frame_waiters_;
   std::deque<std::function<void()>> frame_callbacks_;
   // Fetch waiters, without a map: each page with waiters owns a FIFO chain
   // of nodes in one pool, found through per-page head/tail indices (8 bytes

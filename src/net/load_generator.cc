@@ -12,13 +12,13 @@ LoadGenerator::LoadGenerator(Engine* engine, RdmaFabric* fabric, Dispatcher* dis
       app_(app),
       options_(options),
       arrival_rng_(options.seed),
-      workload_rng_(options.seed ^ 0x9e3779b97f4a7c15ull),
-      e2e_per_op_(app->NumOpTypes()) {
+      workload_rng_(options.seed ^ 0x9e3779b97f4a7c15ull) {
   ADIOS_CHECK(options.rate_rps > 0.0);
   samples_.reserve(1024);
 }
 
 void LoadGenerator::Start() {
+  ADIOS_CHECK(op_latency_.size() == app_->NumOpTypes());  // RegisterMetrics ran.
   end_time_ = engine_->now() + options_.warmup_ns + options_.measure_ns;
   ScheduleNextArrival();
 }
@@ -26,8 +26,11 @@ void LoadGenerator::Start() {
 void LoadGenerator::RegisterMetrics(MetricRegistry* registry) {
   for (uint32_t op = 0; op < app_->NumOpTypes(); ++op) {
     const MetricLabels labels = MetricLabels::Op(app_->OpName(op));
-    op_completed_.push_back(registry->GetCounter("loadgen.completed", labels));
-    op_latency_.push_back(registry->GetHistogram("loadgen.e2e_ns", labels));
+    HistogramMetric* latency = registry->GetHistogram("loadgen.e2e_ns", labels);
+    op_latency_.push_back(latency);
+    registry->RegisterProbe("loadgen.completed", labels, [latency] {
+      return static_cast<double>(latency->histogram().count());
+    });
   }
   registry->RegisterProbe("loadgen.sent", {},
                           [this] { return static_cast<double>(sent_); });
@@ -122,14 +125,8 @@ void LoadGenerator::OnReply(Request* req) {
       RecycleRequest(req);
       return;
     }
-    e2e_all_.Add(req->E2eNs());
-    if (req->op < e2e_per_op_.size()) {
-      e2e_per_op_[req->op].Add(req->E2eNs());
-    }
-    if (req->op < op_completed_.size()) {
-      op_completed_[req->op]->Inc();
-      op_latency_[req->op]->Observe(req->E2eNs());
-    }
+    ADIOS_CHECK(req->op < op_latency_.size());
+    op_latency_[req->op]->Observe(req->E2eNs());
     server_.Add(req->ServerNs());
     queue_.Add(req->QueueNs());
     if (samples_.size() < options_.max_samples) {
@@ -157,6 +154,14 @@ void LoadGenerator::OnReply(Request* req) {
 void LoadGenerator::OnDrop(Request* req) {
   ++dropped_;
   RecycleRequest(req);
+}
+
+Histogram LoadGenerator::e2e_all() const {
+  Histogram all;
+  for (const HistogramMetric* op : op_latency_) {
+    all.Merge(op->histogram());
+  }
+  return all;
 }
 
 double LoadGenerator::ThroughputRps() const {

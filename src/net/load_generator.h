@@ -56,8 +56,10 @@ class LoadGenerator {
 
   void Start();
 
-  // Publishes per-op completion counters (labeled {op=name}) plus sent /
-  // failed / dropped probes. Call before Start().
+  // Registers the per-op latency histograms loadgen.e2e_ns{op=name} (the
+  // generator's only copy of them), probes over their counts as
+  // loadgen.completed{op=name}, and sent / failed / dropped probes. Call
+  // before Start().
   void RegisterMetrics(MetricRegistry* registry);
 
   // Reply delivered back at the generator (wired as the send's delivery
@@ -82,8 +84,9 @@ class LoadGenerator {
   // Successful (non-error) completions per second over the window.
   double GoodputRps() const;
 
-  const Histogram& e2e_all() const { return e2e_all_; }
-  const Histogram& e2e_of(uint32_t op) const { return e2e_per_op_[op]; }
+  // All ops: the merge of the per-op histograms.
+  Histogram e2e_all() const;
+  const Histogram& e2e_of(uint32_t op) const { return op_latency_[op]->histogram(); }
   const Histogram& server() const { return server_; }
   const Histogram& queue() const { return queue_; }
   // Moves the per-request samples out (the generator keeps none after).
@@ -119,16 +122,13 @@ class LoadGenerator {
   uint64_t measured_failed_ = 0;
   SimTime last_measured_reply_ = 0;
 
-  Histogram e2e_all_;
-  std::vector<Histogram> e2e_per_op_;
   Histogram server_;
   Histogram queue_;
   std::vector<RequestSample> samples_;
   std::vector<std::unique_ptr<Request>> free_requests_;
 
-  // Owned metric handles (null until RegisterMetrics): per-op completion
-  // counters and per-op e2e latency histograms, bumped on each good reply.
-  std::vector<Counter*> op_completed_;
+  // Per-op e2e latency histograms in the registry (empty until
+  // RegisterMetrics), fed by each good measured reply.
   std::vector<HistogramMetric*> op_latency_;
 };
 

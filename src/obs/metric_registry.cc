@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/base/check.h"
+
 namespace adios {
 
 MetricLabels::MetricLabels(std::initializer_list<std::pair<std::string, std::string>> kv)
@@ -68,6 +70,15 @@ double MetricsSnapshot::Sum(const std::string& name) const {
     }
   }
   return sum;
+}
+
+uint64_t MetricsSnapshot::Count(const std::string& name) const {
+  if (std::none_of(samples.begin(), samples.end(),
+                   [&name](const MetricSample& s) { return s.name == name; })) {
+    CheckFailed("metric is registered", __FILE__, __LINE__,
+                ("nothing registered a metric named " + name).c_str());
+  }
+  return static_cast<uint64_t>(Sum(name));
 }
 
 Counter* MetricRegistry::GetCounter(const std::string& name, const MetricLabels& labels) {

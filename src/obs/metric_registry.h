@@ -103,6 +103,9 @@ struct MetricsSnapshot {
   // Sum of every sample of `name` across all label sets (e.g. a per-worker
   // counter aggregated over workers).
   double Sum(const std::string& name) const;
+  // Sum() of a counter some component registered, as an integer; aborts on
+  // any other name, so a renamed probe fails loudly instead of reading 0.
+  uint64_t Count(const std::string& name) const;
 };
 
 class MetricRegistry {

@@ -301,7 +301,7 @@ class RdmaFabric {
   }
   // Payload bytes on the wire after optional link-level compression.
   uint64_t WireBytes(uint64_t payload) const {
-    if (!params_.compress || params_.compress_gbps <= 0.0) {
+    if (params_.compress_gbps <= 0.0) {
       return payload;
     }
     const auto compressed =
@@ -310,7 +310,7 @@ class RdmaFabric {
   }
   // (De)compression engine time for `payload` (0 while compression is off).
   SimDuration CompressNs(uint64_t payload) const {
-    if (!params_.compress || params_.compress_gbps <= 0.0) {
+    if (params_.compress_gbps <= 0.0) {
       return 0;
     }
     return FabricParams::SerializationNs(payload, params_.compress_gbps);

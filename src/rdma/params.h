@@ -107,9 +107,8 @@ struct FabricParams {
   // Link-level page compression (docs/QOS.md): wire payload bytes scale by
   // `compress_ratio` while the (de)compression engines charge
   // SerializationNs(page, compress_gbps) — compression on the memory-node
-  // DMA timeline, decompression on the faulting worker's core. Off by
-  // default; `compress_gbps` <= 0 also disables the cost model.
-  bool compress = false;
+  // DMA timeline, decompression on the faulting worker's core. On exactly
+  // when `compress_gbps` > 0; off by default.
   double compress_gbps = 0.0;
   double compress_ratio = 0.6;
 

@@ -256,12 +256,15 @@ void Worker::RegisterMetrics(MetricRegistry* registry) {
                           [this] { return static_cast<double>(preempt_fires_); });
   registry->RegisterProbe("worker.qp_full_stalls", labels,
                           [this] { return static_cast<double>(qp_full_stalls_); });
+  registry->RegisterProbe("worker.doorbells_saved", labels,
+                          [this] { return static_cast<double>(mem_qp_->doorbells_saved()); });
+  const OpTracker::Stats* fetch = &tracker_.stats(OpKind::kFetch);
   registry->RegisterProbe("worker.fetch_timeouts", labels,
-                          [this] { return static_cast<double>(fetch_timeouts()); });
+                          [fetch] { return static_cast<double>(fetch->timeouts); });
   registry->RegisterProbe("worker.fetch_retries", labels,
-                          [this] { return static_cast<double>(fetch_retries()); });
+                          [fetch] { return static_cast<double>(fetch->retries); });
   registry->RegisterProbe("worker.failovers", labels,
-                          [this] { return static_cast<double>(failovers()); });
+                          [fetch] { return static_cast<double>(fetch->failovers); });
   registry->RegisterProbe("worker.corruptions", labels,
                           [this] { return static_cast<double>(corruptions_detected_); });
   registry->RegisterProbe("worker.outstanding_faults", labels,

@@ -105,16 +105,9 @@ class Worker final : public WorkerApi {
   // worker that polled the completion of a shared fetch).
   void EnqueueReady(RunItem* item);
 
-  // --- Stats ---
+  // --- Stats (the rest are published through RegisterMetrics) ---
   uint64_t completed() const { return completed_; }
-  uint64_t yields() const { return yields_; }
-  uint64_t qp_full_stalls() const { return qp_full_stalls_; }
-  uint64_t preempt_fires() const { return preempt_fires_; }
   uint64_t steals() const { return steals_; }
-  uint64_t fetch_timeouts() const { return tracker_.stats(OpKind::kFetch).timeouts; }
-  uint64_t fetch_retries() const { return tracker_.stats(OpKind::kFetch).retries; }
-  uint64_t failovers() const { return tracker_.stats(OpKind::kFetch).failovers; }
-  uint64_t corruptions_detected() const { return corruptions_detected_; }
   // Reads that proceeded off a partially-landed page (docs/QOS.md).
   uint64_t chunk_resumes() const { return chunk_resumes_; }
 

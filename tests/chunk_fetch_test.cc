@@ -213,8 +213,7 @@ TEST(ChunkFetch, MixedClassBatchSplitsDeterministically) {
 TEST(ChunkFetch, CompressionShrinksWirePayload) {
   auto response_bytes = [](bool compress) {
     FabricParams p;
-    p.compress = compress;
-    p.compress_gbps = 400.0;
+    p.compress_gbps = compress ? 400.0 : 0.0;
     p.compress_ratio = 0.5;
     Engine e;
     RdmaFabric fabric(&e, p);

@@ -86,7 +86,6 @@ Outcome RunCell(const Cell& cell) {
     // compression cost model, and the background retry sub-budget.
     cfg.fabric.link_classes = kNumTrafficClasses;
     cfg.fabric.chunk_bytes = 1024;
-    cfg.fabric.compress = true;
     cfg.fabric.compress_gbps = 200.0;
     cfg.retry.enabled = true;
     cfg.retry.background_max_retries = 2;

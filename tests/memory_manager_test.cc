@@ -120,7 +120,9 @@ TEST(MemoryManager, FrameWaitersNotifiedOnRelease) {
   EXPECT_FALSE(mm.HasFreeFrame());
   bool resumed = false;
   e.SpawnFiber("waiter", [&] {
-    mm.frame_waiters().Wait();
+    UnithreadContext* self = e.current_context();
+    mm.AddFrameWaiter([&e, self] { e.ResumeLater(self); });
+    e.SuspendCurrent();
     resumed = true;
   });
   e.Schedule(10, [&] {

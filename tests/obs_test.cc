@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/apps/array_app.h"
 #include "src/apps/faiss_app.h"
 #include "src/apps/memcached_app.h"
@@ -329,15 +332,34 @@ TEST(Metrics, RunResultSnapshotAgreesWithHeadlineCounters) {
   ASSERT_FALSE(r.metrics.samples.empty());
   // Per-worker completion counters sum to the workers' total.
   EXPECT_GT(r.metrics.Sum("worker.completed"), 0.0);
-  // Per-op completion counters track the measured window (the same replies
+  // Per-op completion counts track the measured window (the same replies
   // the per-op histograms aggregate), not warmup or drain.
-  EXPECT_EQ(r.metrics.Sum("loadgen.completed"), static_cast<double>(r.measured));
-  EXPECT_EQ(r.metrics.Value("dispatcher.dropped"), static_cast<double>(r.dispatcher_drops));
-  EXPECT_EQ(r.metrics.Sum("mem.faults"), static_cast<double>(r.mem.faults));
+  EXPECT_EQ(r.metrics.Count("loadgen.completed"), r.measured);
+  EXPECT_EQ(r.e2e.count(), r.measured);
+  EXPECT_EQ(r.metrics.Count("dispatcher.dropped"), r.dropped);
+  // Every counter field RunResult keeps is a copy of its registry name.
+  for (const RunCounterField& f : r.CounterFields(/*integrity_on=*/false)) {
+    EXPECT_EQ(*f.field, r.metrics.Count(f.name)) << f.name;
+  }
+  EXPECT_GT(r.mem.faults, 0u);
+  EXPECT_GT(r.worker_yields, 0u);
   // The per-op latency histogram saw every completed request.
   const MetricSample* lat = r.metrics.Find("loadgen.e2e_ns", "op=op");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->kind, MetricKind::kHistogram);
+  ASSERT_EQ(r.ops.size(), 1u);
+  EXPECT_EQ(r.ops[0].e2e.count(), static_cast<uint64_t>(lat->value));
+}
+
+TEST(MetricsDeathTest, FillingACounterNothingRegisteredAborts) {
+  MetricRegistry registry;
+  registry.RegisterProbe("worker.yields", MetricLabels::Worker(0), [] { return 3.0; });
+  RunResult r;
+  r.metrics = registry.Snapshot();
+  EXPECT_EQ(r.metrics.Count("worker.yields"), 3u);
+  EXPECT_DEATH(r.FillCounters(/*integrity_on=*/false),
+               "nothing registered a metric named worker.qp_full_stalls");
+  EXPECT_DEATH(r.metrics.Count("worker.yeilds"), "nothing registered a metric named worker.yeilds");
 }
 
 // --- Chrome trace exporter ---
@@ -614,7 +636,8 @@ std::string GoldenRun(const GoldenCell& cell, RunResult* result) {
       "corrupt=%llu p999=%llu",
       u(completed_spans), u(total_stalls), u(queue_ns), u(exec_ns), u(fetch_ns), u(tx_ns),
       u(r.completed), u(r.requests_failed), u(r.fetch_retries), u(r.writeback_retries),
-      u(r.failovers), u(r.node_suspect_events), u(r.node_dead_events), u(r.node_recoveries),
+      u(r.failovers), u(r.node_suspect_events), u(r.metrics.Count("node.dead_events")),
+      u(r.metrics.Count("node.recoveries")),
       u(r.integrity.detected), u(r.e2e.Percentile(99.9)));
 }
 
@@ -676,13 +699,50 @@ TEST(GoldenSpan, FixedSeedRunMatchesCommittedSummary) {
                                    << " drifted; new line:\n  {\"" << cell.name << "\", ..., \""
                                    << actual << "\"},";
     if (cell.expects_node_dead) {
-      EXPECT_GT(r.node_dead_events, 0u);
-      EXPECT_GT(r.node_recoveries, 0u);
+      EXPECT_GT(r.metrics.Count("node.dead_events"), 0u);
+      EXPECT_GT(r.metrics.Count("node.recoveries"), 0u);
       EXPECT_GT(r.failovers, 0u);
       EXPECT_GT(r.writeback_retries, 0u);
       EXPECT_GT(r.integrity.detected, 0u);
     }
   }
+}
+
+// Every number a bench prints traces back to one registry name: the
+// counter fields RunResult still fills, the names that replaced its deleted
+// fields (docs/OBSERVABILITY.md §2), and the integrity extras JsonRowOf
+// writes. The two-replica blackout run exercises the fault, failover and
+// integrity layers at once, so every one of them is registered there.
+TEST(Metrics, EveryRunCounterHasOneRegistryName) {
+  const GoldenCell& blackout = kGoldenCells[std::size(kGoldenCells) - 1];
+  ASSERT_TRUE(blackout.expects_node_dead);
+  RunResult r;
+  GoldenRun(blackout, &r);
+  const auto registered = [&r](const std::string& name) {
+    return std::any_of(r.metrics.samples.begin(), r.metrics.samples.end(),
+                       [&name](const MetricSample& s) { return s.name == name; });
+  };
+  for (const RunCounterField& f : r.CounterFields(/*integrity_on=*/true)) {
+    EXPECT_TRUE(registered(f.name)) << f.name;
+    EXPECT_EQ(*f.field, r.metrics.Count(f.name)) << f.name;
+  }
+  for (const auto& [key, name] : kIntegrityJsonExtras) {
+    EXPECT_TRUE(registered(name)) << key << " <- " << name;
+  }
+  for (const char* name :
+       {"worker.preempt_fires", "dispatcher.dropped", "reclaimer.writeback_timeouts",
+        "reclaimer.writeback_aborts", "fault.degraded_ns", "node.dead_events", "node.recoveries",
+        "copier.pages_resilvered", "copier.resilver_failures", "placement.divergent_slots",
+        "placement.divergence_events", "trace.dropped", "ctrl.admit_drops", "ctrl.shed_drops",
+        "ctrl.shed_engagements", "ctrl.scale_ups", "ctrl.scale_downs"}) {
+    EXPECT_TRUE(registered(name)) << name;
+  }
+  EXPECT_GT(r.metrics.Count("reclaimer.writeback_aborts") +
+                r.metrics.Count("reclaimer.writeback_retries"),
+            0u);
+  EXPECT_GT(r.metrics.Count("copier.pages_resilvered"), 0u);
+  EXPECT_GT(r.metrics.Count("node.dead_events"), 0u);
+  EXPECT_GT(r.metrics.Count("fault.degraded_ns"), 0u);  // Node 1's blackout.
 }
 
 }  // namespace

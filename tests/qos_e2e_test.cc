@@ -208,16 +208,14 @@ TEST(QosE2e, FetchLandingDuringItsOwnPostStrandsNoRequest) {
 }
 
 TEST(QosE2e, EveryOffSpellingIsBitIdenticalToTheDefault) {
-  // The off-is-off contract: `compress = true` with `compress_gbps = 0`
-  // (cost model disabled) and an explicit `chunk_bytes = 0` are spellings of
-  // "QoS off" and must replay the default config's trace stream event for
-  // event.
+  // The off-is-off contract: an explicit `compress_gbps = 0` (compression
+  // off) and an explicit `chunk_bytes = 0` are spellings of "QoS off" and
+  // must replay the default config's trace stream event for event.
   auto run = [](bool alternate_spelling) {
     SystemConfig cfg = SystemConfig::Adios();
     cfg.seed = 7;
     if (alternate_spelling) {
       cfg.fabric.chunk_bytes = 0;
-      cfg.fabric.compress = true;
       cfg.fabric.compress_gbps = 0.0;
     }
     ArrayApp::Options ao;

@@ -23,6 +23,13 @@ struct Rig {
         placement(mo.total_pages, 1, 1),
         health(&engine, ReplicationConfig{}),
         reclaimer(&engine, &core, &mm, qp, &placement, &health, ro) {}
+
+  // Suspends the calling fiber until a released frame wakes it.
+  void WaitForFrame() {
+    UnithreadContext* self = engine.current_context();
+    mm.AddFrameWaiter([this, self] { engine.ResumeLater(self); });
+    engine.SuspendCurrent();
+  }
 };
 
 MemoryManager::Options Opts() {
@@ -42,7 +49,7 @@ TEST(Reclaimer, ProactiveKeepsFreeFramesAvailable) {
   rig.engine.SpawnFiber("allocator", [&] {
     for (int i = 0; i < 200; ++i) {
       while (!rig.mm.HasFreeFrame()) {
-        rig.mm.frame_waiters().Wait();
+        rig.WaitForFrame();
       }
       rig.mm.BeginFetch(next_page);
       rig.mm.CompleteFetch(next_page);
@@ -64,7 +71,7 @@ TEST(Reclaimer, DirtyPagesAreWrittenBack) {
   rig.engine.SpawnFiber("allocator", [&] {
     for (int i = 0; i < 100; ++i) {
       while (!rig.mm.HasFreeFrame()) {
-        rig.mm.frame_waiters().Wait();
+        rig.WaitForFrame();
       }
       rig.mm.BeginFetch(next_page);
       rig.mm.CompleteFetch(next_page);
@@ -98,7 +105,7 @@ TEST(Reclaimer, WakeupDelayedModeRespondsSlower) {
           if (first_stall == 0) {
             first_stall = rig.engine.now();
           }
-          rig.mm.frame_waiters().Wait();
+          rig.WaitForFrame();
         }
         rig.mm.BeginFetch(next_page);
         rig.mm.CompleteFetch(next_page);

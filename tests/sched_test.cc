@@ -103,9 +103,9 @@ TEST(Preemption, RespectsQuantumOnLongScans) {
   };
   RunResult p = run(SystemConfig::DiLOSP());
   RunResult d = run(SystemConfig::DiLOS());
-  EXPECT_EQ(d.requeues, 0u);
+  EXPECT_EQ(d.metrics.Count("worker.preempt_fires"), 0u);
   ASSERT_GT(p.measured, 20u);
-  EXPECT_GT(p.requeues, p.measured);  // Multiple preemptions per scan.
+  EXPECT_GT(p.metrics.Count("worker.preempt_fires"), p.measured);  // Multiple preemptions per scan.
 }
 
 TEST(Preemption, ShorterIntervalPreemptsMore) {
@@ -122,7 +122,8 @@ TEST(Preemption, ShorterIntervalPreemptsMore) {
   };
   RunResult fast = run(2000);
   RunResult slow = run(20000);
-  EXPECT_GT(fast.requeues, 2 * slow.requeues);
+  EXPECT_GT(fast.metrics.Count("worker.preempt_fires"),
+            2 * slow.metrics.Count("worker.preempt_fires"));
 }
 
 TEST(QpBackpressure, TinyQpDepthStallsButCompletes) {
