@@ -241,16 +241,14 @@ BENCHMARK(BM_EngineMixedDelays);
 
 void BM_PageTableFaultCycle(benchmark::State& state) {
   Engine e;
-  MemoryManager::Options o;
-  o.total_pages = 1u << 16;
-  o.local_pages = 1u << 14;
-  MemoryManager mm(&e, o);
+  constexpr uint64_t kTotalPages = 1u << 16;
+  MemoryManager mm(&e, PagingConfig{}, kTotalPages, /*local_pages=*/1u << 14);
   uint64_t p = 0;
   for (auto _ : state) {
     mm.BeginFetch(p);
     mm.CompleteFetch(p);
     mm.EvictPage(p);
-    p = (p + 1) % o.total_pages;
+    p = (p + 1) % kTotalPages;
   }
 }
 BENCHMARK(BM_PageTableFaultCycle);

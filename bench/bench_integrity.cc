@@ -29,7 +29,6 @@
 // ADIOS_BENCH_INTEGRITY_LOAD, ADIOS_BENCH_INTEGRITY_KEYS. `--smoke` (or
 // ADIOS_BENCH_QUICK=1) shrinks the sweep for CI.
 
-#include <cstring>
 
 #include "bench/bench_util.h"
 #include "src/apps/memcached_app.h"
@@ -168,11 +167,7 @@ void Run() {
 }  // namespace adios
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      setenv("ADIOS_BENCH_QUICK", "1", /*overwrite=*/1);
-    }
-  }
+  adios::ApplySmokeFlag(argc, argv);
   adios::Run();
   return 0;
 }

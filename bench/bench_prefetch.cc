@@ -20,7 +20,6 @@
 //
 // `--smoke` (or ADIOS_BENCH_QUICK=1) shrinks sizes for CI.
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -160,11 +159,7 @@ void Run() {
 }  // namespace adios
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      setenv("ADIOS_BENCH_QUICK", "1", /*overwrite=*/1);
-    }
-  }
+  adios::ApplySmokeFlag(argc, argv);
   adios::Run();
   return 0;
 }

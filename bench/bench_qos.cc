@@ -29,8 +29,6 @@
 //
 // `--smoke` (or ADIOS_BENCH_QUICK=1) shrinks run times for CI.
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -288,10 +286,6 @@ bool Run() {
 }  // namespace adios
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      setenv("ADIOS_BENCH_QUICK", "1", /*overwrite=*/1);
-    }
-  }
+  adios::ApplySmokeFlag(argc, argv);
   return adios::Run() ? 0 : 1;
 }

@@ -20,8 +20,6 @@
 //
 // `--smoke` (or ADIOS_BENCH_QUICK=1) shrinks run times for CI.
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -174,11 +172,7 @@ bool RunDatapathComparison() {
 }  // namespace adios
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      setenv("ADIOS_BENCH_QUICK", "1", /*overwrite=*/1);
-    }
-  }
+  adios::ApplySmokeFlag(argc, argv);
   const bool sweep_ok = adios::RunLegacySweep();
   const bool datapath_ok = adios::RunDatapathComparison();
   return sweep_ok && datapath_ok ? 0 : 1;

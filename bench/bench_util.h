@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -33,6 +34,16 @@ inline BenchTiming DefaultTiming() {
     t.measure = Milliseconds(10);
   }
   return t;
+}
+
+// `--smoke` on a bench's command line turns on quick mode
+// (ADIOS_BENCH_QUICK=1) for the CI smoke runs.
+inline void ApplySmokeFlag(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      setenv("ADIOS_BENCH_QUICK", "1", /*overwrite=*/1);
+    }
+  }
 }
 
 // Thins a load sweep in quick mode (keeps first/last and every other point).

@@ -234,10 +234,10 @@ void InvariantChecker::AuditFrameConservation() {
   // can never exceed the budget, and the per-owner caches must sum to the
   // aggregate credit counter.
   const uint64_t cached = deps_.mm->cached_frame_credits();
-  if (used + cached > deps_.mm->options().local_pages) {
+  if (used + cached > deps_.mm->local_pages()) {
     std::ostringstream os;
     os << "used frames " << used << " + cached credits " << cached
-       << " exceed local_pages " << deps_.mm->options().local_pages;
+       << " exceed local_pages " << deps_.mm->local_pages();
     Violation("frame credit conservation violated", os.str());
   }
   uint64_t cache_sum = 0;

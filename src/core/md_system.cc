@@ -26,29 +26,19 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   app->Setup(*heap_);
 
   // --- Paging ---
-  MemoryManager::Options mm_opts;
-  mm_opts.page_shift = config_.page_shift;
   const uint64_t page_bytes = 1ull << config_.page_shift;
-  mm_opts.total_pages = (region_->size() + page_bytes - 1) / page_bytes;
+  const uint64_t total_pages = (region_->size() + page_bytes - 1) / page_bytes;
+  uint64_t local_pages;
   if (config_.local_memory_ratio >= 1.0) {
     // "Unlimited" local memory (Fig. 8's 100% point): the testbed machines
     // have far more DRAM than the working set, so the reclaim watermark
     // never binds. Give the cache enough headroom to make that true here.
-    mm_opts.local_pages = mm_opts.total_pages * 5 / 4 + 64;
+    local_pages = total_pages * 5 / 4 + 64;
   } else {
-    mm_opts.local_pages = std::max<uint64_t>(
-        1, static_cast<uint64_t>(config_.local_memory_ratio *
-                                 static_cast<double>(mm_opts.total_pages)));
+    local_pages = std::max<uint64_t>(
+        1, static_cast<uint64_t>(config_.local_memory_ratio * static_cast<double>(total_pages)));
   }
-  mm_opts.reclaim_low_watermark = config_.reclaim_low_watermark;
-  mm_opts.reclaim_high_watermark = config_.reclaim_high_watermark;
-  mm_opts.clock_shards = config_.clock_shards;
-  mm_opts.frame_cache_size = config_.frame_cache_size;
-  mm_opts.evict_scan_budget = config_.evict_scan_budget;
-  mm_opts.sync_model = config_.sync_model;
-  mm_opts.sync_hold_ns = config_.sync_hold_ns;
-  mm_opts.sync_cas_ns = config_.sync_cas_ns;
-  mm_ = std::make_unique<MemoryManager>(&engine_, mm_opts);
+  mm_ = std::make_unique<MemoryManager>(&engine_, config_, total_pages, local_pages);
   mm_->set_tracer(&tracer_);
 
   // --- Fabric ---
@@ -59,7 +49,7 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   // so the QP depth is clamped to half the frames per worker.
   FabricParams fabric_params = config_.fabric;
   const uint64_t safe_depth =
-      std::max<uint64_t>(1, mm_opts.local_pages / (2 * std::max(1u, config_.num_workers)));
+      std::max<uint64_t>(1, local_pages / (2 * std::max(1u, config_.num_workers)));
   if (safe_depth < fabric_params.qp_depth) {
     fabric_params.qp_depth = static_cast<uint32_t>(safe_depth);
   }
@@ -112,7 +102,7 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   // Gated: the layer stamps every region write and keeps per-page ledgers.
   if (config_.integrity.enabled()) {
     integrity_ = std::make_unique<IntegrityLayer>(config_.integrity, region_.get(),
-                                                  mm_opts.total_pages, page_bytes, num_nodes,
+                                                  total_pages, page_bytes, num_nodes,
                                                   config_.replication.replicas);
     fabric_->set_corrupt_hook([this](uint64_t wr_id, uint32_t /*node*/, WorkType type) {
       integrity_->OnWireCorrupt(wr_id, type == WorkType::kWrite);
@@ -124,7 +114,7 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
   // Always built: a single memory node is the one-replica placement, whose
   // rules (PlacementMap, NodeHealthMonitor) keep it from ever diverging or
   // turning suspect.
-  placement_ = std::make_unique<PlacementMap>(mm_opts.total_pages, num_nodes,
+  placement_ = std::make_unique<PlacementMap>(total_pages, num_nodes,
                                               config_.replication.replicas);
   health_ = std::make_unique<NodeHealthMonitor>(&engine_, config_.replication);
   // Probe outcome: a node answers its keepalive unless it is inside its
@@ -301,16 +291,10 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   ADIOS_CHECK(!ran_);  // One measurement per system instance.
   ran_ = true;
 
-  LoadGenerator::Options opts;
-  if (opt_override != nullptr) {
-    opts = *opt_override;
-  }
-  opts.rate_rps = offered_rps;
-  opts.warmup_ns = warmup_ns;
-  opts.measure_ns = measure_ns;
-  opts.seed = config_.seed * 1315423911u + 7;
-  loadgen_ = std::make_unique<LoadGenerator>(&engine_, fabric_.get(), dispatcher_.get(), app_,
-                                             opts);
+  loadgen_ = std::make_unique<LoadGenerator>(
+      &engine_, fabric_.get(), dispatcher_.get(), app_, offered_rps, warmup_ns, measure_ns,
+      config_.seed * 1315423911u + 7,
+      opt_override != nullptr ? *opt_override : LoadGenerator::Options{});
   loadgen_->RegisterMetrics(&metrics_);
   reply_sink_ = [this](Request* req) { loadgen_->OnReply(req); };
   drop_sink_ = [this](Request* req) { loadgen_->OnDrop(req); };

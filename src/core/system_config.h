@@ -20,6 +20,7 @@
 #include "src/check/check_options.h"
 #include "src/ctrl/ctrl_config.h"
 #include "src/integrity/integrity_config.h"
+#include "src/mem/paging_config.h"
 #include "src/mem/reclaimer.h"
 #include "src/rdma/fault_injector.h"
 #include "src/rdma/node_health.h"
@@ -29,7 +30,9 @@
 
 namespace adios {
 
-struct SystemConfig {
+// The paging knobs (page size, reclaim watermarks and the lock-free
+// datapath's settings) are the PagingConfig base's fields.
+struct SystemConfig : PagingConfig {
   std::string name = "Adios";
   uint32_t num_workers = 8;  // Paper setup: 8 workers + dispatcher + reclaimer.
 
@@ -69,32 +72,11 @@ struct SystemConfig {
   // datapath.
   IntegrityConfig integrity;
 
-  // Paging granularity (log2 bytes): 12 = 4 KiB compute-node pages as in
-  // the paper; 21 = 2 MiB huge pages (512x I/O amplification, §5.2).
-  uint32_t page_shift = 12;
-
   // Local DRAM cache size as a fraction of the working set (paper default
   // 20%).
   double local_memory_ratio = 0.2;
-  double reclaim_low_watermark = 0.15;
-  double reclaim_high_watermark = 0.20;
 
-  // Lock-free paging-datapath knobs (docs/DATAPATH.md). All default to the
-  // seed's serialized-equivalent behavior and are event-stream bit-identical
-  // when left off.
-  // Clock shards for the ResidentPageSet; 0 keeps the dense clock hand.
-  uint32_t clock_shards = 0;
-  // Per-worker free-frame credit cache size; 0 disables the caches.
-  uint32_t frame_cache_size = 0;
-  // Bound on clock slots scanned per victim selection; 0 = full sweep.
-  uint32_t evict_scan_budget = 0;
-  // Synchronization-cost model for paging ops and its parameters
-  // (nanoseconds, decoupled from the CPU clock).
-  MmSyncModel sync_model = MmSyncModel::kShardedCas;
-  uint64_t sync_hold_ns = 0;
-  uint64_t sync_cas_ns = 0;
-
-  UnithreadPool::Options pool = DefaultPool();
+  UnithreadPool::Options pool;
 
   // Runtime invariant checking (src/check/). MdSystem also enables this
   // when the ADIOS_CHECKS=1 environment variable is set.
@@ -114,25 +96,8 @@ struct SystemConfig {
   // "retry.timeout_ns > 0". MdSystem aborts on a non-empty result.
   std::vector<std::string> Validate() const;
 
-  static UnithreadPool::Options DefaultPool() {
-    UnithreadPool::Options p;
-    // The paper pre-allocates 131,072 unithreads; the simulation's in-flight
-    // population is far smaller, so presets default to 8192 buffers (still
-    // >10x any observed peak). The arena only reserves address space, so
-    // host memory scales with the buffers a run touches (its peak in-flight
-    // population), not with `count`. Stacks are roomy because handlers
-    // execute real C++ on them.
-    p.count = 8192;
-#if defined(__SANITIZE_ADDRESS__)
-    // ASan redzones inflate every frame; double the universal stacks so the
-    // sanitized build exercises the same code without overflowing.
-    p.buffer_size = 64 * 1024;
-#else
-    p.buffer_size = 32 * 1024;
-#endif
-    p.mtu = 1536;
-    return p;
-  }
+  // The presets' pool: UnithreadPool::Options' defaults.
+  static UnithreadPool::Options DefaultPool() { return {}; }
 
   static SystemConfig Adios() {
     SystemConfig c;

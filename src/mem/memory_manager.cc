@@ -4,20 +4,22 @@
 
 namespace adios {
 
-MemoryManager::MemoryManager(Engine* engine, const Options& options)
+MemoryManager::MemoryManager(Engine* engine, const PagingConfig& paging, uint64_t total_pages,
+                             uint64_t local_pages)
     : engine_(engine),
-      options_(options),
-      page_table_(options.total_pages, options.clock_shards),
-      fetch_waiters_(options.total_pages) {
-  ADIOS_CHECK(options.total_pages > 0);
-  ADIOS_CHECK(options.local_pages > 0);
-  ADIOS_CHECK(options.reclaim_low_watermark >= 0.0);
-  ADIOS_CHECK(options.reclaim_high_watermark >= options.reclaim_low_watermark);
+      paging_(paging),
+      local_pages_(local_pages),
+      page_table_(total_pages, paging.clock_shards),
+      fetch_waiters_(total_pages) {
+  ADIOS_CHECK(total_pages > 0);
+  ADIOS_CHECK(local_pages > 0);
+  ADIOS_CHECK(paging.reclaim_low_watermark >= 0.0);
+  ADIOS_CHECK(paging.reclaim_high_watermark >= paging.reclaim_low_watermark);
 }
 
 void MemoryManager::TakeFrame(uint16_t owner) {
-  ADIOS_CHECK(used_frames_ < options_.local_pages);
-  if (options_.frame_cache_size > 0) {
+  ADIOS_CHECK(used_frames_ < local_pages_);
+  if (paging_.frame_cache_size > 0) {
     if (owner != kNoFrameOwner) {
       if (owner >= frame_cache_.size()) {
         frame_cache_.resize(owner + 1, 0);
@@ -47,7 +49,7 @@ void MemoryManager::TakeFrame(uint16_t owner) {
 }
 
 void MemoryManager::RefillFrameCache(uint16_t owner) {
-  uint64_t take = options_.frame_cache_size;
+  uint64_t take = paging_.frame_cache_size;
   const uint64_t shared = shared_free_frames();
   if (take > shared) {
     take = shared;
@@ -126,8 +128,8 @@ void MemoryManager::NotifyPrefetchOutcome(uint16_t owner, bool hit) {
 
 void MemoryManager::EnqueuePrefetchPool(uint64_t vpage) {
   if (pool_links_.empty()) {
-    ADIOS_CHECK_LT(options_.total_pages, uint64_t{kNotPooled});
-    pool_links_.resize(options_.total_pages);
+    ADIOS_CHECK_LT(page_table_.num_pages(), uint64_t{kNotPooled});
+    pool_links_.resize(page_table_.num_pages());
   }
   const auto page = static_cast<uint32_t>(vpage);
   PoolLink& link = pool_links_[page];
@@ -173,7 +175,7 @@ uint64_t MemoryManager::SelectVictim() {
     }
     return vpage;
   }
-  return page_table_.SelectVictim(options_.evict_scan_budget);
+  return page_table_.SelectVictim(paging_.evict_scan_budget);
 }
 
 uint32_t MemoryManager::AllocWaiter(FetchWaiter fn, bool early) {

@@ -31,54 +31,17 @@
 
 #include "src/base/annotations.h"
 #include "src/mem/page_table.h"
+#include "src/mem/paging_config.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
 
 namespace adios {
-
-// Synchronization-cost model for the paging datapath (docs/DATAPATH.md).
-// The simulator's fibers cannot race, so the *cost* of the discipline is
-// modeled explicitly; bench_scalability uses kGlobalLock as the serialized
-// baseline the lock-free design is measured against.
-enum class MmSyncModel : uint8_t {
-  kShardedCas = 0,  // Mutating operations pay sync_cas_ns (0 = free); lookups stay free.
-  kGlobalLock = 1,  // Every paging operation serializes through one lock.
-};
 
 class MemoryManager {
  public:
   // Frame reservations tagged with this owner (re-silver bounce frames)
   // bypass the per-worker credit caches.
   static constexpr uint16_t kNoFrameOwner = 0xFFFF;
-
-  struct Options {
-    uint64_t total_pages = 0;  // Size of the remote working set.
-    uint64_t local_pages = 0;  // Compute-node DRAM cache capacity.
-    // Paging granularity: 12 = 4 KiB (the paper's compute nodes), 21 =
-    // 2 MiB huge pages (whose 512x I/O amplification §5.2's Silo port
-    // works around — reproduced in the ablation bench).
-    uint32_t page_shift = 12;
-    // Reclamation triggers when free frames drop below this fraction of
-    // local_pages (the paper's default threshold is 15%).
-    double reclaim_low_watermark = 0.15;
-    // Reclamation stops once free frames exceed this fraction.
-    double reclaim_high_watermark = 0.20;
-    // Clock shards for the ResidentPageSet (docs/DATAPATH.md). 0 keeps the
-    // legacy dense clock hand, bit-identical to the seed.
-    uint32_t clock_shards = 0;
-    // Per-worker free-frame credit cache size, refilled/spilled in batches
-    // from the shared pool. 0 disables the caches (seed-identical).
-    uint32_t frame_cache_size = 0;
-    // Bound on clock-hand slots scanned per SelectVictim() call; the scan
-    // returns a retry signal instead of sweeping the whole table. 0 keeps
-    // the legacy full sweep.
-    uint32_t evict_scan_budget = 0;
-    // Synchronization-cost model and its parameters (both in nanoseconds so
-    // they stay decoupled from the CPU clock).
-    MmSyncModel sync_model = MmSyncModel::kShardedCas;
-    uint64_t sync_hold_ns = 0;  // kGlobalLock: lock hold per paging op.
-    uint64_t sync_cas_ns = 0;   // kShardedCas: cost per mutating op.
-  };
 
   struct Stats {
     uint64_t faults = 0;            // Demand fetches started.
@@ -102,9 +65,12 @@ class MemoryManager {
     uint64_t chunk_early_wakes = 0;  // Waiters resumed off a partial page.
   };
 
-  MemoryManager(Engine* engine, const Options& options);
+  // `total_pages` is the remote working set's size in pages and
+  // `local_pages` the compute-node DRAM cache's capacity in frames.
+  MemoryManager(Engine* engine, const PagingConfig& paging, uint64_t total_pages,
+                uint64_t local_pages);
 
-  const Options& options() const { return options_; }
+  uint64_t local_pages() const { return local_pages_; }
   PageTable& page_table() { return page_table_; }
   Stats& stats() { return stats_; }
 
@@ -116,8 +82,8 @@ class MemoryManager {
   }
 
   // Paging-granularity helpers (fetch size = one page).
-  uint64_t page_bytes() const { return 1ull << options_.page_shift; }
-  uint64_t PageOfAddr(RemoteAddr addr) const { return addr >> options_.page_shift; }
+  uint64_t page_bytes() const { return 1ull << paging_.page_shift; }
+  uint64_t PageOfAddr(RemoteAddr addr) const { return addr >> paging_.page_shift; }
 
   // Fault-handling pins: a pinned page is never selected for eviction.
   ADIOS_NO_SUSPEND void Pin(uint64_t vpage) { page_table_.Pin(vpage); }
@@ -149,15 +115,15 @@ class MemoryManager {
   // synchronously — so concurrent ops serialize in simulated time even
   // though the fiber suspends only in the caller's Consume. Non-suspending.
   ADIOS_NO_SUSPEND uint64_t SyncGateNs(bool mutating) {
-    switch (options_.sync_model) {
+    switch (paging_.sync_model) {
       case MmSyncModel::kGlobalLock: {
         const uint64_t now = engine_->now();
         const uint64_t start = lock_free_at_ > now ? lock_free_at_ : now;
-        lock_free_at_ = start + options_.sync_hold_ns;
-        return (start - now) + options_.sync_hold_ns;
+        lock_free_at_ = start + paging_.sync_hold_ns;
+        return (start - now) + paging_.sync_hold_ns;
       }
       case MmSyncModel::kShardedCas:
-        return mutating ? options_.sync_cas_ns : 0;
+        return mutating ? paging_.sync_cas_ns : 0;
     }
     return 0;
   }
@@ -167,10 +133,10 @@ class MemoryManager {
   // Free frames = shared pool + credits parked in per-worker caches; the
   // watermarks and HasFreeFrame() see both, so credits idling in a cache
   // never trigger reclamation or stall a fault spuriously.
-  uint64_t free_frames() const { return options_.local_pages - used_frames_; }
+  uint64_t free_frames() const { return local_pages_ - used_frames_; }
   uint64_t used_frames() const { return used_frames_; }
   uint64_t shared_free_frames() const {
-    return options_.local_pages - used_frames_ - cached_credits_;
+    return local_pages_ - used_frames_ - cached_credits_;
   }
   uint64_t cached_frame_credits() const { return cached_credits_; }
   uint32_t frame_cache_credits(uint16_t owner) const {
@@ -178,14 +144,14 @@ class MemoryManager {
   }
   // Per-owner credit-cache view for the frame-conservation audit.
   const std::vector<uint32_t>& frame_caches() const { return frame_cache_; }
-  bool HasFreeFrame() const { return used_frames_ < options_.local_pages; }
+  bool HasFreeFrame() const { return used_frames_ < local_pages_; }
   bool BelowLowWatermark() const {
     return static_cast<double>(free_frames()) <
-           options_.reclaim_low_watermark * static_cast<double>(options_.local_pages);
+           paging_.reclaim_low_watermark * static_cast<double>(local_pages_);
   }
   bool AboveHighWatermark() const {
     return static_cast<double>(free_frames()) >=
-           options_.reclaim_high_watermark * static_cast<double>(options_.local_pages);
+           paging_.reclaim_high_watermark * static_cast<double>(local_pages_);
   }
 
   // Frame waiters: a callback run (FIFO) when a frame frees — used by
@@ -334,7 +300,8 @@ class MemoryManager {
   void PurgePrefetchPool(uint64_t vpage);
 
   Engine* engine_;
-  Options options_;
+  PagingConfig paging_;
+  uint64_t local_pages_;
   PageTable page_table_;
   uint64_t used_frames_ = 0;
   std::deque<std::function<void()>> frame_callbacks_;

@@ -5,21 +5,25 @@
 namespace adios {
 
 LoadGenerator::LoadGenerator(Engine* engine, RdmaFabric* fabric, Dispatcher* dispatcher,
-                             Application* app, const Options& options)
+                             Application* app, double rate_rps, SimDuration warmup_ns,
+                             SimDuration measure_ns, uint64_t seed, const Options& options)
     : engine_(engine),
       fabric_(fabric),
       dispatcher_(dispatcher),
       app_(app),
+      rate_rps_(rate_rps),
+      warmup_ns_(warmup_ns),
+      measure_ns_(measure_ns),
       options_(options),
-      arrival_rng_(options.seed),
-      workload_rng_(options.seed ^ 0x9e3779b97f4a7c15ull) {
-  ADIOS_CHECK(options.rate_rps > 0.0);
+      arrival_rng_(seed),
+      workload_rng_(seed ^ 0x9e3779b97f4a7c15ull) {
+  ADIOS_CHECK(rate_rps > 0.0);
   samples_.reserve(1024);
 }
 
 void LoadGenerator::Start() {
   ADIOS_CHECK(op_latency_.size() == app_->NumOpTypes());  // RegisterMetrics ran.
-  end_time_ = engine_->now() + options_.warmup_ns + options_.measure_ns;
+  end_time_ = engine_->now() + warmup_ns_ + measure_ns_;
   ScheduleNextArrival();
 }
 
@@ -59,14 +63,8 @@ double LoadGenerator::RateMultiplierAt(SimTime now) const {
 }
 
 void LoadGenerator::ScheduleNextArrival() {
-  // With an empty schedule the constant-rate expression below is untouched,
-  // keeping the event stream bit-identical to the pre-schedule generator.
-  double rate_rps = options_.rate_rps;
-  if (!options_.rate_schedule.empty()) {
-    const double mult = RateMultiplierAt(engine_->now());
-    rate_rps = options_.rate_rps * (mult > 0.0 ? mult : 1e-6);
-  }
-  const double mean_gap_ns = 1e9 / rate_rps;
+  const double mult = RateMultiplierAt(engine_->now());
+  const double mean_gap_ns = 1e9 / (rate_rps_ * (mult > 0.0 ? mult : 1e-6));
   const SimDuration gap =
       static_cast<SimDuration>(arrival_rng_.NextExponential(mean_gap_ns)) + 1;
   engine_->Schedule(gap, [this] {
@@ -98,8 +96,6 @@ void LoadGenerator::RecycleRequest(Request* req) {
 void LoadGenerator::EmitRequest() {
   Request* req = AcquireRequest();
   req->id = next_id_++;
-  req->request_bytes = options_.request_bytes;
-  req->reply_bytes = 64;
   app_->FillRequest(workload_rng_, req);
   req->gen_time = engine_->now();
   ++sent_;
@@ -113,7 +109,7 @@ void LoadGenerator::OnReply(Request* req) {
   if (req->failed) {
     ++failed_;
   }
-  const SimTime measure_start = options_.warmup_ns;
+  const SimTime measure_start = warmup_ns_;
   if (req->gen_time >= measure_start) {
     ++measured_completed_;
     last_measured_reply_ = req->reply_time;
@@ -171,7 +167,7 @@ double LoadGenerator::ThroughputRps() const {
   // Completions of measured requests over the measurement window. Use the
   // configured window; replies landing after generation stopped still
   // belong to offered load within the window.
-  const double seconds = static_cast<double>(options_.measure_ns) * 1e-9;
+  const double seconds = static_cast<double>(measure_ns_) * 1e-9;
   return static_cast<double>(measured_completed_) / seconds;
 }
 
@@ -179,7 +175,7 @@ double LoadGenerator::GoodputRps() const {
   if (measured_completed_ <= measured_failed_) {
     return 0.0;
   }
-  const double seconds = static_cast<double>(options_.measure_ns) * 1e-9;
+  const double seconds = static_cast<double>(measure_ns_) * 1e-9;
   return static_cast<double>(measured_completed_ - measured_failed_) / seconds;
 }
 

@@ -38,20 +38,17 @@ class LoadGenerator {
   };
 
   struct Options {
-    double rate_rps = 1e6;
-    SimDuration warmup_ns = Milliseconds(20);
-    SimDuration measure_ns = Milliseconds(100);
-    uint64_t seed = 7;
-    uint32_t request_bytes = 64;
     size_t max_samples = 1u << 20;
     // Spot-check every Nth completed request against Application::Verify.
     uint32_t verify_every = 64;
-    // Empty = constant rate (the bit-identical default; the exponential-gap
-    // code path is untouched).
+    // Empty = constant rate (multiplier 1.0 throughout).
     std::vector<RatePhase> rate_schedule;
   };
 
+  // Offers `rate_rps` for `warmup_ns` (excluded from statistics) plus
+  // `measure_ns`; `seed` drives the arrival and workload streams.
   LoadGenerator(Engine* engine, RdmaFabric* fabric, Dispatcher* dispatcher, Application* app,
+                double rate_rps, SimDuration warmup_ns, SimDuration measure_ns, uint64_t seed,
                 const Options& options);
 
   void Start();
@@ -108,6 +105,9 @@ class LoadGenerator {
   RdmaFabric* fabric_;
   Dispatcher* dispatcher_;
   Application* app_;
+  double rate_rps_;
+  SimDuration warmup_ns_;
+  SimDuration measure_ns_;
   Options options_;
   Rng arrival_rng_;
   Rng workload_rng_;

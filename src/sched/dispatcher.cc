@@ -17,7 +17,6 @@ Dispatcher::Dispatcher(Engine* engine, CpuCore* core, UnithreadPool* pool, Compl
       ctrl_(ctrl),
       cfg_(config),
       on_drop_(std::move(on_drop)),
-      rx_ring_(kRxRingSize),
       events_(engine),
       cq_batch_(kCqPollBatch) {
   ADIOS_CHECK(!workers_.empty());
@@ -49,18 +48,15 @@ void Dispatcher::OnRx(Request* req) {
   tracer_->Record(engine_->now(), req->id, TraceEvent::kArrive);
   // Overload control (docs/OVERLOAD.md): admission/shed verdict at the front
   // door, before the request can occupy ring or queue space. Drops count in
-  // stats_.dropped like RX-ring overflow, so the trace termination audit
-  // (arrived == done + dropped) keeps balancing.
-  if (ctrl_->Admit(*req, engine_->now()) != OverloadController::Verdict::kAdmit) {
+  // stats_.dropped like RX-ring overflow (kRxRingSize entries), so the trace
+  // termination audit (arrived == done + dropped) keeps balancing.
+  if (ctrl_->Admit(*req, engine_->now()) != OverloadController::Verdict::kAdmit ||
+      rx_ring_.size() >= kRxRingSize) {
     ++stats_.dropped;
     on_drop_(req);
     return;
   }
-  if (!rx_ring_.PushBack(req)) {
-    ++stats_.dropped;
-    on_drop_(req);
-    return;
-  }
+  rx_ring_.push_back(req);
   events_.NotifyAll();
 }
 
@@ -101,7 +97,8 @@ size_t Dispatcher::DrainRxRing() {
   // central queue is bounded so overload backs up into the RX ring (drops).
   while (!rx_ring_.empty() && moved < 2 * kCqPollBatch &&
          queue_.size() < kCentralQueueLimit) {
-    queue_.push_back(rx_ring_.PopFront());
+    queue_.push_back(rx_ring_.front());
+    rx_ring_.pop_front();
     ++moved;
   }
   if (moved > 0) {

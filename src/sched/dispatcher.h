@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/base/fifo.h"
-#include "src/base/ring_buffer.h"
 #include "src/rdma/completion.h"
 #include "src/sched/config.h"
 #include "src/sched/worker.h"
@@ -82,7 +81,7 @@ class Dispatcher {
   DropFn on_drop_;
 
   Tracer* tracer_ = Tracer::Off();
-  RingBuffer<Request*> rx_ring_;
+  Fifo<Request*> rx_ring_;  // NIC RX ring: arrivals beyond kRxRingSize drop.
   Fifo<Request*> queue_;  // The single centralized FCFS queue.
   WaitQueue events_;
   uint32_t rr_cursor_ = 0;

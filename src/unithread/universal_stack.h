@@ -90,10 +90,25 @@ class UnithreadBuffer {
 // watermark first passes it.
 class UnithreadPool {
  public:
+  // Stacks are roomy because handlers execute real C++ on them. ASan
+  // redzones inflate every frame, so the sanitized build doubles them to run
+  // the same code without overflowing.
+#if defined(__SANITIZE_ADDRESS__)
+  static constexpr size_t kDefaultBufferSize = 64 * 1024;
+#else
+  static constexpr size_t kDefaultBufferSize = 32 * 1024;
+#endif
+
   struct Options {
-    size_t count = 1024;         // Pool capacity in unithreads.
-    size_t buffer_size = 16384;  // Total buffer bytes per unithread, 16-aligned.
-    size_t mtu = 1536;           // Payload area (network MTU), 16-aligned.
+    // Pool capacity in unithreads. The paper pre-allocates 131,072; the
+    // simulation's in-flight population is far smaller, so 8192 buffers
+    // (still >10x any observed peak). The arena only reserves address
+    // space, so host memory scales with the buffers a run touches (its peak
+    // in-flight population), not with `count`.
+    size_t count = 8192;
+    // Total buffer bytes per unithread, 16-aligned (kDefaultBufferSize).
+    size_t buffer_size = kDefaultBufferSize;
+    size_t mtu = 1536;  // Payload area (network MTU), 16-aligned.
     // Paint each stack on its first Acquire for high-water-mark recovery in
     // Audit(). Off by default: painting commits the whole stack, and the HWM
     // scan touches every stack byte of each prepared buffer on each audit.

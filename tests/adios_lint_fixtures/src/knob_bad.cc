@@ -1,8 +1,10 @@
 // adios-lint fixture: default-off-knob requires every config-struct scalar
 // field to carry a default initializer, appear (backticked) in the docs
 // knob table (this fixture tree's docs/KNOBS.md) and be assigned somewhere,
-// and every row of the TuneConfig table there to name a field (its
-// `deleted_knob` row is stale).
+// every row of the TuneConfig table there to name a field (its
+// `deleted_knob` row is stale), and that table to list every field (it
+// lacks `undocumented_knob` and `uninitialized_knob`, flagged again on the
+// lines already marked).
 
 struct TuneConfig {
   int documented_knob = 4;

@@ -108,7 +108,7 @@ def main():
     good = [
         os.path.join(FIXTURES, "src", name)
         for name in ("suspend_good.cc", "trace_good.cc", "knob_good.cc",
-                     "suppressed_ok.cc")
+                     "knob_section_good.cc", "suppressed_ok.cc")
     ]
     proc = run_lint(["--root", FIXTURES, "--stats"] + good)
     if proc.returncode != 0 or proc.stdout.strip():
@@ -116,10 +116,11 @@ def main():
             f"expected clean run on good fixtures, got exit "
             f"{proc.returncode}\nstdout:\n{proc.stdout}"
         )
-    # --stats counts every config-struct field (GoodConfig's seven and
-    # SubOptions' one), so CI logs track the size of the knob surface.
-    if " 8 config fields," not in proc.stderr:
-        fail(f"expected '8 config fields' in --stats output, got:\n"
+    # --stats counts every config-struct field (GoodConfig's seven,
+    # SubOptions' one and WholeConfig's three; WholeOptions' one), so CI
+    # logs track the size of the knob surface.
+    if " 12 config fields," not in proc.stderr:
+        fail(f"expected '12 config fields' in --stats output, got:\n"
              f"{proc.stderr}")
 
     # Usage error: unknown rule name exits 2.

@@ -5,51 +5,11 @@
 
 #include "src/base/fifo.h"
 #include "src/base/lazy_mapping.h"
-#include "src/base/ring_buffer.h"
 #include "src/base/stats.h"
 #include "src/base/time.h"
 
 namespace adios {
 namespace {
-
-TEST(RingBuffer, FifoOrder) {
-  RingBuffer<int> rb(4);
-  EXPECT_TRUE(rb.PushBack(1));
-  EXPECT_TRUE(rb.PushBack(2));
-  EXPECT_TRUE(rb.PushBack(3));
-  EXPECT_EQ(rb.PopFront(), 1);
-  EXPECT_EQ(rb.PopFront(), 2);
-  EXPECT_TRUE(rb.PushBack(4));
-  EXPECT_EQ(rb.PopFront(), 3);
-  EXPECT_EQ(rb.PopFront(), 4);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, DropsWhenFull) {
-  RingBuffer<int> rb(2);
-  EXPECT_TRUE(rb.PushBack(1));
-  EXPECT_TRUE(rb.PushBack(2));
-  EXPECT_FALSE(rb.PushBack(3));
-  EXPECT_EQ(rb.size(), 2u);
-  EXPECT_EQ(rb.PopFront(), 1);
-}
-
-TEST(RingBuffer, WrapsManyTimes) {
-  RingBuffer<int> rb(3);
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(rb.PushBack(i));
-    ASSERT_EQ(rb.PopFront(), i);
-  }
-}
-
-TEST(RingBuffer, ClearEmpties) {
-  RingBuffer<int> rb(2);
-  rb.PushBack(1);
-  rb.Clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_TRUE(rb.PushBack(9));
-  EXPECT_EQ(rb.Front(), 9);
-}
 
 // Growth happens with the ring wrapped (head mid-buffer), so the copy must
 // unwrap it; order survives every doubling.

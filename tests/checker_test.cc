@@ -22,13 +22,6 @@
 namespace adios {
 namespace {
 
-MemoryManager::Options SmallMmOptions() {
-  MemoryManager::Options o;
-  o.total_pages = 16;
-  o.local_pages = 8;
-  return o;
-}
-
 CheckOptions NonFatalOptions() {
   CheckOptions o;
   o.enabled = true;
@@ -41,7 +34,7 @@ CheckOptions NonFatalOptions() {
 
 TEST(InvariantChecker, PoisonCatchesUseAfterEvict) {
   Engine engine;
-  MemoryManager mm(&engine, SmallMmOptions());
+  MemoryManager mm(&engine, PagingConfig{}, 16, 8);
   RemoteRegion region(16 * kPageSize);
 
   CheckOptions opts = NonFatalOptions();
@@ -84,7 +77,7 @@ TEST(InvariantChecker, PoisonCatchesUseAfterEvict) {
 
 TEST(InvariantChecker, UnpoisonAllRestoresEveryEvictedPage) {
   Engine engine;
-  MemoryManager mm(&engine, SmallMmOptions());
+  MemoryManager mm(&engine, PagingConfig{}, 16, 8);
   RemoteRegion region(16 * kPageSize);
 
   CheckOptions opts = NonFatalOptions();
@@ -115,7 +108,7 @@ TEST(InvariantChecker, UnpoisonAllRestoresEveryEvictedPage) {
 
 TEST(InvariantChecker, StaleDigestMemoIsCaught) {
   Engine engine;
-  MemoryManager mm(&engine, SmallMmOptions());
+  MemoryManager mm(&engine, PagingConfig{}, 16, 8);
   RemoteRegion region(16 * kPageSize);
   IntegrityLayer integrity(IntegrityConfig{}, &region, /*num_pages=*/16, kPageSize,
                            /*num_nodes=*/1, /*replicas=*/1);
@@ -146,7 +139,7 @@ TEST(InvariantCheckerDeathTest, WrittenPageWithUnprimedLedgerAborts) {
   EXPECT_DEATH(
       {
         Engine engine;
-        MemoryManager mm(&engine, SmallMmOptions());
+        MemoryManager mm(&engine, PagingConfig{}, 16, 8);
         RemoteRegion region(16 * kPageSize);
         // Stamping started with no watcher, so this write primes nothing: a
         // layer attached afterwards sees a moved stamp on a vpage it never
@@ -173,7 +166,7 @@ TEST(InvariantCheckerDeathTest, WrittenPageWithUnprimedLedgerAborts) {
 
 TEST(InvariantChecker, FirstWritePrimesSoTheUnprimedLedgerAuditStaysSilent) {
   Engine engine;
-  MemoryManager mm(&engine, SmallMmOptions());
+  MemoryManager mm(&engine, PagingConfig{}, 16, 8);
   RemoteRegion region(16 * kPageSize);
   IntegrityLayer integrity(IntegrityConfig{}, &region, /*num_pages=*/16, kPageSize,
                            /*num_nodes=*/1, /*replicas=*/1);
@@ -197,7 +190,7 @@ TEST(InvariantChecker, FirstWritePrimesSoTheUnprimedLedgerAuditStaysSilent) {
 
 TEST(InvariantChecker, FrameAccountingLeakIsCounted) {
   Engine engine;
-  MemoryManager mm(&engine, SmallMmOptions());
+  MemoryManager mm(&engine, PagingConfig{}, 16, 8);
   InvariantChecker::Deps deps;
   deps.engine = &engine;
   deps.mm = &mm;
@@ -221,7 +214,7 @@ TEST(InvariantCheckerDeathTest, FrameAccountingLeakAbortsWhenFatal) {
   EXPECT_DEATH(
       {
         Engine engine;
-        MemoryManager mm(&engine, SmallMmOptions());
+        MemoryManager mm(&engine, PagingConfig{}, 16, 8);
         InvariantChecker::Deps deps;
         deps.engine = &engine;
         deps.mm = &mm;
@@ -240,7 +233,7 @@ TEST(InvariantCheckerDeathTest, FrameAccountingLeakAbortsWhenFatal) {
 
 TEST(InvariantChecker, PageTableCounterDriftIsCaught) {
   Engine engine;
-  MemoryManager mm(&engine, SmallMmOptions());
+  MemoryManager mm(&engine, PagingConfig{}, 16, 8);
   InvariantChecker::Deps deps;
   deps.engine = &engine;
   deps.mm = &mm;

@@ -232,16 +232,9 @@ TEST(ChunkFetch, CompressionShrinksWirePayload) {
 
 // --- MemoryManager: the ChunkReady protocol ---
 
-MemoryManager::Options SmallMm() {
-  MemoryManager::Options o;
-  o.total_pages = 64;
-  o.local_pages = 16;
-  return o;
-}
-
 TEST(ChunkFetch, ChunkReadyWakesOnlyEarlyWaitersAndPins) {
   Engine e;
-  MemoryManager mm(&e, SmallMm());
+  MemoryManager mm(&e, PagingConfig{}, 64, 16);
   mm.BeginFetch(3);
   std::vector<int> ran;
   mm.AddFetchWaiter(3, [&](bool ok) {
@@ -275,7 +268,7 @@ TEST(ChunkFetch, ChunkReadyWakesOnlyEarlyWaitersAndPins) {
 
 TEST(ChunkFetch, DuplicateChunkReadyIsIdempotent) {
   Engine e;
-  MemoryManager mm(&e, SmallMm());
+  MemoryManager mm(&e, PagingConfig{}, 64, 16);
   mm.BeginFetch(5);
   int early_wakes = 0;
   mm.AddFetchWaiter(5, [&](bool) { ++early_wakes; }, /*early=*/true);
@@ -290,7 +283,7 @@ TEST(ChunkFetch, DuplicateChunkReadyIsIdempotent) {
 
 TEST(ChunkFetch, ChunkReadyAfterSettleIsANoOp) {
   Engine e;
-  MemoryManager mm(&e, SmallMm());
+  MemoryManager mm(&e, PagingConfig{}, 64, 16);
   mm.BeginFetch(4);
   mm.CompleteFetch(4);
   mm.ChunkReady(4);  // Straggler partial after the tail already mapped.
@@ -308,7 +301,7 @@ TEST(ChunkFetch, AbortAfterChunkReadyRollsBackWithoutLeaks) {
   // frame — the state the invariant checker's "kPartial leaked past
   // transfer" audit guards.
   Engine e;
-  MemoryManager mm(&e, SmallMm());
+  MemoryManager mm(&e, PagingConfig{}, 64, 16);
   const uint64_t free_before = mm.free_frames();
   mm.BeginFetch(7);
   std::vector<bool> outcomes;

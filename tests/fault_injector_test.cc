@@ -488,7 +488,7 @@ TEST(FaultE2e, WriteLossExercisesWritebackRetries) {
   // Frame conservation at drain: frames in use == resident + in-flight
   // fetches + in-flight write-backs (no frame leaked by retries/aborts).
   MemoryManager& mm = sys.memory_manager();
-  const uint64_t used = mm.options().local_pages - mm.free_frames();
+  const uint64_t used = mm.local_pages() - mm.free_frames();
   EXPECT_EQ(used, mm.page_table().resident_pages() + mm.page_table().fetching_pages() +
                       sys.reclaimer().writebacks_inflight());
 }
@@ -510,7 +510,7 @@ TEST(FaultE2e, TotalWriteLossAbortsWritebacksWithoutLeakingFrames) {
   EXPECT_GT(r.metrics.Count("reclaimer.writeback_aborts"), 0u);
   EXPECT_EQ(r.sent, r.completed + r.dropped);
   MemoryManager& mm = sys.memory_manager();
-  const uint64_t used = mm.options().local_pages - mm.free_frames();
+  const uint64_t used = mm.local_pages() - mm.free_frames();
   EXPECT_EQ(sys.reclaimer().writebacks_inflight(), 0u);
   EXPECT_EQ(used, mm.page_table().resident_pages() + mm.page_table().fetching_pages() +
                       sys.reclaimer().writebacks_inflight());

@@ -5,18 +5,16 @@
 namespace adios {
 namespace {
 
-MemoryManager::Options SmallOptions(uint64_t total = 64, uint64_t local = 16) {
-  MemoryManager::Options o;
-  o.total_pages = total;
-  o.local_pages = local;
-  o.reclaim_low_watermark = 0.25;   // 4 frames.
-  o.reclaim_high_watermark = 0.50;  // 8 frames.
+PagingConfig SmallOptions() {
+  PagingConfig o;
+  o.reclaim_low_watermark = 0.25;   // 4 of 16 frames.
+  o.reclaim_high_watermark = 0.50;  // 8 of 16 frames.
   return o;
 }
 
 TEST(MemoryManager, FrameAccounting) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   EXPECT_EQ(mm.free_frames(), 16u);
   mm.BeginFetch(0);
   mm.BeginFetch(1);
@@ -31,7 +29,7 @@ TEST(MemoryManager, FrameAccounting) {
 
 TEST(MemoryManager, DirtyEvictionDefersFrameRelease) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   mm.BeginFetch(5);
   mm.CompleteFetch(5);
   mm.Touch(5, /*write=*/true);
@@ -44,7 +42,7 @@ TEST(MemoryManager, DirtyEvictionDefersFrameRelease) {
 
 TEST(MemoryManager, WaitersRunInOrderOnCompleteFetch) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   std::vector<int> ran;
   mm.BeginFetch(3);
   mm.AddFetchWaiter(3, [&](bool ok) {
@@ -66,7 +64,7 @@ TEST(MemoryManager, WaitersRunInOrderOnCompleteFetch) {
 
 TEST(MemoryManager, AbortFetchReleasesFrameAndFailsWaiters) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   mm.BeginFetch(7);
   EXPECT_EQ(mm.free_frames(), 15u);
   std::vector<bool> outcomes;
@@ -85,7 +83,7 @@ TEST(MemoryManager, AbortFetchReleasesFrameAndFailsWaiters) {
 
 TEST(MemoryManager, ReclaimKickFiresBelowLowWatermark) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   int kicks = 0;
   mm.set_reclaim_kick([&] { ++kicks; });
   // 16 frames, low watermark 25% = 4 frames free.
@@ -102,7 +100,7 @@ TEST(MemoryManager, ReclaimKickFiresBelowLowWatermark) {
 
 TEST(MemoryManager, WatermarkPredicates) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   EXPECT_FALSE(mm.BelowLowWatermark());
   EXPECT_TRUE(mm.AboveHighWatermark());
   for (uint64_t p = 0; p < 13; ++p) {
@@ -114,7 +112,7 @@ TEST(MemoryManager, WatermarkPredicates) {
 
 TEST(MemoryManager, FrameWaitersNotifiedOnRelease) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions(8, 2));
+  MemoryManager mm(&e, SmallOptions(), 8, 2);
   mm.BeginFetch(0);
   mm.BeginFetch(1);
   EXPECT_FALSE(mm.HasFreeFrame());
@@ -136,7 +134,7 @@ TEST(MemoryManager, FrameWaitersNotifiedOnRelease) {
 
 TEST(MemoryManager, StatsCountFaultKinds) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   mm.BeginFetch(1, /*prefetch=*/false);
   mm.BeginFetch(2, /*prefetch=*/true);
   EXPECT_EQ(mm.stats().faults, 1u);
@@ -147,7 +145,7 @@ TEST(MemoryManager, StatsCountFaultKinds) {
 
 TEST(MemoryManager, PrefetchedUntouchedIsFirstChoiceVictim) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   // A demand page touched recently and a prefetched page nobody touched.
   mm.BeginFetch(1);
   mm.CompleteFetch(1);
@@ -170,7 +168,7 @@ TEST(MemoryManager, PrefetchedUntouchedIsFirstChoiceVictim) {
 
 TEST(MemoryManager, TouchPromotesOutOfPrefetchCache) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   mm.BeginFetch(2, /*prefetch=*/true);
   mm.CompleteFetch(2);
   EXPECT_TRUE(mm.IsPrefetchedResident(2));
@@ -190,7 +188,7 @@ TEST(MemoryManager, TouchPromotesOutOfPrefetchCache) {
 
 TEST(MemoryManager, PinnedPrefetchedPageSkippedBySelectVictim) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   mm.BeginFetch(2, /*prefetch=*/true);
   mm.CompleteFetch(2);
   mm.BeginFetch(3, /*prefetch=*/true);
@@ -204,7 +202,7 @@ TEST(MemoryManager, PinnedPrefetchedPageSkippedBySelectVictim) {
 
 TEST(MemoryManager, MarkPrefetchLateResolvesInFlightPrefetch) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   mm.BeginFetch(7, /*prefetch=*/true);
   EXPECT_TRUE(mm.IsPrefetchedInFlight(7));
   mm.MarkPrefetchLate(7);
@@ -218,7 +216,7 @@ TEST(MemoryManager, MarkPrefetchLateResolvesInFlightPrefetch) {
 
 TEST(MemoryManager, AbortedPrefetchCountsWaste) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   mm.BeginFetch(4, /*prefetch=*/true);
   mm.AbortFetch(4);
   EXPECT_EQ(mm.stats().prefetch_wasted, 1u);
@@ -233,7 +231,7 @@ TEST(MemoryManager, FrameCacheRefillsInBatches) {
   Engine e;
   auto o = SmallOptions();
   o.frame_cache_size = 4;
-  MemoryManager mm(&e, o);
+  MemoryManager mm(&e, o, 64, 16);
   mm.BeginFetch(0, /*prefetch=*/false, /*owner=*/0);
   // First allocation pulls a whole batch: one credit consumed, three parked.
   EXPECT_EQ(mm.stats().frame_refills, 1u);
@@ -254,7 +252,7 @@ TEST(MemoryManager, FrameCachesArePerOwner) {
   Engine e;
   auto o = SmallOptions();
   o.frame_cache_size = 2;
-  MemoryManager mm(&e, o);
+  MemoryManager mm(&e, o, 64, 16);
   mm.BeginFetch(0, /*prefetch=*/false, /*owner=*/0);
   mm.BeginFetch(1, /*prefetch=*/false, /*owner=*/1);
   EXPECT_EQ(mm.stats().frame_refills, 2u);
@@ -271,11 +269,11 @@ TEST(MemoryManager, FrameCreditConservation) {
   Engine e;
   auto o = SmallOptions();
   o.frame_cache_size = 4;
-  MemoryManager mm(&e, o);
+  MemoryManager mm(&e, o, 64, 16);
   auto conserved = [&] {
     return mm.used_frames() + mm.shared_free_frames() +
                mm.cached_frame_credits() ==
-           o.local_pages;
+           mm.local_pages();
   };
   EXPECT_TRUE(conserved());
   for (uint64_t p = 0; p < 10; ++p) {
@@ -294,9 +292,9 @@ TEST(MemoryManager, FrameCreditConservation) {
 
 TEST(MemoryManager, BounceFrameSpillsIdleCredits) {
   Engine e;
-  auto o = SmallOptions(/*total=*/64, /*local=*/8);
+  auto o = SmallOptions();
   o.frame_cache_size = 8;
-  MemoryManager mm(&e, o);
+  MemoryManager mm(&e, o, /*total_pages=*/64, /*local_pages=*/8);
   mm.BeginFetch(0, /*prefetch=*/false, /*owner=*/0);
   // The whole pool is now one parked batch: the shared side is dry even
   // though seven frames are free.
@@ -317,7 +315,7 @@ TEST(MemoryManager, FrameRefillEmitsSystemTraceEvent) {
   Engine e;
   auto o = SmallOptions();
   o.frame_cache_size = 4;
-  MemoryManager mm(&e, o);
+  MemoryManager mm(&e, o, 64, 16);
   Tracer tracer;
   tracer.Enable(16);
   mm.set_tracer(&tracer);
@@ -332,7 +330,7 @@ TEST(MemoryManager, FrameRefillEmitsSystemTraceEvent) {
 
 TEST(MemoryManager, EagerPurgeKeepsPoolInSyncWithPromotions) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   mm.BeginFetch(2, /*prefetch=*/true);
   mm.CompleteFetch(2);
   mm.BeginFetch(3, /*prefetch=*/true);
@@ -356,7 +354,7 @@ TEST(MemoryManager, EagerPurgeKeepsPoolInSyncWithPromotions) {
 
 TEST(MemoryManager, PrefetchPoolKeepsFifoOrderAcrossPinRotationAndPurge) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   for (uint64_t p = 1; p <= 5; ++p) {
     mm.BeginFetch(p, /*prefetch=*/true);
     mm.CompleteFetch(p);
@@ -384,7 +382,7 @@ TEST(MemoryManager, PrefetchPoolKeepsFifoOrderAcrossPinRotationAndPurge) {
 
 TEST(MemoryManager, PrefetchFeedbackRoutesToOwner) {
   Engine e;
-  MemoryManager mm(&e, SmallOptions());
+  MemoryManager mm(&e, SmallOptions(), 64, 16);
   int hits0 = 0, wastes0 = 0, hits1 = 0, wastes1 = 0;
   mm.set_prefetch_feedback(0, [&](bool hit) { hit ? ++hits0 : ++wastes0; });
   mm.set_prefetch_feedback(1, [&](bool hit) { hit ? ++hits1 : ++wastes1; });

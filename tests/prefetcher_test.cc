@@ -11,16 +11,9 @@
 namespace adios {
 namespace {
 
-MemoryManager::Options Opts(uint64_t total = 256, uint64_t local = 128) {
-  MemoryManager::Options o;
-  o.total_pages = total;
-  o.local_pages = local;
-  return o;
-}
-
 TEST(Prefetcher, DisabledWindowDoesNothing) {
   Engine e;
-  MemoryManager mm(&e, Opts());
+  MemoryManager mm(&e, PagingConfig{}, 256, 128);
   SequentialPrefetcher pf(0);
   std::vector<uint64_t> out;
   pf.OnFault(10, &mm, &out);
@@ -30,7 +23,7 @@ TEST(Prefetcher, DisabledWindowDoesNothing) {
 
 TEST(Prefetcher, RandomFaultsDoNotPrefetch) {
   Engine e;
-  MemoryManager mm(&e, Opts());
+  MemoryManager mm(&e, PagingConfig{}, 256, 128);
   SequentialPrefetcher pf(8);
   std::vector<uint64_t> out;
   pf.OnFault(10, &mm, &out);
@@ -41,7 +34,7 @@ TEST(Prefetcher, RandomFaultsDoNotPrefetch) {
 
 TEST(Prefetcher, SequentialStreakRampsWindow) {
   Engine e;
-  MemoryManager mm(&e, Opts());
+  MemoryManager mm(&e, PagingConfig{}, 256, 128);
   SequentialPrefetcher pf(8);
   std::vector<uint64_t> out;
   pf.OnFault(10, &mm, &out);
@@ -57,7 +50,7 @@ TEST(Prefetcher, SequentialStreakRampsWindow) {
 
 TEST(Prefetcher, SkipsAlreadyFetchingPages) {
   Engine e;
-  MemoryManager mm(&e, Opts());
+  MemoryManager mm(&e, PagingConfig{}, 256, 128);
   SequentialPrefetcher pf(8);
   mm.BeginFetch(12);  // Someone else is fetching 12.
   std::vector<uint64_t> out;
@@ -71,7 +64,7 @@ TEST(Prefetcher, SkipsAlreadyFetchingPages) {
 
 TEST(Prefetcher, StopsAtFrameExhaustion) {
   Engine e;
-  MemoryManager mm(&e, Opts(256, 3));
+  MemoryManager mm(&e, PagingConfig{}, 256, 3);
   SequentialPrefetcher pf(8);
   mm.BeginFetch(0);
   mm.BeginFetch(1);  // 1 frame left.
@@ -83,7 +76,7 @@ TEST(Prefetcher, StopsAtFrameExhaustion) {
 
 TEST(Prefetcher, StopsAtAddressSpaceEnd) {
   Engine e;
-  MemoryManager mm(&e, Opts(16, 16));
+  MemoryManager mm(&e, PagingConfig{}, 16, 16);
   SequentialPrefetcher pf(8);
   std::vector<uint64_t> out;
   pf.OnFault(14, &mm, &out);
@@ -93,7 +86,7 @@ TEST(Prefetcher, StopsAtAddressSpaceEnd) {
 
 TEST(Prefetcher, WindowCappedAtMax) {
   Engine e;
-  MemoryManager mm(&e, Opts(4096, 4096));
+  MemoryManager mm(&e, PagingConfig{}, 4096, 4096);
   SequentialPrefetcher pf(4);
   std::vector<uint64_t> out;
   uint64_t p = 100;
@@ -130,7 +123,7 @@ std::vector<uint64_t> DriveFaults(AdaptivePrefetcher& pf, MemoryManager& mm,
 
 TEST(AdaptivePrefetcher, DisabledWindowDoesNothing) {
   Engine e;
-  MemoryManager mm(&e, Opts());
+  MemoryManager mm(&e, PagingConfig{}, 256, 128);
   AdaptivePrefetcher pf(0);
   auto out = DriveFaults(pf, mm, {10, 11, 12, 13});
   EXPECT_TRUE(out.empty());
@@ -138,7 +131,7 @@ TEST(AdaptivePrefetcher, DisabledWindowDoesNothing) {
 
 TEST(AdaptivePrefetcher, ConvergesOnUnitStride) {
   Engine e;
-  MemoryManager mm(&e, Opts(4096, 4096));
+  MemoryManager mm(&e, PagingConfig{}, 4096, 4096);
   AdaptivePrefetcher pf(8);
   auto out = DriveFaults(pf, mm, {10, 11, 12});
   // Two deltas of +1: majority over the smallest sub-window -> stride +1.
@@ -150,7 +143,7 @@ TEST(AdaptivePrefetcher, ConvergesOnUnitStride) {
 
 TEST(AdaptivePrefetcher, DetectsNonUnitStride) {
   Engine e;
-  MemoryManager mm(&e, Opts(4096, 4096));
+  MemoryManager mm(&e, PagingConfig{}, 4096, 4096);
   AdaptivePrefetcher pf(8);
   auto out = DriveFaults(pf, mm, {100, 104, 108});
   ASSERT_EQ(out.size(), 1u);
@@ -159,7 +152,7 @@ TEST(AdaptivePrefetcher, DetectsNonUnitStride) {
 
 TEST(AdaptivePrefetcher, DetectsNegativeStride) {
   Engine e;
-  MemoryManager mm(&e, Opts(4096, 4096));
+  MemoryManager mm(&e, PagingConfig{}, 4096, 4096);
   AdaptivePrefetcher pf(8);
   auto out = DriveFaults(pf, mm, {200, 199, 198});
   ASSERT_EQ(out.size(), 1u);
@@ -168,7 +161,7 @@ TEST(AdaptivePrefetcher, DetectsNegativeStride) {
 
 TEST(AdaptivePrefetcher, MajorityVoteTolersatesOutliers) {
   Engine e;
-  MemoryManager mm(&e, Opts(65536, 65536));
+  MemoryManager mm(&e, PagingConfig{}, 65536, 65536);
   AdaptivePrefetcher pf(8);
   // A mostly-unit-stride stream with one wild jump: deltas over the full
   // history are {1,1,1, big, 1,1,1} — the majority is still +1.
@@ -179,7 +172,7 @@ TEST(AdaptivePrefetcher, MajorityVoteTolersatesOutliers) {
 
 TEST(AdaptivePrefetcher, RandomFaultsFindNoMajority) {
   Engine e;
-  MemoryManager mm(&e, Opts(65536, 65536));
+  MemoryManager mm(&e, PagingConfig{}, 65536, 65536);
   AdaptivePrefetcher pf(8);
   auto out = DriveFaults(pf, mm, {17, 920, 3, 4411, 209, 8191, 55, 1040});
   EXPECT_TRUE(out.empty());
@@ -187,7 +180,7 @@ TEST(AdaptivePrefetcher, RandomFaultsFindNoMajority) {
 
 TEST(AdaptivePrefetcher, WindowGrowsOnHitsAndShrinksOnWaste) {
   Engine e;
-  MemoryManager mm(&e, Opts(65536, 65536));
+  MemoryManager mm(&e, PagingConfig{}, 65536, 65536);
   AdaptivePrefetcher pf(8);
   EXPECT_EQ(pf.window(), 1u);
   pf.OnPrefetchHit();
@@ -213,7 +206,7 @@ TEST(AdaptivePrefetcher, WindowGrowsOnHitsAndShrinksOnWaste) {
 
 TEST(AdaptivePrefetcher, DepthFollowsWindow) {
   Engine e;
-  MemoryManager mm(&e, Opts(65536, 65536));
+  MemoryManager mm(&e, PagingConfig{}, 65536, 65536);
   AdaptivePrefetcher pf(8);
   pf.OnPrefetchHit();
   pf.OnPrefetchHit();
@@ -228,7 +221,7 @@ TEST(AdaptivePrefetcher, DepthFollowsWindow) {
 
 TEST(AdaptivePrefetcher, StopsAtAddressSpaceEdges) {
   Engine e;
-  MemoryManager mm(&e, Opts(64, 64));
+  MemoryManager mm(&e, PagingConfig{}, 64, 64);
   AdaptivePrefetcher pf(8);
   // Negative stride marching toward page 0: candidates below 0 are dropped.
   auto out = DriveFaults(pf, mm, {2, 1, 0});
@@ -240,7 +233,7 @@ TEST(AdaptivePrefetcher, DeterministicAcrossIdenticalRuns) {
   std::vector<std::vector<uint64_t>> runs;
   for (int run = 0; run < 2; ++run) {
     Engine e;
-    MemoryManager mm(&e, Opts(4096, 4096));
+    MemoryManager mm(&e, PagingConfig{}, 4096, 4096);
     AdaptivePrefetcher pf(8);
     std::vector<uint64_t> all;
     std::vector<uint64_t> out;
@@ -256,7 +249,7 @@ TEST(AdaptivePrefetcher, DeterministicAcrossIdenticalRuns) {
 
 TEST(MakePrefetcher, FactorySelectsPolicy) {
   Engine e;
-  MemoryManager mm(&e, Opts(4096, 4096));
+  MemoryManager mm(&e, PagingConfig{}, 4096, 4096);
   auto seq = MakePrefetcher(PrefetchPolicy::kSequential, 8, 0);
   auto ada = MakePrefetcher(PrefetchPolicy::kAdaptive, 8, 0);
   ASSERT_NE(seq, nullptr);

@@ -78,7 +78,7 @@ TEST_P(SystemProperty, ConservationAndSanity) {
 
   // Paging invariant: resident pages never exceed the local budget.
   EXPECT_LE(sys.memory_manager().page_table().resident_pages(),
-            sys.memory_manager().options().local_pages);
+            sys.memory_manager().local_pages());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -15,12 +15,15 @@ struct Rig {
   NodeHealthMonitor health;
   Reclaimer reclaimer;
 
-  Rig(MemoryManager::Options mo, Reclaimer::Options ro)
+  static constexpr uint64_t kTotalPages = 256;
+  static constexpr uint64_t kLocalPages = 32;
+
+  Rig(PagingConfig paging, Reclaimer::Options ro)
       : fabric(&engine, FabricParams{}),
-        mm(&engine, mo),
+        mm(&engine, paging, kTotalPages, kLocalPages),
         core(&engine, CycleClock(2000), "reclaim"),
         qp(fabric.CreateQp(fabric.CreateCq())),
-        placement(mo.total_pages, 1, 1),
+        placement(kTotalPages, 1, 1),
         health(&engine, ReplicationConfig{}),
         reclaimer(&engine, &core, &mm, qp, &placement, &health, ro) {}
 
@@ -32,10 +35,8 @@ struct Rig {
   }
 };
 
-MemoryManager::Options Opts() {
-  MemoryManager::Options o;
-  o.total_pages = 256;
-  o.local_pages = 32;
+PagingConfig Opts() {
+  PagingConfig o;
   o.reclaim_low_watermark = 0.25;
   o.reclaim_high_watermark = 0.5;
   return o;

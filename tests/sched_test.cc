@@ -1,11 +1,14 @@
 // Scheduler-level behavior observed through the assembled system:
-// dispatch policies (Algorithm 1), polling delegation, preemption quanta.
+// dispatch policies (Algorithm 1), polling delegation, preemption quanta;
+// and the dispatcher's RX-ring bound, on a dispatcher alone.
 
 #include <gtest/gtest.h>
 
 #include "src/apps/array_app.h"
 #include "src/apps/rocksdb_app.h"
 #include "src/core/md_system.h"
+#include "src/ctrl/overload_control.h"
+#include "src/sched/dispatcher.h"
 
 namespace adios {
 namespace {
@@ -156,6 +159,35 @@ TEST(Reclaim, TinyLocalCacheDoesNotDeadlock) {
   RunResult r = sys.Run(400000, Milliseconds(5), Milliseconds(15));
   EXPECT_EQ(r.sent, r.completed + r.dropped);
   EXPECT_GT(r.measured, 1000u);
+}
+
+TEST(RxRing, ArrivalBeyondTheBoundIsDroppedAndCounted) {
+  // The dispatcher fiber never starts, so nothing drains the RX ring (or
+  // touches the worker list): the first kRxRingSize arrivals queue, and the
+  // next one is dropped at the ring.
+  Engine engine;
+  CpuCore core(&engine, CycleClock(2000), "dispatcher");
+  UnithreadPool::Options popts;
+  popts.count = 1;
+  popts.buffer_size = 16384;
+  UnithreadPool pool(popts);
+  CompletionQueue cq(0);
+  MetricRegistry registry;
+  OverloadController ctrl(&engine, CtrlConfig{}, 1, &registry);
+  std::vector<Request*> dropped;
+  Dispatcher dispatcher(&engine, &core, &pool, &cq, {nullptr}, &ctrl, SchedConfig{},
+                        [&dropped](Request* req) { dropped.push_back(req); });
+  dispatcher.RegisterMetrics(&registry);
+
+  std::vector<Request> arrivals(kRxRingSize + 1);
+  for (Request& req : arrivals) {
+    dispatcher.OnRx(&req);
+  }
+  EXPECT_EQ(dispatcher.queue_depth(), kRxRingSize);
+  ASSERT_EQ(dropped.size(), 1u);
+  EXPECT_EQ(dropped[0], &arrivals.back());
+  EXPECT_EQ(registry.Snapshot().Count("dispatcher.dropped"), 1u);
+  EXPECT_EQ(registry.Snapshot().Count("dispatcher.received"), kRxRingSize + 1u);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(WorkerFlow, QpDepthClampedToFrameBudget) {
   ao.entries = 1 << 15;  // 513 pages, 20% local => ~102 frames.
   ArrayApp app(ao);
   MdSystem sys(cfg, &app);
-  const uint64_t local = sys.memory_manager().options().local_pages;
+  const uint64_t local = sys.memory_manager().local_pages();
   for (auto& w : sys.workers()) {
     EXPECT_LE(static_cast<uint64_t>(w->mem_qp()->depth()) * cfg.num_workers, local);
   }

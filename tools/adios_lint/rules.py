@@ -14,8 +14,8 @@ Each rule is a static complement to one of the runtime invariant checks:
                        knob table, and is assigned somewhere (a preset,
                        src/, bench/, examples/, perfbench/ or tests/; a
                        value nothing sets is a constant, not a knob), and
-                       every row of a docs/KNOBS.md table headed by a
-                       config struct names a field of it.
+                       a docs/KNOBS.md table headed by a config struct
+                       has a row for each of its fields and none other.
 
 Suppression: `// adios-lint: ignore(rule[,rule]) -- reason` on the finding
 line or the line above; `ignore(all)` silences every rule for that line.
@@ -484,33 +484,54 @@ _MD_ROW_RE = re.compile(r"^\|\s*`([A-Za-z_]\w*)`\s*\|")
 
 
 def _check_knob_rows(indexes, root, findings):
-    """The reverse of _check_knobs: a deleted knob must take its row along.
+    """Keeps each docs/KNOBS.md struct section and its struct in step.
 
-    A docs/KNOBS.md section whose header names an indexed config struct
-    (`SystemConfig`, `Reclaimer::Options`, ...) lists that struct's fields;
-    each backticked first-column name must still be one. Sections naming no
-    indexed struct (a subset run, prose sections) are skipped.
+    A section whose header names an indexed config struct (`SystemConfig`,
+    `Reclaimer::Options`, ...) is that struct's table: each backticked
+    first-column name must still be one of its fields (a deleted knob takes
+    its row along), and each of its fields must have a row there (a mention
+    elsewhere in docs/ does not document a field of this struct). Sections
+    naming no indexed struct (a subset run, prose sections) are skipped.
     """
     path = os.path.join(root, "docs", "KNOBS.md")
     if not os.path.isfile(path):
         return
     structs = {sd.qualname: sd for idx in indexes for sd in idx.structs
                if is_config_struct(sd)}
+    files = {id(sd): idx.lexed for idx in indexes for sd in idx.structs}
     section = None
+    rows = set()
+
+    def close_section():
+        if section is None:
+            return
+        lexed = files[id(section)]
+        for fd in section.fields:
+            if (fd.name not in rows and
+                    not is_suppressed(lexed, fd.line, RULE_KNOB)):
+                findings.append(Finding(
+                    lexed.path, fd.line, RULE_KNOB,
+                    f"config knob '{section.qualname}::{fd.name}' has no "
+                    f"row in its docs/KNOBS.md section: add one"))
+
     with open(path, "r", encoding="utf-8", errors="replace") as f:
         for lineno, line in enumerate(f, start=1):
             if _MD_HEADER_RE.match(line):
+                close_section()
                 names = [n for n in _MD_CODE_RE.findall(line) if n in structs]
                 section = structs[names[0]] if names else None
+                rows = set()
                 continue
             m = _MD_ROW_RE.match(line)
             if section is None or m is None:
                 continue
+            rows.add(m.group(1))
             if m.group(1) not in {fd.name for fd in section.fields}:
                 findings.append(Finding(
                     path, lineno, RULE_KNOB,
                     f"knob row '{m.group(1)}' names no field of "
                     f"'{section.qualname}': delete the stale row"))
+    close_section()
 
 
 # ---------------------------------------------------------------------------
