@@ -272,7 +272,7 @@ BENCHMARK(BM_FabricReadPipeline);
 
 // Host cost of the page digest a verified fetch computes when the page
 // changed, on one hot 4 KiB page (the simulated cost is the fixed
-// `verify_cycles`).
+// `IntegrityLayer::kVerifyCycles`).
 void BM_PageChecksum(benchmark::State& state) {
   std::vector<uint8_t> page(kPageSize);
   Rng rng(1);
@@ -280,7 +280,8 @@ void BM_PageChecksum(benchmark::State& state) {
     b = static_cast<uint8_t>(rng.Next());
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PageChecksum(page.data(), page.size(), 41));
+    benchmark::DoNotOptimize(
+        PageChecksum(page.data(), page.size(), IntegrityLayer::kChecksumSeed));
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(page.size()));
 }

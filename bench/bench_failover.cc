@@ -21,7 +21,7 @@
 // >= 90% of the pre-blackout average for the replicated Adios.
 //
 // Workload: memcached-style GET/SET (20% SETs so write-backs diverge and the
-// re-silver pass has real work), 10% local memory, 8 workers.
+// re-silver pass has real work), 10% local memory, 8 workers, 800 K req/s.
 
 #include <algorithm>
 
@@ -32,6 +32,10 @@
 namespace adios {
 namespace {
 
+constexpr uint64_t kNumKeys = 1ull << 17;
+constexpr double kLocalRatio = 0.1;
+constexpr double kLoad = 8e5;
+
 struct Point {
   std::string label;
   RunResult result;
@@ -40,14 +44,14 @@ struct Point {
 
 MemcachedApp::Options Workload() {
   MemcachedApp::Options o;
-  o.num_keys = EnvU64("ADIOS_BENCH_FAILOVER_KEYS", 1ull << 17);
+  o.num_keys = kNumKeys;
   o.set_fraction = 0.2;
   return o;
 }
 
-RunResult RunPoint(const std::string& system, uint32_t replicas, double load,
-                   SimDuration blackout_start, SimDuration blackout_duration,
-                   const BenchTiming& timing, const BenchTraceArgs* trace = nullptr) {
+RunResult RunPoint(const std::string& system, uint32_t replicas, SimDuration blackout_start,
+                   SimDuration blackout_duration, const BenchTiming& timing,
+                   const BenchTraceArgs* trace = nullptr) {
   SystemConfig cfg = system == "DiLOS" ? SystemConfig::DiLOS() : SystemConfig::Adios();
   cfg.name = StrFormat("%s-R%u", system.c_str(), replicas);
   cfg.replication.num_nodes = std::max(2u, replicas);  // R1 still has 2 nodes...
@@ -55,7 +59,7 @@ RunResult RunPoint(const std::string& system, uint32_t replicas, double load,
   if (replicas == 1) {
     cfg.replication.num_nodes = 1;  // True single-node baseline: no fabric change.
   }
-  cfg.local_memory_ratio = EnvDouble("ADIOS_BENCH_FAILOVER_LOCAL", 0.1);
+  cfg.local_memory_ratio = kLocalRatio;
   cfg.fault.blackout_start_ns = blackout_start;
   cfg.fault.blackout_duration_ns = blackout_duration;
   cfg.fault.blackout_node = 0;
@@ -64,7 +68,7 @@ RunResult RunPoint(const std::string& system, uint32_t replicas, double load,
   if (trace != nullptr) {
     sys.tracer().Enable(1u << 20);
   }
-  RunResult r = sys.Run(load, timing.warmup, timing.measure);
+  RunResult r = sys.Run(kLoad, timing.warmup, timing.measure);
   if (trace != nullptr) {
     ExportBenchTrace(sys, *trace);
   }
@@ -75,14 +79,12 @@ RunResult RunPoint(const std::string& system, uint32_t replicas, double load,
 // failovers land as instants on the node tracks of the exported JSON.
 void TracedRun(const BenchTraceArgs& args) {
   const BenchTiming timing = DefaultTiming();
-  const double load = EnvDouble("ADIOS_BENCH_FAILOVER_LOAD", 8e5);
   const SimDuration blackout_start = timing.warmup + timing.measure * 3 / 10;
-  RunPoint("Adios", 2, load, blackout_start, timing.measure / 10, timing, &args);
+  RunPoint("Adios", 2, blackout_start, timing.measure / 10, timing, &args);
 }
 
 void Run() {
   const BenchTiming timing = DefaultTiming();
-  const double load = EnvDouble("ADIOS_BENCH_FAILOVER_LOAD", 8e5);
   // Blackout: 30% into the measurement window, 10% of it long (1 ms in the
   // quick smoke, 2.5 ms in the full run) — long enough that detection,
   // failover, recovery probing, and re-silvering all land inside the window.
@@ -97,20 +99,21 @@ void Run() {
 
   std::vector<Point> points;
   points.push_back({"Adios-R2",
-                    RunPoint("Adios", 2, load, blackout_start, blackout_duration, timing),
+                    RunPoint("Adios", 2, blackout_start, blackout_duration, timing),
                     timing.warmup});
   points.push_back({"Adios-R1",
-                    RunPoint("Adios", 1, load, blackout_start, blackout_duration, timing),
+                    RunPoint("Adios", 1, blackout_start, blackout_duration, timing),
                     timing.warmup});
   points.push_back({"DiLOS-R2",
-                    RunPoint("DiLOS", 2, load, blackout_start, blackout_duration, timing),
+                    RunPoint("DiLOS", 2, blackout_start, blackout_duration, timing),
                     timing.warmup});
 
   // --- Timeline: the RunResult's windowed snapshots, rebuilt at this bench's
   // coarser bin so the table stays readable (docs/OBSERVABILITY.md) ---
   std::vector<TimeSeries> lines;
   for (const Point& p : points) {
-    lines.push_back(BuildTimeSeries(p.result.samples, {}, p.warmup, timing.measure, bin_ns));
+    lines.push_back(
+        BuildTimeSeries(p.result.samples, {}, {}, p.warmup, timing.measure, bin_ns));
   }
   std::printf("\ngoodput timeline (K completions/s per %.2f ms bin; * = blackout):\n",
               static_cast<double>(bin_ns) / 1e6);

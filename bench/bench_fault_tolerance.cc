@@ -17,10 +17,9 @@
 //
 // Workload: random array indirection, 10% local memory (remote-intensive),
 // 8 workers. Tables (a)/(b) run at a load both systems sustain fault-free
-// (override: ADIOS_BENCH_FAULT_LOAD) so faults show up as tail latency and
-// retries; table (c) offers load past degraded DiLOS's saturation point
-// (override: ADIOS_BENCH_FAULT_KNEE_LOAD) so the busy-waiting capacity
-// loss shows up directly as lost goodput.
+// (kLoad) so faults show up as tail latency and retries; table (c) offers
+// load past degraded DiLOS's saturation point (kKneeLoad) so the
+// busy-waiting capacity loss shows up directly as lost goodput.
 
 #include "bench/bench_util.h"
 #include "src/apps/array_app.h"
@@ -28,9 +27,13 @@
 namespace adios {
 namespace {
 
+constexpr double kLocalRatio = 0.1;
+constexpr double kLoad = 1.2e6;
+constexpr double kKneeLoad = 2.6e6;
+
 ArrayApp::Options Workload() {
   ArrayApp::Options o;
-  o.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
+  o.entries = kArrayEntries;
   return o;
 }
 
@@ -51,7 +54,7 @@ RunResult RunPoint(const std::string& system, double load, const FaultInjector::
     // the column shows the pure verification overhead.
     cfg.integrity.verify = true;
   }
-  cfg.local_memory_ratio = EnvDouble("ADIOS_BENCH_FAULT_LOCAL", 0.1);
+  cfg.local_memory_ratio = kLocalRatio;
   cfg.fault = fault;
   ArrayApp app(Workload());
   MdSystem sys(cfg, &app);
@@ -76,8 +79,6 @@ void AddRow(TablePrinter& table, const std::string& axis, const std::string& sys
 
 void Run() {
   const BenchTiming timing = DefaultTiming();
-  const double load = EnvDouble("ADIOS_BENCH_FAULT_LOAD", 1.2e6);
-  const double knee_load = EnvDouble("ADIOS_BENCH_FAULT_KNEE_LOAD", 2.6e6);
   const std::vector<std::string> systems = {"DiLOS", "Adios", "Adios-R2", "Adios-R2V"};
 
   PrintHeader("Fault tolerance (a)", "goodput and tail vs READ loss rate");
@@ -91,7 +92,7 @@ void Run() {
     for (const auto& system : systems) {
       FaultInjector::Options fault;
       fault.read_loss_rate = loss;
-      RunResult r = RunPoint(system, load, fault, timing);
+      RunResult r = RunPoint(system, kLoad, fault, timing);
       AddRow(loss_table, StrFormat("%.1f%%", loss * 100.0), system, r);
     }
   }
@@ -109,7 +110,7 @@ void Run() {
       FaultInjector::Options fault;
       fault.brownout_period_ns = Milliseconds(1);
       fault.brownout_duration_ns = Microseconds(dur_us);
-      RunResult r = RunPoint(system, load, fault, timing);
+      RunResult r = RunPoint(system, kLoad, fault, timing);
       AddRow(brown_table, StrFormat("%lluus", static_cast<unsigned long long>(dur_us)),
              system, r);
     }
@@ -129,7 +130,7 @@ void Run() {
                             "failovers", "drops", "wasted"});
   double goodput[4] = {0, 0, 0, 0};
   for (size_t s = 0; s < systems.size(); ++s) {
-    RunResult r = RunPoint(systems[s], knee_load, combined, timing);
+    RunResult r = RunPoint(systems[s], kKneeLoad, combined, timing);
     goodput[s] = r.goodput_rps;
     AddRow(combo_table, "degraded", systems[s], r);
   }

@@ -15,7 +15,7 @@ namespace {
 
 MemcachedApp::Options Workload(uint32_t value_bytes) {
   MemcachedApp::Options o;
-  o.num_keys = EnvU64("ADIOS_BENCH_MEMC_KEYS", 1ull << 19);
+  o.num_keys = 1ull << 19;
   o.value_bytes = value_bytes;
   return o;
 }

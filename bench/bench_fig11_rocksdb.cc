@@ -17,7 +17,7 @@ namespace {
 
 RocksDbApp::Options Workload() {
   RocksDbApp::Options o;
-  o.num_keys = EnvU64("ADIOS_BENCH_ROCKS_KEYS", 1ull << 18);
+  o.num_keys = 1ull << 18;
   o.value_bytes = 1024;
   o.scan_fraction = 0.01;
   o.scan_length = 100;

@@ -12,12 +12,6 @@
 namespace adios {
 namespace {
 
-SiloApp::Options Workload() {
-  SiloApp::Options o;
-  o.warehouses = static_cast<uint32_t>(EnvU64("ADIOS_BENCH_SILO_WH", 4));
-  return o;
-}
-
 void Run() {
   const BenchTiming timing = DefaultTiming();
   const std::vector<double> loads =
@@ -28,7 +22,7 @@ void Run() {
                       "dirty-evict"});
   for (double load : loads) {
     for (const char* name : {"Hermit", "DiLOS", "DiLOS-P", "Adios"}) {
-      SiloApp app(Workload());
+      SiloApp app;
       MdSystem sys(PresetByName(name), &app);
       RunResult r = sys.Run(load, timing.warmup, timing.measure);
       table.AddRow({Krps(load), name, Krps(r.throughput_rps), Us(r.e2e.P50()),
@@ -41,7 +35,7 @@ void Run() {
 
   // Per-transaction-type latency at a moderate load (supplementary view).
   PrintHeader("Figure 12 (supplement)", "Per-transaction-type latency at mid load (Adios)");
-  SiloApp app(Workload());
+  SiloApp app;
   MdSystem sys(SystemConfig::Adios(), &app);
   RunResult r = sys.Run(200e3, timing.warmup, timing.measure);
   TablePrinter per_op({"txn", "count", "P50(us)", "P99(us)", "P99.9(us)"});

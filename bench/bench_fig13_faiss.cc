@@ -15,7 +15,7 @@ namespace {
 
 FaissApp::Options Workload() {
   FaissApp::Options o;
-  o.num_vectors = static_cast<uint32_t>(EnvU64("ADIOS_BENCH_FAISS_VECS", 120000));
+  o.num_vectors = 120000;
   o.nlist = 512;
   o.nprobe = 16;
   return o;

@@ -20,7 +20,7 @@ ArrayApp::Options Workload() {
   ArrayApp::Options o;
   // Paper: 40 GB working set / 8 GB local. Scaled: 64 MiB / 12.8 MiB, same
   // 20% ratio (the controlled variable).
-  o.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
+  o.entries = kArrayEntries;
   return o;
 }
 

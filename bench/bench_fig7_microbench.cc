@@ -18,7 +18,7 @@ namespace {
 
 ArrayApp::Options Workload() {
   ArrayApp::Options o;
-  o.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
+  o.entries = kArrayEntries;
   return o;
 }
 

@@ -17,7 +17,7 @@ namespace {
 void Run() {
   const BenchTiming timing = DefaultTiming();
   ArrayApp::Options wl;
-  wl.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
+  wl.entries = kArrayEntries;
 
   std::vector<double> ratios = {0.10, 0.20, 0.40, 0.60, 0.80, 1.00};
   if (BenchQuickMode()) {

@@ -14,7 +14,7 @@ namespace {
 void Run() {
   const BenchTiming timing = DefaultTiming();
   ArrayApp::Options wl;
-  wl.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
+  wl.entries = kArrayEntries;
   const std::vector<double> loads =
       MaybeThin({0.5e6, 1.0e6, 1.4e6, 1.8e6, 2.1e6, 2.4e6, 2.7e6, 3.0e6});
 

@@ -18,7 +18,7 @@ namespace {
 void Run() {
   const BenchTiming timing = DefaultTiming();
   ArrayApp::Options wl;
-  wl.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
+  wl.entries = kArrayEntries;
   const std::vector<double> loads = MaybeThin({0.1e6, 0.2e6, 0.3e6, 0.4e6, 0.6e6, 1.0e6});
 
   PrintHeader("Appendix", "Infiniswap-class kernel-yield baseline vs DiLOS and Adios");

@@ -25,9 +25,8 @@
 // corrupted bytes, and detection is nonzero.
 //
 // Workload: memcached-style GET/SET (20% SETs so dirty write-backs exercise
-// the stored-poison path), 10% local memory, 8 workers. Knobs:
-// ADIOS_BENCH_INTEGRITY_LOAD, ADIOS_BENCH_INTEGRITY_KEYS. `--smoke` (or
-// ADIOS_BENCH_QUICK=1) shrinks the sweep for CI.
+// the stored-poison path), 10% local memory, 8 workers, 800 K req/s.
+// ADIOS_BENCH_QUICK=1 shrinks the sweep for CI.
 
 
 #include "bench/bench_util.h"
@@ -36,9 +35,13 @@
 namespace adios {
 namespace {
 
+constexpr uint64_t kNumKeys = 1ull << 17;
+constexpr double kLocalRatio = 0.1;
+constexpr double kLoad = 8e5;
+
 MemcachedApp::Options Workload() {
   MemcachedApp::Options o;
-  o.num_keys = EnvU64("ADIOS_BENCH_INTEGRITY_KEYS", 1ull << 17);
+  o.num_keys = kNumKeys;
   o.set_fraction = 0.2;
   return o;
 }
@@ -50,10 +53,9 @@ struct PointConfig {
   bool oracle = false;
 };
 
-RunResult RunPoint(double corrupt_rate, const PointConfig& pc, double load,
-                   const BenchTiming& timing) {
+RunResult RunPoint(double corrupt_rate, const PointConfig& pc, const BenchTiming& timing) {
   SystemConfig cfg = SystemConfig::Adios();
-  cfg.local_memory_ratio = EnvDouble("ADIOS_BENCH_INTEGRITY_LOCAL", 0.1);
+  cfg.local_memory_ratio = kLocalRatio;
   if (pc.replicate) {
     cfg.replication.num_nodes = 2;
     cfg.replication.replicas = 2;
@@ -68,7 +70,7 @@ RunResult RunPoint(double corrupt_rate, const PointConfig& pc, double load,
   cfg.integrity.oracle = pc.oracle;
   MemcachedApp app(Workload());
   MdSystem sys(cfg, &app);
-  return sys.Run(load, timing.warmup, timing.measure);
+  return sys.Run(kLoad, timing.warmup, timing.measure);
 }
 
 // An integrity counter by its registry name; 0 on a run without the layer.
@@ -96,7 +98,6 @@ void AddRow(TablePrinter& table, const std::string& axis, const std::string& sys
 
 void Run() {
   const BenchTiming timing = DefaultTiming();
-  const double load = EnvDouble("ADIOS_BENCH_INTEGRITY_LOAD", 8e5);
 
   PrintHeader("Integrity", "goodput and repair outcomes vs silent-corruption rate");
   std::vector<double> rates = {1e-5, 1e-4, 1e-3};
@@ -114,7 +115,7 @@ void Run() {
   // Ideal reference: same fabric shape as the headline system, no faults, no
   // integrity machinery — what goodput costs nothing.
   const RunResult ideal =
-      RunPoint(0.0, PointConfig{/*replicate=*/true, false, false, false}, load, timing);
+      RunPoint(0.0, PointConfig{/*replicate=*/true, false, false, false}, timing);
   AddRow(table, "0", "R2-ideal", ideal);
 
   RunResult headline;  // R2+verify+scrub at 1e-4, for the acceptance checks.
@@ -122,9 +123,9 @@ void Run() {
   RunResult r1_at_1e4;
   for (double rate : rates) {
     const std::string axis = StrFormat("%g", rate);
-    RunResult a = RunPoint(rate, r2v, load, timing);
-    RunResult b = RunPoint(rate, r2o, load, timing);
-    RunResult c = RunPoint(rate, r1v, load, timing);
+    RunResult a = RunPoint(rate, r2v, timing);
+    RunResult b = RunPoint(rate, r2o, timing);
+    RunResult c = RunPoint(rate, r1v, timing);
     AddRow(table, axis, "R2+verify+scrub", a);
     AddRow(table, axis, "R2-oracle", b);
     AddRow(table, axis, "R1+verify", c);
@@ -166,8 +167,7 @@ void Run() {
 }  // namespace
 }  // namespace adios
 
-int main(int argc, char** argv) {
-  adios::ApplySmokeFlag(argc, argv);
+int main() {
   adios::Run();
   return 0;
 }

@@ -23,8 +23,8 @@
 // at 10x the admitted P99 must stay within 3x the 1x P99 and SLO-goodput
 // must hold >= 70% of the sweep peak with the controller on.
 //
-// Workload: memcached-style GET/SET, 20% local memory, 8 workers. Knobs:
-// ADIOS_BENCH_OVERLOAD_BASE_RPS (1x offered load), ADIOS_BENCH_OVERLOAD_SLO_US.
+// Workload: memcached-style GET/SET, 20% local memory, 8 workers; 1x offered
+// load is kBaseRps and the SLO is kSloNs.
 
 #include <algorithm>
 
@@ -34,6 +34,11 @@
 
 namespace adios {
 namespace {
+
+constexpr uint64_t kNumKeys = 1ull << 16;
+constexpr double kBaseRps = 6e5;
+constexpr uint64_t kSloNs = 150'000;  // About 10x the unloaded P99.
+constexpr double kShedPfKnee = 12.0;
 
 struct Point {
   std::string label;
@@ -45,14 +50,9 @@ struct Point {
 
 MemcachedApp::Options Workload() {
   MemcachedApp::Options o;
-  o.num_keys = EnvU64("ADIOS_BENCH_OVERLOAD_KEYS", 1ull << 16);
+  o.num_keys = kNumKeys;
   o.set_fraction = 0.1;
   return o;
-}
-
-double BaseRps() { return EnvDouble("ADIOS_BENCH_OVERLOAD_BASE_RPS", 6e5); }
-uint64_t SloNs() {
-  return static_cast<uint64_t>(EnvDouble("ADIOS_BENCH_OVERLOAD_SLO_US", 150.0) * 1000.0);
 }
 
 // Controller settings for the "on" runs: admission pinned to the 1x rate
@@ -61,10 +61,10 @@ uint64_t SloNs() {
 CtrlConfig ControllerOn() {
   CtrlConfig c;
   c.admission_enabled = true;
-  c.admit_rate_rps = BaseRps();
+  c.admit_rate_rps = kBaseRps;
   c.admit_burst = 256.0;
   c.shed_enabled = true;
-  c.shed_pf_knee = EnvDouble("ADIOS_BENCH_OVERLOAD_KNEE", 12.0);
+  c.shed_pf_knee = kShedPfKnee;
   c.scale_enabled = true;
   c.min_workers = 2;
   c.scale_up_queue = 24.0;
@@ -124,7 +124,7 @@ RunResult RunPoint(double offered_rps, bool ctrl_on, const BenchTiming& timing,
 // scale steps land on the dispatcher track of the exported JSON.
 void TracedRun(const BenchTraceArgs& args) {
   const BenchTiming timing = DefaultTiming();
-  RunPoint(4.0 * BaseRps(), /*ctrl_on=*/true, timing, nullptr, &args);
+  RunPoint(4.0 * kBaseRps, /*ctrl_on=*/true, timing, nullptr, &args);
 }
 
 void PrintSweep(const std::vector<Point>& points) {
@@ -148,7 +148,6 @@ void PrintSweep(const std::vector<Point>& points) {
 // piecewise rate schedule. One ctrl-on run; the timeline shows admission and
 // scaling following the phases.
 void FlashCrowd(const BenchTiming& timing, std::vector<BenchJsonRow>* json) {
-  const double base = BaseRps();
   LoadGenerator::Options lg;
   const SimDuration phase = (timing.warmup + timing.measure) / 8;
   lg.rate_schedule = {
@@ -158,11 +157,10 @@ void FlashCrowd(const BenchTiming& timing, std::vector<BenchJsonRow>* json) {
       {phase, 4.0},       // Flash crowd.
       {phase, 1.0},       // Aftermath.
   };
-  RunResult r = RunPoint(base, /*ctrl_on=*/true, timing, &lg);
-  const uint64_t slo_ns = SloNs();
+  RunResult r = RunPoint(kBaseRps, /*ctrl_on=*/true, timing, &lg);
 
   const SimDuration bin_ns = timing.measure / 20;
-  TimeSeries line = BuildTimeSeries(r.samples, {}, timing.warmup, timing.measure, bin_ns);
+  TimeSeries line = BuildTimeSeries(r.samples, {}, {}, timing.warmup, timing.measure, bin_ns);
   // Rebin the controller's active-worker level from the 100 us timeline the
   // run already carries (its sampler points are not re-exposed).
   std::printf("\ndiurnal + flash-crowd timeline (ctrl-on, %.2f ms bins):\n",
@@ -208,19 +206,17 @@ void FlashCrowd(const BenchTiming& timing, std::vector<BenchJsonRow>* json) {
               Count(r, "ctrl.scale_downs"));
   WarnTraceDrops(r);
   BenchJsonRow row = OverloadRow("flash-crowd/ctrl-on", r, /*ctrl_on=*/true);
-  row.extra.emplace_back("slo_goodput_rps", SloGoodputRps(r, slo_ns, timing.measure));
+  row.extra.emplace_back("slo_goodput_rps", SloGoodputRps(r, kSloNs, timing.measure));
   json->push_back(std::move(row));
 }
 
 void Run() {
   const BenchTiming timing = DefaultTiming();
-  const double base = BaseRps();
-  const uint64_t slo_ns = SloNs();
   const std::vector<double> multipliers = MaybeThin({1, 2, 4, 6, 8, 10});
 
   PrintHeader("Overload", "SLO goodput under 1x-10x offered load, ctrl off vs on");
   std::printf("base (1x) load %.0f KRPS, SLO %.0f us, 8 workers, 20%% local memory\n",
-              base / 1000.0, static_cast<double>(slo_ns) / 1000.0);
+              kBaseRps / 1000.0, static_cast<double>(kSloNs) / 1000.0);
 
   std::vector<Point> points;
   for (const bool ctrl_on : {false, true}) {
@@ -229,8 +225,8 @@ void Run() {
       p.multiplier = m;
       p.ctrl_on = ctrl_on;
       p.label = StrFormat("%s/%gx", ctrl_on ? "ctrl-on" : "ctrl-off", m);
-      p.result = RunPoint(m * base, ctrl_on, timing);
-      p.slo_goodput_rps = SloGoodputRps(p.result, slo_ns, timing.measure);
+      p.result = RunPoint(m * kBaseRps, ctrl_on, timing);
+      p.slo_goodput_rps = SloGoodputRps(p.result, kSloNs, timing.measure);
       points.push_back(std::move(p));
     }
   }

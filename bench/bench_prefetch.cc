@@ -18,7 +18,7 @@
 //   random:  no stride exists; ada must stay quiet. Acceptance: wasted
 //            prefetches < 5% of all fetches and goodput within 2% of off.
 //
-// `--smoke` (or ADIOS_BENCH_QUICK=1) shrinks sizes for CI.
+// ADIOS_BENCH_QUICK=1 shrinks sizes for CI.
 
 #include <string>
 #include <vector>
@@ -28,6 +28,10 @@
 
 namespace adios {
 namespace {
+
+constexpr double kLocalRatio = 0.2;
+constexpr uint32_t kPagesPerOp = 8;
+constexpr double kLoad = 1.2e5;
 
 struct PatternDef {
   const char* name;
@@ -46,24 +50,24 @@ struct Cell {
   double waste_frac = 0.0;
 };
 
-Cell RunPoint(const PatternDef& pat, const ConfigDef& cfgdef, double load,
-              const BenchTiming& timing, uint64_t pages) {
+Cell RunPoint(const PatternDef& pat, const ConfigDef& cfgdef, const BenchTiming& timing,
+              uint64_t pages) {
   SystemConfig cfg = SystemConfig::Adios();
   cfg.name = StrFormat("%s/%s", pat.name, cfgdef.name);
-  cfg.local_memory_ratio = EnvDouble("ADIOS_BENCH_PREFETCH_LOCAL", 0.2);
+  cfg.local_memory_ratio = kLocalRatio;
   cfg.sched.prefetch_window = cfgdef.window;
   cfg.sched.prefetch_policy = cfgdef.policy;
 
   PatternApp::Options opt;
   opt.pages = pages;
   opt.pattern = pat.pattern;
-  opt.pages_per_op = static_cast<uint32_t>(EnvU64("ADIOS_BENCH_PREFETCH_PPO", 8));
+  opt.pages_per_op = kPagesPerOp;
   opt.stride = 4;
   PatternApp app(opt);
   MdSystem sys(cfg, &app);
 
   Cell cell;
-  cell.result = sys.Run(load, timing.warmup, timing.measure);
+  cell.result = sys.Run(kLoad, timing.warmup, timing.measure);
   const auto& m = cell.result.mem;
   cell.fetches = m.faults + m.prefetches;
   cell.waste_frac =
@@ -75,8 +79,7 @@ Cell RunPoint(const PatternDef& pat, const ConfigDef& cfgdef, double load,
 void Run() {
   const BenchTiming timing = DefaultTiming();
   const bool quick = BenchQuickMode();
-  const double load = EnvDouble("ADIOS_BENCH_PREFETCH_LOAD", 1.2e5);
-  const uint64_t pages = EnvU64("ADIOS_BENCH_PREFETCH_PAGES", quick ? 1ull << 13 : 1ull << 15);
+  const uint64_t pages = quick ? 1ull << 13 : 1ull << 15;
 
   const std::vector<PatternDef> patterns = {
       {"scan", PatternApp::Pattern::kScan},
@@ -91,9 +94,9 @@ void Run() {
   };
 
   PrintHeader("Prefetch", "adaptive stride prefetching vs sequential vs off");
-  std::printf("load %.0f K req/s, %llu pages, %llu-page ops\n", load / 1000.0,
+  std::printf("load %.0f K req/s, %llu pages, %llu-page ops\n", kLoad / 1000.0,
               static_cast<unsigned long long>(pages),
-              static_cast<unsigned long long>(EnvU64("ADIOS_BENCH_PREFETCH_PPO", 8)));
+              static_cast<unsigned long long>(kPagesPerOp));
 
   TablePrinter t({"pattern", "config", "goodput(K)", "P50(us)", "P99(us)", "faults", "prefetch",
                   "hits", "late", "wasted", "waste%", "doorbells-"});
@@ -102,7 +105,7 @@ void Run() {
   std::vector<std::vector<Cell>> cells(patterns.size());
   for (size_t p = 0; p < patterns.size(); ++p) {
     for (const ConfigDef& c : configs) {
-      cells[p].push_back(RunPoint(patterns[p], c, load, timing, pages));
+      cells[p].push_back(RunPoint(patterns[p], c, timing, pages));
       const Cell& cell = cells[p].back();
       const RunResult& r = cell.result;
       t.AddRow({patterns[p].name, c.name, Krps(r.goodput_rps), Us(r.e2e.P50()), Us(r.e2e.P99()),
@@ -158,8 +161,7 @@ void Run() {
 }  // namespace
 }  // namespace adios
 
-int main(int argc, char** argv) {
-  adios::ApplySmokeFlag(argc, argv);
+int main() {
   adios::Run();
   return 0;
 }

@@ -27,7 +27,7 @@
 // The full run adds a compression point (mix/on + `compress`): the cost
 // model trades engine latency for wire bytes, reported but not gated.
 //
-// `--smoke` (or ADIOS_BENCH_QUICK=1) shrinks run times for CI.
+// ADIOS_BENCH_QUICK=1 shrinks run times for CI.
 
 #include <string>
 #include <vector>
@@ -37,6 +37,14 @@
 
 namespace adios {
 namespace {
+
+// The one testbed every run shares. The 25 Gb/s links are a quarter of the
+// paper's 100 GbE so that the maintenance mix contends with demand.
+constexpr double kLocalRatio = 0.2;
+constexpr double kLinkGbps = 25.0;
+constexpr double kScrubGbps = 25.0;
+constexpr double kCompressGbps = 200.0;
+constexpr double kLoad = 4.5e4;
 
 // PatternApp's stride walk plus one write-back-inducing store per op: the
 // dirty pages feed eviction write-backs, which a warmup blackout turns into
@@ -117,8 +125,8 @@ QosPoint RunPoint(const char* name, double load, const MixKnobs& knobs,
                   const BenchTiming& timing) {
   SystemConfig cfg = SystemConfig::Adios();
   cfg.name = name;
-  cfg.local_memory_ratio = EnvDouble("ADIOS_BENCH_QOS_LOCAL", 0.2);
-  cfg.fabric.link_gbps = EnvDouble("ADIOS_BENCH_QOS_GBPS", 25.0);
+  cfg.local_memory_ratio = kLocalRatio;
+  cfg.fabric.link_gbps = kLinkGbps;
   cfg.sched.prefetch_window = 8;
   cfg.sched.prefetch_policy = PrefetchPolicy::kAdaptive;
   // Uniform topology and retry policy across every run: the comparison must
@@ -131,7 +139,7 @@ QosPoint RunPoint(const char* name, double load, const MixKnobs& knobs,
     // a node blackout late in warmup — recovery and the replica copy-back
     // bleed into the measurement window as kBackground traffic.
     cfg.integrity.scrub = true;
-    cfg.integrity.scrub_bw_gbps = EnvDouble("ADIOS_BENCH_QOS_SCRUB_GBPS", 25.0);
+    cfg.integrity.scrub_bw_gbps = kScrubGbps;
     cfg.integrity.scrub_batch_pages = 64;
     cfg.integrity.scrub_pass_gap_ns = 500'000;
     cfg.fault.blackout_start_ns = timing.warmup / 2;
@@ -144,11 +152,11 @@ QosPoint RunPoint(const char* name, double load, const MixKnobs& knobs,
     cfg.retry.background_max_retries = 2;
   }
   if (knobs.compress) {
-    cfg.fabric.compress_gbps = EnvDouble("ADIOS_BENCH_QOS_COMPRESS_GBPS", 200.0);
+    cfg.fabric.compress_gbps = kCompressGbps;
   }
 
   QosMixApp::Options opt;
-  opt.pages = EnvU64("ADIOS_BENCH_QOS_PAGES", BenchQuickMode() ? 1ull << 13 : 1ull << 15);
+  opt.pages = BenchQuickMode() ? 1ull << 13 : 1ull << 15;
   opt.pages_per_op = 8;
   opt.stride = 4;
   QosMixApp app(opt);
@@ -171,15 +179,13 @@ QosPoint RunPoint(const char* name, double load, const MixKnobs& knobs,
 
 bool Run() {
   const BenchTiming timing = DefaultTiming();
-  const double load = EnvDouble("ADIOS_BENCH_QOS_LOAD", 4.5e4);
-  const double trickle = load / 10.0;
+  const double trickle = kLoad / 10.0;
 
   PrintHeader("QoS link scheduling (docs/QOS.md)",
               "demand P99 under background contention, link classes off vs on");
   std::printf("load %.0f K req/s, %.0f Gb/s links, scrub %.1f Gb/s, "
               "blackout-seeded re-silver\n",
-              load / 1000.0, EnvDouble("ADIOS_BENCH_QOS_GBPS", 25.0),
-              EnvDouble("ADIOS_BENCH_QOS_SCRUB_GBPS", 25.0));
+              kLoad / 1000.0, kLinkGbps, kScrubGbps);
 
   struct Row {
     const char* name;
@@ -187,13 +193,13 @@ bool Run() {
     MixKnobs knobs;
   };
   std::vector<Row> rows = {
-      {"idle", load, {false, false, false}},
+      {"idle", kLoad, {false, false, false}},
       {"bg-only", trickle, {true, true, false}},
-      {"mix/off", load, {true, false, false}},
-      {"mix/on", load, {true, true, false}},
+      {"mix/off", kLoad, {true, false, false}},
+      {"mix/on", kLoad, {true, true, false}},
   };
   if (!BenchQuickMode()) {
-    rows.push_back({"mix/on+comp", load, {true, true, true}});
+    rows.push_back({"mix/on+comp", kLoad, {true, true, true}});
   }
 
   TablePrinter table({"run", "goodput(K)", "P50(us)", "P99(us)", "faults", "prefetch",
@@ -285,7 +291,6 @@ bool Run() {
 }  // namespace
 }  // namespace adios
 
-int main(int argc, char** argv) {
-  adios::ApplySmokeFlag(argc, argv);
+int main() {
   return adios::Run() ? 0 : 1;
 }

@@ -18,7 +18,7 @@
 // request the load generator sent was either completed or dropped. A
 // stranded request fails the bench too.
 //
-// `--smoke` (or ADIOS_BENCH_QUICK=1) shrinks run times for CI.
+// ADIOS_BENCH_QUICK=1 shrinks run times for CI.
 
 #include <string>
 
@@ -43,7 +43,7 @@ bool LedgerClosed(const std::string& cell, const RunResult& r) {
 bool RunLegacySweep() {
   const BenchTiming timing = DefaultTiming();
   ArrayApp::Options wl;
-  wl.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
+  wl.entries = kArrayEntries;
 
   std::vector<uint32_t> worker_counts = {1, 2, 4, 6, 8, 10, 12, 14, 16};
   if (BenchQuickMode()) {
@@ -112,7 +112,7 @@ SystemConfig DatapathConfig(bool lockfree, uint32_t workers) {
 bool RunDatapathComparison() {
   const BenchTiming timing = DefaultTiming();
   ArrayApp::Options wl;
-  wl.entries = EnvU64("ADIOS_BENCH_ARRAY_ENTRIES", 1ull << 20);
+  wl.entries = kArrayEntries;
   const std::vector<uint32_t> worker_counts = {1, 2, 4, 8};
 
   PrintHeader("Paging-datapath scalability (docs/DATAPATH.md)",
@@ -171,8 +171,7 @@ bool RunDatapathComparison() {
 }  // namespace
 }  // namespace adios
 
-int main(int argc, char** argv) {
-  adios::ApplySmokeFlag(argc, argv);
+int main() {
   const bool sweep_ok = adios::RunLegacySweep();
   const bool datapath_ok = adios::RunDatapathComparison();
   return sweep_ok && datapath_ok ? 0 : 1;

@@ -15,12 +15,22 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/env.h"
 #include "src/base/table_printer.h"
 #include "src/core/md_system.h"
 #include "src/obs/trace_export.h"
 
 namespace adios {
+
+// True under ADIOS_BENCH_QUICK=1: benchmarks run abbreviated sweeps.
+inline bool BenchQuickMode() {
+  const char* v = std::getenv("ADIOS_BENCH_QUICK");
+  return v != nullptr && (std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0 ||
+                          std::strcmp(v, "yes") == 0 || std::strcmp(v, "on") == 0);
+}
+
+// The array every ArrayApp bench reads: the paper's 40 GB working set,
+// scaled to 2^20 entries so that a sweep simulates in seconds.
+inline constexpr uint64_t kArrayEntries = 1ull << 20;
 
 struct BenchTiming {
   SimDuration warmup = Milliseconds(8);
@@ -34,16 +44,6 @@ inline BenchTiming DefaultTiming() {
     t.measure = Milliseconds(10);
   }
   return t;
-}
-
-// `--smoke` on a bench's command line turns on quick mode
-// (ADIOS_BENCH_QUICK=1) for the CI smoke runs.
-inline void ApplySmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      setenv("ADIOS_BENCH_QUICK", "1", /*overwrite=*/1);
-    }
-  }
 }
 
 // Thins a load sweep in quick mode (keeps first/last and every other point).

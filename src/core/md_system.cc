@@ -331,10 +331,10 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   const SimTime window_start = engine_.now();
 
   // Periodic telemetry: per-QP outstanding-fetch imbalance (the PF-aware
-  // congestion signal) and central-queue depth, every 50 us of the window.
+  // congestion signal) and the active-worker level, every 50 us of the
+  // window.
   RunningStats pf_mean_stats;
   RunningStats pf_stddev_stats;
-  RunningStats queue_depth_stats;
   std::vector<PfPoint> pf_points;  // Same cadence, kept for the timeline.
   RunningStats active_worker_stats;       // Scaling controller (docs/OVERLOAD.md).
   std::vector<PfPoint> active_points;     // Active-worker level, same cadence.
@@ -349,7 +349,6 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
     }
     pf_mean_stats.Add(per_worker.mean());
     pf_stddev_stats.Add(per_worker.StdDev());
-    queue_depth_stats.Add(static_cast<double>(dispatcher_->queue_depth()));
     pf_points.push_back(PfPoint{engine_.now(), per_worker.mean()});
     const double active = static_cast<double>(ctrl_->active_workers());
     active_worker_stats.Add(active);
@@ -401,7 +400,6 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   r.dispatcher_utilization = dispatcher_core_->Utilization(window_start);
   r.mean_outstanding_pf = pf_mean_stats.mean();
   r.pf_imbalance_stddev = pf_stddev_stats.mean();
-  r.mean_central_queue_depth = queue_depth_stats.mean();
   uint64_t busy_ns = 0;
   uint64_t busy_wait_ns = 0;
   for (auto& c : worker_cores_) {
@@ -419,8 +417,8 @@ RunResult MdSystem::Run(double offered_rps, SimDuration warmup_ns, SimDuration m
   r.samples = loadgen_->TakeSamples();
   r.metrics = metrics_.Snapshot();
   r.FillCounters(integrity_ != nullptr);
-  r.timeline = BuildTimeSeries(r.samples, pf_points, warmup_ns, measure_ns, Microseconds(100));
-  AttachActiveWorkers(r.timeline, active_points);
+  r.timeline = BuildTimeSeries(r.samples, pf_points, active_points, warmup_ns, measure_ns,
+                               Microseconds(100));
   return r;
 }
 

@@ -83,11 +83,10 @@ struct RunResult {
   double dispatcher_utilization = 0.0;
 
   // Sampled every 50 us of the measurement window: per-QP outstanding page
-  // fetches (the congestion signal PF-aware dispatching balances, §3.4),
-  // central-queue depth, and the scaling controller's active workers.
+  // fetches (the congestion signal PF-aware dispatching balances, §3.4) and
+  // the scaling controller's active workers.
   double mean_outstanding_pf = 0.0;     // Mean per-worker outstanding fetches.
   double pf_imbalance_stddev = 0.0;     // Mean across-worker stddev per sample.
-  double mean_central_queue_depth = 0.0;
   double mean_active_workers = 0.0;     // docs/OVERLOAD.md.
 
   // CPU-efficiency accounting (the paper's §1 motivation: busy-waiting

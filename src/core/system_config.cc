@@ -14,11 +14,17 @@ std::vector<std::string> SystemConfig::Validate() const {
     }
   };
   require(num_workers >= 1, "num_workers >= 1", num_workers);
+  // A ratio <= 0 or NaN reaches an undefined float-to-integer cast when the
+  // local frame count is derived from it.
+  require(local_memory_ratio > 0.0, "local_memory_ratio > 0", local_memory_ratio);
   require(reclaim_low_watermark >= 0.0, "reclaim_low_watermark >= 0", reclaim_low_watermark);
   require(reclaim_high_watermark >= reclaim_low_watermark,
           "reclaim_high_watermark >= reclaim_low_watermark", reclaim_high_watermark);
   require(fabric.link_classes <= kNumTrafficClasses, "fabric.link_classes <= kNumTrafficClasses",
           fabric.link_classes);
+  // Compression is off at 0. A NaN would pass the fabric's `<= 0` off-tests
+  // and shrink wire bytes while charging no engine time.
+  require(fabric.compress_gbps >= 0.0, "fabric.compress_gbps >= 0", fabric.compress_gbps);
   require(replication.num_nodes >= 1, "replication.num_nodes >= 1", replication.num_nodes);
   require(replication.replicas >= 1, "replication.replicas >= 1", replication.replicas);
   require(replication.replicas <= replication.num_nodes,
@@ -26,8 +32,6 @@ std::vector<std::string> SystemConfig::Validate() const {
   // Op-lifecycle values that would fail late otherwise: a pacing bandwidth
   // <= 0 or NaN divides by zero in SerializationNs, and a zero deadline fires
   // before any completion can land, so every op burns its budget and fails.
-  require(replication.resilver_bw_gbps > 0.0, "replication.resilver_bw_gbps > 0",
-          replication.resilver_bw_gbps);
   require(integrity.scrub_bw_gbps > 0.0, "integrity.scrub_bw_gbps > 0", integrity.scrub_bw_gbps);
   require(!RetryOn() || retry.timeout_ns > 0,
           "retry.timeout_ns > 0 while retry is on (retry.enabled, fault injection or "

@@ -120,7 +120,6 @@ struct SystemConfig : PagingConfig {
   static SystemConfig DiLOSP() {
     SystemConfig c = DiLOS();
     c.name = "DiLOS-P";
-    c.sched.preemption = true;
     c.sched.preempt_interval_ns = 5000;
     return c;
   }

@@ -51,9 +51,6 @@ struct CtrlConfig {
   // ping the worker set up and down every tick.
   SimDuration scale_dwell_ns = Microseconds(200);
 
-  // Controller tick period: how often shed/scale re-read their signals.
-  SimDuration tick_ns = Microseconds(20);
-
   bool enabled() const { return admission_enabled || shed_enabled || scale_enabled; }
 
   // Level the signal must fall back to before shedding disengages: half the

@@ -50,7 +50,7 @@ void OverloadController::RegisterMetrics(MetricRegistry* registry) {
 }
 
 void OverloadController::Start(SimTime horizon) {
-  if (config_.tick_ns == 0 || (!config_.shed_enabled && !config_.scale_enabled)) {
+  if (!config_.shed_enabled && !config_.scale_enabled) {
     return;  // Admission needs no tick: buckets refill lazily on arrival.
   }
   tick_horizon_ = horizon;
@@ -58,7 +58,7 @@ void OverloadController::Start(SimTime horizon) {
 }
 
 void OverloadController::ScheduleNextTick() {
-  engine_->Schedule(config_.tick_ns, [this] {
+  engine_->Schedule(kTickNs, [this] {
     TickNow(engine_->now());
     // Self-rescheduling stops at the horizon so an engine that runs until
     // its queue drains is not kept alive by the controller itself.

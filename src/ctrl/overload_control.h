@@ -68,6 +68,9 @@ class TokenBucket {
 
 class OverloadController {
  public:
+  // Tick period: how often shed/scale re-read their signals.
+  static constexpr SimDuration kTickNs = Microseconds(20);
+
   enum class Verdict : uint8_t {
     kAdmit = 0,     // Proceed to the RX ring.
     kAdmitDrop = 1, // Tenant token bucket empty.
@@ -85,7 +88,7 @@ class OverloadController {
   // Publishes the controller's own decisions as ctrl.* probes.
   void RegisterMetrics(MetricRegistry* registry);
 
-  // Schedules periodic ticks every config.tick_ns, stopping at `horizon` so
+  // Schedules periodic ticks every kTickNs, stopping at `horizon` so
   // Engine::Run (which drains the queue) still terminates.
   void Start(SimTime horizon);
 

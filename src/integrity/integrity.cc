@@ -89,7 +89,7 @@ bool IntegrityLayer::MemoValid(uint64_t vpage, uint64_t* digest) const {
 uint64_t IntegrityLayer::FreshChecksum(uint64_t vpage) const {
   const uint64_t len = BytesOf(vpage);
   return PageChecksum(len == 0 ? nullptr : region_->data() + vpage * page_bytes_, len,
-                      config_.checksum_seed);
+                      kChecksumSeed);
 }
 
 void IntegrityLayer::OnWireCorrupt(uint64_t wr_id, bool is_write) {

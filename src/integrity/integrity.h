@@ -16,7 +16,7 @@
 // A fetched payload is corrupt iff its READ was wire-corrupted, or its source
 // slot is store-poisoned, or the slot's recorded digest no longer matches the
 // region (a lost update). The digest-vs-region comparison runs on every
-// clean-path verify. Its simulated cost is the fixed `verify_cycles` charged
+// clean-path verify. Its simulated cost is the fixed `kVerifyCycles` charged
 // to the worker core; the host hashes only bytes that changed. A per-vpage
 // digest memo is keyed by the region's write stamps (RemoteRegion), so a page
 // is re-hashed only after a write moved a stamp covering it, and a lost
@@ -56,6 +56,13 @@ class MetricRegistry;
 
 class IntegrityLayer : public FirstWriteWatcher {
  public:
+  // Simulated CPU cycles one verify-on-fetch costs the worker core (hashing
+  // a 4 KB page at ~8 bytes/cycle). A model constant: it does not depend on
+  // the host codec (PageChecksum), whose speed only moves host run time.
+  static constexpr uint32_t kVerifyCycles = 550;
+  // Seed folded into every page checksum (codec-level, not an RNG seed).
+  static constexpr uint64_t kChecksumSeed = 41;
+
   // `region` must outlive the layer; the constructor starts its write stamps
   // and becomes its first-write watcher, so the region's bytes at that
   // point are the set-up bytes every replica slot starts from. `replicas` >= 1;
@@ -128,7 +135,7 @@ class IntegrityLayer : public FirstWriteWatcher {
   }
 
   // Worker-core cycles one verify-on-fetch costs (0 when `verify` is off).
-  uint64_t VerifyCost() const { return config_.verify ? config_.verify_cycles : 0; }
+  uint64_t VerifyCost() const { return config_.verify ? kVerifyCycles : 0; }
 
   void RegisterMetrics(MetricRegistry* registry);
 

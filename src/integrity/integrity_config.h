@@ -31,11 +31,6 @@ struct IntegrityConfig {
   // demonstrably serves corrupted bytes in bench_integrity.
   bool oracle = false;
 
-  // Simulated CPU cycles one verify-on-fetch costs the worker core (hashing
-  // a 4 KB page at ~8 bytes/cycle). A model constant: it does not depend on
-  // the host codec (PageChecksum), whose speed only moves host run time.
-  uint32_t verify_cycles = 550;
-
   // Scrub pacing: per-page interval is SerializationNs(page, scrub_bw_gbps),
   // i.e. the scrubber consumes at most this fraction of link bandwidth.
   double scrub_bw_gbps = 1.0;
@@ -43,9 +38,6 @@ struct IntegrityConfig {
   uint32_t scrub_batch_pages = 32;
   // Idle gap between the end of one scrub pass and the start of the next.
   SimDuration scrub_pass_gap_ns = 1'000'000;
-
-  // Seed folded into every page checksum (codec-level, not an RNG seed).
-  uint64_t checksum_seed = 41;
 
   bool enabled() const { return verify || scrub || oracle; }
 };

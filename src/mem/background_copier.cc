@@ -16,8 +16,7 @@ BackgroundCopier::BackgroundCopier(Engine* engine, MemoryManager* mm, QueuePair*
       health_(health),
       tracer_(tracer),
       max_attempts_(health->config().resilver_max_attempts) {
-  resilver_pace_.interval =
-      FabricParams::SerializationNs(mm_->page_bytes(), health->config().resilver_bw_gbps);
+  resilver_pace_.interval = FabricParams::SerializationNs(mm_->page_bytes(), kResilverBwGbps);
   // Neither kind reposts: a failed copy goes back to the queue, a failed
   // scrub read waits for the next sweep. No scrub deadline: the fabric
   // delivers exactly one CQE per post, errors included.

@@ -32,8 +32,12 @@ namespace adios {
 
 class BackgroundCopier {
  public:
+  // Re-silver pacing: the copy lane's bandwidth cap, a tenth of the paper's
+  // 100 GbE so that a repair leaves the link to demand traffic.
+  static constexpr double kResilverBwGbps = 10.0;
+
   // `qp` is the reclaimer's QP and `tracker` tracks its ops. Re-silver
-  // pacing and attempts come from `health`'s ReplicationConfig. A copy's
+  // attempts come from `health`'s ReplicationConfig. A copy's
   // deadline is the retry timeout when `retry` is on, else 50 us. `tracer`
   // records scrub passes.
   BackgroundCopier(Engine* engine, MemoryManager* mm, QueuePair* qp, OpTracker* tracker,

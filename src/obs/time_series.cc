@@ -4,6 +4,33 @@
 
 namespace adios {
 
+namespace {
+
+// Averages sampler `points` into the windows they fall in: a window's `mean`
+// becomes the mean of its points and `count` their number. Points before the
+// origin or past the last window are skipped.
+void BinPoints(const std::vector<PfPoint>& points, TimeSeries& ts, double TimeWindow::*mean,
+               uint32_t TimeWindow::*count) {
+  for (const PfPoint& p : points) {
+    if (p.time < ts.origin) {
+      continue;
+    }
+    const size_t w = static_cast<size_t>((p.time - ts.origin) / ts.window_ns);
+    if (w >= ts.windows.size()) {
+      continue;
+    }
+    ts.windows[w].*mean += p.outstanding;
+    ++(ts.windows[w].*count);
+  }
+  for (TimeWindow& win : ts.windows) {
+    if (win.*count > 0) {
+      win.*mean /= static_cast<double>(win.*count);
+    }
+  }
+}
+
+}  // namespace
+
 double TimeSeries::GoodputKrps(size_t i) const {
   if (i >= windows.size() || window_ns == 0) {
     return 0.0;
@@ -15,7 +42,8 @@ double TimeSeries::GoodputKrps(size_t i) const {
 }
 
 TimeSeries BuildTimeSeries(const std::vector<RequestSample>& samples,
-                           const std::vector<PfPoint>& pf_points, SimDuration warmup_ns,
+                           const std::vector<PfPoint>& pf_points,
+                           const std::vector<PfPoint>& active_points, SimDuration warmup_ns,
                            SimDuration measure_ns, SimDuration window_ns) {
   TimeSeries ts;
   if (window_ns == 0 || measure_ns == 0) {
@@ -59,47 +87,9 @@ TimeSeries BuildTimeSeries(const std::vector<RequestSample>& samples,
     ts.windows[w].max_ns = lat.back();
   }
 
-  for (const PfPoint& p : pf_points) {
-    if (p.time < warmup_ns) {
-      continue;
-    }
-    const size_t w = static_cast<size_t>((p.time - warmup_ns) / window_ns);
-    if (w >= num_windows) {
-      continue;
-    }
-    TimeWindow& win = ts.windows[w];
-    win.mean_outstanding_pf += p.outstanding;
-    ++win.pf_samples;
-  }
-  for (TimeWindow& win : ts.windows) {
-    if (win.pf_samples > 0) {
-      win.mean_outstanding_pf /= static_cast<double>(win.pf_samples);
-    }
-  }
+  BinPoints(pf_points, ts, &TimeWindow::mean_outstanding_pf, &TimeWindow::pf_samples);
+  BinPoints(active_points, ts, &TimeWindow::mean_active_workers, &TimeWindow::active_samples);
   return ts;
-}
-
-void AttachActiveWorkers(TimeSeries& series, const std::vector<PfPoint>& active_points) {
-  if (series.empty() || series.window_ns == 0 || active_points.empty()) {
-    return;
-  }
-  for (const PfPoint& p : active_points) {
-    if (p.time < series.origin) {
-      continue;
-    }
-    const size_t w = static_cast<size_t>((p.time - series.origin) / series.window_ns);
-    if (w >= series.windows.size()) {
-      continue;
-    }
-    TimeWindow& win = series.windows[w];
-    win.mean_active_workers += p.outstanding;
-    ++win.active_samples;
-  }
-  for (TimeWindow& win : series.windows) {
-    if (win.active_samples > 0) {
-      win.mean_active_workers /= static_cast<double>(win.active_samples);
-    }
-  }
 }
 
 }  // namespace adios

@@ -17,8 +17,8 @@
 
 namespace adios {
 
-// One telemetry point from the periodic sampler (outstanding page faults
-// averaged across workers at one instant).
+// One telemetry point from the periodic sampler: a level (outstanding page
+// faults averaged across workers, or active workers) at one instant.
 struct PfPoint {
   SimTime time = 0;
   double outstanding = 0.0;
@@ -35,8 +35,7 @@ struct TimeWindow {
   double mean_outstanding_pf = 0.0;
   uint32_t pf_samples = 0;
   // Mean active-worker level from the scaling controller, same sampler
-  // cadence (docs/OVERLOAD.md). Zero with overload control off — see
-  // AttachActiveWorkers.
+  // cadence (docs/OVERLOAD.md).
   double mean_active_workers = 0.0;
   uint32_t active_samples = 0;
 };
@@ -54,16 +53,13 @@ struct TimeSeries {
 
 // Bins `samples` by reply-landing time (finish_ns) into ceil(measure/window)
 // windows starting at `warmup_ns`; replies before warmup or past the last
-// window are skipped. `pf_points` (may be empty) are averaged per window.
+// window are skipped. `pf_points` and `active_points` (sampler points of the
+// outstanding-fault and active-worker levels; either may be empty) are
+// averaged per window the same way.
 TimeSeries BuildTimeSeries(const std::vector<RequestSample>& samples,
-                           const std::vector<PfPoint>& pf_points, SimDuration warmup_ns,
+                           const std::vector<PfPoint>& pf_points,
+                           const std::vector<PfPoint>& active_points, SimDuration warmup_ns,
                            SimDuration measure_ns, SimDuration window_ns);
-
-// Averages active-worker sampler points (the elastic-scaling level,
-// docs/OVERLOAD.md) into an already-built series' windows. Kept separate
-// from BuildTimeSeries so existing callers — and runs without overload
-// control, which have no such points — are untouched.
-void AttachActiveWorkers(TimeSeries& series, const std::vector<PfPoint>& active_points);
 
 }  // namespace adios
 

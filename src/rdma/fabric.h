@@ -305,7 +305,7 @@ class RdmaFabric {
       return payload;
     }
     const auto compressed =
-        static_cast<uint64_t>(static_cast<double>(payload) * params_.compress_ratio + 0.5);
+        static_cast<uint64_t>(static_cast<double>(payload) * FabricParams::kCompressRatio + 0.5);
     return compressed > 0 ? compressed : 1;
   }
   // (De)compression engine time for `payload` (0 while compression is off).

@@ -44,17 +44,14 @@ FaultInjector::Verdict FaultInjector::Classify(WorkType type, SimTime now) {
     const double frac = options_.delay_rate > 0.0
                             ? (threshold - u) / options_.delay_rate
                             : 0.0;
-    const SimDuration span = options_.delay_max_ns > options_.delay_min_ns
-                                 ? options_.delay_max_ns - options_.delay_min_ns
-                                 : 0;
     return Verdict{Action::kDelay,
-                   options_.delay_min_ns +
-                       static_cast<SimDuration>(frac * static_cast<double>(span))};
+                   kDelayMinNs + static_cast<SimDuration>(
+                                     frac * static_cast<double>(kDelayMaxNs - kDelayMinNs))};
   }
   threshold += options_.duplicate_rate;
   if (u < threshold && type == WorkType::kRead) {
     ++injected_duplicates_;
-    return Verdict{Action::kDuplicate, options_.duplicate_lag_ns};
+    return Verdict{Action::kDuplicate, kDuplicateLagNs};
   }
   // Corruption occupies the band just past duplicate. The band is tested
   // with an explicit [threshold, threshold + rate) window rather than by

@@ -20,7 +20,7 @@
 //               only end-to-end checksums (src/integrity/) can see it.
 //   brownout  — periodic windows in which the memory node's DMA engine is
 //               rate-limited (e.g. a co-located tenant thrashing the memory
-//               bus): every DMA in the window takes `brownout_dma_multiplier`
+//               bus): every DMA in the window takes `kBrownoutDmaMultiplier`
 //               times longer.
 //   blackout  — one full outage interval (link flap / memory-node reboot):
 //               every WQE entering the fabric in the window behaves like a
@@ -55,12 +55,6 @@ class FaultInjector {
     double corrupt_rate = 0.0;     // READ payload silently corrupted in flight.
     double write_poison_rate = 0.0;  // WRITE lands but poisons the stored page.
 
-    // Delay-spike bounds (uniform in [min, max]).
-    SimDuration delay_min_ns = 5000;
-    SimDuration delay_max_ns = 50000;
-    // Lag of the duplicate success completion behind the first.
-    SimDuration duplicate_lag_ns = 10000;
-
     // When a READ draws corruption, the next `corrupt_burst - 1` READs on
     // this injector are corrupted too (a flaky DIMM/row corrupts a locality
     // burst, not one isolated word). 1 = independent corruption.
@@ -68,10 +62,9 @@ class FaultInjector {
 
     // Memory-node brownouts: every `brownout_period_ns` a window of
     // `brownout_duration_ns` opens during which remote DMA takes
-    // `brownout_dma_multiplier` times its calibrated cost. 0 period = off.
+    // `kBrownoutDmaMultiplier` times its calibrated cost. 0 period = off.
     SimDuration brownout_period_ns = 0;
     SimDuration brownout_duration_ns = 0;
-    double brownout_dma_multiplier = 8.0;
 
     // One full blackout interval [start, start + duration): all WQEs posted
     // inside it are treated as drops. 0 duration = off.
@@ -101,6 +94,13 @@ class FaultInjector {
   // RTT until an RNR NAK surfaces as a fast completion-with-error: roughly
   // one fabric round trip, with no memory-node DMA (§2.3).
   static constexpr SimDuration kNackRttNs = 2000;
+  // Bounds of a congestion/PFC delay spike (uniform in [min, max]).
+  static constexpr SimDuration kDelayMinNs = 5000;
+  static constexpr SimDuration kDelayMaxNs = 50000;
+  // Lag of a duplicate success completion behind the first.
+  static constexpr SimDuration kDuplicateLagNs = 10000;
+  // Slowdown of every remote DMA inside a brownout window.
+  static constexpr double kBrownoutDmaMultiplier = 8.0;
 
   enum class Action : uint8_t {
     kDeliver = 0,    // Normal completion.
@@ -147,7 +147,7 @@ class FaultInjector {
       return 0;
     }
     return static_cast<SimDuration>(static_cast<double>(base_dma_ns) *
-                                    (options_.brownout_dma_multiplier - 1.0));
+                                    (kBrownoutDmaMultiplier - 1.0));
   }
 
   // Total simulated time spent inside brownout + blackout windows in [0, now]

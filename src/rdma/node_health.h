@@ -45,9 +45,8 @@ struct ReplicationConfig {
   uint32_t num_nodes = 1;  // Memory nodes in the fabric.
   uint32_t replicas = 1;   // Copies per page (<= num_nodes, <= 8).
 
-  // Re-silver pacing: background copy bandwidth cap (Gbps) and per-page
-  // attempt budget, consumed by the reclaimer's re-silver pass.
-  double resilver_bw_gbps = 10.0;
+  // Re-silver per-page attempt budget, consumed by the reclaimer's re-silver
+  // pass (its pacing is BackgroundCopier::kResilverBwGbps).
   uint32_t resilver_max_attempts = 3;
 };
 

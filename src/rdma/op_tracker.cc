@@ -69,7 +69,7 @@ void OpTracker::GrowIndex() {
 }
 
 void OpTracker::Track(const OpId& id, TrackedOp op) {
-  op.backoff_ns = kinds_[Index(id.kind)].rules.retry.backoff_base_ns;
+  op.backoff_ns = RetryPolicy::kBackoffBaseNs;
   TrackedOp& slot = FindOrAdd(id.wr_id()).op;
   slot = std::move(op);
   ArmDeadline(id, slot);
@@ -200,7 +200,7 @@ bool OpTracker::TryFailover(const OpId& id, TrackedOp& op) {
   ++k.stats.failovers;
   op.node = best;
   op.attempts = 1;
-  op.backoff_ns = k.rules.retry.backoff_base_ns;
+  op.backoff_ns = RetryPolicy::kBackoffBaseNs;
   Trace(k, TraceEvent::kFailover, op.req_id, best);
   op.repost_pending = true;
   engine_->Schedule(0, [this, id] { Repost(id); });

@@ -105,12 +105,13 @@ struct FabricParams {
   uint32_t chunk_bytes = 0;
 
   // Link-level page compression (docs/QOS.md): wire payload bytes scale by
-  // `compress_ratio` while the (de)compression engines charge
+  // `kCompressRatio` while the (de)compression engines charge
   // SerializationNs(page, compress_gbps) — compression on the memory-node
   // DMA timeline, decompression on the faulting worker's core. On exactly
   // when `compress_gbps` > 0; off by default.
   double compress_gbps = 0.0;
-  double compress_ratio = 0.6;
+  // Wire bytes per payload byte while compression is on.
+  static constexpr double kCompressRatio = 0.6;
 
   // Nanoseconds to serialize `bytes` on a `gbps` link.
   static SimDuration SerializationNs(uint64_t bytes, double gbps) {
@@ -135,9 +136,9 @@ struct RetryPolicy {
   // analogue, applied in software).
   uint32_t max_retries = 6;
   // Backoff before the k-th repost: min(base * multiplier^(k-1), cap).
-  SimDuration backoff_base_ns = 4000;
-  // Binary exponential backoff, capped at 100 us (4x the deadline) so a long
-  // outage is re-probed rather than waited out.
+  // Binary exponential backoff from 4 us, capped at 100 us (4x the deadline)
+  // so a long outage is re-probed rather than waited out.
+  static constexpr SimDuration kBackoffBaseNs = 4000;
   static constexpr double kBackoffMultiplier = 2.0;
   static constexpr SimDuration kBackoffCapNs = 100000;
 

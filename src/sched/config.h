@@ -43,8 +43,9 @@ struct SchedConfig {
   FaultPolicy fault_policy = FaultPolicy::kYield;
   DispatchPolicy dispatch_policy = DispatchPolicy::kPfAware;
   bool polling_delegation = true;  // Workers' TX completions go to the dispatcher CQ.
-  bool preemption = false;         // Cooperative preemption at instrumented points.
-  SimDuration preempt_interval_ns = 5000;  // Shinjuku/Concord default 5 us.
+  // Cooperative preemption quantum at instrumented points; 0 = off. DiLOS-P
+  // runs the Shinjuku/Concord default of 5 us.
+  SimDuration preempt_interval_ns = 0;
   // --- Prefetching (docs/PREFETCH.md) ---
   // Max readahead window in pages (0 = prefetching off, the bit-identical
   // seed default). The policy picks how the window is used: kSequential

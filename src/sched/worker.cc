@@ -669,7 +669,7 @@ void Worker::BlockOnFetch(uint64_t vpage, bool write) {
 }
 
 void Worker::MaybePreempt() {
-  if (!cfg_.preemption || running_ == nullptr) {
+  if (cfg_.preempt_interval_ns == 0 || running_ == nullptr) {
     return;
   }
   core_->Consume(kPreemptCheckCycles);

@@ -21,7 +21,7 @@ namespace adios {
 
 class CooperativeScheduler {
  public:
-  explicit CooperativeScheduler(UnithreadPool::Options pool_options = DefaultPoolOptions());
+  explicit CooperativeScheduler(UnithreadPool::Options pool_options = {});
   ~CooperativeScheduler();
 
   CooperativeScheduler(const CooperativeScheduler&) = delete;
@@ -44,14 +44,6 @@ class CooperativeScheduler {
 
   size_t pending() const { return ready_.size(); }
   uint64_t total_switches() const { return total_switches_; }
-
-  static UnithreadPool::Options DefaultPoolOptions() {
-    UnithreadPool::Options opts;
-    opts.count = 4096;
-    opts.buffer_size = 64 * 1024;  // Roomy stacks: closures may allocate.
-    opts.mtu = 1536;
-    return opts;
-  }
 
  private:
   struct Task {

@@ -6,7 +6,7 @@ or a ``<!-- expect: <rule> -->`` marker (in a docs table) must produce
 exactly one finding of that rule on that line, and the analyzer must
 produce nothing else. The fixture tree's ``tests/`` and ``examples/``
 hold no markers: they only assign knobs, which the default-off-knob rule
-reads. Also checks the ``--stats`` config-field count and the exit-code
+reads. Also checks the ``--stats`` config-field counts and the exit-code
 contract:
 
   0  no findings (clean subset run)
@@ -105,12 +105,16 @@ def main():
         fail("finding mismatch:\n" + "\n".join(lines))
 
     # Clean subset: the known-good files alone produce nothing, exit 0.
+    # env-knob is left out: it walks the root's src/, bench/ and examples/
+    # whatever the input files, so it would report env_knob_bad.cc here;
+    # the full-corpus run above shows env_knob_good.cc stays quiet.
     good = [
         os.path.join(FIXTURES, "src", name)
         for name in ("suspend_good.cc", "trace_good.cc", "knob_good.cc",
                      "knob_section_good.cc", "suppressed_ok.cc")
     ]
-    proc = run_lint(["--root", FIXTURES, "--stats"] + good)
+    per_file_rules = "suspend-safety,trace-pairing,sim-time-hygiene,default-off-knob"
+    proc = run_lint(["--root", FIXTURES, "--stats", "--rules", per_file_rules] + good)
     if proc.returncode != 0 or proc.stdout.strip():
         fail(
             f"expected clean run on good fixtures, got exit "
@@ -121,6 +125,10 @@ def main():
     # logs track the size of the knob surface.
     if " 12 config fields," not in proc.stderr:
         fail(f"expected '12 config fields' in --stats output, got:\n"
+             f"{proc.stderr}")
+    # GoodConfig::swept_knob is the one field only tests/ assigns.
+    if " 1 assigned only by tests/," not in proc.stderr:
+        fail(f"expected '1 assigned only by tests/' in --stats output, got:\n"
              f"{proc.stderr}")
 
     # Usage error: unknown rule name exits 2.

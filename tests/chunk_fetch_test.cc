@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iterator>
 #include <vector>
 
@@ -116,7 +117,6 @@ TEST(ChunkFetch, DuplicatedChunkedReadDuplicatesOnlyTheFinalCompletion) {
   RdmaFabric fabric(&e, ChunkParams());
   FaultInjector::Options fo;
   fo.duplicate_rate = 1.0;
-  fo.duplicate_lag_ns = 5000;
   FaultInjector injector(fo);
   fabric.set_fault_injector(&injector);
   CompletionQueue* cq = fabric.CreateCq();
@@ -214,7 +214,6 @@ TEST(ChunkFetch, CompressionShrinksWirePayload) {
   auto response_bytes = [](bool compress) {
     FabricParams p;
     p.compress_gbps = compress ? 400.0 : 0.0;
-    p.compress_ratio = 0.5;
     Engine e;
     RdmaFabric fabric(&e, p);
     CompletionQueue* cq = fabric.CreateCq();
@@ -226,8 +225,10 @@ TEST(ChunkFetch, CompressionShrinksWirePayload) {
   };
   const uint64_t plain = response_bytes(false);
   const uint64_t compressed = response_bytes(true);
-  // Headers ride uncompressed; only the 4096-byte payload halves.
-  EXPECT_EQ(plain - compressed, 2048u);
+  // Headers ride uncompressed; only the 4096-byte payload shrinks, to
+  // kCompressRatio of its size.
+  const auto payload = static_cast<uint64_t>(std::llround(4096 * FabricParams::kCompressRatio));
+  EXPECT_EQ(plain - compressed, 4096u - payload);
 }
 
 // --- MemoryManager: the ChunkReady protocol ---

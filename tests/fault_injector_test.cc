@@ -73,14 +73,12 @@ TEST(FaultInjector, WritesUseWriteLossRateAndNeverDuplicate) {
 TEST(FaultInjector, DelaySpikeStaysInConfiguredBand) {
   FaultInjector::Options o;
   o.delay_rate = 1.0;
-  o.delay_min_ns = 5000;
-  o.delay_max_ns = 50000;
   FaultInjector inj(o);
   for (int i = 0; i < 500; ++i) {
     const auto v = inj.Classify(WorkType::kRead, 0);
     ASSERT_EQ(v.action, FaultInjector::Action::kDelay);
-    EXPECT_GE(v.extra_ns, 5000);
-    EXPECT_LE(v.extra_ns, 50000);
+    EXPECT_GE(v.extra_ns, FaultInjector::kDelayMinNs);
+    EXPECT_LE(v.extra_ns, FaultInjector::kDelayMaxNs);
   }
 }
 
@@ -88,14 +86,13 @@ TEST(FaultInjector, BrownoutWindowsAndDmaPenalty) {
   FaultInjector::Options o;
   o.brownout_period_ns = 100000;  // Every 100 us...
   o.brownout_duration_ns = 10000;  // ...a 10 us degraded window.
-  o.brownout_dma_multiplier = 8.0;
   FaultInjector inj(o);
   EXPECT_TRUE(inj.InBrownout(0));
   EXPECT_TRUE(inj.InBrownout(9999));
   EXPECT_FALSE(inj.InBrownout(10000));
   EXPECT_FALSE(inj.InBrownout(99999));
   EXPECT_TRUE(inj.InBrownout(100001));
-  // In-window DMA pays (multiplier - 1) extra; out-of-window none.
+  // In-window DMA pays (kBrownoutDmaMultiplier - 1) = 7x extra; out-of-window none.
   EXPECT_EQ(inj.DmaPenaltyNs(5000, 600), 4200);
   EXPECT_EQ(inj.DmaPenaltyNs(50000, 600), 0);
   // Analytic degraded time: two full windows plus half of the third.
@@ -335,7 +332,7 @@ TEST(FabricFaults, DuplicateDeliversTwoSuccessCompletionsForOneSlot) {
   EXPECT_TRUE(out[0].ok());
   EXPECT_TRUE(out[1].ok());
   EXPECT_EQ(out[1].completed_at - out[0].completed_at,
-            static_cast<SimTime>(o.duplicate_lag_ns));
+            static_cast<SimTime>(FaultInjector::kDuplicateLagNs));
   // Only one WQE slot was consumed and returned.
   EXPECT_EQ(qp->outstanding(), 0u);
   EXPECT_TRUE(qp->PostRead(4096, 10));

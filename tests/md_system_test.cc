@@ -295,14 +295,6 @@ void Construct(const SystemConfig& cfg) {
   MdSystem sys(cfg, &app);
 }
 
-TEST(MdSystemDeathTest, RejectsNonPositiveResilverBandwidth) {
-  SystemConfig cfg = SystemConfig::Adios();
-  cfg.replication.resilver_bw_gbps = 0.0;
-  EXPECT_DEATH(Construct(cfg), "replication\\.resilver_bw_gbps > 0");
-  cfg.replication.resilver_bw_gbps = std::nan("");
-  EXPECT_DEATH(Construct(cfg), "replication\\.resilver_bw_gbps > 0");
-}
-
 TEST(MdSystemDeathTest, RejectsNonPositiveScrubBandwidth) {
   SystemConfig cfg = SystemConfig::Adios();
   cfg.integrity.scrub_bw_gbps = -1.0;
@@ -499,10 +491,8 @@ TEST(MdSystem, IntegrityOffIsEventStreamIdenticalEvenUnderCorruption) {
   auto run = [](bool touch_knobs) {
     SystemConfig cfg = SystemConfig::Adios();
     if (touch_knobs) {
-      cfg.integrity.verify_cycles = 9999;  // Would change timing if enabled.
       cfg.integrity.scrub_bw_gbps = 99.0;
       cfg.integrity.scrub_batch_pages = 1;
-      cfg.integrity.checksum_seed = 7;
       cfg.fault.corrupt_rate = 1e-3;  // Corrupts payloads; nobody looks.
       cfg.fault.write_poison_rate = 1e-3;
     }
@@ -624,7 +614,6 @@ TEST(MdSystem, CtrlDisabledIsEventStreamIdenticalToSeed) {
       cfg.ctrl.admit_rate_rps = 1000.0;  // Would throttle hard if enabled.
       cfg.ctrl.shed_pf_knee = 1.0;
       cfg.ctrl.min_workers = 3;
-      cfg.ctrl.tick_ns = Microseconds(5);
     }
     ArrayApp app(SmallArray());
     MdSystem sys(cfg, &app);

@@ -282,7 +282,8 @@ TEST(TimeSeries, BinsByReplyLandingTime) {
   samples.push_back(SampleAt(4, 2500, 20));   // Window 1.
   samples.push_back(SampleAt(5, 99999, 20));  // Past the last window: skipped.
   std::vector<PfPoint> pf = {{1200, 2.0}, {1800, 4.0}, {2100, 1.0}};
-  TimeSeries ts = BuildTimeSeries(samples, pf, /*warmup_ns=*/1000,
+  std::vector<PfPoint> active = {{900, 1.0}, {1500, 8.0}, {1600, 6.0}, {2200, 4.0}};
+  TimeSeries ts = BuildTimeSeries(samples, pf, active, /*warmup_ns=*/1000,
                                   /*measure_ns=*/3000, /*window_ns=*/1000);
   ASSERT_EQ(ts.windows.size(), 3u);
   EXPECT_EQ(ts.origin, 1000u);
@@ -298,6 +299,11 @@ TEST(TimeSeries, BinsByReplyLandingTime) {
   EXPECT_DOUBLE_EQ(ts.windows[0].mean_outstanding_pf, 3.0);
   EXPECT_EQ(ts.windows[0].pf_samples, 2u);
   EXPECT_DOUBLE_EQ(ts.windows[1].mean_outstanding_pf, 1.0);
+  // Active-worker points bin the same way; the one before warmup is skipped.
+  EXPECT_DOUBLE_EQ(ts.windows[0].mean_active_workers, 7.0);
+  EXPECT_EQ(ts.windows[0].active_samples, 2u);
+  EXPECT_DOUBLE_EQ(ts.windows[1].mean_active_workers, 4.0);
+  EXPECT_EQ(ts.windows[2].active_samples, 0u);
   // 2 completions in a 1 us window = 2 M/s = 2000 K/s.
   EXPECT_DOUBLE_EQ(ts.GoodputKrps(0), 2000.0);
   EXPECT_DOUBLE_EQ(ts.GoodputKrps(2), 0.0);

@@ -18,7 +18,7 @@ namespace adios {
 namespace {
 
 constexpr SimDuration kTimeout = 25'000;
-constexpr SimDuration kBase = 4'000;
+constexpr SimDuration kBase = RetryPolicy::kBackoffBaseNs;
 constexpr uint32_t kBudget = 2;
 
 RetryPolicy Retry(SimDuration timeout, uint32_t max_retries) {
@@ -26,7 +26,6 @@ RetryPolicy Retry(SimDuration timeout, uint32_t max_retries) {
   r.enabled = true;
   r.timeout_ns = timeout;
   r.max_retries = max_retries;
-  r.backoff_base_ns = kBase;
   return r;
 }
 

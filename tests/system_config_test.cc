@@ -16,7 +16,7 @@ TEST(SystemConfig, AdiosPresetMatchesPaper) {
   EXPECT_EQ(c.sched.fault_policy, FaultPolicy::kYield);
   EXPECT_EQ(c.sched.dispatch_policy, DispatchPolicy::kPfAware);
   EXPECT_TRUE(c.sched.polling_delegation);
-  EXPECT_FALSE(c.sched.preemption);
+  EXPECT_EQ(c.sched.preempt_interval_ns, 0u);  // No preemption.
   EXPECT_EQ(c.reclaim.wakeup_delay_ns, 0u);
   EXPECT_EQ(c.num_workers, 8u);                        // Paper setup (§5).
   EXPECT_EQ(kCtxSwitchCycles, 40u);                    // Table 1.
@@ -31,14 +31,13 @@ TEST(SystemConfig, DiLosPresetIsBusyWaitingRunToCompletion) {
   EXPECT_EQ(c.sched.fault_policy, FaultPolicy::kBusyWait);
   EXPECT_EQ(c.sched.dispatch_policy, DispatchPolicy::kRoundRobin);
   EXPECT_FALSE(c.sched.polling_delegation);
-  EXPECT_FALSE(c.sched.preemption);
+  EXPECT_EQ(c.sched.preempt_interval_ns, 0u);  // No preemption.
   EXPECT_EQ(CostsOf(c.sched.fault_policy).yield_bookkeeping_cycles, 0u);  // No yield path.
 }
 
 TEST(SystemConfig, DiLosPPresetAddsFiveMicrosecondPreemption) {
   const SystemConfig c = SystemConfig::DiLOSP();
   EXPECT_EQ(c.sched.fault_policy, FaultPolicy::kBusyWait);
-  EXPECT_TRUE(c.sched.preemption);
   EXPECT_EQ(c.sched.preempt_interval_ns, 5000u);  // Shinjuku/Concord default.
 }
 
@@ -96,17 +95,17 @@ TEST(SystemConfigValidate, EachRuleReportsItself) {
   };
   const Case cases[] = {
       {"num_workers >= 1", [](SystemConfig& c) { c.num_workers = 0; }},
+      {"local_memory_ratio > 0", [](SystemConfig& c) { c.local_memory_ratio = 0.0; }},
       {"reclaim_low_watermark >= 0", [](SystemConfig& c) { c.reclaim_low_watermark = -0.1; }},
       {"reclaim_high_watermark >= reclaim_low_watermark",
        [](SystemConfig& c) { c.reclaim_high_watermark = 0.1; }},
       {"fabric.link_classes <= kNumTrafficClasses",
        [](SystemConfig& c) { c.fabric.link_classes = kNumTrafficClasses + 1; }},
+      {"fabric.compress_gbps >= 0", [](SystemConfig& c) { c.fabric.compress_gbps = std::nan(""); }},
       {"replication.num_nodes >= 1", [](SystemConfig& c) { c.replication.num_nodes = 0; }},
       {"replication.replicas >= 1", [](SystemConfig& c) { c.replication.replicas = 0; }},
       {"replication.replicas <= replication.num_nodes",
        [](SystemConfig& c) { c.replication.replicas = 2; }},
-      {"replication.resilver_bw_gbps > 0",
-       [](SystemConfig& c) { c.replication.resilver_bw_gbps = 0.0; }},
       {"integrity.scrub_bw_gbps > 0", [](SystemConfig& c) { c.integrity.scrub_bw_gbps = -1.0; }},
       {"retry.timeout_ns > 0",
        [](SystemConfig& c) {
@@ -160,15 +159,15 @@ TEST(SystemConfigValidate, EachRuleReportsItself) {
 
 TEST(SystemConfigValidate, ReportsEveryViolationAtOnce) {
   SystemConfig c = SystemConfig::Adios();
+  c.local_memory_ratio = std::nan("");
   c.replication.replicas = 0;
-  c.replication.resilver_bw_gbps = std::nan("");
   c.integrity.scrub_bw_gbps = 0.0;
   c.integrity.verify = true;  // Turns retry on.
   c.retry.timeout_ns = 0;
   const std::vector<std::string> errors = c.Validate();
   ASSERT_EQ(errors.size(), 4u);
-  EXPECT_EQ(errors[0].rfind("replication.replicas >= 1", 0), 0u);
-  EXPECT_EQ(errors[1].rfind("replication.resilver_bw_gbps > 0", 0), 0u);
+  EXPECT_EQ(errors[0].rfind("local_memory_ratio > 0", 0), 0u);
+  EXPECT_EQ(errors[1].rfind("replication.replicas >= 1", 0), 0u);
   EXPECT_EQ(errors[2].rfind("integrity.scrub_bw_gbps > 0", 0), 0u);
   EXPECT_EQ(errors[3].rfind("retry.timeout_ns > 0", 0), 0u);
 }

@@ -12,9 +12,9 @@ tools/check_links.py) built from four layers:
                    propagation seeded from the engine API and from
                    ADIOS_MAY_SUSPEND annotations;
   rules.py      -- the rule catalog (suspend-safety, trace-pairing,
-                   sim-time-hygiene, default-off-knob), each a static
-                   complement to one of the runtime invariant checks in
-                   src/check/.
+                   sim-time-hygiene, default-off-knob, env-knob), each a
+                   static complement to one of the runtime invariant
+                   checks in src/check/ or to the config discipline.
 
 Run as `python3 tools/adios_lint [paths...]`; see docs/STATIC_ANALYSIS.md
 for the rule catalog, the annotation macros (src/base/annotations.h), and

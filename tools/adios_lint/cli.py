@@ -109,8 +109,10 @@ def main(argv):
                      if fn.may_suspend)
         n_knobs = sum(len(sd.fields) for idx in indexes for sd in idx.structs
                       if rules.is_config_struct(sd))
+        n_test_only = len(rules.test_only_fields(indexes, root))
         print(f"-- {len(files)} files, {n_fns} functions indexed, "
               f"{n_susp} may-suspend, {n_knobs} config fields, "
+              f"{n_test_only} assigned only by tests/, "
               f"{len(findings)} finding(s)",
               file=sys.stderr)
     return 1 if findings else 0

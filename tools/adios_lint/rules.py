@@ -16,6 +16,11 @@ Each rule is a static complement to one of the runtime invariant checks:
                        value nothing sets is a constant, not a knob), and
                        a docs/KNOBS.md table headed by a config struct
                        has a row for each of its fields and none other.
+  env-knob          <- the same discipline for the environment: code under
+                       src/, bench/ and examples/ reads no environment
+                       name but ADIOS_CHECKS, ADIOS_BENCH_QUICK and
+                       ADIOS_BENCH_CSV_DIR; any other is a knob outside
+                       SystemConfig that nothing sets.
 
 Suppression: `// adios-lint: ignore(rule[,rule]) -- reason` on the finding
 line or the line above; `ignore(all)` silences every rule for that line.
@@ -30,8 +35,9 @@ RULE_SUSPEND = "suspend-safety"
 RULE_TRACE = "trace-pairing"
 RULE_SIMTIME = "sim-time-hygiene"
 RULE_KNOB = "default-off-knob"
+RULE_ENV = "env-knob"
 
-ALL_RULES = (RULE_SUSPEND, RULE_TRACE, RULE_SIMTIME, RULE_KNOB)
+ALL_RULES = (RULE_SUSPEND, RULE_TRACE, RULE_SIMTIME, RULE_KNOB, RULE_ENV)
 
 _SUPPRESS_RE = re.compile(r"adios-lint:\s*ignore\(([^)]*)\)")
 
@@ -419,25 +425,52 @@ CPP_EXTS = (".h", ".hpp", ".cc", ".cpp")
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "++", "--"}
 
 
-def _assigned_member_names(root):
+# Lexed files by path: the knob and env rules and --stats walk the same trees.
+_LEXED = {}
+
+
+def _lex_tree(root, sub):
+    """The lexed C++ files under root/sub, in a stable order."""
+    out = []
+    for dirpath, dirnames, filenames in os.walk(os.path.join(root, sub)):
+        dirnames.sort()
+        for fname in sorted(filenames):
+            if fname.endswith(CPP_EXTS):
+                path = os.path.join(dirpath, fname)
+                if path not in _LEXED:
+                    _LEXED[path] = lexer.lex(path)
+                out.append(_LEXED[path])
+    return out
+
+
+def _assigned_member_names(root, subdirs=_ASSIGN_DIRS):
     """Names written through a member access (`x.name = ...`, `p->name += ...`,
-    `{.name = ...}`) anywhere under the root's code directories. A field's
-    own default initializer (`T name = v;` in its struct) has no `.`/`->`
+    `{.name = ...}`) anywhere under the root's `subdirs`. A field's own
+    default initializer (`T name = v;` in its struct) has no `.`/`->`
     before it, so it never counts. Names, not qualified fields: two structs
     sharing a field name share its assignments."""
     names = set()
-    for sub in _ASSIGN_DIRS:
-        for dirpath, _, filenames in os.walk(os.path.join(root, sub)):
-            for fname in filenames:
-                if not fname.endswith(CPP_EXTS):
-                    continue
-                toks = lexer.lex(os.path.join(dirpath, fname)).tokens
-                for k in range(1, len(toks) - 1):
-                    if (toks[k].kind == lexer.KIND_ID and
-                            toks[k - 1].text in (".", "->") and
-                            toks[k + 1].text in _ASSIGN_OPS):
-                        names.add(toks[k].text)
+    for sub in subdirs:
+        for lexed in _lex_tree(root, sub):
+            toks = lexed.tokens
+            for k in range(1, len(toks) - 1):
+                if (toks[k].kind == lexer.KIND_ID and
+                        toks[k - 1].text in (".", "->") and
+                        toks[k + 1].text in _ASSIGN_OPS):
+                    names.add(toks[k].text)
     return names
+
+
+def test_only_fields(indexes, root):
+    """Config fields that only files under tests/ assign: each is a knob
+    only if the test's value turns on a behaviour the test pins
+    (docs/KNOBS.md)."""
+    elsewhere = _assigned_member_names(
+        root, [d for d in _ASSIGN_DIRS if d != "tests"])
+    in_tests = _assigned_member_names(root, ["tests"])
+    return [f"{sd.qualname}::{f.name}" for idx in indexes for sd in idx.structs
+            if is_config_struct(sd) for f in sd.fields
+            if f.name in in_tests and f.name not in elsewhere]
 
 
 def _check_knobs(indexes, docs_text, assigned, findings):
@@ -535,6 +568,40 @@ def _check_knob_rows(indexes, root, findings):
 
 
 # ---------------------------------------------------------------------------
+# env-knob
+# ---------------------------------------------------------------------------
+
+# The environment names the program may read: the invariant checker's
+# switch, the benches' quick mode, and the benches' CSV output directory.
+ENV_ALLOWED = {"ADIOS_CHECKS", "ADIOS_BENCH_QUICK", "ADIOS_BENCH_CSV_DIR"}
+_ENV_DIRS = ("src", "bench", "examples")
+# `getenv` and the `Env*` helper family (EnvU64, EnvDouble, ...).
+_ENV_READ_RE = re.compile(r"^(?:getenv|Env[A-Z]\w*)$")
+
+
+def _check_env_reads(root, findings):
+    for sub in _ENV_DIRS:
+        for lexed in _lex_tree(root, sub):
+            toks = lexed.tokens
+            for k in range(len(toks) - 2):
+                if (toks[k].kind != lexer.KIND_ID or
+                        not _ENV_READ_RE.match(toks[k].text) or
+                        toks[k + 1].text != "(" or
+                        toks[k + 2].kind != lexer.KIND_STR):
+                    continue
+                name = toks[k + 2].text.strip('"')
+                if name in ENV_ALLOWED or \
+                        is_suppressed(lexed, toks[k].line, RULE_ENV):
+                    continue
+                findings.append(Finding(
+                    lexed.path, toks[k].line, RULE_ENV,
+                    f"environment read of '{name}': a value only the "
+                    f"environment sets is a knob outside SystemConfig; make "
+                    f"it a named constant (allowed: "
+                    f"{', '.join(sorted(ENV_ALLOWED))})"))
+
+
+# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -558,5 +625,7 @@ def run_rules(indexes, graph, root, docs_text, enabled=None):
     if RULE_KNOB in enabled:
         _check_knobs(indexes, docs_text, _assigned_member_names(root), findings)
         _check_knob_rows(indexes, root, findings)
+    if RULE_ENV in enabled:
+        _check_env_reads(root, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
