@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/mem/resident_set.h"
 
 namespace adios {
 namespace {
@@ -317,6 +318,37 @@ void InvariantChecker::AuditPageTableCounters() {
          << pt.prefetched_fetching(s) << " / " << pt.prefetched_resident(s);
       Violation("prefetch-cache counters drifted from entries", os.str());
     }
+  }
+  const ResidentPageSet* rs = pt.resident_set();
+  if (rs == nullptr) {
+    return;
+  }
+  // The sharded clock's membership and its occupancy bitmap: every mapped
+  // page is in the set once, and ScanShard's bitmap shows exactly the live
+  // slots (a stale bit over a dead slot is transient under real threads
+  // only).
+  if (rs->size() != pt.resident_pages()) {
+    std::ostringstream os;
+    os << "resident set holds " << rs->size() << " pages, counters say "
+       << pt.resident_pages();
+    Violation("resident set drifted from page table", os.str());
+  }
+  uint64_t marked = 0;
+  for (uint64_t i = 0; i < rs->capacity(); ++i) {
+    if (!rs->marked(i)) {
+      continue;
+    }
+    ++marked;
+    if (!ResidentPageSet::Live(rs->slot(i))) {
+      std::ostringstream os;
+      os << "slot " << i << " is marked occupied but holds no page";
+      Violation("resident set bitmap marks a dead slot", os.str());
+    }
+  }
+  if (marked != rs->size()) {
+    std::ostringstream os;
+    os << "bitmap has " << marked << " bits set, set size is " << rs->size();
+    Violation("resident set bitmap drifted from its size", os.str());
   }
 }
 

@@ -114,48 +114,35 @@ bool Dispatcher::DispatchSome() {
   if (queue_.empty()) {
     return false;
   }
+  const uint32_t n = static_cast<uint32_t>(workers_.size());
+  const bool pf_aware = cfg_.dispatch_policy == DispatchPolicy::kPfAware;
+  // Each idle worker's dispatch key, read once: Consume() below suspends,
+  // and Algorithm 1 orders the workers as they stood when the pass began.
+  // Round-robin ranks (distance from the cursor) are unique, so taking the
+  // minimum key per request reproduces SortByOutstandingPFCount's order with
+  // ties rotating round-robin; the baselines order by rank alone.
   idle_scratch_.clear();
   for (Worker* w : workers_) {
     // Elastic scaling: workers outside the active set finish what they have
     // but receive no new assignments until the controller grows the set.
-    if (!ctrl_->WorkerActive(w->index())) {
+    if (!ctrl_->WorkerActive(w->index()) || !w->CanAccept()) {
       continue;
     }
-    if (w->CanAccept()) {
-      idle_scratch_.push_back(w);
-    }
-  }
-  if (idle_scratch_.empty()) {
-    return false;
-  }
-  const uint32_t n = static_cast<uint32_t>(workers_.size());
-  const uint32_t cursor = rr_cursor_;
-  auto rr_rank = [n, cursor](const Worker* w) { return (w->index() + n - cursor) % n; };
-  if (cfg_.dispatch_policy == DispatchPolicy::kPfAware) {
-    // Algorithm 1: SortByOutstandingPFCount(ready workers), ascending.
-    // Ties rotate round-robin so equal-PF workers share load.
-    std::sort(idle_scratch_.begin(), idle_scratch_.end(),
-              [&rr_rank](const Worker* a, const Worker* b) {
-                if (a->OutstandingFaults() != b->OutstandingFaults()) {
-                  return a->OutstandingFaults() < b->OutstandingFaults();
-                }
-                return rr_rank(a) < rr_rank(b);
-              });
-  } else {
-    // Round-robin baseline: start from the cursor, wrap by worker index.
-    std::sort(idle_scratch_.begin(), idle_scratch_.end(),
-              [&rr_rank](const Worker* a, const Worker* b) { return rr_rank(a) < rr_rank(b); });
+    const uint64_t rank = (w->index() + n - rr_cursor_) % n;
+    const uint64_t faults = pf_aware ? w->OutstandingFaults() : 0;
+    idle_scratch_.push_back({(faults << 32) | rank, w});
   }
 
   bool any = false;
-  for (Worker* w : idle_scratch_) {
-    if (queue_.empty()) {
-      break;
-    }
+  while (!idle_scratch_.empty() && !queue_.empty()) {
     UnithreadBuffer buffer = pool_->Acquire();
     if (!buffer.valid()) {
       break;  // Unithread pool exhausted: back-pressure the queue.
     }
+    auto pick = std::min_element(idle_scratch_.begin(), idle_scratch_.end());
+    Worker* w = pick->worker;
+    *pick = idle_scratch_.back();
+    idle_scratch_.pop_back();
     static_assert(sizeof(RunItem) <= 256, "RunItem must fit in the payload area");
     auto* item = new (buffer.payload()) RunItem();
     item->req = queue_.front();

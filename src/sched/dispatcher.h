@@ -85,7 +85,14 @@ class Dispatcher {
   Fifo<Request*> queue_;  // The single centralized FCFS queue.
   WaitQueue events_;
   uint32_t rr_cursor_ = 0;
-  std::vector<Worker*> idle_scratch_;
+  // DispatchSome's idle workers with their dispatch keys: outstanding
+  // faults (kPfAware only) in the high half, round-robin rank in the low.
+  struct IdleWorker {
+    uint64_t key;
+    Worker* worker;
+    bool operator<(const IdleWorker& o) const { return key < o.key; }
+  };
+  std::vector<IdleWorker> idle_scratch_;
   // RecycleTxCompletions' poll buffer, reused by every poll: the dispatcher
   // fiber is this CQ's only poller, and it never polls re-entrantly.
   std::vector<Completion> cq_batch_;

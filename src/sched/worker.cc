@@ -44,6 +44,7 @@ Worker::Worker(uint32_t index, Engine* engine, CpuCore* core, MemoryManager* mm,
           return true;
         }
         ++qp_full_stalls_;
+        ++repost_full_stalls_;
         return false;
       },
       // Budget and replicas exhausted: waiters fail their requests.
@@ -256,6 +257,8 @@ void Worker::RegisterMetrics(MetricRegistry* registry) {
                           [this] { return static_cast<double>(preempt_fires_); });
   registry->RegisterProbe("worker.qp_full_stalls", labels,
                           [this] { return static_cast<double>(qp_full_stalls_); });
+  registry->RegisterProbe("worker.repost_full_stalls", labels,
+                          [this] { return static_cast<double>(repost_full_stalls_); });
   registry->RegisterProbe("worker.doorbells_saved", labels,
                           [this] { return static_cast<double>(mem_qp_->doorbells_saved()); });
   const OpTracker::Stats* fetch = &tracker_.stats(OpKind::kFetch);

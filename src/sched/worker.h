@@ -212,7 +212,8 @@ class Worker final : public WorkerApi {
 
   uint64_t completed_ = 0;
   uint64_t yields_ = 0;
-  uint64_t qp_full_stalls_ = 0;
+  uint64_t qp_full_stalls_ = 0;     // Send queue full: PostDoorbell + reposts.
+  uint64_t repost_full_stalls_ = 0;  // The tracker-repost share of the above.
   uint64_t preempt_fires_ = 0;
   uint64_t steals_ = 0;
   uint64_t corruptions_detected_ = 0;

@@ -422,6 +422,31 @@ TEST(InvariantChecker, CleanAdiosRunHasNoViolations) {
   EXPECT_EQ(checker->switch_checker()->violations(), 0u);
 }
 
+// The sharded clock under eviction pressure: the audit also checks the
+// resident set's size and its occupancy bitmap against the page table.
+TEST(InvariantChecker, CleanShardedClockRunHasNoViolations) {
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.clock_shards = 8;
+  cfg.check.enabled = true;
+  MemcachedApp::Options o;
+  o.num_keys = 1 << 14;
+  o.key_skew = 0.99;
+  o.set_fraction = 0.3;
+  MemcachedApp app(o);
+  MdSystem sys(cfg, &app);
+  RunResult r = sys.Run(1.0e6, Milliseconds(2), Milliseconds(6));
+  EXPECT_GT(r.measured, 1000u);
+  EXPECT_GT(r.mem.evictions_clean + r.mem.evictions_dirty, 1000u);
+
+  const PageTable& pt = sys.memory_manager().page_table();
+  ASSERT_NE(pt.resident_set(), nullptr);
+  EXPECT_EQ(pt.resident_set()->shards(), 8u);
+  const InvariantChecker* checker = sys.invariant_checker();
+  ASSERT_NE(checker, nullptr);
+  EXPECT_GT(checker->report().audits, 10u);
+  EXPECT_EQ(checker->report().violations, 0u);
+}
+
 // --- Stack headroom ---
 
 // Event callbacks run on whichever context yields to the engine, so the

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -101,6 +103,127 @@ TEST(ResidentPageSet, ScanShardRespectsBudget) {
   EXPECT_LE(visits, 3);
 }
 
+// The one-slot-at-a-time clock walk that the bitmap scan must reproduce: a
+// per-shard hand advanced once per slot, visiting live slots in order and
+// stopping just past the slot whose key `take` accepts.
+struct ReferenceClock {
+  const ResidentPageSet* set;
+  std::vector<uint64_t> hands;
+
+  explicit ReferenceClock(const ResidentPageSet* s) : set(s), hands(s->shards(), 0) {}
+
+  template <typename Take>
+  bool Scan(uint32_t shard, uint64_t budget, std::vector<uint64_t>* visits, Take take) {
+    const uint64_t base = shard * set->shard_slots();
+    for (uint64_t i = 0; i < budget; ++i) {
+      const uint64_t off = hands[shard]++ % set->shard_slots();
+      const uint64_t v = set->slot(base + off);
+      if (!ResidentPageSet::Live(v)) {
+        continue;
+      }
+      visits->push_back(v);
+      if (take(v)) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+// Differential check of ScanShard against the reference walk over many
+// calls: budgets that are and are not multiples of 64, hands that wrap at
+// the shard's end, stops mid-span, tombstones, and shards of exactly one
+// bitmap word (whose spans wrap within that word).
+TEST(ResidentPageSet, ScanShardMatchesOneSlotAtATimeWalk) {
+  const uint64_t budgets[] = {1, 3, 63, 64, 65, 100, 127, 128, 129, 200, 511, 700};
+  for (const uint64_t max_resident : {32ull, 300ull}) {
+    for (const uint32_t shards : {1u, 2u}) {
+      ResidentPageSet set(max_resident, shards);
+      // Fill to ~40% of capacity, then remove every third key: tombstones.
+      const uint64_t keys = set.capacity() * 2 / 5;
+      for (uint64_t v = 0; v < keys; ++v) {
+        set.Insert(v * 7 + 1);
+      }
+      for (uint64_t v = 0; v < keys; v += 3) {
+        ASSERT_TRUE(set.Remove(v * 7 + 1));
+      }
+      ReferenceClock ref(&set);
+      for (uint64_t call = 0; call < 400; ++call) {
+        const uint32_t shard = static_cast<uint32_t>(call % set.shards());
+        const uint64_t budget = budgets[call % std::size(budgets)];
+        // Takes about one key in five, varying with the call.
+        auto take = [call](uint64_t v) { return (v * 2654435761ull + call) % 5 == 0; };
+        std::vector<uint64_t> want;
+        const bool want_stop = ref.Scan(shard, budget, &want, take);
+        std::vector<uint64_t> got;
+        const bool got_stop = set.ScanShard(shard, budget, [&](uint64_t v) {
+          got.push_back(v);
+          return take(v);
+        });
+        ASSERT_EQ(got, want) << "call " << call << ", budget " << budget;
+        ASSERT_EQ(got_stop, want_stop) << "call " << call;
+        ASSERT_EQ(set.hand(shard), ref.hands[shard] % set.shard_slots()) << "call " << call;
+        // Churn between calls: swap one key for its twin, so tombstones
+        // move and slots are reused under the hands.
+        const uint64_t k = (call % keys) * 7 + 1;
+        const uint64_t twin = k + 1'000'000;
+        if (set.Remove(k)) {
+          set.Insert(twin);
+        } else if (set.Remove(twin)) {
+          set.Insert(k);
+        } else {
+          set.Insert(k);  // One of the keys removed up front.
+        }
+        for (uint64_t i = 0; i < set.capacity(); ++i) {
+          ASSERT_EQ(set.marked(i), ResidentPageSet::Live(set.slot(i))) << "slot " << i;
+        }
+      }
+    }
+  }
+}
+
+// Two scanners of one shard, together claiming one full lap (half the
+// shard's slots each): span claims keep their visits disjoint, and between
+// them they see every member of the shard.
+TEST(ResidentPageSet, ConcurrentScannersOfOneShardVisitDisjointSlots) {
+  ResidentPageSet set(2048, /*shards=*/2);
+  std::set<uint64_t> live;
+  for (uint64_t v = 0; v < 1500; ++v) {
+    set.Insert(v);
+  }
+  for (uint64_t i = 0; i < set.shard_slots(); ++i) {
+    const uint64_t v = set.slot(i);  // Shard 0 is the first shard_slots slots.
+    if (ResidentPageSet::Live(v)) {
+      live.insert(v);
+    }
+  }
+  std::vector<uint64_t> seen[2];
+  std::thread scanners[2];
+  for (int t = 0; t < 2; ++t) {
+    scanners[t] = std::thread([&set, &seen, t] {
+      set.ScanShard(0, set.shard_slots() / 2, [&](uint64_t v) {
+        seen[t].push_back(v);
+        return false;
+      });
+    });
+  }
+  for (std::thread& th : scanners) {
+    th.join();
+  }
+  std::map<uint64_t, int> visits;
+  for (const std::vector<uint64_t>& s : seen) {
+    for (uint64_t v : s) {
+      ++visits[v];
+    }
+  }
+  EXPECT_EQ(visits.size(), live.size());
+  for (const auto& [v, count] : visits) {
+    EXPECT_EQ(count, 1) << "key " << v << " visited by both scanners";
+    EXPECT_TRUE(live.count(v)) << "key " << v << " is not in shard 0";
+  }
+  EXPECT_EQ(set.hand(0), 0u);  // Exactly one lap claimed.
+}
+
 // Real-thread hammer over insert/remove/clock-scan: each thread owns a
 // disjoint key range (the map/evict protocol guarantees single-writer per
 // page), while every thread also drives a clock scan on its own shard.
@@ -147,6 +270,24 @@ TEST(ResidentPageSet, ConcurrentInsertRemoveClockHammer) {
     }
   }
   EXPECT_GT(scanned_total.load(), 0u);
+  // The occupancy bitmap survived the races: a full sweep of every shard
+  // sees each live key exactly once, and the bits mark exactly the live
+  // slots.
+  std::map<uint64_t, int> visits;
+  for (uint32_t s = 0; s < set.shards(); ++s) {
+    set.ScanShard(s, set.shard_slots(), [&](uint64_t v) {
+      ++visits[v];
+      return false;
+    });
+  }
+  EXPECT_EQ(visits.size(), kThreads * kKeysPerThread);
+  for (const auto& [v, count] : visits) {
+    EXPECT_LT(v, kThreads * kKeysPerThread);
+    EXPECT_EQ(count, 1) << "key " << v;
+  }
+  for (uint64_t i = 0; i < set.capacity(); ++i) {
+    EXPECT_EQ(set.marked(i), ResidentPageSet::Live(set.slot(i))) << "slot " << i;
+  }
 }
 
 }  // namespace

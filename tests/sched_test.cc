@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/apps/array_app.h"
 #include "src/apps/rocksdb_app.h"
 #include "src/core/md_system.h"
@@ -49,6 +52,89 @@ TEST(Dispatch, WorkersShareLoadEvenly) {
   }
   EXPECT_GT(min_c, 0u);
   EXPECT_LT(static_cast<double>(max_c), 1.5 * static_cast<double>(min_c));
+}
+
+// The order Algorithm 1 puts the idle workers in at the start of a dispatch
+// pass: SortByOutstandingPFCount under kPfAware, with ties (and the
+// baselines entirely) ordered by distance from the round-robin cursor.
+std::vector<uint32_t> SortedIdleWorkers(DispatchPolicy policy,
+                                        const std::vector<uint32_t>& faults,
+                                        const std::vector<bool>& idle, uint32_t cursor) {
+  const uint32_t n = static_cast<uint32_t>(faults.size());
+  std::vector<uint32_t> order;
+  for (uint32_t w = 0; w < n; ++w) {
+    if (idle[w]) {
+      order.push_back(w);
+    }
+  }
+  auto rank = [n, cursor](uint32_t w) { return (w + n - cursor) % n; };
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (policy == DispatchPolicy::kPfAware && faults[a] != faults[b]) {
+      return faults[a] < faults[b];
+    }
+    return rank(a) < rank(b);
+  });
+  return order;
+}
+
+TEST(Dispatch, AssignmentOrderMatchesSortedIdleWorkers) {
+  // Outstanding fetches per worker, with ties at 0, 1 and 2.
+  const std::vector<uint32_t> faults = {2, 0, 1, 0, 2, 1};
+  const uint32_t n = static_cast<uint32_t>(faults.size());
+  for (const DispatchPolicy policy : {DispatchPolicy::kPfAware, DispatchPolicy::kRoundRobin,
+                                      DispatchPolicy::kWorkStealing}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    SystemConfig cfg = SystemConfig::Adios();
+    cfg.num_workers = n;
+    cfg.sched.dispatch_policy = policy;
+    ArrayApp app(MediumArray());
+    MdSystem sys(cfg, &app);
+    sys.tracer().Enable(1024);
+    // Only the dispatcher fiber runs: workers keep what they are assigned,
+    // and READs posted at time 0 are still in flight after each
+    // sub-microsecond dispatch pass.
+    uint64_t wr_id = 0;
+    for (uint32_t w = 0; w < n; ++w) {
+      for (uint32_t i = 0; i < faults[w]; ++i) {
+        ASSERT_TRUE(sys.workers()[w]->mem_qp()->PostRead(4096, ++wr_id));
+      }
+    }
+    sys.dispatcher().Start();
+
+    // A pass of one request moves the cursor; a pass of five then spans
+    // every fault tie.
+    std::vector<Request> reqs(6);
+    std::vector<bool> idle(n, true);
+    std::vector<uint32_t> expected;
+    uint32_t cursor = 0;
+    size_t next = 0;
+    SimTime horizon = 0;
+    for (const size_t batch : {size_t{1}, size_t{5}}) {
+      for (uint32_t w = 0; w < n; ++w) {
+        ASSERT_EQ(sys.workers()[w]->OutstandingFaults(), faults[w]);
+      }
+      const std::vector<uint32_t> order = SortedIdleWorkers(policy, faults, idle, cursor);
+      ASSERT_GE(order.size(), batch);
+      for (size_t i = 0; i < batch; ++i) {
+        reqs[next].id = next + 1;
+        sys.dispatcher().OnRx(&reqs[next++]);
+        expected.push_back(order[i]);
+        // A centralized worker's mailbox holds one request; work stealing
+        // queues more.
+        idle[order[i]] = policy == DispatchPolicy::kWorkStealing;
+      }
+      cursor = (order[batch - 1] + 1) % n;
+      horizon += Microseconds(1);
+      sys.engine().RunUntil(horizon);
+    }
+    std::vector<uint32_t> assigned;
+    for (const TraceRecord& rec : sys.tracer().records()) {
+      if (rec.event == TraceEvent::kDispatch) {
+        assigned.push_back(rec.arg);
+      }
+    }
+    EXPECT_EQ(assigned, expected);
+  }
 }
 
 TEST(PollingDelegation, DisablingItAddsTxWait) {
