@@ -83,7 +83,7 @@ void TracedRun(const BenchTraceArgs& args) {
   RunPoint("Adios", 2, blackout_start, timing.measure / 10, timing, &args);
 }
 
-void Run() {
+bool Run() {
   const BenchTiming timing = DefaultTiming();
   // Blackout: 30% into the measurement window, 10% of it long (1 ms in the
   // quick smoke, 2.5 ms in the full run) — long enough that detection,
@@ -179,6 +179,7 @@ void Run() {
   std::printf("Adios-R1 aborts during the outage: %llu failed requests (the cliff "
               "replication removes)\n",
               static_cast<unsigned long long>(points[1].result.requests_failed));
+  return recovered;
 }
 
 }  // namespace
@@ -186,11 +187,12 @@ void Run() {
 
 int main(int argc, char** argv) {
   const adios::BenchTraceArgs trace_args = adios::ParseBenchTraceArgs(argc, argv);
+  bool ok = true;
   if (!trace_args.trace_only) {
-    adios::Run();
+    ok = adios::Run();
   }
   if (trace_args.enabled()) {
     adios::TracedRun(trace_args);
   }
-  return 0;
+  return ok ? 0 : 1;
 }

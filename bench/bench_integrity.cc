@@ -96,7 +96,7 @@ void AddRow(TablePrinter& table, const std::string& axis, const std::string& sys
   g_json.push_back(JsonRowOf(StrFormat("%s/%s", axis.c_str(), system.c_str()), r));
 }
 
-void Run() {
+bool Run() {
   const BenchTiming timing = DefaultTiming();
 
   PrintHeader("Integrity", "goodput and repair outcomes vs silent-corruption rate");
@@ -162,12 +162,12 @@ void Run() {
               pass ? "PASS" : "FAIL");
 
   WriteBenchJson("integrity", g_json);
+  return pass;
 }
 
 }  // namespace
 }  // namespace adios
 
 int main() {
-  adios::Run();
-  return 0;
+  return adios::Run() ? 0 : 1;
 }

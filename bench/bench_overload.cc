@@ -210,7 +210,7 @@ void FlashCrowd(const BenchTiming& timing, std::vector<BenchJsonRow>* json) {
   json->push_back(std::move(row));
 }
 
-void Run() {
+bool Run() {
   const BenchTiming timing = DefaultTiming();
   const std::vector<double> multipliers = MaybeThin({1, 2, 4, 6, 8, 10});
 
@@ -262,23 +262,26 @@ void Run() {
       on_peak = std::max(on_peak, p.slo_goodput_rps);
     }
   }
-  if (on1 != nullptr && on10 != nullptr && off1 != nullptr && off10 != nullptr) {
-    const double p99_ratio = static_cast<double>(on10->result.e2e.P99()) /
-                             static_cast<double>(std::max<uint64_t>(1, on1->result.e2e.P99()));
-    const double hold = on10->slo_goodput_rps / (on_peak > 0.0 ? on_peak : 1.0);
-    const double cliff = off10->slo_goodput_rps /
-                         (off1->slo_goodput_rps > 0.0 ? off1->slo_goodput_rps : 1.0);
-    std::printf("\nctrl-on @10x: admitted P99 %.1f us = %.2fx the 1x P99 (limit 3x)\n",
-                static_cast<double>(on10->result.e2e.P99()) / 1000.0, p99_ratio);
-    std::printf("ctrl-on @10x: SLO-goodput %.0f K = %.0f%% of sweep peak (floor 70%%)\n",
-                on10->slo_goodput_rps / 1000.0, 100.0 * hold);
-    std::printf("ctrl-off @10x: SLO-goodput %.0f K = %.0f%% of its 1x level (the cliff)\n",
-                off10->slo_goodput_rps / 1000.0, 100.0 * cliff);
-    const bool pass = p99_ratio <= 3.0 && hold >= 0.7 && cliff < 0.5;
-    std::printf("overload acceptance (P99 within 3x, goodput >= 70%% of peak, "
-                "ctrl-off cliff visible): %s\n",
-                pass ? "PASS" : "FAIL");
+  if (on1 == nullptr || on10 == nullptr || off1 == nullptr || off10 == nullptr) {
+    std::printf("\noverload acceptance: FAIL (a sweep lacks its 1x or 10x row)\n");
+    return false;
   }
+  const double p99_ratio = static_cast<double>(on10->result.e2e.P99()) /
+                           static_cast<double>(std::max<uint64_t>(1, on1->result.e2e.P99()));
+  const double hold = on10->slo_goodput_rps / (on_peak > 0.0 ? on_peak : 1.0);
+  const double cliff = off10->slo_goodput_rps /
+                       (off1->slo_goodput_rps > 0.0 ? off1->slo_goodput_rps : 1.0);
+  std::printf("\nctrl-on @10x: admitted P99 %.1f us = %.2fx the 1x P99 (limit 3x)\n",
+              static_cast<double>(on10->result.e2e.P99()) / 1000.0, p99_ratio);
+  std::printf("ctrl-on @10x: SLO-goodput %.0f K = %.0f%% of sweep peak (floor 70%%)\n",
+              on10->slo_goodput_rps / 1000.0, 100.0 * hold);
+  std::printf("ctrl-off @10x: SLO-goodput %.0f K = %.0f%% of its 1x level (the cliff)\n",
+              off10->slo_goodput_rps / 1000.0, 100.0 * cliff);
+  const bool pass = p99_ratio <= 3.0 && hold >= 0.7 && cliff < 0.5;
+  std::printf("overload acceptance (P99 within 3x, goodput >= 70%% of peak, "
+              "ctrl-off cliff visible): %s\n",
+              pass ? "PASS" : "FAIL");
+  return pass;
 }
 
 }  // namespace
@@ -286,11 +289,12 @@ void Run() {
 
 int main(int argc, char** argv) {
   const adios::BenchTraceArgs trace_args = adios::ParseBenchTraceArgs(argc, argv);
+  bool ok = true;
   if (!trace_args.trace_only) {
-    adios::Run();
+    ok = adios::Run();
   }
   if (trace_args.enabled()) {
     adios::TracedRun(trace_args);
   }
-  return 0;
+  return ok ? 0 : 1;
 }

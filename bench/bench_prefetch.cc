@@ -76,7 +76,7 @@ Cell RunPoint(const PatternDef& pat, const ConfigDef& cfgdef, const BenchTiming&
   return cell;
 }
 
-void Run() {
+bool Run() {
   const BenchTiming timing = DefaultTiming();
   const bool quick = BenchQuickMode();
   const uint64_t pages = quick ? 1ull << 13 : 1ull << 15;
@@ -156,12 +156,12 @@ void Run() {
               100.0 * r_ada.waste_frac, 100.0 * goodput_delta);
   std::printf("random check (quiet on patternless access): %s\n",
               random_quiet && random_goodput ? "PASS" : "FAIL");
+  return stride_cut && stride_beats_seq && random_quiet && random_goodput;
 }
 
 }  // namespace
 }  // namespace adios
 
 int main() {
-  adios::Run();
-  return 0;
+  return adios::Run() ? 0 : 1;
 }

@@ -7,10 +7,10 @@
 //     worker count — throughput grows until the dispatcher (or NIC) binds.
 //  2. A paging-datapath comparison (docs/DATAPATH.md): the same sweep under
 //     a serialized page-table model (one global lock, every access pays the
-//     hold time) and under the lock-free datapath (sharded CAS words,
-//     sharded clock, per-worker frame-credit caches). The serialized curve
-//     plateaus at the lock's throughput ceiling; the lock-free curve keeps
-//     scaling. The comparison is a gate: the bench exits nonzero when the
+//     hold time) and under the lock-free datapath (sharded CAS words and
+//     sharded clock). The serialized curve plateaus at the lock's
+//     throughput ceiling; the lock-free curve keeps scaling. The
+//     comparison is a gate: the bench exits nonzero when the
 //     lock-free datapath fails to deliver >= 1.6x goodput at 8 workers over
 //     1 worker, or when the serialized baseline out-scales it.
 //
@@ -92,12 +92,11 @@ SystemConfig DatapathConfig(bool lockfree, uint32_t workers) {
   cfg.fabric.wqe_process_ns = 60;
   if (lockfree) {
     // The lock-free datapath: page-state CAS words (a mutating transition
-    // costs one contended CAS), sharded clock hands, per-worker free-frame
-    // credit caches. Hot hits pay nothing.
+    // costs one contended CAS) and sharded clock hands. Hot hits pay
+    // nothing.
     cfg.sync_model = MmSyncModel::kShardedCas;
     cfg.sync_cas_ns = 30;
     cfg.clock_shards = 8;
-    cfg.frame_cache_size = 16;
     cfg.evict_scan_budget = 256;
   } else {
     // The serialized baseline: one page-table lock, every access — hit or

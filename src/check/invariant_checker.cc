@@ -230,27 +230,6 @@ void InvariantChecker::AuditFrameConservation() {
        << " (a replica WQE settled without its page, or vice versa)";
     Violation("write-back fan-out accounting drifted", os.str());
   }
-  // Free-frame credit caches (docs/DATAPATH.md): every credit parked in a
-  // per-worker cache is a free frame earmarked, not used, so used + cached
-  // can never exceed the budget, and the per-owner caches must sum to the
-  // aggregate credit counter.
-  const uint64_t cached = deps_.mm->cached_frame_credits();
-  if (used + cached > deps_.mm->local_pages()) {
-    std::ostringstream os;
-    os << "used frames " << used << " + cached credits " << cached
-       << " exceed local_pages " << deps_.mm->local_pages();
-    Violation("frame credit conservation violated", os.str());
-  }
-  uint64_t cache_sum = 0;
-  for (uint32_t credits : deps_.mm->frame_caches()) {
-    cache_sum += credits;
-  }
-  if (cache_sum != cached) {
-    std::ostringstream os;
-    os << "per-owner caches sum to " << cache_sum << " but cached_frame_credits is "
-       << cached;
-    Violation("frame credit caches drifted from aggregate", os.str());
-  }
 }
 
 void InvariantChecker::AuditPageTableCounters() {
@@ -258,14 +237,12 @@ void InvariantChecker::AuditPageTableCounters() {
     return;
   }
   PageTable& pt = deps_.mm->page_table();
-  const uint32_t shards = pt.counter_shards();
-  std::vector<uint64_t> resident(shards, 0);
-  std::vector<uint64_t> fetching(shards, 0);
-  std::vector<uint64_t> pf_fetching(shards, 0);
-  std::vector<uint64_t> pf_resident(shards, 0);
+  uint64_t resident = 0;
+  uint64_t fetching = 0;
+  uint64_t pf_fetching = 0;
+  uint64_t pf_resident = 0;
   for (uint64_t vpage = 0; vpage < pt.num_pages(); ++vpage) {
     const PageInfo info = pt.Info(vpage);
-    const uint32_t s = pt.shard_of(vpage);
     if (info.state == PageWordState::kEvicting) {
       // The in-sim eviction path claims and commits inside one
       // non-suspending call; audits run from the engine, between fiber
@@ -284,14 +261,14 @@ void InvariantChecker::AuditPageTableCounters() {
       Violation("kPartial leaked past transfer", os.str());
     }
     if (info.resident()) {
-      ++resident[s];
+      ++resident;
       if (info.prefetched) {
-        ++pf_resident[s];
+        ++pf_resident;
       }
     } else if (info.state == PageWordState::kFetching) {
-      ++fetching[s];
+      ++fetching;
       if (info.prefetched) {
-        ++pf_fetching[s];
+        ++pf_fetching;
       }
     } else if (info.prefetched) {
       // A kRemote page must have resolved its prefetch (wasted/aborted)
@@ -302,22 +279,18 @@ void InvariantChecker::AuditPageTableCounters() {
       Violation("prefetched bit leaked past eviction", os.str());
     }
   }
-  for (uint32_t s = 0; s < shards; ++s) {
-    if (resident[s] != pt.resident_pages(s) || fetching[s] != pt.fetching_pages(s)) {
-      std::ostringstream os;
-      os << "shard " << s << ": walk found resident " << resident[s] << " / fetching "
-         << fetching[s] << ", counters say " << pt.resident_pages(s) << " / "
-         << pt.fetching_pages(s);
-      Violation("page-table counters drifted from entries", os.str());
-    }
-    if (pf_fetching[s] != pt.prefetched_fetching(s) ||
-        pf_resident[s] != pt.prefetched_resident(s)) {
-      std::ostringstream os;
-      os << "shard " << s << ": walk found prefetched-fetching " << pf_fetching[s]
-         << " / prefetched-resident " << pf_resident[s] << ", counters say "
-         << pt.prefetched_fetching(s) << " / " << pt.prefetched_resident(s);
-      Violation("prefetch-cache counters drifted from entries", os.str());
-    }
+  if (resident != pt.resident_pages() || fetching != pt.fetching_pages()) {
+    std::ostringstream os;
+    os << "walk found resident " << resident << " / fetching " << fetching
+       << ", counters say " << pt.resident_pages() << " / " << pt.fetching_pages();
+    Violation("page-table counters drifted from entries", os.str());
+  }
+  if (pf_fetching != pt.prefetched_fetching() || pf_resident != pt.prefetched_resident()) {
+    std::ostringstream os;
+    os << "walk found prefetched-fetching " << pf_fetching << " / prefetched-resident "
+       << pf_resident << ", counters say " << pt.prefetched_fetching() << " / "
+       << pt.prefetched_resident();
+    Violation("prefetch-cache counters drifted from entries", os.str());
   }
   const ResidentPageSet* rs = pt.resident_set();
   if (rs == nullptr) {

@@ -39,7 +39,6 @@ MdSystem::MdSystem(const SystemConfig& config, Application* app) : config_(confi
         1, static_cast<uint64_t>(config_.local_memory_ratio * static_cast<double>(total_pages)));
   }
   mm_ = std::make_unique<MemoryManager>(&engine_, config_, total_pages, local_pages);
-  mm_->set_tracer(&tracer_);
 
   // --- Fabric ---
   // Provisioning invariant from the paper's testbed: outstanding page
@@ -480,12 +479,6 @@ std::vector<BreakdownRow> RunResult::Breakdown(const std::vector<double>& percen
     rows.push_back(row);
   }
   return rows;
-}
-
-RunResult RunOnce(const SystemConfig& config, Application* app, double offered_rps,
-                  SimDuration warmup_ns, SimDuration measure_ns) {
-  MdSystem system(config, app);
-  return system.Run(offered_rps, warmup_ns, measure_ns);
 }
 
 }  // namespace adios

@@ -101,10 +101,6 @@ class MdSystem {
   bool ran_ = false;
 };
 
-// Convenience: sweep helper used by the figure benches.
-RunResult RunOnce(const SystemConfig& config, Application* app, double offered_rps,
-                  SimDuration warmup_ns, SimDuration measure_ns);
-
 }  // namespace adios
 
 #endif  // ADIOS_SRC_CORE_MD_SYSTEM_H_

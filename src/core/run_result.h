@@ -46,7 +46,6 @@ inline constexpr std::pair<const char*, uint64_t MemoryManager::Stats::*> kMemSt
     {"mem.prefetch_late", &MemoryManager::Stats::prefetch_late},
     {"mem.prefetch_wasted", &MemoryManager::Stats::prefetch_wasted},
     {"mem.frame_refills", &MemoryManager::Stats::frame_refills},
-    {"mem.frame_spills", &MemoryManager::Stats::frame_spills},
     {"mem.chunk_partials", &MemoryManager::Stats::chunk_partials},
     {"mem.chunk_early_wakes", &MemoryManager::Stats::chunk_early_wakes},
 };

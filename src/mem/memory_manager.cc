@@ -17,65 +17,12 @@ MemoryManager::MemoryManager(Engine* engine, const PagingConfig& paging, uint64_
   ADIOS_CHECK(paging.reclaim_high_watermark >= paging.reclaim_low_watermark);
 }
 
-void MemoryManager::TakeFrame(uint16_t owner) {
+void MemoryManager::TakeFrame() {
   ADIOS_CHECK(used_frames_ < local_pages_);
-  if (paging_.frame_cache_size > 0) {
-    if (owner != kNoFrameOwner) {
-      if (owner >= frame_cache_.size()) {
-        frame_cache_.resize(owner + 1, 0);
-      }
-      if (frame_cache_[owner] == 0) {
-        if (shared_free_frames() == 0 && cached_credits_ > 0) {
-          SpillFrameCaches();
-        }
-        RefillFrameCache(owner);
-      }
-      if (frame_cache_[owner] > 0) {
-        --frame_cache_[owner];
-        --cached_credits_;
-      }
-      // Else the shared pool serves directly: used < local and no credits
-      // anywhere cached means shared_free_frames() > 0.
-    } else if (shared_free_frames() == 0 && cached_credits_ > 0) {
-      // Bounce frames bypass the caches; recall idle credits if the shared
-      // pool ran dry.
-      SpillFrameCaches();
-    }
-  }
   ++used_frames_;
   if (BelowLowWatermark() && reclaim_kick_) {
     reclaim_kick_();
   }
-}
-
-void MemoryManager::RefillFrameCache(uint16_t owner) {
-  uint64_t take = paging_.frame_cache_size;
-  const uint64_t shared = shared_free_frames();
-  if (take > shared) {
-    take = shared;
-  }
-  if (take == 0) {
-    return;
-  }
-  frame_cache_[owner] += static_cast<uint32_t>(take);
-  cached_credits_ += take;
-  ++stats_.frame_refills;
-  // System-level event: request id 0 by the trace grammar.
-  tracer_->Record(engine_->now(), 0, TraceEvent::kFrameRefill, static_cast<uint32_t>(take));
-}
-
-void MemoryManager::SpillFrameCaches() {
-  uint64_t spilled = 0;
-  for (uint32_t& cache : frame_cache_) {
-    spilled += cache;
-    cache = 0;
-  }
-  if (spilled == 0) {
-    return;
-  }
-  ADIOS_DCHECK(cached_credits_ >= spilled);
-  cached_credits_ -= spilled;
-  ++stats_.frame_spills;
 }
 
 void MemoryManager::ReleaseFrame() {
@@ -94,7 +41,7 @@ void MemoryManager::WakeFrameWaiter() {
 }
 
 void MemoryManager::BeginFetch(uint64_t vpage, bool prefetch, uint16_t owner) {
-  TakeFrame(owner);
+  TakeFrame();
   page_table_.MarkFetching(vpage, prefetch, owner);
   if (prefetch) {
     ++stats_.prefetches;

@@ -15,8 +15,8 @@
 // unithread). Frames are reserved at BeginFetch and released by eviction.
 //
 // The paging datapath is lock-free by construction (docs/DATAPATH.md):
-// page residency lives in per-page atomic state words, the free-frame budget
-// can split into per-worker credit caches, and the clock can shard its hand.
+// page residency lives in per-page atomic state words and the clock can
+// shard its hand.
 // SyncGateNs() models the synchronization cost of the discipline in effect,
 // so bench_scalability can compare a serialized baseline (one global lock)
 // against the sharded-CAS design on identical workloads.
@@ -33,16 +33,11 @@
 #include "src/mem/page_table.h"
 #include "src/mem/paging_config.h"
 #include "src/sim/engine.h"
-#include "src/sim/trace.h"
 
 namespace adios {
 
 class MemoryManager {
  public:
-  // Frame reservations tagged with this owner (re-silver bounce frames)
-  // bypass the per-worker credit caches.
-  static constexpr uint16_t kNoFrameOwner = 0xFFFF;
-
   struct Stats {
     uint64_t faults = 0;            // Demand fetches started.
     uint64_t prefetches = 0;        // Prefetch fetches started.
@@ -57,9 +52,10 @@ class MemoryManager {
     uint64_t prefetch_hits = 0;    // Touched while resident and untouched.
     uint64_t prefetch_late = 0;    // Demand fault coalesced onto the in-flight prefetch.
     uint64_t prefetch_wasted = 0;  // Evicted (or aborted) before any touch.
-    // Free-frame credit-cache traffic (docs/DATAPATH.md).
-    uint64_t frame_refills = 0;    // Batches moved shared pool -> a cache.
-    uint64_t frame_spills = 0;     // Cache credits recalled to the shared pool.
+    // Always 0; nothing writes it. Kept only because perfbench reports it
+    // as `mem.frame_refills`; it goes with the next benchmark change
+    // (ROADMAP item 1).
+    uint64_t frame_refills = 0;
     // Critical-chunk-first delivery (docs/QOS.md).
     uint64_t chunk_partials = 0;     // Critical chunks landed (ChunkReady).
     uint64_t chunk_early_wakes = 0;  // Waiters resumed off a partial page.
@@ -73,9 +69,6 @@ class MemoryManager {
   uint64_t local_pages() const { return local_pages_; }
   PageTable& page_table() { return page_table_; }
   Stats& stats() { return stats_; }
-
-  // Records frame-credit refill events (kFrameRefill). Null disables.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   ADIOS_NO_SUSPEND PageState StateOf(uint64_t vpage) const {
     return page_table_.StateOf(vpage);
@@ -130,20 +123,8 @@ class MemoryManager {
 
   // --- Frame budget ---
 
-  // Free frames = shared pool + credits parked in per-worker caches; the
-  // watermarks and HasFreeFrame() see both, so credits idling in a cache
-  // never trigger reclamation or stall a fault spuriously.
   uint64_t free_frames() const { return local_pages_ - used_frames_; }
   uint64_t used_frames() const { return used_frames_; }
-  uint64_t shared_free_frames() const {
-    return local_pages_ - used_frames_ - cached_credits_;
-  }
-  uint64_t cached_frame_credits() const { return cached_credits_; }
-  uint32_t frame_cache_credits(uint16_t owner) const {
-    return owner < frame_cache_.size() ? frame_cache_[owner] : 0;
-  }
-  // Per-owner credit-cache view for the frame-conservation audit.
-  const std::vector<uint32_t>& frame_caches() const { return frame_cache_; }
   bool HasFreeFrame() const { return used_frames_ < local_pages_; }
   bool BelowLowWatermark() const {
     return static_cast<double>(free_frames()) <
@@ -181,7 +162,7 @@ class MemoryManager {
     if (!HasFreeFrame()) {
       return false;
     }
-    TakeFrame(kNoFrameOwner);
+    TakeFrame();
     return true;
   }
   void ReleaseBounceFrame() { ReleaseFrame(); }
@@ -189,10 +170,9 @@ class MemoryManager {
   // --- Fetch protocol ---
 
   // Reserves a frame and transitions kRemote -> kFetching. The caller must
-  // have checked HasFreeFrame(). Prefetch fetches enter the prefetch cache;
-  // both demand and prefetch fetches are tagged with the issuing worker,
-  // which keys the free-frame credit cache (and, for prefetches, the
-  // hit/waste feedback route).
+  // have checked HasFreeFrame(). Prefetch fetches enter the prefetch cache
+  // and are tagged with the issuing worker, which keys the hit/waste
+  // feedback route.
   ADIOS_NO_SUSPEND void BeginFetch(uint64_t vpage, bool prefetch = false,
                                    uint16_t owner = 0);
 
@@ -278,14 +258,7 @@ class MemoryManager {
   void set_map_hook(PageHook hook) { map_hook_ = std::move(hook); }
 
  private:
-  void TakeFrame(uint16_t owner);
-  // Moves a batch of free-frame credits from the shared pool into `owner`'s
-  // cache (no-op when the pool is empty).
-  void RefillFrameCache(uint16_t owner);
-  // Recalls every cached credit to the shared pool — the slow path when a
-  // taker finds both its cache and the pool empty while credits idle in
-  // other caches.
-  void SpillFrameCaches();
+  void TakeFrame();
   void NotifyPrefetchOutcome(uint16_t owner, bool hit);
   // Fetch-waiter chains (see fetch_waiters_): AllocWaiter takes a node off
   // the free list or grows the pool, AppendWaiter links a node at a chain's
@@ -343,14 +316,8 @@ class MemoryManager {
   uint32_t pool_tail_ = kPoolEnd;
   size_t pool_size_ = 0;
   std::vector<PrefetchFeedback> prefetch_feedback_;  // Indexed by owner.
-  // Per-worker free-frame credit caches (indexed by owner) and the number of
-  // credits currently parked across all of them. Invariant: used_frames_ +
-  // shared_free_frames() + cached_credits_ == local_pages.
-  std::vector<uint32_t> frame_cache_;
-  uint64_t cached_credits_ = 0;
   // kGlobalLock sync model: simulated time at which the one lock frees.
   uint64_t lock_free_at_ = 0;
-  Tracer* tracer_ = Tracer::Off();
   Stats stats_;
 };
 

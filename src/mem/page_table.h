@@ -5,10 +5,8 @@
 // state, dirty/referenced/prefetched bits, pins, and the prefetch owner all
 // live in a single CAS-transitioned 64-bit word (src/mem/page_state.h), so a
 // fault needs exactly one lookup and a hot hit touches no shared mutable
-// state. Derived counters are sharded: each counter shard owns the vpages
-// with `vpage & shard_mask == shard`, so concurrent fault paths on different
-// shards do not contend on one cache line (the invariant checker audits the
-// per-shard sums against a full walk).
+// state. The derived residency counters are plain totals (the invariant
+// checker audits them against a full walk).
 //
 // The public residency view stays coarse: PageState{kRemote, kFetching,
 // kPresent} is what workers and the prefetcher dispatch on. The fine
@@ -42,20 +40,12 @@ class PageTable {
   // the seed); > 0 builds a ResidentPageSet with that many clock shards.
   explicit PageTable(uint64_t num_pages, uint32_t clock_shards = 0)
       : words_(num_pages) {
-    uint32_t counter_shards = 1;
     if (clock_shards > 0) {
       resident_set_ = std::make_unique<ResidentPageSet>(num_pages, clock_shards);
-      counter_shards = resident_set_->shards();
     }
-    shards_.resize(counter_shards);
-    shard_mask_ = counter_shards - 1;
   }
 
   uint64_t num_pages() const { return words_.size(); }
-  uint32_t counter_shards() const { return static_cast<uint32_t>(shards_.size()); }
-  uint32_t shard_of(uint64_t vpage) const {
-    return static_cast<uint32_t>(vpage & shard_mask_);
-  }
   const ResidentPageSet* resident_set() const { return resident_set_.get(); }
 
   // Fine-lattice snapshot of one page.
@@ -85,35 +75,20 @@ class PageTable {
     return words_[vpage];
   }
 
-  uint64_t resident_pages() const { return SumOf(&CounterShard::resident); }
-  uint64_t fetching_pages() const { return SumOf(&CounterShard::fetching); }
+  uint64_t resident_pages() const { return resident_; }
+  uint64_t fetching_pages() const { return fetching_; }
   // Prefetch-cache population, split by state (audited against a full walk
   // by the invariant checker).
-  uint64_t prefetched_fetching() const {
-    return SumOf(&CounterShard::prefetched_fetching);
-  }
-  uint64_t prefetched_resident() const {
-    return SumOf(&CounterShard::prefetched_resident);
-  }
-
-  // Per-shard counter views for the sharded frame-conservation audit.
-  uint64_t resident_pages(uint32_t shard) const { return shards_[shard].resident; }
-  uint64_t fetching_pages(uint32_t shard) const { return shards_[shard].fetching; }
-  uint64_t prefetched_fetching(uint32_t shard) const {
-    return shards_[shard].prefetched_fetching;
-  }
-  uint64_t prefetched_resident(uint32_t shard) const {
-    return shards_[shard].prefetched_resident;
-  }
+  uint64_t prefetched_fetching() const { return prefetched_fetching_; }
+  uint64_t prefetched_resident() const { return prefetched_resident_; }
 
   void MarkFetching(uint64_t vpage, bool prefetched = false, uint16_t owner = 0) {
     const bool ok = words_[vpage].TryLockForFetch(prefetched, owner);
     ADIOS_DCHECK(ok);
     (void)ok;
-    CounterShard& c = shards_[shard_of(vpage)];
-    ++c.fetching;
+    ++fetching_;
     if (prefetched) {
-      ++c.prefetched_fetching;
+      ++prefetched_fetching_;
     }
   }
 
@@ -125,12 +100,11 @@ class PageTable {
     const bool ok = words_[vpage].TryMapPresent();
     ADIOS_DCHECK(ok);
     (void)ok;
-    CounterShard& c = shards_[shard_of(vpage)];
-    --c.fetching;
-    ++c.resident;
+    --fetching_;
+    ++resident_;
     if (before.prefetched) {
-      --c.prefetched_fetching;
-      ++c.prefetched_resident;
+      --prefetched_fetching_;
+      ++prefetched_resident_;
     }
     if (resident_set_ != nullptr) {
       resident_set_->Insert(vpage);
@@ -153,10 +127,9 @@ class PageTable {
     const bool ok = words_[vpage].FinishEvict();
     ADIOS_DCHECK(ok);
     (void)ok;
-    CounterShard& c = shards_[shard_of(vpage)];
-    --c.resident;
+    --resident_;
     if (before.prefetched) {
-      --c.prefetched_resident;
+      --prefetched_resident_;
     }
     if (resident_set_ != nullptr) {
       resident_set_->Remove(vpage);
@@ -170,10 +143,9 @@ class PageTable {
     const bool ok = words_[vpage].TryAbortFetch();
     ADIOS_DCHECK(ok);
     (void)ok;
-    CounterShard& c = shards_[shard_of(vpage)];
-    --c.fetching;
+    --fetching_;
     if (before.prefetched) {
-      --c.prefetched_fetching;
+      --prefetched_fetching_;
     }
   }
 
@@ -194,12 +166,11 @@ class PageTable {
     const bool ok = words_[vpage].TryClearPrefetched();
     ADIOS_DCHECK(ok);
     (void)ok;
-    CounterShard& c = shards_[shard_of(vpage)];
     if (before.state == PageWordState::kFetching) {
-      --c.prefetched_fetching;
+      --prefetched_fetching_;
     } else {
       ADIOS_DCHECK(before.resident());
-      --c.prefetched_resident;
+      --prefetched_resident_;
     }
   }
 
@@ -256,24 +227,6 @@ class PageTable {
   }
 
  private:
-  // Per-shard derived counters, cache-line-isolated. Plain (non-atomic)
-  // because the simulator mutates them from one OS thread; the sharding
-  // models — and the layout permits — per-shard ownership.
-  struct alignas(64) CounterShard {
-    uint64_t resident = 0;
-    uint64_t fetching = 0;
-    uint64_t prefetched_fetching = 0;
-    uint64_t prefetched_resident = 0;
-  };
-
-  uint64_t SumOf(uint64_t CounterShard::*field) const {
-    uint64_t sum = 0;
-    for (const CounterShard& c : shards_) {
-      sum += c.*field;
-    }
-    return sum;
-  }
-
   // Sharded clock: rotate the hand shard on every call so pressure spreads
   // across the resident set. One in-sim evictor scans all shards round-robin;
   // the structure supports one hand per worker under real threads.
@@ -312,8 +265,12 @@ class PageTable {
   }
 
   std::vector<PageStateWord> words_;
-  std::vector<CounterShard> shards_;
-  uint64_t shard_mask_ = 0;
+  // Derived counters. Plain (non-atomic): the simulator mutates them from
+  // one OS thread.
+  uint64_t resident_ = 0;
+  uint64_t fetching_ = 0;
+  uint64_t prefetched_fetching_ = 0;
+  uint64_t prefetched_resident_ = 0;
   std::unique_ptr<ResidentPageSet> resident_set_;
   uint64_t hand_ = 0;            // Legacy dense clock (clock_shards == 0).
   uint32_t next_clock_shard_ = 0;

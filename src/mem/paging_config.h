@@ -33,10 +33,8 @@ struct PagingConfig {
   double reclaim_high_watermark = 0.20;
   // Clock shards for the ResidentPageSet; 0 keeps the dense clock hand.
   uint32_t clock_shards = 0;
-  // Per-worker free-frame credit cache size, refilled/spilled in batches
-  // from the shared pool; 0 disables the caches. The caches only move
-  // credits between counters, so no simulated latency, event, fault or
-  // eviction count depends on them (docs/DATAPATH.md §3).
+  // No effect; nothing reads it. Kept only because perfbench assigns it; it
+  // goes with the next benchmark change (ROADMAP item 1).
   uint32_t frame_cache_size = 0;
   // Bound on clock slots scanned per SelectVictim() call; past it the scan
   // returns a retry signal instead of sweeping the whole table. 0 = full

@@ -281,10 +281,6 @@ class PlacementMap {
     --divergent_slots_;
   }
 
-  uint32_t InSyncCount(uint64_t vpage) const {
-    return static_cast<uint32_t>(__builtin_popcount(in_sync_[vpage]));
-  }
-
   // Appends every vpage whose replica on `node` is out of sync (re-silver
   // work list). O(num_pages) — called once per node recovery, off the fast
   // path.

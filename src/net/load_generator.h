@@ -69,13 +69,11 @@ class LoadGenerator {
   uint64_t sent() const { return sent_; }
   uint64_t completed() const { return completed_; }
   uint64_t dropped() const { return dropped_; }
-  uint64_t in_flight() const { return sent_ - completed_ - dropped_; }
   // Error replies: the request came back, but degraded (a page fetch
   // exhausted its retry budget). Counted in completed(), not in goodput.
   uint64_t failed() const { return failed_; }
 
   uint64_t measured_completed() const { return measured_completed_; }
-  uint64_t measured_failed() const { return measured_failed_; }
   // Throughput over the measurement window, in requests/second.
   double ThroughputRps() const;
   // Successful (non-error) completions per second over the window.

@@ -81,28 +81,6 @@ uint64_t MetricsSnapshot::Count(const std::string& name) const {
   return static_cast<uint64_t>(Sum(name));
 }
 
-Counter* MetricRegistry::GetCounter(const std::string& name, const MetricLabels& labels) {
-  const std::string key = Key(name, labels.str());
-  auto it = counter_index_.find(key);
-  if (it != counter_index_.end()) {
-    return &counters_[it->second].metric;
-  }
-  counter_index_.emplace(key, counters_.size());
-  counters_.push_back(Entry<Counter>{name, labels.str(), Counter()});
-  return &counters_.back().metric;
-}
-
-Gauge* MetricRegistry::GetGauge(const std::string& name, const MetricLabels& labels) {
-  const std::string key = Key(name, labels.str());
-  auto it = gauge_index_.find(key);
-  if (it != gauge_index_.end()) {
-    return &gauges_[it->second].metric;
-  }
-  gauge_index_.emplace(key, gauges_.size());
-  gauges_.push_back(Entry<Gauge>{name, labels.str(), Gauge()});
-  return &gauges_.back().metric;
-}
-
 HistogramMetric* MetricRegistry::GetHistogram(const std::string& name,
                                               const MetricLabels& labels) {
   const std::string key = Key(name, labels.str());
@@ -111,7 +89,7 @@ HistogramMetric* MetricRegistry::GetHistogram(const std::string& name,
     return &histograms_[it->second].metric;
   }
   histogram_index_.emplace(key, histograms_.size());
-  histograms_.push_back(Entry<HistogramMetric>{name, labels.str(), HistogramMetric()});
+  histograms_.push_back(HistogramEntry{name, labels.str(), HistogramMetric()});
   return &histograms_.back().metric;
 }
 
@@ -139,22 +117,6 @@ double MetricRegistry::ReadProbe(const std::string& name, const std::string& lab
 MetricsSnapshot MetricRegistry::Snapshot() const {
   MetricsSnapshot snap;
   snap.samples.reserve(metric_count());
-  for (const auto& e : counters_) {
-    MetricSample s;
-    s.name = e.name;
-    s.labels = e.labels;
-    s.kind = MetricKind::kCounter;
-    s.value = static_cast<double>(e.metric.value());
-    snap.samples.push_back(std::move(s));
-  }
-  for (const auto& e : gauges_) {
-    MetricSample s;
-    s.name = e.name;
-    s.labels = e.labels;
-    s.kind = MetricKind::kGauge;
-    s.value = e.metric.value();
-    snap.samples.push_back(std::move(s));
-  }
   for (const auto& e : histograms_) {
     MetricSample s;
     s.name = e.name;
@@ -185,7 +147,7 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
 }
 
 size_t MetricRegistry::metric_count() const {
-  return counters_.size() + gauges_.size() + histograms_.size() + probes_.size();
+  return histograms_.size() + probes_.size();
 }
 
 }  // namespace adios

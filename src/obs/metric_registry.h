@@ -1,14 +1,14 @@
-// Metric registry: named counters/gauges/histograms with {worker,node,op}
-// labels, O(1) hot-path increments, and snapshot-on-demand.
+// Metric registry: named probes and histograms with {worker,node,op}
+// labels, and snapshot-on-demand.
 //
 // Two ways to publish a metric:
 //
-//   * Owned handles — GetCounter/GetGauge/GetHistogram return a stable
-//     pointer whose mutation is one memory write (no lookup, no lock: the
-//     simulator is single-threaded). Use these on hot paths.
 //   * Probes — RegisterProbe(name, labels, fn) samples `fn` at Snapshot()
 //     time. Use these to export counters a component already keeps, without
 //     double bookkeeping on the hot path.
+//   * Histograms — GetHistogram returns a stable pointer whose Observe is
+//     one histogram update (no lookup, no lock: the simulator is
+//     single-threaded).
 //
 // Snapshot() flattens both into a sorted vector of MetricSample, which
 // RunResult carries so benches and tests can read any metric by name without
@@ -50,25 +50,6 @@ class MetricLabels {
   std::string canonical_;
 };
 
-class Counter {
- public:
-  void Inc(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  void Add(double d) { value_ += d; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
 class HistogramMetric {
  public:
   void Observe(uint64_t v) { histogram_.Add(v); }
@@ -78,13 +59,14 @@ class HistogramMetric {
   Histogram histogram_;
 };
 
-enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };
+// kGauge: a probe's sampled value.
+enum class MetricKind : uint8_t { kGauge, kHistogram };
 
 struct MetricSample {
   std::string name;
   std::string labels;  // Canonical "k=v,k=v" form.
-  MetricKind kind = MetricKind::kCounter;
-  double value = 0.0;  // Counter/gauge value; histogram count.
+  MetricKind kind = MetricKind::kGauge;
+  double value = 0.0;  // Probe value; histogram count.
   // Histogram-only summary (zero otherwise).
   uint64_t p50 = 0;
   uint64_t p99 = 0;
@@ -115,8 +97,6 @@ class MetricRegistry {
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
   // Idempotent: the same (name, labels) returns the same handle.
-  Counter* GetCounter(const std::string& name, const MetricLabels& labels = {});
-  Gauge* GetGauge(const std::string& name, const MetricLabels& labels = {});
   HistogramMetric* GetHistogram(const std::string& name, const MetricLabels& labels = {});
 
   // Sampled at Snapshot() time; no hot-path cost. Re-registering the same
@@ -136,11 +116,10 @@ class MetricRegistry {
   size_t metric_count() const;
 
  private:
-  template <typename T>
-  struct Entry {
+  struct HistogramEntry {
     std::string name;
     std::string labels;
-    T metric;
+    HistogramMetric metric;
   };
   struct Probe {
     std::string name;
@@ -152,13 +131,9 @@ class MetricRegistry {
     return name + "\x1f" + labels;
   }
 
-  // Deques for pointer stability of handed-out handles.
-  std::deque<Entry<Counter>> counters_;
-  std::deque<Entry<Gauge>> gauges_;
-  std::deque<Entry<HistogramMetric>> histograms_;
+  // A deque for pointer stability of handed-out handles.
+  std::deque<HistogramEntry> histograms_;
   std::vector<Probe> probes_;
-  std::unordered_map<std::string, size_t> counter_index_;
-  std::unordered_map<std::string, size_t> gauge_index_;
   std::unordered_map<std::string, size_t> histogram_index_;
   std::unordered_map<std::string, size_t> probe_index_;
 };

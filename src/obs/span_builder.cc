@@ -1,7 +1,5 @@
 #include "src/obs/span_builder.h"
 
-#include <cstdio>
-
 #include "src/base/table_printer.h"
 
 namespace adios {
@@ -340,28 +338,6 @@ std::vector<std::string> ReconcileSpans(const SpanTimeline& timeline,
     }
   }
   return problems;
-}
-
-void PrintSpan(const RequestSpan& span, std::FILE* out) {
-  std::fprintf(out, "request %llu span (worker %d, %s):\n",
-               static_cast<unsigned long long>(span.request_id),
-               span.worker == RequestSpan::kNoWorker ? -1 : static_cast<int>(span.worker),
-               span.completed ? "completed" : "incomplete");
-  for (const SpanSegment& seg : span.segments) {
-    std::fprintf(out, "  +%8.2f us  %-11s %8.2f us\n",
-                 static_cast<double>(seg.begin - span.arrive_time) / 1000.0,
-                 SegmentKindName(seg.kind), static_cast<double>(seg.ns()) / 1000.0);
-  }
-  std::fprintf(out,
-               "  total %.2f us = queue %.2f + exec %.2f + fetch-stall %.2f + "
-               "frame-stall %.2f + preempted %.2f + tx %.2f\n",
-               static_cast<double>(span.TotalNs()) / 1000.0,
-               static_cast<double>(span.queue_ns) / 1000.0,
-               static_cast<double>(span.exec_ns) / 1000.0,
-               static_cast<double>(span.fetch_stall_ns) / 1000.0,
-               static_cast<double>(span.frame_stall_ns) / 1000.0,
-               static_cast<double>(span.preempted_ns) / 1000.0,
-               static_cast<double>(span.tx_ns) / 1000.0);
 }
 
 }  // namespace adios

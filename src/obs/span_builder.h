@@ -171,9 +171,6 @@ SpanTimeline BuildSpans(const Tracer& tracer);
 std::vector<std::string> ReconcileSpans(const SpanTimeline& timeline,
                                         const std::vector<RequestSample>& samples);
 
-// Prints a per-request segment timeline (for debugging and examples).
-void PrintSpan(const RequestSpan& span, std::FILE* out);
-
 }  // namespace adios
 
 #endif  // ADIOS_SRC_OBS_SPAN_BUILDER_H_

@@ -169,8 +169,6 @@ class RdmaFabric {
   // is what the paper plots in Figs. 2(e)/7(e).
   FairLink& rdma_response_link(uint32_t node = 0) { return nodes_[node]->m2c; }
   FairLink& rdma_request_link(uint32_t node = 0) { return nodes_[node]->c2m; }
-  FairLink& client_tx_link() { return client_tx_link_; }
-  FairLink& client_rx_link() { return client_rx_link_; }
 
   void MarkUtilizationWindow();
   // Combined RDMA traffic (both directions) relative to aggregate link

@@ -4,20 +4,6 @@
 
 namespace adios {
 
-const char* NodeHealthName(NodeHealth h) {
-  switch (h) {
-    case NodeHealth::kHealthy:
-      return "healthy";
-    case NodeHealth::kSuspect:
-      return "suspect";
-    case NodeHealth::kDead:
-      return "dead";
-    case NodeHealth::kResilvering:
-      return "resilvering";
-  }
-  return "?";
-}
-
 NodeHealthMonitor::NodeHealthMonitor(Engine* engine, const ReplicationConfig& config)
     : engine_(engine), config_(config), nodes_(config.num_nodes) {
   ADIOS_CHECK(engine != nullptr);

@@ -57,8 +57,6 @@ enum class NodeHealth : uint8_t {
   kResilvering = 3,
 };
 
-const char* NodeHealthName(NodeHealth h);
-
 class NodeHealthMonitor {
  public:
   // --- Detector calibration (docs/FAILOVER.md) ---

@@ -389,9 +389,8 @@ void Worker::AccessPage(uint64_t vpage, bool write) {
         if (!mm_->HasFreeFrame()) {
           continue;  // Another handler took the last frame during the charge.
         }
-        // No suspension between the checks and here. The worker index tags
-        // the fetch as the owner key for the free-frame credit cache.
-        mm_->BeginFetch(vpage, /*prefetch=*/false, static_cast<uint16_t>(index_));
+        // No suspension between the checks and here.
+        mm_->BeginFetch(vpage);
         tracer_->Record(engine_->now(), running_->req->id, TraceEvent::kFault,
                         static_cast<uint32_t>(vpage));
         mm_->Pin(vpage);

@@ -96,10 +96,6 @@ class Worker final : public WorkerApi {
   // Peer workers, for work stealing.
   void set_peers(std::vector<Worker*> peers) { peers_ = std::move(peers); }
   void Wake() { events_.NotifyAll(); }
-  size_t QueuedRequests() const { return assigned_q_.size(); }
-  size_t ready_size() const { return ready_.size(); }
-  size_t preempted_size() const { return preempted_.size(); }
-  bool has_running() const { return running_ != nullptr; }
 
   // Makes a fault-yielded unithread runnable again (may be called by another
   // worker that polled the completion of a shared fetch).

@@ -70,19 +70,16 @@ enum class TraceEvent : uint8_t {
   kCorrupt = 24,     // Checksum verification failed (arg = node).
   kScrubStart = 25,  // Background scrub pass opened (arg = pass number).
   kScrubDone = 26,   // Scrub pass closed (arg = corruptions found this pass).
-  // Free-frame credit batch moved from the shared pool into a worker cache
-  // (arg = credits moved; docs/DATAPATH.md). System-level.
-  kFrameRefill = 27,
   // QoS link scheduling (docs/QOS.md). kChunkReady is per-request (the
   // critical chunk of the faulting page landed; arg = low bits of the page
   // number). kClassDequeue is system-level (request_id = 0): one WDRR grant
   // on a classed link (arg = traffic class).
-  kChunkReady = 28,
-  kClassDequeue = 29,
+  kChunkReady = 27,
+  kClassDequeue = 28,
 };
 
 // One past the highest TraceEvent value.
-inline constexpr uint8_t kNumTraceEvents = 30;
+inline constexpr uint8_t kNumTraceEvents = 29;
 
 // Where an event may appear in its request's stream.
 enum class TraceScope : uint8_t {
@@ -150,8 +147,6 @@ inline constexpr TraceEventInfo kTraceEvents[] = {
     {TraceEvent::kScrubStart, "scrub-start", "pass", TraceScope::kSystem,
      TraceTrack::kDispatcher},
     {TraceEvent::kScrubDone, "scrub-done", "finds", TraceScope::kSystem,
-     TraceTrack::kDispatcher},
-    {TraceEvent::kFrameRefill, "frame-refill", "credits", TraceScope::kSystem,
      TraceTrack::kDispatcher},
     {TraceEvent::kChunkReady, "chunk-ready", "page", TraceScope::kFetchPipeline,
      TraceTrack::kLane},

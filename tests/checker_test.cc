@@ -232,18 +232,29 @@ TEST(InvariantCheckerDeathTest, FrameAccountingLeakAbortsWhenFatal) {
 }
 
 TEST(InvariantChecker, PageTableCounterDriftIsCaught) {
-  Engine engine;
-  MemoryManager mm(&engine, PagingConfig{}, 16, 8);
-  InvariantChecker::Deps deps;
-  deps.engine = &engine;
-  deps.mm = &mm;
-  InvariantChecker checker(NonFatalOptions(), deps);
-  checker.Install();
+  // The one set of counters is audited the same way over the dense hand and
+  // over the sharded clock.
+  for (uint32_t clock_shards : {0u, 8u}) {
+    SCOPED_TRACE(clock_shards);
+    Engine engine;
+    PagingConfig paging;
+    paging.clock_shards = clock_shards;
+    MemoryManager mm(&engine, paging, 16, 8);
+    InvariantChecker::Deps deps;
+    deps.engine = &engine;
+    deps.mm = &mm;
+    InvariantChecker checker(NonFatalOptions(), deps);
+    checker.Install();
+    mm.BeginFetch(5);
+    mm.CompleteFetch(5);
+    checker.AuditNow();
+    EXPECT_EQ(checker.report().violations, 0u);
 
-  // Flip an entry without going through the counting transitions.
-  mm.page_table().CorruptStateForTest(2, PageState::kPresent);
-  checker.AuditNow();
-  EXPECT_GE(checker.report().violations, 1u);
+    // Flip an entry without going through the counting transitions.
+    mm.page_table().CorruptStateForTest(2, PageState::kPresent);
+    checker.AuditNow();
+    EXPECT_GE(checker.report().violations, 1u);
+  }
 }
 
 // --- Stack overflow ---

@@ -518,47 +518,6 @@ TEST(MdSystem, IntegrityOffIsEventStreamIdenticalEvenUnderCorruption) {
 
 // --- Overload control (docs/OVERLOAD.md) ---
 
-TEST(MdSystem, FrameCreditCachesChangeNoSimulatedNumber) {
-  // The caches only move credits between counters: HasFreeFrame() and the
-  // watermarks read the used-frame count, and neither path charges a sync
-  // cost. Every cache size must therefore give the same run on a write-heavy
-  // Zipf KV store over the sharded clock at a 30 ns CAS, with only the
-  // refill/spill bookkeeping moving.
-  struct Outcome {
-    uint64_t sent, completed, dropped, p50, p99, p999, events, faults, clean, dirty;
-    bool operator==(const Outcome&) const = default;
-  };
-  std::vector<Outcome> outcomes;
-  std::vector<uint64_t> refills;
-  for (uint32_t cache : {0u, 1u, 16u, 256u}) {
-    SystemConfig cfg = SystemConfig::Adios();
-    cfg.clock_shards = 8;
-    cfg.sync_cas_ns = 30;
-    cfg.frame_cache_size = cache;
-    MemcachedApp::Options o;
-    o.num_keys = 1 << 14;
-    o.key_skew = 0.99;
-    o.set_fraction = 0.3;
-    MemcachedApp app(o);
-    MdSystem sys(cfg, &app);
-    RunResult r = sys.Run(1.0e6, Milliseconds(2), Milliseconds(6));
-    outcomes.push_back({r.sent, r.completed, r.dropped, r.e2e.P50(), r.e2e.P99(), r.e2e.P999(),
-                        sys.engine().events_processed(), r.metrics.Count("mem.faults"),
-                        r.metrics.Count("mem.evictions_clean"),
-                        r.metrics.Count("mem.evictions_dirty")});
-    refills.push_back(r.metrics.Count("mem.frame_refills"));
-  }
-  EXPECT_GT(outcomes[0].faults, 1000u);
-  EXPECT_GT(outcomes[0].dirty, 0u);  // Reclaim ran, write-backs included.
-  for (size_t i = 1; i < outcomes.size(); ++i) {
-    EXPECT_TRUE(outcomes[i] == outcomes[0]) << "cache size index " << i;
-  }
-  EXPECT_EQ(refills[0], 0u);
-  for (size_t i = 1; i < refills.size(); ++i) {
-    EXPECT_GT(refills[i], 0u) << "cache size index " << i;
-  }
-}
-
 TEST(MdSystem, CtrlDropsReconcileWithArrivals) {
   // Admission pinned far below the offered load: the surplus must be dropped
   // at arrival, and every ledger must balance — loadgen conservation,

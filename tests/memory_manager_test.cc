@@ -27,6 +27,18 @@ TEST(MemoryManager, FrameAccounting) {
   EXPECT_EQ(mm.free_frames(), 15u);
 }
 
+TEST(MemoryManager, BounceFramesDrawOnTheOneBudget) {
+  Engine e;
+  MemoryManager mm(&e, SmallOptions(), /*total_pages=*/64, /*local_pages=*/2);
+  mm.BeginFetch(0);
+  EXPECT_TRUE(mm.TryReserveBounceFrame());
+  EXPECT_EQ(mm.used_frames(), 2u);
+  EXPECT_EQ(mm.StateOf(1), PageState::kRemote);  // No page-table transition.
+  EXPECT_FALSE(mm.TryReserveBounceFrame());       // Budget exhausted: back off.
+  mm.ReleaseBounceFrame();
+  EXPECT_EQ(mm.free_frames(), 1u);
+}
+
 TEST(MemoryManager, DirtyEvictionDefersFrameRelease) {
   Engine e;
   MemoryManager mm(&e, SmallOptions(), 64, 16);
@@ -223,107 +235,6 @@ TEST(MemoryManager, AbortedPrefetchCountsWaste) {
   EXPECT_EQ(mm.StateOf(4), PageState::kRemote);
   EXPECT_EQ(mm.page_table().prefetched_fetching(), 0u);
   EXPECT_EQ(mm.page_table().prefetched_resident(), 0u);
-}
-
-// --- Free-frame credit caches (docs/DATAPATH.md) ---
-
-TEST(MemoryManager, FrameCacheRefillsInBatches) {
-  Engine e;
-  auto o = SmallOptions();
-  o.frame_cache_size = 4;
-  MemoryManager mm(&e, o, 64, 16);
-  mm.BeginFetch(0, /*prefetch=*/false, /*owner=*/0);
-  // First allocation pulls a whole batch: one credit consumed, three parked.
-  EXPECT_EQ(mm.stats().frame_refills, 1u);
-  EXPECT_EQ(mm.frame_cache_credits(0), 3u);
-  EXPECT_EQ(mm.cached_frame_credits(), 3u);
-  EXPECT_EQ(mm.shared_free_frames(), 12u);
-  EXPECT_EQ(mm.free_frames(), 15u);  // Parked credits still count as free.
-  for (uint64_t p = 1; p < 4; ++p) {
-    mm.BeginFetch(p, /*prefetch=*/false, /*owner=*/0);
-  }
-  EXPECT_EQ(mm.stats().frame_refills, 1u);  // Served from the cache.
-  EXPECT_EQ(mm.frame_cache_credits(0), 0u);
-  mm.BeginFetch(4, /*prefetch=*/false, /*owner=*/0);
-  EXPECT_EQ(mm.stats().frame_refills, 2u);  // Cache drained: next batch.
-}
-
-TEST(MemoryManager, FrameCachesArePerOwner) {
-  Engine e;
-  auto o = SmallOptions();
-  o.frame_cache_size = 2;
-  MemoryManager mm(&e, o, 64, 16);
-  mm.BeginFetch(0, /*prefetch=*/false, /*owner=*/0);
-  mm.BeginFetch(1, /*prefetch=*/false, /*owner=*/1);
-  EXPECT_EQ(mm.stats().frame_refills, 2u);
-  EXPECT_EQ(mm.frame_cache_credits(0), 1u);
-  EXPECT_EQ(mm.frame_cache_credits(1), 1u);
-  // Owner 0 spends its own parked credit, never owner 1's.
-  mm.BeginFetch(2, /*prefetch=*/false, /*owner=*/0);
-  EXPECT_EQ(mm.frame_cache_credits(0), 0u);
-  EXPECT_EQ(mm.frame_cache_credits(1), 1u);
-  EXPECT_EQ(mm.stats().frame_refills, 2u);
-}
-
-TEST(MemoryManager, FrameCreditConservation) {
-  Engine e;
-  auto o = SmallOptions();
-  o.frame_cache_size = 4;
-  MemoryManager mm(&e, o, 64, 16);
-  auto conserved = [&] {
-    return mm.used_frames() + mm.shared_free_frames() +
-               mm.cached_frame_credits() ==
-           mm.local_pages();
-  };
-  EXPECT_TRUE(conserved());
-  for (uint64_t p = 0; p < 10; ++p) {
-    mm.BeginFetch(p, /*prefetch=*/false,
-                  /*owner=*/static_cast<uint16_t>(p % 3));
-    EXPECT_TRUE(conserved());
-    mm.CompleteFetch(p);
-  }
-  for (uint64_t p = 0; p < 10; ++p) {
-    mm.EvictPage(p);  // Clean: frame returns to the shared pool.
-    EXPECT_TRUE(conserved());
-  }
-  EXPECT_EQ(mm.free_frames(), 16u);  // Nothing leaked.
-  EXPECT_GT(mm.cached_frame_credits(), 0u);  // Batches stay parked.
-}
-
-TEST(MemoryManager, BounceFrameSpillsIdleCredits) {
-  Engine e;
-  auto o = SmallOptions();
-  o.frame_cache_size = 8;
-  MemoryManager mm(&e, o, /*total_pages=*/64, /*local_pages=*/8);
-  mm.BeginFetch(0, /*prefetch=*/false, /*owner=*/0);
-  // The whole pool is now one parked batch: the shared side is dry even
-  // though seven frames are free.
-  EXPECT_EQ(mm.shared_free_frames(), 0u);
-  EXPECT_EQ(mm.cached_frame_credits(), 7u);
-  EXPECT_TRUE(mm.HasFreeFrame());
-  // Bounce frames bypass the caches; a dry shared pool forces a recall.
-  EXPECT_TRUE(mm.TryReserveBounceFrame());
-  EXPECT_EQ(mm.stats().frame_spills, 1u);
-  EXPECT_EQ(mm.cached_frame_credits(), 0u);
-  EXPECT_EQ(mm.frame_cache_credits(0), 0u);
-  EXPECT_EQ(mm.shared_free_frames(), 6u);
-  mm.ReleaseBounceFrame();
-  EXPECT_EQ(mm.shared_free_frames(), 7u);
-}
-
-TEST(MemoryManager, FrameRefillEmitsSystemTraceEvent) {
-  Engine e;
-  auto o = SmallOptions();
-  o.frame_cache_size = 4;
-  MemoryManager mm(&e, o, 64, 16);
-  Tracer tracer;
-  tracer.Enable(16);
-  mm.set_tracer(&tracer);
-  mm.BeginFetch(0, /*prefetch=*/false, /*owner=*/0);
-  ASSERT_EQ(tracer.records().size(), 1u);
-  EXPECT_EQ(tracer.records()[0].event, TraceEvent::kFrameRefill);
-  EXPECT_EQ(tracer.records()[0].request_id, 0u);  // System-level event.
-  EXPECT_EQ(tracer.records()[0].arg, 4u);         // Batch size.
 }
 
 // --- Eager prefetch-pool purge ---

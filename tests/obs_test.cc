@@ -43,40 +43,24 @@ TEST(MetricLabels, CanonicalizesSortedByKey) {
   EXPECT_EQ(MetricLabels::Node(2).str(), "node=2");
 }
 
-TEST(MetricRegistry, CounterHandlesAreStableAndIdempotent) {
+TEST(MetricRegistry, HistogramHandlesAreStableAndIdempotent) {
   MetricRegistry reg;
-  Counter* a = reg.GetCounter("reqs", MetricLabels::Worker(0));
-  Counter* b = reg.GetCounter("reqs", MetricLabels::Worker(1));
+  HistogramMetric* a = reg.GetHistogram("lat", MetricLabels::Op("GET"));
+  HistogramMetric* b = reg.GetHistogram("lat", MetricLabels::Op("SET"));
   EXPECT_NE(a, b);
-  EXPECT_EQ(a, reg.GetCounter("reqs", MetricLabels::Worker(0)));
-  a->Inc();
-  a->Inc(4);
-  b->Inc(2);
-  MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.Value("reqs", "worker=0"), 5.0);
-  EXPECT_EQ(snap.Value("reqs", "worker=1"), 2.0);
-  EXPECT_EQ(snap.Sum("reqs"), 7.0);
-  EXPECT_EQ(snap.Value("missing", "", -1.0), -1.0);
-  EXPECT_EQ(snap.Find("missing"), nullptr);
-}
-
-TEST(MetricRegistry, GaugeAndHistogram) {
-  MetricRegistry reg;
-  Gauge* g = reg.GetGauge("depth");
-  g->Set(3.0);
-  g->Add(1.5);
-  HistogramMetric* h = reg.GetHistogram("lat", MetricLabels::Op("GET"));
+  EXPECT_EQ(a, reg.GetHistogram("lat", MetricLabels::Op("GET")));
   for (uint64_t v = 1; v <= 100; ++v) {
-    h->Observe(v);
+    a->Observe(v);
   }
+  b->Observe(7);
   MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.Value("depth"), 4.5);
   const MetricSample* s = snap.Find("lat", "op=GET");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->kind, MetricKind::kHistogram);
   EXPECT_EQ(s->value, 100.0);  // Count.
   EXPECT_EQ(s->max, 100u);
   EXPECT_GE(s->p99, 98u);
+  EXPECT_EQ(snap.Value("lat", "op=SET"), 1.0);
 }
 
 TEST(MetricRegistry, ProbesSampleAtSnapshotTime) {
@@ -86,13 +70,26 @@ TEST(MetricRegistry, ProbesSampleAtSnapshotTime) {
   EXPECT_EQ(reg.Snapshot().Value("probe"), 10.0);
   source = 42;  // No double bookkeeping: the snapshot reads the live value.
   EXPECT_EQ(reg.Snapshot().Value("probe"), 42.0);
+  EXPECT_EQ(reg.Snapshot().Find("probe")->kind, MetricKind::kGauge);
+}
+
+TEST(MetricRegistry, SnapshotLooksUpByNameAndLabels) {
+  MetricRegistry reg;
+  reg.RegisterProbe("reqs", MetricLabels::Worker(0), [] { return 5.0; });
+  reg.RegisterProbe("reqs", MetricLabels::Worker(1), [] { return 2.0; });
+  MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.Value("reqs", "worker=0"), 5.0);
+  EXPECT_EQ(snap.Value("reqs", "worker=1"), 2.0);
+  EXPECT_EQ(snap.Sum("reqs"), 7.0);
+  EXPECT_EQ(snap.Value("missing", "", -1.0), -1.0);
+  EXPECT_EQ(snap.Find("missing"), nullptr);
 }
 
 TEST(MetricRegistry, SnapshotIsSortedByNameThenLabels) {
   MetricRegistry reg;
-  reg.GetCounter("zz");
-  reg.GetCounter("aa", MetricLabels::Worker(1));
-  reg.GetCounter("aa", MetricLabels::Worker(0));
+  reg.RegisterProbe("zz", {}, [] { return 0.0; });
+  reg.GetHistogram("aa", MetricLabels::Worker(1));
+  reg.RegisterProbe("aa", MetricLabels::Worker(0), [] { return 0.0; });
   MetricsSnapshot snap = reg.Snapshot();
   ASSERT_EQ(snap.samples.size(), 3u);
   EXPECT_EQ(snap.samples[0].name, "aa");
@@ -449,7 +446,7 @@ TEST(TraceExport, RawRecordEventsGolden) {
     const bool system = ev == TraceEvent::kNodeSuspect || ev == TraceEvent::kNodeDead ||
                         ev == TraceEvent::kResilverDone || ev == TraceEvent::kScale ||
                         ev == TraceEvent::kScrubStart || ev == TraceEvent::kScrubDone ||
-                        ev == TraceEvent::kFrameRefill || ev == TraceEvent::kClassDequeue;
+                        ev == TraceEvent::kClassDequeue;
     t.Record(now, system ? 0 : 7, ev, e % 2);
     now += 250;
     if (ev == TraceEvent::kFailover || ev == TraceEvent::kCorrupt) {
@@ -499,9 +496,8 @@ TEST(TraceExport, RawRecordEventsGolden) {
 {"ph":"i","s":"t","pid":1,"tid":1001,"ts":7.500,"name":"corrupt","args":{"req":0,"node":1}},
 {"ph":"i","s":"t","pid":1,"tid":0,"ts":7.750,"name":"scrub-start","args":{"req":0,"pass":1}},
 {"ph":"i","s":"t","pid":1,"tid":0,"ts":8.000,"name":"scrub-done","args":{"req":0,"finds":0}},
-{"ph":"i","s":"t","pid":1,"tid":0,"ts":8.250,"name":"frame-refill","args":{"req":0,"credits":1}},
-{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":8.500,"name":"chunk-ready"},
-{"ph":"i","s":"t","pid":1,"tid":0,"ts":8.750,"name":"class-dequeue","args":{"req":0,"class":1}}
+{"ph":"n","cat":"request","id":7,"pid":1,"tid":0,"ts":8.250,"name":"chunk-ready"},
+{"ph":"i","s":"t","pid":1,"tid":0,"ts":8.500,"name":"class-dequeue","args":{"req":0,"class":0}}
 ]}
 )json";
   EXPECT_EQ(actual, expected) << actual;

@@ -95,18 +95,11 @@ TEST(PageTable, EvictScanBudgetReturnsRetrySignal) {
 TEST(PageTable, ShardedClockFindsVictims) {
   PageTable pt(256, /*clock_shards=*/4);
   EXPECT_NE(pt.resident_set(), nullptr);
-  EXPECT_GT(pt.counter_shards(), 1u);
   for (uint64_t p = 0; p < 32; ++p) {
     pt.MarkFetching(p);
     pt.MarkPresent(p);
   }
   EXPECT_EQ(pt.resident_pages(), 32u);
-  // Per-shard counters sum to the aggregate.
-  uint64_t sum = 0;
-  for (uint32_t s = 0; s < pt.counter_shards(); ++s) {
-    sum += pt.resident_pages(s);
-  }
-  EXPECT_EQ(sum, 32u);
   // Every mapped page is evictable exactly once (order is hash-dependent).
   std::vector<bool> evicted(32, false);
   for (int i = 0; i < 32; ++i) {

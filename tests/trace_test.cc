@@ -141,7 +141,7 @@ Tracer EveryEventTracer() {
     const bool system = ev == TraceEvent::kNodeSuspect || ev == TraceEvent::kNodeDead ||
                         ev == TraceEvent::kResilverDone || ev == TraceEvent::kScale ||
                         ev == TraceEvent::kScrubStart || ev == TraceEvent::kScrubDone ||
-                        ev == TraceEvent::kFrameRefill || ev == TraceEvent::kClassDequeue;
+                        ev == TraceEvent::kClassDequeue;
     t.Record(now, system ? 0 : 7, ev, 10u + e);
     now += 250;
     if (ev == TraceEvent::kFailover || ev == TraceEvent::kCorrupt) {
@@ -190,7 +190,7 @@ TEST(Tracer, PrintTimelineGolden) {
       "  +    5.50 us (  +0.25)  admit-drop    tenant=31\n"
       "  +    5.75 us (  +0.25)  shed-drop     tenant=32\n"
       "  +    6.25 us (  +0.50)  corrupt       node=34\n"
-      "  +    7.50 us (  +1.25)  chunk-ready   page=38\n"
+      "  +    7.25 us (  +1.00)  chunk-ready   page=37\n"
       "request 0 timeline:\n"
       "  +    0.00 us (  +0.00)  node-suspect  node=20\n"
       "  +    0.25 us (  +0.25)  node-dead     node=21\n"
@@ -200,8 +200,7 @@ TEST(Tracer, PrintTimelineGolden) {
       "  +    4.00 us (  +0.50)  corrupt       node=34\n"
       "  +    4.25 us (  +0.25)  scrub-start   pass=35\n"
       "  +    4.50 us (  +0.25)  scrub-done    finds=36\n"
-      "  +    4.75 us (  +0.25)  frame-refill  credits=37\n"
-      "  +    5.25 us (  +0.50)  class-dequeue class=39\n"
+      "  +    5.00 us (  +0.50)  class-dequeue class=38\n"
       "request 99: no trace records\n";
   EXPECT_EQ(actual, expected) << actual;
 }
