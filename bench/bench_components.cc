@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/apps/memcached_app.h"
 #include "src/base/histogram.h"
 #include "src/base/rng.h"
 #include "src/integrity/integrity.h"
@@ -401,6 +402,27 @@ void BM_RemoteRegionSetup(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kSetupPages * kPageSize));
 }
 BENCHMARK(BM_RemoteRegionSetup)->Unit(benchmark::kMillisecond);
+
+// Builds the perfbench kv-zipf-writes image, as MdSystem does: a remote
+// region of the app's working set, then MemcachedApp::Setup over 2^19 keys
+// with 128 B values. `region_mib` is the region's size; the kernel's
+// huge-page zeroing of it (BM_RemoteRegionSetup's cost per MiB) is the
+// floor under this time.
+void BM_MemcachedSetup(benchmark::State& state) {
+  MemcachedApp::Options o;
+  o.num_keys = uint64_t{1} << 19;
+  o.value_bytes = 128;
+  MemcachedApp app(o);
+  const uint64_t bytes = (app.WorkingSetBytes() + kPageSize - 1) / kPageSize * kPageSize;
+  for (auto _ : state) {
+    RemoteRegion region(bytes);
+    RemoteHeap heap(&region);
+    app.Setup(heap);
+    benchmark::DoNotOptimize(region.data());
+  }
+  state.counters["region_mib"] = static_cast<double>(bytes) / (1 << 20);
+}
+BENCHMARK(BM_MemcachedSetup)->Unit(benchmark::kMillisecond);
 
 // Builds an IntegrityLayer over a set-up 32,768-page region. Priming is
 // lazy, so construction hashes no page (`digests` per construction).

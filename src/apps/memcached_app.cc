@@ -1,5 +1,9 @@
 #include "src/apps/memcached_app.h"
 
+#include <vector>
+
+#include "src/base/lazy_mapping.h"
+
 namespace adios {
 
 MemcachedApp::MemcachedApp(const Options& options) : options_(options) {
@@ -29,27 +33,53 @@ void MemcachedApp::Setup(RemoteHeap& heap) {
   buckets_ = heap.AllocPages((num_buckets_ * sizeof(RemoteAddr) + kPageSize - 1) / kPageSize);
   slab_ = heap.AllocPages((options_.num_keys * ItemBytes() + kPageSize - 1) / kPageSize);
 
-  for (uint64_t b = 0; b < num_buckets_; ++b) {
-    region->WriteObject<RemoteAddr>(BucketAddr(b), 0);
-  }
+  // Key k lives at slab slot slot_of[k], a random permutation, so key
+  // locality does not translate into page locality. Each bucket chains its
+  // keys as inserting them in key order builds it: every key is pushed at
+  // its bucket's head.
+  const auto n = static_cast<uint32_t>(options_.num_keys);
+  const std::vector<uint32_t> slot_of = RandomPermutation(n, /*seed=*/0x3e3c);
 
-  // Insert keys at randomly permuted slab slots so key locality does not
-  // translate into page locality.
-  std::vector<uint32_t> slot_of =
-      RandomPermutation(static_cast<uint32_t>(options_.num_keys), /*seed=*/0x3e3c);
-  for (uint64_t key = 0; key < options_.num_keys; ++key) {
-    const RemoteAddr item = slab_ + static_cast<uint64_t>(slot_of[key]) * ItemBytes();
-    const uint64_t h = HashKey(key);
-    const uint64_t bucket = h & (num_buckets_ - 1);
+  // The image is built front to back rather than key by key, so the host
+  // writes two sequential streams instead of missing DRAM (and faulting in
+  // a fresh huge page) at a random slot per key. The chains are linked
+  // first, in key order, in scratch: a bucket's head and a slot's successor
+  // are stored as slot + 1 (0 ends a chain), beside the key the slot holds.
+  // The scratch is a mapping of its own, unmapped on return, so it leaves no
+  // freed block behind in the allocator's heap.
+  struct SlotLinks {
+    uint32_t next;
+    uint32_t key;
+  };
+  const size_t scratch_bytes = num_buckets_ * sizeof(uint32_t) + n * sizeof(SlotLinks);
+  LazyMapping scratch((scratch_bytes + kPageSize - 1) / kPageSize * kPageSize,
+                      LazyMapping::Pages::kHuge);
+  auto* head = reinterpret_cast<uint32_t*>(scratch.data());  // Zero: empty.
+  auto* slots = reinterpret_cast<SlotLinks*>(head + num_buckets_);
+  for (uint32_t key = 0; key < n; ++key) {
+    const uint32_t slot = slot_of[key];
+    const uint64_t bucket = HashKey(key) & (num_buckets_ - 1);
+    slots[slot] = SlotLinks{head[bucket], key};
+    head[bucket] = slot + 1;
+  }
+  const auto addr_of = [this](uint32_t link) -> RemoteAddr {
+    return link == 0 ? 0 : slab_ + static_cast<uint64_t>(link - 1) * ItemBytes();
+  };
+
+  for (uint64_t b = 0; b < num_buckets_; ++b) {
+    region->WriteObject<RemoteAddr>(BucketAddr(b), addr_of(head[b]));
+  }
+  for (uint32_t slot = 0; slot < n; ++slot) {
+    const RemoteAddr item = slab_ + static_cast<uint64_t>(slot) * ItemBytes();
+    const uint64_t key = slots[slot].key;
     ItemHeader hdr;
-    hdr.next = region->ReadObject<RemoteAddr>(BucketAddr(bucket));
-    hdr.key_hash = h;
+    hdr.next = addr_of(slots[slot].next);
+    hdr.key_hash = HashKey(key);
     hdr.key_token = key;
     region->WriteObject(item, hdr);
-    // The 50-byte key body (content irrelevant; the token is compared).
-    // Value: signature at the head, then a repeating pattern.
+    // The 50-byte key body stays zero (the token is compared), and so does
+    // the value past its signature.
     region->WriteObject<uint64_t>(item + sizeof(ItemHeader) + kKeyBytes, ValueSignature(key));
-    region->WriteObject<RemoteAddr>(BucketAddr(bucket), item);
   }
 }
 

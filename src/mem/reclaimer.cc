@@ -20,6 +20,7 @@ Reclaimer::Reclaimer(Engine* engine, CpuCore* core, MemoryManager* mm, QueuePair
       options_(options),
       sleep_queue_(engine),
       cq_wait_(engine),
+      wb_pages_(mm->page_table().num_pages()),
       tracker_(engine, placement, health),
       copier_(engine, mm, qp, &tracker_, placement, health, retry, tracer) {
   tracker_.set_tracer(tracer);
@@ -89,20 +90,20 @@ void Reclaimer::WritebackTargets(uint64_t vpage, std::vector<uint32_t>* out) {
 }
 
 void Reclaimer::FinishWbReplica(uint64_t vpage, bool success) {
-  auto it = wb_pages_.find(vpage);
-  ADIOS_DCHECK(it != wb_pages_.end());
-  if (it == wb_pages_.end()) {
+  WbPage& page = wb_pages_[vpage];
+  ADIOS_DCHECK(page.remaining > 0);
+  if (page.remaining == 0) {
     return;
   }
   if (success) {
-    ++it->second.succeeded;
+    ++page.succeeded;
   }
-  ADIOS_DCHECK(it->second.remaining > 0);
-  if (--it->second.remaining > 0) {
+  if (--page.remaining > 0) {
     return;  // Other replicas of this page are still in flight.
   }
-  const bool none_ok = it->second.succeeded == 0;
-  wb_pages_.erase(it);
+  const bool none_ok = page.succeeded == 0;
+  page = WbPage{};
+  --wb_pages_in_flight_;
   if (none_ok) {
     // No replica took the update: the write-back is lost outright (the
     // single-node abort of docs/FAULT_MODEL.md).
@@ -187,7 +188,7 @@ void Reclaimer::Loop() {
         // while this fiber waits in cq_wait_ for send-queue space.
         ++writebacks_inflight_;
         wb_waiting_ = true;
-        while (wb_pages_.find(victim) != wb_pages_.end()) {
+        while (wb_pages_[victim].remaining != 0) {
           // A previous fan-out of this page is still settling (re-fetch +
           // re-evict inside one retry window); its wr_ids would collide.
           cq_wait_.Wait();
@@ -204,8 +205,8 @@ void Reclaimer::Loop() {
           --writebacks_inflight_;
           mm_->ReleaseFrame();
         } else {
-          wb_pages_[victim] =
-              WbPage{static_cast<uint32_t>(wb_targets_scratch_.size()), 0};
+          wb_pages_[victim] = WbPage{static_cast<uint8_t>(wb_targets_scratch_.size()), 0};
+          ++wb_pages_in_flight_;
           for (const uint32_t node : wb_targets_scratch_) {
             const OpId id = OpId::Writeback(victim, node);
             while (!PostWriteback(id)) {

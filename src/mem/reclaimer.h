@@ -18,7 +18,6 @@
 #define ADIOS_SRC_MEM_RECLAIMER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/mem/background_copier.h"
@@ -71,11 +70,11 @@ class Reclaimer {
   // Pages with a write-back fan-out in flight, plus one counted write-back
   // waiting for its page's previous fan-out to settle. Each holds exactly
   // one frame, so this must equal writebacks_inflight() (audited).
-  uint64_t writeback_pages_tracked() const { return wb_pages_.size() + (wb_waiting_ ? 1 : 0); }
+  uint64_t writeback_pages_tracked() const { return wb_pages_in_flight_ + (wb_waiting_ ? 1 : 0); }
   // True while `vpage` has a write-back fan-out in flight. The checksum-map
   // auditor skips such pages: their recorded digests lag the region until the
   // WRITEs land, by design.
-  bool WritebackInFlight(uint64_t vpage) const { return wb_pages_.count(vpage) != 0; }
+  bool WritebackInFlight(uint64_t vpage) const { return wb_pages_[vpage].remaining != 0; }
 
  private:
   ADIOS_MAY_SUSPEND void Loop();
@@ -105,10 +104,14 @@ class Reclaimer {
   uint64_t pages_reclaimed_ = 0;
   uint64_t writebacks_inflight_ = 0;
   struct WbPage {
-    uint32_t remaining = 0;  // Replica WQEs still unsettled.
-    uint32_t succeeded = 0;  // Replica WQEs that completed OK.
+    uint8_t remaining = 0;  // Replica WQEs still unsettled (at most 8).
+    uint8_t succeeded = 0;  // Replica WQEs that completed OK.
   };
-  std::unordered_map<uint64_t, WbPage> wb_pages_;  // By vpage.
+  // Write-back fan-out state by vpage, sized once to the page table so a
+  // dirty eviction allocates nothing: a page has a fan-out in flight iff
+  // its `remaining` is nonzero, and wb_pages_in_flight_ counts those pages.
+  std::vector<WbPage> wb_pages_;
+  uint64_t wb_pages_in_flight_ = 0;
   uint64_t writeback_aborts_ = 0;
   bool wb_waiting_ = false;
   std::vector<uint32_t> wb_targets_scratch_;

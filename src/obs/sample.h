@@ -15,7 +15,6 @@ namespace adios {
 
 struct RequestSample {
   uint64_t id = 0;         // Request id; joins the sample to its trace span.
-  uint32_t op = 0;
   uint64_t finish_ns = 0;  // Simulated time the reply landed (timeline binning).
   uint64_t e2e_ns = 0;
   uint64_t server_ns = 0;  // arrive -> finish at the compute node.
@@ -24,8 +23,12 @@ struct RequestSample {
   uint64_t rdma_ns = 0;    // blocked on own fetches.
   uint64_t busy_ns = 0;    // busy-waiting portion.
   uint64_t tx_ns = 0;      // synchronous TX wait.
+  uint32_t op = 0;
   uint32_t faults = 0;
 };
+// Runs keep up to LoadGenerator's max_samples of these, so the two 32-bit
+// fields share one word.
+static_assert(sizeof(RequestSample) == 80, "RequestSample packs to 80 bytes");
 
 }  // namespace adios
 

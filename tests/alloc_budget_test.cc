@@ -4,10 +4,11 @@
 // extra completed request: set-up, warm-up, pool growth and result assembly
 // cancel out, leaving what each request costs in steady state. A request
 // itself allocates nothing: the load generator recycles `Request`s through
-// a free list, so what is left is sampling and oversized callables. Two shapes
-// run: the ArrayApp demand-fault path, and the stride-4 prefetch path over
+// a free list, so what is left is sampling and oversized callables. Three
+// shapes run: the ArrayApp demand-fault path; the stride-4 prefetch path over
 // two replicas on a lossy fabric with verify-on-fetch, where tracked ops,
-// the prefetch pool and retries join in.
+// the prefetch pool and retries join in; and a Zipf key-value store with
+// SETs on the sharded clock, where dirty evictions post write-backs.
 
 #include <atomic>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/array_app.h"
+#include "src/apps/memcached_app.h"
 #include "src/apps/pattern_app.h"
 #include "src/core/md_system.h"
 
@@ -51,6 +53,7 @@ namespace {
 struct WindowRun {
   uint64_t allocations = 0;
   uint64_t completed = 0;
+  uint64_t dirty_evictions = 0;
 };
 
 WindowRun RunWindow(Application* app, const SystemConfig& config, double offered_rps,
@@ -61,6 +64,7 @@ WindowRun RunWindow(Application* app, const SystemConfig& config, double offered
   WindowRun w;
   w.allocations = g_allocations.load(std::memory_order_relaxed) - before;
   w.completed = r.completed;
+  w.dirty_evictions = r.metrics.Count("mem.evictions_dirty");
   return w;
 }
 
@@ -117,6 +121,32 @@ TEST(AllocBudget, StridePrefetchPathMarginalAllocationsStaySmall) {
   const WindowRun two = StrideWindow(Milliseconds(40));
   ASSERT_GT(two.completed, one.completed + 5000);
   EXPECT_LE(Marginal(one, two), 0.6);
+}
+
+// The perfbench kv-zipf-writes configuration over a smaller table.
+WindowRun KvWindow(SimDuration measure_ns) {
+  MemcachedApp::Options mo;
+  mo.num_keys = 1 << 14;  // 3.4 MiB at 20% local: SETs dirty evicted pages.
+  mo.value_bytes = 128;
+  mo.key_skew = 0.99;
+  mo.set_fraction = 0.3;
+  MemcachedApp app(mo);
+  SystemConfig cfg = SystemConfig::Adios();
+  cfg.clock_shards = 8;
+  cfg.sync_model = MmSyncModel::kShardedCas;
+  cfg.sync_cas_ns = 30;
+  return RunWindow(&app, cfg, 1.0e6, measure_ns);
+}
+
+// Measured 0.115 marginal allocations per request, the ArrayApp shape's
+// figure: dirty evictions add none. The bound is about twice that; a
+// write-back tracker that allocates per dirty eviction reads 0.334.
+TEST(AllocBudget, KvWriteBackPathMarginalAllocationsStaySmall) {
+  const WindowRun one = KvWindow(Milliseconds(10));
+  const WindowRun two = KvWindow(Milliseconds(20));
+  ASSERT_GT(two.completed, one.completed + 5000);
+  ASSERT_GT(two.dirty_evictions, one.dirty_evictions + 1000);
+  EXPECT_LE(Marginal(one, two), 0.25);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // WorkerApi (no simulator): handlers must produce verifiable results and the
 // intended remote-memory access patterns.
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "src/apps/array_app.h"
@@ -97,6 +99,48 @@ TEST(MemcachedAppTest, LargeValuesSpanPages) {
   Request req = rig.RunOnce(rng);
   EXPECT_TRUE(rig.app.Verify(req));
   EXPECT_GE(rig.api.pages_touched().size(), 3u);
+}
+
+// FNV-1a over the region's 64-bit words: every byte of the image counts.
+uint64_t RegionDigest(const RemoteRegion& region) {
+  const std::byte* data = region.data();
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t off = 0; off < region.size(); off += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, data + off, sizeof(word));
+    h = (h ^ word) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The whole image Setup writes, byte for byte: the bucket array, every
+// item's header (chain links included) and value signature, and the zeros
+// between them. The goldens were recorded from the key-order build (insert
+// key by key at its permuted slot, pushing it at its bucket's head); any
+// other build order must reproduce them exactly, or the simulated runs over
+// the table move.
+TEST(MemcachedAppTest, ImageGolden) {
+  struct Case {
+    uint64_t num_keys;
+    uint32_t value_bytes;
+    uint64_t used_bytes;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {1 << 12, 128, 884736, 0xbc2b2e88372fccc6ull},
+      {1 << 12, 1024, 4554752, 0xb098dadf55d2c106ull},
+      {100003, 128, 21852160, 0x8f2692cbae892410ull},
+      {100003, 1024, 111452160, 0xd464771ab1f4af50ull},
+      {1 << 19, 128, 113246208, 0xb1802f660e8370b8ull},  // perfbench's kv shape.
+  };
+  for (const Case& c : cases) {
+    MemcachedApp::Options o;
+    o.num_keys = c.num_keys;
+    o.value_bytes = c.value_bytes;
+    AppRig<MemcachedApp> rig((MemcachedApp(o)));
+    EXPECT_EQ(rig.heap.used_bytes(), c.used_bytes) << c.num_keys << " keys x " << c.value_bytes;
+    EXPECT_EQ(RegionDigest(rig.region), c.digest) << c.num_keys << " keys x " << c.value_bytes;
+  }
 }
 
 TEST(RocksDbAppTest, GetAndScanVerify) {

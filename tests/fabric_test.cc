@@ -1,8 +1,11 @@
 #include "src/rdma/fabric.h"
 
+#include <cstdio>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/base/rng.h"
 
 namespace adios {
 namespace {
@@ -290,6 +293,96 @@ TEST(Fabric, UtilizationWindowReflectsTraffic) {
   e.Run();
   EXPECT_GT(fabric.RdmaUtilization(), 0.0);
   EXPECT_LE(fabric.RdmaUtilization(), 1.0);
+}
+
+// Poisson 4 KiB READs over 8 QPs at offered load `rho` of the m2c link: the
+// mean time each READ spends queued, i.e. its completion time minus the
+// zero-load latency of a lone READ. The first 10% of the READs warm the
+// queues up and are not counted.
+double MeanReadQueueingNs(double rho, uint64_t reads) {
+  constexpr uint64_t kBytes = 4096;
+  constexpr uint32_t kQps = 8;
+  Engine e;
+  const FabricParams params = TestParams();
+  RdmaFabric fabric(&e, params);
+  CompletionQueue* cq = fabric.CreateCq();
+
+  // The arrival chain: each READ posts on the next QP in turn and schedules
+  // the following arrival one exponential gap later.
+  struct Stream {
+    Engine* e = nullptr;
+    std::vector<QueuePair*> qps;
+    Rng rng{42};
+    double mean_gap_ns = 0;
+    double next_at = 0;
+    std::vector<SimTime> posted_at;  // By wr_id; sized to the READ count.
+    uint64_t posted = 0;
+
+    void Arrive() {
+      posted_at[posted] = e->now();
+      EXPECT_TRUE(qps[posted % qps.size()]->PostRead(kBytes, posted));
+      if (++posted == posted_at.size()) {
+        return;
+      }
+      next_at += rng.NextExponential(mean_gap_ns);
+      e->ScheduleAt(static_cast<SimTime>(next_at), [this] { Arrive(); });
+    }
+  };
+  Stream stream;
+  stream.e = &e;
+  for (uint32_t q = 0; q < kQps; ++q) {
+    stream.qps.push_back(fabric.CreateQp(cq));
+  }
+
+  EXPECT_TRUE(stream.qps[0]->PostRead(kBytes, 0));
+  e.Run();
+  Completion lone;
+  EXPECT_EQ(cq->Poll(1, &lone), 1u);
+  const SimTime zero_load_ns = lone.completed_at;
+
+  const double service_ns = static_cast<double>(
+      FabricParams::SerializationNs(kBytes + kHeaderBytes, params.link_gbps));
+  stream.mean_gap_ns = service_ns / rho;
+  stream.next_at = static_cast<double>(e.now()) + stream.rng.NextExponential(stream.mean_gap_ns);
+  stream.posted_at.resize(reads);
+
+  const uint64_t warmup = reads / 10;
+  double queued_ns = 0;
+  uint64_t counted = 0;
+  std::vector<Completion> batch(64);
+  cq->set_on_push([&] {
+    const size_t n = cq->Poll(batch.size(), batch.begin());
+    for (size_t i = 0; i < n; ++i) {
+      const Completion& c = batch[i];
+      if (c.wr_id >= warmup) {
+        queued_ns += static_cast<double>(c.completed_at - stream.posted_at[c.wr_id] - zero_load_ns);
+        ++counted;
+      }
+    }
+  });
+  e.ScheduleAt(static_cast<SimTime>(stream.next_at), [&stream] { stream.Arrive(); });
+  e.Run();
+  EXPECT_EQ(counted, reads - warmup);
+  return queued_ns / static_cast<double>(counted);
+}
+
+// The m2c link is a deterministic server fed by Poisson arrivals, so a READ
+// queues as in M/D/1: Pollaczek-Khinchine gives W = rho * S / (2 (1 - rho)),
+// with S the link's serialization of one 4 KiB payload plus its header. The
+// WQE engine (195 ns per WQE) and the header's c2m hop sit in front of the
+// link, yet add no wait: a tandem of deterministic servers waits like its
+// slowest server alone.
+TEST(Fabric, ReadQueueingMatchesMD1) {
+  const FabricParams params = TestParams();
+  const double service_ns = static_cast<double>(
+      FabricParams::SerializationNs(4096 + kHeaderBytes, params.link_gbps));
+  ASSERT_GT(service_ns, static_cast<double>(params.wqe_process_ns));
+  for (const double rho : {0.3, 0.5, 0.7, 0.8, 0.9}) {
+    const double measured = MeanReadQueueingNs(rho, 400000);
+    const double md1 = rho * service_ns / (2 * (1 - rho));
+    std::printf("rho %.1f: %.1f ns vs %.1f ns\n", rho, measured, md1);
+    EXPECT_NEAR(measured, md1, 0.03 * md1) << "rho " << rho;
+  }
 }
 
 }  // namespace
