@@ -18,6 +18,7 @@
 #include "src/mem/page_table.h"
 #include "src/mem/remote_heap.h"
 #include "src/rdma/fabric.h"
+#include "src/rdma/fair_link.h"
 #include "src/sim/engine.h"
 #include "src/unithread/context.h"
 #include "src/unithread/universal_stack.h"
@@ -165,6 +166,34 @@ void BM_EngineFiberWait(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineFiberWait);
 
+// The same loop as stackless tasks: each `co_await Sleep(1-64 ns)` queues a
+// callback that resumes the coroutine, where a fiber queues a typed resume
+// and switches stacks. The next-in-line skips are the same.
+SimTask SleepLoop(Engine* e, Rng* rng, const bool* stop) {
+  while (!*stop) {
+    co_await e->Sleep(1 + rng->NextBelow(64));
+  }
+}
+
+void BM_EngineTaskSleep(benchmark::State& state) {
+  Engine e;
+  Rng rng(1);
+  bool stop = false;
+  std::vector<SimTask> tasks;
+  for (int i = 0; i < kEnginePending; ++i) {
+    tasks.push_back(SleepLoop(&e, &rng, &stop));
+    e.Start(tasks.back());
+  }
+  const uint64_t start = e.events_processed();
+  for (auto _ : state) {
+    e.RunUntil(e.now() + kEngineWindow);
+  }
+  ReportEngineEvents(state, e.events_processed() - start);
+  stop = true;
+  e.Run();  // Let every task finish.
+}
+BENCHMARK(BM_EngineTaskSleep);
+
 // Fibers and callbacks together, the mix a run has: 16 fibers loop on
 // Wait(1-64 ns) beside 11 self-rescheduling callback chains, so about 60%
 // of events are resumes. A blocking Wait runs the callbacks ahead of it on
@@ -301,6 +330,35 @@ void BM_FabricReadPipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_FabricReadPipeline);
+
+// One FairLink stage per item: each of `flows` flows keeps one 4 KiB item
+// on a 100 Gbps, three-class link and re-enqueues it from its completion. A
+// stage is the item's parked completion slot, queued as the service event.
+// With one flow every arrival finds the link idle and empty and is granted
+// in closed form; with 16 the link stays backlogged and every grant runs
+// the WDRR scan.
+void BM_FairLinkStage(benchmark::State& state) {
+  const auto flows = static_cast<uint32_t>(state.range(0));
+  Engine e;
+  FairLink link(&e, "link", 100.0, /*fixed_ns=*/10);
+  link.EnableClasses(kNumTrafficClasses, kClassWeights);
+  struct Resubmit {
+    FairLink* link;
+    uint32_t flow;
+    void operator()() const {
+      link->Enqueue(flow, 4096, *this, static_cast<TrafficClass>(flow % kNumTrafficClasses));
+    }
+  };
+  for (uint32_t i = 0; i < flows; ++i) {
+    Resubmit{&link, link.AddFlow()}();
+  }
+  const uint64_t start = link.total_items();
+  for (auto _ : state) {
+    e.RunUntil(e.now() + kEngineWindow);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(link.total_items() - start));
+}
+BENCHMARK(BM_FairLinkStage)->Arg(1)->Arg(16);
 
 // Host cost of the page digest a verified fetch computes when the page
 // changed, on one hot 4 KiB page (the simulated cost is the fixed

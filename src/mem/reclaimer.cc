@@ -73,7 +73,8 @@ void Reclaimer::Start() {
     // is released promptly even when no allocation kick is pending.
     sleep_queue_.NotifyAll();
   });
-  engine_->SpawnFiber("reclaimer", [this] { Loop(); });
+  loop_ = Loop();
+  engine_->Start(loop_);
 }
 
 void Reclaimer::WritebackTargets(uint64_t vpage, std::vector<uint32_t>* out) {
@@ -114,109 +115,113 @@ void Reclaimer::FinishWbReplica(uint64_t vpage, bool success) {
   mm_->ReleaseFrame();
 }
 
-void Reclaimer::DrainCompletions() {
+size_t Reclaimer::DrainCompletions() {
   std::vector<Completion>& batch = cq_batch_;
-  for (;;) {
-    const size_t n = qp_->cq()->Poll(batch.size(), batch.begin());
-    if (n == 0) {
-      return;
+  const size_t n = qp_->cq()->Poll(batch.size(), batch.begin());
+  for (size_t i = 0; i < n; ++i) {
+    const Completion& c = batch[i];
+    const OpId id = OpId::FromWrId(c.wr_id, OpKind::kWriteback);
+    if (id.kind != OpKind::kWriteback) {
+      copier_.OnCompletion(id, c);
+      continue;
     }
-    for (size_t i = 0; i < n; ++i) {
-      const Completion& c = batch[i];
-      const OpId id = OpId::FromWrId(c.wr_id, OpKind::kWriteback);
-      if (id.kind != OpKind::kWriteback) {
-        copier_.OnCompletion(id, c);
-        continue;
-      }
-      ADIOS_DCHECK(c.type == WorkType::kWrite);
-      if (!tracker_.Admit(id, c)) {
-        continue;  // Late, duplicate, or an error the tracker retries.
-      }
-      tracker_.Settle(id, c.node);
-      // A successful write-back re-syncs a replica that had diverged.
-      placement_->MarkInSync(id.vpage, id.node);
-      if (integrity_ != nullptr) {
-        // Refresh the slot's digest (and settle wire-poison state: a
-        // corrupted WRITE leaves the stored copy poisoned).
-        integrity_->OnReplicaWritten(c.wr_id, id.vpage, id.node);
-      }
-      FinishWbReplica(id.vpage, /*success=*/true);
+    ADIOS_DCHECK(c.type == WorkType::kWrite);
+    if (!tracker_.Admit(id, c)) {
+      continue;  // Late, duplicate, or an error the tracker retries.
     }
-    core_->Consume(30 * n);  // CQE processing.
+    tracker_.Settle(id, c.node);
+    // A successful write-back re-syncs a replica that had diverged.
+    placement_->MarkInSync(id.vpage, id.node);
+    if (integrity_ != nullptr) {
+      // Refresh the slot's digest (and settle wire-poison state: a
+      // corrupted WRITE leaves the stored copy poisoned).
+      integrity_->OnReplicaWritten(c.wr_id, id.vpage, id.node);
+    }
+    FinishWbReplica(id.vpage, /*success=*/true);
   }
+  return n;
 }
 
-void Reclaimer::Loop() {
+SimTask Reclaimer::Loop() {
   for (;;) {
-    DrainCompletions();
+    while (const size_t n = DrainCompletions()) {
+      co_await core_->Charge(kCqeCycles * n);
+    }
     if (!mm_->BelowLowWatermark()) {
       kicked_ = false;
-      sleep_queue_.Wait();
+      co_await sleep_queue_;
       continue;
     }
     // Evict until comfortably above the watermark (hysteresis band).
     while (!mm_->AboveHighWatermark()) {
-      DrainCompletions();
+      while (const size_t n = DrainCompletions()) {
+        co_await core_->Charge(kCqeCycles * n);
+      }
       const uint64_t victim = mm_->SelectVictim();
       if (victim == mm_->page_table().num_pages()) {
         // Nothing evictable: frames are tied up in in-flight fetches or
         // write-backs. Wait for progress rather than spinning.
         if (writebacks_inflight_ > 0) {
-          cq_wait_.Wait();
+          co_await cq_wait_;
         } else {
-          engine_->Wait(kScanFailRetryNs);
+          co_await engine_->Sleep(kScanFailRetryNs);
         }
         continue;
       }
-      core_->Consume(kEvictCycles);
+      co_await core_->Charge(kEvictCycles);
       // Synchronization-cost gate (docs/DATAPATH.md): the unmap is a
       // mutating paging op, so it pays the modeled lock/CAS cost.
       const uint64_t sync_ns = mm_->SyncGateNs(/*mutating=*/true);
       if (sync_ns > 0) {
-        core_->ConsumeNs(sync_ns);
+        co_await core_->ChargeNs(sync_ns);
       }
-      // adios-lint: ignore(suspend-safety) -- the Wait branches above always
+      // adios-lint: ignore(suspend-safety) -- the wait branches above always
       // `continue` and re-select; on this path `victim` is freshly selected,
       // and after EvictPage the single evictor keeps the frame reserved, so
       // it stays valid across the cq_wait_ suspensions below.
       const bool dirty = mm_->EvictPage(victim);
       ++pages_reclaimed_;
-      if (dirty) {
-        // Counted before the post: the frame is already off the books
-        // (EvictPage kept it reserved), so frame conservation — resident +
-        // fetching + writebacks + bounce frames == used — must see it even
-        // while this fiber waits in cq_wait_ for send-queue space.
-        ++writebacks_inflight_;
-        wb_waiting_ = true;
-        while (wb_pages_[victim].remaining != 0) {
-          // A previous fan-out of this page is still settling (re-fetch +
-          // re-evict inside one retry window); its wr_ids would collide.
-          cq_wait_.Wait();
-          DrainCompletions();
+      if (!dirty) {
+        continue;
+      }
+      // Counted before the post: the frame is already off the books
+      // (EvictPage kept it reserved), so frame conservation — resident +
+      // fetching + writebacks + bounce frames == used — must see it even
+      // while this task waits in cq_wait_ for send-queue space.
+      ++writebacks_inflight_;
+      wb_waiting_ = true;
+      while (wb_pages_[victim].remaining != 0) {
+        // A previous fan-out of this page is still settling (re-fetch +
+        // re-evict inside one retry window); its wr_ids would collide.
+        co_await cq_wait_;
+        while (const size_t n = DrainCompletions()) {
+          co_await core_->Charge(kCqeCycles * n);
         }
-        wb_waiting_ = false;
-        wb_targets_scratch_.clear();
-        WritebackTargets(victim, &wb_targets_scratch_);
-        if (wb_targets_scratch_.empty()) {
-          // Every replica is dead: the update is lost now (each skipped
-          // replica was marked divergent above).
-          ++writeback_aborts_;
-          ADIOS_DCHECK(writebacks_inflight_ > 0);
-          --writebacks_inflight_;
-          mm_->ReleaseFrame();
-        } else {
-          wb_pages_[victim] = WbPage{static_cast<uint8_t>(wb_targets_scratch_.size()), 0};
-          ++wb_pages_in_flight_;
-          for (const uint32_t node : wb_targets_scratch_) {
-            const OpId id = OpId::Writeback(victim, node);
-            while (!PostWriteback(id)) {
-              cq_wait_.Wait();
-              DrainCompletions();
-            }
-            if (tracker_.tracks(OpKind::kWriteback)) {
-              tracker_.Track(id, {.node = node, .cls = TrafficClass::kBackground});
-            }
+      }
+      wb_waiting_ = false;
+      wb_targets_scratch_.clear();
+      WritebackTargets(victim, &wb_targets_scratch_);
+      if (wb_targets_scratch_.empty()) {
+        // Every replica is dead: the update is lost now (each skipped
+        // replica was marked divergent above).
+        ++writeback_aborts_;
+        ADIOS_DCHECK(writebacks_inflight_ > 0);
+        --writebacks_inflight_;
+        mm_->ReleaseFrame();
+        continue;
+      }
+      wb_pages_[victim] = WbPage{static_cast<uint8_t>(wb_targets_scratch_.size()), 0};
+      ++wb_pages_in_flight_;
+      for (const uint32_t node : wb_targets_scratch_) {
+        const OpId id = OpId::Writeback(victim, node);
+        while (!PostWriteback(id)) {
+          co_await cq_wait_;
+          while (const size_t n = DrainCompletions()) {
+            co_await core_->Charge(kCqeCycles * n);
           }
+        }
+        if (tracker_.tracks(OpKind::kWriteback)) {
+          tracker_.Track(id, {.node = node, .cls = TrafficClass::kBackground});
         }
       }
     }

@@ -13,6 +13,10 @@
 // (docs/FAULT_MODEL.md §4): a write-back that spends its retry budget drops
 // its replica, which goes out of sync. The BackgroundCopier on the same QP
 // re-silvers recovered nodes, repairs corrupt replicas and scrubs.
+//
+// The reclaimer hosts no unithread, so its loop is a stackless SimTask
+// (src/sim/engine.h): it charges its core with `co_await Charge` and sleeps
+// on `co_await sleep_queue_` / `co_await cq_wait_`.
 
 #ifndef ADIOS_SRC_MEM_RECLAIMER_H_
 #define ADIOS_SRC_MEM_RECLAIMER_H_
@@ -38,6 +42,8 @@ class Reclaimer {
   // and page-table update, set equal to a worker's fault entry
   // (kFaultEntryCycles), which walks the same table.
   static constexpr uint32_t kEvictCycles = 250;
+  // CPU cost per CQE the reclaimer processes.
+  static constexpr uint32_t kCqeCycles = 30;
 
   // Write-backs fan out to `placement`'s replicas of a page, skipping nodes
   // `health` reports dead; a single node is the one-replica case. `retry`
@@ -50,7 +56,7 @@ class Reclaimer {
   Reclaimer(const Reclaimer&) = delete;
   Reclaimer& operator=(const Reclaimer&) = delete;
 
-  // Spawns the reclaimer fiber and installs the memory manager's kick hook.
+  // Starts the reclaimer task and installs the memory manager's kick hook.
   void Start();
 
   // Integrity wiring (docs/INTEGRITY.md): write-backs refresh the checksum
@@ -77,8 +83,10 @@ class Reclaimer {
   bool WritebackInFlight(uint64_t vpage) const { return wb_pages_[vpage].remaining != 0; }
 
  private:
-  ADIOS_MAY_SUSPEND void Loop();
-  void DrainCompletions();
+  SimTask Loop();
+  // Polls and settles one batch of CQEs; returns its size, which the caller
+  // charges (kCqeCycles each). 0 when the CQ is empty.
+  size_t DrainCompletions();
 
   // Live replica targets for a dirty write-back of `vpage`. Dead nodes are
   // skipped and their replicas marked out of sync — the missed update is
@@ -115,12 +123,13 @@ class Reclaimer {
   uint64_t writeback_aborts_ = 0;
   bool wb_waiting_ = false;
   std::vector<uint32_t> wb_targets_scratch_;
-  // DrainCompletions' poll buffer, reused by every poll: the reclaimer fiber
+  // DrainCompletions' poll buffer, reused by every poll: the reclaimer task
   // is qp_'s CQ's only poller (the copier's completions reach it through
   // DrainCompletions too), and no completion handler polls again.
   std::vector<Completion> cq_batch_ = std::vector<Completion>(16);
   OpTracker tracker_;  // Every WQE on qp_.
   BackgroundCopier copier_;
+  SimTask loop_;
 };
 
 }  // namespace adios

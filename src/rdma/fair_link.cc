@@ -27,13 +27,17 @@ void FairLink::EnqueueParked(uint32_t flow, uint64_t bytes, uint32_t done, Traff
   const auto own = static_cast<uint32_t>(cls);
   // Fold overflow classes onto the lowest-priority queue.
   const uint32_t q = std::min(own, num_classes_ - 1);
+  class_enq_bytes_[own] += bytes;
+  ++class_enq_items_[own];
+  if (!busy_ && total_queued_ == 0) {
+    GrantIdle(Item{bytes, done, cls}, q);
+    return;
+  }
   auto& fq = class_flows_[q][flow];
   const bool was_empty = fq.empty();
   fq.push_back(Item{bytes, done, cls});
   ++total_queued_;
   ++class_queued_[q];
-  class_enq_bytes_[own] += bytes;
-  ++class_enq_items_[own];
   if (discipline_ == Discipline::kFifo || was_empty) {
     // FIFO gives every item its own service-order slot (global arrival
     // order); round-robin lists each backlogged flow once.
@@ -72,12 +76,30 @@ FairLink::Item FairLink::PopNext(uint32_t* queue_out) {
     if (discipline_ == Discipline::kRoundRobin && !class_flows_[c][flow].empty()) {
       class_active_[c].push_back(flow);  // Round-robin: back of the service order.
     }
-    const auto own = static_cast<uint32_t>(item.cls);
-    class_del_bytes_[own] += item.bytes;
-    ++class_del_items_[own];
     *queue_out = c;
     return item;
   }
+}
+
+void FairLink::GrantIdle(const Item& item, uint32_t q) {
+  // Every class but q is empty, so the scan from scan_class_ zeroes the
+  // classes before q; when q's deficit falls short, each refill moves the
+  // scan once around the ring, zeroing every other class.
+  const uint64_t quantum = kQuantumBytes * weights_[q];
+  uint64_t& deficit = deficit_[q];
+  if (deficit >= item.bytes) {
+    for (uint32_t c = scan_class_; c != q; c = (c + 1) % num_classes_) {
+      deficit_[c] = 0;
+    }
+  } else {
+    const uint64_t refills = (item.bytes - deficit + quantum - 1) / quantum;
+    const uint64_t own = deficit + refills * quantum;
+    std::fill(deficit_.begin(), deficit_.end(), 0);
+    deficit = own;
+  }
+  deficit -= item.bytes;
+  scan_class_ = q;
+  Grant(item, q);
 }
 
 void FairLink::StartNext() {
@@ -91,14 +113,17 @@ void FairLink::StartNext() {
   }
   uint32_t queue = 0;
   const Item item = PopNext(&queue);
-  if (dequeue_hook_) {
-    dequeue_hook_(queue, item.bytes);
-  }
   --total_queued_;
-  ServeItem(item);
+  Grant(item, queue);
 }
 
-void FairLink::ServeItem(const Item& item) {
+void FairLink::Grant(const Item& item, uint32_t q) {
+  const auto own = static_cast<uint32_t>(item.cls);
+  class_del_bytes_[own] += item.bytes;
+  ++class_del_items_[own];
+  if (dequeue_hook_) {
+    dequeue_hook_(q, item.bytes);
+  }
   busy_ = true;
   SimDuration service = fixed_ns_;
   if (gbps_ > 0.0) {
@@ -106,14 +131,16 @@ void FairLink::ServeItem(const Item& item) {
   }
   total_bytes_ += item.bytes;
   ++total_items_;
-  engine_->Schedule(service, [this, done = item.done] {
-    busy_ = false;
-    // Deliver before starting the next item so completion order is stable.
-    engine_->RunParked(done);
-    if (!busy_) {
-      StartNext();
-    }
-  });
+  engine_->QueueParked(service, item.done, this);
+}
+
+void FairLink::RunSlot(uint32_t slot) {
+  busy_ = false;
+  // Deliver before starting the next item so completion order is stable.
+  engine_->RunParked(slot);
+  if (!busy_) {
+    StartNext();
+  }
 }
 
 double FairLink::WindowUtilization() const {

@@ -15,6 +15,12 @@
 // arrival on an idle link demand is always served first. A link starts with
 // one class, where WDRR reduces to plain per-flow round-robin;
 // EnableClasses() splits it into demand > prefetch > background queues.
+//
+// Completion path: an item's `done` waits parked in an engine slot while it
+// queues. When it enters service, that same slot is queued as the service
+// event (Engine::QueueParked, with the link as its SlotOwner), so a stage
+// costs one event slot. An item that arrives at an idle, empty link is
+// granted in closed form (GrantIdle), without touching the queues.
 
 #ifndef ADIOS_SRC_RDMA_FAIR_LINK_H_
 #define ADIOS_SRC_RDMA_FAIR_LINK_H_
@@ -33,7 +39,7 @@
 
 namespace adios {
 
-class FairLink {
+class FairLink final : public SlotOwner {
  public:
   // Observes every class-scheduler grant: (class, bytes). Installed by the
   // fabric on multi-class links to emit kClassDequeue trace events.
@@ -106,6 +112,11 @@ class FairLink {
   uint64_t class_enqueued_items(uint32_t cls) const { return class_enq_items_[cls]; }
   uint64_t class_delivered_items(uint32_t cls) const { return class_del_items_[cls]; }
 
+  // WDRR scheduler state: class queue `q`'s byte credit and the class the
+  // scan stands on.
+  uint64_t deficit(uint32_t q) const { return deficit_[q]; }
+  uint32_t scan_class() const { return scan_class_; }
+
   void set_dequeue_hook(DequeueHook hook) { dequeue_hook_ = std::move(hook); }
 
   // Measurement-window helpers for utilization reporting.
@@ -130,7 +141,17 @@ class FairLink {
   // WDRR scan: picks the next (class queue, flow) to serve and pops its head
   // item. Returns the serving queue via `queue_out`.
   Item PopNext(uint32_t* queue_out);
-  void ServeItem(const Item& item);
+  // What PopNext would do for `item`, the only item, on class queue `q`,
+  // without the queue round trip: the scan zeroes every class it passes,
+  // refills q's deficit ceil((bytes - deficit) / (quantum * weight)) times
+  // (each refill after the first wraps the scan once around), and ends on q.
+  void GrantIdle(const Item& item, uint32_t q);
+  // Counts a grant of `item` from class queue `q` and starts serving it:
+  // its parked completion slot becomes the service event.
+  void Grant(const Item& item, uint32_t q);
+  // The service event of the item in service: delivers its completion, then
+  // starts the next item unless the completion already did.
+  void RunSlot(uint32_t slot) override;
 
   Engine* engine_;
   std::string name_;

@@ -24,7 +24,8 @@ Dispatcher::Dispatcher(Engine* engine, CpuCore* core, UnithreadPool* pool, Compl
 }
 
 void Dispatcher::Start() {
-  engine_->SpawnFiber("dispatcher", [this] { Loop(); });
+  loop_ = Loop();
+  engine_->Start(loop_);
 }
 
 void Dispatcher::RegisterMetrics(MetricRegistry* registry) {
@@ -60,35 +61,53 @@ void Dispatcher::OnRx(Request* req) {
   events_.NotifyAll();
 }
 
-void Dispatcher::Loop() {
+SimTask Dispatcher::Loop() {
   for (;;) {
     bool progress = false;
-    progress |= RecycleTxCompletions() > 0;
-    progress |= DrainRxRing() > 0;
-    progress |= DispatchSome();
+    // Each batch is charged before its buffers return to the pool.
+    while (const size_t n = cq_->Poll(cq_batch_.size(), cq_batch_.begin())) {
+      co_await core_->Charge(kTxRecycleCycles * n);
+      RecycleTxBatch(n);
+      progress = true;
+    }
+    if (const size_t moved = DrainRxRing()) {
+      co_await core_->Charge(kRxPollCycles * moved);
+      progress = true;
+    }
+    if (queue_.size() > stats_.max_queue_depth) {
+      stats_.max_queue_depth = queue_.size();
+    }
+    if (!queue_.empty()) {
+      CollectIdleWorkers();
+      bool any = false;
+      Worker* w = nullptr;
+      while (RunItem* item = NextAssignment(&w)) {
+        co_await core_->Charge(kDispatchCycles);
+        tracer_->Record(engine_->now(), item->req->id, TraceEvent::kDispatch, w->index());
+        w->Assign(item);
+        rr_cursor_ = (w->index() + 1) % static_cast<uint32_t>(workers_.size());
+        any = true;
+      }
+      if (any && cfg_.dispatch_policy == DispatchPolicy::kWorkStealing) {
+        // Idle peers may steal from the queues just filled.
+        for (Worker* peer : workers_) {
+          peer->Wake();
+        }
+      }
+      progress |= any;
+    }
     if (!progress) {
-      events_.Wait();
+      co_await events_;
     }
   }
 }
 
-size_t Dispatcher::RecycleTxCompletions() {
-  size_t total = 0;
-  std::vector<Completion>& batch = cq_batch_;
-  for (;;) {
-    const size_t n = cq_->Poll(batch.size(), batch.begin());
-    if (n == 0) {
-      break;
-    }
-    core_->Consume(kTxRecycleCycles * n);
-    for (size_t i = 0; i < n; ++i) {
-      ADIOS_DCHECK(batch[i].type == WorkType::kSend);
-      pool_->Release(pool_->FromIndex(static_cast<uint32_t>(batch[i].wr_id)));
-      ++stats_.buffers_recycled;
-    }
-    total += n;
+void Dispatcher::RecycleTxBatch(size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    ADIOS_DCHECK(cq_batch_[i].type == WorkType::kSend);
+    pool_->Release(pool_->FromIndex(static_cast<uint32_t>(cq_batch_[i].wr_id)));
+    ++stats_.buffers_recycled;
   }
-  return total;
 }
 
 size_t Dispatcher::DrainRxRing() {
@@ -101,23 +120,14 @@ size_t Dispatcher::DrainRxRing() {
     rx_ring_.pop_front();
     ++moved;
   }
-  if (moved > 0) {
-    core_->Consume(kRxPollCycles * moved);
-  }
-  if (queue_.size() > stats_.max_queue_depth) {
-    stats_.max_queue_depth = queue_.size();
-  }
   return moved;
 }
 
-bool Dispatcher::DispatchSome() {
-  if (queue_.empty()) {
-    return false;
-  }
+void Dispatcher::CollectIdleWorkers() {
   const uint32_t n = static_cast<uint32_t>(workers_.size());
   const bool pf_aware = cfg_.dispatch_policy == DispatchPolicy::kPfAware;
-  // Each idle worker's dispatch key, read once: Consume() below suspends,
-  // and Algorithm 1 orders the workers as they stood when the pass began.
+  // Each idle worker's dispatch key, read once: the charges suspend, and
+  // Algorithm 1 orders the workers as they stood when the pass began.
   // Round-robin ranks (distance from the cursor) are unique, so taking the
   // minimum key per request reproduces SortByOutstandingPFCount's order with
   // ties rotating round-robin; the baselines order by rank alone.
@@ -132,37 +142,28 @@ bool Dispatcher::DispatchSome() {
     const uint64_t faults = pf_aware ? w->OutstandingFaults() : 0;
     idle_scratch_.push_back({(faults << 32) | rank, w});
   }
+}
 
-  bool any = false;
-  while (!idle_scratch_.empty() && !queue_.empty()) {
-    UnithreadBuffer buffer = pool_->Acquire();
-    if (!buffer.valid()) {
-      break;  // Unithread pool exhausted: back-pressure the queue.
-    }
-    auto pick = std::min_element(idle_scratch_.begin(), idle_scratch_.end());
-    Worker* w = pick->worker;
-    *pick = idle_scratch_.back();
-    idle_scratch_.pop_back();
-    static_assert(sizeof(RunItem) <= 256, "RunItem must fit in the payload area");
-    auto* item = new (buffer.payload()) RunItem();
-    item->req = queue_.front();
-    item->buffer = buffer;
-    buffer.ResetContext(&Worker::UnithreadMain, item, /*parent=*/nullptr);
-    queue_.pop_front();
-    ++stats_.dispatched;
-    core_->Consume(kDispatchCycles);
-    tracer_->Record(engine_->now(), item->req->id, TraceEvent::kDispatch, w->index());
-    w->Assign(item);
-    rr_cursor_ = (w->index() + 1) % n;
-    any = true;
+RunItem* Dispatcher::NextAssignment(Worker** worker) {
+  if (idle_scratch_.empty() || queue_.empty()) {
+    return nullptr;
   }
-  if (any && cfg_.dispatch_policy == DispatchPolicy::kWorkStealing) {
-    // Idle peers may steal from the queues just filled.
-    for (Worker* w : workers_) {
-      w->Wake();
-    }
+  UnithreadBuffer buffer = pool_->Acquire();
+  if (!buffer.valid()) {
+    return nullptr;  // Unithread pool exhausted: back-pressure the queue.
   }
-  return any;
+  auto pick = std::min_element(idle_scratch_.begin(), idle_scratch_.end());
+  *worker = pick->worker;
+  *pick = idle_scratch_.back();
+  idle_scratch_.pop_back();
+  static_assert(sizeof(RunItem) <= 256, "RunItem must fit in the payload area");
+  auto* item = new (buffer.payload()) RunItem();
+  item->req = queue_.front();
+  item->buffer = buffer;
+  buffer.ResetContext(&Worker::UnithreadMain, item, /*parent=*/nullptr);
+  queue_.pop_front();
+  ++stats_.dispatched;
+  return item;
 }
 
 }  // namespace adios

@@ -8,6 +8,10 @@
 //  - polling delegation: workers' transmit completions are raised in the
 //    dispatcher's CQ, which recycles the unithread buffers while it polls
 //    for incoming packets anyway.
+//
+// The dispatcher hosts no unithread, so its loop is a stackless SimTask
+// (src/sim/engine.h): it charges its core with `co_await Charge` and sleeps
+// on `co_await events_`.
 
 #ifndef ADIOS_SRC_SCHED_DISPATCHER_H_
 #define ADIOS_SRC_SCHED_DISPATCHER_H_
@@ -42,14 +46,14 @@ class Dispatcher {
   };
 
   // Overload control (docs/OVERLOAD.md): OnRx consults `ctrl`'s admission
-  // and shed verdict before the RX ring, and DispatchSome assigns only to
+  // and shed verdict before the RX ring, and a dispatch pass assigns only to
   // workers its scaling loop marks active. A controller with every loop off
   // admits everything and keeps every worker active.
   Dispatcher(Engine* engine, CpuCore* core, UnithreadPool* pool, CompletionQueue* cq,
              std::vector<Worker*> workers, OverloadController* ctrl, const SchedConfig& config,
              DropFn on_drop);
 
-  // Spawns the dispatcher fiber.
+  // Starts the dispatcher task.
   void Start();
 
   // Packet arrival from the client link (called in event context).
@@ -66,10 +70,18 @@ class Dispatcher {
   void RegisterMetrics(MetricRegistry* registry);
 
  private:
-  void Loop();
-  size_t RecycleTxCompletions();
+  SimTask Loop();
+  // Releases the unithread buffers of the first `n` TX completions in
+  // cq_batch_.
+  void RecycleTxBatch(size_t n);
+  // Moves a bounded batch from the RX ring to the central queue; returns
+  // its size.
   size_t DrainRxRing();
-  bool DispatchSome();
+  // Ranks the idle workers into idle_scratch_ for one dispatch pass.
+  void CollectIdleWorkers();
+  // Pops the next request onto an acquired unithread buffer and picks its
+  // worker; null when no idle worker, buffer or request is left.
+  RunItem* NextAssignment(Worker** worker);
 
   Engine* engine_;
   CpuCore* core_;
@@ -85,7 +97,7 @@ class Dispatcher {
   Fifo<Request*> queue_;  // The single centralized FCFS queue.
   WaitQueue events_;
   uint32_t rr_cursor_ = 0;
-  // DispatchSome's idle workers with their dispatch keys: outstanding
+  // A dispatch pass's idle workers with their dispatch keys: outstanding
   // faults (kPfAware only) in the high half, round-robin rank in the low.
   struct IdleWorker {
     uint64_t key;
@@ -93,10 +105,11 @@ class Dispatcher {
     bool operator<(const IdleWorker& o) const { return key < o.key; }
   };
   std::vector<IdleWorker> idle_scratch_;
-  // RecycleTxCompletions' poll buffer, reused by every poll: the dispatcher
-  // fiber is this CQ's only poller, and it never polls re-entrantly.
+  // The TX completion poll buffer, reused by every poll: the dispatcher
+  // task is this CQ's only poller, and it never polls re-entrantly.
   std::vector<Completion> cq_batch_;
   Stats stats_;
+  SimTask loop_;
 };
 
 }  // namespace adios

@@ -1,10 +1,11 @@
 // Simulated CPU core: charges compute time and tracks busy-cycle accounting.
 //
-// Each core hosts one fiber (dispatcher, worker, or reclaimer loop). Code
-// running on the core calls Consume(cycles) to model computation: simulated
-// time advances and the core's busy counter grows. Busy-waiting is charged
-// with ConsumeBusyWait so the per-core breakdown can separate useful work
-// from wasted spinning (Fig. 2(c)).
+// Each core hosts one actor: a worker fiber, or the dispatcher or reclaimer
+// task. Code running on the core models computation with Consume(cycles)
+// (a fiber) or `co_await Charge(cycles)` (a task): simulated time advances
+// and the core's busy counter grows. Busy-waiting is charged with
+// BusyWaitUntil so the per-core breakdown can separate useful work from
+// wasted spinning (Fig. 2(c)).
 
 #ifndef ADIOS_SRC_SIM_CPU_CORE_H_
 #define ADIOS_SRC_SIM_CPU_CORE_H_
@@ -39,6 +40,13 @@ class CpuCore {
   ADIOS_MAY_SUSPEND void ConsumeNs(SimDuration ns) {
     busy_ns_ += ns;
     engine_->Wait(ns);
+  }
+
+  // The task forms of Consume and ConsumeNs: `co_await core->Charge(c)`.
+  Engine::SleepAwaiter Charge(uint64_t cycles) { return ChargeNs(clock_.ToNanos(cycles)); }
+  Engine::SleepAwaiter ChargeNs(SimDuration ns) {
+    busy_ns_ += ns;
+    return engine_->Sleep(ns);
   }
 
   // Models spinning until simulated time `until` (e.g. busy-waiting on an

@@ -101,9 +101,13 @@ UnithreadContext* Engine::RunToNextResume() {
     // The slot stays taken while the callable runs in place; it may
     // schedule more events, which only ever take other slots.
     in_callback_ = true;
-    s.call(s);
+    if (SlotOwner* owner = s.owner) {
+      owner->RunSlot(slot);  // Runs and releases the slot.
+    } else {
+      s.call(s);
+      ReleaseSlot(slot);
+    }
     in_callback_ = false;
-    ReleaseSlot(slot);
   }
   return nullptr;
 }
@@ -131,13 +135,8 @@ void Engine::Wait(SimDuration d) {
   ADIOS_CHECK(!in_callback_);
   ADIOS_CHECK(!on_main());
   const SimTime when = now_ + d;
-  if (running_ && !stopped_ && when <= until_ && when < NextWhen()) {
-    // Next in line: the resume event would be popped right away, so account
-    // for it (sequence number, event count) and skip the round trip.
-    ++next_seq_;
-    AdvanceTo(when);
-    ++events_processed_;
-    return;
+  if (SkipToNextInLine(when)) {
+    return;  // The resume would pop right away: skip the round trip.
   }
   UnithreadContext* self = current_;
   self->state = ContextState::kBlocked;

@@ -2,9 +2,21 @@
 //
 // The engine owns a virtual clock (integer nanoseconds) and a deterministic
 // event queue (ties broken by insertion order). Simulated actors — CPU core
-// loops, the load generator, NIC engines — either run as plain scheduled
-// callbacks or as *fibers*: real unithread contexts that can suspend at a
-// simulated time (`Wait`) or until another actor resumes them.
+// loops, the load generator, NIC engines — run as plain scheduled
+// callbacks, as stackless *tasks* (C++20 coroutines), or as *fibers*: real
+// unithread contexts that can suspend at a simulated time (`Wait`) or until
+// another actor resumes them.
+//
+// Actor model: a stack is kept only for code that blocks in the middle of a
+// computation it did not write as a coroutine. The workers are fibers: their
+// stack is the parent each application unithread switches back to, and a
+// fault handler deep inside application code Waits on the engine from its
+// own unithread stack. The dispatcher and the reclaimer host no unithread,
+// so they are SimTasks: each suspension (`co_await` on Engine::Sleep,
+// CpuCore::Charge or a WaitQueue) queues a callback event that resumes the
+// coroutine, at exactly the point where a fiber would queue its resume, so
+// it takes the same sequence number and pops in the same place, but its
+// wake-up costs a function call instead of a host stack switch.
 //
 // Event storage: every event lives in a slot of a chunked slab whose
 // addresses never move, so a callback runs in place even when it schedules
@@ -30,21 +42,25 @@
 //
 // Parked callables: Park() moves a callable into a slot without queueing
 // it, and RunParked()/DropParked() later run or destroy it. FairLink parks
-// each item's completion there, so its queues hold 16-byte PODs. The engine
-// owns every parked callable: its destructor drops those still parked, with
-// the queued ones.
+// each item's completion there, so its queues hold 16-byte PODs. When the
+// item enters service, QueueParked() queues that same slot as the service
+// event, with the link as its SlotOwner: the loop hands the popped slot to
+// the owner, which runs it and starts the next item, so a link stage costs
+// one slot. The engine owns every parked callable: its destructor drops
+// those still parked, with the queued ones.
 //
 // Typed resumes: Wait(), ResumeLater() and a fiber's first run push a resume
 // event that holds only the UnithreadContext to run, no callable. Popping it
 // sets the context running and ends the loop's turn: the context that ran
 // the loop switches to it (see Hand-off).
 //
-// Next-in-line fast path: a Wait(d) whose wake-up time is strictly earlier
-// than every queued event, with no Stop() pending and inside the running
-// RunUntil horizon, would be the very next event the loop pops. It returns
-// without leaving the fiber: the clock advances, and the wake-up still takes
-// a sequence number and counts in events_processed(), so event order and
-// counts are exactly those of the suspended path.
+// Next-in-line fast path: a Wait(d) or a co_await Sleep(d) whose wake-up
+// time is strictly earlier than every queued event, with no Stop() pending
+// and inside the running RunUntil horizon, would be the very next event the
+// loop pops. It returns without suspending: the clock advances, and the
+// wake-up still takes a sequence number and counts in events_processed(),
+// so event order and counts are exactly those of the suspended path. Both
+// go through one helper, SkipToNextInLine().
 //
 // Hand-off: the event loop runs on whichever context yields. A Wait() or
 // SuspendCurrent() that must block runs the loop itself, on its own stack:
@@ -53,9 +69,9 @@
 // the resume is its own, so each simulated wake-up costs one host switch.
 // Main, where RunUntil() loops, is entered only when the loop ends (at the
 // horizon, after Stop(), or on an empty queue) or when a fiber finishes.
-// Because callbacks run on fiber and unithread stacks as well as main's,
-// they must never suspend: Wait(), SuspendCurrent() and the switch to main
-// abort inside one.
+// Because callbacks (and the tasks they resume) run on fiber and unithread
+// stacks as well as main's, they must never block a stack: Wait(),
+// SuspendCurrent() and the switch to main abort inside one.
 //
 // Context discipline: the engine tracks the currently executing context.
 // Every switch site must go through RawSwitch() so the tracking stays
@@ -70,8 +86,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <new>
@@ -90,8 +109,8 @@ namespace adios {
 
 class Engine;
 
-// A simulated long-lived actor (dispatcher loop, worker loop, reclaimer,
-// NIC engine) running on its own real stack.
+// A simulated long-lived actor that needs its own real stack: a worker loop,
+// the parent its application unithreads switch back to.
 class Fiber {
  public:
   Fiber(Engine* engine, std::string name, std::function<void()> fn, size_t stack_bytes);
@@ -111,6 +130,67 @@ class Fiber {
   std::function<void()> fn_;
   GuardedStack stack_;  // Canary-guarded, 16-aligned, painted for HWM audits.
   UnithreadContext ctx_;
+};
+
+// A stackless simulated actor: a coroutine returning SimTask, which
+// suspends only at `co_await` on Engine::Sleep, CpuCore::Charge or a
+// WaitQueue. It is created suspended; Engine::Start queues its first run.
+// SimTask owns the frame: destroying it frees the frame without resuming
+// it, wherever the task is suspended (a WaitQueue or a queued event holds
+// only the handle, and the engine never resumes a handle it drops).
+class SimTask {
+ public:
+  struct promise_type {
+    promise_type() { live_frames_.fetch_add(1, std::memory_order_relaxed); }
+    ~promise_type() { live_frames_.fetch_sub(1, std::memory_order_relaxed); }
+
+    SimTask get_return_object() {
+      return SimTask(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+
+  SimTask() = default;
+  SimTask(SimTask&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
+  SimTask& operator=(SimTask&& other) noexcept {
+    if (this != &other) {
+      Destroy();
+      handle_ = std::exchange(other.handle_, {});
+    }
+    return *this;
+  }
+  ~SimTask() { Destroy(); }
+
+  std::coroutine_handle<> handle() const { return handle_; }
+  bool done() const { return handle_ && handle_.done(); }
+
+  // Task frames alive in the process, for teardown audits.
+  static size_t live_frames() { return live_frames_.load(std::memory_order_relaxed); }
+
+ private:
+  static inline std::atomic<size_t> live_frames_{0};
+
+  explicit SimTask(std::coroutine_handle<promise_type> handle) : handle_(handle) {}
+  void Destroy() {
+    if (handle_) {
+      handle_.destroy();
+    }
+  }
+
+  std::coroutine_handle<promise_type> handle_;
+};
+
+// Receives a parked slot that QueueParked() queued, when it pops: the owner
+// must run it with RunParked() (exactly once) and may queue more events.
+class SlotOwner {
+ public:
+  virtual void RunSlot(uint32_t slot) = 0;
+
+ protected:
+  ~SlotOwner() = default;
 };
 
 class Engine {
@@ -194,6 +274,14 @@ class Engine {
     ReleaseSlot(slot);
   }
 
+  // Queues parked `slot` to fire after `delay`; it takes the next sequence
+  // number, like Schedule(). When it pops, the loop calls
+  // owner->RunSlot(slot) instead of running the callable itself.
+  void QueueParked(SimDuration delay, uint32_t slot, SlotOwner* owner) {
+    SlotAt(slot).owner = owner;
+    PushKey(now_ + delay, slot);
+  }
+
   // True when a callable of type Fn fits a slot's inline storage, so
   // scheduling or parking it allocates nothing.
   static constexpr size_t kInlineBytes = 48;
@@ -207,6 +295,38 @@ class Engine {
   // now() to `until` when the horizon is reached.
   ADIOS_MAY_SUSPEND void RunUntil(SimTime until);
   void Stop() { stopped_ = true; }
+
+  // --- Task API ---
+
+  // Queues `task`'s first run at the current time (the point where
+  // SpawnFiber queues a fiber's first resume).
+  void Start(SimTask& task) { ResumeLater(task.handle()); }
+
+  // Queues a callback event that resumes `task` after `delay`: the event a
+  // fiber's ResumeLater would queue, with the same sequence number. Must not
+  // double-resume.
+  ADIOS_NO_SUSPEND void ResumeLater(std::coroutine_handle<> task, SimDuration delay = 0) {
+    PushTaskResume(now_ + delay, task);
+  }
+
+  // `co_await engine->Sleep(d)` suspends a task for `d` simulated time; it
+  // does not suspend when the wake-up is next in line (see above).
+  class [[nodiscard]] SleepAwaiter {
+   public:
+    bool await_ready() const { return engine_->SkipToNextInLine(when_); }
+    void await_suspend(std::coroutine_handle<> task) const {
+      engine_->PushTaskResume(when_, task);
+    }
+    void await_resume() const {}
+
+   private:
+    friend class Engine;
+    SleepAwaiter(Engine* engine, SimTime when) : engine_(engine), when_(when) {}
+
+    Engine* engine_;
+    SimTime when_;
+  };
+  SleepAwaiter Sleep(SimDuration d) { return SleepAwaiter(this, now_ + d); }
 
   // --- Fiber API ---
 
@@ -277,6 +397,19 @@ class Engine {
   // stack and switches to the next resume's context, to main when the loop
   // ends, or nowhere when the next resume is `self`'s own.
   ADIOS_MAY_SUSPEND void HandOff(UnithreadContext* self);
+  // The next-in-line fast path shared by Wait() and Sleep(): when a wake-up
+  // at `when` would be the very next event popped, advances the clock to
+  // it, accounts for the skipped resume event (sequence number, event
+  // count) and returns true.
+  bool SkipToNextInLine(SimTime when) {
+    if (!running_ || stopped_ || when > until_ || when >= NextWhen()) {
+      return false;
+    }
+    ++next_seq_;
+    AdvanceTo(when);
+    ++events_processed_;
+    return true;
+  }
   // Tracked switch back to main (the RunUntil caller's context).
   ADIOS_MAY_SUSPEND void SwitchToMain() {
     ADIOS_CHECK(!in_callback_);
@@ -293,16 +426,19 @@ class Engine {
   static_assert(kWheelWords == 64, "one summary word covers the occupancy bitmap");
 
   // One event slot. A queued slot holds exactly one of `call` (a callback)
-  // and `resume` (a typed resume); a parked slot holds a callback.
+  // and `resume` (a typed resume); a parked slot holds a callback, and
+  // `owner` when QueueParked() queued it.
   struct Slot {
     alignas(kInlineAlign) std::byte storage[kInlineBytes];
     void (*call)(Slot&);  // Runs the callable, then destroys it.
     void (*drop)(Slot&);  // Destroys it unrun; null for a no-op or a free slot.
     UnithreadContext* resume;
+    SlotOwner* owner;
     uint32_t generation;
     uint32_t next_free;  // Free-list link, or the next slot in a wheel bucket.
     bool cancelled;
   };
+  static_assert(sizeof(Slot) == 96, "`owner` fits the slot's padding");
 
   // A far-heap key; `seq` is the insertion counter that breaks time ties.
   struct FarKey {
@@ -385,6 +521,7 @@ class Engine {
     Slot& s = SlotAt(slot);
     free_head_ = s.next_free;
     s.resume = nullptr;
+    s.owner = nullptr;
     s.cancelled = false;
     return slot;
   }
@@ -406,6 +543,9 @@ class Engine {
       far_.push_back(FarKey{when, seq, slot});
       std::push_heap(far_.begin(), far_.end(), Later);
     }
+  }
+  void PushTaskResume(SimTime when, std::coroutine_handle<> task) {
+    PushCallable(when, [task] { task.resume(); });
   }
   void PushResume(SimTime when, UnithreadContext* ctx) {
     const uint32_t slot = AllocSlot();

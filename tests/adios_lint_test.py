@@ -110,8 +110,8 @@ def main():
     # the full-corpus run above shows env_knob_good.cc stays quiet.
     good = [
         os.path.join(FIXTURES, "src", name)
-        for name in ("suspend_good.cc", "trace_good.cc", "knob_good.cc",
-                     "knob_section_good.cc", "suppressed_ok.cc")
+        for name in ("suspend_good.cc", "coro_suspend_good.cc", "trace_good.cc",
+                     "knob_good.cc", "knob_section_good.cc", "suppressed_ok.cc")
     ]
     per_file_rules = "suspend-safety,trace-pairing,sim-time-hygiene,default-off-knob"
     proc = run_lint(["--root", FIXTURES, "--stats", "--rules", per_file_rules] + good)

@@ -1,10 +1,13 @@
-// Discrete-event engine: ordering, determinism, fiber suspension semantics.
+// Discrete-event engine: ordering, determinism, fiber and task suspension
+// semantics.
 
 #include "src/sim/engine.h"
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -882,6 +885,286 @@ TEST(EngineWheel, DestructorDropsParkedWheelAndFarCallables) {
   }
   EXPECT_EQ(sum, 1);
   EXPECT_EQ(big.use_count(), 1);
+}
+
+// --- Tasks: a SimTask sees exactly the event order a fiber sees. ---
+
+// One actor script step. A fiber and a task interpret the same script; only
+// the suspension syntax differs (Wait vs co_await Sleep, Consume vs
+// co_await Charge, WaitQueue::Wait vs co_await).
+enum class Step : uint8_t { kSleep, kCharge, kWait, kNotifyOne, kNotifyAll, kCallback, kStop };
+struct ScriptOp {
+  Step step;
+  SimDuration d;    // Sleep/Charge/callback delay, notify wake delay.
+  uint32_t target;  // Notified actor.
+};
+using Script = std::vector<ScriptOp>;
+
+struct LogEntry {
+  SimTime time;
+  uint32_t actor;
+  uint32_t step;
+  bool operator==(const LogEntry&) const = default;
+};
+
+constexpr uint32_t kCallbackActor = 100;  // Added to the scheduling actor.
+constexpr uint32_t kMainActor = 1000;     // A RunUntil/Run return.
+constexpr uint32_t kDoneStep = ~0u;
+
+struct ActorRig {
+  explicit ActorRig(size_t actors) {
+    for (size_t a = 0; a < actors; ++a) {
+      queues.push_back(std::make_unique<WaitQueue>(&e));
+    }
+  }
+  void Log(uint32_t actor, uint32_t step) { log.push_back({e.now(), actor, step}); }
+  // The steps that never suspend, shared by both interpreters.
+  void Act(uint32_t a, uint32_t i, const ScriptOp& op) {
+    switch (op.step) {
+      case Step::kNotifyOne:
+        queues[op.target]->NotifyOne(op.d);
+        break;
+      case Step::kNotifyAll:
+        queues[op.target]->NotifyAll(op.d);
+        break;
+      case Step::kCallback:
+        e.Schedule(op.d, [this, a, i] { Log(kCallbackActor + a, i); });
+        break;
+      case Step::kStop:
+        e.Stop();
+        break;
+      default:
+        break;
+    }
+  }
+
+  Engine e;
+  CpuCore core{&e, CycleClock(2000), "core"};
+  std::vector<std::unique_ptr<WaitQueue>> queues;
+  std::vector<LogEntry> log;
+  std::vector<SimTask> tasks;
+};
+
+void FiberActor(ActorRig* rig, uint32_t a, const Script* script) {
+  for (uint32_t i = 0; i < script->size(); ++i) {
+    const ScriptOp& op = (*script)[i];
+    rig->Log(a, i);
+    switch (op.step) {
+      case Step::kSleep:
+        rig->e.Wait(op.d);
+        break;
+      case Step::kCharge:
+        rig->core.Consume(op.d);
+        break;
+      case Step::kWait:
+        rig->queues[a]->Wait();
+        break;
+      default:
+        rig->Act(a, i, op);
+    }
+  }
+  rig->Log(a, kDoneStep);
+}
+
+SimTask TaskActor(ActorRig* rig, uint32_t a, const Script* script) {
+  for (uint32_t i = 0; i < script->size(); ++i) {
+    const ScriptOp& op = (*script)[i];
+    rig->Log(a, i);
+    switch (op.step) {
+      case Step::kSleep:
+        co_await rig->e.Sleep(op.d);
+        break;
+      case Step::kCharge:
+        co_await rig->core.Charge(op.d);
+        break;
+      case Step::kWait:
+        co_await *rig->queues[a];
+        break;
+      default:
+        rig->Act(a, i, op);
+    }
+  }
+  rig->Log(a, kDoneStep);
+}
+
+struct ScriptRun {
+  std::vector<LogEntry> log;
+  uint64_t events = 0;
+  SimTime end = 0;
+  uint64_t busy_ns = 0;
+  uint64_t switches = 0;
+};
+
+// Runs every script, actor a as a task when bit a of `task_mask` is set and
+// as a fiber otherwise, through a ladder of RunUntil horizons and then Run()
+// until the queue drains (each Stop() ends one Run early).
+ScriptRun RunScripts(const std::vector<Script>& scripts, uint32_t task_mask) {
+  ActorRig rig(scripts.size());
+  for (uint32_t a = 0; a < scripts.size(); ++a) {
+    if ((task_mask >> a) & 1) {
+      rig.tasks.push_back(TaskActor(&rig, a, &scripts[a]));
+      rig.e.Start(rig.tasks.back());
+    } else {
+      rig.e.SpawnFiber("actor", [&rig, a, &scripts] { FiberActor(&rig, a, &scripts[a]); });
+    }
+  }
+  for (const SimTime horizon : {SimTime{0}, SimTime{7}, SimTime{8}, SimTime{300}, SimTime{6000}}) {
+    rig.e.RunUntil(horizon);
+    rig.Log(kMainActor, 0);
+  }
+  size_t stops = 0;
+  for (const Script& script : scripts) {
+    for (const ScriptOp& op : script) {
+      stops += op.step == Step::kStop ? 1 : 0;
+    }
+  }
+  for (size_t i = 0; i <= stops; ++i) {
+    rig.e.Run();
+    rig.Log(kMainActor, 1);
+  }
+  return {rig.log, rig.e.events_processed(), rig.e.now(), rig.core.busy_ns(),
+          rig.e.context_switches()};
+}
+
+Script RandomScript(Rng& rng, uint32_t actors, size_t steps) {
+  Script script;
+  for (size_t i = 0; i < steps; ++i) {
+    ScriptOp op{};
+    const uint64_t r = rng.NextBelow(100);
+    // Zero delays make same-instant ties; delays past the 4096 ns wheel go
+    // through the far heap.
+    const uint64_t far = rng.NextBelow(10) == 0 ? 4096 + rng.NextBelow(3000) : 0;
+    if (r < 30) {
+      op = {Step::kSleep, rng.NextBelow(4) == 0 ? 0 : 1 + rng.NextBelow(40) + far, 0};
+    } else if (r < 45) {
+      op = {Step::kCharge, rng.NextBelow(60), 0};
+    } else if (r < 57) {
+      op = {Step::kWait, 0, 0};
+    } else if (r < 72) {
+      op = {Step::kNotifyOne, rng.NextBelow(2) == 0 ? 0 : rng.NextBelow(30), 0};
+    } else if (r < 80) {
+      op = {Step::kNotifyAll, rng.NextBelow(2) == 0 ? 0 : rng.NextBelow(30), 0};
+    } else if (r < 97) {
+      op = {Step::kCallback, rng.NextBelow(3) == 0 ? 0 : rng.NextBelow(40) + far, 0};
+    } else {
+      op = {Step::kStop, 0, 0};
+    }
+    op.target = static_cast<uint32_t>(rng.NextBelow(actors));
+    script.push_back(op);
+  }
+  return script;
+}
+
+// Every actor as a fiber, every actor as a task, and every mix: the (time,
+// actor, step) log, the event count, the end time and the busy time are the
+// same. Tasks never switch stacks.
+TEST(SimTaskTest, MatchesAFiberRunningTheSameScript) {
+  constexpr uint32_t kActors = 3;
+  std::array<size_t, static_cast<size_t>(Step::kStop) + 1> executed{};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<Script> scripts;
+    for (uint32_t a = 0; a < kActors; ++a) {
+      scripts.push_back(RandomScript(rng, kActors, 60));
+    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const ScriptRun fibers = RunScripts(scripts, 0);
+    ASSERT_GT(fibers.events, 0u);
+    for (uint32_t mask = 1; mask < (1u << kActors); ++mask) {
+      SCOPED_TRACE(testing::Message() << "task mask " << mask);
+      const ScriptRun run = RunScripts(scripts, mask);
+      EXPECT_EQ(run.log, fibers.log);
+      EXPECT_EQ(run.events, fibers.events);
+      EXPECT_EQ(run.end, fibers.end);
+      EXPECT_EQ(run.busy_ns, fibers.busy_ns);
+      if (mask == (1u << kActors) - 1) {
+        EXPECT_EQ(run.switches, 0u);
+      }
+    }
+    for (const LogEntry& entry : fibers.log) {
+      if (entry.actor < kActors && entry.step != kDoneStep) {
+        ++executed[static_cast<size_t>(scripts[entry.actor][entry.step].step)];
+      }
+    }
+  }
+  // Every kind of step ran, Stop() included.
+  for (size_t kind = 0; kind < executed.size(); ++kind) {
+    EXPECT_GT(executed[kind], 20u) << "step kind " << kind;
+  }
+}
+
+// Sleep's next-in-line fast path: a lone task's sleeps never queue an event
+// yet each counts as one, as a lone fiber's Waits do.
+TEST(SimTaskTest, NextInLineSleepCountsAsAnEvent) {
+  Engine e;
+  auto loop = [](Engine* e) -> SimTask {
+    for (int i = 0; i < 10; ++i) {
+      co_await e->Sleep(3);
+    }
+  };
+  SimTask task = loop(&e);
+  e.Start(task);
+  e.Run();
+  EXPECT_TRUE(task.done());
+  EXPECT_EQ(e.now(), 30u);
+  EXPECT_EQ(e.events_processed(), 11u);  // First run + 10 sleeps.
+  EXPECT_EQ(e.slab_slots(), 256u);       // One chunk: the first run's slot.
+  EXPECT_EQ(e.context_switches(), 0u);
+}
+
+// Destroying a suspended task frees its frame once and never resumes it,
+// whether it waits in a WaitQueue, in a queued Sleep event, or behind a
+// notify whose resume event has not popped; and whether the task or the
+// engine goes first.
+TEST(SimTaskTest, DestroyingASuspendedTaskFreesItsFrameWithoutResuming) {
+  struct Guard {
+    int* destroyed;
+    ~Guard() { ++*destroyed; }
+  };
+  auto parked = [](Engine* e, WaitQueue* q, bool sleep, int* destroyed,
+                   bool* resumed) -> SimTask {
+    Guard guard{destroyed};
+    if (sleep) {
+      co_await e->Sleep(100);
+    } else {
+      co_await *q;
+    }
+    *resumed = true;
+  };
+  enum class Where { kQueue, kSleepEvent, kNotified };
+  for (const Where where : {Where::kQueue, Where::kSleepEvent, Where::kNotified}) {
+    for (const bool task_first : {true, false}) {
+      SCOPED_TRACE(testing::Message() << static_cast<int>(where) << " " << task_first);
+      const size_t frames = SimTask::live_frames();
+      int destroyed = 0;
+      bool resumed = false;
+      auto e = std::make_unique<Engine>();
+      auto q = std::make_unique<WaitQueue>(e.get());
+      auto task = std::make_unique<SimTask>(
+          parked(e.get(), q.get(), where == Where::kSleepEvent, &destroyed, &resumed));
+      EXPECT_EQ(SimTask::live_frames(), frames + 1);
+      e->Start(*task);
+      e->RunUntil(50);
+      if (where == Where::kNotified) {
+        EXPECT_TRUE(q->NotifyOne(/*wake_delay=*/10));
+      }
+      EXPECT_EQ(destroyed, 0);
+      if (task_first) {
+        task.reset();
+        EXPECT_EQ(destroyed, 1);
+        q.reset();
+        e.reset();
+      } else {
+        q.reset();
+        e.reset();
+        EXPECT_EQ(destroyed, 0);
+        task.reset();
+      }
+      EXPECT_EQ(destroyed, 1);
+      EXPECT_FALSE(resumed);
+      EXPECT_EQ(SimTask::live_frames(), frames);
+    }
+  }
 }
 
 }  // namespace

@@ -37,6 +37,33 @@ TEST(MdSystem, AdiosCompletesAndConserves) {
   EXPECT_LT(r.e2e.P50(), 50000u);
 }
 
+// Tearing a system down with its dispatcher and reclaimer tasks suspended
+// frees each task frame exactly once and resumes neither: first with both
+// waiting in their wait queues, then with the dispatcher's RX charge still
+// a queued event.
+TEST(MdSystem, TeardownFreesSuspendedTaskFramesOnce) {
+  for (const bool mid_charge : {false, true}) {
+    SCOPED_TRACE(mid_charge);
+    const size_t frames = SimTask::live_frames();
+    {
+      ArrayApp app(SmallArray());
+      MdSystem sys(SystemConfig::Adios(), &app);
+      sys.dispatcher().Start();
+      sys.reclaimer().Start();
+      EXPECT_EQ(SimTask::live_frames(), frames + 2);
+      sys.engine().RunUntil(0);
+      Request req;
+      if (mid_charge) {
+        sys.dispatcher().OnRx(&req);
+        sys.engine().RunUntil(1);  // The RX charge runs 75 ns.
+        EXPECT_EQ(sys.dispatcher().stats().dispatched, 0u);
+      }
+      EXPECT_EQ(sys.dispatcher().queue_depth(), mid_charge ? 1u : 0u);
+    }
+    EXPECT_EQ(SimTask::live_frames(), frames);
+  }
+}
+
 TEST(MdSystem, AllPresetsComplete) {
   for (const SystemConfig& cfg :
        {SystemConfig::Adios(), SystemConfig::DiLOS(), SystemConfig::DiLOSP(),

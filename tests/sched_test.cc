@@ -90,7 +90,7 @@ TEST(Dispatch, AssignmentOrderMatchesSortedIdleWorkers) {
     ArrayApp app(MediumArray());
     MdSystem sys(cfg, &app);
     sys.tracer().Enable(1024);
-    // Only the dispatcher fiber runs: workers keep what they are assigned,
+    // Only the dispatcher task runs: workers keep what they are assigned,
     // and READs posted at time 0 are still in flight after each
     // sub-microsecond dispatch pass.
     uint64_t wr_id = 0;
@@ -248,7 +248,7 @@ TEST(Reclaim, TinyLocalCacheDoesNotDeadlock) {
 }
 
 TEST(RxRing, ArrivalBeyondTheBoundIsDroppedAndCounted) {
-  // The dispatcher fiber never starts, so nothing drains the RX ring (or
+  // The dispatcher task never starts, so nothing drains the RX ring (or
   // touches the worker list): the first kRxRingSize arrivals queue, and the
   // next one is dropped at the ring.
   Engine engine;

@@ -6,8 +6,12 @@ and receiver types are not resolved -- under-resolution would miss real
 hazards, over-resolution only costs an `ADIOS_NO_SUSPEND` annotation or a
 suppression comment at the (rare) colliding site.
 
-Seeds are the engine's suspension primitives plus anything annotated
-ADIOS_MAY_SUSPEND. Functions annotated ADIOS_NO_SUSPEND never propagate
+Seeds are the engine's suspension primitives, the task awaiters
+(Engine::Sleep, CpuCore::Charge/ChargeNs), anything annotated
+ADIOS_MAY_SUSPEND, and every coroutine: a body that contains `co_await`
+suspends there. A coroutine's *callers* are not tainted through it:
+calling a SimTask coroutine only creates its frame, which runs later from
+the event loop. Functions annotated ADIOS_NO_SUSPEND never propagate
 taint to their callers; instead, if the analysis shows such a function
 transitively reaching a suspension point, that contradiction is reported
 as a suspend-safety finding.
@@ -28,7 +32,14 @@ SEED_QUALNAMES = {
     "Engine::Run",
     "Engine::RunUntil",
     "WaitQueue::Wait",
+    # Task awaiters: `co_await engine->Sleep(d)`, `co_await core->Charge(c)`.
+    "Engine::Sleep",
+    "CpuCore::Charge",
+    "CpuCore::ChargeNs",
 }
+
+# The coroutine keyword that suspends a task in place.
+CO_AWAIT = "co_await"
 
 # ... and the free-function context-switch layer underneath them.
 SEED_BARE = {
@@ -38,6 +49,15 @@ SEED_BARE = {
     "AdiosContextSwitchAsm",
     "AdiosHeavyContextSwitchAsm",
 }
+
+
+def first_co_await(fn):
+    """Line of the first `co_await` in fn's body, or None."""
+    tokens = fn.file.tokens
+    for i in range(fn.body_start + 1, fn.body_end):
+        if tokens[i].text == CO_AWAIT:
+            return tokens[i].line
+    return None
 
 
 def extract_calls(fn):
@@ -91,6 +111,12 @@ class CallGraph:
             self.calls[id(fn)] = extract_calls(fn)
             if self._seeded(fn):
                 fn.may_suspend = True
+            co_line = first_co_await(fn)
+            if co_line is not None and not fn.may_suspend:
+                # A coroutine suspends itself; its name is not added to
+                # `names`, so its callers stay untainted.
+                fn.may_suspend = True
+                fn.taint_path = (CO_AWAIT, co_line)
         changed = True
         while changed:
             changed = False

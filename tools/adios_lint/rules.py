@@ -4,7 +4,8 @@ Each rule is a static complement to one of the runtime invariant checks:
 
   suspend-safety    <- InvariantChecker's page-state machine (src/check/):
                        raw PageEntry pointers / frame indices held live
-                       across a call into a may-suspend function are stale.
+                       across a call into a may-suspend function, or a
+                       task's `co_await`, are stale.
   trace-pairing     <- Tracer stall accounting: every paired TraceEvent
                        (kX / kXDone) must be closed on every function exit.
   sim-time-hygiene  <- the SimTime discipline: wall-clock sources live only
@@ -105,6 +106,39 @@ def _match_paren_forward(tokens, open_idx, end):
     return end
 
 
+def _co_await_end(tokens, i, end):
+    """Index just past the operand of the `co_await` at tokens[i]: the end
+    of its full-expression, at the first `;` or unmatched closing bracket."""
+    depth = 0
+    j = i + 1
+    while j < end:
+        t = tokens[j].text
+        if t in ("(", "[", "{"):
+            depth += 1
+        elif t in (")", "]", "}"):
+            if depth == 0:
+                return j
+            depth -= 1
+        elif t in (";", ",") and depth == 0:
+            return j
+        j += 1
+    return end
+
+
+def _suspension_at(tokens, i, end, graph):
+    """If tokens[i] starts a suspension point, returns (name, index past the
+    point) -- a `co_await` suspends after its operand is evaluated, a call
+    into a may-suspend function after its arguments are -- else None."""
+    t = tokens[i]
+    if t.text == "co_await":
+        return t.text, _co_await_end(tokens, i, end)
+    nxt = tokens[i + 1].text if i + 1 < end else ""
+    if nxt == "(" and t.text not in cpp_index.CONTROL_KEYWORDS and \
+            graph.is_suspending_name(t.text):
+        return t.text, _match_paren_forward(tokens, i + 1, end) + 1
+    return None
+
+
 def _check_suspend_safety(fn, graph, findings):
     tokens = fn.file.tokens
     path = fn.file.path
@@ -150,17 +184,17 @@ def _check_suspend_safety(fn, graph, findings):
             i += 1  # Keep walking into the args: they may use stale hazards.
             continue
 
-        # A call into a may-suspend function: everything held live is now
-        # stale.  Uses *inside* the call's argument list happen before the
-        # suspension, so skip past the closing paren first.
-        if nxt == "(" and t.text not in cpp_index.CONTROL_KEYWORDS and \
-                graph.is_suspending_name(t.text):
-            close = _match_paren_forward(tokens, i + 1, end)
+        # A suspension point (`co_await`, or a call into a may-suspend
+        # function): everything held live is now stale.  Uses inside the
+        # awaited operand or the call's argument list happen before the
+        # suspension, so skip past them first.
+        point = _suspension_at(tokens, i, end, graph)
+        if point is not None:
             for h in hazards.values():
                 if h["state"] == "live":
                     h["state"] = "suspended"
                     h["by"] = (t.text, t.line)
-            i = close + 1
+            i = point[1]
             continue
 
         # Use of a hazard variable.
@@ -217,15 +251,14 @@ def _check_lock_hold(fn, graph, findings):
     while i < end:
         t = tokens[i]
         nxt = tokens[i + 1].text if i + 1 < end else ""
-        if t.kind != "id" or nxt != "(":
+        if t.kind != "id" or (nxt != "(" and t.text != "co_await"):
             i += 1
             continue
         if t.text in LOCK_ACQUIRERS:
             held = (LOCK_ACQUIRERS[t.text], t.text, t.line)
         elif t.text in LOCK_RELEASERS:
             held = None
-        elif t.text not in cpp_index.CONTROL_KEYWORDS and \
-                graph.is_suspending_name(t.text):
+        elif _suspension_at(tokens, i, end, graph) is not None:
             if held is not None:
                 state, acq, aline = held
                 if not is_suppressed(fn.file, t.line, RULE_SUSPEND):
