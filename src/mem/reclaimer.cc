@@ -142,11 +142,24 @@ size_t Reclaimer::DrainCompletions() {
   return n;
 }
 
+bool Reclaimer::DrainAwaiter::Step() {
+  while (const size_t n = reclaimer_->DrainCompletions()) {
+    const Engine::SleepAwaiter charge = reclaimer_->core_->Charge(kCqeCycles * n);
+    if (!charge.await_ready()) {
+      reclaimer_->engine_->ScheduleAt(charge.when(), [this] {
+        if (Step()) {
+          task_.resume();
+        }
+      });
+      return false;
+    }
+  }
+  return true;
+}
+
 SimTask Reclaimer::Loop() {
   for (;;) {
-    while (const size_t n = DrainCompletions()) {
-      co_await core_->Charge(kCqeCycles * n);
-    }
+    co_await Drain();
     if (!mm_->BelowLowWatermark()) {
       kicked_ = false;
       co_await sleep_queue_;
@@ -154,9 +167,7 @@ SimTask Reclaimer::Loop() {
     }
     // Evict until comfortably above the watermark (hysteresis band).
     while (!mm_->AboveHighWatermark()) {
-      while (const size_t n = DrainCompletions()) {
-        co_await core_->Charge(kCqeCycles * n);
-      }
+      co_await Drain();
       const uint64_t victim = mm_->SelectVictim();
       if (victim == mm_->page_table().num_pages()) {
         // Nothing evictable: frames are tied up in in-flight fetches or
@@ -194,9 +205,7 @@ SimTask Reclaimer::Loop() {
         // A previous fan-out of this page is still settling (re-fetch +
         // re-evict inside one retry window); its wr_ids would collide.
         co_await cq_wait_;
-        while (const size_t n = DrainCompletions()) {
-          co_await core_->Charge(kCqeCycles * n);
-        }
+        co_await Drain();
       }
       wb_waiting_ = false;
       wb_targets_scratch_.clear();
@@ -216,9 +225,7 @@ SimTask Reclaimer::Loop() {
         const OpId id = OpId::Writeback(victim, node);
         while (!PostWriteback(id)) {
           co_await cq_wait_;
-          while (const size_t n = DrainCompletions()) {
-            co_await core_->Charge(kCqeCycles * n);
-          }
+          co_await Drain();
         }
         if (tracker_.tracks(OpKind::kWriteback)) {
           tracker_.Track(id, {.node = node, .cls = TrafficClass::kBackground});

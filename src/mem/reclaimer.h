@@ -15,12 +15,14 @@
 // re-silvers recovered nodes, repairs corrupt replicas and scrubs.
 //
 // The reclaimer hosts no unithread, so its loop is a stackless SimTask
-// (src/sim/engine.h): it charges its core with `co_await Charge` and sleeps
-// on `co_await sleep_queue_` / `co_await cq_wait_`.
+// (src/sim/engine.h): it charges its core with `co_await Charge`, drains
+// its CQ with `co_await Drain()` and sleeps on `co_await sleep_queue_` /
+// `co_await cq_wait_`.
 
 #ifndef ADIOS_SRC_MEM_RECLAIMER_H_
 #define ADIOS_SRC_MEM_RECLAIMER_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -84,9 +86,31 @@ class Reclaimer {
 
  private:
   SimTask Loop();
-  // Polls and settles one batch of CQEs; returns its size, which the caller
-  // charges (kCqeCycles each). 0 when the CQ is empty.
+  // Polls and settles one batch of CQEs; returns its size. 0 when the CQ is
+  // empty.
   size_t DrainCompletions();
+
+  // `co_await Drain()`: the loop's one drain-and-charge step. Polls batch
+  // after batch, charging kCqeCycles per completion, until a poll comes
+  // back empty. A charge that must wait queues the next poll as its wake-up
+  // event, where a resumed loop of polls and `co_await Charge` would poll,
+  // and the task resumes only after the empty poll.
+  class [[nodiscard]] DrainAwaiter {
+   public:
+    explicit DrainAwaiter(Reclaimer* reclaimer) : reclaimer_(reclaimer) {}
+    bool await_ready() { return Step(); }
+    void await_suspend(std::coroutine_handle<> task) { task_ = task; }
+    void await_resume() const {}
+
+   private:
+    // Drains and charges; true once a poll comes back empty, false when a
+    // charge queued a wake-up event that continues the drain.
+    bool Step();
+
+    Reclaimer* reclaimer_;
+    std::coroutine_handle<> task_;
+  };
+  DrainAwaiter Drain() { return DrainAwaiter(this); }
 
   // Live replica targets for a dirty write-back of `vpage`. Dead nodes are
   // skipped and their replicas marked out of sync — the missed update is

@@ -71,7 +71,9 @@
 // horizon, after Stop(), or on an empty queue) or when a fiber finishes.
 // Because callbacks (and the tasks they resume) run on fiber and unithread
 // stacks as well as main's, they must never block a stack: Wait(),
-// SuspendCurrent() and the switch to main abort inside one.
+// SuspendCurrent() and the switch to main abort inside one. They also
+// spend that stack's headroom, a 32 KiB unithread stack's included;
+// InvariantChecker reports the deepest use (pool_stack_high_water).
 //
 // Context discipline: the engine tracks the currently executing context.
 // Every switch site must go through RawSwitch() so the tracking stays
@@ -318,6 +320,10 @@ class Engine {
       engine_->PushTaskResume(when_, task);
     }
     void await_resume() const {}
+    // The wake-up time. An awaiter that continues with more work before
+    // resuming its task queues its own callback here instead of
+    // await_suspend's resume; the push takes the same sequence number.
+    SimTime when() const { return when_; }
 
    private:
     friend class Engine;
